@@ -159,7 +159,8 @@ def cmd_iterate(args) -> int:
         except GeometryError as exc:
             degeneration = {"reason": type(exc).__name__, "message": str(exc)}
             break
-        ratios.append(_num(nxt.area() / generations[-1].area()))
+        prev_area = generations[-1].area()
+        ratios.append(_num(nxt.area() / prev_area) if prev_area > 0.0 else None)
         generations.append(nxt)
     doc = {
         "tool_version": __version__,

@@ -22,6 +22,7 @@ from .errors import (
     CoincidentPoints,
     CollinearInput,
     ConcentricCircles,
+    DegenerateCircle,
     DegenerateRay,
     IdenticalCurves,
     IsTranslation,
@@ -164,7 +165,7 @@ class GenCircle:
     def from_coeffs(a: float, b: float, c: float, d: float) -> "GenCircle":
         m = max(abs(a), abs(b), abs(c), abs(d))
         if m == 0.0:
-            raise ValueError("all coefficients zero")
+            raise DegenerateCircle("all coefficients zero")
         coeffs = [a / m, b / m, c / m, d / m]
         # canonical sign: make the largest-magnitude coefficient positive
         idx = max(range(4), key=lambda i: abs(coeffs[i]))
@@ -175,7 +176,7 @@ class GenCircle:
     @staticmethod
     def circle(center: Point, radius: float) -> "GenCircle":
         if radius <= 0.0 or not math.isfinite(radius):
-            raise ValueError(f"invalid radius {radius}")
+            raise DegenerateCircle(f"invalid radius {radius}")
         return GenCircle.from_coeffs(
             1.0, -2.0 * center.x, -2.0 * center.y,
             center.x * center.x + center.y * center.y - radius * radius,
@@ -209,7 +210,7 @@ class GenCircle:
             raise NotALine("a line has no radius")
         disc = self.b * self.b + self.c * self.c - 4.0 * self.a * self.d
         if disc <= 0.0:
-            raise ValueError("degenerate circle (empty or a point)")
+            raise DegenerateCircle("degenerate circle (empty or a point)")
         return math.sqrt(disc) / (2.0 * abs(self.a))
 
     def direction(self) -> Point:
@@ -550,11 +551,6 @@ def orthocenter(p: Point, q: Point, r: Point) -> Point:
     """Orthocenter via H = P + Q + R - 2*O."""
     o = circumcircle(p, q, r).center()
     return Point(p.x + q.x + r.x - 2.0 * o.x, p.y + q.y + r.y - 2.0 * o.y)
-
-
-def reflect_point_in_line(line: GenCircle, p: Point) -> Point:
-    f = foot_of_perpendicular(line, p)
-    return Point(2.0 * f.x - p.x, 2.0 * f.y - p.y)
 
 
 # ---------------------------------------------------------------------------

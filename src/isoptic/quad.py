@@ -36,7 +36,6 @@ from .kernel import (
     Point,
     SpiralSimilarity,
     Triangle,
-    UNDEFINED,
     UndefinedPoint,
     circle_of_similitude,
     circumcircle,
@@ -49,6 +48,7 @@ from .kernel import (
     isogonal_conjugate_triangle,
     orthocenter,
     spiral_from_two_pairs,
+    _line_line,
 )
 
 
@@ -87,12 +87,10 @@ class Quadrilateral:
         return Point(sum(v.x for v in vs) / 4.0, sum(v.y for v in vs) / 4.0)
 
     def area(self) -> float:
-        vs = self.vertices()
-        s = 0.0
-        for i in range(4):
-            p, q = vs[i], vs[(i + 1) % 4]
-            s += p.cross(q)
-        return abs(s) / 2.0
+        # edge vectors from A: the absolute-coordinate shoelace cancels to 0
+        # on a quadrilateral far smaller than its distance from the origin
+        ab, ac, ad = self.b - self.a, self.c - self.a, self.d - self.a
+        return abs(ab.cross(ac) + ac.cross(ad)) / 2.0
 
     def reordered(self, order: str) -> "Quadrilateral":
         """Same vertex set in a different cyclic order, e.g. 'acbd'."""
@@ -352,16 +350,6 @@ def generation_spiral(q: Quadrilateral, tol: float = DEFAULT_TOL) -> SpiralSimil
 # the isoptic point W
 
 
-def _cs_pair_intersection(g1: GenCircle, g2: GenCircle, exclude: Point,
-                          scale: float, tol: float) -> MaybePoint:
-    """Second intersection of two circles both passing through `exclude`."""
-    pts = intersect(g1, g2, tol)
-    pts = [p for p in pts if p.dist(exclude) > tol * scale]
-    if not pts:
-        return UNDEFINED
-    return max(pts, key=lambda p: p.dist(exclude))
-
-
 def _orthocentric_direction(triads: TriadSystem, tol: float) -> AtInfinity:
     # all triad circles of an orthocentric system are congruent, so the CS
     # curves are parallel lines; W is their common point at infinity
@@ -373,21 +361,30 @@ def _orthocentric_direction(triads: TriadSystem, tol: float) -> AtInfinity:
 def isoptic_point(q: Quadrilateral, tol: float = DEFAULT_TOL) -> MaybePoint:
     """The point lying on all six circles of similitude of the triad circles.
 
-    Cyclic inputs give the circumcenter, orthocentric inputs the point at
-    infinity in the common direction of the (then parallel) CS lines.
-    Near-cyclic inputs switch to the better conditioned inversive formula.
+    W is the center of the real homothety Q3 = W + r (Q1 - W) that takes the
+    quadrilateral to its second successor, so with G1, G3 the centroids of
+    Q1, Q3 and r the least-squares real ratio of their centered vertices,
+    W = G3 + r (G3 - G1) / (1 - r).  Q3 is built from Q2 moved to its own
+    centroid, since near-cyclic inputs shrink Q3 to rounding level in
+    absolute coordinates.  Cyclic inputs give the circumcenter, orthocentric
+    inputs (r = 1) the point at infinity in the common direction of the then
+    parallel CS lines.
     """
     shape = classify(q, tol)
     if shape.cyclic:
         return circumcircle(q.a, q.b, q.c).center()
-    triads = triad_circles(q, tol)
     if shape.orthocentric:
-        return _orthocentric_direction(triads, tol)
-    if _cyclic_distance(q) < 1e3 * tol:
-        return isoptic_point_via_inversion(q, tol)
-    cs12 = circle_of_similitude(triads.o1, triads.o2, tol)
-    cs14 = circle_of_similitude(triads.o1, triads.o4, tol)
-    return _cs_pair_intersection(cs12, cs14, q.a, q.scale(), tol)
+        return _orthocentric_direction(triad_circles(q, tol), tol)
+    q2 = next_generation(q, tol)
+    g2 = q2.centroid()
+    q2_local = Quadrilateral(*(v - g2 for v in q2.vertices()))
+    v1 = [v.to_complex() for v in q.vertices()]
+    v3 = [(c + g2).to_complex() for c in triad_circles(q2_local, tol).centers]
+    g1 = sum(v1) / 4.0
+    g3 = sum(v3) / 4.0
+    num = sum(((z3 - g3) * (z1 - g1).conjugate()).real for z1, z3 in zip(v1, v3))
+    r = num / sum(abs(z1 - g1) ** 2 for z1 in v1)
+    return Point.from_complex(g3 + r * (g3 - g1) / (1.0 - r))
 
 
 def _aitken(seq: list[float], scale: float) -> float:
@@ -538,33 +535,17 @@ def varignon(q: Quadrilateral) -> list[Point]:
 def simson_point(q: Quadrilateral, tol: float = DEFAULT_TOL) -> MaybePoint:
     """The unique point whose four pedal feet are collinear.
 
-    Noncyclic: second intersection of CS(o1, o3) and CS(o2, o4).  Cyclic with
-    circumcenter O: second intersection of circles (B O D) and (A O C).
-    Parallelogram: the point at infinity along side AD.
+    S is the Miquel point of the complete quadrilateral, the center of the
+    spiral similarity taking A to D and B to C: with a, b, c, d the vertices
+    relative to the centroid G, S = G + (ac - bd) / (a + c - b - d).  A
+    parallelogram (a + c = b + d) sends S to infinity along side AD.
     """
-    shape = classify(q, tol)
-    if shape.parallelogram:
+    if classify(q, tol).parallelogram:
         v = q.d - q.a
         return AtInfinity.along(v.x, v.y)
-    scale = q.scale()
-    if shape.cyclic:
-        o = circumcircle(q.a, q.b, q.c).center()
-        g1 = circumcircle(q.b, o, q.d, tol)
-        g2 = circumcircle(q.a, o, q.c, tol)
-        return _cs_pair_intersection(g1, g2, o, scale, tol)
-    triads = triad_circles(q, tol)
-    cs13 = circle_of_similitude(triads.o1, triads.o3, tol)
-    cs24 = circle_of_similitude(triads.o2, triads.o4, tol)
-    pts = intersect(cs13, cs24, tol)
-    w = isoptic_point(q, tol)
-    if is_finite(w):
-        pts = [p for p in pts if p.dist(w) > tol * scale]
-    if not pts:
-        return UNDEFINED
-    if len(pts) == 1:
-        return pts[0]
-    # farther from W per the disambiguation rule
-    return max(pts, key=lambda p: p.dist(w) if is_finite(w) else 0.0)
+    g = q.centroid()
+    a, b, c, d = ((v - g).to_complex() for v in q.vertices())
+    return g + Point.from_complex((a * c - b * d) / (a + c - b - d))
 
 
 def best_fit_line(points: list[Point]) -> GenCircle:
@@ -664,21 +645,10 @@ def _perpendicular_line_at(foot: Point, through: Point) -> GenCircle:
 
 
 def _intersect_lines_strict(l1: GenCircle, l2: GenCircle, tol: float) -> Point:
-    pts = _line_line_points(l1, l2, tol)
+    pts = _line_line(l1, l2, tol)
     if not pts:
         raise ParallelConsecutiveLines("consecutive reconstruction lines are parallel")
     return pts[0]
-
-
-def _line_line_points(l1: GenCircle, l2: GenCircle, tol: float) -> list[Point]:
-    det = l1.b * l2.c - l1.c * l2.b
-    n1 = math.hypot(l1.b, l1.c)
-    n2 = math.hypot(l2.b, l2.c)
-    if abs(det) <= tol * n1 * n2:
-        return []
-    x = (-l1.d * l2.c + l1.c * l2.d) / det
-    y = (-l1.b * l2.d + l1.d * l2.b) / det
-    return [Point(x, y)]
 
 
 def reconstruct_from_pedal_w(w: Point, feet: list[Point],
@@ -873,7 +843,7 @@ def feet_circles_residual(q: Quadrilateral, w: Point,
     for name, side, opposite in (("a", (A, B), lines[2]), ("b", (B, C), lines[3]),
                                  ("c", (C, D), lines[0]), ("d", (D, A), lines[1])):
         pb = perpendicular_bisector(*side)
-        pts = _line_line_points(pb, opposite, tol)
+        pts = _line_line(pb, opposite, tol)
         if not pts:
             return math.nan  # trapezoid: a foot escapes to infinity
         feet[name] = pts[0]

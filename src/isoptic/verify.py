@@ -180,8 +180,6 @@ def _draw(rng: random.Random, shape_class: str) -> Quadrilateral | None:
             return None
     except GeometryError:
         return None
-    except ValueError:
-        return None
     return None
 
 
@@ -200,12 +198,6 @@ def random_quadrilateral(spec: CaseSpec, index: int, max_tries: int = 4000) -> Q
         if q is None:
             continue
         q = _normalize(q)
-        if spec.shape_class in ("cyclic", "near-cyclic", "orthocentric",
-                                "parallelogram", "parallelogram-pi4", "trapezoid"):
-            # exact constructions; only basic conditioning applies
-            if _well_conditioned(q, spec.conditioning):
-                return q
-            continue
         if _well_conditioned(q, spec.conditioning):
             return q
     raise RejectionExhausted(

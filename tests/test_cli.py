@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import xml.dom.minidom
 
 import pytest
@@ -60,6 +61,20 @@ class TestAnalyze:
         collinear = {"vertices": [[0, 0], [1, 0], [2, 0], [0, 3]]}
         assert main(["analyze", quad_file(collinear)]) == 2
 
+    @pytest.mark.parametrize("offset, code", [(1e5, 0), (1e9, 2)])
+    def test_offset_generic(self, quad_file, tmp_path, offset, code):
+        shifted = {"vertices": [[x + offset, y + offset] for x, y in GENERIC["vertices"]]}
+        out0, out = tmp_path / "r0.json", tmp_path / "r.json"
+        assert main(["analyze", quad_file(GENERIC), "--out", str(out0)]) == 0
+        assert main(["analyze", quad_file(shifted, "shifted.json"),
+                     "--out", str(out)]) == code
+        if code == 0:
+            x0, y0 = json.loads(out0.read_text())["w"]["xy"]
+            x, y = json.loads(out.read_text())["w"]["xy"]
+            diameter = math.sqrt(34.0)
+            err = math.hypot(x - x0 - offset, y - y0 - offset) / diameter
+            assert err <= 10 * sys.float_info.epsilon * offset / diameter
+
     def test_roundtrip_17_digits(self, quad_file, tmp_path):
         quad = {"vertices": [[0.1, 0.2], [4.3, 0.7], [5.9, 3.1], [1.4, 4.8]]}
         out = tmp_path / "report.json"
@@ -100,6 +115,24 @@ class TestIterate:
         recovered = json.loads(back.read_text())["generations"][-1]
         for got, want in zip(recovered, GENERIC["vertices"]):
             assert math.hypot(got[0] - want[0], got[1] - want[1]) < 1e-8
+
+    @pytest.mark.parametrize("vertices", [
+        # near-cyclic, CaseSpec(3, "near-cyclic") case 0: later generations
+        # are far smaller than their distance from the origin
+        [[0.3512370633258834, 0.10740664606074572],
+         [0.3313576852543707, 0.21277795732263385],
+         [-0.6487365733102256, 0.10014537669822228],
+         [-0.033858175270028455, -0.4203299800816019]],
+        # self-intersecting with zero signed area
+        [[0, 0], [1.5, 1], [2, 0], [0.3, 1]],
+    ], ids=["near-cyclic", "zero-area"])
+    def test_collapsed_area(self, quad_file, tmp_path, vertices):
+        out = tmp_path / "it.json"
+        rc = main(["iterate", quad_file({"vertices": vertices}), "--generations", "3",
+                   "--out", str(out)])
+        assert rc in (0, 2)
+        doc = json.loads(out.read_text())
+        assert all(r is None or r >= 0 for r in doc["area_ratios"])
 
 
 class TestVerify:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -478,3 +479,82 @@ class TestPeriodicity:
         q = ortho_quad()
         q3 = next_generation(next_generation(q))
         assert quad_distance(q, q3) < 1e-8 * q.scale()
+
+
+# ---------------------------------------------------------------------------
+# the closed forms of W and S in exact arithmetic: float vertices are exact
+# rationals, so every construction below is exact and residuals are zero
+
+
+def _sub(p, q):
+    return (p[0] - q[0], p[1] - q[1])
+
+
+def _dot(p, q):
+    return p[0] * q[0] + p[1] * q[1]
+
+
+def _cross(p, q):
+    return p[0] * q[1] - p[1] * q[0]
+
+
+def _exact_circumcenter(p, q, r):
+    u, v = _sub(q, p), _sub(r, p)
+    ku, kv = _dot(u, u) / 2, _dot(v, v) / 2
+    det = _cross(u, v)
+    return (p[0] + (ku * v[1] - u[1] * kv) / det, p[1] + (u[0] * kv - ku * v[0]) / det)
+
+
+def _exact_next(vs):
+    a, b, c, d = vs
+    return [_exact_circumcenter(d, a, b), _exact_circumcenter(a, b, c),
+            _exact_circumcenter(b, c, d), _exact_circumcenter(c, d, a)]
+
+
+def _exact_pedal(vs, p):
+    feet = []
+    for i in range(4):
+        u, v = vs[i], vs[(i + 1) % 4]
+        e = _sub(v, u)
+        t = _dot(_sub(p, u), e) / _dot(e, e)
+        feet.append((u[0] + t * e[0], u[1] + t * e[1]))
+    return feet
+
+
+def _float_error(p, exact):
+    return math.hypot(float(Fraction(p.x) - exact[0]), float(Fraction(p.y) - exact[1]))
+
+
+EXACT_CLASSES = ("convex-noncyclic", "concave", "trapezoid", "near-cyclic", "cyclic")
+
+
+@pytest.mark.parametrize("shape", EXACT_CLASSES)
+class TestClosedFormsExact:
+    def test_homothety_center_is_w(self, shape):
+        for q in generic_quads(8, shape, seed=5):
+            q1 = [(Fraction(v.x), Fraction(v.y)) for v in q.vertices()]
+            q3 = _exact_next(_exact_next(q1))
+            # Q3 - A3 = r (Q1 - A1) for one real r
+            e1, e3 = _sub(q1[1], q1[0]), _sub(q3[1], q3[0])
+            r = _dot(e3, e1) / _dot(e1, e1)
+            for v1, v3 in zip(q1, q3):
+                d1, d3 = _sub(v1, q1[0]), _sub(v3, q3[0])
+                assert d3 == (r * d1[0], r * d1[1])
+            w = tuple((z3 - r * z1) / (1 - r) for z1, z3 in zip(q1[0], q3[0]))
+            f1, f2, f3, f4 = _exact_pedal(q1, w)
+            assert _sub(f1, f2) == _sub(f4, f3)
+            assert _float_error(isoptic_point(q), w) <= 1e-13 * q.scale()
+
+    def test_miquel_point_is_s(self, shape):
+        for q in generic_quads(8, shape, seed=5):
+            vs = [(Fraction(v.x), Fraction(v.y)) for v in q.vertices()]
+            (ax, ay), (bx, by), (cx, cy), (dx, dy) = vs
+            # S = (AC - BD) / (A + C - B - D) in complex numbers
+            nx, ny = ax * cx - ay * cy - bx * dx + by * dy, ax * cy + ay * cx - bx * dy - by * dx
+            mx, my = ax + cx - bx - dx, ay + cy - by - dy
+            den = mx * mx + my * my
+            s = ((nx * mx + ny * my) / den, (ny * mx - nx * my) / den)
+            f1, f2, f3, f4 = _exact_pedal(vs, s)
+            assert _cross(_sub(f2, f1), _sub(f3, f1)) == 0
+            assert _cross(_sub(f2, f1), _sub(f4, f1)) == 0
+            assert _float_error(simson_point(q), s) <= 1e-13 * q.scale()
