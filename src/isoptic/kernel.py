@@ -125,6 +125,15 @@ def diameter(points) -> float:
     return best if best > 0.0 else 1.0
 
 
+def min_height(p: Point, q: Point, r: Point) -> float:
+    """Least distance from a vertex of triangle pqr to the opposite side
+    line; 0 when all three points coincide."""
+    longest = max(p.dist(q), q.dist(r), r.dist(p))
+    if longest == 0.0:
+        return 0.0
+    return abs((q - p).cross(r - p)) / longest
+
+
 @dataclass(frozen=True)
 class DirectedAngle:
     """An angle between lines, reduced modulo pi to [0, pi)."""
@@ -241,11 +250,19 @@ class GenCircle:
         return Point(o.x + r * math.cos(t), o.y + r * math.sin(t))
 
 
-def circles_equal(g1: GenCircle, g2: GenCircle, tol: float = DEFAULT_TOL) -> bool:
+def coeff_distance(g1: GenCircle, g2: GenCircle) -> float:
+    """Max-norm distance of the normalized coefficient vectors, the smaller
+    over both signs of one curve's equation (a tie for the largest
+    coefficient makes the canonical sign of near-equal curves differ)."""
     u = GenCircle.from_coeffs(g1.a, g1.b, g1.c, g1.d)
     v = GenCircle.from_coeffs(g2.a, g2.b, g2.c, g2.d)
-    res = max(abs(u.a - v.a), abs(u.b - v.b), abs(u.c - v.c), abs(u.d - v.d))
-    return res <= max(tol, 64 * _MACHINE_EPS)
+    d1 = max(abs(u.a - v.a), abs(u.b - v.b), abs(u.c - v.c), abs(u.d - v.d))
+    d2 = max(abs(u.a + v.a), abs(u.b + v.b), abs(u.c + v.c), abs(u.d + v.d))
+    return min(d1, d2)
+
+
+def circles_equal(g1: GenCircle, g2: GenCircle, tol: float = DEFAULT_TOL) -> bool:
+    return coeff_distance(g1, g2) <= max(tol, 64 * _MACHINE_EPS)
 
 
 @dataclass(frozen=True)
@@ -275,10 +292,7 @@ class Triangle:
 
     def __post_init__(self):
         scale = diameter([self.p1, self.p2, self.p3])
-        area2 = abs((self.p2 - self.p1).cross(self.p3 - self.p1))
-        # reject when the least vertex-to-opposite-line distance is below tol*D
-        longest = max(self.p1.dist(self.p2), self.p2.dist(self.p3), self.p3.dist(self.p1))
-        if longest == 0.0 or area2 / longest < DEFAULT_TOL * scale:
+        if min_height(self.p1, self.p2, self.p3) < DEFAULT_TOL * scale:
             raise CollinearInput("triangle vertices are collinear within tolerance")
 
     def vertices(self):
@@ -299,9 +313,7 @@ def circumcircle(p: Point, q: Point, r: Point, tol: float = DEFAULT_TOL) -> GenC
     Raises CollinearInput when the triangle height falls below tol * diameter.
     """
     scale = diameter([p, q, r])
-    area2 = (q - p).cross(r - p)
-    longest = max(p.dist(q), q.dist(r), r.dist(p))
-    if longest == 0.0 or abs(area2) / longest < tol * scale:
+    if min_height(p, q, r) < tol * scale:
         raise CollinearInput("cannot circumscribe collinear points")
     # perpendicular bisector equations: 2(q-p).X = |q|^2-|p|^2 etc.
     ax, ay = q.x - p.x, q.y - p.y

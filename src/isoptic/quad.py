@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     CollinearInput,
@@ -39,6 +40,7 @@ from .kernel import (
     UndefinedPoint,
     circle_of_similitude,
     circumcircle,
+    coeff_distance,
     diameter,
     directed_angle,
     foot_of_perpendicular,
@@ -46,7 +48,7 @@ from .kernel import (
     invert_point,
     is_finite,
     isogonal_conjugate_triangle,
-    orthocenter,
+    min_height,
     spiral_from_two_pairs,
     _line_line,
 )
@@ -68,13 +70,8 @@ class Quadrilateral:
             for j in range(i + 1, 4):
                 if vs[i].dist(vs[j]) < DEFAULT_TOL * scale:
                     raise CollinearInput("coincident vertices")
-        for i in range(4):
-            trip = [vs[j] for j in range(4) if j != i]
-            area2 = abs((trip[1] - trip[0]).cross(trip[2] - trip[0]))
-            longest = max(trip[0].dist(trip[1]), trip[1].dist(trip[2]),
-                          trip[0].dist(trip[2]))
-            if area2 / longest < DEFAULT_TOL * scale:
-                raise CollinearInput("three vertices are collinear within tolerance")
+        if self.min_triad_height() < DEFAULT_TOL * scale:
+            raise CollinearInput("three vertices are collinear within tolerance")
 
     def vertices(self) -> tuple[Point, Point, Point, Point]:
         return (self.a, self.b, self.c, self.d)
@@ -86,11 +83,29 @@ class Quadrilateral:
         vs = self.vertices()
         return Point(sum(v.x for v in vs) / 4.0, sum(v.y for v in vs) / 4.0)
 
-    def area(self) -> float:
+    def min_triad_height(self) -> float:
+        """Least height of the four triangles of three vertices."""
+        vs = self.vertices()
+        return min(min_height(*(vs[j] for j in range(4) if j != i)) for i in range(4))
+
+    def is_convex(self) -> bool:
+        vs = self.vertices()
+        crosses = []
+        for i in range(4):
+            e1 = vs[(i + 1) % 4] - vs[i]
+            e2 = vs[(i + 2) % 4] - vs[(i + 1) % 4]
+            crosses.append(e1.cross(e2))
+        return all(c > 0 for c in crosses) or all(c < 0 for c in crosses)
+
+    def signed_area(self) -> float:
+        """Positive for counterclockwise vertex order."""
         # edge vectors from A: the absolute-coordinate shoelace cancels to 0
         # on a quadrilateral far smaller than its distance from the origin
         ab, ac, ad = self.b - self.a, self.c - self.a, self.d - self.a
-        return abs(ab.cross(ac) + ac.cross(ad)) / 2.0
+        return (ab.cross(ac) + ac.cross(ad)) / 2.0
+
+    def area(self) -> float:
+        return abs(self.signed_area())
 
     def reordered(self, order: str) -> "Quadrilateral":
         """Same vertex set in a different cyclic order, e.g. 'acbd'."""
@@ -171,6 +186,68 @@ class AnalysisReport:
     residuals: dict[str, float] = field(default_factory=dict)
 
 
+class QuadState:
+    """One quadrilateral and what is derived from it, each part computed
+    once, on first use.
+
+    The constructions below take a QuadState wherever they take a
+    quadrilateral, and then reuse its cached parts and its tol; the
+    properties call them through this module's globals.
+    """
+
+    def __init__(self, q: Quadrilateral, tol: float = DEFAULT_TOL):
+        self.q = q
+        self.tol = tol
+
+    @cached_property
+    def scale(self) -> float:
+        return self.q.scale()
+
+    @cached_property
+    def triads(self) -> TriadSystem:
+        return triad_circles(self.q, self.tol)
+
+    @cached_property
+    def cyclic(self) -> bool:
+        """D lies within tol * scale of the circle o2 through A, B, C."""
+        return self.triads.o2.distance_to(self.q.d) / self.scale < self.tol
+
+    @cached_property
+    def shape(self) -> ShapeClass:
+        return classify(self)
+
+    @cached_property
+    def r(self) -> float:
+        return similarity_ratio(self.q, self.tol)
+
+    @cached_property
+    def q2(self) -> Quadrilateral:
+        return next_generation(self)
+
+    @cached_property
+    def w(self) -> MaybePoint:
+        return isoptic_point(self)
+
+    @cached_property
+    def s(self) -> MaybePoint:
+        return simson_point(self)
+
+    @cached_property
+    def pedal_w(self) -> list[Point] | None:
+        return pedal_quadrilateral(self.q, self.w) if is_finite(self.w) else None
+
+    @cached_property
+    def pedal_s(self) -> list[Point] | None:
+        return pedal_quadrilateral(self.q, self.s) if is_finite(self.s) else None
+
+
+QuadOrState = Quadrilateral | QuadState
+
+
+def _state(q: QuadOrState, tol: float) -> QuadState:
+    return q if isinstance(q, QuadState) else QuadState(q, tol)
+
+
 # ---------------------------------------------------------------------------
 # angles and shape
 
@@ -179,10 +256,7 @@ def interior_angles(q: Quadrilateral) -> tuple[float, float, float, float]:
     """Interior angles in (0, 2*pi); a reflex vertex of a concave
     quadrilateral gets its actual reflex angle."""
     vs = q.vertices()
-    signed = 0.0
-    for i in range(4):
-        signed += vs[i].cross(vs[(i + 1) % 4])
-    orient = 1.0 if signed > 0.0 else -1.0
+    orient = 1.0 if q.signed_area() > 0.0 else -1.0
     out = []
     for i in range(4):
         v = vs[i]
@@ -201,36 +275,26 @@ def noncyclicity_measure(q: Quadrilateral) -> float:
     return abs(a + g - math.pi)
 
 
-def _cyclic_distance(q: Quadrilateral) -> float:
-    """Scale-free distance of vertex D from the circumcircle of A, B, C."""
-    circ = circumcircle(q.a, q.b, q.c)
-    return circ.distance_to(q.d) / q.scale()
+def is_cyclic(q: QuadOrState, tol: float = DEFAULT_TOL) -> bool:
+    return _state(q, tol).cyclic
 
 
-def is_cyclic(q: Quadrilateral, tol: float = DEFAULT_TOL) -> bool:
-    return _cyclic_distance(q) < tol
+def classify(q: QuadOrState, tol: float = DEFAULT_TOL) -> ShapeClass:
+    st = _state(q, tol)
+    tol = st.tol
+    vs = st.q.vertices()
+    scale = st.scale
+    convex = st.q.is_convex()
+    cyclic = st.cyclic
 
-
-def classify(q: Quadrilateral, tol: float = DEFAULT_TOL) -> ShapeClass:
-    vs = q.vertices()
-    scale = q.scale()
-    crosses = []
-    for i in range(4):
-        e1 = vs[(i + 1) % 4] - vs[i]
-        e2 = vs[(i + 2) % 4] - vs[(i + 1) % 4]
-        crosses.append(e1.cross(e2))
-    convex = all(c > 0 for c in crosses) or all(c < 0 for c in crosses)
-
-    cyclic = is_cyclic(q, tol)
-
+    # each vertex is the orthocenter of the other three: their sum minus
+    # twice the center of their triad circle
+    t = st.triads
     ortho = True
-    for i in range(4):
-        rest = [vs[j] for j in range(4) if j != i]
-        try:
-            h = orthocenter(*rest)
-        except CollinearInput:
-            ortho = False
-            break
+    for i, circ in enumerate((t.o3, t.o4, t.o1, t.o2)):
+        p1, p2, p3 = (vs[j] for j in range(4) if j != i)
+        o = circ.center()
+        h = Point(p1.x + p2.x + p3.x - 2.0 * o.x, p1.y + p2.y + p3.y - 2.0 * o.y)
         if vs[i].dist(h) > tol * scale:
             ortho = False
             break
@@ -305,16 +369,17 @@ def triad_circles(q: Quadrilateral, tol: float = DEFAULT_TOL) -> TriadSystem:
         raise CollinearInput(f"collinear triad: {exc}") from exc
 
 
-def next_generation(q: Quadrilateral, tol: float = DEFAULT_TOL) -> Quadrilateral:
+def next_generation(q: QuadOrState, tol: float = DEFAULT_TOL) -> Quadrilateral:
     """Quadrilateral of the triad-circle centers.
 
     Raises CyclicDegeneration (carrying the circumcenter) when the input is
     cyclic, since all four centers then coincide.
     """
-    if is_cyclic(q, tol):
+    st = _state(q, tol)
+    if st.cyclic:
         raise CyclicDegeneration("cyclic quadrilateral degenerates to a point",
-                                 point=circumcircle(q.a, q.b, q.c).center())
-    return Quadrilateral(*triad_circles(q, tol).centers)
+                                 point=st.triads.o2.center())
+    return Quadrilateral(*st.triads.centers)
 
 
 def prev_generation(q: Quadrilateral, tol: float = DEFAULT_TOL) -> Quadrilateral:
@@ -350,15 +415,7 @@ def generation_spiral(q: Quadrilateral, tol: float = DEFAULT_TOL) -> SpiralSimil
 # the isoptic point W
 
 
-def _orthocentric_direction(triads: TriadSystem, tol: float) -> AtInfinity:
-    # all triad circles of an orthocentric system are congruent, so the CS
-    # curves are parallel lines; W is their common point at infinity
-    cs = circle_of_similitude(triads.o1, triads.o2, tol)
-    d = cs.direction()
-    return AtInfinity.along(d.x, d.y)
-
-
-def isoptic_point(q: Quadrilateral, tol: float = DEFAULT_TOL) -> MaybePoint:
+def isoptic_point(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePoint:
     """The point lying on all six circles of similitude of the triad circles.
 
     W is the center of the real homothety Q3 = W + r (Q1 - W) that takes the
@@ -370,16 +427,18 @@ def isoptic_point(q: Quadrilateral, tol: float = DEFAULT_TOL) -> MaybePoint:
     inputs (r = 1) the point at infinity in the common direction of the then
     parallel CS lines.
     """
-    shape = classify(q, tol)
-    if shape.cyclic:
-        return circumcircle(q.a, q.b, q.c).center()
-    if shape.orthocentric:
-        return _orthocentric_direction(triad_circles(q, tol), tol)
-    q2 = next_generation(q, tol)
-    g2 = q2.centroid()
-    q2_local = Quadrilateral(*(v - g2 for v in q2.vertices()))
-    v1 = [v.to_complex() for v in q.vertices()]
-    v3 = [(c + g2).to_complex() for c in triad_circles(q2_local, tol).centers]
+    st = _state(q, tol)
+    if st.cyclic:
+        return st.triads.o2.center()
+    if st.shape.orthocentric:
+        # all triad circles of an orthocentric system are congruent, so the
+        # CS curves are parallel lines; W is their common point at infinity
+        d = circle_of_similitude(st.triads.o1, st.triads.o2, st.tol).direction()
+        return AtInfinity.along(d.x, d.y)
+    g2 = st.q2.centroid()
+    q2_local = Quadrilateral(*(v - g2 for v in st.q2.vertices()))
+    v1 = [v.to_complex() for v in st.q.vertices()]
+    v3 = [(c + g2).to_complex() for c in triad_circles(q2_local, st.tol).centers]
     g1 = sum(v1) / 4.0
     g3 = sum(v3) / 4.0
     num = sum(((z3 - g3) * (z1 - g1).conjugate()).real for z1, z3 in zip(v1, v3))
@@ -441,13 +500,14 @@ def isoptic_point_via_limit(q: Quadrilateral, max_gen: int = 60,
     raise NonConvergent("iteration budget exhausted")
 
 
-def isoptic_point_via_inversion(q: Quadrilateral, tol: float = DEFAULT_TOL) -> MaybePoint:
+def isoptic_point_via_inversion(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePoint:
     """W as the inversion of each vertex in the matching second-generation
     triad circle; the four images are averaged."""
-    q2 = next_generation(q, tol)   # raises CyclicDegeneration when cyclic
-    triads2 = triad_circles(q2, tol)
+    st = _state(q, tol)
+    tol = st.tol
+    triads2 = triad_circles(st.q2, tol)   # Q2 raises CyclicDegeneration when cyclic
     images = []
-    for mirror, vertex in zip(triads2.circles, q.vertices()):
+    for mirror, vertex in zip(triads2.circles, st.q.vertices()):
         img = invert_point(mirror, vertex, tol)
         if not is_finite(img):
             return img
@@ -455,11 +515,12 @@ def isoptic_point_via_inversion(q: Quadrilateral, tol: float = DEFAULT_TOL) -> M
     return Point(sum(p.x for p in images) / 4.0, sum(p.y for p in images) / 4.0)
 
 
-def isoptic_point_via_inv_iso(q: Quadrilateral, tol: float = DEFAULT_TOL) -> MaybePoint:
+def isoptic_point_via_inv_iso(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePoint:
     """W as inversion-of-conjugate: each vertex is conjugated in the triangle
     of the remaining three, then inverted in that triangle's circumcircle."""
-    A, B, C, D = q.vertices()
-    triads = triad_circles(q, tol)
+    st = _state(q, tol)
+    tol, triads = st.tol, st.triads
+    A, B, C, D = st.q.vertices()
     recipe = [
         (triads.o3, Triangle(B, C, D), A),
         (triads.o4, Triangle(C, D, A), B),
@@ -478,20 +539,20 @@ def isoptic_point_via_inv_iso(q: Quadrilateral, tol: float = DEFAULT_TOL) -> May
     return Point(sum(p.x for p in images) / 4.0, sum(p.y for p in images) / 4.0)
 
 
-def isoptic_quantity(q: Quadrilateral, w: Point, tol: float = DEFAULT_TOL) -> list[float]:
+def isoptic_quantity(q: QuadOrState, w: Point, tol: float = DEFAULT_TOL) -> list[float]:
     """d_i / R_i for the four triad circles; all equal exactly at W."""
-    triads = triad_circles(q, tol)
-    return [w.dist(o.center()) / o.radius() for o in triads.circles]
+    return [w.dist(o.center()) / o.radius() for o in _state(q, tol).triads.circles]
 
 
-def isodynamic_ratios(q: Quadrilateral, w: Point, tol: float = DEFAULT_TOL) -> float:
+def isodynamic_ratios(q: QuadOrState, w: Point, tol: float = DEFAULT_TOL) -> float:
     """Relative spread of |w - vertex_k| * R_sigma(k); ~0 exactly at W.
 
     sigma pairs each vertex with the radius of the triad circle through the
     other three: (A, R3), (B, R4), (C, R1), (D, R2).
     """
-    triads = triad_circles(q, tol)
-    r1, r2, r3, r4 = triads.radii
+    st = _state(q, tol)
+    q = st.q
+    r1, r2, r3, r4 = st.triads.radii
     prods = [w.dist(q.a) * r3, w.dist(q.b) * r4, w.dist(q.c) * r1, w.dist(q.d) * r2]
     mean = sum(prods) / 4.0
     if mean == 0.0:
@@ -532,7 +593,7 @@ def varignon(q: Quadrilateral) -> list[Point]:
     return [0.5 * (vs[i] + vs[(i + 1) % 4]) for i in range(4)]
 
 
-def simson_point(q: Quadrilateral, tol: float = DEFAULT_TOL) -> MaybePoint:
+def simson_point(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePoint:
     """The unique point whose four pedal feet are collinear.
 
     S is the Miquel point of the complete quadrilateral, the center of the
@@ -540,7 +601,9 @@ def simson_point(q: Quadrilateral, tol: float = DEFAULT_TOL) -> MaybePoint:
     relative to the centroid G, S = G + (ac - bd) / (a + c - b - d).  A
     parallelogram (a + c = b + d) sends S to infinity along side AD.
     """
-    if classify(q, tol).parallelogram:
+    st = _state(q, tol)
+    q = st.q
+    if st.shape.parallelogram:
         v = q.d - q.a
         return AtInfinity.along(v.x, v.y)
     g = q.centroid()
@@ -567,11 +630,11 @@ def collinearity_residual(points: list[Point]) -> float:
     return max(line.distance_to(p) for p in points)
 
 
-def simson_line(q: Quadrilateral, tol: float = DEFAULT_TOL) -> GenCircle:
-    s = simson_point(q, tol)
-    if not is_finite(s):
+def simson_line(q: QuadOrState, tol: float = DEFAULT_TOL) -> GenCircle:
+    feet = _state(q, tol).pedal_s
+    if feet is None:
         raise PointAtInfinity("the Simson point is not finite")
-    return best_fit_line(pedal_quadrilateral(q, s))
+    return best_fit_line(feet)
 
 
 def parallelogram_residual(pts: list[Point], scale: float) -> float:
@@ -738,16 +801,15 @@ def periodicity_residual(q: Quadrilateral, period: int = 2,
 # cross checks used by the verify harness
 
 
-def cross_generation_cs_residual(q: Quadrilateral, w: Point, generations: int = 3,
+def cross_generation_cs_residual(q: QuadOrState, w: Point, generations: int = 3,
                                  tol: float = DEFAULT_TOL) -> float:
     """Max scale-free distance of w to CS(o_i^(k), o_j^(l)) across generations."""
-    gens = [q]
+    gens = [_state(q, tol)]
+    tol = gens[0].tol
     for _ in range(generations - 1):
-        gens.append(next_generation(gens[-1], tol))
-    circles = []
-    for g in gens:
-        circles.extend(triad_circles(g, tol).circles)
-    scale = q.scale()
+        gens.append(QuadState(gens[-1].q2, tol))
+    circles = [c for g in gens for c in g.triads.circles]
+    scale = gens[0].scale
     worst = 0.0
     for i in range(len(circles)):
         for j in range(i + 1, len(circles)):
@@ -757,14 +819,6 @@ def cross_generation_cs_residual(q: Quadrilateral, w: Point, generations: int = 
             cs = circle_of_similitude(c1, c2, tol)
             worst = max(worst, cs.distance_to(w) / scale)
     return worst
-
-
-def _normalized_coeff_distance(g1: GenCircle, g2: GenCircle) -> float:
-    u = GenCircle.from_coeffs(g1.a, g1.b, g1.c, g1.d)
-    v = GenCircle.from_coeffs(g2.a, g2.b, g2.c, g2.d)
-    d1 = max(abs(u.a - v.a), abs(u.b - v.b), abs(u.c - v.c), abs(u.d - v.d))
-    d2 = max(abs(u.a + v.a), abs(u.b + v.b), abs(u.c + v.c), abs(u.d + v.d))
-    return min(d1, d2)
 
 
 def quadrangle_duality_residual(q: Quadrilateral, w: Point, mirror_radius: float,
@@ -789,7 +843,7 @@ def quadrangle_duality_residual(q: Quadrilateral, w: Point, mirror_radius: float
         line = GenCircle.line_through(p1, p2)
         line_img = invert_circle(mirror, line, tol)
         cs = circle_of_similitude(o[i], o[j], tol)
-        worst = max(worst, _normalized_coeff_distance(line_img, cs))
+        worst = max(worst, coeff_distance(line_img, cs))
     return worst
 
 
@@ -828,16 +882,18 @@ def four_circumcenters_residual(t: Triangle, p: Point,
     return worst
 
 
-def feet_circles_residual(q: Quadrilateral, w: Point,
-                          tol: float = DEFAULT_TOL) -> float:
-    """Max scale-free distance of w from the eight vertex/foot/center circles.
+def feet_circles_residual(st: QuadState) -> float | None:
+    """Max scale-free distance of W from the eight vertex/foot/center circles.
 
     F_x is the intersection of the perpendicular bisector of side x with the
     opposite side line.
     """
     from .kernel import perpendicular_bisector
+    q, w, tol = st.q, st.w, st.tol
+    if not is_finite(w):
+        return None
     A, B, C, D = q.vertices()
-    a2, b2, c2, d2 = triad_circles(q, tol).centers
+    a2, b2, c2, d2 = st.triads.centers
     lines = side_lines(q)  # AB, BC, CD, DA
     feet = {}
     for name, side, opposite in (("a", (A, B), lines[2]), ("b", (B, C), lines[3]),
@@ -845,25 +901,24 @@ def feet_circles_residual(q: Quadrilateral, w: Point,
         pb = perpendicular_bisector(*side)
         pts = _line_line(pb, opposite, tol)
         if not pts:
-            return math.nan  # trapezoid: a foot escapes to infinity
+            return None  # trapezoid: a foot escapes to infinity
         feet[name] = pts[0]
     triples = [(A, feet["b"], b2), (A, feet["c"], d2), (B, feet["c"], c2),
                (B, feet["d"], a2), (C, feet["d"], d2), (C, feet["a"], b2),
                (D, feet["a"], a2), (D, feet["b"], c2)]
-    scale = q.scale()
     worst = 0.0
     for p1, p2, p3 in triples:
         circ = circumcircle(p1, p2, p3, tol)
-        worst = max(worst, circ.distance_to(w) / scale)
+        worst = max(worst, circ.distance_to(w) / st.scale)
     return worst
 
 
-def spiral_transport_residual(q: Quadrilateral, w: Point,
-                              tol: float = DEFAULT_TOL) -> float:
+def spiral_transport_residual(st: QuadState) -> float | None:
     """Residual of the spiral similarity at W taking o1 -> o4 mapping B to C
     (and the o1 -> o2, o4 -> o2 analogues)."""
-    triads = triad_circles(q, tol)
-    scale = q.scale()
+    q, w, triads = st.q, st.w, st.triads
+    if not is_finite(w):
+        return None
     cases = [
         (triads.o1, triads.o4, q.b, q.c),
         (triads.o1, triads.o2, q.d, q.c),
@@ -876,53 +931,98 @@ def spiral_transport_residual(q: Quadrilateral, w: Point,
         angle = math.atan2(u.cross(v), u.dot(v))
         h = SpiralSimilarity(w, dst.radius() / src.radius(), angle)
         img = h.apply(point)
-        worst = max(worst, img.dist(expected) / scale)
+        worst = max(worst, img.dist(expected) / st.scale)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# residuals of the identities at W and S, shared by analyze and the verify
+# suite; None where W or S is not finite
+
+
+def six_cs_residual(st: QuadState) -> float | None:
+    """Max scale-free distance of W from the six circles of similitude."""
+    w = st.w
+    if not is_finite(w) or st.cyclic:
+        return None
+    circles = st.triads.circles
+    worst = 0.0
+    for i in range(4):
+        for j in range(i + 1, 4):
+            cs = circle_of_similitude(circles[i], circles[j], st.tol)
+            worst = max(worst, cs.distance_to(w) / st.scale)
+    return worst
+
+
+def area_ratio_residual(st: QuadState) -> float:
+    """| |r| - area(Q2) / area(Q1) |; raises where r or Q2 is undefined."""
+    return abs(abs(st.r) - st.q2.area() / st.q.area())
+
+
+def isoptic_spread_residual(st: QuadState) -> float | None:
+    """Relative spread of the four d_i / R_i at W."""
+    if not is_finite(st.w):
+        return None
+    qty = isoptic_quantity(st, st.w)
+    mean = sum(qty) / 4.0
+    if mean == 0.0:
+        return None
+    return (max(qty) - min(qty)) / mean
+
+
+def isodynamic_residual(st: QuadState) -> float | None:
+    return isodynamic_ratios(st, st.w) if is_finite(st.w) else None
+
+
+def angle_sums_residual(st: QuadState) -> float | None:
+    return angle_sums_at_point(st.q, st.w) if is_finite(st.w) else None
+
+
+def pedal_w_residual(st: QuadState) -> float | None:
+    """The pedal feet of W form a parallelogram."""
+    feet = st.pedal_w
+    return None if feet is None else parallelogram_residual(feet, st.scale)
+
+
+def pedal_s_residual(st: QuadState) -> float | None:
+    """The pedal feet of S are collinear."""
+    feet = st.pedal_s
+    return None if feet is None else collinearity_residual(feet) / st.scale
 
 
 # ---------------------------------------------------------------------------
 # the aggregate report
 
 
+# report key -> residual
+_RESIDUALS = {
+    "isoptic_spread": isoptic_spread_residual,
+    "isodynamic": isodynamic_residual,
+    "pedal_w_parallelogram": pedal_w_residual,
+    "angle_sums": angle_sums_residual,
+    "six_cs": six_cs_residual,
+    "pedal_s_collinear": pedal_s_residual,
+    "area_ratio": area_ratio_residual,
+}
+
+
 def analyze(q: Quadrilateral, tol: float = DEFAULT_TOL) -> AnalysisReport:
-    shape = classify(q, tol)
-    triads = triad_circles(q, tol)
+    st = QuadState(q, tol)
+    shape, triads = st.shape, st.triads
     try:
-        r = similarity_ratio(q, tol)
+        r = st.r
     except IllConditionedAngles:
         r = math.nan
-    w = isoptic_point(q, tol)
-    s = simson_point(q, tol)
-    scale = q.scale()
+    w, s = st.w, st.s
     residuals: dict[str, float] = {}
-    pedal_w = pedal_s = None
-    quantity = None
-    if is_finite(w):
-        pedal_w = pedal_quadrilateral(q, w)
-        qty = isoptic_quantity(q, w, tol)
-        quantity = sum(qty) / 4.0
-        if quantity > 0:
-            residuals["isoptic_spread"] = (max(qty) - min(qty)) / quantity
-        residuals["isodynamic"] = isodynamic_ratios(q, w, tol)
-        residuals["pedal_w_parallelogram"] = parallelogram_residual(pedal_w, scale)
-        residuals["angle_sums"] = angle_sums_at_point(q, w)
-        if not shape.cyclic:
-            worst = 0.0
-            circles = triads.circles
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    cs = circle_of_similitude(circles[i], circles[j], tol)
-                    worst = max(worst, cs.distance_to(w) / scale)
-            residuals["six_cs"] = worst
-    if is_finite(s):
-        pedal_s = pedal_quadrilateral(q, s)
-        residuals["pedal_s_collinear"] = collinearity_residual(pedal_s) / scale
-    if not shape.cyclic and not math.isnan(r):
+    for name, fn in _RESIDUALS.items():
         try:
-            q2 = next_generation(q, tol)
-            residuals["area_ratio"] = abs(abs(r) - q2.area() / q.area())
-        except CyclicDegeneration:
-            pass
+            res = fn(st)
+        except (CyclicDegeneration, IllConditionedAngles):
+            continue  # the area ratio needs r and Q2
+        if res is not None:
+            residuals[name] = res
+    quantity = sum(isoptic_quantity(st, w)) / 4.0 if is_finite(w) else None
     return AnalysisReport(quad=q, triads=triads, r=r, w=w, s=s, shape=shape,
-                          pedal_w=pedal_w, pedal_s=pedal_s, varignon=varignon(q),
+                          pedal_w=st.pedal_w, pedal_s=st.pedal_s, varignon=varignon(q),
                           isoptic_quantity=quantity, residuals=residuals)

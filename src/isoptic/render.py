@@ -6,20 +6,9 @@ formatted with repr-style shortest round-trip floats.
 
 from __future__ import annotations
 
-import math
-
 from .errors import GeometryError
-from .kernel import AtInfinity, GenCircle, Point, is_finite
-from .quad import (
-    Quadrilateral,
-    isoptic_point,
-    next_generation,
-    pedal_quadrilateral,
-    simson_line,
-    simson_point,
-    triad_circles,
-    varignon,
-)
+from .kernel import GenCircle, Point, is_finite
+from .quad import QuadState, Quadrilateral, next_generation, simson_line, varignon
 
 LAYERS = ("quad", "triads", "cs", "w", "s", "pedal-w", "pedal-s",
           "varignon", "simson", "generations")
@@ -39,9 +28,8 @@ _PALETTE = {
 
 
 def _fmt(x: float) -> str:
-    if x == 0.0:
-        x = 0.0  # avoid "-0.0"
-    return format(x, ".6f")
+    text = format(x, ".6f")
+    return "0.000000" if text == "-0.000000" else text
 
 
 class _Canvas:
@@ -109,7 +97,8 @@ def render_svg(q: Quadrilateral, layers=("quad", "triads", "w"),
         if name not in LAYERS:
             raise ValueError(f"unknown layer {name!r}")
     cv = _Canvas()
-    scale = q.scale()
+    st = QuadState(q, tol)
+    scale = st.scale
     base_w = scale / 320.0  # stroke width in model units
     centroid = q.centroid()
 
@@ -124,41 +113,35 @@ def render_svg(q: Quadrilateral, layers=("quad", "triads", "w"),
                 for v in q.vertices():
                     cv.dot(v, color, 4.0 * base_w)
             elif name == "triads":
-                for c in triad_circles(q, tol).circles:
+                for c in st.triads.circles:
                     _clip_curve(cv, c, color, 2 * scale, centroid, base_w, None)
             elif name == "cs":
                 from .kernel import circle_of_similitude
-                circles = triad_circles(q, tol).circles
+                circles = st.triads.circles
                 for i in range(4):
                     j = (i + 1) % 4
                     cs = circle_of_similitude(circles[i], circles[j], tol)
                     _clip_curve(cv, cs, color, 2 * scale, centroid,
                                 base_w, "4 3")
             elif name == "w":
-                w = isoptic_point(q, tol)
-                if is_finite(w):
-                    cv.dot(w, color, 5.0 * base_w)
+                if is_finite(st.w):
+                    cv.dot(st.w, color, 5.0 * base_w)
             elif name == "s":
-                s = simson_point(q, tol)
-                if is_finite(s):
-                    cv.dot(s, color, 5.0 * base_w)
+                if is_finite(st.s):
+                    cv.dot(st.s, color, 5.0 * base_w)
             elif name == "pedal-w":
-                w = isoptic_point(q, tol)
-                if is_finite(w):
-                    cv.polygon(pedal_quadrilateral(q, w), color, base_w, "6 3")
+                if st.pedal_w is not None:
+                    cv.polygon(st.pedal_w, color, base_w, "6 3")
             elif name == "pedal-s":
-                s = simson_point(q, tol)
-                if is_finite(s):
-                    cv.polygon(pedal_quadrilateral(q, s), color, base_w, "6 3")
+                if st.pedal_s is not None:
+                    cv.polygon(st.pedal_s, color, base_w, "6 3")
             elif name == "varignon":
                 cv.polygon(varignon(q), color, base_w, "2 2")
             elif name == "simson":
-                s = simson_point(q, tol)
-                if is_finite(s):
-                    line = simson_line(q, tol)
-                    _clip_curve(cv, line, color, 2 * scale, s, base_w, None)
+                if is_finite(st.s):
+                    _clip_curve(cv, simson_line(st), color, 2 * scale, st.s, base_w, None)
             elif name == "generations":
-                cur = q
+                cur = st
                 for _ in range(3):
                     cur = next_generation(cur, tol)
                     cv.polygon(cur.vertices(), color, base_w)

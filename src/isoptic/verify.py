@@ -21,36 +21,36 @@ from .errors import (
 from .kernel import (
     DEFAULT_TOL,
     Point,
-    diameter,
     is_finite,
     orthocenter,
 )
 from .quad import (
+    QuadState,
     Quadrilateral,
+    angle_sums_residual,
+    area_ratio_residual,
     classify,
-    collinearity_residual,
     cotangent_identity_residuals,
     cross_generation_cs_residual,
     feet_circles_residual,
     interior_angles,
-    isodynamic_ratios,
+    isodynamic_residual,
     isoptic_point,
     isoptic_point_via_inv_iso,
     isoptic_point_via_inversion,
     isoptic_point_via_limit,
-    isoptic_quantity,
-    angle_sums_at_point,
+    isoptic_spread_residual,
     next_generation,
     parallelogram_residual,
-    pedal_quadrilateral,
+    pedal_s_residual,
+    pedal_w_residual,
     periodicity_residual,
     prev_generation,
     quad_distance,
     quadrangle_duality_residual,
     similarity_ratio,
-    simson_point,
+    six_cs_residual,
     spiral_transport_residual,
-    triad_circles,
     varignon,
 )
 
@@ -102,13 +102,7 @@ def _well_conditioned(q: Quadrilateral, cond: Conditioning) -> bool:
     for ang in interior_angles(q):
         if min(abs(ang), abs(ang - math.pi), abs(ang - 2 * math.pi)) < cond.min_angle:
             return False
-    for i in range(4):
-        trip = [vs[j] for j in range(4) if j != i]
-        area2 = abs((trip[1] - trip[0]).cross(trip[2] - trip[0]))
-        longest = max(trip[0].dist(trip[1]), trip[1].dist(trip[2]), trip[0].dist(trip[2]))
-        if area2 / longest < cond.min_triad_height * scale:
-            return False
-    return True
+    return q.min_triad_height() >= cond.min_triad_height * scale
 
 
 def _simple_convex_order(pts: list[Point]) -> list[Point]:
@@ -122,8 +116,8 @@ def _draw(rng: random.Random, shape_class: str) -> Quadrilateral | None:
         if shape_class in ("convex-noncyclic", "concave"):
             pts = [Point(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
             q = Quadrilateral(*_simple_convex_order(pts))
-            shape = classify(q)
             if shape_class == "convex-noncyclic":
+                shape = classify(q)
                 if not shape.convex or shape.cyclic:
                     return None
                 r = similarity_ratio(q)
@@ -135,7 +129,7 @@ def _draw(rng: random.Random, shape_class: str) -> Quadrilateral | None:
                 u, v = rng.uniform(0.15, 0.4), rng.uniform(0.15, 0.4)
                 d = a + (b - a) * u + (c - a) * v
                 q = Quadrilateral(a, b, d, c)
-                if classify(q).convex:
+                if q.is_convex():
                     return None
                 r = similarity_ratio(q)
                 if not (1.05 <= r <= 8.0):
@@ -159,7 +153,7 @@ def _draw(rng: random.Random, shape_class: str) -> Quadrilateral | None:
             c = b + normal * h - direction * rng.uniform(0.1, 0.5)
             d = a + normal * h + direction * rng.uniform(0.1, 0.5)
             q = Quadrilateral(a, b, c, d)
-            return q if classify(q).convex else None
+            return q if q.is_convex() else None
         if shape_class in ("parallelogram", "parallelogram-pi4"):
             a = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
             theta = rng.uniform(0.0, math.pi)
@@ -204,16 +198,6 @@ def random_quadrilateral(spec: CaseSpec, index: int, max_tries: int = 4000) -> Q
         f"no valid {spec.shape_class} case for seed={spec.seed} index={index}")
 
 
-def oracle_limit_point(q: Quadrilateral, generations: int = 60,
-                       tol: float = DEFAULT_TOL):
-    """Brute-force limit of the iteration; the independent oracle for W.
-
-    Uses only the perpendicular-bisector step (forward) or the isogonal
-    reversal (backward), never the circles of similitude.
-    """
-    return isoptic_point_via_limit(q, max_gen=generations, tol=tol)
-
-
 # ---------------------------------------------------------------------------
 # invariant registry
 
@@ -224,46 +208,17 @@ _GENERIC = ("convex-noncyclic", "concave", "trapezoid")
 _STABLE = _GENERIC + ("parallelogram", "parallelogram-pi4")
 
 
-def _ctx(q: Quadrilateral, tol: float) -> dict:
-    ctx = {"q": q, "tol": tol, "shape": classify(q, tol)}
-    ctx["w"] = isoptic_point(q, tol)
-    return ctx
-
-
-def _inv_six_cs(ctx):
-    q, w, tol = ctx["q"], ctx["w"], ctx["tol"]
-    if not is_finite(w):
-        return None
-    circles = triad_circles(q, tol).circles
-    from .kernel import circle_of_similitude
-    scale = q.scale()
-    worst = 0.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            cs = circle_of_similitude(circles[i], circles[j], tol)
-            worst = max(worst, cs.distance_to(w) / scale)
-    return worst
-
-
-def _inv_area_ratio(ctx):
-    q, tol = ctx["q"], ctx["tol"]
-    r = similarity_ratio(q, tol)
-    q2 = next_generation(q, tol)
-    return abs(abs(r) - q2.area() / q.area())
-
-
-def _inv_r_range(ctx):
-    r = similarity_ratio(ctx["q"], ctx["tol"])
+def _inv_r_range(st):
+    r = st.r
     if 0.0 < r < 1.0:
         return min(r, 1.0 - r)
     return 0.0
 
 
-def _inv_supplementary(ctx):
-    q, tol = ctx["q"], ctx["tol"]
-    a1 = interior_angles(q)
-    a2 = interior_angles(next_generation(q, tol))
-    concave = ctx["shape"].concave
+def _inv_supplementary(st):
+    a1 = interior_angles(st.q)
+    a2 = interior_angles(st.q2)
+    concave = st.shape.concave
     worst = 0.0
     for x, y in zip(a1, a2):
         if concave:
@@ -277,131 +232,76 @@ def _inv_supplementary(ctx):
     return worst
 
 
-def _inv_w_agreement(ctx):
-    q, w, tol = ctx["q"], ctx["w"], ctx["tol"]
+def _inv_w_agreement(st):
+    q, w, tol = st.q, st.w, st.tol
     if not is_finite(w):
         return None
-    r = abs(similarity_ratio(q, tol))
+    r = abs(st.r)
     if not (0.05 <= r <= 0.9 or 1.1 <= r <= 5.0):
         return None
-    candidates = [w, isoptic_point_via_inversion(q, tol),
-                  isoptic_point_via_inv_iso(q, tol)]
+    # the limit route uses only the generation maps, never the circles of
+    # similitude: the independent oracle for W
+    candidates = [w, isoptic_point_via_inversion(st),
+                  isoptic_point_via_inv_iso(st)]
     try:
-        candidates.append(oracle_limit_point(q, 60, tol))
+        candidates.append(isoptic_point_via_limit(q, 60, tol))
     except NonConvergent:
         return None
     if not all(is_finite(p) for p in candidates):
         return None
-    scale = q.scale()
     worst = 0.0
     for i in range(len(candidates)):
         for j in range(i + 1, len(candidates)):
-            worst = max(worst, candidates[i].dist(candidates[j]) / scale)
+            worst = max(worst, candidates[i].dist(candidates[j]) / st.scale)
     return worst
 
 
-def _inv_isoptic_spread(ctx):
-    q, w, tol = ctx["q"], ctx["w"], ctx["tol"]
-    if not is_finite(w):
-        return None
-    qty = isoptic_quantity(q, w, tol)
-    mean = sum(qty) / 4.0
-    if mean == 0.0:
-        return 0.0
-    return (max(qty) - min(qty)) / mean
+def _inv_varignon(st):
+    return parallelogram_residual(varignon(st.q), st.scale)
 
 
-def _inv_isodynamic(ctx):
-    if not is_finite(ctx["w"]):
-        return None
-    return isodynamic_ratios(ctx["q"], ctx["w"], ctx["tol"])
-
-
-def _inv_angle_sums(ctx):
-    if not is_finite(ctx["w"]):
-        return None
-    return angle_sums_at_point(ctx["q"], ctx["w"])
-
-
-def _inv_pedal_w(ctx):
-    q, w = ctx["q"], ctx["w"]
-    if not is_finite(w):
-        return None
-    return parallelogram_residual(pedal_quadrilateral(q, w), q.scale())
-
-
-def _inv_pedal_s(ctx):
-    q, tol = ctx["q"], ctx["tol"]
-    s = simson_point(q, tol)
-    if not is_finite(s):
-        return None
-    return collinearity_residual(pedal_quadrilateral(q, s)) / q.scale()
-
-
-def _inv_varignon(ctx):
-    q = ctx["q"]
-    return parallelogram_residual(varignon(q), q.scale())
-
-
-def _inv_permutation(ctx):
-    q, w, tol = ctx["q"], ctx["w"], ctx["tol"]
+def _inv_permutation(st):
+    w = st.w
     if not is_finite(w):
         return None
     worst = 0.0
     for order in ("acbd", "acdb"):
-        alt = isoptic_point(q.reordered(order), tol)
+        alt = isoptic_point(st.q.reordered(order), st.tol)
         if not is_finite(alt):
             return None
-        worst = max(worst, alt.dist(w) / q.scale())
+        worst = max(worst, alt.dist(w) / st.scale)
     return worst
 
 
-def _inv_cotangent(ctx):
-    return max(cotangent_identity_residuals(ctx["q"]))
+def _inv_cotangent(st):
+    return max(cotangent_identity_residuals(st.q))
 
 
-def _inv_roundtrip(ctx):
-    q, tol = ctx["q"], ctx["tol"]
-    fwd = prev_generation(next_generation(q, tol), tol)
+def _inv_roundtrip(st):
+    q, tol = st.q, st.tol
+    fwd = prev_generation(st.q2, tol)
     bwd = next_generation(prev_generation(q, tol), tol)
     return max(quad_distance(q, fwd), quad_distance(q, bwd))
 
 
-def _inv_cross_generation(ctx):
-    q, w, tol = ctx["q"], ctx["w"], ctx["tol"]
-    if not is_finite(w):
+def _inv_cross_generation(st):
+    if not is_finite(st.w):
         return None
-    return cross_generation_cs_residual(q, w, 3, tol)
+    return cross_generation_cs_residual(st, st.w, 3)
 
 
-def _inv_duality(ctx):
-    q, w, tol = ctx["q"], ctx["w"], ctx["tol"]
-    if not is_finite(w):
+def _inv_duality(st):
+    if not is_finite(st.w):
         return None
-    return quadrangle_duality_residual(q, w, 1.0, tol)
+    return quadrangle_duality_residual(st.q, st.w, 1.0, st.tol)
 
 
-def _inv_feet_circles(ctx):
-    q, w, tol = ctx["q"], ctx["w"], ctx["tol"]
-    if not is_finite(w):
-        return None
-    res = feet_circles_residual(q, w, tol)
-    return None if math.isnan(res) else res
-
-
-def _inv_spiral_transport(ctx):
-    q, w, tol = ctx["q"], ctx["w"], ctx["tol"]
-    if not is_finite(w):
-        return None
-    return spiral_transport_residual(q, w, tol)
-
-
-def _inv_ptolemy(ctx):
-    q = ctx["q"]
+def _inv_ptolemy(st):
+    q = st.q
     A, B, C, D = q.vertices()
     ac, bd = A.dist(C), B.dist(D)
     ab, bc, cd, da = A.dist(B), B.dist(C), C.dist(D), D.dist(A)
-    scale = q.scale() ** 2
+    scale = st.scale ** 2
     res1 = abs(ac * bd - (ab * cd + bc * da)) / scale
     lhs = ac / bd
     rhs = (ab * da + bc * cd) / (ab * bc + da * cd)
@@ -409,40 +309,39 @@ def _inv_ptolemy(ctx):
     return max(res1, res2)
 
 
-def _inv_periodicity(ctx):
-    return periodicity_residual(ctx["q"], 2, ctx["tol"])
+def _inv_periodicity(st):
+    return periodicity_residual(st.q, 2, st.tol)
 
 
-def _inv_cyclic_degeneration(ctx):
-    q, tol = ctx["q"], ctx["tol"]
+def _inv_cyclic_degeneration(st):
     try:
-        next_generation(q, tol)
+        st.q2
     except CyclicDegeneration as exc:
         o = exc.point
-        return max(abs(o.dist(v) - o.dist(q.a)) for v in q.vertices()) / q.scale()
+        return max(abs(o.dist(v) - o.dist(st.q.a)) for v in st.q.vertices()) / st.scale
     return math.inf
 
 
 # name -> (function, applicable shape classes)
 INVARIANTS: dict[str, tuple] = {
-    "six_cs_concurrence": (_inv_six_cs, _NONCYCLIC),
-    "area_ratio": (_inv_area_ratio, _NONCYCLIC),
+    "six_cs_concurrence": (six_cs_residual, _NONCYCLIC),
+    "area_ratio": (area_ratio_residual, _NONCYCLIC),
     "r_range": (_inv_r_range, SHAPE_CLASSES),
     "supplementary_angles": (_inv_supplementary, _NONCYCLIC),
     "w_agreement": (_inv_w_agreement, _GENERIC),
-    "isoptic_spread": (_inv_isoptic_spread, _STABLE),
-    "isodynamic": (_inv_isodynamic, _NONCYCLIC),
-    "angle_sums": (_inv_angle_sums, _NONCYCLIC + ("cyclic",)),
-    "pedal_w_parallelogram": (_inv_pedal_w, _NONCYCLIC + ("cyclic",)),
-    "pedal_s_collinear": (_inv_pedal_s, _NONCYCLIC + ("cyclic",)),
+    "isoptic_spread": (isoptic_spread_residual, _STABLE),
+    "isodynamic": (isodynamic_residual, _NONCYCLIC),
+    "angle_sums": (angle_sums_residual, _NONCYCLIC + ("cyclic",)),
+    "pedal_w_parallelogram": (pedal_w_residual, _NONCYCLIC + ("cyclic",)),
+    "pedal_s_collinear": (pedal_s_residual, _NONCYCLIC + ("cyclic",)),
     "varignon_parallelogram": (_inv_varignon, SHAPE_CLASSES),
     "permutation_invariance": (_inv_permutation, _GENERIC),
     "cotangent_identities": (_inv_cotangent, _GENERIC),
     "roundtrip_generations": (_inv_roundtrip, _GENERIC),
     "cross_generation_cs": (_inv_cross_generation, ("convex-noncyclic",)),
     "quadrangle_duality": (_inv_duality, _GENERIC),
-    "feet_circles": (_inv_feet_circles, _GENERIC),
-    "spiral_transport": (_inv_spiral_transport, _STABLE),
+    "feet_circles": (feet_circles_residual, _GENERIC),
+    "spiral_transport": (spiral_transport_residual, _STABLE),
     "ptolemy": (_inv_ptolemy, ("cyclic",)),
     "periodicity": (_inv_periodicity, ("parallelogram-pi4", "orthocentric")),
     "cyclic_degeneration": (_inv_cyclic_degeneration, ("cyclic",)),
@@ -504,15 +403,15 @@ def run_suite(spec: CaseSpec, n_cases: int, tol: float = 1e-8) -> SuiteReport:
     errors = 0
     for index in range(n_cases):
         try:
-            q = random_quadrilateral(spec, index)
-            ctx = _ctx(q, DEFAULT_TOL)
+            state = QuadState(random_quadrilateral(spec, index), DEFAULT_TOL)
+            state.w  # a case whose W fails is an error, not a skip
         except GeometryError:
             errors += 1
             continue
         for name, fn in applicable.items():
             st = stats[name]
             try:
-                res = fn(ctx)
+                res = fn(state)
             except GeometryError:
                 st.skipped += 1
                 continue

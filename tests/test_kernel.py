@@ -567,3 +567,13 @@ class TestConcyclicityViaChords:
         lhs = x.dist(a) * x.dist(c)
         rhs = x.dist(b) * x.dist(d)
         assert lhs == pytest.approx(rhs, rel=1e-6, abs=1e-9)
+
+
+class TestCirclesEqual:
+    def test_sign_tie_of_the_largest_coefficients(self):
+        # b and c tie for the largest magnitude, so the canonical signs of
+        # the two normalized equations differ
+        g1 = GenCircle.from_coeffs(0, 1, -1, 0.5)
+        g2 = GenCircle.from_coeffs(0, 1, -1.0000000001, 0.5)
+        assert circles_equal(g1, g2)
+        assert not circles_equal(g1, GenCircle.from_coeffs(0, 1, -1.001, 0.5))

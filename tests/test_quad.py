@@ -179,6 +179,17 @@ class TestNoncyclicity:
         assert abs(np.linalg.det(m)) > 1e-6
         assert noncyclicity_measure(GENERIC) > 1e-6
 
+    def test_far_from_origin(self):
+        # the orientation comes from edge vectors, so an offset of 1e8
+        # diameters neither flips convex angles to reflex ones nor moves
+        # the measure by more than the rounding of the offset coordinates
+        off = Point(1e8, 7e7)
+        for q in generic_quads(60, seed=11):
+            far = Quadrilateral(*(v + off for v in q.vertices()))
+            assert max(interior_angles(far)) < math.pi
+            assert noncyclicity_measure(far) == pytest.approx(
+                noncyclicity_measure(q), abs=1e-6)
+
 
 class TestClassify:
     def test_square(self):
@@ -558,3 +569,31 @@ class TestClosedFormsExact:
             assert _cross(_sub(f2, f1), _sub(f3, f1)) == 0
             assert _cross(_sub(f2, f1), _sub(f4, f1)) == 0
             assert _float_error(simson_point(q), s) <= 1e-13 * q.scale()
+
+
+class TestComputeOnce:
+    def test_analyze_builds_each_part_once(self, monkeypatch):
+        import isoptic.quad as quad
+        from isoptic.verify import SHAPE_CLASSES
+        calls = {"classify": [], "triad_circles": []}
+
+        def counting(name):
+            fn = getattr(quad, name)
+
+            def counted(q, *args, **kwargs):
+                calls[name].append(q)
+                return fn(q, *args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(quad, name, counting(name))
+        for shape in SHAPE_CLASSES:
+            for q in generic_quads(5, shape, seed=5):
+                for seen in calls.values():
+                    seen.clear()
+                quad.analyze(q)
+                assert len(calls["classify"]) == 1
+                # at most once on Q1 and once on Q2 moved to its centroid
+                on_q1 = [t for t in calls["triad_circles"] if t is q]
+                assert len(on_q1) <= 1
+                assert len(calls["triad_circles"]) - len(on_q1) <= 1

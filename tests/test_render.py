@@ -5,7 +5,7 @@ import pytest
 
 from isoptic.kernel import Point, orthocenter
 from isoptic.quad import Quadrilateral
-from isoptic.render import LAYERS, render_svg
+from isoptic.render import LAYERS, _fmt, render_svg
 
 GENERIC = Quadrilateral(Point(0, 0), Point(4, 0), Point(5, 3), Point(1, 4))
 
@@ -65,3 +65,8 @@ def test_viewbox_covers_quad():
     for v in GENERIC.vertices():
         assert x0 <= v.x <= x0 + w
         assert y0 <= v.y <= y0 + h
+
+
+def test_rounded_zero_has_no_sign():
+    assert [_fmt(x) for x in (-0.0, -1e-9, -4.9e-7, 0.0)] == ["0.000000"] * 4
+    assert _fmt(-5.1e-7) == "-0.000001"

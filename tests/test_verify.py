@@ -3,11 +3,15 @@ import math
 import pytest
 
 from isoptic.kernel import is_finite
-from isoptic.quad import is_cyclic, noncyclicity_measure, similarity_ratio
+from isoptic.quad import (
+    is_cyclic,
+    isoptic_point_via_limit,
+    noncyclicity_measure,
+    similarity_ratio,
+)
 from isoptic.verify import (
     SHAPE_CLASSES,
     CaseSpec,
-    oracle_limit_point,
     random_quadrilateral,
     run_suite,
 )
@@ -72,7 +76,7 @@ class TestOracle:
         spec = CaseSpec(seed=9, shape_class="convex-noncyclic")
         for i in range(5):
             q = random_quadrilateral(spec, i)
-            w = oracle_limit_point(q)
+            w = isoptic_point_via_limit(q)
             assert is_finite(w)
             assert w.dist(isoptic_point(q)) < 1e-7 * q.scale()
 
