@@ -20,13 +20,8 @@ from .kernel import (
     invert_circle,
     invert_point,
     is_finite,
-    isodynamic_points,
     isogonal_conjugate_triangle,
-    mid_circles,
     perpendicular_bisector,
-    power_of_point,
-    radical_axis,
-    spiral_from_two_pairs,
 )
 from .quad import (
     AnalysisReport,
@@ -35,7 +30,6 @@ from .quad import (
     TriadSystem,
     analyze,
     classify,
-    generation_spiral,
     interior_angles,
     isogonal_conjugate_quad,
     isoptic_point,

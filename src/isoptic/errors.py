@@ -29,11 +29,7 @@ class NonpositiveRatio(GeometryError):
 
 
 class ConcentricCircles(GeometryError):
-    """Two circles share a center, so CS / radical axis / mid-circles fail."""
-
-
-class IsTranslation(GeometryError):
-    """The direct similarity fitted from two point pairs has no fixed point."""
+    """Two circles share a center, so their circle of similitude fails."""
 
 
 class DegenerateRay(GeometryError):

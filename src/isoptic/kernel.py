@@ -25,7 +25,6 @@ from .errors import (
     DegenerateCircle,
     DegenerateRay,
     IdenticalCurves,
-    IsTranslation,
     NonpositiveRatio,
     NotALine,
 )
@@ -298,10 +297,6 @@ class Triangle:
     def vertices(self):
         return (self.p1, self.p2, self.p3)
 
-    def centroid(self) -> Point:
-        return Point((self.p1.x + self.p2.x + self.p3.x) / 3.0,
-                     (self.p1.y + self.p2.y + self.p3.y) / 3.0)
-
 
 # ---------------------------------------------------------------------------
 # basic constructions
@@ -477,71 +472,6 @@ def circle_of_similitude(o1: GenCircle, o2: GenCircle,
     return apollonius_circle(c1, c2, o1.radius() / o2.radius(), tol)
 
 
-def radical_axis(o1: GenCircle, o2: GenCircle, tol: float = DEFAULT_TOL) -> GenCircle:
-    """Line of points with equal power with respect to both circles."""
-    if o1.is_line or o2.is_line:
-        raise NotALine("radical axis needs two true circles")
-    c1, c2 = o1.center(), o2.center()
-    scale = max(o1.radius(), o2.radius(), c1.dist(c2))
-    if c1.dist(c2) < tol * scale:
-        raise ConcentricCircles("radical axis of concentric circles")
-    b = o1.b / o1.a - o2.b / o2.a
-    c = o1.c / o1.a - o2.c / o2.a
-    d = o1.d / o1.a - o2.d / o2.a
-    return GenCircle.from_coeffs(0.0, b, c, d)
-
-
-def mid_circles(o1: GenCircle, o2: GenCircle, tol: float = DEFAULT_TOL) -> list[GenCircle]:
-    """Circles (or symmetry line) whose inversion swaps o1 and o2."""
-    if circles_equal(o1, o2, tol):
-        raise IdenticalCurves("mid-circles of identical circles")
-    c1, c2 = o1.center(), o2.center()
-    r1, r2 = o1.radius(), o2.radius()
-    scale = max(r1, r2, c1.dist(c2))
-    if c1.dist(c2) < tol * scale:
-        raise ConcentricCircles("mid-circles of concentric circles")
-    out: list[GenCircle] = []
-    for t in (r2 / r1, -r2 / r1):
-        if abs(1.0 - t) < tol:
-            # congruent circles: the "external" mid-circle is the symmetry line
-            out.append(perpendicular_bisector(c1, c2))
-            continue
-        e = (c2 - c1 * t) * (1.0 / (1.0 - t))
-        power = t * (e.dist(c1) ** 2 - r1 * r1)
-        # tangent pairs give power ~ eps * scale^2; keep the floor above it
-        if power > max(tol * tol, 1e-13) * scale * scale:
-            out.append(GenCircle.circle(e, math.sqrt(power)))
-    return out
-
-
-def power_of_point(p: Point, o: GenCircle) -> float:
-    if o.is_line:
-        raise NotALine("power of a point needs a true circle")
-    r = o.radius()
-    return p.dist(o.center()) ** 2 - r * r
-
-
-def spiral_from_two_pairs(a: Point, a2: Point, b: Point, b2: Point,
-                          tol: float = DEFAULT_TOL) -> SpiralSimilarity:
-    """The direct similarity z -> alpha*z + beta with a -> a2 and b -> b2.
-
-    Raises IsTranslation when alpha = 1 (no finite fixed point).
-    """
-    scale = diameter([a, a2, b, b2])
-    if a.dist(b) < tol * scale or a2.dist(b2) < tol * scale:
-        raise CoincidentPoints("source or image points coincide")
-    za, za2, zb, zb2 = (p.to_complex() for p in (a, a2, b, b2))
-    alpha = (za2 - zb2) / (za - zb)
-    if abs(alpha - 1.0) * a.dist(b) < tol * scale:
-        raise IsTranslation("the two displacement vectors are equal")
-    beta = za2 - alpha * za
-    center = beta / (1.0 - alpha)
-    angle = math.atan2(alpha.imag, alpha.real)
-    if angle < 0.0 and math.pi + angle < 1e-9:
-        angle = math.pi  # keep rotation angles in (-pi, pi]
-    return SpiralSimilarity(Point.from_complex(center), abs(alpha), angle)
-
-
 def directed_angle(a: Point, vertex: Point, b: Point) -> DirectedAngle:
     """Angle from line (vertex, a) to line (vertex, b), modulo pi."""
     u = a - vertex
@@ -614,30 +544,3 @@ def isogonal_conjugate_triangle(t: Triangle, p: MaybePoint,
         return AtInfinity.along(num.x, num.y)
     return num * (1.0 / s)
 
-
-def isodynamic_points(t: Triangle, tol: float = DEFAULT_TOL):
-    """Both isodynamic points; the one inside the circumcircle comes first.
-
-    For an equilateral triangle the second point is at infinity.
-    """
-    va, vb, vc = t.vertices()
-    la = vb.dist(vc)   # opposite va
-    lb = va.dist(vc)   # opposite vb
-    lc = va.dist(vb)   # opposite vc
-    scale = max(la, lb, lc)
-    if max(abs(la - lb), abs(lb - lc), abs(la - lc)) < tol * scale:
-        return (t.centroid(), AtInfinity.along(1.0, 0.0))
-    circ = circumcircle(va, vb, vc)
-    # |X va| / |X vb| = lb / la on the first Apollonius circle, etc.
-    g1 = apollonius_circle(va, vb, lb / la, tol)
-    g2 = apollonius_circle(vb, vc, lc / lb, tol)
-    pts = intersect(g1, g2, tol)
-    if len(pts) < 2:
-        # nearly equilateral: the two points collapse toward the center
-        return (t.centroid(), AtInfinity.along(1.0, 0.0))
-    o, r = circ.center(), circ.radius()
-    pts = sorted(pts, key=lambda q: q.dist(o))
-    first, second = pts[0], pts[1]
-    if first.dist(o) > r:
-        first, second = second, first
-    return (first, second)

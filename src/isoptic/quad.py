@@ -31,7 +31,6 @@ from .errors import (
 from .kernel import (
     DEFAULT_TOL,
     AtInfinity,
-    DirectedAngle,
     GenCircle,
     MaybePoint,
     Point,
@@ -49,7 +48,6 @@ from .kernel import (
     is_finite,
     isogonal_conjugate_triangle,
     min_height,
-    spiral_from_two_pairs,
     _line_line,
 )
 
@@ -144,29 +142,6 @@ class ShapeClass:
     @property
     def concave(self) -> bool:
         return not self.convex
-
-
-@dataclass(frozen=True)
-class AngleDecomposition:
-    """Interior angles and the eight side-diagonal directed angles.
-
-    At each vertex the first sub-angle runs from the outgoing side to the
-    diagonal and the second from the diagonal to the incoming side, so that
-    first + second = interior angle modulo pi.
-    """
-
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-    alpha1: DirectedAngle
-    alpha2: DirectedAngle
-    beta1: DirectedAngle
-    beta2: DirectedAngle
-    gamma1: DirectedAngle
-    gamma2: DirectedAngle
-    delta1: DirectedAngle
-    delta2: DirectedAngle
 
 
 @dataclass
@@ -275,10 +250,6 @@ def noncyclicity_measure(q: Quadrilateral) -> float:
     return abs(a + g - math.pi)
 
 
-def is_cyclic(q: QuadOrState, tol: float = DEFAULT_TOL) -> bool:
-    return _state(q, tol).cyclic
-
-
 def classify(q: QuadOrState, tol: float = DEFAULT_TOL) -> ShapeClass:
     st = _state(q, tol)
     tol = st.tol
@@ -325,29 +296,25 @@ def similarity_ratio(q: Quadrilateral, tol: float = DEFAULT_TOL) -> float:
     return 0.25 * (cot(a) + cot(g)) * (cot(b) + cot(d))
 
 
-def angle_decomposition(q: Quadrilateral) -> AngleDecomposition:
-    a, b, g, d = interior_angles(q)
-    A, B, C, D = q.vertices()
-    return AngleDecomposition(
-        alpha=a, beta=b, gamma=g, delta=d,
-        alpha1=directed_angle(B, A, C), alpha2=directed_angle(C, A, D),
-        beta1=directed_angle(C, B, D), beta2=directed_angle(D, B, A),
-        gamma1=directed_angle(D, C, A), gamma2=directed_angle(A, C, B),
-        delta1=directed_angle(A, D, B), delta2=directed_angle(B, D, C),
-    )
+def _cot(x: Point, v: Point, y: Point) -> float:
+    """Cotangent of the directed angle from line (v, x) to line (v, y)."""
+    t = directed_angle(x, v, y).value
+    return math.cos(t) / math.sin(t)
 
 
 def cotangent_identity_residuals(q: Quadrilateral) -> tuple[float, float]:
-    """Residuals of the two side-diagonal cotangent identities against 4r."""
-    dec = angle_decomposition(q)
-    cot = lambda t: math.cos(t) / math.sin(t)
+    """Residuals of the two side-diagonal cotangent identities against 4r.
+
+    The diagonals split each interior angle into two directed angles, one
+    from the outgoing side to the diagonal and one from the diagonal to the
+    incoming side; each identity pairs the cotangents of four of them.
+    """
+    A, B, C, D = q.vertices()
     lhs = 4.0 * similarity_ratio(q)
     # pairing fixed by requiring equality with 4*r of the reordered
     # quadrilaterals ACBD / ACDB, whose ratio coincides with the original
-    r1 = (cot(dec.alpha1.value) - cot(dec.delta2.value)) * \
-         (cot(dec.beta2.value) - cot(dec.gamma1.value))
-    r2 = (cot(dec.alpha2.value) - cot(dec.beta1.value)) * \
-         (cot(dec.delta1.value) - cot(dec.gamma2.value))
+    r1 = (_cot(B, A, C) - _cot(B, D, C)) * (_cot(D, B, A) - _cot(D, C, A))
+    r2 = (_cot(C, A, D) - _cot(C, B, D)) * (_cot(A, D, B) - _cot(A, C, B))
     scale = max(1.0, abs(lhs))
     return (abs(lhs - r1) / scale, abs(lhs - r2) / scale)
 
@@ -403,12 +370,6 @@ def prev_generation(q: Quadrilateral, tol: float = DEFAULT_TOL) -> Quadrilateral
             raise OrthocentricDegeneration("isogonal conjugate escapes to infinity")
         out.append(img)
     return Quadrilateral(*out)
-
-
-def generation_spiral(q: Quadrilateral, tol: float = DEFAULT_TOL) -> SpiralSimilarity:
-    """Direct similarity taking the quadrilateral to its second successor."""
-    q3 = next_generation(next_generation(q, tol), tol)
-    return spiral_from_two_pairs(q.a, q3.a, q.b, q3.b, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -750,6 +711,8 @@ def reconstruct_fourth_vertex(a: Point, b: Point, c: Point, w: Point,
     circumcenter of (a b c) across them by inversion to get the missing triad
     centers, and intersects the resulting triad circles.
     """
+    if not is_finite(w):
+        raise PointAtInfinity("the isoptic point is not finite")
     o2 = circumcircle(a, b, c, tol)
     scale = diameter([a, b, c, w])
     if w.dist(o2.center()) < 1e3 * tol * scale:
@@ -788,13 +751,9 @@ def quad_distance(q1: Quadrilateral, q2: Quadrilateral) -> float:
     return best / scale
 
 
-def periodicity_residual(q: Quadrilateral, period: int = 2,
-                         tol: float = DEFAULT_TOL) -> float:
-    """How far Q^(1+period) is from Q^(1)."""
-    current = q
-    for _ in range(period):
-        current = next_generation(current, tol)
-    return quad_distance(q, current)
+def periodicity_residual(q: Quadrilateral, tol: float = DEFAULT_TOL) -> float:
+    """How far Q^(3) is from Q^(1), zero for the period-two classes."""
+    return quad_distance(q, next_generation(next_generation(q, tol), tol))
 
 
 # ---------------------------------------------------------------------------
@@ -844,41 +803,6 @@ def quadrangle_duality_residual(q: Quadrilateral, w: Point, mirror_radius: float
         line_img = invert_circle(mirror, line, tol)
         cs = circle_of_similitude(o[i], o[j], tol)
         worst = max(worst, coeff_distance(line_img, cs))
-    return worst
-
-
-def four_circumcenters_residual(t: Triangle, p: Point,
-                                tol: float = DEFAULT_TOL) -> float:
-    """Residual of the four-circumcenters inversion identity and its
-    isogonal-conjugate companion."""
-    A, B, C = t.vertices()
-    scale = diameter([A, B, C, p])
-    o = circumcircle(A, B, C, tol).center()
-    x = circumcircle(A, p, B, tol).center()
-    y = circumcircle(B, p, C, tol).center()
-    z = circumcircle(C, p, A, tol).center()
-    imgs = [
-        invert_point(circumcircle(z, o, x, tol), A, tol),
-        invert_point(circumcircle(x, o, y, tol), B, tol),
-        invert_point(circumcircle(y, o, z, tol), C, tol),
-        invert_point(circumcircle(x, y, z, tol), p, tol),
-    ]
-    if not all(is_finite(q_) for q_ in imgs):
-        raise DegenerateConjugate("an inversion image is not finite")
-    worst = 0.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            worst = max(worst, imgs[i].dist(imgs[j]) / scale)
-    iso_checks = [
-        (Triangle(z, o, x), A, y),
-        (Triangle(x, o, y), B, z),
-        (Triangle(y, o, z), C, x),
-    ]
-    for tri, src, expected in iso_checks:
-        conj = isogonal_conjugate_triangle(tri, src, tol)
-        if not is_finite(conj):
-            raise DegenerateConjugate("conjugate in the circumcenter triangle is not finite")
-        worst = max(worst, conj.dist(expected) / scale)
     return worst
 
 

@@ -10,6 +10,8 @@ from .errors import GeometryError
 from .kernel import GenCircle, Point, is_finite
 from .quad import QuadState, Quadrilateral, next_generation, simson_line, varignon
 
+_SIZE = 640  # width and height of the SVG viewport in pixels
+
 LAYERS = ("quad", "triads", "cs", "w", "s", "pedal-w", "pedal-s",
           "varignon", "simson", "generations")
 
@@ -86,7 +88,7 @@ def _clip_curve(canvas: _Canvas, curve: GenCircle, color, span: float,
 
 
 def render_svg(q: Quadrilateral, layers=("quad", "triads", "w"),
-               size: int = 640, tol: float = 1e-9) -> str:
+               tol: float = 1e-9) -> str:
     """Return a complete SVG document showing the requested layers.
 
     Unknown layer names raise ValueError.  Layers whose construction hits a
@@ -161,8 +163,8 @@ def render_svg(q: Quadrilateral, layers=("quad", "triads", "w"),
 
     header = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-        f'height="{size}" viewBox="{_fmt(vb[0])} {_fmt(vb[1])} '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" '
+        f'height="{_SIZE}" viewBox="{_fmt(vb[0])} {_fmt(vb[1])} '
         f'{_fmt(vb[2])} {_fmt(vb[3])}">\n'
         # flip y so the figure appears in the usual orientation
         f'<g transform="translate(0 {_fmt(2 * vb[1] + vb[3])}) scale(1 -1)">\n'

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     CyclicDegeneration,
@@ -29,7 +29,7 @@ from .quad import (
     Quadrilateral,
     angle_sums_residual,
     area_ratio_residual,
-    classify,
+    classify,  # noqa: F401  bench/tests/test_bench_trace.py reads verify.classify
     cotangent_identity_residuals,
     cross_generation_cs_residual,
     feet_circles_residual,
@@ -66,24 +66,21 @@ SHAPE_CLASSES = (
 )
 
 
-@dataclass(frozen=True)
-class Conditioning:
-    min_angle: float = 0.3       # radians from {0, pi, 2*pi} for every interior angle
-    max_aspect: float = 12.0     # diameter / shortest vertex separation
-    min_triad_height: float = 0.05
+# conditioning of every generated case
+_MIN_ANGLE = 0.3          # radians from {0, pi, 2*pi} for every interior angle
+_MAX_ASPECT = 12.0        # diameter / shortest vertex separation
+_MIN_TRIAD_HEIGHT = 0.05  # least triad height / diameter
+_MAX_TRIES = 4000         # draws per case before RejectionExhausted
 
 
 @dataclass(frozen=True)
 class CaseSpec:
     seed: int
     shape_class: str = "convex-noncyclic"
-    conditioning: Conditioning = field(default_factory=Conditioning)
 
     def __post_init__(self):
         if self.shape_class not in SHAPE_CLASSES:
             raise ValueError(f"unknown shape class {self.shape_class!r}")
-        if self.conditioning.min_angle <= 0:
-            raise ValueError("min_angle must be positive")
 
 
 def _normalize(q: Quadrilateral) -> Quadrilateral:
@@ -93,16 +90,16 @@ def _normalize(q: Quadrilateral) -> Quadrilateral:
     return Quadrilateral(*((v - c) * (1.0 / d) for v in q.vertices()))
 
 
-def _well_conditioned(q: Quadrilateral, cond: Conditioning) -> bool:
+def _well_conditioned(q: Quadrilateral) -> bool:
     vs = q.vertices()
     scale = q.scale()
     if min(vs[i].dist(vs[j]) for i in range(4) for j in range(i + 1, 4)) \
-            < scale / cond.max_aspect:
+            < scale / _MAX_ASPECT:
         return False
     for ang in interior_angles(q):
-        if min(abs(ang), abs(ang - math.pi), abs(ang - 2 * math.pi)) < cond.min_angle:
+        if min(abs(ang), abs(ang - math.pi), abs(ang - 2 * math.pi)) < _MIN_ANGLE:
             return False
-    return q.min_triad_height() >= cond.min_triad_height * scale
+    return q.min_triad_height() >= _MIN_TRIAD_HEIGHT * scale
 
 
 def _simple_convex_order(pts: list[Point]) -> list[Point]:
@@ -117,9 +114,7 @@ def _draw(rng: random.Random, shape_class: str) -> Quadrilateral | None:
             pts = [Point(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
             q = Quadrilateral(*_simple_convex_order(pts))
             if shape_class == "convex-noncyclic":
-                shape = classify(q)
-                if not shape.convex or shape.cyclic:
-                    return None
+                # r < 0 only on a convex noncyclic quadrilateral
                 r = similarity_ratio(q)
                 if not (-0.92 <= r <= -1e-3):
                     return None
@@ -184,15 +179,15 @@ def interior_triangle_angles(a: Point, b: Point, c: Point) -> tuple[float, float
     return (ang(a, b, c), ang(b, c, a), ang(c, a, b))
 
 
-def random_quadrilateral(spec: CaseSpec, index: int, max_tries: int = 4000) -> Quadrilateral:
+def random_quadrilateral(spec: CaseSpec, index: int) -> Quadrilateral:
     """Deterministic sample for (spec.seed, index), normalized to diameter 1."""
     rng = random.Random((spec.seed * 1_000_003 + index) & 0xFFFFFFFF)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         q = _draw(rng, spec.shape_class)
         if q is None:
             continue
         q = _normalize(q)
-        if _well_conditioned(q, spec.conditioning):
+        if _well_conditioned(q):
             return q
     raise RejectionExhausted(
         f"no valid {spec.shape_class} case for seed={spec.seed} index={index}")
@@ -310,7 +305,7 @@ def _inv_ptolemy(st):
 
 
 def _inv_periodicity(st):
-    return periodicity_residual(st.q, 2, st.tol)
+    return periodicity_residual(st.q, st.tol)
 
 
 def _inv_cyclic_degeneration(st):

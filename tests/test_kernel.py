@@ -9,7 +9,6 @@ from isoptic.errors import (
     ConcentricCircles,
     DegenerateRay,
     IdenticalCurves,
-    IsTranslation,
     NotALine,
 )
 from isoptic.kernel import (
@@ -28,13 +27,8 @@ from isoptic.kernel import (
     invert_circle,
     invert_point,
     is_finite,
-    isodynamic_points,
     isogonal_conjugate_triangle,
-    mid_circles,
     perpendicular_bisector,
-    power_of_point,
-    radical_axis,
-    spiral_from_two_pairs,
 )
 
 UNIT = GenCircle.circle(Point(0, 0), 1.0)
@@ -282,121 +276,6 @@ class TestCircleOfSimilitude:
             assert o2.distance_to(img) < 1e-6
 
 
-class TestRadicalAxis:
-    def test_equal_unit_circles(self):
-        ra = radical_axis(UNIT, GenCircle.circle(Point(2, 0), 1.0))
-        assert ra.is_line and ra.distance_to(Point(1, -4)) < 1e-12
-
-    def test_bigger_circles(self):
-        ra = radical_axis(GenCircle.circle(Point(0, 0), 2.0),
-                          GenCircle.circle(Point(4, 0), 2.0))
-        assert ra.distance_to(Point(2, 1)) < 1e-12
-
-    def test_disjoint_circles(self):
-        ra = radical_axis(UNIT, GenCircle.circle(Point(3, 0), 1.0))
-        assert ra.distance_to(Point(1.5, 0)) < 1e-12
-
-    @given(circle_pairs())
-    @settings(max_examples=100, deadline=None)
-    def test_equal_powers(self, pair):
-        o1, o2 = pair
-        ra = radical_axis(o1, o2)
-        for t in (-1.0, 0.5, 2.0):
-            p = ra.point_at(t)
-            assert power_of_point(p, o1) == pytest.approx(
-                power_of_point(p, o2), abs=1e-7)
-
-
-class TestMidCircles:
-    def test_roundtrip(self):
-        o1 = UNIT
-        o2 = GenCircle.circle(Point(3, 0), 2.0)
-        mids = mid_circles(o1, o2)
-        assert 1 <= len(mids) <= 2
-        for m in mids:
-            assert circles_equal(invert_circle(m, o1), o2, 1e-9)
-
-    def test_congruent_gives_reflection_line(self):
-        mids = mid_circles(UNIT, GenCircle.circle(Point(2, 0), 1.0))
-        assert any(m.is_line for m in mids)
-
-    def test_identical(self):
-        with pytest.raises(IdenticalCurves):
-            mid_circles(UNIT, GenCircle.circle(Point(0, 0), 1.0))
-
-    @given(circle_pairs())
-    @settings(max_examples=60, deadline=None)
-    def test_mid_circle_maps_cs_to_radical_axis(self, pair):
-        # transversal intersections only; tangency degenerates the mapping
-        o1, o2 = pair
-        if abs(o1.radius() - o2.radius()) < 1e-3:
-            return
-        common = intersect(o1, o2)
-        if len(common) != 2 or common[0].dist(common[1]) < 0.1:
-            return
-        cs = circle_of_similitude(o1, o2)
-        ra = radical_axis(o1, o2)
-        hit = False
-        for m in mid_circles(o1, o2):
-            if m.is_line:
-                continue
-            img = invert_circle(m, cs)
-            if circles_equal(img, ra, 1e-6):
-                hit = True
-        assert hit
-
-
-class TestPowerOfPoint:
-    def test_outside(self):
-        assert power_of_point(Point(3, 0), UNIT) == pytest.approx(8.0)
-
-    def test_on_circle(self):
-        assert power_of_point(Point(1, 0), UNIT) == pytest.approx(0.0, abs=1e-14)
-
-    def test_center(self):
-        assert power_of_point(Point(0, 0), UNIT) == pytest.approx(-1.0)
-
-
-class TestSpiralSimilarity:
-    def test_quarter_turn(self):
-        s = spiral_from_two_pairs(Point(0, 0), Point(1, 0),
-                                  Point(1, 0), Point(1, 1))
-        assert close(s.center, Point(0.5, 0.5))
-        assert s.ratio == pytest.approx(1.0)
-        assert s.angle == pytest.approx(math.pi / 2)
-
-    def test_pure_scaling(self):
-        s = spiral_from_two_pairs(Point(0, 0), Point(0, 0),
-                                  Point(1, 0), Point(2, 0))
-        assert close(s.center, Point(0, 0))
-        assert s.ratio == pytest.approx(2.0)
-        assert s.angle == pytest.approx(0.0)
-
-    def test_translation_rejected(self):
-        with pytest.raises(IsTranslation):
-            spiral_from_two_pairs(Point(0, 0), Point(1, 1),
-                                  Point(1, 0), Point(2, 1))
-
-    def test_angle_stays_in_half_open_interval(self):
-        s = spiral_from_two_pairs(Point(0, 0), Point(0, 0),
-                                  Point(1, 0), Point(-2, 0))
-        assert s.angle == pytest.approx(math.pi)
-        assert s.angle > 0
-
-    @given(points(), points(), points(), points())
-    @settings(max_examples=100, deadline=None)
-    def test_reproduces_the_pairs(self, a, a2, b, b2):
-        if a.dist(b) < 0.1 or a2.dist(b2) < 0.1:
-            return
-        if (a2 - a).dist(b2 - b) < 1e-3:
-            return
-        s = spiral_from_two_pairs(a, a2, b, b2)
-        scale = max(a2.norm(), b2.norm(), 1.0)
-        assert s.apply(a).dist(a2) < 1e-9 * scale
-        assert s.apply(b).dist(b2) < 1e-9 * scale
-        assert s.apply(s.center).dist(s.center) < 1e-12 * scale
-
-
 class TestDirectedAngle:
     def test_perpendicular(self):
         a = directed_angle(Point(1, 0), Point(0, 0), Point(0, 1))
@@ -500,50 +379,6 @@ class TestIsogonalConjugateTriangle:
         if not is_finite(back):
             return
         assert back.dist(p) < 1e-7 * (1 + p.norm())
-
-
-class TestIsodynamicPoints:
-    def test_equilateral(self):
-        t = Triangle(Point(0, 0), Point(2, 0), Point(1, math.sqrt(3)))
-        first, second = isodynamic_points(t)
-        assert close(first, t.centroid(), 1e-9)
-        assert isinstance(second, AtInfinity)
-
-    def test_distance_products(self):
-        t = Triangle(Point(0, 0), Point(4, 0), Point(0, 4))
-        a = t.p2.dist(t.p3)
-        b = t.p1.dist(t.p3)
-        c = t.p1.dist(t.p2)
-        for s in isodynamic_points(t):
-            if not is_finite(s):
-                continue
-            prods = (s.dist(t.p1) * a, s.dist(t.p2) * b, s.dist(t.p3) * c)
-            assert max(prods) - min(prods) < 1e-9 * max(prods)
-
-    def test_pedal_triangle_equilateral(self):
-        t = Triangle(Point(0, 0), Point(5, 1), Point(2, 4))
-        sides = [GenCircle.line_through(t.p1, t.p2),
-                 GenCircle.line_through(t.p2, t.p3),
-                 GenCircle.line_through(t.p3, t.p1)]
-        s = isodynamic_points(t)[0]
-        feet = [foot_of_perpendicular(line, s) for line in sides]
-        lens = [feet[0].dist(feet[1]), feet[1].dist(feet[2]),
-                feet[2].dist(feet[0])]
-        assert max(lens) - min(lens) < 1e-9 * max(lens)
-
-    def test_on_apollonius_circles(self):
-        t = Triangle(Point(0, 0), Point(6, 0), Point(1, 3))
-        a = t.p2.dist(t.p3)
-        b = t.p1.dist(t.p3)
-        c = t.p1.dist(t.p2)
-        circles = [apollonius_circle(t.p1, t.p2, b / a),
-                   apollonius_circle(t.p2, t.p3, c / b),
-                   apollonius_circle(t.p3, t.p1, a / c)]
-        for s in isodynamic_points(t):
-            if not is_finite(s):
-                continue
-            for g in circles:
-                assert g.distance_to(s) < 1e-8
 
 
 class TestConcyclicityViaChords:

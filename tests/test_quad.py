@@ -16,19 +16,17 @@ from isoptic.kernel import (
     GenCircle,
     Point,
     circumcircle,
+    directed_angle,
     intersect,
     is_finite,
     orthocenter,
 )
 from isoptic.quad import (
     Quadrilateral,
-    angle_decomposition,
     angle_sums_at_point,
     classify,
     collinearity_residual,
     cotangent_identity_residuals,
-    four_circumcenters_residual,
-    generation_spiral,
     interior_angles,
     isodynamic_ratios,
     isogonal_conjugate_quad,
@@ -37,7 +35,6 @@ from isoptic.quad import (
     isoptic_point_via_inversion,
     isoptic_point_via_limit,
     isoptic_quantity,
-    is_cyclic,
     next_generation,
     noncyclicity_measure,
     parallelogram_residual,
@@ -125,7 +122,7 @@ class TestGenerations:
         # noncyclic trapezoid: the generation map is a similarity, so
         # side-length ratios repeat
         q = Quadrilateral(Point(0, 0), Point(6, 0), Point(4, 2), Point(1, 2))
-        assert not is_cyclic(q)
+        assert not classify(q).cyclic
         q2 = next_generation(q)
         v1, v2 = q.vertices(), q2.vertices()
         # correspondence may be reversed, so compare sorted side lists
@@ -214,12 +211,15 @@ class TestClassify:
 
 class TestAngleDecomposition:
     def test_parts_sum_to_interior_angle(self):
-        dec = angle_decomposition(GENERIC)
+        # the diagonal splits each interior angle into the two directed
+        # angles whose cotangents the identities pair
+        A, B, C, D = GENERIC.vertices()
         whole = interior_angles(GENERIC)
-        pairs = [(dec.alpha1, dec.alpha2), (dec.beta1, dec.beta2),
-                 (dec.gamma1, dec.gamma2), (dec.delta1, dec.delta2)]
+        pairs = [((B, A, C), (C, A, D)), ((C, B, D), (D, B, A)),
+                 ((D, C, A), (A, C, B)), ((A, D, B), (B, D, C))]
         for (p1, p2), full in zip(pairs, whole):
-            diff = (p1.value + p2.value - full) % math.pi
+            parts = directed_angle(*p1).value + directed_angle(*p2).value
+            diff = (parts - full) % math.pi
             assert min(diff, math.pi - diff) < 1e-9
 
     def test_cotangent_identities(self):
@@ -388,25 +388,6 @@ class TestVarignon:
             assert m.dist(f) < 1e-9
 
 
-class TestGenerationSpiral:
-    def test_convex_rotation_is_half_turn(self):
-        s = generation_spiral(GENERIC)
-        assert abs(s.angle) == pytest.approx(math.pi, abs=1e-8)
-        assert s.angle > 0  # normalized into (-pi, pi]
-
-    def test_concave_rotation_is_zero(self):
-        q = generic_quads(1, "concave", seed=5)[0]
-        s = generation_spiral(q)
-        assert abs(s.angle) < 1e-8
-
-    def test_ratio_matches_r(self):
-        # area shrinks by |r| per generation, so the two-generation
-        # similarity has linear ratio |r|
-        s = generation_spiral(GENERIC)
-        r = similarity_ratio(GENERIC)
-        assert s.ratio == pytest.approx(abs(r), rel=1e-8)
-
-
 class TestIsogonalConjugateQuad:
     def test_square_center_fixed(self):
         pts = isogonal_conjugate_quad(SQUARE, Point(0, 0))
@@ -454,6 +435,13 @@ class TestReconstructions:
         rec = reconstruct_fourth_vertex(a, b, c, w)
         assert rec.dist(d) < 1e-8 * GENERIC.scale()
 
+    def test_fourth_vertex_rejects_w_at_infinity(self):
+        q = random_quadrilateral(CaseSpec(9, "orthocentric"), 0)
+        w = isoptic_point(q)
+        assert isinstance(w, AtInfinity)
+        with pytest.raises(PointAtInfinity):
+            reconstruct_fourth_vertex(q.a, q.b, q.c, w)
+
     def test_fourth_vertex_underdetermined_at_circumcenter(self):
         a, b, c = Point(0, 0), Point(4, 0), Point(0, 4)
         with pytest.raises(Underdetermined):
@@ -473,12 +461,6 @@ class TestDualityAndTransport:
 
     def test_duality_large_off_w(self):
         assert quadrangle_duality_residual(GENERIC, Point(2, 1), 1.0) > 1e-4
-
-    def test_four_circumcenters(self):
-        from isoptic.kernel import Triangle
-        t = Triangle(Point(0, 0), Point(5, 1), Point(2, 4))
-        assert four_circumcenters_residual(t, Point(2, 1.5)) < 1e-8
-
 
 class TestPeriodicity:
     def test_pi4_parallelogram_period_two(self):
@@ -551,6 +533,8 @@ class TestClosedFormsExact:
             for v1, v3 in zip(q1, q3):
                 d1, d3 = _sub(v1, q1[0]), _sub(v3, q3[0])
                 assert d3 == (r * d1[0], r * d1[1])
+            # the real ratio of the homothety is the cotangent formula's r
+            assert abs(Fraction(similarity_ratio(q)) - r) <= 1e-12 * max(1, abs(r))
             w = tuple((z3 - r * z1) / (1 - r) for z1, z3 in zip(q1[0], q3[0]))
             f1, f2, f3, f4 = _exact_pedal(q1, w)
             assert _sub(f1, f2) == _sub(f4, f3)

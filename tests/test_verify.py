@@ -4,7 +4,7 @@ import pytest
 
 from isoptic.kernel import is_finite
 from isoptic.quad import (
-    is_cyclic,
+    classify,
     isoptic_point_via_limit,
     noncyclicity_measure,
     similarity_ratio,
@@ -57,7 +57,7 @@ class TestGenerator:
         spec = CaseSpec(seed=1, shape_class="near-cyclic")
         for i in range(10):
             q = random_quadrilateral(spec, i)
-            assert not is_cyclic(q)
+            assert not classify(q).cyclic
             assert noncyclicity_measure(q) < 1e-4
 
     def test_normalized_scale(self):
