@@ -10,7 +10,6 @@ from .kernel import (
     Point,
     SpiralSimilarity,
     Triangle,
-    UNDEFINED,
     apollonius_circle,
     circle_of_similitude,
     circumcircle,

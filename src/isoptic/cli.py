@@ -2,7 +2,7 @@
 
 Subcommands: analyze, iterate, verify, render, reconstruct.
 Exit codes: 0 success, 1 usage or parse error, 2 geometric degeneracy.
-All numeric output uses 17 significant digits so reports round-trip.
+Numbers print as json.dumps does, in the shortest repr that round-trips.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 
 from . import __version__
 from .errors import CyclicDegeneration, GeometryError
-from .kernel import AtInfinity, Point, UNDEFINED, is_finite
+from .kernel import DEFAULT_TOL, AtInfinity, Point, is_finite
 from .quad import (
     Quadrilateral,
     analyze,
@@ -35,21 +35,14 @@ EXIT_USAGE = 1
 EXIT_DEGENERATE = 2
 
 
-def _num(x: float):
-    # json.dumps prints shortest repr; route through %.17g for a fixed width
-    if x == 0.0:
-        return 0.0  # avoid "-0.0" in reports
-    return float(format(x, ".17g"))
+def _num(x: float) -> float:
+    return 0.0 if x == 0.0 else x  # avoid "-0.0" in reports
 
 
 def _point_json(p):
-    if isinstance(p, Point):
-        return {"kind": "point", "xy": [_num(p.x), _num(p.y)]}
     if isinstance(p, AtInfinity):
         return {"kind": "at-infinity", "direction": [_num(p.dx), _num(p.dy)]}
-    if p is UNDEFINED:
-        return {"kind": "undefined"}
-    raise TypeError(f"not a point-like value: {p!r}")
+    return {"kind": "point", "xy": [_num(p.x), _num(p.y)]}
 
 
 def _quad_json(q: Quadrilateral):
@@ -254,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full report for one quadrilateral")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_analyze)
 
@@ -263,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generations", type=int, required=True)
     p.add_argument("--direction", choices=("forward", "backward"),
                    default="forward")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_iterate)
 
@@ -280,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--out", required=True)
     p.add_argument("--layers", default="quad,triads,w")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(fn=cmd_render)
 
     p = sub.add_parser("reconstruct", help="invert one of the constructions")
@@ -292,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w")
     p.add_argument("--s")
     p.add_argument("--feet", nargs=4)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_reconstruct)
 

@@ -37,7 +37,7 @@ class DegenerateRay(GeometryError):
 
 
 class NotALine(GeometryError):
-    """An operation requiring a line received a true circle."""
+    """A line was given where a circle is needed, or a circle where a line is."""
 
 
 class CyclicDegeneration(GeometryError):

@@ -23,6 +23,7 @@ from .errors import (
     CollinearInput,
     ConcentricCircles,
     DegenerateCircle,
+    DegenerateConjugate,
     DegenerateRay,
     IdenticalCurves,
     NonpositiveRatio,
@@ -88,24 +89,9 @@ class AtInfinity:
         return AtInfinity(dx / n, dy / n)
 
 
-class UndefinedPoint:
-    """Poisoning value: operations consuming it return it unchanged."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "UNDEFINED"
-
-
-UNDEFINED = UndefinedPoint()
-
-# A MaybePoint is a Point, an AtInfinity, or UNDEFINED.
-MaybePoint = Point | AtInfinity | UndefinedPoint
+# A MaybePoint is a Point or an AtInfinity; a construction with no answer
+# raises a GeometryError.
+MaybePoint = Point | AtInfinity
 
 
 def is_finite(p: MaybePoint) -> bool:
@@ -150,9 +136,6 @@ class DirectedAngle:
 
     def __add__(self, other: "DirectedAngle") -> "DirectedAngle":
         return DirectedAngle.of(self.value + other.value)
-
-    def __sub__(self, other: "DirectedAngle") -> "DirectedAngle":
-        return DirectedAngle.of(self.value - other.value)
 
     def distance_to(self, other: "DirectedAngle") -> float:
         """Circular distance on the mod-pi circle."""
@@ -272,12 +255,7 @@ class SpiralSimilarity:
     ratio: float
     angle: float
 
-    def apply(self, p: MaybePoint) -> MaybePoint:
-        if isinstance(p, UndefinedPoint):
-            return UNDEFINED
-        if isinstance(p, AtInfinity):
-            z = complex(p.dx, p.dy) * complex(math.cos(self.angle), math.sin(self.angle))
-            return AtInfinity.along(z.real, z.imag)
+    def apply(self, p: Point) -> Point:
         z = (p - self.center).to_complex()
         z *= self.ratio * complex(math.cos(self.angle), math.sin(self.angle))
         return self.center + Point.from_complex(z)
@@ -388,23 +366,11 @@ def intersect(g1: GenCircle, g2: GenCircle, tol: float = DEFAULT_TOL) -> list[Po
 
 
 def invert_point(mirror: GenCircle, p: MaybePoint, tol: float = DEFAULT_TOL) -> MaybePoint:
-    """Inversive image of a point.
+    """Inversive image of a point in a circle mirror.
 
-    A line mirror acts as a reflection (the natural degenerate case).  The
-    center of a circle mirror maps to infinity and vice versa; UNDEFINED
-    poisons through.
+    The center maps to infinity and a point at infinity to the center.  A
+    line mirror raises NotALine.
     """
-    if isinstance(p, UndefinedPoint):
-        return UNDEFINED
-    if mirror.is_line:
-        if isinstance(p, AtInfinity):
-            n = math.hypot(mirror.b, mirror.c)
-            nb, nc = mirror.b / n, mirror.c / n
-            dot = p.dx * nb + p.dy * nc
-            return AtInfinity.along(p.dx - 2.0 * dot * nb, p.dy - 2.0 * dot * nc)
-        n = math.hypot(mirror.b, mirror.c)
-        t = (mirror.b * p.x + mirror.c * p.y + mirror.d) / n
-        return Point(p.x - 2.0 * t * mirror.b / n, p.y - 2.0 * t * mirror.c / n)
     o = mirror.center()
     r = mirror.radius()
     if isinstance(p, AtInfinity):
@@ -418,13 +384,8 @@ def invert_point(mirror: GenCircle, p: MaybePoint, tol: float = DEFAULT_TOL) -> 
 
 
 def invert_circle(mirror: GenCircle, g: GenCircle, tol: float = DEFAULT_TOL) -> GenCircle:
-    """Inversive image of a generalized circle."""
-    if mirror.is_line:
-        if g.is_line:
-            p0 = invert_point(mirror, g.point_at(0.0))
-            p1 = invert_point(mirror, g.point_at(1.0))
-            return GenCircle.line_through(p0, p1)
-        return GenCircle.circle(invert_point(mirror, g.center()), g.radius())
+    """Inversive image of a generalized circle in a circle mirror; a line
+    mirror raises NotALine."""
     o = mirror.center()
     k = mirror.radius() ** 2
     # translate so the mirror center is the origin
@@ -507,16 +468,12 @@ def isogonal_conjugate_triangle(t: Triangle, p: MaybePoint,
                                 tol: float = DEFAULT_TOL) -> MaybePoint:
     """Isogonal conjugate of p with respect to triangle t.
 
-    Classical degeneracies are mapped to MaybePoint tags: a point on the
-    circumcircle goes to infinity, a point on a side line collapses to the
-    opposite vertex (the limit of the construction), a vertex is UNDEFINED.
+    A point on the circumcircle goes to infinity, and a point on a side line
+    collapses to the opposite vertex (the limit of the construction).  A
+    vertex and a point at infinity raise DegenerateConjugate.
     """
-    if isinstance(p, UndefinedPoint):
-        return UNDEFINED
-    if isinstance(p, AtInfinity):
-        # conjugate of a point at infinity lies on the circumcircle; not
-        # needed by the constructions here, so treat it as undefined
-        return UNDEFINED
+    if not is_finite(p):
+        raise DegenerateConjugate("conjugate of a point at infinity")
     va, vb, vc = t.vertices()
     scale = diameter([va, vb, vc, p])
     x = _signed_area(p, vb, vc)
@@ -525,7 +482,7 @@ def isogonal_conjugate_triangle(t: Triangle, p: MaybePoint,
     thresh = tol * scale * scale
     on_side = [abs(v) < thresh for v in (x, y, z)]
     if sum(on_side) >= 2:
-        return UNDEFINED
+        raise DegenerateConjugate("conjugate of a triangle vertex")
     if on_side[0]:
         return va
     if on_side[1]:

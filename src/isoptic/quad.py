@@ -36,7 +36,6 @@ from .kernel import (
     Point,
     SpiralSimilarity,
     Triangle,
-    UndefinedPoint,
     circle_of_similitude,
     circumcircle,
     coeff_distance,
@@ -44,10 +43,12 @@ from .kernel import (
     directed_angle,
     foot_of_perpendicular,
     intersect,
+    invert_circle,
     invert_point,
     is_finite,
     isogonal_conjugate_triangle,
     min_height,
+    perpendicular_bisector,
     _line_line,
 )
 
@@ -62,13 +63,9 @@ class Quadrilateral:
     d: Point
 
     def __post_init__(self):
-        vs = self.vertices()
-        scale = diameter(vs)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if vs[i].dist(vs[j]) < DEFAULT_TOL * scale:
-                    raise CollinearInput("coincident vertices")
-        if self.min_triad_height() < DEFAULT_TOL * scale:
+        # a triad holding two vertices delta apart is at most delta high, so
+        # this also rejects coincident vertices
+        if self.min_triad_height() < DEFAULT_TOL * self.scale():
             raise CollinearInput("three vertices are collinear within tolerance")
 
     def vertices(self) -> tuple[Point, Point, Point, Point]:
@@ -491,8 +488,6 @@ def isoptic_point_via_inv_iso(q: QuadOrState, tol: float = DEFAULT_TOL) -> Maybe
     images = []
     for mirror, tri, vertex in recipe:
         conj = isogonal_conjugate_triangle(tri, vertex, tol)
-        if isinstance(conj, UndefinedPoint):
-            raise DegenerateConjugate("vertex conjugate undefined")
         img = invert_point(mirror, conj, tol)
         if not is_finite(img):
             return img
@@ -760,12 +755,13 @@ def periodicity_residual(q: Quadrilateral, tol: float = DEFAULT_TOL) -> float:
 # cross checks used by the verify harness
 
 
-def cross_generation_cs_residual(q: QuadOrState, w: Point, generations: int = 3,
+def cross_generation_cs_residual(q: QuadOrState, w: Point,
                                  tol: float = DEFAULT_TOL) -> float:
-    """Max scale-free distance of w to CS(o_i^(k), o_j^(l)) across generations."""
+    """Max scale-free distance of w to CS(o_i^(k), o_j^(l)) across the first
+    three generations."""
     gens = [_state(q, tol)]
     tol = gens[0].tol
-    for _ in range(generations - 1):
+    for _ in range(2):
         gens.append(QuadState(gens[-1].q2, tol))
     circles = [c for g in gens for c in g.triads.circles]
     scale = gens[0].scale
@@ -784,7 +780,6 @@ def quadrangle_duality_residual(q: Quadrilateral, w: Point, mirror_radius: float
                                 tol: float = DEFAULT_TOL) -> float:
     """Inversion centered at W takes the six vertex-pair lines onto the six
     circles of similitude of the image quadrilateral's triad circles."""
-    from .kernel import invert_circle
     mirror = GenCircle.circle(w, mirror_radius)
     A, B, C, D = q.vertices()
     images = [invert_point(mirror, v, tol) for v in q.vertices()]
@@ -812,7 +807,6 @@ def feet_circles_residual(st: QuadState) -> float | None:
     F_x is the intersection of the perpendicular bisector of side x with the
     opposite side line.
     """
-    from .kernel import perpendicular_bisector
     q, w, tol = st.q, st.w, st.tol
     if not is_finite(w):
         return None

@@ -7,7 +7,8 @@ formatted with repr-style shortest round-trip floats.
 from __future__ import annotations
 
 from .errors import GeometryError
-from .kernel import GenCircle, Point, is_finite
+from .kernel import (DEFAULT_TOL, GenCircle, Point, circle_of_similitude,
+                     foot_of_perpendicular, is_finite)
 from .quad import QuadState, Quadrilateral, next_generation, simson_line, varignon
 
 _SIZE = 640  # width and height of the SVG viewport in pixels
@@ -42,13 +43,12 @@ class _Canvas:
     def track(self, *pts: Point):
         self.points.extend(p for p in pts if isinstance(p, Point))
 
-    def polygon(self, pts, color, width=1.0, dash=None, close=True):
+    def polygon(self, pts, color, width=1.0, dash=None):
         self.track(*pts)
         d = " ".join(f"{_fmt(p.x)},{_fmt(p.y)}" for p in pts)
-        tag = "polygon" if close else "polyline"
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.elements.append(
-            f'<{tag} points="{d}" fill="none" stroke="{color}" '
+            f'<polygon points="{d}" fill="none" stroke="{color}" '
             f'stroke-width="{_fmt(width)}"{dash_attr}/>')
 
     def circle(self, center: Point, radius: float, color, width=1.0, dash=None):
@@ -79,7 +79,6 @@ def _clip_curve(canvas: _Canvas, curve: GenCircle, color, span: float,
                 anchor: Point, width=1.0, dash=None):
     """Draw a generalized circle; lines become segments of length 2*span."""
     if curve.is_line:
-        from .kernel import foot_of_perpendicular
         d = curve.direction()
         f = foot_of_perpendicular(curve, anchor)
         canvas.segment(f - d * span, f + d * span, color, width, dash)
@@ -88,7 +87,7 @@ def _clip_curve(canvas: _Canvas, curve: GenCircle, color, span: float,
 
 
 def render_svg(q: Quadrilateral, layers=("quad", "triads", "w"),
-               tol: float = 1e-9) -> str:
+               tol: float = DEFAULT_TOL) -> str:
     """Return a complete SVG document showing the requested layers.
 
     Unknown layer names raise ValueError.  Layers whose construction hits a
@@ -118,7 +117,6 @@ def render_svg(q: Quadrilateral, layers=("quad", "triads", "w"),
                 for c in st.triads.circles:
                     _clip_curve(cv, c, color, 2 * scale, centroid, base_w, None)
             elif name == "cs":
-                from .kernel import circle_of_similitude
                 circles = st.triads.circles
                 for i in range(4):
                     j = (i + 1) % 4

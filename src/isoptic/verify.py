@@ -282,7 +282,7 @@ def _inv_roundtrip(st):
 def _inv_cross_generation(st):
     if not is_finite(st.w):
         return None
-    return cross_generation_cs_residual(st, st.w, 3)
+    return cross_generation_cs_residual(st, st.w)
 
 
 def _inv_duality(st):

@@ -12,7 +12,6 @@ import pytest
 
 from isoptic.kernel import (
     Point,
-    Triangle,
     circle_of_similitude,
     is_finite,
     orthocenter,
@@ -226,7 +225,7 @@ def test_criterion_09_cross_generation_and_duality(convex_1000):
     worst = 0.0
     for q in convex_1000[:200]:
         w = isoptic_point(q)
-        worst = max(worst, cross_generation_cs_residual(q, w, 3))
+        worst = max(worst, cross_generation_cs_residual(q, w))
         worst = max(worst, quadrangle_duality_residual(q, w, 1.0))
     report(9, "cross-generation similitude circles and quadrangle duality "
               "(200 cases)", worst, 1e-7)

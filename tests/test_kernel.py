@@ -7,12 +7,12 @@ from isoptic.errors import (
     CoincidentPoints,
     CollinearInput,
     ConcentricCircles,
+    DegenerateConjugate,
     DegenerateRay,
     IdenticalCurves,
     NotALine,
 )
 from isoptic.kernel import (
-    UNDEFINED,
     AtInfinity,
     GenCircle,
     Point,
@@ -156,8 +156,12 @@ class TestInvertPoint:
     def test_center_goes_to_infinity(self):
         assert isinstance(invert_point(UNIT, Point(0, 0)), AtInfinity)
 
-    def test_undefined_poisons(self):
-        assert invert_point(UNIT, UNDEFINED) is UNDEFINED
+    def test_line_mirror_raises(self):
+        mirror = GenCircle.line_through(Point(0, 0), Point(1, 0))
+        with pytest.raises(NotALine):
+            invert_point(mirror, Point(2, 3))
+        with pytest.raises(NotALine):
+            invert_point(mirror, AtInfinity.along(1.0, 1.0))
 
     @given(points())
     @settings(max_examples=150, deadline=None)
@@ -184,6 +188,13 @@ class TestInvertCircle:
     def test_diameter_line_fixed(self):
         g = GenCircle.line_through(Point(0, -1), Point(0, 1))
         assert circles_equal(invert_circle(UNIT, g), g)
+
+    def test_line_mirror_raises(self):
+        mirror = GenCircle.line_through(Point(0, 0), Point(1, 0))
+        with pytest.raises(NotALine):
+            invert_circle(mirror, UNIT)
+        with pytest.raises(NotALine):
+            invert_circle(mirror, GenCircle.line_through(Point(0, 1), Point(1, 2)))
 
     @given(circle_pairs())
     @settings(max_examples=100, deadline=None)
@@ -361,7 +372,13 @@ class TestIsogonalConjugateTriangle:
 
     def test_vertex_is_undefined(self):
         t = Triangle(Point(0, 0), Point(4, 0), Point(0, 4))
-        assert isogonal_conjugate_triangle(t, Point(4, 0)) is UNDEFINED
+        with pytest.raises(DegenerateConjugate):
+            isogonal_conjugate_triangle(t, Point(4, 0))
+
+    def test_point_at_infinity_raises(self):
+        t = Triangle(Point(0, 0), Point(4, 0), Point(0, 4))
+        with pytest.raises(DegenerateConjugate):
+            isogonal_conjugate_triangle(t, AtInfinity.along(1.0, 2.0))
 
     @given(triangles(), points())
     @settings(max_examples=100, deadline=None)
