@@ -24,7 +24,6 @@ from .quad import (
     reconstruct_fourth_vertex,
     reconstruct_from_pedal_w,
     reconstruct_from_simson,
-    similarity_ratio,
     simson_point,
 )
 from .render import LAYERS, render_svg

@@ -75,8 +75,7 @@ class Quadrilateral:
         return diameter(self.vertices())
 
     def centroid(self) -> Point:
-        vs = self.vertices()
-        return Point(sum(v.x for v in vs) / 4.0, sum(v.y for v in vs) / 4.0)
+        return Point.from_complex(sum(v.to_complex() for v in self.vertices()) / 4.0)
 
     def min_triad_height(self) -> float:
         """Least height of the four triangles of three vertices."""
@@ -231,13 +230,8 @@ def interior_angles(q: Quadrilateral) -> tuple[float, float, float, float]:
     orient = 1.0 if q.signed_area() > 0.0 else -1.0
     out = []
     for i in range(4):
-        v = vs[i]
-        nxt = vs[(i + 1) % 4] - v
-        prv = vs[(i - 1) % 4] - v
-        ang = math.atan2(orient * nxt.cross(prv), nxt.dot(prv))
-        if ang < 0.0:
-            ang += 2.0 * math.pi
-        out.append(ang)
+        nxt, prv = vs[(i + 1) % 4] - vs[i], vs[i - 1] - vs[i]
+        out.append(math.atan2(orient * nxt.cross(prv), nxt.dot(prv)) % (2.0 * math.pi))
     return tuple(out)
 
 
@@ -281,22 +275,26 @@ def classify(q: QuadOrState, tol: float = DEFAULT_TOL) -> ShapeClass:
 def similarity_ratio(q: Quadrilateral, tol: float = DEFAULT_TOL) -> float:
     """r = (cot a + cot g)(cot b + cot d) / 4 over the interior angles.
 
-    Negative for convex noncyclic, zero for cyclic, >= 1 for concave.
+    Each cot is _cot of the two edges at the vertex; reversing the
+    orientation negates all four and leaves r as it is.  |cot| >
+    cot(sqrt(tol)), an angle within sqrt(tol) of 0 or pi, raises
+    IllConditionedAngles.  r < 0 convex noncyclic, 0 cyclic, >= 1 concave.
     """
-    angles = interior_angles(q)
-    angle_tol = math.sqrt(tol)
-    for ang in angles:
-        if min(abs(ang), abs(ang - math.pi), abs(ang - 2.0 * math.pi)) < angle_tol:
-            raise IllConditionedAngles(f"interior angle {ang} too close to a multiple of pi")
-    a, b, g, d = angles
-    cot = lambda t: math.cos(t) / math.sin(t)
-    return 0.25 * (cot(a) + cot(g)) * (cot(b) + cot(d))
+    vs = q.vertices()
+    cots = [_cot(vs[(i + 1) % 4], vs[i], vs[i - 1]) for i in range(4)]
+    max_cot = 1.0 / math.tan(math.sqrt(tol))
+    for vertex, cot in zip("ABCD", cots):
+        if abs(cot) > max_cot:
+            raise IllConditionedAngles(f"interior angle at {vertex} too close to a multiple of pi")
+    ca, cb, cg, cd = cots
+    return 0.25 * (ca + cg) * (cb + cd)
 
 
 def _cot(x: Point, v: Point, y: Point) -> float:
-    """Cotangent of the directed angle from line (v, x) to line (v, y)."""
-    t = directed_angle(x, v, y).value
-    return math.cos(t) / math.sin(t)
+    """Cotangent of the directed angle from line (v, x) to line (v, y): dot
+    over cross of the two rays (never 0 on a valid quadrilateral)."""
+    u, w = x - v, y - v
+    return u.dot(w) / u.cross(w)
 
 
 def cotangent_identity_residuals(q: Quadrilateral) -> tuple[float, float]:
@@ -373,35 +371,37 @@ def prev_generation(q: Quadrilateral, tol: float = DEFAULT_TOL) -> Quadrilateral
 # the isoptic point W
 
 
-def isoptic_point(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePoint:
-    """The point lying on all six circles of similitude of the triad circles.
+_AT_INFINITY = 1e-12
 
-    W is the center of the real homothety Q3 = W + r (Q1 - W) that takes the
-    quadrilateral to its second successor, so with G1, G3 the centroids of
-    Q1, Q3 and r the least-squares real ratio of their centered vertices,
-    W = G3 + r (G3 - G1) / (1 - r).  Q3 is built from Q2 moved to its own
-    centroid, since near-cyclic inputs shrink Q3 to rounding level in
-    absolute coordinates.  Cyclic inputs give the circumcenter, orthocentric
-    inputs (r = 1) the point at infinity in the common direction of the then
-    parallel CS lines.
+
+def isoptic_point(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePoint:
+    """The unique point whose pedal quadrilateral is a parallelogram.
+
+    With z_k the vertices relative to the centroid g, e_k = z_{k+1} - z_k
+    and u_k^2 = e_k / conj(e_k), the foot of p on side k is
+    (p + z_k + u_k^2 conj(p - z_k)) / 2.  The alternating sum of the feet
+    vanishes at W, so with s = (+1, -1, +1, -1)
+
+        conj(W - g) sum s_k u_k^2 = sum s_k (u_k^2 conj(z_k) - z_k).
+
+    A cyclic input gives its circumcenter.  On orthocentric systems (r = 1)
+    the denominator vanishes: below _AT_INFINITY (1 + |g| / diameter), the
+    input's rounding level, W is at infinity along AB (the line of
+    similitude of the congruent o1 and o2).  tol is not read.
     """
     st = _state(q, tol)
-    if st.cyclic:
-        return st.triads.o2.center()
-    if st.shape.orthocentric:
-        # all triad circles of an orthocentric system are congruent, so the
-        # CS curves are parallel lines; W is their common point at infinity
-        d = circle_of_similitude(st.triads.o1, st.triads.o2, st.tol).direction()
-        return AtInfinity.along(d.x, d.y)
-    g2 = st.q2.centroid()
-    q2_local = Quadrilateral(*(v - g2 for v in st.q2.vertices()))
-    v1 = [v.to_complex() for v in st.q.vertices()]
-    v3 = [(c + g2).to_complex() for c in triad_circles(q2_local, st.tol).centers]
-    g1 = sum(v1) / 4.0
-    g3 = sum(v3) / 4.0
-    num = sum(((z3 - g3) * (z1 - g1).conjugate()).real for z1, z3 in zip(v1, v3))
-    r = num / sum(abs(z1 - g1) ** 2 for z1 in v1)
-    return Point.from_complex(g3 + r * (g3 - g1) / (1.0 - r))
+    g = st.q.centroid().to_complex()
+    z = [v.to_complex() - g for v in st.q.vertices()]
+    num = den = 0j
+    for k, sign in enumerate((1.0, -1.0, 1.0, -1.0)):
+        e = z[(k + 1) % 4] - z[k]
+        u2 = e / e.conjugate()
+        den += sign * u2
+        num += sign * (u2 * z[k].conjugate() - z[k])
+    if abs(den) * st.scale < _AT_INFINITY * (st.scale + abs(g)):
+        v = st.q.b - st.q.a
+        return AtInfinity.along(v.x, v.y)
+    return Point.from_complex(g + (num / den).conjugate())
 
 
 def _aitken(seq: list[float], scale: float) -> float:
@@ -426,7 +426,7 @@ def isoptic_point_via_limit(q: Quadrilateral, max_gen: int = 60,
     scale = q.scale()
     step = next_generation if abs(r) < 1.0 else prev_generation
     current = q
-    cents = [current.centroid().x + 1j * current.centroid().y]
+    cents = [current.centroid().to_complex()]
     for _ in range(max_gen):
         try:
             current = step(current, tol)
@@ -434,8 +434,7 @@ def isoptic_point_via_limit(q: Quadrilateral, max_gen: int = 60,
             if isinstance(exc, CyclicDegeneration) and exc.point is not None:
                 return exc.point
             raise NonConvergent("iteration hit a degeneration") from exc
-        c = current.centroid()
-        cents.append(c.x + 1j * c.y)
+        cents.append(current.centroid().to_complex())
         if current.scale() < tol * scale:
             return current.centroid()
         if len(cents) >= 5:
@@ -554,17 +553,18 @@ def simson_point(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePoint:
 
     S is the Miquel point of the complete quadrilateral, the center of the
     spiral similarity taking A to D and B to C: with a, b, c, d the vertices
-    relative to the centroid G, S = G + (ac - bd) / (a + c - b - d).  A
-    parallelogram (a + c = b + d) sends S to infinity along side AD.
+    relative to the centroid G, S = G + (ac - bd) / (a + c - b - d).  The
+    denominator vanishes on parallelograms: below _AT_INFINITY
+    (diameter + |G|) S is at infinity along AD.
     """
     st = _state(q, tol)
-    q = st.q
-    if st.shape.parallelogram:
-        v = q.d - q.a
+    g = st.q.centroid().to_complex()
+    a, b, c, d = (v.to_complex() - g for v in st.q.vertices())
+    den = a + c - b - d
+    if abs(den) < _AT_INFINITY * (st.scale + abs(g)):
+        v = st.q.d - st.q.a
         return AtInfinity.along(v.x, v.y)
-    g = q.centroid()
-    a, b, c, d = ((v - g).to_complex() for v in q.vertices())
-    return g + Point.from_complex((a * c - b * d) / (a + c - b - d))
+    return Point.from_complex(g + (a * c - b * d) / den)
 
 
 def best_fit_line(points: list[Point]) -> GenCircle:

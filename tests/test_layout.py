@@ -1,6 +1,6 @@
 """Every public function and class of the kernel and quad modules is used by
 the package itself, so code that only its own unit tests call does not
-accumulate."""
+accumulate, and no module imports a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -43,3 +43,30 @@ def test_kernel_and_quad_exports_are_used():
     assert UNCALLED_BY_DESIGN <= defined
     unused = sorted(defined - used - UNCALLED_BY_DESIGN)
     assert unused == [], f"defined but never used in {PACKAGE.name}: {unused}"
+
+
+def _unused_imports(path):
+    """Names an import binds in the module at path and the module never
+    reads; a name whose line carries ``# noqa: F401`` is kept on purpose."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    bound[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line} {name}" for name, line in bound.items()
+                  if name not in read)
+
+
+def test_no_unused_imports():
+    # the package's __init__ imports are its exports
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    modules += sorted(Path(__file__).parent.glob("*.py"))
+    unused = [entry for path in modules for entry in _unused_imports(path)]
+    assert unused == [], f"imported but never read: {unused}"

@@ -1,8 +1,10 @@
+import cmath
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
 
 from isoptic.errors import (
     CollinearInput,
@@ -13,11 +15,9 @@ from isoptic.errors import (
 )
 from isoptic.kernel import (
     AtInfinity,
-    GenCircle,
     Point,
     circumcircle,
     directed_angle,
-    intersect,
     is_finite,
     orthocenter,
 )
@@ -51,7 +51,7 @@ from isoptic.quad import (
     triad_circles,
     varignon,
 )
-from isoptic.verify import CaseSpec, random_quadrilateral
+from isoptic.verify import SHAPE_CLASSES, CaseSpec, random_quadrilateral
 
 SQUARE = Quadrilateral(Point(1, 1), Point(-1, 1), Point(-1, -1), Point(1, -1))
 GENERIC = Quadrilateral(Point(0, 0), Point(4, 0), Point(5, 3), Point(1, 4))
@@ -556,10 +556,11 @@ class TestClosedFormsExact:
 
 
 class TestComputeOnce:
-    def test_analyze_builds_each_part_once(self, monkeypatch):
+    @staticmethod
+    def _record(monkeypatch, names):
+        """Record the first argument of each call to the named quad functions."""
         import isoptic.quad as quad
-        from isoptic.verify import SHAPE_CLASSES
-        calls = {"classify": [], "triad_circles": []}
+        calls = {name: [] for name in names}
 
         def counting(name):
             fn = getattr(quad, name)
@@ -569,15 +570,84 @@ class TestComputeOnce:
                 return fn(q, *args, **kwargs)
             return counted
 
-        for name in calls:
+        for name in names:
             monkeypatch.setattr(quad, name, counting(name))
+        return calls
+
+    def test_analyze_builds_each_part_once(self, monkeypatch):
+        import isoptic.quad as quad
+        calls = self._record(monkeypatch, ("classify", "triad_circles"))
         for shape in SHAPE_CLASSES:
             for q in generic_quads(5, shape, seed=5):
                 for seen in calls.values():
                     seen.clear()
                 quad.analyze(q)
                 assert len(calls["classify"]) == 1
-                # at most once on Q1 and once on Q2 moved to its centroid
-                on_q1 = [t for t in calls["triad_circles"] if t is q]
-                assert len(on_q1) <= 1
-                assert len(calls["triad_circles"]) - len(on_q1) <= 1
+                assert calls["triad_circles"] == [q]
+
+    def test_w_and_s_build_no_circle_and_no_shape(self, monkeypatch):
+        import isoptic.quad as quad
+        quads = [q for shape in SHAPE_CLASSES for q in generic_quads(5, shape, seed=5)]
+        calls = self._record(monkeypatch, ("circumcircle", "triad_circles", "classify",
+                                           "next_generation"))
+        for q in quads:
+            quad.isoptic_point(q)
+            quad.simson_point(q)
+        assert all(seen == [] for seen in calls.values())
+
+
+class TestAtInfinityCuts:
+    """The fixed cuts of isoptic_point and simson_point decide as classify's
+    orthocentric and parallelogram tests do."""
+
+    def test_decisions_match_classify(self):
+        for shape in SHAPE_CLASSES:
+            for q in generic_quads(300, shape, seed=11):
+                kind = classify(q)
+                assert isinstance(isoptic_point(q), AtInfinity) == kind.orthocentric
+                assert isinstance(simson_point(q), AtInfinity) == kind.parallelogram
+
+    def test_orthocentric_w_runs_along_side_ab(self):
+        # o1 and o2 are congruent and both centered on the perpendicular
+        # bisector of AB, so their line of similitude is parallel to AB
+        for q in generic_quads(50, "orthocentric", seed=9):
+            v = q.b - q.a
+            assert isoptic_point(q) == AtInfinity.along(v.x, v.y)
+
+
+class TestSimilarityCovariance:
+    """W and S move with a similarity T of the input and r stays, within
+    100 eps times (1 + offset / diameter) of the copy's diameter (W, S) or
+    of max(1, |r|) (r): rounding the moved coordinates costs that much."""
+
+    def test_w_s_and_r_follow_a_similarity(self):
+        eps = sys.float_info.epsilon
+        rng = random.Random(7)
+
+        def turn():
+            return cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+
+        for shape in SHAPE_CLASSES:
+            for q in generic_quads(50, shape, seed=11):
+                rot = 10.0 ** rng.uniform(-9.0, 9.0) * turn()
+                offset = 10.0 ** rng.uniform(-3.0, 6.0)  # in diameters
+                shift = offset * abs(rot) * q.scale() * turn()
+
+                def move(p):
+                    return Point.from_complex(rot * p.to_complex() + shift)
+
+                copy = Quadrilateral(*(move(v) for v in q.vertices()))
+                rel = 100.0 * eps * (1.0 + offset)
+                for construction in (isoptic_point, simson_point):
+                    p, moved = construction(q), construction(copy)
+                    if is_finite(p):
+                        assert is_finite(moved)
+                        assert moved.dist(move(p)) <= rel * copy.scale()
+                    else:
+                        d = rot * complex(p.dx, p.dy)
+                        ref = AtInfinity.along(d.real, d.imag)
+                        assert isinstance(moved, AtInfinity)
+                        assert min(math.hypot(moved.dx - ref.dx, moved.dy - ref.dy),
+                                   math.hypot(moved.dx + ref.dx, moved.dy + ref.dy)) <= rel
+                r = similarity_ratio(q)
+                assert abs(similarity_ratio(copy) - r) <= rel * max(1.0, abs(r))

@@ -1,4 +1,3 @@
-import math
 import xml.dom.minidom
 
 import pytest
