@@ -5,6 +5,7 @@ from .errors import GeometryError
 from .kernel import (
     DEFAULT_TOL,
     AtInfinity,
+    Circle,
     DirectedAngle,
     GenCircle,
     Point,

@@ -49,10 +49,6 @@ def _quad_json(q: Quadrilateral):
 
 
 def _circle_json(c):
-    if c.is_line:
-        d = c.direction()
-        return {"kind": "line", "direction": [_num(d.x), _num(d.y)],
-                "coeffs": [_num(c.a), _num(c.b), _num(c.c), _num(c.d)]}
     o = c.center()
     return {"kind": "circle", "center": [_num(o.x), _num(o.y)],
             "radius": _num(c.radius())}

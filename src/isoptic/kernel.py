@@ -1,13 +1,14 @@
 """Floating-point primitives for inversive plane geometry.
 
-Points, directed angles, generalized circles, inversion, spiral similarity
-and triangle-level conjugations.  A generalized circle stores the equation
+Points, directed angles, circles as ``Circle`` (center and radius), inversion,
+spiral similarity and triangle-level conjugations.  A generalized circle
+stores the equation
 
     a*(x^2 + y^2) + b*x + c*y + d = 0
 
-normalized so that max(|a|,|b|,|c|,|d|) = 1; ``a == 0`` encodes a line.  The
-unified representation keeps circles and lines closed under inversion, which
-the quadrilateral constructions use constantly.
+normalized so that max(|a|,|b|,|c|,|d|) = 1; ``a == 0`` encodes a line.  It
+is kept where a curve may be a line: lines, inversion images, Apollonius
+circles and the curves ``intersect`` takes.
 
 All tolerances are relative: an operation taking ``tol`` compares against
 ``tol * D`` where ``D`` is the diameter of its input point set.
@@ -110,15 +111,6 @@ def diameter(points) -> float:
     return best if best > 0.0 else 1.0
 
 
-def min_height(p: Point, q: Point, r: Point) -> float:
-    """Least distance from a vertex of triangle pqr to the opposite side
-    line; 0 when all three points coincide."""
-    longest = max(p.dist(q), q.dist(r), r.dist(p))
-    if longest == 0.0:
-        return 0.0
-    return abs((q - p).cross(r - p)) / longest
-
-
 @dataclass(frozen=True)
 class DirectedAngle:
     """An angle between lines, reduced modulo pi to [0, pi)."""
@@ -141,6 +133,28 @@ class DirectedAngle:
         """Circular distance on the mod-pi circle."""
         d = abs(self.value - other.value)
         return min(d, math.pi - d)
+
+
+@dataclass(frozen=True)
+class Circle:
+    """A proper circle: center o and radius r > 0."""
+
+    o: Point
+    r: float
+    is_line = False
+
+    def __post_init__(self):
+        if not (self.r > 0.0 and math.isfinite(self.r)):
+            raise DegenerateCircle(f"invalid radius {self.r}")
+
+    def center(self) -> Point:
+        return self.o
+
+    def radius(self) -> float:
+        return self.r
+
+    def distance_to(self, p: Point) -> float:
+        return abs(p.dist(self.o) - self.r)
 
 
 @dataclass(frozen=True)
@@ -268,8 +282,7 @@ class Triangle:
     p3: Point
 
     def __post_init__(self):
-        scale = diameter([self.p1, self.p2, self.p3])
-        if min_height(self.p1, self.p2, self.p3) < DEFAULT_TOL * scale:
+        if _flat((self.p2 - self.p1).to_complex(), (self.p3 - self.p1).to_complex(), DEFAULT_TOL):
             raise CollinearInput("triangle vertices are collinear within tolerance")
 
     def vertices(self):
@@ -280,25 +293,32 @@ class Triangle:
 # basic constructions
 
 
-def circumcircle(p: Point, q: Point, r: Point, tol: float = DEFAULT_TOL) -> GenCircle:
-    """Circle through three points.
+def norm2(z: complex) -> float:
+    """Squared modulus, with no square root."""
+    return z.real * z.real + z.imag * z.imag
 
-    Raises CollinearInput when the triangle height falls below tol * diameter.
-    """
-    scale = diameter([p, q, r])
-    if min_height(p, q, r) < tol * scale:
+
+def _flat(a: complex, b: complex, tol: float) -> bool:
+    """Whether the triangle 0, a, b is at most tol * its longest side high:
+    |a x b| <= tol * longest side^2."""
+    return abs(a.real * b.imag - a.imag * b.real) <= tol * max(norm2(a), norm2(b), norm2(b - a))
+
+
+def circumcenter(a: complex, b: complex, ka: float, kb: float, tol: float) -> complex:
+    """The X with a.X = ka and b.X = kb: the circumcenter of p, p + a, p + b
+    when ka and kb are the lifts |v|^2 / 2 of p + a and p + b less p's.
+    Raises CollinearInput on a flat triangle."""
+    if _flat(a, b, tol):
         raise CollinearInput("cannot circumscribe collinear points")
-    # perpendicular bisector equations: 2(q-p).X = |q|^2-|p|^2 etc.
-    ax, ay = q.x - p.x, q.y - p.y
-    bx, by = r.x - p.x, r.y - p.y
-    ka = 0.5 * (q.dot(q) - p.dot(p))
-    kb = 0.5 * (r.dot(r) - p.dot(p))
-    det = ax * by - ay * bx
-    cx = (ka * by - ay * kb) / det
-    cy = (ax * kb - ka * bx) / det
-    center = Point(cx, cy)
-    radius = (center.dist(p) + center.dist(q) + center.dist(r)) / 3.0
-    return GenCircle.circle(center, radius)
+    return (kb * a - ka * b) * 1j / (a.real * b.imag - a.imag * b.real)
+
+
+def circumcircle(p: Point, q: Point, r: Point, tol: float = DEFAULT_TOL) -> Circle:
+    """Circle through three points, solved from the differences to p; raises
+    CollinearInput as circumcenter does."""
+    a, b = complex(q.x - p.x, q.y - p.y), complex(r.x - p.x, r.y - p.y)
+    c = circumcenter(a, b, 0.5 * norm2(a), 0.5 * norm2(b), tol)
+    return Circle(Point(p.x + c.real, p.y + c.imag), (abs(c) + abs(c - a) + abs(c - b)) / 3.0)
 
 
 def perpendicular_bisector(p: Point, q: Point) -> GenCircle:
@@ -365,7 +385,8 @@ def intersect(g1: GenCircle, g2: GenCircle, tol: float = DEFAULT_TOL) -> list[Po
     return sorted(pts, key=lambda p: (p.x, p.y))
 
 
-def invert_point(mirror: GenCircle, p: MaybePoint, tol: float = DEFAULT_TOL) -> MaybePoint:
+def invert_point(mirror: Circle | GenCircle, p: MaybePoint,
+                 tol: float = DEFAULT_TOL) -> MaybePoint:
     """Inversive image of a point in a circle mirror.
 
     The center maps to infinity and a point at infinity to the center.  A
@@ -383,7 +404,8 @@ def invert_point(mirror: GenCircle, p: MaybePoint, tol: float = DEFAULT_TOL) -> 
     return o + v * k
 
 
-def invert_circle(mirror: GenCircle, g: GenCircle, tol: float = DEFAULT_TOL) -> GenCircle:
+def invert_circle(mirror: Circle | GenCircle, g: GenCircle,
+                  tol: float = DEFAULT_TOL) -> GenCircle:
     """Inversive image of a generalized circle in a circle mirror; a line
     mirror raises NotALine."""
     o = mirror.center()
@@ -423,14 +445,32 @@ def apollonius_circle(p1: Point, p2: Point, ratio: float,
     return GenCircle.from_coeffs(a, b, c, d)
 
 
-def circle_of_similitude(o1: GenCircle, o2: GenCircle,
+def _similitude_pair(o1, o2, tol: float) -> tuple[Point, float, Point, float]:
+    """Centers and radii of two circles; ConcentricCircles if the centers are
+    within tol times the largest of the radii and their distance."""
+    c1, r1, c2, r2 = o1.center(), o1.radius(), o2.center(), o2.radius()
+    if c1.dist(c2) < tol * max(r1, r2, c1.dist(c2)):
+        raise ConcentricCircles("circle of similitude of concentric circles")
+    return c1, r1, c2, r2
+
+
+def circle_of_similitude(o1: Circle | GenCircle, o2: Circle | GenCircle,
                          tol: float = DEFAULT_TOL) -> GenCircle:
     """Apollonius circle of the centers with the ratio of the radii."""
-    c1, c2 = o1.center(), o2.center()
-    scale = max(o1.radius(), o2.radius(), c1.dist(c2))
-    if c1.dist(c2) < tol * scale:
-        raise ConcentricCircles("circle of similitude of concentric circles")
-    return apollonius_circle(c1, c2, o1.radius() / o2.radius(), tol)
+    c1, r1, c2, r2 = _similitude_pair(o1, o2, tol)
+    return apollonius_circle(c1, c2, r1 / r2, tol)
+
+
+def cs_distance(w: Point, o1: Circle, o2: Circle, tol: float = DEFAULT_TOL) -> float:
+    """First-order distance of w from the circle of similitude of o1 and o2,
+    with no circle built: the Apollonius defect d1 R2 - d2 R1, d_i = |w - c_i|,
+    over its gradient R2 (w - c1) / d1 - R1 (w - c2) / d2; w at a center has
+    no gradient and is infinitely far."""
+    c1, r1, c2, r2 = _similitude_pair(o1, o2, tol)
+    u, v = complex(w.x - c1.x, w.y - c1.y), complex(w.x - c2.x, w.y - c2.y)
+    d1, d2 = abs(u), abs(v)
+    grad = abs(r2 * u / d1 - r1 * v / d2) if d1 and d2 else 0.0
+    return abs(d1 * r2 - d2 * r1) / grad if grad else math.inf
 
 
 def directed_angle(a: Point, vertex: Point, b: Point) -> DirectedAngle:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 
 from .errors import (
     CollinearInput,
@@ -31,14 +32,17 @@ from .errors import (
 from .kernel import (
     DEFAULT_TOL,
     AtInfinity,
+    Circle,
     GenCircle,
     MaybePoint,
     Point,
     SpiralSimilarity,
     Triangle,
     circle_of_similitude,
+    circumcenter,
     circumcircle,
     coeff_distance,
+    cs_distance,
     diameter,
     directed_angle,
     foot_of_perpendicular,
@@ -47,7 +51,7 @@ from .kernel import (
     invert_point,
     is_finite,
     isogonal_conjugate_triangle,
-    min_height,
+    norm2,
     perpendicular_bisector,
     _line_line,
 )
@@ -61,26 +65,37 @@ class Quadrilateral:
     b: Point
     c: Point
     d: Point
+    _scale: float = field(init=False, repr=False, compare=False)
+    _height: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # one pass over the six differences gives the diameter and the least
+        # triad height, |cross| / longest side (0 if the triad is one point)
+        z = [v.to_complex() for v in self.vertices()]
+        e = {(i, j): z[j] - z[i] for i in range(4) for j in range(i + 1, 4)}
+        n = {ij: math.hypot(v.real, v.imag) for ij, v in e.items()}
+        height = min(abs(e[i, j].real * e[i, k].imag - e[i, j].imag * e[i, k].real)
+                     / (max(n[i, j], n[j, k], n[i, k]) or math.inf)
+                     for i, j, k in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)))
+        object.__setattr__(self, "_scale", max(n.values()) or 1.0)
+        object.__setattr__(self, "_height", height)
         # a triad holding two vertices delta apart is at most delta high, so
         # this also rejects coincident vertices
-        if self.min_triad_height() < DEFAULT_TOL * self.scale():
+        if height < DEFAULT_TOL * self._scale:
             raise CollinearInput("three vertices are collinear within tolerance")
 
     def vertices(self) -> tuple[Point, Point, Point, Point]:
         return (self.a, self.b, self.c, self.d)
 
     def scale(self) -> float:
-        return diameter(self.vertices())
+        return self._scale
 
     def centroid(self) -> Point:
         return Point.from_complex(sum(v.to_complex() for v in self.vertices()) / 4.0)
 
     def min_triad_height(self) -> float:
         """Least height of the four triangles of three vertices."""
-        vs = self.vertices()
-        return min(min_height(*(vs[j] for j in range(4) if j != i)) for i in range(4))
+        return self._height
 
     def is_convex(self) -> bool:
         vs = self.vertices()
@@ -109,22 +124,17 @@ class Quadrilateral:
 
 @dataclass(frozen=True)
 class TriadSystem:
-    o1: GenCircle
-    o2: GenCircle
-    o3: GenCircle
-    o4: GenCircle
+    """The triad circles o1 = (D A B), o2 = (A B C), o3 = (B C D) and
+    o4 = (C D A), each a center and a radius."""
+
+    o1: Circle
+    o2: Circle
+    o3: Circle
+    o4: Circle
 
     @property
-    def circles(self) -> tuple[GenCircle, ...]:
+    def circles(self) -> tuple[Circle, ...]:
         return (self.o1, self.o2, self.o3, self.o4)
-
-    @property
-    def centers(self) -> tuple[Point, ...]:
-        return tuple(o.center() for o in self.circles)
-
-    @property
-    def radii(self) -> tuple[float, ...]:
-        return tuple(o.radius() for o in self.circles)
 
 
 @dataclass(frozen=True)
@@ -249,17 +259,12 @@ def classify(q: QuadOrState, tol: float = DEFAULT_TOL) -> ShapeClass:
     convex = st.q.is_convex()
     cyclic = st.cyclic
 
-    # each vertex is the orthocenter of the other three: their sum minus
-    # twice the center of their triad circle
+    # each vertex v is the orthocenter of the other three, their sum minus
+    # twice the center o of their triad circle: 2 (v + o) = sum of all four
     t = st.triads
-    ortho = True
-    for i, circ in enumerate((t.o3, t.o4, t.o1, t.o2)):
-        p1, p2, p3 = (vs[j] for j in range(4) if j != i)
-        o = circ.center()
-        h = Point(p1.x + p2.x + p3.x - 2.0 * o.x, p1.y + p2.y + p3.y - 2.0 * o.y)
-        if vs[i].dist(h) > tol * scale:
-            ortho = False
-            break
+    total = sum(v.to_complex() for v in vs)
+    ortho = all(abs(2.0 * (v.to_complex() + circ.o.to_complex()) - total) <= tol * scale
+                for v, circ in zip(vs, (t.o3, t.o4, t.o1, t.o2)))
 
     def parallel(u: Point, v: Point) -> bool:
         return abs(u.cross(v)) / (u.norm() * v.norm()) < 1e3 * tol
@@ -318,17 +323,31 @@ def cotangent_identity_residuals(q: Quadrilateral) -> tuple[float, float]:
 # triad circles and the generation maps
 
 
+_TRIADS = ((3, 0, 1), (0, 1, 2), (1, 2, 3), (2, 3, 0))  # DAB, ABC, BCD, CDA
+
+
+def _triad_centers(z: list[complex], tol: float) -> list[complex]:
+    """Centers of the four triads of z in z's frame, from one lift |z_k|^2 / 2
+    per vertex shared by all four: their rounding errors are those of one
+    perturbed input, so Q2 keeps its shape as it shrinks."""
+    lift = [0.5 * norm2(v) for v in z]
+    return [circumcenter(z[j] - z[i], z[k] - z[i], lift[j] - lift[i], lift[k] - lift[i], tol)
+            for i, j, k in _TRIADS]
+
+
 def triad_circles(q: Quadrilateral, tol: float = DEFAULT_TOL) -> TriadSystem:
-    A, B, C, D = q.vertices()
-    try:
-        return TriadSystem(
-            o1=circumcircle(D, A, B, tol),
-            o2=circumcircle(A, B, C, tol),
-            o3=circumcircle(B, C, D, tol),
-            o4=circumcircle(C, D, A, tol),
-        )
-    except CollinearInput as exc:
-        raise CollinearInput(f"collinear triad: {exc}") from exc
+    """The four triad circles, solved in one shared frame in two passes: the
+    first, in the centroid frame, finds the center nearest the centroid; the
+    second solves again with the origin there, where a nearly cyclic input's
+    centers are small.  A nearly flat triad's center runs far off, so no
+    fixed triad's center serves.  The origin is added back once, at the end."""
+    vs = [v.to_complex() for v in q.vertices()]
+    g = sum(vs) / 4.0
+    origin = g + min(_triad_centers([v - g for v in vs], tol), key=abs)
+    z = [v - origin for v in vs]
+    return TriadSystem(*(
+        Circle(Point.from_complex(origin + c), (abs(z[i] - c) + abs(z[j] - c) + abs(z[k] - c)) / 3)
+        for (i, j, k), c in zip(_TRIADS, _triad_centers(z, tol))))
 
 
 def next_generation(q: QuadOrState, tol: float = DEFAULT_TOL) -> Quadrilateral:
@@ -341,7 +360,7 @@ def next_generation(q: QuadOrState, tol: float = DEFAULT_TOL) -> Quadrilateral:
     if st.cyclic:
         raise CyclicDegeneration("cyclic quadrilateral degenerates to a point",
                                  point=st.triads.o2.center())
-    return Quadrilateral(*st.triads.centers)
+    return Quadrilateral(*(o.o for o in st.triads.circles))
 
 
 def prev_generation(q: Quadrilateral, tol: float = DEFAULT_TOL) -> Quadrilateral:
@@ -404,12 +423,13 @@ def isoptic_point(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePoint:
     return Point.from_complex(g + (num / den).conjugate())
 
 
-def _aitken(seq: list[float], scale: float) -> float:
-    x0, x1, x2 = seq[-3], seq[-2], seq[-1]
-    den = x2 - 2.0 * x1 + x0
-    if abs(den) < 1e-14 * scale:
-        return x2
-    return x2 - (x2 - x1) ** 2 / den
+def _aitken(zs: list[complex], scale: float) -> Point:
+    """Aitken extrapolation of three iterates, one coordinate at a time."""
+    out = []
+    for x0, x1, x2 in ((z.real for z in zs), (z.imag for z in zs)):
+        den = x2 - 2.0 * x1 + x0
+        out.append(x2 if abs(den) < 1e-14 * scale else x2 - (x2 - x1) ** 2 / den)
+    return Point(*out)
 
 
 def isoptic_point_via_limit(q: Quadrilateral, max_gen: int = 60,
@@ -437,23 +457,14 @@ def isoptic_point_via_limit(q: Quadrilateral, max_gen: int = 60,
         cents.append(current.centroid().to_complex())
         if current.scale() < tol * scale:
             return current.centroid()
-        if len(cents) >= 5:
-            # extrapolate the odd and even subsequences and cross-check
-            odd = [cents[i] for i in range(len(cents) % 2, len(cents), 2)]
-            if len(odd) >= 3:
-                wx = _aitken([z.real for z in odd[-3:]], scale)
-                wy = _aitken([z.imag for z in odd[-3:]], scale)
-                prev = [cents[i] for i in range((len(cents) - 1) % 2, len(cents), 2)]
-                if len(prev) >= 3:
-                    ux = _aitken([z.real for z in prev[-3:]], scale)
-                    uy = _aitken([z.imag for z in prev[-3:]], scale)
-                    if math.hypot(wx - ux, wy - uy) < 0.5 * tol * scale:
-                        return Point(0.5 * (wx + ux), 0.5 * (wy + uy))
-    # fall back to the best extrapolate available
-    odd = [cents[i] for i in range(len(cents) % 2, len(cents), 2)]
-    if len(odd) >= 3:
-        return Point(_aitken([z.real for z in odd[-3:]], scale),
-                     _aitken([z.imag for z in odd[-3:]], scale))
+        if len(cents) >= 6:
+            # extrapolate the two same-parity subsequences and cross-check
+            w, u = _aitken(cents[-6:-1:2], scale), _aitken(cents[-5::2], scale)
+            if w.dist(u) < 0.5 * tol * scale:
+                return Point(0.5 * (w.x + u.x), 0.5 * (w.y + u.y))
+    # fall back to the extrapolate of the subsequence before the last iterate
+    if len(cents) >= 6:
+        return _aitken(cents[-6:-1:2], scale)
     raise NonConvergent("iteration budget exhausted")
 
 
@@ -507,7 +518,7 @@ def isodynamic_ratios(q: QuadOrState, w: Point, tol: float = DEFAULT_TOL) -> flo
     """
     st = _state(q, tol)
     q = st.q
-    r1, r2, r3, r4 = st.triads.radii
+    r1, r2, r3, r4 = (o.r for o in st.triads.circles)
     prods = [w.dist(q.a) * r3, w.dist(q.b) * r4, w.dist(q.c) * r1, w.dist(q.d) * r2]
     mean = sum(prods) / 4.0
     if mean == 0.0:
@@ -758,29 +769,23 @@ def periodicity_residual(q: Quadrilateral, tol: float = DEFAULT_TOL) -> float:
 def cross_generation_cs_residual(q: QuadOrState, w: Point,
                                  tol: float = DEFAULT_TOL) -> float:
     """Max scale-free distance of w to CS(o_i^(k), o_j^(l)) across the first
-    three generations."""
+    three generations, each read from the Apollonius defect (cs_distance)."""
     gens = [_state(q, tol)]
     tol = gens[0].tol
     for _ in range(2):
         gens.append(QuadState(gens[-1].q2, tol))
     circles = [c for g in gens for c in g.triads.circles]
     scale = gens[0].scale
-    worst = 0.0
-    for i in range(len(circles)):
-        for j in range(i + 1, len(circles)):
-            c1, c2 = circles[i], circles[j]
-            if c1.center().dist(c2.center()) < 1e3 * tol * scale:
-                continue  # same circle up to noise: CS undefined
-            cs = circle_of_similitude(c1, c2, tol)
-            worst = max(worst, cs.distance_to(w) / scale)
-    return worst
+    # a pair of centers within noise is one circle twice: no CS
+    return max((cs_distance(w, c1, c2, tol) for c1, c2 in combinations(circles, 2)
+                if c1.o.dist(c2.o) >= 1e3 * tol * scale), default=0.0) / scale
 
 
 def quadrangle_duality_residual(q: Quadrilateral, w: Point, mirror_radius: float,
                                 tol: float = DEFAULT_TOL) -> float:
     """Inversion centered at W takes the six vertex-pair lines onto the six
     circles of similitude of the image quadrilateral's triad circles."""
-    mirror = GenCircle.circle(w, mirror_radius)
+    mirror = Circle(w, mirror_radius)
     A, B, C, D = q.vertices()
     images = [invert_point(mirror, v, tol) for v in q.vertices()]
     if not all(is_finite(p) for p in images):
@@ -811,7 +816,7 @@ def feet_circles_residual(st: QuadState) -> float | None:
     if not is_finite(w):
         return None
     A, B, C, D = q.vertices()
-    a2, b2, c2, d2 = st.triads.centers
+    a2, b2, c2, d2 = (o.o for o in st.triads.circles)
     lines = side_lines(q)  # AB, BC, CD, DA
     feet = {}
     for name, side, opposite in (("a", (A, B), lines[2]), ("b", (B, C), lines[3]),
@@ -859,17 +864,13 @@ def spiral_transport_residual(st: QuadState) -> float | None:
 
 
 def six_cs_residual(st: QuadState) -> float | None:
-    """Max scale-free distance of W from the six circles of similitude."""
+    """Max scale-free distance of W from the six circles of similitude, each
+    read from the Apollonius defect (cs_distance)."""
     w = st.w
     if not is_finite(w) or st.cyclic:
         return None
-    circles = st.triads.circles
-    worst = 0.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            cs = circle_of_similitude(circles[i], circles[j], st.tol)
-            worst = max(worst, cs.distance_to(w) / st.scale)
-    return worst
+    pairs = combinations(st.triads.circles, 2)
+    return max(cs_distance(w, c1, c2, st.tol) for c1, c2 in pairs) / st.scale
 
 
 def area_ratio_residual(st: QuadState) -> float:
@@ -878,8 +879,9 @@ def area_ratio_residual(st: QuadState) -> float:
 
 
 def isoptic_spread_residual(st: QuadState) -> float | None:
-    """Relative spread of the four d_i / R_i at W."""
-    if not is_finite(st.w):
+    """Relative spread of the four d_i / R_i at W; None on cyclic input,
+    where W is the common center and every d_i / R_i is rounding noise."""
+    if not is_finite(st.w) or st.cyclic:
         return None
     qty = isoptic_quantity(st, st.w)
     mean = sum(qty) / 4.0

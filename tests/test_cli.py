@@ -61,7 +61,7 @@ class TestAnalyze:
         collinear = {"vertices": [[0, 0], [1, 0], [2, 0], [0, 3]]}
         assert main(["analyze", quad_file(collinear)]) == 2
 
-    @pytest.mark.parametrize("offset, code", [(1e5, 0), (1e9, 2)])
+    @pytest.mark.parametrize("offset, code", [(1e5, 0), (1e9, 0), (1e12, 0)])
     def test_offset_generic(self, quad_file, tmp_path, offset, code):
         shifted = {"vertices": [[x + offset, y + offset] for x, y in GENERIC["vertices"]]}
         out0, out = tmp_path / "r0.json", tmp_path / "r.json"

@@ -363,7 +363,7 @@ class TestIsogonalConjugateTriangle:
     def test_circumcircle_point_goes_to_infinity(self):
         t = Triangle(Point(0, 0), Point(4, 0), Point(0, 4))
         c = circumcircle(t.p1, t.p2, t.p3)
-        p = c.point_at(2.5)
+        p = c.center() + Point(math.cos(2.5), math.sin(2.5)) * c.radius()
         assert isinstance(isogonal_conjugate_triangle(t, p), AtInfinity)
 
     def test_side_line_point_collapses_to_opposite_vertex(self):

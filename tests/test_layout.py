@@ -3,6 +3,8 @@ the package itself, so code that only its own unit tests call does not
 accumulate, and no module imports a name it never reads."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import isoptic
@@ -70,3 +72,16 @@ def test_no_unused_imports():
     modules += sorted(Path(__file__).parent.glob("*.py"))
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert unused == [], f"imported but never read: {unused}"
+
+
+def test_traced_layer_functions_exist():
+    # the benchmark's tracer wraps each name with getattr on its module
+    tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    tree = ast.parse(tracing.read_text())
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "LAYER_FUNCTIONS" for t in node.targets))
+    missing = [f"{layer}.{name}" for layer, names in layers.items() for name in names
+               if not inspect.isfunction(getattr(importlib.import_module(f"isoptic.{layer}"),
+                                                 name, None))]
+    assert missing == [], f"traced but not a function of its module: {missing}"

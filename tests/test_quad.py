@@ -23,6 +23,7 @@ from isoptic.kernel import (
 )
 from isoptic.quad import (
     Quadrilateral,
+    analyze,
     angle_sums_at_point,
     classify,
     collinearity_residual,
@@ -99,6 +100,19 @@ class TestTriadCircles:
         for circle, triple in zip(sys.circles, triples):
             for v in triple:
                 assert circle.distance_to(v) < 1e-10
+
+    @pytest.mark.parametrize("h", [1e-4, 1e-6, 1e-8])
+    @pytest.mark.parametrize("offset", [(0.123, 0.456), (3.7, -2.1)])
+    def test_nearly_flat_triad_leaves_the_others_exact(self, h, offset):
+        # B lifted h off AC sends the center of o2 = (A B C) about 1 / h
+        # away; the frame of the other three centers must not follow it
+        ox, oy = offset
+        vs = [Point(ox, oy), Point(1.1 + ox, h + oy), Point(2.0 + ox, oy),
+              Point(0.7 + ox, 1.6 + oy)]
+        q = Quadrilateral(*vs)
+        exact = _exact_next([(Fraction(v.x), Fraction(v.y)) for v in vs])
+        for i in (0, 2, 3):
+            assert _float_error(triad_circles(q).circles[i].center(), exact[i]) <= 1e-14
 
     def test_collinear_triple(self):
         # validation happens when the quadrilateral is built
@@ -285,6 +299,13 @@ class TestIsopticQuantity:
                             for t in (0.2, 1.5, 3.0, 4.8)))
         qty = isoptic_quantity(q, Point(0, 0))
         assert max(abs(v) for v in qty) < 1e-12
+
+
+class TestIsopticSpread:
+    def test_no_spread_reported_on_cyclic_input(self):
+        # every d_i / R_i is rounding noise at the common center
+        for q in generic_quads(100, "cyclic", seed=21):
+            assert "isoptic_spread" not in analyze(q).residuals
 
 
 class TestIsodynamic:
@@ -616,11 +637,14 @@ class TestAtInfinityCuts:
 
 
 class TestSimilarityCovariance:
-    """W and S move with a similarity T of the input and r stays, within
-    100 eps times (1 + offset / diameter) of the copy's diameter (W, S) or
-    of max(1, |r|) (r): rounding the moved coordinates costs that much."""
+    """W, S, r and the triad circles move with a similarity T of the input,
+    within 100 eps times (1 + offset / diameter) of the copy's diameter (W,
+    S, centers and radii) or of max(1, |r|) (r): rounding the moved
+    coordinates costs that much."""
 
-    def test_w_s_and_r_follow_a_similarity(self):
+    @staticmethod
+    def _copies():
+        """(q, copy, move, rot, rel) for 50 quads per class."""
         eps = sys.float_info.epsilon
         rng = random.Random(7)
 
@@ -637,17 +661,27 @@ class TestSimilarityCovariance:
                     return Point.from_complex(rot * p.to_complex() + shift)
 
                 copy = Quadrilateral(*(move(v) for v in q.vertices()))
-                rel = 100.0 * eps * (1.0 + offset)
-                for construction in (isoptic_point, simson_point):
-                    p, moved = construction(q), construction(copy)
-                    if is_finite(p):
-                        assert is_finite(moved)
-                        assert moved.dist(move(p)) <= rel * copy.scale()
-                    else:
-                        d = rot * complex(p.dx, p.dy)
-                        ref = AtInfinity.along(d.real, d.imag)
-                        assert isinstance(moved, AtInfinity)
-                        assert min(math.hypot(moved.dx - ref.dx, moved.dy - ref.dy),
-                                   math.hypot(moved.dx + ref.dx, moved.dy + ref.dy)) <= rel
-                r = similarity_ratio(q)
-                assert abs(similarity_ratio(copy) - r) <= rel * max(1.0, abs(r))
+                yield q, copy, move, rot, 100.0 * eps * (1.0 + offset)
+
+    def test_w_s_and_r_follow_a_similarity(self):
+        for q, copy, move, rot, rel in self._copies():
+            for construction in (isoptic_point, simson_point):
+                p, moved = construction(q), construction(copy)
+                if is_finite(p):
+                    assert is_finite(moved)
+                    assert moved.dist(move(p)) <= rel * copy.scale()
+                else:
+                    d = rot * complex(p.dx, p.dy)
+                    ref = AtInfinity.along(d.real, d.imag)
+                    assert isinstance(moved, AtInfinity)
+                    assert min(math.hypot(moved.dx - ref.dx, moved.dy - ref.dy),
+                               math.hypot(moved.dx + ref.dx, moved.dy + ref.dy)) <= rel
+            r = similarity_ratio(q)
+            assert abs(similarity_ratio(copy) - r) <= rel * max(1.0, abs(r))
+
+    def test_analyze_and_triad_circles_follow_a_similarity(self):
+        for q, copy, move, rot, rel in self._copies():
+            analyze(copy)  # returns on every copy
+            for o, moved in zip(triad_circles(q).circles, triad_circles(copy).circles):
+                assert moved.center().dist(move(o.center())) <= rel * copy.scale()
+                assert abs(moved.radius() - abs(rot) * o.radius()) <= rel * copy.scale()

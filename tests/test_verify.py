@@ -93,6 +93,12 @@ class TestRunSuite:
             rep = run_suite(CaseSpec(seed=5, shape_class=sc), 15, tol=1e-8)
             assert rep.failures == 0, f"{sc}: {rep.to_dict()}"
 
+    def test_near_cyclic_passes_at_a_thousand_cases(self):
+        # Q2 of a nearly cyclic case shrinks to a point; its four centers
+        # come from one shared frame, so its angles stay supplementary
+        rep = run_suite(CaseSpec(seed=42, shape_class="near-cyclic"), 1000)
+        assert rep.failures == 0, rep.to_dict()
+
     def test_cyclic_runs_ptolemy_but_not_cs(self):
         rep = run_suite(CaseSpec(seed=5, shape_class="cyclic"), 5, tol=1e-8)
         assert "ptolemy" in rep.invariants
