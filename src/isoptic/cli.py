@@ -201,7 +201,7 @@ def cmd_reconstruct(args) -> int:
         w = _parse_xy(args.w)
         d = reconstruct_fourth_vertex(a, b, c, w, args.tol)
         q = Quadrilateral(a, b, c, d)
-        w2 = isoptic_point(q, args.tol)
+        w2 = isoptic_point(q)
         residual = w2.dist(w) / q.scale() if is_finite(w2) else math.inf
         doc = {"mode": args.mode, "point": [_num(d.x), _num(d.y)],
                "residual": _num(residual)}
@@ -218,10 +218,10 @@ def cmd_reconstruct(args) -> int:
     feet = [_parse_xy(t) for t in args.feet]
     if args.mode == "pedal-w":
         q = reconstruct_from_pedal_w(anchor, feet, args.tol)
-        probe = isoptic_point(q, args.tol)
+        probe = isoptic_point(q)
     else:
         q = reconstruct_from_simson(anchor, feet, args.tol)
-        probe = simson_point(q, args.tol)
+        probe = simson_point(q)
     residual = probe.dist(anchor) / q.scale() if is_finite(probe) else math.inf
     doc = {"mode": args.mode, "vertices": _quad_json(q),
            "residual": _num(residual)}

@@ -189,17 +189,16 @@ class GenCircle:
 
     @staticmethod
     def line_through(p: Point, q: Point) -> "GenCircle":
-        if p.dist(q) == 0.0:
-            raise CoincidentPoints("line through coincident points")
-        # normal (b, c) perpendicular to q - p
-        b = p.y - q.y
-        c = q.x - p.x
-        d = -(b * p.x + c * p.y)
-        return GenCircle.from_coeffs(0.0, b, c, d)
+        return GenCircle.line_point_direction(p, q - p)
 
     @staticmethod
     def line_point_direction(p: Point, direction: Point) -> "GenCircle":
-        return GenCircle.line_through(p, p + direction)
+        # the normal (b, c) is the direction turned by 90 degrees; forming
+        # p + direction would round a short direction away when |p| is large
+        if direction.x == 0.0 and direction.y == 0.0:
+            raise CoincidentPoints("line through coincident points")
+        b, c = -direction.y, direction.x
+        return GenCircle.from_coeffs(0.0, b, c, -(b * p.x + c * p.y))
 
     @property
     def is_line(self) -> bool:

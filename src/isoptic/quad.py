@@ -11,6 +11,7 @@ and so on cyclically.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -45,15 +46,12 @@ from .kernel import (
     cs_distance,
     diameter,
     directed_angle,
-    foot_of_perpendicular,
     intersect,
     invert_circle,
     invert_point,
     is_finite,
     isogonal_conjugate_triangle,
     norm2,
-    perpendicular_bisector,
-    _line_line,
 )
 
 
@@ -65,18 +63,21 @@ class Quadrilateral:
     b: Point
     c: Point
     d: Point
+    _diffs: tuple[complex, ...] = field(init=False, repr=False, compare=False)
     _scale: float = field(init=False, repr=False, compare=False)
     _height: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # one pass over the six differences gives the diameter and the least
-        # triad height, |cross| / longest side (0 if the triad is one point)
+        # the side table _diffs = (B - A, C - A, D - A, C - B, D - B, D - C),
+        # which every side and diagonal construction reads; one pass over it
+        # gives the diameter and the least triad height, |cross| / longest
+        # side (0 if the triad is one point)
         z = [v.to_complex() for v in self.vertices()]
         e = {(i, j): z[j] - z[i] for i in range(4) for j in range(i + 1, 4)}
         n = {ij: math.hypot(v.real, v.imag) for ij, v in e.items()}
-        height = min(abs(e[i, j].real * e[i, k].imag - e[i, j].imag * e[i, k].real)
-                     / (max(n[i, j], n[j, k], n[i, k]) or math.inf)
+        height = min(abs(_cross(e[i, j], e[i, k])) / (max(n[i, j], n[j, k], n[i, k]) or math.inf)
                      for i, j, k in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)))
+        object.__setattr__(self, "_diffs", tuple(e.values()))
         object.__setattr__(self, "_scale", max(n.values()) or 1.0)
         object.__setattr__(self, "_height", height)
         # a triad holding two vertices delta apart is at most delta high, so
@@ -86,6 +87,11 @@ class Quadrilateral:
 
     def vertices(self) -> tuple[Point, Point, Point, Point]:
         return (self.a, self.b, self.c, self.d)
+
+    def sides(self) -> tuple[complex, complex, complex, complex]:
+        """The side vectors B - A, C - B, D - C and A - D."""
+        ab, _, ad, bc, _, cd = self._diffs
+        return (ab, bc, cd, -ad)
 
     def scale(self) -> float:
         return self._scale
@@ -98,20 +104,16 @@ class Quadrilateral:
         return self._height
 
     def is_convex(self) -> bool:
-        vs = self.vertices()
-        crosses = []
-        for i in range(4):
-            e1 = vs[(i + 1) % 4] - vs[i]
-            e2 = vs[(i + 2) % 4] - vs[(i + 1) % 4]
-            crosses.append(e1.cross(e2))
+        s = self.sides()
+        crosses = [_cross(s[i - 1], s[i]) for i in range(4)]
         return all(c > 0 for c in crosses) or all(c < 0 for c in crosses)
 
     def signed_area(self) -> float:
         """Positive for counterclockwise vertex order."""
         # edge vectors from A: the absolute-coordinate shoelace cancels to 0
         # on a quadrilateral far smaller than its distance from the origin
-        ab, ac, ad = self.b - self.a, self.c - self.a, self.d - self.a
-        return (ab.cross(ac) + ac.cross(ad)) / 2.0
+        ab, ac, ad = self._diffs[:3]
+        return (_cross(ab, ac) + _cross(ac, ad)) / 2.0
 
     def area(self) -> float:
         return abs(self.signed_area())
@@ -171,9 +173,9 @@ class QuadState:
     """One quadrilateral and what is derived from it, each part computed
     once, on first use.
 
-    The constructions below take a QuadState wherever they take a
-    quadrilateral, and then reuse its cached parts and its tol; the
-    properties call them through this module's globals.
+    The constructions below that read cached parts take a QuadState
+    wherever they take a quadrilateral, and then reuse its parts and its
+    tol; the properties call them through this module's globals.
     """
 
     def __init__(self, q: Quadrilateral, tol: float = DEFAULT_TOL):
@@ -207,11 +209,11 @@ class QuadState:
 
     @cached_property
     def w(self) -> MaybePoint:
-        return isoptic_point(self)
+        return isoptic_point(self.q)
 
     @cached_property
     def s(self) -> MaybePoint:
-        return simson_point(self)
+        return simson_point(self.q)
 
     @cached_property
     def pedal_w(self) -> list[Point] | None:
@@ -233,15 +235,23 @@ def _state(q: QuadOrState, tol: float) -> QuadState:
 # angles and shape
 
 
+def _dot(u: complex, v: complex) -> float:
+    return u.real * v.real + u.imag * v.imag
+
+
+def _cross(u: complex, v: complex) -> float:
+    return u.real * v.imag - u.imag * v.real
+
+
 def interior_angles(q: Quadrilateral) -> tuple[float, float, float, float]:
     """Interior angles in (0, 2*pi); a reflex vertex of a concave
     quadrilateral gets its actual reflex angle."""
-    vs = q.vertices()
+    s = q.sides()
     orient = 1.0 if q.signed_area() > 0.0 else -1.0
     out = []
     for i in range(4):
-        nxt, prv = vs[(i + 1) % 4] - vs[i], vs[i - 1] - vs[i]
-        out.append(math.atan2(orient * nxt.cross(prv), nxt.dot(prv)) % (2.0 * math.pi))
+        nxt, prv = s[i], -s[i - 1]
+        out.append(math.atan2(orient * _cross(nxt, prv), _dot(nxt, prv)) % (2.0 * math.pi))
     return tuple(out)
 
 
@@ -266,11 +276,13 @@ def classify(q: QuadOrState, tol: float = DEFAULT_TOL) -> ShapeClass:
     ortho = all(abs(2.0 * (v.to_complex() + circ.o.to_complex()) - total) <= tol * scale
                 for v, circ in zip(vs, (t.o3, t.o4, t.o1, t.o2)))
 
-    def parallel(u: Point, v: Point) -> bool:
-        return abs(u.cross(v)) / (u.norm() * v.norm()) < 1e3 * tol
+    def parallel(u: complex, v: complex) -> bool:
+        return (abs(_cross(u, v)) / (math.hypot(u.real, u.imag) * math.hypot(v.real, v.imag))
+                < 1e3 * tol)
 
-    ab_cd = parallel(vs[1] - vs[0], vs[2] - vs[3])
-    bc_da = parallel(vs[2] - vs[1], vs[3] - vs[0])
+    ab, bc, cd, da = st.q.sides()
+    ab_cd = parallel(ab, cd)
+    bc_da = parallel(bc, da)
     trapezoid = ab_cd or bc_da
     parallelogram = ab_cd and bc_da
     return ShapeClass(convex=convex, cyclic=cyclic, orthocentric=ortho,
@@ -285,8 +297,8 @@ def similarity_ratio(q: Quadrilateral, tol: float = DEFAULT_TOL) -> float:
     cot(sqrt(tol)), an angle within sqrt(tol) of 0 or pi, raises
     IllConditionedAngles.  r < 0 convex noncyclic, 0 cyclic, >= 1 concave.
     """
-    vs = q.vertices()
-    cots = [_cot(vs[(i + 1) % 4], vs[i], vs[i - 1]) for i in range(4)]
+    s = q.sides()
+    cots = [_cot(s[i], -s[i - 1]) for i in range(4)]
     max_cot = 1.0 / math.tan(math.sqrt(tol))
     for vertex, cot in zip("ABCD", cots):
         if abs(cot) > max_cot:
@@ -295,11 +307,10 @@ def similarity_ratio(q: Quadrilateral, tol: float = DEFAULT_TOL) -> float:
     return 0.25 * (ca + cg) * (cb + cd)
 
 
-def _cot(x: Point, v: Point, y: Point) -> float:
-    """Cotangent of the directed angle from line (v, x) to line (v, y): dot
-    over cross of the two rays (never 0 on a valid quadrilateral)."""
-    u, w = x - v, y - v
-    return u.dot(w) / u.cross(w)
+def _cot(u: complex, w: complex) -> float:
+    """Cotangent of the directed angle from ray u to ray w: dot over cross
+    (never 0 for two rays of a valid quadrilateral)."""
+    return _dot(u, w) / _cross(u, w)
 
 
 def cotangent_identity_residuals(q: Quadrilateral) -> tuple[float, float]:
@@ -309,12 +320,13 @@ def cotangent_identity_residuals(q: Quadrilateral) -> tuple[float, float]:
     from the outgoing side to the diagonal and one from the diagonal to the
     incoming side; each identity pairs the cotangents of four of them.
     """
-    A, B, C, D = q.vertices()
+    ab, ac, ad, bc, bd, cd = q._diffs
     lhs = 4.0 * similarity_ratio(q)
     # pairing fixed by requiring equality with 4*r of the reordered
-    # quadrilaterals ACBD / ACDB, whose ratio coincides with the original
-    r1 = (_cot(B, A, C) - _cot(B, D, C)) * (_cot(D, B, A) - _cot(D, C, A))
-    r2 = (_cot(C, A, D) - _cot(C, B, D)) * (_cot(A, D, B) - _cot(A, C, B))
+    # quadrilaterals ACBD / ACDB, whose ratio coincides with the original;
+    # the angle at D between DB and DC is _cot(-bd, -cd) = _cot(bd, cd)
+    r1 = (_cot(ab, ac) - _cot(bd, cd)) * (_cot(bd, -ab) - _cot(cd, -ac))
+    r2 = (_cot(ac, ad) - _cot(bc, bd)) * (_cot(ad, bd) - _cot(ac, bc))
     scale = max(1.0, abs(lhs))
     return (abs(lhs - r1) / scale, abs(lhs - r2) / scale)
 
@@ -393,7 +405,7 @@ def prev_generation(q: Quadrilateral, tol: float = DEFAULT_TOL) -> Quadrilateral
 _AT_INFINITY = 1e-12
 
 
-def isoptic_point(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePoint:
+def isoptic_point(q: Quadrilateral) -> MaybePoint:
     """The unique point whose pedal quadrilateral is a parallelogram.
 
     With z_k the vertices relative to the centroid g, e_k = z_{k+1} - z_k
@@ -406,19 +418,19 @@ def isoptic_point(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePoint:
     A cyclic input gives its circumcenter.  On orthocentric systems (r = 1)
     the denominator vanishes: below _AT_INFINITY (1 + |g| / diameter), the
     input's rounding level, W is at infinity along AB (the line of
-    similitude of the congruent o1 and o2).  tol is not read.
+    similitude of the congruent o1 and o2).
     """
-    st = _state(q, tol)
-    g = st.q.centroid().to_complex()
-    z = [v.to_complex() - g for v in st.q.vertices()]
+    g = q.centroid().to_complex()
+    z = [v.to_complex() - g for v in q.vertices()]
     num = den = 0j
     for k, sign in enumerate((1.0, -1.0, 1.0, -1.0)):
         e = z[(k + 1) % 4] - z[k]
         u2 = e / e.conjugate()
         den += sign * u2
         num += sign * (u2 * z[k].conjugate() - z[k])
-    if abs(den) * st.scale < _AT_INFINITY * (st.scale + abs(g)):
-        v = st.q.b - st.q.a
+    scale = q.scale()
+    if abs(den) * scale < _AT_INFINITY * (scale + abs(g)):
+        v = q.b - q.a
         return AtInfinity.along(v.x, v.y)
     return Point.from_complex(g + (num / den).conjugate())
 
@@ -543,15 +555,18 @@ def angle_sums_at_point(q: Quadrilateral, w: Point) -> float:
 # pedals, Simson point, Varignon
 
 
-def side_lines(q: Quadrilateral) -> list[GenCircle]:
-    A, B, C, D = q.vertices()
-    return [GenCircle.line_through(A, B), GenCircle.line_through(B, C),
-            GenCircle.line_through(C, D), GenCircle.line_through(D, A)]
-
-
 def pedal_quadrilateral(q: Quadrilateral, p: Point) -> list[Point]:
-    """Feet of the perpendiculars from p onto the side lines AB, BC, CD, DA."""
-    return [foot_of_perpendicular(line, p) for line in side_lines(q)]
+    """Feet of the perpendiculars from p onto the side lines AB, BC, CD, DA:
+    with v the side's first vertex, e its vector, u^2 = e / conj(e) and
+    d = p - v, the foot is v + (d + u^2 conj(d)) / 2, where u^2 conj(d) is d
+    mirrored in the side."""
+    z = p.to_complex()
+    feet = []
+    for v, e in zip(q.vertices(), q.sides()):
+        v = v.to_complex()
+        d = z - v
+        feet.append(Point.from_complex(v + 0.5 * (d + e / e.conjugate() * d.conjugate())))
+    return feet
 
 
 def varignon(q: Quadrilateral) -> list[Point]:
@@ -559,7 +574,7 @@ def varignon(q: Quadrilateral) -> list[Point]:
     return [0.5 * (vs[i] + vs[(i + 1) % 4]) for i in range(4)]
 
 
-def simson_point(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePoint:
+def simson_point(q: Quadrilateral) -> MaybePoint:
     """The unique point whose four pedal feet are collinear.
 
     S is the Miquel point of the complete quadrilateral, the center of the
@@ -568,33 +583,36 @@ def simson_point(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePoint:
     denominator vanishes on parallelograms: below _AT_INFINITY
     (diameter + |G|) S is at infinity along AD.
     """
-    st = _state(q, tol)
-    g = st.q.centroid().to_complex()
-    a, b, c, d = (v.to_complex() - g for v in st.q.vertices())
+    g = q.centroid().to_complex()
+    a, b, c, d = (v.to_complex() - g for v in q.vertices())
     den = a + c - b - d
-    if abs(den) < _AT_INFINITY * (st.scale + abs(g)):
-        v = st.q.d - st.q.a
+    if abs(den) < _AT_INFINITY * (q.scale() + abs(g)):
+        v = q.d - q.a
         return AtInfinity.along(v.x, v.y)
     return Point.from_complex(g + (a * c - b * d) / den)
 
 
+def _tls_axis(points: list[Point]) -> tuple[complex, complex, list[complex]]:
+    """The centroid g of the points, the unit direction of their
+    total-least-squares line through g, and the points relative to g."""
+    z = [p.to_complex() for p in points]
+    g = sum(z) / len(z)
+    rel = [v - g for v in z]
+    # sum (z - g)^2 = sxx - syy + 2i sxy: half its phase is the principal
+    # direction of the scatter matrix
+    return g, cmath.rect(1.0, 0.5 * cmath.phase(sum(v * v for v in rel))), rel
+
+
 def best_fit_line(points: list[Point]) -> GenCircle:
     """Total-least-squares line through a point cloud."""
-    n = len(points)
-    mx = sum(p.x for p in points) / n
-    my = sum(p.y for p in points) / n
-    sxx = sum((p.x - mx) ** 2 for p in points)
-    syy = sum((p.y - my) ** 2 for p in points)
-    sxy = sum((p.x - mx) * (p.y - my) for p in points)
-    # principal direction of the 2x2 scatter matrix
-    theta = 0.5 * math.atan2(2.0 * sxy, sxx - syy)
-    direction = Point(math.cos(theta), math.sin(theta))
-    return GenCircle.line_point_direction(Point(mx, my), direction)
+    g, u, _ = _tls_axis(points)
+    return GenCircle.line_point_direction(Point.from_complex(g), Point.from_complex(u))
 
 
 def collinearity_residual(points: list[Point]) -> float:
-    line = best_fit_line(points)
-    return max(line.distance_to(p) for p in points)
+    """Largest distance of the points from their total-least-squares line."""
+    _, u, rel = _tls_axis(points)
+    return max(abs(_cross(u, v)) for v in rel)
 
 
 def simson_line(q: QuadOrState, tol: float = DEFAULT_TOL) -> GenCircle:
@@ -611,25 +629,17 @@ def parallelogram_residual(pts: list[Point], scale: float) -> float:
     return max(e1.norm(), e2.norm()) / scale
 
 
+def _meet(p: complex, u: complex, q: complex, v: complex, tol: float) -> complex | None:
+    """The meet of the lines p + t u and q + t v; None when they are
+    parallel within tol, |u x v| <= tol |u| |v|."""
+    det = _cross(u, v)
+    if abs(det) <= tol * abs(u) * abs(v):
+        return None
+    return p + u * (_cross(q - p, v) / det)
+
+
 # ---------------------------------------------------------------------------
 # isogonal conjugation with respect to the quadrilateral
-
-
-def _bisector_direction(v: Point, prev: Point, nxt: Point) -> Point:
-    u1 = (nxt - v) * (1.0 / (nxt - v).norm())
-    u2 = (prev - v) * (1.0 / (prev - v).norm())
-    s = u1 + u2
-    if s.norm() < 1e-12:
-        # straight angle: the bisector is perpendicular to the sides; line
-        # reflection is insensitive to the 90-degree choice anyway
-        s = Point(-u1.y, u1.x)
-    return s
-
-
-def _reflect_direction(d: Point, axis: Point) -> Point:
-    ax = axis * (1.0 / axis.norm())
-    dot = d.dot(ax)
-    return Point(2.0 * dot * ax.x - d.x, 2.0 * dot * ax.y - d.y)
 
 
 def isogonal_conjugate_quad(q: Quadrilateral, p: Point,
@@ -637,30 +647,25 @@ def isogonal_conjugate_quad(q: Quadrilateral, p: Point,
     """The four adjacent intersections of the reflections of the lines
     vertex-to-p in the angle bisectors at the vertices.
 
-    Parallel adjacent reflected lines put that vertex of the conjugate at
-    infinity (along their common direction).
+    The rays at vertex i run along s_i and -s_(i-1), so the reflection of
+    the direction p - v in their bisector is s_i (-s_(i-1)) conj(p - v), up
+    to a positive factor.  Parallel adjacent reflected lines put that vertex
+    of the conjugate at infinity (along their common direction).
     """
     vs = q.vertices()
     scale = diameter(list(vs) + [p])
+    z, s = p.to_complex(), q.sides()
     lines = []
-    for i in range(4):
-        v = vs[i]
+    for i, v in enumerate(vs):
         if v.dist(p) < tol * scale:
             raise DegenerateConjugate("p coincides with a vertex")
-        axis = _bisector_direction(v, vs[(i - 1) % 4], vs[(i + 1) % 4])
-        d = _reflect_direction(p - v, axis)
-        lines.append((v, d))
+        v = v.to_complex()
+        lines.append((v, s[i] * -s[i - 1] * (z - v).conjugate()))
     out: list[MaybePoint] = []
     # P_A = l_A ^ l_B, P_B = l_B ^ l_C, P_C = l_C ^ l_D, P_D = l_D ^ l_A
-    for i in range(4):
-        (v1, d1) = lines[i]
-        (v2, d2) = lines[(i + 1) % 4]
-        det = d1.cross(d2)
-        if abs(det) < tol * d1.norm() * d2.norm():
-            out.append(AtInfinity.along(d1.x, d1.y))
-            continue
-        t = (v2 - v1).cross(d2) / det
-        out.append(v1 + d1 * t)
+    for (v1, d1), (v2, d2) in zip(lines, lines[1:] + lines[:1]):
+        m = _meet(v1, d1, v2, d2, tol)
+        out.append(AtInfinity.along(d1.real, d1.imag) if m is None else Point.from_complex(m))
     return out
 
 
@@ -668,36 +673,26 @@ def isogonal_conjugate_quad(q: Quadrilateral, p: Point,
 # reconstructions
 
 
-def _perpendicular_line_at(foot: Point, through: Point) -> GenCircle:
-    """Line through `foot` perpendicular to the segment through->foot."""
-    d = foot - through
-    return GenCircle.line_point_direction(foot, Point(-d.y, d.x))
-
-
-def _intersect_lines_strict(l1: GenCircle, l2: GenCircle, tol: float) -> Point:
-    pts = _line_line(l1, l2, tol)
-    if not pts:
-        raise ParallelConsecutiveLines("consecutive reconstruction lines are parallel")
-    return pts[0]
-
-
 def reconstruct_from_pedal_w(w: Point, feet: list[Point],
                              tol: float = DEFAULT_TOL) -> Quadrilateral:
     """Rebuild the quadrilateral from W and its four pedal feet.
 
     Each side line passes through a foot perpendicular to the segment from
-    w; vertices are the consecutive-line intersections.
+    w; vertices are the consecutive-line meets, solved relative to w.
     """
     scale = diameter(feet + [w])
     for f in feet:
         if f.dist(w) < tol * scale:
             raise DegenerateConjugate("a pedal foot coincides with w")
-    la, lb, lc, ld = (_perpendicular_line_at(f, w) for f in feet)
-    a = _intersect_lines_strict(ld, la, tol)
-    b = _intersect_lines_strict(la, lb, tol)
-    c = _intersect_lines_strict(lb, lc, tol)
-    d = _intersect_lines_strict(lc, ld, tol)
-    return Quadrilateral(a, b, c, d)
+    o = w.to_complex()
+    z = [f.to_complex() - o for f in feet]
+    corners = []
+    for k in range(4):  # A = DA ^ AB, B = AB ^ BC, ...
+        m = _meet(z[k - 1], 1j * z[k - 1], z[k], 1j * z[k], tol)
+        if m is None:
+            raise ParallelConsecutiveLines("consecutive reconstruction lines are parallel")
+        corners.append(Point.from_complex(o + m))
+    return Quadrilateral(*corners)
 
 
 def reconstruct_from_simson(s: Point, feet: list[Point],
@@ -809,26 +804,25 @@ def quadrangle_duality_residual(q: Quadrilateral, w: Point, mirror_radius: float
 def feet_circles_residual(st: QuadState) -> float | None:
     """Max scale-free distance of W from the eight vertex/foot/center circles.
 
-    F_x is the intersection of the perpendicular bisector of side x with the
-    opposite side line.
+    F_x is the meet of the perpendicular bisector of side x (AB, BC, CD,
+    DA) with the opposite side line.
     """
     q, w, tol = st.q, st.w, st.tol
     if not is_finite(w):
         return None
-    A, B, C, D = q.vertices()
-    a2, b2, c2, d2 = (o.o for o in st.triads.circles)
-    lines = side_lines(q)  # AB, BC, CD, DA
-    feet = {}
-    for name, side, opposite in (("a", (A, B), lines[2]), ("b", (B, C), lines[3]),
-                                 ("c", (C, D), lines[0]), ("d", (D, A), lines[1])):
-        pb = perpendicular_bisector(*side)
-        pts = _line_line(pb, opposite, tol)
-        if not pts:
+    vs = q.vertices()
+    z, s = [v.to_complex() for v in vs], q.sides()
+    feet = []
+    for k in range(4):
+        f = _meet(z[k] + 0.5 * s[k], 1j * s[k], z[k - 2], s[k - 2], tol)
+        if f is None:
             return None  # trapezoid: a foot escapes to infinity
-        feet[name] = pts[0]
-    triples = [(A, feet["b"], b2), (A, feet["c"], d2), (B, feet["c"], c2),
-               (B, feet["d"], a2), (C, feet["d"], d2), (C, feet["a"], b2),
-               (D, feet["a"], a2), (D, feet["b"], c2)]
+        feet.append(Point.from_complex(f))
+    A, B, C, D = vs
+    fa, fb, fc, fd = feet
+    a2, b2, c2, d2 = (o.o for o in st.triads.circles)
+    triples = [(A, fb, b2), (A, fc, d2), (B, fc, c2), (B, fd, a2),
+               (C, fd, d2), (C, fa, b2), (D, fa, a2), (D, fb, c2)]
     worst = 0.0
     for p1, p2, p3 in triples:
         circ = circumcircle(p1, p2, p3, tol)
@@ -873,9 +867,11 @@ def six_cs_residual(st: QuadState) -> float | None:
     return max(cs_distance(w, c1, c2, st.tol) for c1, c2 in pairs) / st.scale
 
 
-def area_ratio_residual(st: QuadState) -> float:
-    """| |r| - area(Q2) / area(Q1) |; raises where r or Q2 is undefined."""
-    return abs(abs(st.r) - st.q2.area() / st.q.area())
+def area_ratio_residual(st: QuadState) -> float | None:
+    """| |r| - area(Q2) / area(Q1) |; None where Q1's two lobes cancel to
+    area 0, and raises where r or Q2 is undefined."""
+    area = st.q.area()
+    return None if area == 0.0 else abs(abs(st.r) - st.q2.area() / area)
 
 
 def isoptic_spread_residual(st: QuadState) -> float | None:

@@ -261,7 +261,7 @@ def _inv_permutation(st):
         return None
     worst = 0.0
     for order in ("acbd", "acdb"):
-        alt = isoptic_point(st.q.reordered(order), st.tol)
+        alt = isoptic_point(st.q.reordered(order))
         if not is_finite(alt):
             return None
         worst = max(worst, alt.dist(w) / st.scale)

@@ -82,6 +82,13 @@ class TestAnalyze:
         doc = json.loads(out.read_text())
         assert doc["input"]["vertices"] == quad["vertices"]
 
+    def test_zero_area_bowtie_has_no_area_ratio(self, quad_file, tmp_path):
+        # AC is parallel to BD, so the two lobes cancel to signed area 0
+        bowtie = {"vertices": [[0, 0], [3, 1], [2, 0], [0, 1]]}
+        out = tmp_path / "report.json"
+        assert main(["analyze", quad_file(bowtie), "--out", str(out)]) == 0
+        assert "area_ratio" not in json.loads(out.read_text())["residuals"]
+
 
 class TestIterate:
     def test_forward(self, quad_file, tmp_path):

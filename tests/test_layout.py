@@ -1,6 +1,7 @@
 """Every public function and class of the kernel and quad modules is used by
 the package itself, so code that only its own unit tests call does not
-accumulate, and no module imports a name it never reads."""
+accumulate; no module imports a name it never reads, nor another module's
+private name."""
 
 import ast
 import importlib
@@ -72,6 +73,23 @@ def test_no_unused_imports():
     modules += sorted(Path(__file__).parent.glob("*.py"))
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert unused == [], f"imported but never read: {unused}"
+
+
+def _private_imports(path):
+    """Single-underscore names the module at path imports from another
+    module of the package."""
+    tree = ast.parse(path.read_text())
+    return sorted(f"{path.name}:{node.lineno} {alias.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").split(".")[0] == PACKAGE.name)
+                  for alias in node.names
+                  if alias.name.startswith("_") and not alias.name.startswith("__"))
+
+
+def test_no_private_names_cross_modules():
+    found = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in _private_imports(path)]
+    assert found == [], f"private names imported from another module: {found}"
 
 
 def test_traced_layer_functions_exist():

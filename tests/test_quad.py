@@ -5,10 +5,12 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st, target
 
 from isoptic.errors import (
     CollinearInput,
     CyclicDegeneration,
+    GeometryError,
     NonCollinearFeet,
     PointAtInfinity,
     Underdetermined,
@@ -23,6 +25,7 @@ from isoptic.kernel import (
 )
 from isoptic.quad import (
     Quadrilateral,
+    QuadState,
     analyze,
     angle_sums_at_point,
     classify,
@@ -637,10 +640,12 @@ class TestAtInfinityCuts:
 
 
 class TestSimilarityCovariance:
-    """W, S, r and the triad circles move with a similarity T of the input,
-    within 100 eps times (1 + offset / diameter) of the copy's diameter (W,
-    S, centers and radii) or of max(1, |r|) (r): rounding the moved
-    coordinates costs that much."""
+    """W, S, r, the triad circles, the pedal feet and the Simson line move
+    with a similarity T of the input, within 100 eps times (1 + offset /
+    diameter) of the copy's diameter (points, radii, collinearity), of
+    max(1, |r|) (r) or of 1 (the Simson direction's sine and the scale-free
+    reconstruction distance): rounding the moved coordinates costs that
+    much."""
 
     @staticmethod
     def _copies():
@@ -685,3 +690,45 @@ class TestSimilarityCovariance:
             for o, moved in zip(triad_circles(q).circles, triad_circles(copy).circles):
                 assert moved.center().dist(move(o.center())) <= rel * copy.scale()
                 assert abs(moved.radius() - abs(rot) * o.radius()) <= rel * copy.scale()
+
+    def test_pedal_feet_simson_line_and_reconstructions_follow_a_similarity(self):
+        for q, copy, move, rot, rel in self._copies():
+            st_q, st_copy = QuadState(q), QuadState(copy)
+            bound = rel * copy.scale()
+            for feet, moved in ((st_q.pedal_w, st_copy.pedal_w), (st_q.pedal_s, st_copy.pedal_s)):
+                if feet is not None:
+                    assert max(f.dist(move(g)) for f, g in zip(moved, feet)) <= bound
+            if st_copy.pedal_w is not None:
+                rebuilt = reconstruct_from_pedal_w(st_copy.w, st_copy.pedal_w)
+                assert quad_distance(rebuilt, copy) <= rel
+            if st_copy.pedal_s is None:
+                continue
+            assert collinearity_residual(st_copy.pedal_s) <= bound
+            d = simson_line(st_copy).direction()
+            ref = rot / abs(rot) * simson_line(st_q).direction().to_complex()
+            assert abs(ref.real * d.y - ref.imag * d.x) <= rel
+            # a trapezoid's S lies on two side lines, so two of its feet are S
+            if not st_q.shape.trapezoid:
+                rebuilt = reconstruct_from_simson(st_copy.s, st_copy.pedal_s)
+                assert quad_distance(rebuilt, copy) <= rel
+
+
+_COORD = st.one_of(st.integers(-8, 8).map(float),
+                   st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+
+@given(vertices=st.lists(st.tuples(_COORD, _COORD), min_size=4, max_size=4),
+       scale=st.sampled_from((1e-12, 1.0, 1e9)), offset=st.tuples(_COORD, _COORD))
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@example(vertices=[(0.0, 0.0), (3.0, 1.0), (2.0, 0.0), (0.0, 1.0)], scale=1.0, offset=(0.0, 0.0))
+def test_analyze_returns_or_raises_a_geometry_error(vertices, scale, offset):
+    """Steered toward large residuals (targeted property-based testing):
+    analyze either reports or raises a GeometryError, never another error.
+    The example is a bowtie whose two lobes cancel to area 0."""
+    try:
+        rep = analyze(Quadrilateral(*(Point(scale * x + offset[0], scale * y + offset[1])
+                                      for x, y in vertices)))
+    except GeometryError:
+        return
+    finite = [v for v in rep.residuals.values() if 0.0 < v < math.inf]
+    target(math.log10(max(finite, default=1e-300)), label="log10 largest residual")
