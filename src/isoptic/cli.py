@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: analyze, iterate, verify, render, reconstruct.
-Exit codes: 0 success, 1 usage or parse error, 2 geometric degeneracy.
+Exit codes: 0 success, 1 usage or parse error, 2 geometric degeneracy,
+3 a verify run with an invariant failure or a case error.
 Numbers print as json.dumps does, in the shortest repr that round-trips.
 """
 
@@ -32,6 +33,7 @@ from .verify import SHAPE_CLASSES, CaseSpec, run_suite
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DEGENERATE = 2
+EXIT_FAILURES = 3
 
 
 def _num(x: float) -> float:
@@ -172,8 +174,7 @@ def cmd_verify(args) -> int:
     doc = report.to_dict()
     doc["tool_version"] = __version__
     _dump(doc, args.out)
-    failures = report.failures
-    return EXIT_OK if failures == 0 else min(failures, 125)
+    return EXIT_OK if report.failures == 0 else EXIT_FAILURES
 
 
 def cmd_render(args) -> int:

@@ -499,44 +499,68 @@ def orthocenter(p: Point, q: Point, r: Point) -> Point:
 # triangle conjugations
 
 
-def _signed_area(p: Point, q: Point, r: Point) -> float:
-    return 0.5 * (q - p).cross(r - p)
+# weights of isogonal_conjugate whose sum s falls below this share of
+# |u| + |v| + |w| have cancelled too far for float and are redone exactly
+_CANCELLED = 1e-3
+
+
+def _exact_weights(a: complex, b: complex, c: complex, p: complex,
+                   unit: float) -> tuple[float, complex]:
+    """s and (a - p) u + (b - p) v + (c - p) w of isogonal_conjugate in units
+    of 1 / unit, from exact rationals of the input, each rounded once."""
+    from fractions import Fraction  # rarely reached: kept off the start-up path
+    px, py, k = Fraction(p.real), Fraction(p.imag), Fraction(unit)
+    (ax, ay), (bx, by), (cx, cy) = (((Fraction(v.real) - px) * k, (Fraction(v.imag) - py) * k)
+                                    for v in (a, b, c))
+    x, y, z = bx * cy - by * cx, cx * ay - cy * ax, ax * by - ay * bx  # twice the areas
+    u = ((bx - cx) ** 2 + (by - cy) ** 2) * y * z
+    v = ((cx - ax) ** 2 + (cy - ay) ** 2) * z * x
+    w = ((ax - bx) ** 2 + (ay - by) ** 2) * x * y
+    return (0.25 * float(u + v + w),
+            0.25 * complex(float(ax * u + bx * v + cx * w), float(ay * u + by * v + cy * w)))
+
+
+def isogonal_conjugate(a: complex, b: complex, c: complex, p: complex,
+                       tol: float = DEFAULT_TOL) -> MaybePoint:
+    """Isogonal conjugate of p in the triangle a, b, c, relative to p: with
+    x, y, z the signed areas of (p, b, c), (p, c, a) and (p, a, b), the
+    weights u, v, w = |b - c|^2 yz, |c - a|^2 zx, |a - b|^2 xy and their sum
+    s, it is p + ((a - p) u + (b - p) v + (c - p) w) / s.
+
+    The scale of the tests is the largest of the six pairwise distances.  A
+    point on the circumcircle (s = 0) goes to infinity, and a point on a
+    side line collapses to the opposite vertex (the limit of the
+    construction).  A vertex raises DegenerateConjugate.
+    """
+    pa, pb, pc, ab, bc, ca = a - p, b - p, c - p, b - a, c - b, a - c
+    scale = max(abs(pa), abs(pb), abs(pc), abs(ab), abs(bc), abs(ca)) or 1.0
+    # an exact power-of-two rescaling keeps the degree-6 weights in range
+    unit = math.ldexp(1.0, -math.frexp(scale)[1])
+    pa, pb, pc, ab, bc, ca = pa * unit, pb * unit, pc * unit, ab * unit, bc * unit, ca * unit
+    x = 0.5 * (pb.real * pc.imag - pb.imag * pc.real)
+    y = 0.5 * (pc.real * pa.imag - pc.imag * pa.real)
+    z = 0.5 * (pa.real * pb.imag - pa.imag * pb.real)
+    thresh = tol * (scale * unit) ** 2
+    on_side = (abs(x) < thresh, abs(y) < thresh, abs(z) < thresh)
+    sides = sum(on_side)
+    if sides >= 2:
+        raise DegenerateConjugate("conjugate of a triangle vertex")
+    if sides:
+        return Point.from_complex((a, b, c)[on_side.index(True)])
+    u, v, w = norm2(bc) * y * z, norm2(ca) * z * x, norm2(ab) * x * y
+    s, rel = u + v + w, pa * u + pb * v + pc * w
+    if abs(s) < _CANCELLED * (abs(u) + abs(v) + abs(w)):
+        s, rel = _exact_weights(a, b, c, p, unit)
+    if abs(s) < tol * (abs(u) + abs(v) + abs(w)):
+        return AtInfinity.along(rel.real, rel.imag)
+    return Point.from_complex(p + rel / s / unit)
 
 
 def isogonal_conjugate_triangle(t: Triangle, p: MaybePoint,
                                 tol: float = DEFAULT_TOL) -> MaybePoint:
-    """Isogonal conjugate of p with respect to triangle t.
-
-    A point on the circumcircle goes to infinity, and a point on a side line
-    collapses to the opposite vertex (the limit of the construction).  A
-    vertex and a point at infinity raise DegenerateConjugate.
-    """
+    """Isogonal conjugate of p with respect to triangle t (see
+    isogonal_conjugate); a point at infinity raises DegenerateConjugate."""
     if not is_finite(p):
         raise DegenerateConjugate("conjugate of a point at infinity")
-    va, vb, vc = t.vertices()
-    scale = diameter([va, vb, vc, p])
-    x = _signed_area(p, vb, vc)
-    y = _signed_area(va, p, vc)
-    z = _signed_area(va, vb, p)
-    thresh = tol * scale * scale
-    on_side = [abs(v) < thresh for v in (x, y, z)]
-    if sum(on_side) >= 2:
-        raise DegenerateConjugate("conjugate of a triangle vertex")
-    if on_side[0]:
-        return va
-    if on_side[1]:
-        return vb
-    if on_side[2]:
-        return vc
-    a2 = vb.dist(vc) ** 2
-    b2 = va.dist(vc) ** 2
-    c2 = va.dist(vb) ** 2
-    u = a2 * y * z
-    v = b2 * x * z
-    w = c2 * x * y
-    s = u + v + w
-    num = va * u + vb * v + vc * w
-    if abs(s) < tol * (abs(u) + abs(v) + abs(w)):
-        return AtInfinity.along(num.x, num.y)
-    return num * (1.0 / s)
+    return isogonal_conjugate(*(v.to_complex() for v in t.vertices()), p.to_complex(), tol)
 

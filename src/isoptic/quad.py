@@ -38,7 +38,6 @@ from .kernel import (
     MaybePoint,
     Point,
     SpiralSimilarity,
-    Triangle,
     circle_of_similitude,
     circumcenter,
     circumcircle,
@@ -50,7 +49,7 @@ from .kernel import (
     invert_circle,
     invert_point,
     is_finite,
-    isogonal_conjugate_triangle,
+    isogonal_conjugate,
     norm2,
 )
 
@@ -72,14 +71,16 @@ class Quadrilateral:
         # which every side and diagonal construction reads; one pass over it
         # gives the diameter and the least triad height, |cross| / longest
         # side (0 if the triad is one point)
-        z = [v.to_complex() for v in self.vertices()]
-        e = {(i, j): z[j] - z[i] for i in range(4) for j in range(i + 1, 4)}
-        n = {ij: math.hypot(v.real, v.imag) for ij, v in e.items()}
-        height = min(abs(_cross(e[i, j], e[i, k])) / (max(n[i, j], n[j, k], n[i, k]) or math.inf)
-                     for i, j, k in ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)))
-        object.__setattr__(self, "_diffs", tuple(e.values()))
-        object.__setattr__(self, "_scale", max(n.values()) or 1.0)
-        object.__setattr__(self, "_height", height)
+        a, b, c, d = (self.a.to_complex(), self.b.to_complex(), self.c.to_complex(),
+                      self.d.to_complex())
+        diffs = ab, ac, ad, bc, bd, cd = b - a, c - a, d - a, c - b, d - b, d - c
+        nab, nac, nad, nbc, nbd, ncd = [math.hypot(v.real, v.imag) for v in diffs]
+        height = min(abs(_cross(bc, bd)) / (max(nbc, ncd, nbd) or math.inf),
+                     abs(_cross(ac, ad)) / (max(nac, ncd, nad) or math.inf),
+                     abs(_cross(ab, ad)) / (max(nab, nbd, nad) or math.inf),
+                     abs(_cross(ab, ac)) / (max(nab, nbc, nac) or math.inf))
+        vars(self).update(_diffs=diffs, _scale=max(nab, nac, nad, nbc, nbd, ncd) or 1.0,
+                          _height=height)
         # a triad holding two vertices delta apart is at most delta high, so
         # this also rejects coincident vertices
         if height < DEFAULT_TOL * self._scale:
@@ -175,7 +176,9 @@ class QuadState:
 
     The constructions below that read cached parts take a QuadState
     wherever they take a quadrilateral, and then reuse its parts and its
-    tol; the properties call them through this module's globals.
+    tol; the properties call them through this module's globals.  ``next``
+    (the state of Q2) and ``prev`` (that of prev_generation(q)) chain the
+    generations, so that each one and its triad circles are built once.
     """
 
     def __init__(self, q: Quadrilateral, tol: float = DEFAULT_TOL):
@@ -206,6 +209,14 @@ class QuadState:
     @cached_property
     def q2(self) -> Quadrilateral:
         return next_generation(self)
+
+    @cached_property
+    def next(self) -> QuadState:
+        return QuadState(self.q2, self.tol)
+
+    @cached_property
+    def prev(self) -> QuadState:
+        return QuadState(prev_generation(self.q, self.tol), self.tol)
 
     @cached_property
     def w(self) -> MaybePoint:
@@ -382,20 +393,17 @@ def prev_generation(q: Quadrilateral, tol: float = DEFAULT_TOL) -> Quadrilateral
     first-generation vertex is the conjugate of the opposite vertex in the
     triangle of the remaining three.
     """
-    A2, B2, C2, D2 = q.vertices()
-    recipe = [
-        (Triangle(D2, A2, B2), C2),
-        (Triangle(A2, B2, C2), D2),
-        (Triangle(B2, C2, D2), A2),
-        (Triangle(C2, D2, A2), B2),
-    ]
-    out = []
-    for tri, p in recipe:
-        img = isogonal_conjugate_triangle(tri, p, tol)
-        if not is_finite(img):
-            raise OrthocentricDegeneration("isogonal conjugate escapes to infinity")
-        out.append(img)
+    out = _conjugates_in_triads(q, tol)
+    if not all(is_finite(p) for p in out):
+        raise OrthocentricDegeneration("isogonal conjugate escapes to infinity")
     return Quadrilateral(*out)
+
+
+def _conjugates_in_triads(q: Quadrilateral, tol: float) -> list[MaybePoint]:
+    """The isogonal conjugate of the vertex left out of each triad DAB, ABC,
+    BCD and CDA (C, D, A and B) in the triangle of that triad."""
+    z = [v.to_complex() for v in q.vertices()]
+    return [isogonal_conjugate(z[i], z[j], z[k], z[(k + 1) % 4], tol) for i, j, k in _TRIADS]
 
 
 # ---------------------------------------------------------------------------
@@ -444,31 +452,33 @@ def _aitken(zs: list[complex], scale: float) -> Point:
     return Point(*out)
 
 
-def isoptic_point_via_limit(q: Quadrilateral, max_gen: int = 60,
+def isoptic_point_via_limit(q: QuadOrState, max_gen: int = 60,
                             tol: float = DEFAULT_TOL) -> MaybePoint:
-    """Limit of the forward (|r| < 1) or reverse (|r| > 1) iteration.
+    """Limit of the forward (|r| < 1) or reverse (|r| > 1) iteration, walked
+    along the state's next or prev chain.
 
-    The same-parity centroid subsequence converges geometrically with a real
-    ratio, so Aitken extrapolation of the last three iterates squeezes out
-    the remaining error when the plain iteration is still shrinking.
+    Q^(k+2) = W + r (Q^(k) - W), so each same-parity centroid subsequence
+    is geometric with the real ratio r and Aitken extrapolation of three of
+    its terms is exact up to rounding: on generic input the route returns
+    after five generations, when the two subsequences agree.  max_gen is
+    only a budget for inputs where they do not.
     """
-    r = similarity_ratio(q, tol)
+    st = _state(q, tol)
+    tol, r = st.tol, st.r
     if abs(abs(r) - 1.0) < 1e-6:
         raise NonConvergent(f"|r| = {abs(r)} is on the periodic locus")
-    scale = q.scale()
-    step = next_generation if abs(r) < 1.0 else prev_generation
-    current = q
-    cents = [current.centroid().to_complex()]
+    current, scale, forward = st, st.scale, abs(r) < 1.0
+    cents = [st.q.centroid().to_complex()]
     for _ in range(max_gen):
         try:
-            current = step(current, tol)
+            current = current.next if forward else current.prev
         except (CyclicDegeneration, OrthocentricDegeneration) as exc:
             if isinstance(exc, CyclicDegeneration) and exc.point is not None:
                 return exc.point
             raise NonConvergent("iteration hit a degeneration") from exc
-        cents.append(current.centroid().to_complex())
-        if current.scale() < tol * scale:
-            return current.centroid()
+        cents.append(current.q.centroid().to_complex())
+        if current.scale < tol * scale:
+            return current.q.centroid()
         if len(cents) >= 6:
             # extrapolate the two same-parity subsequences and cross-check
             w, u = _aitken(cents[-6:-1:2], scale), _aitken(cents[-5::2], scale)
@@ -480,41 +490,28 @@ def isoptic_point_via_limit(q: Quadrilateral, max_gen: int = 60,
     raise NonConvergent("iteration budget exhausted")
 
 
+def _mean_image(images: list[MaybePoint]) -> MaybePoint:
+    """The mean of four images, or the first of them at infinity."""
+    for img in images:
+        if not is_finite(img):
+            return img
+    return Point(sum(p.x for p in images) / 4.0, sum(p.y for p in images) / 4.0)
+
+
 def isoptic_point_via_inversion(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePoint:
     """W as the inversion of each vertex in the matching second-generation
     triad circle; the four images are averaged."""
-    st = _state(q, tol)
-    tol = st.tol
-    triads2 = triad_circles(st.q2, tol)   # Q2 raises CyclicDegeneration when cyclic
-    images = []
-    for mirror, vertex in zip(triads2.circles, st.q.vertices()):
-        img = invert_point(mirror, vertex, tol)
-        if not is_finite(img):
-            return img
-        images.append(img)
-    return Point(sum(p.x for p in images) / 4.0, sum(p.y for p in images) / 4.0)
+    st = _state(q, tol)   # its Q2 raises CyclicDegeneration when cyclic
+    return _mean_image([invert_point(mirror, v, st.tol)
+                        for mirror, v in zip(st.next.triads.circles, st.q.vertices())])
 
 
 def isoptic_point_via_inv_iso(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePoint:
     """W as inversion-of-conjugate: each vertex is conjugated in the triangle
     of the remaining three, then inverted in that triangle's circumcircle."""
     st = _state(q, tol)
-    tol, triads = st.tol, st.triads
-    A, B, C, D = st.q.vertices()
-    recipe = [
-        (triads.o3, Triangle(B, C, D), A),
-        (triads.o4, Triangle(C, D, A), B),
-        (triads.o1, Triangle(D, A, B), C),
-        (triads.o2, Triangle(A, B, C), D),
-    ]
-    images = []
-    for mirror, tri, vertex in recipe:
-        conj = isogonal_conjugate_triangle(tri, vertex, tol)
-        img = invert_point(mirror, conj, tol)
-        if not is_finite(img):
-            return img
-        images.append(img)
-    return Point(sum(p.x for p in images) / 4.0, sum(p.y for p in images) / 4.0)
+    return _mean_image([invert_point(mirror, p, st.tol) for mirror, p
+                        in zip(st.triads.circles, _conjugates_in_triads(st.q, st.tol))])
 
 
 def isoptic_quantity(q: QuadOrState, w: Point, tol: float = DEFAULT_TOL) -> list[float]:
@@ -742,19 +739,15 @@ def quad_distance(q1: Quadrilateral, q2: Quadrilateral) -> float:
     Needed for the periodicity checks: a period-two parallelogram returns to
     itself with vertices exchanged by the half-turn about W.
     """
-    v1 = q1.vertices()
-    v2 = q2.vertices()
-    scale = max(q1.scale(), q2.scale())
-    best = math.inf
-    for shift in range(4):
-        worst = max(v1[i].dist(v2[(i + shift) % 4]) for i in range(4))
-        best = min(best, worst)
-    return best / scale
+    v1, v2 = q1.vertices(), q2.vertices()
+    best = min(max(v1[i].dist(v2[(i + shift) % 4]) for i in range(4)) for shift in range(4))
+    return best / max(q1.scale(), q2.scale())
 
 
-def periodicity_residual(q: Quadrilateral, tol: float = DEFAULT_TOL) -> float:
+def periodicity_residual(q: QuadOrState, tol: float = DEFAULT_TOL) -> float:
     """How far Q^(3) is from Q^(1), zero for the period-two classes."""
-    return quad_distance(q, next_generation(next_generation(q, tol), tol))
+    st = _state(q, tol)
+    return quad_distance(st.q, st.next.next.q)
 
 
 # ---------------------------------------------------------------------------
@@ -765,12 +758,9 @@ def cross_generation_cs_residual(q: QuadOrState, w: Point,
                                  tol: float = DEFAULT_TOL) -> float:
     """Max scale-free distance of w to CS(o_i^(k), o_j^(l)) across the first
     three generations, each read from the Apollonius defect (cs_distance)."""
-    gens = [_state(q, tol)]
-    tol = gens[0].tol
-    for _ in range(2):
-        gens.append(QuadState(gens[-1].q2, tol))
-    circles = [c for g in gens for c in g.triads.circles]
-    scale = gens[0].scale
+    st = _state(q, tol)
+    tol, scale = st.tol, st.scale
+    circles = [c for g in (st, st.next, st.next.next) for c in g.triads.circles]
     # a pair of centers within noise is one circle twice: no CS
     return max((cs_distance(w, c1, c2, tol) for c1, c2 in combinations(circles, 2)
                 if c1.o.dist(c2.o) >= 1e3 * tol * scale), default=0.0) / scale

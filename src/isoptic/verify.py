@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import (
     CyclicDegeneration,
@@ -40,12 +41,10 @@ from .quad import (
     isoptic_point_via_inversion,
     isoptic_point_via_limit,
     isoptic_spread_residual,
-    next_generation,
     parallelogram_residual,
     pedal_s_residual,
     pedal_w_residual,
     periodicity_residual,
-    prev_generation,
     quad_distance,
     quadrangle_duality_residual,
     similarity_ratio,
@@ -228,7 +227,7 @@ def _inv_supplementary(st):
 
 
 def _inv_w_agreement(st):
-    q, w, tol = st.q, st.w, st.tol
+    w = st.w
     if not is_finite(w):
         return None
     r = abs(st.r)
@@ -239,16 +238,12 @@ def _inv_w_agreement(st):
     candidates = [w, isoptic_point_via_inversion(st),
                   isoptic_point_via_inv_iso(st)]
     try:
-        candidates.append(isoptic_point_via_limit(q, 60, tol))
+        candidates.append(isoptic_point_via_limit(st))
     except NonConvergent:
         return None
     if not all(is_finite(p) for p in candidates):
         return None
-    worst = 0.0
-    for i in range(len(candidates)):
-        for j in range(i + 1, len(candidates)):
-            worst = max(worst, candidates[i].dist(candidates[j]) / st.scale)
-    return worst
+    return max(p.dist(q) for p, q in combinations(candidates, 2)) / st.scale
 
 
 def _inv_varignon(st):
@@ -273,22 +268,15 @@ def _inv_cotangent(st):
 
 
 def _inv_roundtrip(st):
-    q, tol = st.q, st.tol
-    fwd = prev_generation(st.q2, tol)
-    bwd = next_generation(prev_generation(q, tol), tol)
-    return max(quad_distance(q, fwd), quad_distance(q, bwd))
+    return max(quad_distance(st.q, st.next.prev.q), quad_distance(st.q, st.prev.q2))
 
 
 def _inv_cross_generation(st):
-    if not is_finite(st.w):
-        return None
-    return cross_generation_cs_residual(st, st.w)
+    return cross_generation_cs_residual(st, st.w) if is_finite(st.w) else None
 
 
 def _inv_duality(st):
-    if not is_finite(st.w):
-        return None
-    return quadrangle_duality_residual(st.q, st.w, 1.0, st.tol)
+    return quadrangle_duality_residual(st.q, st.w, 1.0, st.tol) if is_finite(st.w) else None
 
 
 def _inv_ptolemy(st):
@@ -302,10 +290,6 @@ def _inv_ptolemy(st):
     rhs = (ab * da + bc * cd) / (ab * bc + da * cd)
     res2 = abs(lhs - rhs) / max(1.0, abs(lhs))
     return max(res1, res2)
-
-
-def _inv_periodicity(st):
-    return periodicity_residual(st.q, st.tol)
 
 
 def _inv_cyclic_degeneration(st):
@@ -338,7 +322,7 @@ INVARIANTS: dict[str, tuple] = {
     "feet_circles": (feet_circles_residual, _GENERIC),
     "spiral_transport": (spiral_transport_residual, _STABLE),
     "ptolemy": (_inv_ptolemy, ("cyclic",)),
-    "periodicity": (_inv_periodicity, ("parallelogram-pi4", "orthocentric")),
+    "periodicity": (periodicity_residual, ("parallelogram-pi4", "orthocentric")),
     "cyclic_degeneration": (_inv_cyclic_degeneration, ("cyclic",)),
 }
 

@@ -5,7 +5,7 @@ import xml.dom.minidom
 
 import pytest
 
-from isoptic.cli import main
+from isoptic.cli import EXIT_FAILURES, main
 
 GENERIC = {"vertices": [[0, 0], [4, 0], [5, 3], [1, 4]]}
 SQUARE = {"vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]}
@@ -158,6 +158,13 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert "ptolemy" in doc["invariants"]
         assert "six_cs_concurrence" not in doc["invariants"]
+
+    def test_failures_exit_3(self, tmp_path):
+        # a failing run must not exit 1 or 2, the usage and degeneracy codes
+        out = tmp_path / "f.json"
+        assert main(["verify", "--cases", "3", "--seed", "1", "--class", "convex-noncyclic",
+                     "--tol", "1e-300", "--out", str(out)]) == EXIT_FAILURES == 3
+        assert json.loads(out.read_text())["failures"] > 0
 
     def test_zero_cases_exit_1(self):
         assert main(["verify", "--cases", "0", "--seed", "1",

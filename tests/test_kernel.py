@@ -1,4 +1,7 @@
+import cmath
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -27,6 +30,7 @@ from isoptic.kernel import (
     invert_circle,
     invert_point,
     is_finite,
+    isogonal_conjugate,
     isogonal_conjugate_triangle,
     perpendicular_bisector,
 )
@@ -396,6 +400,67 @@ class TestIsogonalConjugateTriangle:
         if not is_finite(back):
             return
         assert back.dist(p) < 1e-7 * (1 + p.norm())
+
+
+EPS = 2.220446049250313e-16
+
+
+def _exact_conjugate(a: complex, b: complex, c: complex, p: complex) -> complex:
+    """The barycentrics (|BC|^2 yz : |CA|^2 zx : |AB|^2 xy) of the conjugate
+    of p in exact rationals of the float input, rounded once."""
+    A, B, C, P = ((Fraction(v.real), Fraction(v.imag)) for v in (a, b, c, p))
+
+    def area(u, v, w):
+        return ((v[0] - u[0]) * (w[1] - u[1]) - (v[1] - u[1]) * (w[0] - u[0])) / 2
+
+    def dist2(u, v):
+        return (u[0] - v[0]) ** 2 + (u[1] - v[1]) ** 2
+
+    x, y, z = area(P, B, C), area(A, P, C), area(A, B, P)
+    u, v, w = dist2(B, C) * y * z, dist2(C, A) * z * x, dist2(A, B) * x * y
+    s = u + v + w
+    return complex(float((A[0] * u + B[0] * v + C[0] * w) / s),
+                   float((A[1] * u + B[1] * v + C[1] * w) / s))
+
+
+def _random_triangle(rng: random.Random, offset: float) -> tuple[complex, complex, complex]:
+    """Three points in a unit box moved offset from the origin."""
+    g = offset * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    return tuple(g + complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(3))
+
+
+class TestIsogonalConjugateCore:
+    """The complex core against an exact evaluation.  Far from the origin the
+    output coordinates themselves round to eps * offset, so the bound is a
+    few eps * (diameter + offset)."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_matches_exact_barycentrics(self, offset):
+        rng = random.Random(3)
+        for _ in range(200):
+            a, b, c = _random_triangle(rng, offset)
+            weights = [rng.uniform(0.1, 1.0) for _ in range(3)]
+            p = (a * weights[0] + b * weights[1] + c * weights[2]) / sum(weights)
+            diam = max(abs(a - b), abs(b - c), abs(c - a))
+            err = abs(isogonal_conjugate(a, b, c, p).to_complex() - _exact_conjugate(a, b, c, p))
+            assert err <= 16 * EPS * (diam + offset)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_near_the_circumcircle_keeps_relative_accuracy(self, offset):
+        # 1e-7 of the radius off the circumcircle the weight sum cancels to
+        # about 1e-7 of the weights, and the conjugate runs ~1e7 diameters
+        # out; the exact weights keep its error a few eps of that distance
+        rng = random.Random(4)
+        for _ in range(100):
+            a, b, c = _random_triangle(rng, offset)
+            circ = circumcircle(*(Point(v.real, v.imag) for v in (a, b, c)))
+            p = circ.o.to_complex() + circ.r * (1.0 + rng.choice((-1e-7, 1e-7))) \
+                * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            got = isogonal_conjugate(a, b, c, p)
+            if not is_finite(got):
+                continue  # within tol of the circumcircle: at infinity
+            exact = _exact_conjugate(a, b, c, p)
+            assert abs(got.to_complex() - exact) <= 16 * EPS * (abs(exact - p) + offset)
 
 
 class TestConcyclicityViaChords:

@@ -19,6 +19,9 @@ UNCALLED_BY_DESIGN = {
     # the paper's final theorem: conjugating W gives a parallelogram and
     # conjugating S sends every vertex to infinity
     "isogonal_conjugate_quad",
+    # the package's public Triangle form of kernel.isogonal_conjugate, whose
+    # complex core prev_generation and the inverse-isogonal W route call
+    "isogonal_conjugate_triangle",
 }
 
 

@@ -157,6 +157,15 @@ class TestGenerations:
         assert quad_distance(GENERIC, fwd) < 1e-8
         assert quad_distance(GENERIC, bwd) < 1e-8
 
+    @pytest.mark.parametrize("k", [2.0 ** -200, 2.0 ** 200])
+    def test_prev_generation_scales_exactly(self, k):
+        # the conjugation weights are of degree 6 in the coordinates; unscaled,
+        # they underflowed to 0 below about 1e-54 and the division raised
+        # ZeroDivisionError
+        scaled = Quadrilateral(*(v * k for v in GENERIC.vertices()))
+        assert prev_generation(scaled).vertices() == tuple(
+            v * k for v in prev_generation(GENERIC).vertices())
+
     def test_area_ratio_law(self):
         r = similarity_ratio(GENERIC)
         q2 = next_generation(GENERIC)
@@ -618,6 +627,37 @@ class TestComputeOnce:
             quad.isoptic_point(q)
             quad.simson_point(q)
         assert all(seen == [] for seen in calls.values())
+
+    def test_verify_case_builds_each_generation_once(self, monkeypatch):
+        from isoptic.verify import run_suite
+        calls = self._record(monkeypatch, ("triad_circles",))
+        rep = run_suite(CaseSpec(3, "convex-noncyclic"), 1)
+        assert rep.invariants["w_agreement"].cases_run == 1
+        # Q1 to Q5 along the limit route (which covers Q2 and Q3 for the
+        # inversion route and the cross-generation residual; Q6 needs no
+        # circles), prev_generation(Q1) for the round trip and the image
+        # quadrilateral of the duality residual
+        seen = calls["triad_circles"]
+        assert len(seen) == 7
+        assert len(set(seen)) == 7
+
+    def test_limit_route_returns_after_five_generations(self, monkeypatch):
+        import isoptic.quad as quad
+        calls = self._record(monkeypatch, ("next_generation", "prev_generation"))
+        checked = 0
+        for shape in ("convex-noncyclic", "concave", "trapezoid"):
+            for q in generic_quads(40, shape, seed=2):
+                r = abs(similarity_ratio(q))
+                if not (0.05 <= r <= 0.9 or 1.1 <= r <= 5.0):  # the w_agreement window
+                    continue
+                for seen in calls.values():
+                    seen.clear()
+                quad.isoptic_point_via_limit(q)
+                # Q^(k+2) = W + r (Q^(k) - W): the Aitken step on Q1, Q3, Q5
+                # is exact, and Q2, Q4, Q6 confirm it
+                assert len(calls["next_generation" if r < 1.0 else "prev_generation"]) == 5
+                checked += 1
+        assert checked >= 50
 
 
 class TestAtInfinityCuts:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -16,8 +17,23 @@ from isoptic.verify import (
     run_suite,
 )
 
+# sha256 of the float.hex vertices of random_quadrilateral(CaseSpec(s, cls), i)
+# for s in 0..39, every shape class and i in 0..9: 3,200 draws
+DRAWS_SHA256 = "329e769d497ed070e9ad42cc287cea2e3bfb64d5f6fb8ff532f7e3c6e95090e7"
+
 
 class TestGenerator:
+    def test_draws_are_pinned(self):
+        # a cheaper Quadrilateral or generator must not change which cases
+        # the suite and the benchmark see
+        digest = hashlib.sha256()
+        for seed in range(40):
+            for shape in SHAPE_CLASSES:
+                for i in range(10):
+                    for v in random_quadrilateral(CaseSpec(seed, shape), i).vertices():
+                        digest.update(f"{v.x.hex()} {v.y.hex()}\n".encode())
+        assert digest.hexdigest() == DRAWS_SHA256
+
     def test_deterministic(self):
         spec = CaseSpec(seed=42, shape_class="convex-noncyclic")
         q1 = random_quadrilateral(spec, 0)
@@ -98,6 +114,13 @@ class TestRunSuite:
         # come from one shared frame, so its angles stay supplementary
         rep = run_suite(CaseSpec(seed=42, shape_class="near-cyclic"), 1000)
         assert rep.failures == 0, rep.to_dict()
+
+    @pytest.mark.parametrize("seed, most", [(2, 0), (3, 1), (7, 0)])
+    def test_trapezoid_roundtrip_failures_do_not_grow(self, seed, most):
+        # nearly cyclic trapezoids, whose Q2 shrinks to rounding level; seed 3
+        # case 397 (r = -1.4e-10) still fails, through the rounding of its Q2
+        rep = run_suite(CaseSpec(seed, "trapezoid"), 1000)
+        assert rep.invariants["roundtrip_generations"].failures <= most, rep.to_dict()
 
     def test_cyclic_runs_ptolemy_but_not_cs(self):
         rep = run_suite(CaseSpec(seed=5, shape_class="cyclic"), 5, tol=1e-8)
