@@ -38,15 +38,12 @@ from .kernel import (
     MaybePoint,
     Point,
     SpiralSimilarity,
-    circle_of_similitude,
     circumcenter,
     circumcircle,
-    coeff_distance,
     cs_distance,
     diameter,
     directed_angle,
     intersect,
-    invert_circle,
     invert_point,
     is_finite,
     isogonal_conjugate,
@@ -363,13 +360,17 @@ def triad_circles(q: Quadrilateral, tol: float = DEFAULT_TOL) -> TriadSystem:
     first, in the centroid frame, finds the center nearest the centroid; the
     second solves again with the origin there, where a nearly cyclic input's
     centers are small.  A nearly flat triad's center runs far off, so no
-    fixed triad's center serves.  The origin is added back once, at the end."""
+    fixed triad's center serves.  The origin is added back once, at the end.
+    Both passes run on the vertices times unit, an exact power of two near
+    1 / diameter, so the lifts neither overflow nor underflow."""
     vs = [v.to_complex() for v in q.vertices()]
     g = sum(vs) / 4.0
-    origin = g + min(_triad_centers([v - g for v in vs], tol), key=abs)
-    z = [v - origin for v in vs]
+    unit = math.ldexp(1.0, -math.frexp(q.scale())[1])
+    origin = g + min(_triad_centers([(v - g) * unit for v in vs], tol), key=abs) / unit
+    z = [(v - origin) * unit for v in vs]
     return TriadSystem(*(
-        Circle(Point.from_complex(origin + c), (abs(z[i] - c) + abs(z[j] - c) + abs(z[k] - c)) / 3)
+        Circle(Point.from_complex(origin + c / unit),
+               (abs(z[i] - c) + abs(z[j] - c) + abs(z[k] - c)) / 3 / unit)
         for (i, j, k), c in zip(_TRIADS, _triad_centers(z, tol))))
 
 
@@ -769,26 +770,20 @@ def cross_generation_cs_residual(q: QuadOrState, w: Point,
 def quadrangle_duality_residual(q: Quadrilateral, w: Point, mirror_radius: float,
                                 tol: float = DEFAULT_TOL) -> float:
     """Inversion centered at W takes the six vertex-pair lines onto the six
-    circles of similitude of the image quadrilateral's triad circles."""
+    circles of similitude of the image quadrilateral's triad circles.
+
+    The image of line AB passes through W, A' and B'.  A' and B' lie on o1'
+    and o2', so the image is in their pencil; so is CS(o1', o2'), and only
+    one member of the pencil passes through W.  So the image is the CS if and
+    only if W lies on it: the residual is W's largest distance from the six
+    (cs_distance, the Apollonius defect) over the image's diameter."""
     mirror = Circle(w, mirror_radius)
-    A, B, C, D = q.vertices()
     images = [invert_point(mirror, v, tol) for v in q.vertices()]
     if not all(is_finite(p) for p in images):
         raise DegenerateConjugate("a vertex maps to infinity under the duality mirror")
     q_img = Quadrilateral(*images)
-    triads_img = triad_circles(q_img, tol)
-    o = triads_img.circles
-    # pair (i, j) shares the two listed vertices; the line through them is
-    # the corresponding line of the complete quadrilateral
-    pairs = [((0, 1), (A, B)), ((0, 2), (B, D)), ((0, 3), (D, A)),
-             ((1, 2), (B, C)), ((1, 3), (A, C)), ((2, 3), (C, D))]
-    worst = 0.0
-    for (i, j), (p1, p2) in pairs:
-        line = GenCircle.line_through(p1, p2)
-        line_img = invert_circle(mirror, line, tol)
-        cs = circle_of_similitude(o[i], o[j], tol)
-        worst = max(worst, coeff_distance(line_img, cs))
-    return worst
+    pairs = combinations(triad_circles(q_img, tol).circles, 2)
+    return max(cs_distance(w, c1, c2, tol) for c1, c2 in pairs) / q_img.scale()
 
 
 def feet_circles_residual(st: QuadState) -> float | None:

@@ -82,23 +82,36 @@ class CaseSpec:
             raise ValueError(f"unknown shape class {self.shape_class!r}")
 
 
-def _normalize(q: Quadrilateral) -> Quadrilateral:
-    """Translate the centroid to the origin and scale the diameter to 1."""
-    c = q.centroid()
-    d = q.scale()
-    return Quadrilateral(*((v - c) * (1.0 / d) for v in q.vertices()))
+def _normalized(pts: list[Point]) -> list[complex]:
+    """The vertices of Quadrilateral(*pts) with the centroid moved to 0 and the
+    diameter scaled to 1: its centroid sum and scale, (x - g) * (1 / d)."""
+    z = [p.to_complex() for p in pts]
+    g = sum(z) / 4.0
+    d = max(math.hypot((w - v).real, (w - v).imag) for v, w in combinations(z, 2)) or 1.0
+    k = 1.0 / d
+    return [complex((v.real - g.real) * k, (v.imag - g.imag) * k) for v in z]
+
+
+def _angles_ok(z: list[complex]) -> bool:
+    """interior_angles' test of Quadrilateral(*z), by its float operations:
+    conj(u) * v holds u.v as its real part and u x v as its imaginary part."""
+    a, b, c, d = z
+    ab, ac, ad = b - a, c - a, d - a
+    orient = 1.0 if ((ab.conjugate() * ac).imag + (ac.conjugate() * ad).imag) / 2.0 > 0.0 else -1.0
+    s = (ab, c - b, d - c, -ad)
+    for i in range(4):
+        uv = s[i].conjugate() * -s[i - 1]
+        ang = math.atan2(orient * uv.imag, uv.real) % (2.0 * math.pi)
+        if min(abs(ang), abs(ang - math.pi), abs(ang - 2 * math.pi)) < _MIN_ANGLE:
+            return False
+    return True
 
 
 def _well_conditioned(q: Quadrilateral) -> bool:
-    vs = q.vertices()
-    scale = q.scale()
-    if min(vs[i].dist(vs[j]) for i in range(4) for j in range(i + 1, 4)) \
-            < scale / _MAX_ASPECT:
-        return False
-    for ang in interior_angles(q):
-        if min(abs(ang), abs(ang - math.pi), abs(ang - 2 * math.pi)) < _MIN_ANGLE:
-            return False
-    return q.min_triad_height() >= _MIN_TRIAD_HEIGHT * scale
+    """The separation and triad-height tests (_draw ran the angle test)."""
+    vs, scale = q.vertices(), q.scale()
+    return (min(v.dist(w) for v, w in combinations(vs, 2)) >= scale / _MAX_ASPECT
+            and q.min_triad_height() >= _MIN_TRIAD_HEIGHT * scale)
 
 
 def _simple_convex_order(pts: list[Point]) -> list[Point]:
@@ -108,66 +121,69 @@ def _simple_convex_order(pts: list[Point]) -> list[Point]:
 
 
 def _draw(rng: random.Random, shape_class: str) -> Quadrilateral | None:
+    """One attempt, normalized to diameter 1, or None: the angle test runs on
+    the normalized vertices first, then the class's tests on the drawn ones."""
     try:
-        if shape_class in ("convex-noncyclic", "concave"):
-            pts = [Point(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
-            q = Quadrilateral(*_simple_convex_order(pts))
-            if shape_class == "convex-noncyclic":
-                # r < 0 only on a convex noncyclic quadrilateral
-                r = similarity_ratio(q)
-                if not (-0.92 <= r <= -1e-3):
-                    return None
-            else:
-                # concave: triangle with an interior point spliced in as C
-                a, b, c = pts[0], pts[1], pts[2]
-                u, v = rng.uniform(0.15, 0.4), rng.uniform(0.15, 0.4)
-                d = a + (b - a) * u + (c - a) * v
-                q = Quadrilateral(a, b, d, c)
-                if q.is_convex():
-                    return None
-                r = similarity_ratio(q)
-                if not (1.05 <= r <= 8.0):
-                    return None
-            return q
-        if shape_class == "cyclic":
-            ts = sorted(rng.uniform(0.0, 2.0 * math.pi) for _ in range(4))
-            return Quadrilateral(*(Point(math.cos(t), math.sin(t)) for t in ts))
-        if shape_class == "near-cyclic":
-            ts = sorted(rng.uniform(0.0, 2.0 * math.pi) for _ in range(4))
-            pts = [Point(math.cos(t), math.sin(t)) for t in ts]
-            bump = rng.uniform(10.0, 1e3) * DEFAULT_TOL * 2.0
-            pts[3] = pts[3] * (1.0 + bump)
-            return Quadrilateral(*pts)
-        if shape_class == "trapezoid":
-            a = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            direction = Point(math.cos(rng.uniform(0, math.pi)), math.sin(rng.uniform(0, math.pi)))
-            normal = Point(-direction.y, direction.x)
-            b = a + direction * rng.uniform(0.8, 1.6)
-            h = rng.uniform(0.4, 1.2)
-            c = b + normal * h - direction * rng.uniform(0.1, 0.5)
-            d = a + normal * h + direction * rng.uniform(0.1, 0.5)
-            q = Quadrilateral(a, b, c, d)
-            return q if q.is_convex() else None
-        if shape_class in ("parallelogram", "parallelogram-pi4"):
-            a = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            theta = rng.uniform(0.0, math.pi)
-            if shape_class == "parallelogram-pi4":
-                phi = theta + math.pi / 4.0
-            else:
-                phi = theta + rng.uniform(0.4, math.pi - 0.4)
-            u = Point(math.cos(theta), math.sin(theta)) * rng.uniform(0.7, 1.5)
-            v = Point(math.cos(phi), math.sin(phi)) * rng.uniform(0.7, 1.5)
-            return Quadrilateral(a, a + u, a + u + v, a + v)
-        if shape_class == "orthocentric":
-            # acute triangle keeps the orthocenter interior
-            for _ in range(64):
-                a, b, c = (Point(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3))
-                angs = interior_triangle_angles(a, b, c)
-                if max(angs) < math.pi / 2 - 0.15 and min(angs) > 0.3:
-                    return Quadrilateral(a, b, c, orthocenter(a, b, c))
+        pts = _vertices(rng, shape_class)
+        z = None if pts is None else _normalized(pts)
+        if z is None or not _angles_ok(z):
             return None
+        ok = True  # a draw too flat to build fails the normalized height test
+        if shape_class == "convex-noncyclic":
+            # r < 0 only on a convex noncyclic quadrilateral
+            ok = -0.92 <= similarity_ratio(Quadrilateral(*pts)) <= -1e-3
+        elif shape_class == "concave":
+            q = Quadrilateral(*pts)
+            ok = not q.is_convex() and 1.05 <= similarity_ratio(q) <= 8.0
+        elif shape_class == "trapezoid":
+            ok = Quadrilateral(*pts).is_convex()
+        return Quadrilateral(*(Point(v.real, v.imag) for v in z)) if ok else None
     except GeometryError:
         return None
+
+
+def _vertices(rng: random.Random, shape_class: str) -> list[Point] | None:
+    if shape_class in ("convex-noncyclic", "concave"):
+        pts = [Point(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
+        if shape_class == "convex-noncyclic":
+            return _simple_convex_order(pts)
+        # concave: triangle with an interior point spliced in as C
+        a, b, c = pts[0], pts[1], pts[2]
+        u, v = rng.uniform(0.15, 0.4), rng.uniform(0.15, 0.4)
+        return [a, b, a + (b - a) * u + (c - a) * v, c]
+    if shape_class in ("cyclic", "near-cyclic"):
+        ts = sorted(rng.uniform(0.0, 2.0 * math.pi) for _ in range(4))
+        pts = [Point(math.cos(t), math.sin(t)) for t in ts]
+        if shape_class == "near-cyclic":
+            bump = rng.uniform(10.0, 1e3) * DEFAULT_TOL * 2.0
+            pts[3] = pts[3] * (1.0 + bump)
+        return pts
+    if shape_class == "trapezoid":
+        a = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        direction = Point(math.cos(rng.uniform(0, math.pi)), math.sin(rng.uniform(0, math.pi)))
+        normal = Point(-direction.y, direction.x)
+        b = a + direction * rng.uniform(0.8, 1.6)
+        h = rng.uniform(0.4, 1.2)
+        c = b + normal * h - direction * rng.uniform(0.1, 0.5)
+        d = a + normal * h + direction * rng.uniform(0.1, 0.5)
+        return [a, b, c, d]
+    if shape_class in ("parallelogram", "parallelogram-pi4"):
+        a = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        theta = rng.uniform(0.0, math.pi)
+        if shape_class == "parallelogram-pi4":
+            phi = theta + math.pi / 4.0
+        else:
+            phi = theta + rng.uniform(0.4, math.pi - 0.4)
+        u = Point(math.cos(theta), math.sin(theta)) * rng.uniform(0.7, 1.5)
+        v = Point(math.cos(phi), math.sin(phi)) * rng.uniform(0.7, 1.5)
+        return [a, a + u, a + u + v, a + v]
+    if shape_class == "orthocentric":
+        # acute triangle keeps the orthocenter interior
+        for _ in range(64):
+            a, b, c = (Point(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3))
+            angs = interior_triangle_angles(a, b, c)
+            if max(angs) < math.pi / 2 - 0.15 and min(angs) > 0.3:
+                return [a, b, c, orthocenter(a, b, c)]
     return None
 
 
@@ -183,10 +199,7 @@ def random_quadrilateral(spec: CaseSpec, index: int) -> Quadrilateral:
     rng = random.Random((spec.seed * 1_000_003 + index) & 0xFFFFFFFF)
     for _ in range(_MAX_TRIES):
         q = _draw(rng, spec.shape_class)
-        if q is None:
-            continue
-        q = _normalize(q)
-        if _well_conditioned(q):
+        if q is not None and _well_conditioned(q):
             return q
     raise RejectionExhausted(
         f"no valid {spec.shape_class} case for seed={spec.seed} index={index}")

@@ -75,6 +75,16 @@ class TestAnalyze:
             err = math.hypot(x - x0 - offset, y - y0 - offset) / diameter
             assert err <= 10 * sys.float_info.epsilon * offset / diameter
 
+    @pytest.mark.parametrize("factor", [1e-140, 1e140])
+    def test_extreme_scale_generic(self, quad_file, tmp_path, factor):
+        scaled = {"vertices": [[x * factor, y * factor] for x, y in GENERIC["vertices"]]}
+        out0, out = tmp_path / "r0.json", tmp_path / "r.json"
+        assert main(["analyze", quad_file(GENERIC), "--out", str(out0)]) == 0
+        assert main(["analyze", quad_file(scaled, "scaled.json"), "--out", str(out)]) == 0
+        x0, y0 = json.loads(out0.read_text())["w"]["xy"]
+        x, y = json.loads(out.read_text())["w"]["xy"]
+        assert math.hypot(x / factor - x0, y / factor - y0) <= 1e-14 * math.sqrt(34.0)
+
     def test_roundtrip_17_digits(self, quad_file, tmp_path):
         quad = {"vertices": [[0.1, 0.2], [4.3, 0.7], [5.9, 3.1], [1.4, 4.8]]}
         out = tmp_path / "report.json"

@@ -22,6 +22,9 @@ UNCALLED_BY_DESIGN = {
     # the package's public Triangle form of kernel.isogonal_conjugate, whose
     # complex core prev_generation and the inverse-isogonal W route call
     "isogonal_conjugate_triangle",
+    # a package export, which the benchmark's tracer also wraps; the duality
+    # residual reads W's distance from the circles of similitude instead
+    "invert_circle",
 }
 
 

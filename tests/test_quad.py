@@ -117,6 +117,19 @@ class TestTriadCircles:
         for i in (0, 2, 3):
             assert _float_error(triad_circles(q).circles[i].center(), exact[i]) <= 1e-14
 
+    @pytest.mark.parametrize("factor", [1e-140, 1e140])
+    def test_extreme_scales(self, factor):
+        # the lifts |z|^2 / 2 of raw coordinates would underflow or overflow;
+        # both passes run on vertices rescaled by a power of two
+        for shape in ("convex-noncyclic", "concave", "trapezoid"):
+            for q in generic_quads(20, shape, seed=1):
+                big = Quadrilateral(*(Point(v.x * factor, v.y * factor) for v in q.vertices()))
+                for o, moved in zip(triad_circles(q).circles, triad_circles(big).circles):
+                    assert moved.center().dist(o.center() * factor) <= 1e-14 * big.scale()
+                    assert abs(moved.radius() - o.radius() * factor) <= 1e-14 * big.scale()
+                w, moved = analyze(q).w, analyze(big).w
+                assert moved.dist(w * factor) <= 1e-14 * big.scale()
+
     def test_collinear_triple(self):
         # validation happens when the quadrilateral is built
         with pytest.raises(CollinearInput):
@@ -494,6 +507,22 @@ class TestDualityAndTransport:
 
     def test_duality_large_off_w(self):
         assert quadrangle_duality_residual(GENERIC, Point(2, 1), 1.0) > 1e-4
+
+    @pytest.mark.parametrize("shape", ["convex-noncyclic", "concave", "trapezoid"])
+    def test_duality_rises_off_w(self, shape):
+        # W moved by 1e-6 diameters leaves the image's circles of similitude
+        # by a first-order amount (at least 3.5e-7 over these 600 cases)
+        for q in generic_quads(200, shape, seed=3):
+            w = isoptic_point(q)
+            moved = Point(w.x + 1e-6 * q.scale(), w.y)
+            assert quadrangle_duality_residual(q, moved, 1.0) > 1e-8
+
+    @pytest.mark.parametrize("shape", ["convex-noncyclic", "concave", "trapezoid"])
+    def test_duality_holds_at_w_on_a_thousand_cases(self, shape):
+        for q in generic_quads(1000, shape, seed=7):
+            w = isoptic_point(q)
+            assert is_finite(w)
+            assert quadrangle_duality_residual(q, w, 1.0) <= 1e-12
 
 class TestPeriodicity:
     def test_pi4_parallelogram_period_two(self):

@@ -20,19 +20,33 @@ from isoptic.verify import (
 # sha256 of the float.hex vertices of random_quadrilateral(CaseSpec(s, cls), i)
 # for s in 0..39, every shape class and i in 0..9: 3,200 draws
 DRAWS_SHA256 = "329e769d497ed070e9ad42cc287cea2e3bfb64d5f6fb8ff532f7e3c6e95090e7"
+# the same for s in 100..103, cls in convex-noncyclic and concave and
+# i in 0..599: 4,800 draws, rich in draws the interior-angle test rejects
+ANGLE_REJECTION_DRAWS_SHA256 = \
+    "8f9d759285eceb1216d1bca40867d26fb83c4da5f98a2bb8702e21cfcc68c741"
+
+
+def _draws_digest(seeds, shapes, count):
+    digest = hashlib.sha256()
+    for seed in seeds:
+        for shape in shapes:
+            for i in range(count):
+                for v in random_quadrilateral(CaseSpec(seed, shape), i).vertices():
+                    digest.update(f"{v.x.hex()} {v.y.hex()}\n".encode())
+    return digest.hexdigest()
 
 
 class TestGenerator:
     def test_draws_are_pinned(self):
         # a cheaper Quadrilateral or generator must not change which cases
         # the suite and the benchmark see
-        digest = hashlib.sha256()
-        for seed in range(40):
-            for shape in SHAPE_CLASSES:
-                for i in range(10):
-                    for v in random_quadrilateral(CaseSpec(seed, shape), i).vertices():
-                        digest.update(f"{v.x.hex()} {v.y.hex()}\n".encode())
-        assert digest.hexdigest() == DRAWS_SHA256
+        assert _draws_digest(range(40), SHAPE_CLASSES, 10) == DRAWS_SHA256
+
+    def test_angle_rejections_are_pinned(self):
+        # the angle test runs before the class's own tests; the order of the
+        # tests must not change which draws are accepted
+        digest = _draws_digest(range(100, 104), ("convex-noncyclic", "concave"), 600)
+        assert digest == ANGLE_REJECTION_DRAWS_SHA256
 
     def test_deterministic(self):
         spec = CaseSpec(seed=42, shape_class="convex-noncyclic")
