@@ -6,15 +6,12 @@ from .kernel import (
     DEFAULT_TOL,
     AtInfinity,
     Circle,
-    DirectedAngle,
     GenCircle,
     Point,
-    SpiralSimilarity,
     Triangle,
     apollonius_circle,
     circle_of_similitude,
     circumcircle,
-    directed_angle,
     foot_of_perpendicular,
     intersect,
     invert_circle,

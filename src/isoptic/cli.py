@@ -80,7 +80,10 @@ def load_quad_file(path: str) -> Quadrilateral:
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                            for v in pair)):
             raise ValueError(f"bad vertex entry {pair!r}")
-        x, y = float(pair[0]), float(pair[1])
+        try:
+            x, y = float(pair[0]), float(pair[1])
+        except OverflowError:  # an integer too large for a float
+            x = y = math.inf
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError("vertex coordinates must be finite")
         pts.append(Point(x, y))
@@ -131,6 +134,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_iterate(args) -> int:
+    if args.generations < 0:
+        print("error: --generations must not be negative", file=sys.stderr)
+        return EXIT_USAGE
     q = load_quad_file(args.file)
     step = next_generation if args.direction == "forward" else prev_generation
     generations = [q]

@@ -1,8 +1,9 @@
 """Floating-point primitives for inversive plane geometry.
 
-Points, directed angles, circles as ``Circle`` (center and radius), inversion,
-spiral similarity and triangle-level conjugations.  A generalized circle
-stores the equation
+Points, circles as ``Circle`` (center and radius), inversion, circles of
+similitude and triangle-level conjugations; ``quad`` reads directed angles and
+spiral similarities as phases and factors of complex ratios, with no type of
+their own.  A generalized circle stores the equation
 
     a*(x^2 + y^2) + b*x + c*y + d = 0
 
@@ -25,7 +26,6 @@ from .errors import (
     ConcentricCircles,
     DegenerateCircle,
     DegenerateConjugate,
-    DegenerateRay,
     IdenticalCurves,
     NonpositiveRatio,
     NotALine,
@@ -109,30 +109,6 @@ def diameter(points) -> float:
         for q in pts[i + 1:]:
             best = max(best, p.dist(q))
     return best if best > 0.0 else 1.0
-
-
-@dataclass(frozen=True)
-class DirectedAngle:
-    """An angle between lines, reduced modulo pi to [0, pi)."""
-
-    value: float
-
-    @staticmethod
-    def of(raw: float) -> "DirectedAngle":
-        v = math.fmod(raw, math.pi)
-        if v < 0.0:
-            v += math.pi
-        if v >= math.pi:
-            v -= math.pi
-        return DirectedAngle(v)
-
-    def __add__(self, other: "DirectedAngle") -> "DirectedAngle":
-        return DirectedAngle.of(self.value + other.value)
-
-    def distance_to(self, other: "DirectedAngle") -> float:
-        """Circular distance on the mod-pi circle."""
-        d = abs(self.value - other.value)
-        return min(d, math.pi - d)
 
 
 @dataclass(frozen=True)
@@ -258,20 +234,6 @@ def coeff_distance(g1: GenCircle, g2: GenCircle) -> float:
 
 def circles_equal(g1: GenCircle, g2: GenCircle, tol: float = DEFAULT_TOL) -> bool:
     return coeff_distance(g1, g2) <= max(tol, 64 * _MACHINE_EPS)
-
-
-@dataclass(frozen=True)
-class SpiralSimilarity:
-    """Direct similarity: rotation by ``angle`` and scaling by ``ratio`` about ``center``."""
-
-    center: Point
-    ratio: float
-    angle: float
-
-    def apply(self, p: Point) -> Point:
-        z = (p - self.center).to_complex()
-        z *= self.ratio * complex(math.cos(self.angle), math.sin(self.angle))
-        return self.center + Point.from_complex(z)
 
 
 @dataclass(frozen=True)
@@ -470,15 +432,6 @@ def cs_distance(w: Point, o1: Circle, o2: Circle, tol: float = DEFAULT_TOL) -> f
     d1, d2 = abs(u), abs(v)
     grad = abs(r2 * u / d1 - r1 * v / d2) if d1 and d2 else 0.0
     return abs(d1 * r2 - d2 * r1) / grad if grad else math.inf
-
-
-def directed_angle(a: Point, vertex: Point, b: Point) -> DirectedAngle:
-    """Angle from line (vertex, a) to line (vertex, b), modulo pi."""
-    u = a - vertex
-    v = b - vertex
-    if u.norm() == 0.0 or v.norm() == 0.0:
-        raise DegenerateRay("ray endpoint coincides with the vertex")
-    return DirectedAngle.of(math.atan2(v.y, v.x) - math.atan2(u.y, u.x))
 
 
 def foot_of_perpendicular(line: GenCircle, p: Point) -> Point:

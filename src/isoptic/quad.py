@@ -21,6 +21,7 @@ from .errors import (
     CollinearInput,
     CyclicDegeneration,
     DegenerateConjugate,
+    DegenerateRay,
     IllConditionedAngles,
     NoIntersection,
     NonCollinearFeet,
@@ -37,13 +38,10 @@ from .kernel import (
     GenCircle,
     MaybePoint,
     Point,
-    SpiralSimilarity,
     circumcenter,
     circumcircle,
     cs_distance,
     diameter,
-    directed_angle,
-    intersect,
     invert_point,
     is_finite,
     isogonal_conjugate,
@@ -538,14 +536,17 @@ def isodynamic_ratios(q: QuadOrState, w: Point, tol: float = DEFAULT_TOL) -> flo
 
 def angle_sums_at_point(q: Quadrilateral, w: Point) -> float:
     """Max residual of angle(X w Y) = angle(X u Y) + angle(X v Y) over the
-    four sides, in directed angles; ~0 exactly at W."""
-    A, B, C, D = q.vertices()
-    sides = [(A, B, C, D), (B, C, A, D), (C, D, A, B), (D, A, B, C)]
+    four sides XY, in directed angles mod pi; ~0 exactly at W.  The sides differ
+    by the phase of t = (Y - w) / (X - w) (X - u) / (Y - u) (X - v) / (Y - v),
+    atan2(|Im t|, |Re t|) from a multiple of pi.  w at a vertex raises DegenerateRay."""
+    a, b, c, d = (v.to_complex() for v in q.vertices())
+    p = w.to_complex()
     worst = 0.0
-    for x, y, u, v in sides:
-        lhs = directed_angle(x, w, y)
-        rhs = directed_angle(x, u, y) + directed_angle(x, v, y)
-        worst = max(worst, lhs.distance_to(rhs))
+    for x, y, u, v in ((a, b, c, d), (b, c, a, d), (c, d, a, b), (d, a, b, c)):
+        if p == x or p == y:
+            raise DegenerateRay("w coincides with a vertex")
+        t = (y - p) / (x - p) * (x - u) / (y - u) * (x - v) / (y - v)
+        worst = max(worst, math.atan2(abs(t.imag), abs(t.real)))
     return worst
 
 
@@ -706,9 +707,9 @@ def reconstruct_fourth_vertex(a: Point, b: Point, c: Point, w: Point,
                               tol: float = DEFAULT_TOL) -> Point:
     """Recover the fourth vertex from three vertices and the isoptic point.
 
-    Builds the circles of similitude (a w b) and (b w c), transfers the
-    circumcenter of (a b c) across them by inversion to get the missing triad
-    centers, and intersects the resulting triad circles.
+    Inversion in the circles (a w b) and (b w c) takes the circumcenter B2 of
+    (a b c) to the triad centers A2 and C2.  Their circles o1 and o3 meet in B
+    and D, so D is B mirrored in line A2C2: A2 + e / conj(e) conj(B - A2), e = C2 - A2.
     """
     if not is_finite(w):
         raise PointAtInfinity("the isoptic point is not finite")
@@ -725,13 +726,14 @@ def reconstruct_fourth_vertex(a: Point, b: Point, c: Point, w: Point,
     c2 = invert_point(cs23, b2, tol)
     if not (is_finite(a2) and is_finite(c2)):
         raise Underdetermined("triad centers escape to infinity")
-    o1 = GenCircle.circle(a2, 0.5 * (a2.dist(a) + a2.dist(b)))
-    o3 = GenCircle.circle(c2, 0.5 * (c2.dist(b) + c2.dist(c)))
-    pts = intersect(o1, o3, tol)
-    pts = [p for p in pts if p.dist(b) > tol * scale]
-    if not pts:
-        raise NoIntersection("the transferred triad circles do not intersect")
-    return max(pts, key=lambda p: p.dist(b))
+    z = a2.to_complex()
+    e = c2.to_complex() - z
+    if abs(e) <= tol * scale:
+        raise NoIntersection("the transferred triad centers coincide")
+    d = Point.from_complex(z + e / e.conjugate() * (b.to_complex() - z).conjugate())
+    if d.dist(b) <= tol * scale:
+        raise NoIntersection("the transferred triad circles touch only at B")
+    return d
 
 
 def quad_distance(q1: Quadrilateral, q2: Quadrilateral) -> float:
@@ -817,10 +819,12 @@ def feet_circles_residual(st: QuadState) -> float | None:
 
 def spiral_transport_residual(st: QuadState) -> float | None:
     """Residual of the spiral similarity at W taking o1 -> o4 mapping B to C
-    (and the o1 -> o2, o4 -> o2 analogues)."""
-    q, w, triads = st.q, st.w, st.triads
-    if not is_finite(w):
+    (and the o1 -> o2, o4 -> o2 analogues): one complex factor about W,
+    R_dst / R_src times the unit phase of k = (o_dst - W) conj(o_src - W)."""
+    q, triads = st.q, st.triads
+    if not is_finite(st.w):
         return None
+    w = st.w.to_complex()
     cases = [
         (triads.o1, triads.o4, q.b, q.c),
         (triads.o1, triads.o2, q.d, q.c),
@@ -828,12 +832,9 @@ def spiral_transport_residual(st: QuadState) -> float | None:
     ]
     worst = 0.0
     for src, dst, point, expected in cases:
-        u = src.center() - w
-        v = dst.center() - w
-        angle = math.atan2(u.cross(v), u.dot(v))
-        h = SpiralSimilarity(w, dst.radius() / src.radius(), angle)
-        img = h.apply(point)
-        worst = max(worst, img.dist(expected) / st.scale)
+        k = (dst.o.to_complex() - w) * (src.o.to_complex() - w).conjugate()
+        img = w + (point.to_complex() - w) * cmath.rect(dst.r / src.r, cmath.phase(k))
+        worst = max(worst, abs(img - expected.to_complex()) / st.scale)
     return worst
 
 

@@ -148,8 +148,9 @@ def render_svg(q: Quadrilateral, layers=("quad", "triads", "w"),
         except GeometryError:
             continue
 
-    xs = [p.x for p in cv.points]
-    ys = [p.y for p in cv.points]
+    pts = cv.points or q.vertices()  # nothing drawn: frame the quadrilateral
+    xs = [p.x for p in pts]
+    ys = [p.y for p in pts]
     # circles can stick out beyond their tracked centers; include radii
     minx, maxx = min(xs), max(xs)
     miny, maxy = min(ys), max(ys)

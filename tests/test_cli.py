@@ -57,6 +57,15 @@ class TestAnalyze:
         path.write_text('{"vertices": [[0,0],[1,0],[0,1],[NaN,1]]}')
         assert main(["analyze", str(path)]) == 1
 
+    @pytest.mark.parametrize("coordinate", ["1e400", "1" + "0" * 400], ids=["float", "integer"])
+    def test_nonfinite_rejected(self, tmp_path, capsys, coordinate):
+        # a float literal overflows to inf; an integer literal is exact and
+        # too large for a float
+        path = tmp_path / "big.json"
+        path.write_text(f'{{"vertices": [[0,0],[1,0],[0,1],[{coordinate},1]]}}')
+        assert main(["analyze", str(path)]) == 1
+        assert "error: vertex coordinates must be finite" in capsys.readouterr().err
+
     def test_degenerate_quad_exit_2(self, quad_file):
         collinear = {"vertices": [[0, 0], [1, 0], [2, 0], [0, 3]]}
         assert main(["analyze", quad_file(collinear)]) == 2
@@ -151,6 +160,10 @@ class TestIterate:
         doc = json.loads(out.read_text())
         assert all(r is None or r >= 0 for r in doc["area_ratios"])
 
+    def test_negative_generations_exit_1(self, quad_file, capsys):
+        assert main(["iterate", quad_file(GENERIC), "--generations", "-2"]) == 1
+        assert capsys.readouterr().out == ""
+
 
 class TestVerify:
     def test_exit_zero_and_deterministic(self, tmp_path):
@@ -193,6 +206,17 @@ class TestRender:
         assert main(args + ["--out", str(f2)]) == 0
         assert f1.read_bytes() == f2.read_bytes()
         xml.dom.minidom.parseString(f1.read_text())
+
+    @pytest.mark.parametrize("layers", ["s", ","])
+    def test_nothing_drawn_frames_the_quad(self, quad_file, tmp_path, layers):
+        # a parallelogram's S is at infinity, so the "s" layer draws nothing
+        para = {"vertices": [[0, 0], [2, 0], [3, 1], [1, 1]]}
+        out = tmp_path / "empty.svg"
+        assert main(["render", quad_file(para), "--layers", layers, "--out", str(out)]) == 0
+        svg = xml.dom.minidom.parseString(out.read_text()).documentElement
+        assert svg.getElementsByTagName("circle") == []
+        x, y, width, height = map(float, svg.getAttribute("viewBox").split())
+        assert x < 0 and y < 0 and x + width > 3 and y + height > 1
 
     def test_unknown_layer_exit_1(self, quad_file, tmp_path):
         assert main(["render", quad_file(GENERIC), "--out",

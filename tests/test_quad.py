@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st, target
 from isoptic.errors import (
     CollinearInput,
     CyclicDegeneration,
+    DegenerateRay,
     GeometryError,
     NonCollinearFeet,
     PointAtInfinity,
@@ -19,7 +20,6 @@ from isoptic.kernel import (
     AtInfinity,
     Point,
     circumcircle,
-    directed_angle,
     is_finite,
     orthocenter,
 )
@@ -252,12 +252,14 @@ class TestAngleDecomposition:
     def test_parts_sum_to_interior_angle(self):
         # the diagonal splits each interior angle into the two directed
         # angles whose cotangents the identities pair
-        A, B, C, D = GENERIC.vertices()
+        A, B, C, D = (v.to_complex() for v in GENERIC.vertices())
         whole = interior_angles(GENERIC)
         pairs = [((B, A, C), (C, A, D)), ((C, B, D), (D, B, A)),
                  ((D, C, A), (A, C, B)), ((A, D, B), (B, D, C))]
         for (p1, p2), full in zip(pairs, whole):
-            parts = directed_angle(*p1).value + directed_angle(*p2).value
+            # the directed angle from line (v, x) to line (v, y) is the
+            # phase of (y - v) / (x - v), mod pi
+            parts = sum(cmath.phase((y - v) / (x - v)) for x, v, y in (p1, p2))
             diff = (parts - full) % math.pi
             assert min(diff, math.pi - diff) < 1e-9
 
@@ -362,6 +364,31 @@ class TestAngleSums:
 
     def test_nonzero_elsewhere(self):
         assert angle_sums_at_point(GENERIC, Point(2, 1)) > 1e-3
+
+    def test_matches_atan2_reference(self):
+        # the reference takes each directed angle as an atan2 difference
+        # folded into [0, pi) and each residual as a distance on that circle,
+        # so it pins the fold of the one-phase-per-side form
+        def angle(x, vertex, y):
+            return (math.atan2(y.y - vertex.y, y.x - vertex.x)
+                    - math.atan2(x.y - vertex.y, x.x - vertex.x)) % math.pi
+
+        rng = random.Random(11)
+        for shape in SHAPE_CLASSES:
+            for q in generic_quads(50, shape, seed=5):
+                A, B, C, D = q.vertices()
+                g, size = q.centroid(), q.scale()
+                w = Point(g.x + rng.uniform(-size, size), g.y + rng.uniform(-size, size))
+                want = 0.0
+                for x, y, u, v in ((A, B, C, D), (B, C, A, D), (C, D, A, B), (D, A, B, C)):
+                    d = (angle(x, w, y) - angle(x, u, y) - angle(x, v, y)) % math.pi
+                    want = max(want, min(d, math.pi - d))
+                assert angle_sums_at_point(q, w) == pytest.approx(want, abs=1e-12)
+
+    def test_w_at_a_vertex_raises(self):
+        for v in GENERIC.vertices():
+            with pytest.raises(DegenerateRay):
+                angle_sums_at_point(GENERIC, v)
 
 
 class TestPedal:
