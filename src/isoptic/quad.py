@@ -7,6 +7,13 @@ Vertex conventions: a quadrilateral is the ordered tuple (A, B, C, D).  The
 triad circles are o1 = (D A B), o2 = (A B C), o3 = (B C D), o4 = (C D A); the
 center of o_i is the i-th vertex of the next generation, so A2 = center(o1)
 and so on cyclically.
+
+A Quadrilateral keeps its complex vertices and its side table in a frame
+scaled by a power of two near 1 / diameter, where crosses and cotangents
+neither overflow nor underflow.  The triad circles and Q2 come from the
+perpendicular-bisector construction in closed form (``triad_circles``), and
+Q2 keeps that closed-form side table, so its shape never sees the rounding
+of its absolute vertices.
 """
 
 from __future__ import annotations
@@ -57,28 +64,52 @@ class Quadrilateral:
     b: Point
     c: Point
     d: Point
+    _z: tuple[complex, ...] = field(init=False, repr=False, compare=False)
     _diffs: tuple[complex, ...] = field(init=False, repr=False, compare=False)
+    _unit: float = field(init=False, repr=False, compare=False)
     _scale: float = field(init=False, repr=False, compare=False)
     _height: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the side table _diffs = (B - A, C - A, D - A, C - B, D - B, D - C),
-        # which every side and diagonal construction reads; one pass over it
-        # gives the diameter and the least triad height, |cross| / longest
-        # side (0 if the triad is one point)
-        a, b, c, d = (self.a.to_complex(), self.b.to_complex(), self.c.to_complex(),
-                      self.d.to_complex())
-        diffs = ab, ac, ad, bc, bd, cd = b - a, c - a, d - a, c - b, d - b, d - c
-        nab, nac, nad, nbc, nbd, ncd = [math.hypot(v.real, v.imag) for v in diffs]
-        height = min(abs(_cross(bc, bd)) / (max(nbc, ncd, nbd) or math.inf),
-                     abs(_cross(ac, ad)) / (max(nac, ncd, nad) or math.inf),
-                     abs(_cross(ab, ad)) / (max(nab, nbd, nad) or math.inf),
-                     abs(_cross(ab, ac)) / (max(nab, nbc, nac) or math.inf))
-        vars(self).update(_diffs=diffs, _scale=max(nab, nac, nad, nbc, nbd, ncd) or 1.0,
-                          _height=height)
+        a, b, c, d = self.a, self.b, self.c, self.d
+        z = a, b, c, d = (complex(a.x, a.y), complex(b.x, b.y), complex(c.x, c.y),
+                          complex(d.x, d.y))
+        self._frame(z, (b - a, c - a, d - a, c - b, d - b, d - c))
+
+    @classmethod
+    def _from_table(cls, vertices: tuple[Point, ...], diffs: tuple[complex, ...]) -> Quadrilateral:
+        """The quadrilateral of four Points whose side table is diffs, in
+        the Points' units, rather than the differences of the rounded Points:
+        for a construction that knows its sides better than its vertices."""
+        q = object.__new__(cls)
+        a, b, c, d = vertices
+        vars(q).update(a=a, b=b, c=c, d=d)
+        q._frame((complex(a.x, a.y), complex(b.x, b.y), complex(c.x, c.y), complex(d.x, d.y)),
+                 diffs)
+        return q
+
+    def _frame(self, z: tuple[complex, ...], diffs: tuple[complex, ...]):
+        # the side table _diffs = (B - A, C - A, D - A, C - B, D - B, D - C)
+        # times _unit, an exact power of two near 1 / diameter (at most
+        # 2^1023, so a subnormal diameter becomes about 1e-12), so that its
+        # crosses and dot products neither overflow nor underflow; every side,
+        # angle and triad construction reads it.  One pass gives the diameter
+        # and the least triad height in the frame, |cross| / longest side (0
+        # if the triad is one point)
+        norms = nab, nac, nad, nbc, nbd, ncd = [math.hypot(v.real, v.imag) for v in diffs]
+        scale = max(norms) or 1.0
+        unit = math.ldexp(1.0, min(-math.frexp(scale)[1], 1023))
+        ab, ac, ad, bc, bd, cd = diffs
+        frame = ab, ac, ad, bc, bd, cd = (ab * unit, ac * unit, ad * unit, bc * unit, bd * unit,
+                                          cd * unit)
+        height = min(abs(_cross(bc, bd)) / (max(nbc, ncd, nbd) * unit or math.inf),
+                     abs(_cross(ac, ad)) / (max(nac, ncd, nad) * unit or math.inf),
+                     abs(_cross(ab, ad)) / (max(nab, nbd, nad) * unit or math.inf),
+                     abs(_cross(ab, ac)) / (max(nab, nbc, nac) * unit or math.inf))
+        vars(self).update(_z=z, _diffs=frame, _unit=unit, _scale=scale, _height=height / unit)
         # a triad holding two vertices delta apart is at most delta high, so
         # this also rejects coincident vertices
-        if height < DEFAULT_TOL * self._scale:
+        if height < DEFAULT_TOL * (scale * unit):
             raise CollinearInput("three vertices are collinear within tolerance")
 
     def vertices(self) -> tuple[Point, Point, Point, Point]:
@@ -86,6 +117,10 @@ class Quadrilateral:
 
     def sides(self) -> tuple[complex, complex, complex, complex]:
         """The side vectors B - A, C - B, D - C and A - D."""
+        return tuple(s / self._unit for s in self._sides())
+
+    def _sides(self) -> tuple[complex, complex, complex, complex]:
+        """The sides in the frame of the side table, for scale-free uses."""
         ab, _, ad, bc, _, cd = self._diffs
         return (ab, bc, cd, -ad)
 
@@ -93,14 +128,14 @@ class Quadrilateral:
         return self._scale
 
     def centroid(self) -> Point:
-        return Point.from_complex(sum(v.to_complex() for v in self.vertices()) / 4.0)
+        return Point.from_complex(sum(self._z) / 4.0)
 
     def min_triad_height(self) -> float:
         """Least height of the four triangles of three vertices."""
         return self._height
 
     def is_convex(self) -> bool:
-        s = self.sides()
+        s = self._sides()
         crosses = [_cross(s[i - 1], s[i]) for i in range(4)]
         return all(c > 0 for c in crosses) or all(c < 0 for c in crosses)
 
@@ -109,7 +144,7 @@ class Quadrilateral:
         # edge vectors from A: the absolute-coordinate shoelace cancels to 0
         # on a quadrilateral far smaller than its distance from the origin
         ab, ac, ad = self._diffs[:3]
-        return (_cross(ab, ac) + _cross(ac, ad)) / 2.0
+        return (_cross(ab, ac) + _cross(ac, ad)) / 2.0 / self._unit / self._unit
 
     def area(self) -> float:
         return abs(self.signed_area())
@@ -129,6 +164,9 @@ class TriadSystem:
     o2: Circle
     o3: Circle
     o4: Circle
+    # the side table of the centers (O2 - O1, O3 - O1, O4 - O1, O3 - O2,
+    # O4 - O2, O4 - O3), in closed form: Q2's side table
+    diffs: tuple[complex, ...] = field(repr=False, compare=False)
 
     @property
     def circles(self) -> tuple[Circle, ...]:
@@ -252,7 +290,7 @@ def _cross(u: complex, v: complex) -> float:
 def interior_angles(q: Quadrilateral) -> tuple[float, float, float, float]:
     """Interior angles in (0, 2*pi); a reflex vertex of a concave
     quadrilateral gets its actual reflex angle."""
-    s = q.sides()
+    s = q._sides()
     orient = 1.0 if q.signed_area() > 0.0 else -1.0
     out = []
     for i in range(4):
@@ -286,7 +324,7 @@ def classify(q: QuadOrState, tol: float = DEFAULT_TOL) -> ShapeClass:
         return (abs(_cross(u, v)) / (math.hypot(u.real, u.imag) * math.hypot(v.real, v.imag))
                 < 1e3 * tol)
 
-    ab, bc, cd, da = st.q.sides()
+    ab, bc, cd, da = st.q._sides()
     ab_cd = parallel(ab, cd)
     bc_da = parallel(bc, da)
     trapezoid = ab_cd or bc_da
@@ -303,7 +341,7 @@ def similarity_ratio(q: Quadrilateral, tol: float = DEFAULT_TOL) -> float:
     cot(sqrt(tol)), an angle within sqrt(tol) of 0 or pi, raises
     IllConditionedAngles.  r < 0 convex noncyclic, 0 cyclic, >= 1 concave.
     """
-    s = q.sides()
+    s = q._sides()
     cots = [_cot(s[i], -s[i - 1]) for i in range(4)]
     max_cot = 1.0 / math.tan(math.sqrt(tol))
     for vertex, cot in zip("ABCD", cots):
@@ -342,38 +380,63 @@ def cotangent_identity_residuals(q: Quadrilateral) -> tuple[float, float]:
 
 
 _TRIADS = ((3, 0, 1), (0, 1, 2), (1, 2, 3), (2, 3, 0))  # DAB, ABC, BCD, CDA
-
-
-def _triad_centers(z: list[complex], tol: float) -> list[complex]:
-    """Centers of the four triads of z in z's frame, from one lift |z_k|^2 / 2
-    per vertex shared by all four: their rounding errors are those of one
-    perturbed input, so Q2 keeps its shape as it shrinks."""
-    lift = [0.5 * norm2(v) for v in z]
-    return [circumcenter(z[j] - z[i], z[k] - z[i], lift[j] - lift[i], lift[k] - lift[i], tol)
-            for i, j, k in _TRIADS]
+# the pairs of vertices in side-table order: AB, AC, AD, BC, BD, CD
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# triads p < q share the Q1 pair at index k of the side table, and O_q - O_p
+# is sign (i/2) (that pair's vector) Delta / (t_p t_q); in side-table order
+_Q2_SIDES = ((0, 0, 1, -1.0), (4, 0, 2, 1.0), (2, 0, 3, 1.0),
+             (3, 1, 2, 1.0), (1, 1, 3, 1.0), (5, 2, 3, -1.0))
+# the center O_s of each triad, from the side table relative to its first
+# vertex in table order (A, except B for BCD)
+_CENTER_SIDES = ((0, 2), (0, 1), (3, 4), (1, 2))
+# _STEPS[s][j] = (k, sign): O_j - O_s = sign * (entry k of Q2's side table)
+_STEPS = tuple(tuple((0, 0.0) if j == s else
+                     (_PAIRS.index((min(s, j), max(s, j))), 1.0 if s < j else -1.0)
+                     for j in range(4)) for s in range(4))
 
 
 def triad_circles(q: Quadrilateral, tol: float = DEFAULT_TOL) -> TriadSystem:
-    """The four triad circles, solved in one shared frame in two passes: the
-    first, in the centroid frame, finds the center nearest the centroid; the
-    second solves again with the origin there, where a nearly cyclic input's
-    centers are small.  A nearly flat triad's center runs far off, so no
-    fixed triad's center serves.  The origin is added back once, at the end.
-    Both passes run on the vertices times unit, an exact power of two near
-    1 / diameter, so the lifts neither overflow nor underflow."""
-    vs = [v.to_complex() for v in q.vertices()]
-    g = sum(vs) / 4.0
-    unit = math.ldexp(1.0, -math.frexp(q.scale())[1])
-    origin = g + min(_triad_centers([(v - g) * unit for v in vs], tol), key=abs) / unit
-    z = [(v - origin) * unit for v in vs]
+    """The four triad circles, from the perpendicular-bisector construction
+    in closed form, on the side table of q (in its power-of-two frame).
+
+    Triads p and q share two vertices U and V, so their centers lie on the
+    perpendicular bisector of UV, and O_q - O_p = +-(i/2) (V - U) Delta /
+    (t_p t_q): t_p and t_q are the crosses of the two triads and Delta the
+    incircle determinant of A, B, C, D, one for all six pairs.  So one
+    circumcenter is solved, for the triad of largest |cross| / longest
+    side^2, and the other three centers are that one plus their entry of
+    the closed-form table, which the system keeps as Q2's side table: a
+    nearly flat triad's far-off center moves no other, and a nearly cyclic
+    input's Q2 is Delta times a well-conditioned quadrilateral.  The radii
+    are the mean distance from each center to its three vertices.
+    """
+    ab, ac, ad, bc, bd, cd = f = q._diffs
+    n = [norm2(v) for v in f]
+    t = (_cross(ab, ad), _cross(ab, ac), _cross(bc, bd), _cross(ac, ad))  # DAB, ABC, BCD, CDA
+    delta = n[0] * t[3] - n[1] * t[0] + n[2] * t[1]
+    table = []
+    for k, i, j, sign in _Q2_SIDES:
+        w = sign * 0.5 * delta / (t[i] * t[j])
+        table.append(complex(-f[k].imag * w, f[k].real * w))
+    cond = (abs(t[0]) / max(n[0], n[2], n[4]), abs(t[1]) / max(n[0], n[1], n[3]),
+            abs(t[2]) / max(n[3], n[4], n[5]), abs(t[3]) / max(n[1], n[2], n[5]))
+    s = cond.index(max(cond))
+    i, j = _CENTER_SIDES[s]
+    start = circumcenter(f[i], f[j], 0.5 * n[i], 0.5 * n[j], tol) + (ab if s == 2 else 0.0)
+    # the centers and the vertices relative to A
+    centers = [start + sign * table[k] for k, sign in _STEPS[s]]
+    rel = (0j, ab, ac, ad)
+    za, unit = q._z[0], q._unit
     return TriadSystem(*(
-        Circle(Point.from_complex(origin + c / unit),
-               (abs(z[i] - c) + abs(z[j] - c) + abs(z[k] - c)) / 3 / unit)
-        for (i, j, k), c in zip(_TRIADS, _triad_centers(z, tol))))
+        Circle(Point.from_complex(za + o / unit),
+               (abs(o - rel[i]) + abs(o - rel[j]) + abs(o - rel[k])) / 3 / unit)
+        for (i, j, k), o in zip(_TRIADS, centers)), diffs=tuple([v / unit for v in table]))
 
 
 def next_generation(q: QuadOrState, tol: float = DEFAULT_TOL) -> Quadrilateral:
-    """Quadrilateral of the triad-circle centers.
+    """Quadrilateral of the triad-circle centers, with the closed-form side
+    table of the triad system, so that its angles and area see no rounding
+    of the absolute centers.
 
     Raises CyclicDegeneration (carrying the circumcenter) when the input is
     cyclic, since all four centers then coincide.
@@ -382,7 +445,8 @@ def next_generation(q: QuadOrState, tol: float = DEFAULT_TOL) -> Quadrilateral:
     if st.cyclic:
         raise CyclicDegeneration("cyclic quadrilateral degenerates to a point",
                                  point=st.triads.o2.center())
-    return Quadrilateral(*(o.o for o in st.triads.circles))
+    triads = st.triads
+    return Quadrilateral._from_table(tuple(o.o for o in triads.circles), triads.diffs)
 
 
 def prev_generation(q: Quadrilateral, tol: float = DEFAULT_TOL) -> Quadrilateral:
@@ -400,9 +464,13 @@ def prev_generation(q: Quadrilateral, tol: float = DEFAULT_TOL) -> Quadrilateral
 
 def _conjugates_in_triads(q: Quadrilateral, tol: float) -> list[MaybePoint]:
     """The isogonal conjugate of the vertex left out of each triad DAB, ABC,
-    BCD and CDA (C, D, A and B) in the triangle of that triad."""
-    z = [v.to_complex() for v in q.vertices()]
-    return [isogonal_conjugate(z[i], z[j], z[k], z[(k + 1) % 4], tol) for i, j, k in _TRIADS]
+    BCD and CDA (C, D, A and B) in the triangle of that triad, taken on the
+    side table relative to A, which is added back once."""
+    za, unit = q._z[0], q._unit
+    z = (0j,) + q._diffs[:3]
+    out = [isogonal_conjugate(z[i], z[j], z[k], z[(k + 1) % 4], tol) for i, j, k in _TRIADS]
+    return [Point(za.real + p.x / unit, za.imag + p.y / unit) if is_finite(p) else p
+            for p in out]
 
 
 # ---------------------------------------------------------------------------
@@ -427,18 +495,19 @@ def isoptic_point(q: Quadrilateral) -> MaybePoint:
     input's rounding level, W is at infinity along AB (the line of
     similitude of the congruent o1 and o2).
     """
-    g = q.centroid().to_complex()
-    z = [v.to_complex() - g for v in q.vertices()]
+    g = sum(q._z) / 4.0
+    z = [v - g for v in q._z]
     num = den = 0j
     for k, sign in enumerate((1.0, -1.0, 1.0, -1.0)):
         e = z[(k + 1) % 4] - z[k]
         u2 = e / e.conjugate()
         den += sign * u2
         num += sign * (u2 * z[k].conjugate() - z[k])
-    scale = q.scale()
-    if abs(den) * scale < _AT_INFINITY * (scale + abs(g)):
-        v = q.b - q.a
-        return AtInfinity.along(v.x, v.y)
+    # both sides in the frame of the side table, where they cannot underflow
+    scale, unit = q.scale(), q._unit
+    if abs(den) * (scale * unit) < _AT_INFINITY * ((scale + abs(g)) * unit):
+        ab = q._diffs[0]
+        return AtInfinity.along(ab.real, ab.imag)
     return Point.from_complex(g + (num / den).conjugate())
 
 
@@ -467,7 +536,7 @@ def isoptic_point_via_limit(q: QuadOrState, max_gen: int = 60,
     if abs(abs(r) - 1.0) < 1e-6:
         raise NonConvergent(f"|r| = {abs(r)} is on the periodic locus")
     current, scale, forward = st, st.scale, abs(r) < 1.0
-    cents = [st.q.centroid().to_complex()]
+    cents = [sum(st.q._z) / 4.0]
     for _ in range(max_gen):
         try:
             current = current.next if forward else current.prev
@@ -475,7 +544,7 @@ def isoptic_point_via_limit(q: QuadOrState, max_gen: int = 60,
             if isinstance(exc, CyclicDegeneration) and exc.point is not None:
                 return exc.point
             raise NonConvergent("iteration hit a degeneration") from exc
-        cents.append(current.q.centroid().to_complex())
+        cents.append(sum(current.q._z) / 4.0)
         if current.scale < tol * scale:
             return current.q.centroid()
         if len(cents) >= 6:
@@ -539,7 +608,7 @@ def angle_sums_at_point(q: Quadrilateral, w: Point) -> float:
     four sides XY, in directed angles mod pi; ~0 exactly at W.  The sides differ
     by the phase of t = (Y - w) / (X - w) (X - u) / (Y - u) (X - v) / (Y - v),
     atan2(|Im t|, |Re t|) from a multiple of pi.  w at a vertex raises DegenerateRay."""
-    a, b, c, d = (v.to_complex() for v in q.vertices())
+    a, b, c, d = q._z
     p = w.to_complex()
     worst = 0.0
     for x, y, u, v in ((a, b, c, d), (b, c, a, d), (c, d, a, b), (d, a, b, c)):
@@ -561,16 +630,15 @@ def pedal_quadrilateral(q: Quadrilateral, p: Point) -> list[Point]:
     mirrored in the side."""
     z = p.to_complex()
     feet = []
-    for v, e in zip(q.vertices(), q.sides()):
-        v = v.to_complex()
+    for v, e in zip(q._z, q._sides()):
         d = z - v
         feet.append(Point.from_complex(v + 0.5 * (d + e / e.conjugate() * d.conjugate())))
     return feet
 
 
 def varignon(q: Quadrilateral) -> list[Point]:
-    vs = q.vertices()
-    return [0.5 * (vs[i] + vs[(i + 1) % 4]) for i in range(4)]
+    z = q._z
+    return [Point.from_complex(0.5 * (z[i] + z[(i + 1) % 4])) for i in range(4)]
 
 
 def simson_point(q: Quadrilateral) -> MaybePoint:
@@ -578,17 +646,18 @@ def simson_point(q: Quadrilateral) -> MaybePoint:
 
     S is the Miquel point of the complete quadrilateral, the center of the
     spiral similarity taking A to D and B to C: with a, b, c, d the vertices
-    relative to the centroid G, S = G + (ac - bd) / (a + c - b - d).  The
+    relative to the centroid G, S = G + (ac - bd) / (a + c - b - d), taken in
+    the frame of the side table so that the products cannot underflow.  The
     denominator vanishes on parallelograms: below _AT_INFINITY
     (diameter + |G|) S is at infinity along AD.
     """
-    g = q.centroid().to_complex()
-    a, b, c, d = (v.to_complex() - g for v in q.vertices())
+    g, unit = sum(q._z) / 4.0, q._unit
+    a, b, c, d = ((v - g) * unit for v in q._z)
     den = a + c - b - d
-    if abs(den) < _AT_INFINITY * (q.scale() + abs(g)):
-        v = q.d - q.a
-        return AtInfinity.along(v.x, v.y)
-    return Point.from_complex(g + (a * c - b * d) / den)
+    if abs(den) < _AT_INFINITY * ((q.scale() + abs(g)) * unit):
+        ad = q._diffs[2]
+        return AtInfinity.along(ad.real, ad.imag)
+    return Point.from_complex(g + (a * c - b * d) / den / unit)
 
 
 def _tls_axis(points: list[Point]) -> tuple[complex, complex, list[complex]]:
@@ -623,9 +692,10 @@ def simson_line(q: QuadOrState, tol: float = DEFAULT_TOL) -> GenCircle:
 
 def parallelogram_residual(pts: list[Point], scale: float) -> float:
     """Scale-free deviation of the opposite-side vector sums from zero."""
-    e1 = (pts[1] - pts[0]) + (pts[3] - pts[2])
-    e2 = (pts[2] - pts[1]) + (pts[0] - pts[3])
-    return max(e1.norm(), e2.norm()) / scale
+    z = [complex(p.x, p.y) for p in pts]
+    e1 = (z[1] - z[0]) + (z[3] - z[2])
+    e2 = (z[2] - z[1]) + (z[0] - z[3])
+    return max(abs(e1), abs(e2)) / scale
 
 
 def _meet(p: complex, u: complex, q: complex, v: complex, tol: float) -> complex | None:
@@ -742,8 +812,8 @@ def quad_distance(q1: Quadrilateral, q2: Quadrilateral) -> float:
     Needed for the periodicity checks: a period-two parallelogram returns to
     itself with vertices exchanged by the half-turn about W.
     """
-    v1, v2 = q1.vertices(), q2.vertices()
-    best = min(max(v1[i].dist(v2[(i + shift) % 4]) for i in range(4)) for shift in range(4))
+    z1, z2 = q1._z, q2._z
+    best = min(max(abs(z1[i] - z2[(i + shift) % 4]) for i in range(4)) for shift in range(4))
     return best / max(q1.scale(), q2.scale())
 
 
@@ -798,7 +868,7 @@ def feet_circles_residual(st: QuadState) -> float | None:
     if not is_finite(w):
         return None
     vs = q.vertices()
-    z, s = [v.to_complex() for v in vs], q.sides()
+    z, s = q._z, q.sides()
     feet = []
     for k in range(4):
         f = _meet(z[k] + 0.5 * s[k], 1j * s[k], z[k - 2], s[k - 2], tol)

@@ -22,6 +22,7 @@ from .errors import (
 from .kernel import (
     DEFAULT_TOL,
     Point,
+    circumcircle,
     is_finite,
     orthocenter,
 )
@@ -305,6 +306,15 @@ def _inv_ptolemy(st):
     return max(res1, res2)
 
 
+def _inv_q2_construction(st):
+    """Q2 from the closed-form side table against the four triad
+    circumcenters solved one by one, in Q1's diameter (their own error
+    scale)."""
+    a, b, c, d = st.q.vertices()
+    centers = [circumcircle(*t).o for t in ((d, a, b), (a, b, c), (b, c, d), (c, d, a))]
+    return max(o.dist(v) for o, v in zip(centers, st.q2.vertices())) / st.scale
+
+
 def _inv_cyclic_degeneration(st):
     try:
         st.q2
@@ -318,6 +328,7 @@ def _inv_cyclic_degeneration(st):
 INVARIANTS: dict[str, tuple] = {
     "six_cs_concurrence": (six_cs_residual, _NONCYCLIC),
     "area_ratio": (area_ratio_residual, _NONCYCLIC),
+    "q2_construction": (_inv_q2_construction, _NONCYCLIC),
     "r_range": (_inv_r_range, SHAPE_CLASSES),
     "supplementary_angles": (_inv_supplementary, _NONCYCLIC),
     "w_agreement": (_inv_w_agreement, _GENERIC),

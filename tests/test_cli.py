@@ -94,6 +94,15 @@ class TestAnalyze:
         x, y = json.loads(out.read_text())["w"]["xy"]
         assert math.hypot(x / factor - x0, y / factor - y0) <= 1e-14 * math.sqrt(34.0)
 
+    @pytest.mark.parametrize("vertices", [
+        [[0, 0], [1e-320, 0], [1e-320, 1e-320], [0, 1e-320]],
+        [[0, 0], [0, 0], [0, 0], [0, 2.2e-321]],
+    ], ids=["subnormal-square", "three-coincident"])
+    def test_subnormal_input_reports_or_is_degenerate(self, quad_file, vertices):
+        # the frame unit of the square was 2^1065, past the largest float, and
+        # tol * diameter of the coincident vertices underflowed to 0
+        assert main(["analyze", quad_file({"vertices": vertices})]) in (0, 2)
+
     def test_roundtrip_17_digits(self, quad_file, tmp_path):
         quad = {"vertices": [[0.1, 0.2], [4.3, 0.7], [5.9, 3.1], [1.4, 4.8]]}
         out = tmp_path / "report.json"

@@ -1,4 +1,4 @@
-"""The closed forms of W, S and r, proved in exact symbolic arithmetic.
+"""The closed forms of W, S, r and Q2, proved in exact symbolic arithmetic.
 
 A similarity puts A at 0 and B at 1, so C = (x1, y1) and D = (x2, y2) are
 the only free coordinates, and every construction below is a rational
@@ -125,3 +125,48 @@ def test_pedal_feet_of_miquel_s_are_collinear():
     f1, f2, f3, f4 = _pedal(Q1, s)
     assert _cross(_sub(f2, f1), _sub(f3, f1)) == 0
     assert _cross(_sub(f2, f1), _sub(f4, f1)) == 0
+
+
+def _orient(p, q, x):
+    # c_PQX = (P - X) x (Q - X), twice the signed area of the triangle P Q X
+    return _cross(_sub(p, x), _sub(q, x))
+
+
+def _incircle(vs):
+    # Delta: the determinant of the rows (V - A, |V - A|^2) for V = B, C, D
+    a = vs[0]
+    (bx, by), (cx, cy), (dx, dy) = (_sub(v, a) for v in vs[1:])
+    lb, lc, ld = bx * bx + by * by, cx * cx + cy * cy, dx * dx + dy * dy
+    return lb * (cx * dy - cy * dx) - lc * (bx * dy - by * dx) + ld * (bx * cy - by * cx)
+
+
+def _bisector_step(u, v, x, y, sign):
+    # sign (i/2) (V - U) Delta / (c_UVX c_UVY)
+    e = _sub(v, u)
+    k = sign * _incircle(Q1) / (2 * _orient(u, v, x) * _orient(u, v, y))
+    return (-k * e[1], k * e[0])
+
+
+@cache
+def _second_generation():
+    return _next(Q1)
+
+
+def test_q2_sides_share_one_incircle_determinant():
+    # side k of Q2 lies on the perpendicular bisector of side k of Q1, with
+    # the other two vertices x and y of Q1 in cyclic order; the sign
+    # alternates from side to side
+    q2 = _second_generation()
+    for k in range(4):
+        u, v, x, y = (Q1[(k + m) % 4] for m in range(4))
+        sign = -1 if k % 2 == 0 else 1
+        assert _sub(q2[(k + 1) % 4], q2[k]) == _bisector_step(u, v, x, y, sign)
+
+
+def test_q2_diagonals_share_the_same_determinant():
+    # A2 and C2 are the centers of (D A B) and (B C D), both through B and
+    # D; B2 and D2 those of (A B C) and (C D A), both through A and C
+    a, b, c, d = Q1
+    a2, b2, c2, d2 = _second_generation()
+    assert _sub(c2, a2) == _bisector_step(b, d, c, a, -1)
+    assert _sub(d2, b2) == _bisector_step(a, c, d, b, -1)

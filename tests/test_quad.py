@@ -88,6 +88,25 @@ class TestQuadrilateral:
     def test_area_square(self):
         assert SQUARE.area() == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("factor", [1e-200, 1e200])
+    def test_extreme_scales_keep_r(self, factor):
+        # crosses and cotangents are formed on the side table times a power
+        # of two near 1 / diameter: raw, they overflowed from 1e155 (r read
+        # NaN) and underflowed at 1e-170 (a valid input raised CollinearInput)
+        for shape in ("convex-noncyclic", "concave", "trapezoid"):
+            for q in generic_quads(20, shape, seed=1):
+                big = Quadrilateral(*(Point(v.x * factor, v.y * factor) for v in q.vertices()))
+                assert big.min_triad_height() == pytest.approx(
+                    q.min_triad_height() * factor, rel=1e-14)
+                r = analyze(big).r
+                assert math.isfinite(r)
+                assert r == pytest.approx(similarity_ratio(q), rel=1e-12)
+
+    def test_coincident_vertices_rejected_at_subnormal_scale(self):
+        # tol * diameter underflowed to 0 at a diameter of 2.2e-321
+        with pytest.raises(CollinearInput):
+            Quadrilateral(Point(0, 0), Point(0, 0), Point(0, 0), Point(0, 2.2e-321))
+
 
 class TestTriadCircles:
     def test_square_all_equal(self):
@@ -119,8 +138,8 @@ class TestTriadCircles:
 
     @pytest.mark.parametrize("factor", [1e-140, 1e140])
     def test_extreme_scales(self, factor):
-        # the lifts |z|^2 / 2 of raw coordinates would underflow or overflow;
-        # both passes run on vertices rescaled by a power of two
+        # the lifts |z|^2 / 2 and the crosses of raw coordinates would
+        # underflow or overflow; the side table is rescaled by a power of two
         for shape in ("convex-noncyclic", "concave", "trapezoid"):
             for q in generic_quads(20, shape, seed=1):
                 big = Quadrilateral(*(Point(v.x * factor, v.y * factor) for v in q.vertices()))
@@ -665,7 +684,7 @@ class TestComputeOnce:
 
     def test_analyze_builds_each_part_once(self, monkeypatch):
         import isoptic.quad as quad
-        calls = self._record(monkeypatch, ("classify", "triad_circles"))
+        calls = self._record(monkeypatch, ("classify", "triad_circles", "circumcenter"))
         for shape in SHAPE_CLASSES:
             for q in generic_quads(5, shape, seed=5):
                 for seen in calls.values():
@@ -673,6 +692,9 @@ class TestComputeOnce:
                 quad.analyze(q)
                 assert len(calls["classify"]) == 1
                 assert calls["triad_circles"] == [q]
+                # one circumcenter per triad system: the other three centers
+                # are the closed-form side table away from it
+                assert len(calls["circumcenter"]) == 1
 
     def test_w_and_s_build_no_circle_and_no_shape(self, monkeypatch):
         import isoptic.quad as quad
@@ -817,10 +839,14 @@ _COORD = st.one_of(st.integers(-8, 8).map(float),
        scale=st.sampled_from((1e-12, 1.0, 1e9)), offset=st.tuples(_COORD, _COORD))
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @example(vertices=[(0.0, 0.0), (3.0, 1.0), (2.0, 0.0), (0.0, 1.0)], scale=1.0, offset=(0.0, 0.0))
+@example(vertices=[(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 2.2e-309)], scale=1e-12,
+         offset=(0.0, 0.0))
 def test_analyze_returns_or_raises_a_geometry_error(vertices, scale, offset):
     """Steered toward large residuals (targeted property-based testing):
     analyze either reports or raises a GeometryError, never another error.
-    The example is a bowtie whose two lobes cancel to area 0."""
+    The first example is a bowtie whose two lobes cancel to area 0; the
+    second has three coincident vertices at a subnormal scale, where
+    tol * diameter underflowed to 0 and the quadrilateral was accepted."""
     try:
         rep = analyze(Quadrilateral(*(Point(scale * x + offset[0], scale * y + offset[1])
                                       for x, y in vertices)))

@@ -123,18 +123,32 @@ class TestRunSuite:
             rep = run_suite(CaseSpec(seed=5, shape_class=sc), 15, tol=1e-8)
             assert rep.failures == 0, f"{sc}: {rep.to_dict()}"
 
-    def test_near_cyclic_passes_at_a_thousand_cases(self):
-        # Q2 of a nearly cyclic case shrinks to a point; its four centers
-        # come from one shared frame, so its angles stay supplementary
-        rep = run_suite(CaseSpec(seed=42, shape_class="near-cyclic"), 1000)
-        assert rep.failures == 0, rep.to_dict()
-
-    @pytest.mark.parametrize("seed, most", [(2, 0), (3, 1), (7, 0)])
+    @pytest.mark.parametrize("seed, most", [(2, 0), (3, 0), (7, 0)])
     def test_trapezoid_roundtrip_failures_do_not_grow(self, seed, most):
         # nearly cyclic trapezoids, whose Q2 shrinks to rounding level; seed 3
-        # case 397 (r = -1.4e-10) still fails, through the rounding of its Q2
+        # case 397 (r = -1.4e-10) failed at 2.5e-8 while Q2 was rebuilt from
+        # its rounded absolute centers and conjugated in absolute coordinates
         rep = run_suite(CaseSpec(seed, "trapezoid"), 1000)
         assert rep.invariants["roundtrip_generations"].failures <= most, rep.to_dict()
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed, shape_class",
+                             [(s, c) for s in (7, 42) for c in SHAPE_CLASSES]
+                             + [(s, "near-cyclic") for s in range(100, 120)])
+    def test_no_failures_at_a_thousand_cases(self, seed, shape_class):
+        # Q2 of a nearly cyclic case shrinks to a point; it keeps the shape of
+        # its closed-form side table, so its angles stay supplementary
+        rep = run_suite(CaseSpec(seed, shape_class), 1000)
+        assert rep.failures == 0 and rep.errors == 0, rep.to_dict()
+
+    def test_q2_construction_runs_on_noncyclic_classes(self):
+        for sc in SHAPE_CLASSES:
+            rep = run_suite(CaseSpec(seed=5, shape_class=sc), 5)
+            stats = rep.invariants.get("q2_construction")
+            if sc in ("cyclic", "orthocentric"):
+                assert stats is None
+            else:
+                assert stats.cases_run == 5 and stats.max_residual < 1e-13
 
     def test_cyclic_runs_ptolemy_but_not_cs(self):
         rep = run_suite(CaseSpec(seed=5, shape_class="cyclic"), 5, tol=1e-8)
