@@ -7,18 +7,16 @@ from .kernel import (
     AtInfinity,
     Circle,
     GenCircle,
+    Line,
     Point,
     Triangle,
-    apollonius_circle,
     circle_of_similitude,
     circumcircle,
-    foot_of_perpendicular,
     intersect,
     invert_circle,
     invert_point,
     is_finite,
     isogonal_conjugate_triangle,
-    perpendicular_bisector,
 )
 from .quad import (
     AnalysisReport,

@@ -24,10 +24,6 @@ class IdenticalCurves(GeometryError):
     """Two generalized circles coincide within tolerance."""
 
 
-class NonpositiveRatio(GeometryError):
-    """An Apollonius / similarity ratio must be positive."""
-
-
 class ConcentricCircles(GeometryError):
     """Two circles share a center, so their circle of similitude fails."""
 

@@ -1,15 +1,15 @@
 """Floating-point primitives for inversive plane geometry.
 
-Points, circles as ``Circle`` (center and radius), inversion, circles of
+Points, circles as ``Circle`` (a complex center and a radius), lines as
+``Line`` (a complex point and a unit direction), inversion, circles of
 similitude and triangle-level conjugations; ``quad`` reads directed angles and
 spiral similarities as phases and factors of complex ratios, with no type of
-their own.  A generalized circle stores the equation
+their own.  ``Point`` is the type of the public inputs and outputs.
 
-    a*(x^2 + y^2) + b*x + c*y + d = 0
-
-normalized so that max(|a|,|b|,|c|,|d|) = 1; ``a == 0`` encodes a line.  It
-is kept where a curve may be a line: lines, inversion images, Apollonius
-circles and the curves ``intersect`` takes.
+``GenCircle`` stores the equation a*(x^2 + y^2) + b*x + c*y + d = 0,
+normalized so that max(|a|,|b|,|c|,|d|) = 1, with ``a == 0`` for a line.  No
+construction of the package builds one: it remains for ``intersect`` and
+``invert_circle``, which the benchmark's tracer still wraps.
 
 All tolerances are relative: an operation taking ``tol`` compares against
 ``tol * D`` where ``D`` is the diameter of its input point set.
@@ -27,7 +27,6 @@ from .errors import (
     DegenerateCircle,
     DegenerateConjugate,
     IdenticalCurves,
-    NonpositiveRatio,
     NotALine,
 )
 
@@ -113,9 +112,9 @@ def diameter(points) -> float:
 
 @dataclass(frozen=True)
 class Circle:
-    """A proper circle: center o and radius r > 0."""
+    """A proper circle: complex center o and radius r > 0."""
 
-    o: Point
+    o: complex
     r: float
     is_line = False
 
@@ -124,13 +123,29 @@ class Circle:
             raise DegenerateCircle(f"invalid radius {self.r}")
 
     def center(self) -> Point:
-        return self.o
+        return Point(self.o.real, self.o.imag)
 
     def radius(self) -> float:
         return self.r
 
     def distance_to(self, p: Point) -> float:
-        return abs(p.dist(self.o) - self.r)
+        return abs(abs(p.to_complex() - self.o) - self.r)
+
+
+@dataclass(frozen=True)
+class Line:
+    """A line through the complex point p with the unit direction u."""
+
+    p: complex
+    u: complex
+    is_line = True
+
+    def direction(self) -> Point:
+        return Point(self.u.real, self.u.imag)
+
+    def distance_to(self, q: Point) -> float:
+        # the cross of u with q - p
+        return abs(((q.to_complex() - self.p) * self.u.conjugate()).imag)
 
 
 @dataclass(frozen=True)
@@ -165,15 +180,10 @@ class GenCircle:
 
     @staticmethod
     def line_through(p: Point, q: Point) -> "GenCircle":
-        return GenCircle.line_point_direction(p, q - p)
-
-    @staticmethod
-    def line_point_direction(p: Point, direction: Point) -> "GenCircle":
-        # the normal (b, c) is the direction turned by 90 degrees; forming
-        # p + direction would round a short direction away when |p| is large
-        if direction.x == 0.0 and direction.y == 0.0:
+        # the normal (b, c) is q - p turned by 90 degrees
+        b, c = p.y - q.y, q.x - p.x
+        if b == 0.0 and c == 0.0:
             raise CoincidentPoints("line through coincident points")
-        b, c = -direction.y, direction.x
         return GenCircle.from_coeffs(0.0, b, c, -(b * p.x + c * p.y))
 
     @property
@@ -193,13 +203,6 @@ class GenCircle:
             raise DegenerateCircle("degenerate circle (empty or a point)")
         return math.sqrt(disc) / (2.0 * abs(self.a))
 
-    def direction(self) -> Point:
-        """Unit direction vector of a line."""
-        if not self.is_line:
-            raise NotALine("direction is defined for lines only")
-        n = math.hypot(self.b, self.c)
-        return Point(-self.c / n, self.b / n)
-
     def evaluate(self, p: Point) -> float:
         return (self.a * (p.x * p.x + p.y * p.y)
                 + self.b * p.x + self.c * p.y + self.d)
@@ -209,16 +212,6 @@ class GenCircle:
         if self.is_line:
             return abs(self.b * p.x + self.c * p.y + self.d) / math.hypot(self.b, self.c)
         return abs(p.dist(self.center()) - self.radius())
-
-    def point_at(self, t: float) -> Point:
-        """Sample point: angle parameter on a circle, arclength on a line."""
-        if self.is_line:
-            n = math.hypot(self.b, self.c)
-            base = Point(-self.b * self.d / (n * n), -self.c * self.d / (n * n))
-            return base + self.direction() * t
-        o = self.center()
-        r = self.radius()
-        return Point(o.x + r * math.cos(t), o.y + r * math.sin(t))
 
 
 def coeff_distance(g1: GenCircle, g2: GenCircle) -> float:
@@ -279,16 +272,7 @@ def circumcircle(p: Point, q: Point, r: Point, tol: float = DEFAULT_TOL) -> Circ
     CollinearInput as circumcenter does."""
     a, b = complex(q.x - p.x, q.y - p.y), complex(r.x - p.x, r.y - p.y)
     c = circumcenter(a, b, 0.5 * norm2(a), 0.5 * norm2(b), tol)
-    return Circle(Point(p.x + c.real, p.y + c.imag), (abs(c) + abs(c - a) + abs(c - b)) / 3.0)
-
-
-def perpendicular_bisector(p: Point, q: Point) -> GenCircle:
-    if p.dist(q) == 0.0:
-        raise CoincidentPoints("perpendicular bisector of coincident points")
-    b = 2.0 * (q.x - p.x)
-    c = 2.0 * (q.y - p.y)
-    d = p.dot(p) - q.dot(q)
-    return GenCircle.from_coeffs(0.0, b, c, d)
+    return Circle(complex(p.x + c.real, p.y + c.imag), (abs(c) + abs(c - a) + abs(c - b)) / 3.0)
 
 
 def _line_line(g1: GenCircle, g2: GenCircle, tol: float) -> list[Point]:
@@ -346,13 +330,14 @@ def intersect(g1: GenCircle, g2: GenCircle, tol: float = DEFAULT_TOL) -> list[Po
     return sorted(pts, key=lambda p: (p.x, p.y))
 
 
-def invert_point(mirror: Circle | GenCircle, p: MaybePoint,
-                 tol: float = DEFAULT_TOL) -> MaybePoint:
+def invert_point(mirror: Circle, p: MaybePoint, tol: float = DEFAULT_TOL) -> MaybePoint:
     """Inversive image of a point in a circle mirror.
 
     The center maps to infinity and a point at infinity to the center.  A
     line mirror raises NotALine.
     """
+    if mirror.is_line:
+        raise NotALine("cannot invert in a line")
     o = mirror.center()
     r = mirror.radius()
     if isinstance(p, AtInfinity):
@@ -389,63 +374,47 @@ def invert_circle(mirror: Circle | GenCircle, g: GenCircle,
     return out
 
 
-def apollonius_circle(p1: Point, p2: Point, ratio: float,
-                      tol: float = DEFAULT_TOL) -> GenCircle:
-    """Locus of X with |X p1| / |X p2| = ratio; a line when ratio = 1."""
-    if not (ratio > 0.0) or not math.isfinite(ratio):
-        raise NonpositiveRatio(f"ratio must be positive, got {ratio}")
-    if p1.dist(p2) == 0.0:
-        raise CoincidentPoints("Apollonius circle of coincident points")
-    k2 = ratio * ratio
+def _center_gap(o1: Circle, o2: Circle, tol: float) -> float:
+    """|c1 - c2| for two circles; ConcentricCircles if the centers are
+    within tol times the largest of the radii and their distance."""
+    gap = abs(o1.o - o2.o)
+    if gap < tol * max(o1.r, o2.r, gap):
+        raise ConcentricCircles("circle of similitude of concentric circles")
+    return gap
+
+
+def circle_of_similitude(o1: Circle, o2: Circle, tol: float = DEFAULT_TOL) -> Circle | Line:
+    """The locus |X - c1| = k |X - c2| of the centers with the ratio k = R1 / R2
+    of the radii: the circle of center (c1 - k^2 c2) / (1 - k^2) and radius
+    k |c1 - c2| / |1 - k^2|, or the perpendicular bisector of the centers
+    when |1 - k^2| < tol max(1, k^2)."""
+    gap = _center_gap(o1, o2, tol)
+    k = o1.r / o2.r
+    k2 = k * k
     a = 1.0 - k2
     if abs(a) < tol * max(1.0, k2):
-        return perpendicular_bisector(p1, p2)
-    b = -2.0 * (p1.x - k2 * p2.x)
-    c = -2.0 * (p1.y - k2 * p2.y)
-    d = p1.dot(p1) - k2 * p2.dot(p2)
-    return GenCircle.from_coeffs(a, b, c, d)
+        return Line(0.5 * (o1.o + o2.o), 1j * (o2.o - o1.o) / gap)
+    return Circle((o1.o - k2 * o2.o) / a, k * gap / abs(a))
 
 
-def _similitude_pair(o1, o2, tol: float) -> tuple[Point, float, Point, float]:
-    """Centers and radii of two circles; ConcentricCircles if the centers are
-    within tol times the largest of the radii and their distance."""
-    c1, r1, c2, r2 = o1.center(), o1.radius(), o2.center(), o2.radius()
-    if c1.dist(c2) < tol * max(r1, r2, c1.dist(c2)):
-        raise ConcentricCircles("circle of similitude of concentric circles")
-    return c1, r1, c2, r2
-
-
-def circle_of_similitude(o1: Circle | GenCircle, o2: Circle | GenCircle,
-                         tol: float = DEFAULT_TOL) -> GenCircle:
-    """Apollonius circle of the centers with the ratio of the radii."""
-    c1, r1, c2, r2 = _similitude_pair(o1, o2, tol)
-    return apollonius_circle(c1, c2, r1 / r2, tol)
-
-
-def cs_distance(w: Point, o1: Circle, o2: Circle, tol: float = DEFAULT_TOL) -> float:
+def cs_distance(w: complex, o1: Circle, o2: Circle, tol: float = DEFAULT_TOL) -> float:
     """First-order distance of w from the circle of similitude of o1 and o2,
-    with no circle built: the Apollonius defect d1 R2 - d2 R1, d_i = |w - c_i|,
-    over its gradient R2 (w - c1) / d1 - R1 (w - c2) / d2; w at a center has
-    no gradient and is infinitely far."""
-    c1, r1, c2, r2 = _similitude_pair(o1, o2, tol)
-    u, v = complex(w.x - c1.x, w.y - c1.y), complex(w.x - c2.x, w.y - c2.y)
+    with no circle built: the Apollonius defect d1 - k d2, d_i = |w - c_i| and
+    k = R1 / R2, over its gradient (w - c1) / d1 - k (w - c2) / d2, so that no
+    product of a distance and a radius forms; w at a center has no gradient
+    and is infinitely far."""
+    _center_gap(o1, o2, tol)
+    k = o1.r / o2.r
+    u, v = w - o1.o, w - o2.o
     d1, d2 = abs(u), abs(v)
-    grad = abs(r2 * u / d1 - r1 * v / d2) if d1 and d2 else 0.0
-    return abs(d1 * r2 - d2 * r1) / grad if grad else math.inf
-
-
-def foot_of_perpendicular(line: GenCircle, p: Point) -> Point:
-    if not line.is_line:
-        raise NotALine("foot of perpendicular needs a line")
-    n2 = line.b * line.b + line.c * line.c
-    t = (line.b * p.x + line.c * p.y + line.d) / n2
-    return Point(p.x - line.b * t, p.y - line.c * t)
+    grad = abs(u / d1 - k * v / d2) if d1 and d2 else 0.0
+    return abs(d1 - k * d2) / grad if grad else math.inf
 
 
 def orthocenter(p: Point, q: Point, r: Point) -> Point:
     """Orthocenter via H = P + Q + R - 2*O."""
-    o = circumcircle(p, q, r).center()
-    return Point(p.x + q.x + r.x - 2.0 * o.x, p.y + q.y + r.y - 2.0 * o.y)
+    o = circumcircle(p, q, r).o
+    return Point(p.x + q.x + r.x - 2.0 * o.real, p.y + q.y + r.y - 2.0 * o.imag)
 
 
 # ---------------------------------------------------------------------------

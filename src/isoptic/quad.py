@@ -42,7 +42,7 @@ from .kernel import (
     DEFAULT_TOL,
     AtInfinity,
     Circle,
-    GenCircle,
+    Line,
     MaybePoint,
     Point,
     circumcenter,
@@ -77,28 +77,26 @@ class Quadrilateral:
         self._frame(z, (b - a, c - a, d - a, c - b, d - b, d - c))
 
     @classmethod
-    def _from_table(cls, vertices: tuple[Point, ...], diffs: tuple[complex, ...]) -> Quadrilateral:
-        """The quadrilateral of four Points whose side table is diffs, in
-        the Points' units, rather than the differences of the rounded Points:
-        for a construction that knows its sides better than its vertices."""
+    def _from_table(cls, z: tuple[complex, ...], diffs: tuple[complex, ...]) -> Quadrilateral:
+        """The quadrilateral of four complex vertices whose side table is
+        diffs, in the vertices' units, rather than the differences of the
+        rounded vertices: for a construction that knows its sides better than
+        its vertices."""
         q = object.__new__(cls)
-        a, b, c, d = vertices
-        vars(q).update(a=a, b=b, c=c, d=d)
-        q._frame((complex(a.x, a.y), complex(b.x, b.y), complex(c.x, c.y), complex(d.x, d.y)),
-                 diffs)
+        vars(q).update(zip("abcd", (Point(v.real, v.imag) for v in z)))
+        q._frame(z, diffs)
         return q
 
     def _frame(self, z: tuple[complex, ...], diffs: tuple[complex, ...]):
         # the side table _diffs = (B - A, C - A, D - A, C - B, D - B, D - C)
-        # times _unit, an exact power of two near 1 / diameter (at most
-        # 2^1023, so a subnormal diameter becomes about 1e-12), so that its
+        # times _unit, an exact power of two near 1 / diameter, so that its
         # crosses and dot products neither overflow nor underflow; every side,
         # angle and triad construction reads it.  One pass gives the diameter
         # and the least triad height in the frame, |cross| / longest side (0
         # if the triad is one point)
         norms = nab, nac, nad, nbc, nbd, ncd = [math.hypot(v.real, v.imag) for v in diffs]
         scale = max(norms) or 1.0
-        unit = math.ldexp(1.0, min(-math.frexp(scale)[1], 1023))
+        unit = _unit_near(scale)
         ab, ac, ad, bc, bd, cd = diffs
         frame = ab, ac, ad, bc, bd, cd = (ab * unit, ac * unit, ad * unit, bc * unit, bd * unit,
                                           cd * unit)
@@ -141,10 +139,14 @@ class Quadrilateral:
 
     def signed_area(self) -> float:
         """Positive for counterclockwise vertex order."""
-        # edge vectors from A: the absolute-coordinate shoelace cancels to 0
-        # on a quadrilateral far smaller than its distance from the origin
+        return self._area2() / 2.0 / self._unit / self._unit
+
+    def _area2(self) -> float:
+        # twice the signed area in the frame, from the edge vectors at A: the
+        # absolute-coordinate shoelace cancels to 0 on a quadrilateral far
+        # smaller than its distance from the origin
         ab, ac, ad = self._diffs[:3]
-        return (_cross(ab, ac) + _cross(ac, ad)) / 2.0 / self._unit / self._unit
+        return _cross(ab, ac) + _cross(ac, ad)
 
     def area(self) -> float:
         return abs(self.signed_area())
@@ -279,6 +281,12 @@ def _state(q: QuadOrState, tol: float) -> QuadState:
 # angles and shape
 
 
+def _unit_near(x: float) -> float:
+    """An exact power of two near 1 / x, at most 2^1023 (so that a subnormal
+    x gives about 1e-12 rather than an overflow)."""
+    return math.ldexp(1.0, min(-math.frexp(x)[1], 1023))
+
+
 def _dot(u: complex, v: complex) -> float:
     return u.real * v.real + u.imag * v.imag
 
@@ -308,17 +316,16 @@ def noncyclicity_measure(q: Quadrilateral) -> float:
 def classify(q: QuadOrState, tol: float = DEFAULT_TOL) -> ShapeClass:
     st = _state(q, tol)
     tol = st.tol
-    vs = st.q.vertices()
     scale = st.scale
     convex = st.q.is_convex()
     cyclic = st.cyclic
 
     # each vertex v is the orthocenter of the other three, their sum minus
     # twice the center o of their triad circle: 2 (v + o) = sum of all four
-    t = st.triads
-    total = sum(v.to_complex() for v in vs)
-    ortho = all(abs(2.0 * (v.to_complex() + circ.o.to_complex()) - total) <= tol * scale
-                for v, circ in zip(vs, (t.o3, t.o4, t.o1, t.o2)))
+    t, z = st.triads, st.q._z
+    total = sum(z)
+    ortho = all(abs(2.0 * (v + circ.o) - total) <= tol * scale
+                for v, circ in zip(z, (t.o3, t.o4, t.o1, t.o2)))
 
     def parallel(u: complex, v: complex) -> bool:
         return (abs(_cross(u, v)) / (math.hypot(u.real, u.imag) * math.hypot(v.real, v.imag))
@@ -428,7 +435,7 @@ def triad_circles(q: Quadrilateral, tol: float = DEFAULT_TOL) -> TriadSystem:
     rel = (0j, ab, ac, ad)
     za, unit = q._z[0], q._unit
     return TriadSystem(*(
-        Circle(Point.from_complex(za + o / unit),
+        Circle(za + o / unit,
                (abs(o - rel[i]) + abs(o - rel[j]) + abs(o - rel[k])) / 3 / unit)
         for (i, j, k), o in zip(_TRIADS, centers)), diffs=tuple([v / unit for v in table]))
 
@@ -478,6 +485,8 @@ def _conjugates_in_triads(q: Quadrilateral, tol: float) -> list[MaybePoint]:
 
 
 _AT_INFINITY = 1e-12
+# generations the limit route walks before it gives up
+_MAX_GENERATIONS = 60
 
 
 def isoptic_point(q: Quadrilateral) -> MaybePoint:
@@ -520,16 +529,15 @@ def _aitken(zs: list[complex], scale: float) -> Point:
     return Point(*out)
 
 
-def isoptic_point_via_limit(q: QuadOrState, max_gen: int = 60,
-                            tol: float = DEFAULT_TOL) -> MaybePoint:
+def isoptic_point_via_limit(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePoint:
     """Limit of the forward (|r| < 1) or reverse (|r| > 1) iteration, walked
     along the state's next or prev chain.
 
     Q^(k+2) = W + r (Q^(k) - W), so each same-parity centroid subsequence
     is geometric with the real ratio r and Aitken extrapolation of three of
     its terms is exact up to rounding: on generic input the route returns
-    after five generations, when the two subsequences agree.  max_gen is
-    only a budget for inputs where they do not.
+    after five generations, when the two subsequences agree.
+    _MAX_GENERATIONS is only a budget for inputs where they do not.
     """
     st = _state(q, tol)
     tol, r = st.tol, st.r
@@ -537,7 +545,7 @@ def isoptic_point_via_limit(q: QuadOrState, max_gen: int = 60,
         raise NonConvergent(f"|r| = {abs(r)} is on the periodic locus")
     current, scale, forward = st, st.scale, abs(r) < 1.0
     cents = [sum(st.q._z) / 4.0]
-    for _ in range(max_gen):
+    for _ in range(_MAX_GENERATIONS):
         try:
             current = current.next if forward else current.prev
         except (CyclicDegeneration, OrthocentricDegeneration) as exc:
@@ -584,19 +592,21 @@ def isoptic_point_via_inv_iso(q: QuadOrState, tol: float = DEFAULT_TOL) -> Maybe
 
 def isoptic_quantity(q: QuadOrState, w: Point, tol: float = DEFAULT_TOL) -> list[float]:
     """d_i / R_i for the four triad circles; all equal exactly at W."""
-    return [w.dist(o.center()) / o.radius() for o in _state(q, tol).triads.circles]
+    z = w.to_complex()
+    return [abs(z - o.o) / o.r for o in _state(q, tol).triads.circles]
 
 
 def isodynamic_ratios(q: QuadOrState, w: Point, tol: float = DEFAULT_TOL) -> float:
     """Relative spread of |w - vertex_k| * R_sigma(k); ~0 exactly at W.
 
     sigma pairs each vertex with the radius of the triad circle through the
-    other three: (A, R3), (B, R4), (C, R1), (D, R2).
+    other three: (A, R3), (B, R4), (C, R1), (D, R2).  The radii are taken in
+    an exact power of two near the largest, so no product overflows.
     """
     st = _state(q, tol)
-    q = st.q
-    r1, r2, r3, r4 = (o.r for o in st.triads.circles)
-    prods = [w.dist(q.a) * r3, w.dist(q.b) * r4, w.dist(q.c) * r1, w.dist(q.d) * r2]
+    radii = [o.r for o in st.triads.circles]
+    unit, p = _unit_near(max(radii)), w.to_complex()
+    prods = [abs(p - v) * (radii[k - 2] * unit) for k, v in enumerate(st.q._z)]
     mean = sum(prods) / 4.0
     if mean == 0.0:
         return 0.0
@@ -667,14 +677,11 @@ def _tls_axis(points: list[Point]) -> tuple[complex, complex, list[complex]]:
     g = sum(z) / len(z)
     rel = [v - g for v in z]
     # sum (z - g)^2 = sxx - syy + 2i sxy: half its phase is the principal
-    # direction of the scatter matrix
-    return g, cmath.rect(1.0, 0.5 * cmath.phase(sum(v * v for v in rel))), rel
-
-
-def best_fit_line(points: list[Point]) -> GenCircle:
-    """Total-least-squares line through a point cloud."""
-    g, u, _ = _tls_axis(points)
-    return GenCircle.line_point_direction(Point.from_complex(g), Point.from_complex(u))
+    # direction of the scatter matrix; the offsets are squared in a power of
+    # two near the largest, so that the squares neither overflow nor underflow
+    unit = _unit_near(max(map(abs, rel)))
+    scatter = sum((v * unit) * (v * unit) for v in rel)
+    return g, cmath.rect(1.0, 0.5 * cmath.phase(scatter)), rel
 
 
 def collinearity_residual(points: list[Point]) -> float:
@@ -683,11 +690,13 @@ def collinearity_residual(points: list[Point]) -> float:
     return max(abs(_cross(u, v)) for v in rel)
 
 
-def simson_line(q: QuadOrState, tol: float = DEFAULT_TOL) -> GenCircle:
+def simson_line(q: QuadOrState, tol: float = DEFAULT_TOL) -> Line:
+    """The total-least-squares line of the pedal feet of S."""
     feet = _state(q, tol).pedal_s
     if feet is None:
         raise PointAtInfinity("the Simson point is not finite")
-    return best_fit_line(feet)
+    g, u, _ = _tls_axis(feet)
+    return Line(g, u)
 
 
 def parallelogram_residual(pts: list[Point], scale: float) -> float:
@@ -832,11 +841,11 @@ def cross_generation_cs_residual(q: QuadOrState, w: Point,
     """Max scale-free distance of w to CS(o_i^(k), o_j^(l)) across the first
     three generations, each read from the Apollonius defect (cs_distance)."""
     st = _state(q, tol)
-    tol, scale = st.tol, st.scale
+    tol, scale, z = st.tol, st.scale, w.to_complex()
     circles = [c for g in (st, st.next, st.next.next) for c in g.triads.circles]
     # a pair of centers within noise is one circle twice: no CS
-    return max((cs_distance(w, c1, c2, tol) for c1, c2 in combinations(circles, 2)
-                if c1.o.dist(c2.o) >= 1e3 * tol * scale), default=0.0) / scale
+    return max((cs_distance(z, c1, c2, tol) for c1, c2 in combinations(circles, 2)
+                if abs(c1.o - c2.o) >= 1e3 * tol * scale), default=0.0) / scale
 
 
 def quadrangle_duality_residual(q: Quadrilateral, w: Point, mirror_radius: float,
@@ -849,13 +858,14 @@ def quadrangle_duality_residual(q: Quadrilateral, w: Point, mirror_radius: float
     one member of the pencil passes through W.  So the image is the CS if and
     only if W lies on it: the residual is W's largest distance from the six
     (cs_distance, the Apollonius defect) over the image's diameter."""
-    mirror = Circle(w, mirror_radius)
+    z = w.to_complex()
+    mirror = Circle(z, mirror_radius)
     images = [invert_point(mirror, v, tol) for v in q.vertices()]
     if not all(is_finite(p) for p in images):
         raise DegenerateConjugate("a vertex maps to infinity under the duality mirror")
     q_img = Quadrilateral(*images)
     pairs = combinations(triad_circles(q_img, tol).circles, 2)
-    return max(cs_distance(w, c1, c2, tol) for c1, c2 in pairs) / q_img.scale()
+    return max(cs_distance(z, c1, c2, tol) for c1, c2 in pairs) / q_img.scale()
 
 
 def feet_circles_residual(st: QuadState) -> float | None:
@@ -877,7 +887,7 @@ def feet_circles_residual(st: QuadState) -> float | None:
         feet.append(Point.from_complex(f))
     A, B, C, D = vs
     fa, fb, fc, fd = feet
-    a2, b2, c2, d2 = (o.o for o in st.triads.circles)
+    a2, b2, c2, d2 = (o.center() for o in st.triads.circles)
     triples = [(A, fb, b2), (A, fc, d2), (B, fc, c2), (B, fd, a2),
                (C, fd, d2), (C, fa, b2), (D, fa, a2), (D, fb, c2)]
     worst = 0.0
@@ -902,7 +912,7 @@ def spiral_transport_residual(st: QuadState) -> float | None:
     ]
     worst = 0.0
     for src, dst, point, expected in cases:
-        k = (dst.o.to_complex() - w) * (src.o.to_complex() - w).conjugate()
+        k = (dst.o - w) * (src.o - w).conjugate()
         img = w + (point.to_complex() - w) * cmath.rect(dst.r / src.r, cmath.phase(k))
         worst = max(worst, abs(img - expected.to_complex()) / st.scale)
     return worst
@@ -919,15 +929,17 @@ def six_cs_residual(st: QuadState) -> float | None:
     w = st.w
     if not is_finite(w) or st.cyclic:
         return None
-    pairs = combinations(st.triads.circles, 2)
-    return max(cs_distance(w, c1, c2, st.tol) for c1, c2 in pairs) / st.scale
+    z, pairs = w.to_complex(), combinations(st.triads.circles, 2)
+    return max(cs_distance(z, c1, c2, st.tol) for c1, c2 in pairs) / st.scale
 
 
 def area_ratio_residual(st: QuadState) -> float | None:
-    """| |r| - area(Q2) / area(Q1) |; None where Q1's two lobes cancel to
-    area 0, and raises where r or Q2 is undefined."""
-    area = st.q.area()
-    return None if area == 0.0 else abs(abs(st.r) - st.q2.area() / area)
+    """| |r| - area(Q2) / area(Q1) |, the areas read in their frames; None
+    where Q1's two lobes cancel to area 0, and raises where r or Q2 is
+    undefined."""
+    q1, q2 = st.q, st.q2
+    a1, a2 = q1._area2(), q2._area2()
+    return None if a1 == 0.0 else abs(abs(st.r) - abs(a2 / a1) * (q1._unit / q2._unit) ** 2)
 
 
 def isoptic_spread_residual(st: QuadState) -> float | None:

@@ -7,8 +7,7 @@ formatted with repr-style shortest round-trip floats.
 from __future__ import annotations
 
 from .errors import GeometryError
-from .kernel import (DEFAULT_TOL, GenCircle, Point, circle_of_similitude,
-                     foot_of_perpendicular, is_finite)
+from .kernel import DEFAULT_TOL, Circle, Line, Point, circle_of_similitude, is_finite
 from .quad import QuadState, Quadrilateral, next_generation, simson_line, varignon
 
 _SIZE = 640  # width and height of the SVG viewport in pixels
@@ -75,15 +74,17 @@ class _Canvas:
             f'stroke-width="{_fmt(width)}"{dash_attr}/>')
 
 
-def _clip_curve(canvas: _Canvas, curve: GenCircle, color, span: float,
+def _clip_curve(canvas: _Canvas, curve: Circle | Line, color, span: float,
                 anchor: Point, width=1.0, dash=None):
-    """Draw a generalized circle; lines become segments of length 2*span."""
+    """Draw a circle, or a line as the segment of length 2*span about the
+    foot of the perpendicular from anchor."""
     if curve.is_line:
-        d = curve.direction()
-        f = foot_of_perpendicular(curve, anchor)
-        canvas.segment(f - d * span, f + d * span, color, width, dash)
+        p, u = curve.p, curve.u
+        f = p + u * ((anchor.to_complex() - p) * u.conjugate()).real
+        canvas.segment(Point.from_complex(f - u * span), Point.from_complex(f + u * span),
+                       color, width, dash)
     else:
-        canvas.circle(curve.center(), curve.radius(), color, width, dash)
+        canvas.circle(curve.center(), curve.r, color, width, dash)
 
 
 def render_svg(q: Quadrilateral, layers=("quad", "triads", "w"),

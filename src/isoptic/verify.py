@@ -312,7 +312,7 @@ def _inv_q2_construction(st):
     scale)."""
     a, b, c, d = st.q.vertices()
     centers = [circumcircle(*t).o for t in ((d, a, b), (a, b, c), (b, c, d), (c, d, a))]
-    return max(o.dist(v) for o, v in zip(centers, st.q2.vertices())) / st.scale
+    return max(abs(o - v.to_complex()) for o, v in zip(centers, st.q2.vertices())) / st.scale
 
 
 def _inv_cyclic_degeneration(st):

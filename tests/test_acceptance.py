@@ -125,7 +125,7 @@ def test_criterion_04_four_way_agreement(convex_1000, concave_1000):
     worst = 0.0
     for q in cases:
         pts = [isoptic_point(q),
-               isoptic_point_via_limit(q, max_gen=60),
+               isoptic_point_via_limit(q),
                isoptic_point_via_inversion(q),
                isoptic_point_via_inv_iso(q)]
         assert all(is_finite(p) for p in pts)

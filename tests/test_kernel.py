@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from isoptic.errors import (
-    CoincidentPoints,
     CollinearInput,
     ConcentricCircles,
     DegenerateConjugate,
@@ -16,28 +15,40 @@ from isoptic.errors import (
 )
 from isoptic.kernel import (
     AtInfinity,
+    Circle,
     GenCircle,
+    Line,
     Point,
     Triangle,
-    apollonius_circle,
     circle_of_similitude,
     circles_equal,
     circumcircle,
-    foot_of_perpendicular,
     intersect,
     invert_circle,
     invert_point,
     is_finite,
     isogonal_conjugate,
     isogonal_conjugate_triangle,
-    perpendicular_bisector,
 )
 
 UNIT = GenCircle.circle(Point(0, 0), 1.0)
+DISC = Circle(0j, 1.0)
 
 
 def close(p: Point, q: Point, tol=1e-12):
     return p.dist(q) < tol
+
+
+def gen(c: Circle) -> GenCircle:
+    """The coefficient form of c, for intersect and invert_circle."""
+    return GenCircle.circle(c.center(), c.r)
+
+
+def on(c: Circle | Line, t: float) -> Point:
+    """The point at angle t on a circle, or at arclength t on a line."""
+    if c.is_line:
+        return Point.from_complex(c.p + c.u * t)
+    return Point.from_complex(c.o + c.r * cmath.exp(1j * t))
 
 
 # strategies for nondegenerate random inputs
@@ -67,7 +78,7 @@ def circle_pairs(draw):
     r1 = draw(st.floats(min_value=0.5, max_value=5))
     r2 = draw(st.floats(min_value=0.5, max_value=5))
     assume(o1c.dist(o2c) > 0.3)
-    return GenCircle.circle(o1c, r1), GenCircle.circle(o2c, r2)
+    return Circle(o1c.to_complex(), r1), Circle(o2c.to_complex(), r2)
 
 
 class TestCircumcircle:
@@ -94,33 +105,40 @@ class TestCircumcircle:
 
 
 class TestPerpendicularBisector:
+    """circle_of_similitude of two equal radii: the perpendicular bisector of
+    the centers, a Line."""
+
+    @staticmethod
+    def bisector(p: complex, q: complex) -> Line:
+        return circle_of_similitude(Circle(p, 1.0), Circle(q, 1.0))
+
     def test_vertical(self):
-        line = perpendicular_bisector(Point(0, 0), Point(2, 0))
+        line = self.bisector(0j, 2 + 0j)
         assert line.is_line
         assert line.distance_to(Point(1, 5)) < 1e-12
 
     def test_horizontal(self):
-        line = perpendicular_bisector(Point(0, 0), Point(0, 2))
+        line = self.bisector(0j, 2j)
         assert line.distance_to(Point(-3, 1)) < 1e-12
 
     def test_diagonal(self):
-        line = perpendicular_bisector(Point(1, 1), Point(3, 3))
+        line = self.bisector(1 + 1j, 3 + 3j)
         assert line.distance_to(Point(2, 2)) < 1e-12
         d = line.direction()
         assert abs(abs(d.x) - abs(d.y)) < 1e-12
 
     def test_coincident(self):
-        with pytest.raises(CoincidentPoints):
-            perpendicular_bisector(Point(1, 1), Point(1, 1))
+        with pytest.raises(ConcentricCircles):
+            self.bisector(1 + 1j, 1 + 1j)
 
     @given(points(), points())
     @settings(max_examples=100, deadline=None)
     def test_equidistance(self, p, q):
         if p.dist(q) < 0.1:
             return
-        line = perpendicular_bisector(p, q)
+        line = self.bisector(p.to_complex(), q.to_complex())
         for t in (-2.0, 0.0, 3.5):
-            x = line.point_at(t)
+            x = on(line, t)
             assert abs(x.dist(p) - x.dist(q)) < 1e-9 * (1 + p.dist(q))
 
 
@@ -150,16 +168,16 @@ class TestIntersect:
 
 class TestInvertPoint:
     def test_outside(self):
-        assert close(invert_point(UNIT, Point(2, 0)), Point(0.5, 0))
+        assert close(invert_point(DISC, Point(2, 0)), Point(0.5, 0))
 
     def test_on_mirror(self):
-        assert close(invert_point(UNIT, Point(1, 0)), Point(1, 0))
+        assert close(invert_point(DISC, Point(1, 0)), Point(1, 0))
 
     def test_center_goes_to_infinity(self):
-        assert isinstance(invert_point(UNIT, Point(0, 0)), AtInfinity)
+        assert isinstance(invert_point(DISC, Point(0, 0)), AtInfinity)
 
     def test_line_mirror_raises(self):
-        mirror = GenCircle.line_through(Point(0, 0), Point(1, 0))
+        mirror = Line(0j, 1 + 0j)
         with pytest.raises(NotALine):
             invert_point(mirror, Point(2, 3))
         with pytest.raises(NotALine):
@@ -170,7 +188,7 @@ class TestInvertPoint:
     def test_involution(self, p):
         if p.norm() < 1e-3:
             return
-        back = invert_point(UNIT, invert_point(UNIT, p))
+        back = invert_point(DISC, invert_point(DISC, p))
         assert is_finite(back)
         assert back.dist(p) < 1e-10 * (1 + p.norm())
 
@@ -202,27 +220,31 @@ class TestInvertCircle:
     @settings(max_examples=100, deadline=None)
     def test_pointwise_consistency(self, pair):
         mirror, g = pair
-        img = invert_circle(mirror, g)
+        img = invert_circle(mirror, gen(g))
         for t in (0.3, 2.0, 4.1):
-            p = invert_point(mirror, g.point_at(t))
+            p = invert_point(mirror, on(g, t))
             if is_finite(p):
                 assert img.distance_to(p) < 1e-7
 
 
 class TestApollonius:
+    """circle_of_similitude as the Apollonius circle |X - c1| / |X - c2| =
+    R1 / R2 of the centers."""
+
     def test_ratio_one_is_bisector(self):
-        g = apollonius_circle(Point(-1, 0), Point(1, 0), 1.0)
+        g = circle_of_similitude(Circle(-1 + 0j, 1.0), Circle(1 + 0j, 1.0))
         assert g.is_line
         assert g.distance_to(Point(0, 7)) < 1e-12
+        assert g.p == 0j
 
     def test_ratio_two(self):
-        g = apollonius_circle(Point(-1, 0), Point(1, 0), 2.0)
+        g = circle_of_similitude(Circle(-1 + 0j, 2.0), Circle(1 + 0j, 1.0))
         assert close(g.center(), Point(5 / 3, 0))
         assert g.radius() == pytest.approx(4 / 3, abs=1e-12)
 
     def test_vertical_axis(self):
         # |X - (0,0)| = 3 |X - (0,4)| meets the axis at y=3 and y=6
-        g = apollonius_circle(Point(0, 0), Point(0, 4), 3.0)
+        g = circle_of_similitude(Circle(0j, 3.0), Circle(4j, 1.0))
         assert close(g.center(), Point(0, 4.5))
         assert g.radius() == pytest.approx(1.5, abs=1e-12)
 
@@ -231,32 +253,32 @@ class TestApollonius:
     def test_sampled_ratio(self, p1, p2, k):
         if p1.dist(p2) < 0.1 or abs(k - 1.0) < 1e-3:
             return
-        g = apollonius_circle(p1, p2, k)
+        g = circle_of_similitude(Circle(p1.to_complex(), k), Circle(p2.to_complex(), 1.0))
         for t in (0.0, 1.0, 2.5):
-            x = g.point_at(t)
+            x = on(g, t)
             assert x.dist(p1) / x.dist(p2) == pytest.approx(k, rel=1e-8)
 
 
 class TestCircleOfSimilitude:
     def test_equal_radii_gives_line(self):
-        cs = circle_of_similitude(UNIT, GenCircle.circle(Point(4, 0), 1.0))
+        cs = circle_of_similitude(DISC, Circle(4 + 0j, 1.0))
         assert cs.is_line
         assert cs.distance_to(Point(2, 3)) < 1e-12
 
     def test_unequal_radii(self):
-        cs = circle_of_similitude(UNIT, GenCircle.circle(Point(3, 0), 2.0))
+        cs = circle_of_similitude(DISC, Circle(3 + 0j, 2.0))
         assert close(cs.center(), Point(-1, 0))
         assert cs.radius() == pytest.approx(2.0, abs=1e-12)
 
     def test_through_intersections(self):
-        o2 = GenCircle.circle(Point(1, 0), 1.0)
-        cs = circle_of_similitude(UNIT, o2)
-        for p in intersect(UNIT, o2):
+        o2 = Circle(1 + 0j, 1.0)
+        cs = circle_of_similitude(DISC, o2)
+        for p in intersect(UNIT, gen(o2)):
             assert cs.distance_to(p) < 1e-12
 
     def test_concentric(self):
         with pytest.raises(ConcentricCircles):
-            circle_of_similitude(UNIT, GenCircle.circle(Point(0, 0), 2.0))
+            circle_of_similitude(DISC, Circle(0j, 2.0))
 
     @given(circle_pairs())
     @settings(max_examples=100, deadline=None)
@@ -278,13 +300,13 @@ class TestCircleOfSimilitude:
         if abs(o1.radius() - o2.radius()) < 1e-3:
             return
         cs = circle_of_similitude(o1, o2)
-        e = cs.point_at(t).to_complex()
-        u, v = o1.center().to_complex() - e, o2.center().to_complex() - e
+        e = on(cs, t).to_complex()
+        u, v = o1.o - e, o2.o - e
         if abs(u) < 1e-6 or abs(v) < 1e-6:
             return
         factor = v / u / abs(v / u) * (o2.radius() / o1.radius())
         for s in (0.5, 2.0, 3.8):
-            img = e + (o1.point_at(s).to_complex() - e) * factor
+            img = e + (on(o1, s).to_complex() - e) * factor
             assert o2.distance_to(Point.from_complex(img)) < 1e-6
 
 
@@ -300,14 +322,15 @@ class TestDirectedAngle:
         # K on o1, L on o2, M on CS(o1,o2); chords subtended at the
         # intersection points add: angle at M = angle at K + angle at L
         o1, o2 = pair
-        common = intersect(o1, o2) if not circles_equal(o1, o2) else []
+        g1, g2 = gen(o1), gen(o2)
+        common = intersect(g1, g2) if not circles_equal(g1, g2) else []
         if len(common) != 2:
             return
         a, b = common
         if a.dist(b) < 0.2:
             return
         cs = circle_of_similitude(o1, o2)
-        k, l, m = o1.point_at(t1), o2.point_at(t2), cs.point_at(t3)
+        k, l, m = on(o1, t1), on(o2, t2), on(cs, t3)
         if min(k.dist(a), k.dist(b), l.dist(a), l.dist(b),
                m.dist(a), m.dist(b)) < 1e-3:
             return
@@ -318,21 +341,25 @@ class TestDirectedAngle:
 
 
 class TestFootOfPerpendicular:
+    """The foot f of the perpendicular from p onto a Line: f is on the line,
+    p - f is normal to direction(), and distance_to(p) is |p - f|."""
+
+    @staticmethod
+    def check(line: Line, p: Point, foot: Point):
+        d = line.direction()
+        assert line.distance_to(foot) < 1e-12
+        assert abs((p - foot).dot(d)) < 1e-12
+        assert line.distance_to(p) == pytest.approx(p.dist(foot), abs=1e-12)
+        assert d.norm() == pytest.approx(1.0, abs=1e-15)
+
     def test_horizontal_line(self):
-        line = GenCircle.line_through(Point(0, 0), Point(1, 0))
-        assert close(foot_of_perpendicular(line, Point(3, 5)), Point(3, 0))
+        self.check(Line(0j, 1 + 0j), Point(3, 5), Point(3, 0))
 
     def test_diagonal_line(self):
-        line = GenCircle.line_through(Point(0, 0), Point(1, 1))
-        assert close(foot_of_perpendicular(line, Point(2, 0)), Point(1, 1))
+        self.check(Line(0j, (1 + 1j) / abs(1 + 1j)), Point(2, 0), Point(1, 1))
 
     def test_point_on_line(self):
-        line = GenCircle.line_through(Point(0, 0), Point(1, 2))
-        assert close(foot_of_perpendicular(line, Point(2, 4)), Point(2, 4))
-
-    def test_rejects_circle(self):
-        with pytest.raises(NotALine):
-            foot_of_perpendicular(UNIT, Point(0, 0))
+        self.check(Line(0j, (1 + 2j) / abs(1 + 2j)), Point(2, 4), Point(2, 4))
 
 
 class TestIsogonalConjugateTriangle:
@@ -440,7 +467,7 @@ class TestIsogonalConjugateCore:
         for _ in range(100):
             a, b, c = _random_triangle(rng, offset)
             circ = circumcircle(*(Point(v.real, v.imag) for v in (a, b, c)))
-            p = circ.o.to_complex() + circ.r * (1.0 + rng.choice((-1e-7, 1e-7))) \
+            p = circ.o + circ.r * (1.0 + rng.choice((-1e-7, 1e-7))) \
                 * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
             got = isogonal_conjugate(a, b, c, p)
             if not is_finite(got):
@@ -457,8 +484,8 @@ class TestConcyclicityViaChords:
     def test_intersecting_chords(self, center, r, ts):
         # four concyclic points: the chord intersection splits both
         # chords into segments with equal products
-        o = GenCircle.circle(center, r)
-        a, b, c, d = (o.point_at(t) for t in ts)
+        o = Circle(center.to_complex(), r)
+        a, b, c, d = (on(o, t) for t in ts)
         l1 = GenCircle.line_through(a, c) if a.dist(c) > 1e-3 else None
         l2 = GenCircle.line_through(b, d) if b.dist(d) > 1e-3 else None
         if l1 is None or l2 is None:

@@ -22,12 +22,11 @@ UNCALLED_BY_DESIGN = {
     # the package's public Triangle form of kernel.isogonal_conjugate, whose
     # complex core prev_generation and the inverse-isogonal W route call
     "isogonal_conjugate_triangle",
-    # a package export, which the benchmark's tracer also wraps; the duality
-    # residual reads W's distance from the circles of similitude instead
+    # the benchmark's tracer wraps these two; they and GenCircle go when it
+    # moves to the functions the package calls (ROADMAP item 5).  The duality
+    # residual reads W's distance from the circles of similitude, and the
+    # fourth-vertex reconstruction reflects B in line A2C2
     "invert_circle",
-    # the benchmark's tracer wraps it, and its property tests (TestIntersect,
-    # TestConcyclicityViaChords) remain; the fourth-vertex reconstruction
-    # reflects B in line A2C2 instead
     "intersect",
 }
 
@@ -56,6 +55,21 @@ def test_kernel_and_quad_exports_are_used():
     assert UNCALLED_BY_DESIGN <= defined
     unused = sorted(defined - used - UNCALLED_BY_DESIGN)
     assert unused == [], f"defined but never used in {PACKAGE.name}: {unused}"
+
+
+def test_only_the_kernel_names_gencircle():
+    # circles and lines on every live path are kernel.Circle and kernel.Line;
+    # the coefficient form stays inside the kernel and its export
+    naming = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("kernel.py", "__init__.py"):
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        if "GenCircle" in _referenced_names(tree) | imported:
+            naming.append(path.name)
+    assert naming == [], f"modules naming GenCircle: {naming}"
 
 
 def _unused_imports(path):

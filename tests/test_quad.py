@@ -102,6 +102,18 @@ class TestQuadrilateral:
                 assert math.isfinite(r)
                 assert r == pytest.approx(similarity_ratio(q), rel=1e-12)
 
+    @pytest.mark.parametrize("factor", [1e155, 1e-170, 1e200, 1e-200, 1e300, 1e-300])
+    def test_extreme_scales_keep_the_residuals(self, factor):
+        # with raw products of distances and radii, squared offsets and
+        # areas, six_cs, isodynamic, pedal_s_collinear and area_ratio read
+        # NaN from 1e155, and six_cs read inf and pedal_s_collinear 0.41 from
+        # 1e-170
+        for q in generic_quads(20, "convex-noncyclic", seed=1):
+            big = Quadrilateral(*(Point(v.x * factor, v.y * factor) for v in q.vertices()))
+            got = analyze(big).residuals
+            assert got.keys() == analyze(q).residuals.keys()
+            assert all(math.isfinite(v) and v <= 1e-12 for v in got.values()), got
+
     def test_coincident_vertices_rejected_at_subnormal_scale(self):
         # tol * diameter underflowed to 0 at a diameter of 2.2e-321
         with pytest.raises(CollinearInput):
@@ -323,7 +335,7 @@ class TestIsopticPoint:
         for i in range(40):
             q = random_quadrilateral(spec, i)
             if abs(similarity_ratio(q)) < 0.12:
-                w = isoptic_point_via_limit(q, max_gen=10)
+                w = isoptic_point_via_limit(q)
                 assert is_finite(w)
                 assert w.dist(isoptic_point(q)) < 1e-7 * q.scale()
                 return
@@ -718,6 +730,29 @@ class TestComputeOnce:
         seen = calls["triad_circles"]
         assert len(seen) == 7
         assert len(set(seen)) == 7
+
+    def test_no_live_path_builds_a_coefficient_form(self, monkeypatch):
+        # analyze, render and the verify suite hold every circle and line in
+        # complex form (Circle, Line), never as a GenCircle
+        from isoptic.kernel import GenCircle
+        from isoptic.render import LAYERS, render_svg
+        from isoptic.verify import run_suite
+        build, calls = GenCircle.from_coeffs, []
+
+        def counted(*coeffs):
+            calls.append(coeffs)
+            return build(*coeffs)
+
+        monkeypatch.setattr(GenCircle, "from_coeffs", staticmethod(counted))
+        for shape in SHAPE_CLASSES:
+            for q in generic_quads(5, shape, seed=5):
+                analyze(q)
+                render_svg(q, LAYERS)
+        for shape in ("convex-noncyclic", "concave", "trapezoid"):
+            run_suite(CaseSpec(3, shape), 5)
+        assert calls == []
+        GenCircle.line_through(Point(0, 0), Point(1, 0))  # the count itself works
+        assert len(calls) == 1
 
     def test_limit_route_returns_after_five_generations(self, monkeypatch):
         import isoptic.quad as quad
