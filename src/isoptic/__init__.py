@@ -6,10 +6,8 @@ from .kernel import (
     DEFAULT_TOL,
     AtInfinity,
     Circle,
-    GenCircle,
     Line,
     Point,
-    Triangle,
     circle_of_similitude,
     circumcircle,
     intersect,

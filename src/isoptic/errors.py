@@ -16,12 +16,8 @@ class CollinearInput(GeometryError):
     """Three points that should span a triangle are collinear."""
 
 
-class CoincidentPoints(GeometryError):
-    """Two points that must be distinct coincide."""
-
-
 class IdenticalCurves(GeometryError):
-    """Two generalized circles coincide within tolerance."""
+    """Two circles or two lines coincide within tolerance."""
 
 
 class ConcentricCircles(GeometryError):

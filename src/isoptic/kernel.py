@@ -1,18 +1,18 @@
 """Floating-point primitives for inversive plane geometry.
 
-Points, circles as ``Circle`` (a complex center and a radius), lines as
-``Line`` (a complex point and a unit direction), inversion, circles of
-similitude and triangle-level conjugations; ``quad`` reads directed angles and
-spiral similarities as phases and factors of complex ratios, with no type of
-their own.  ``Point`` is the type of the public inputs and outputs.
-
-``GenCircle`` stores the equation a*(x^2 + y^2) + b*x + c*y + d = 0,
-normalized so that max(|a|,|b|,|c|,|d|) = 1, with ``a == 0`` for a line.  No
-construction of the package builds one: it remains for ``intersect`` and
-``invert_circle``, which the benchmark's tracer still wraps.
+Points, and the one curve format of the package: circles as ``Circle`` (a
+complex center and a radius) and lines as ``Line`` (a complex point and a
+unit direction).  On them: circumcircles, intersections, inversion of points
+and curves, circles of similitude and triangle-level conjugations.  ``quad``
+reads directed angles and spiral similarities as phases and factors of
+complex ratios, with no type of their own.  ``Point`` is the type of the
+public inputs and outputs.
 
 All tolerances are relative: an operation taking ``tol`` compares against
-``tol * D`` where ``D`` is the diameter of its input point set.
+``tol * D`` where ``D`` is the diameter of its input point set.  Whatever
+squares a length does so in an exact power of two near its inverse
+(``unit_near``) or as a ratio of lengths, so no size of input overflows or
+underflows it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
-    CoincidentPoints,
     CollinearInput,
     ConcentricCircles,
     DegenerateCircle,
@@ -148,101 +147,6 @@ class Line:
         return abs(((q.to_complex() - self.p) * self.u.conjugate()).imag)
 
 
-@dataclass(frozen=True)
-class GenCircle:
-    """Generalized circle a(x^2+y^2) + bx + cy + d = 0 (a = 0 means line)."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    @staticmethod
-    def from_coeffs(a: float, b: float, c: float, d: float) -> "GenCircle":
-        m = max(abs(a), abs(b), abs(c), abs(d))
-        if m == 0.0:
-            raise DegenerateCircle("all coefficients zero")
-        coeffs = [a / m, b / m, c / m, d / m]
-        # canonical sign: make the largest-magnitude coefficient positive
-        idx = max(range(4), key=lambda i: abs(coeffs[i]))
-        if coeffs[idx] < 0:
-            coeffs = [-v for v in coeffs]
-        return GenCircle(*coeffs)
-
-    @staticmethod
-    def circle(center: Point, radius: float) -> "GenCircle":
-        if radius <= 0.0 or not math.isfinite(radius):
-            raise DegenerateCircle(f"invalid radius {radius}")
-        return GenCircle.from_coeffs(
-            1.0, -2.0 * center.x, -2.0 * center.y,
-            center.x * center.x + center.y * center.y - radius * radius,
-        )
-
-    @staticmethod
-    def line_through(p: Point, q: Point) -> "GenCircle":
-        # the normal (b, c) is q - p turned by 90 degrees
-        b, c = p.y - q.y, q.x - p.x
-        if b == 0.0 and c == 0.0:
-            raise CoincidentPoints("line through coincident points")
-        return GenCircle.from_coeffs(0.0, b, c, -(b * p.x + c * p.y))
-
-    @property
-    def is_line(self) -> bool:
-        return self.a == 0.0
-
-    def center(self) -> Point:
-        if self.is_line:
-            raise NotALine("a line has no center")
-        return Point(-self.b / (2.0 * self.a), -self.c / (2.0 * self.a))
-
-    def radius(self) -> float:
-        if self.is_line:
-            raise NotALine("a line has no radius")
-        disc = self.b * self.b + self.c * self.c - 4.0 * self.a * self.d
-        if disc <= 0.0:
-            raise DegenerateCircle("degenerate circle (empty or a point)")
-        return math.sqrt(disc) / (2.0 * abs(self.a))
-
-    def evaluate(self, p: Point) -> float:
-        return (self.a * (p.x * p.x + p.y * p.y)
-                + self.b * p.x + self.c * p.y + self.d)
-
-    def distance_to(self, p: Point) -> float:
-        """Geometric distance from a point to the curve."""
-        if self.is_line:
-            return abs(self.b * p.x + self.c * p.y + self.d) / math.hypot(self.b, self.c)
-        return abs(p.dist(self.center()) - self.radius())
-
-
-def coeff_distance(g1: GenCircle, g2: GenCircle) -> float:
-    """Max-norm distance of the normalized coefficient vectors, the smaller
-    over both signs of one curve's equation (a tie for the largest
-    coefficient makes the canonical sign of near-equal curves differ)."""
-    u = GenCircle.from_coeffs(g1.a, g1.b, g1.c, g1.d)
-    v = GenCircle.from_coeffs(g2.a, g2.b, g2.c, g2.d)
-    d1 = max(abs(u.a - v.a), abs(u.b - v.b), abs(u.c - v.c), abs(u.d - v.d))
-    d2 = max(abs(u.a + v.a), abs(u.b + v.b), abs(u.c + v.c), abs(u.d + v.d))
-    return min(d1, d2)
-
-
-def circles_equal(g1: GenCircle, g2: GenCircle, tol: float = DEFAULT_TOL) -> bool:
-    return coeff_distance(g1, g2) <= max(tol, 64 * _MACHINE_EPS)
-
-
-@dataclass(frozen=True)
-class Triangle:
-    p1: Point
-    p2: Point
-    p3: Point
-
-    def __post_init__(self):
-        if _flat((self.p2 - self.p1).to_complex(), (self.p3 - self.p1).to_complex(), DEFAULT_TOL):
-            raise CollinearInput("triangle vertices are collinear within tolerance")
-
-    def vertices(self):
-        return (self.p1, self.p2, self.p3)
-
-
 # ---------------------------------------------------------------------------
 # basic constructions
 
@@ -267,111 +171,108 @@ def circumcenter(a: complex, b: complex, ka: float, kb: float, tol: float) -> co
     return (kb * a - ka * b) * 1j / (a.real * b.imag - a.imag * b.real)
 
 
+def unit_near(x: float) -> float:
+    """An exact power of two near 1 / x, at most 2^1023 (so that a subnormal
+    x gives about 1e-12 rather than an overflow)."""
+    return math.ldexp(1.0, min(-math.frexp(x)[1], 1023))
+
+
 def circumcircle(p: Point, q: Point, r: Point, tol: float = DEFAULT_TOL) -> Circle:
-    """Circle through three points, solved from the differences to p; raises
-    CollinearInput as circumcenter does."""
+    """Circle through three points, solved from the differences to p in the
+    unit_near of the longer, so that no square overflows or underflows;
+    raises CollinearInput as circumcenter does."""
     a, b = complex(q.x - p.x, q.y - p.y), complex(r.x - p.x, r.y - p.y)
+    unit = unit_near(max(abs(a), abs(b)))
+    a, b = a * unit, b * unit
     c = circumcenter(a, b, 0.5 * norm2(a), 0.5 * norm2(b), tol)
-    return Circle(complex(p.x + c.real, p.y + c.imag), (abs(c) + abs(c - a) + abs(c - b)) / 3.0)
+    return Circle(complex(p.x + c.real / unit, p.y + c.imag / unit),
+                  (abs(c) + abs(c - a) + abs(c - b)) / 3.0 / unit)
 
 
-def _line_line(g1: GenCircle, g2: GenCircle, tol: float) -> list[Point]:
-    det = g1.b * g2.c - g1.c * g2.b
-    n1 = math.hypot(g1.b, g1.c)
-    n2 = math.hypot(g2.b, g2.c)
-    if abs(det) <= tol * n1 * n2:
-        return []
-    x = (-g1.d * g2.c + g1.c * g2.d) / det
-    y = (-g1.b * g2.d + g1.d * g2.b) / det
-    return [Point(x, y)]
+def _foot(line: Line, z: complex) -> complex:
+    """The foot of the perpendicular from z onto the line."""
+    return line.p + line.u * ((z - line.p) * line.u.conjugate()).real
 
 
-def _circle_line(circ: GenCircle, line: GenCircle, tol: float) -> list[Point]:
-    o = circ.center()
-    r = circ.radius()
-    n = math.hypot(line.b, line.c)
-    # signed distance from center to line
-    t = (line.b * o.x + line.c * o.y + line.d) / n
-    foot = Point(o.x - line.b / n * t, o.y - line.c / n * t)
-    h2 = r * r - t * t
-    clip = max((tol * r) ** 2, 64.0 * _MACHINE_EPS * r * r)
-    if h2 <= 0.0:
-        if h2 > -clip:
-            return [foot]
-        return []
-    h = math.sqrt(h2)
-    u = Point(-line.c / n, line.b / n)
-    return [foot + u * h, foot + u * (-h)]
-
-
-def intersect(g1: GenCircle, g2: GenCircle, tol: float = DEFAULT_TOL) -> list[Point]:
-    """Intersection points of two generalized circles, 0 to 2 of them.
-
-    Two-point results are ordered lexicographically by (x, y) for
-    reproducibility; tangency yields a single point.
-    """
-    if circles_equal(g1, g2, tol):
-        raise IdenticalCurves("curves coincide within tolerance")
+def intersect(g1: Circle | Line, g2: Circle | Line, tol: float = DEFAULT_TOL) -> list[Point]:
+    """Intersection points of two curves, 0 to 2 of them, ordered
+    lexicographically by (x, y); tangency within max((tol r)^2, 64 eps r^2)
+    of the squared half chord gives the foot alone.  Two circles meet on
+    their radical line, normal to d = c2 - c1 at
+    (|d| + (r1 - r2)(r1 + r2) / |d|) / 2 from c1; concentric ones nowhere.
+    Circles whose centers and radii agree within max(tol, 64 eps) of the
+    larger radius, and parallel lines through each other's point within
+    that share of its distance, raise IdenticalCurves."""
+    same = max(tol, 64.0 * _MACHINE_EPS)
     if g1.is_line and g2.is_line:
-        pts = _line_line(g1, g2, tol)
-    elif g1.is_line:
-        pts = _circle_line(g2, g1, tol)
-    elif g2.is_line:
-        pts = _circle_line(g1, g2, tol)
+        gap, cross = g2.p - g1.p, (g1.u.conjugate() * g2.u).imag
+        if abs(cross) > tol:
+            return [Point.from_complex(g1.p + g1.u * ((gap.conjugate() * g2.u).imag / cross))]
+        if abs((gap * g1.u.conjugate()).imag) <= same * abs(gap):
+            raise IdenticalCurves("curves coincide within tolerance")
+        return []
+    if g1.is_line or g2.is_line:
+        circ, line = (g2, g1) if g1.is_line else (g1, g2)
+        foot, u = _foot(line, circ.o), line.u
     else:
-        # radical line of the two circles, then circle-line intersection
-        rb = g1.b / g1.a - g2.b / g2.a
-        rc = g1.c / g1.a - g2.c / g2.a
-        rd = g1.d / g1.a - g2.d / g2.a
-        if max(abs(rb), abs(rc)) == 0.0:
-            return []  # concentric, unequal radii
-        radical = GenCircle.from_coeffs(0.0, rb, rc, rd)
-        pts = _circle_line(g1, radical, tol)
-    return sorted(pts, key=lambda p: (p.x, p.y))
+        circ, d, big = g1, g2.o - g1.o, max(g1.r, g2.r)
+        gap = abs(d)
+        if gap <= same * big and abs(g1.r - g2.r) <= same * big:
+            raise IdenticalCurves("curves coincide within tolerance")
+        if gap == 0.0:
+            return []
+        e = d / gap
+        foot, u = g1.o + e * (0.5 * (gap + (g1.r - g2.r) * ((g1.r + g2.r) / gap))), 1j * e
+    t = abs(foot - circ.o) / circ.r
+    h2 = (1.0 - t) * (1.0 + t)  # in units of r^2
+    if h2 <= 0.0:
+        return [Point.from_complex(foot)] if h2 > -max(tol * tol, 64.0 * _MACHINE_EPS) else []
+    h = circ.r * math.sqrt(h2)
+    return sorted((Point.from_complex(z) for z in (foot + u * h, foot - u * h)),
+                  key=lambda p: (p.x, p.y))
 
 
 def invert_point(mirror: Circle, p: MaybePoint, tol: float = DEFAULT_TOL) -> MaybePoint:
-    """Inversive image of a point in a circle mirror.
-
-    The center maps to infinity and a point at infinity to the center.  A
-    line mirror raises NotALine.
-    """
+    """Inversive image of a point in a circle mirror, o + r (r / conj(p - o)),
+    which squares no coordinate.  A point within tol r of the center maps to
+    infinity and a point at infinity to the center; a line mirror raises
+    NotALine."""
     if mirror.is_line:
         raise NotALine("cannot invert in a line")
-    o = mirror.center()
-    r = mirror.radius()
+    o, r = mirror.o, mirror.r
     if isinstance(p, AtInfinity):
-        return o
-    v = p - o
-    rho2 = v.dot(v)
-    if rho2 < (tol * r) ** 2:
+        return Point(o.real, o.imag)
+    v = p.to_complex() - o
+    if abs(v) < tol * r:
         return AtInfinity.along(1.0, 0.0)
-    k = r * r / rho2
-    return o + v * k
+    return Point.from_complex(o + r * (r / v.conjugate()))
 
 
-def invert_circle(mirror: Circle | GenCircle, g: GenCircle,
-                  tol: float = DEFAULT_TOL) -> GenCircle:
-    """Inversive image of a generalized circle in a circle mirror; a line
-    mirror raises NotALine."""
-    o = mirror.center()
-    k = mirror.radius() ** 2
-    # translate so the mirror center is the origin
-    a = g.a
-    b = g.b + 2.0 * g.a * o.x
-    c = g.c + 2.0 * g.a * o.y
-    d = g.evaluate(o)
-    # inversion about the origin with power k
-    a2, b2, c2, d2 = d, b * k, c * k, a * k * k
-    # translate back
-    b3 = b2 - 2.0 * a2 * o.x
-    c3 = c2 - 2.0 * a2 * o.y
-    d3 = a2 * o.dot(o) - b2 * o.x - c2 * o.y + d2
-    out = GenCircle.from_coeffs(a2, b3, c3, d3)
-    # snap to an exact line when the curve passed through the mirror center
-    if out.a != 0.0 and abs(out.a) < tol * max(abs(out.b), abs(out.c)):
-        out = GenCircle.from_coeffs(0.0, out.b, out.c, out.d)
-    return out
+def invert_circle(mirror: Circle, g: Circle | Line, tol: float = DEFAULT_TOL) -> Circle | Line:
+    """Inversive image of a circle or line in a circle mirror of center c and
+    radius R, in closed form; a line mirror raises NotALine.  A circle of
+    center c + d and radius r goes to the circle of center c + s d and radius
+    |s| r, s = R^2 / (|d|^2 - r^2), or, through c (||d| - r| <= tol r), to the
+    line normal to d at R^2 / 2r from c.  A line with foot c + v goes to the
+    circle through c whose diameter ends at c + R^2 v / |v|^2, or, through c
+    (|v| <= tol R), to itself."""
+    if mirror.is_line:
+        raise NotALine("cannot invert in a line")
+    c, big = mirror.o, mirror.r
+    if g.is_line:
+        v = _foot(g, c) - c
+        dist = abs(v)
+        if dist <= tol * big:
+            return g
+        half = 0.5 * big * (big / dist)
+        return Circle(c + v / dist * half, half)
+    d = g.o - c
+    gap = abs(d)
+    if abs(gap - g.r) <= tol * g.r:
+        e = d / gap
+        return Line(c + e * (big * (0.5 * big / g.r)), 1j * e)
+    s = (big / (gap - g.r)) * (big / (gap + g.r))
+    return Circle(c + d * s, abs(s) * g.r)
 
 
 def _center_gap(o1: Circle, o2: Circle, tol: float) -> float:
@@ -457,7 +358,7 @@ def isogonal_conjugate(a: complex, b: complex, c: complex, p: complex,
     pa, pb, pc, ab, bc, ca = a - p, b - p, c - p, b - a, c - b, a - c
     scale = max(abs(pa), abs(pb), abs(pc), abs(ab), abs(bc), abs(ca)) or 1.0
     # an exact power-of-two rescaling keeps the degree-6 weights in range
-    unit = math.ldexp(1.0, -math.frexp(scale)[1])
+    unit = unit_near(scale)
     pa, pb, pc, ab, bc, ca = pa * unit, pb * unit, pc * unit, ab * unit, bc * unit, ca * unit
     x = 0.5 * (pb.real * pc.imag - pb.imag * pc.real)
     y = 0.5 * (pc.real * pa.imag - pc.imag * pa.real)
@@ -478,11 +379,17 @@ def isogonal_conjugate(a: complex, b: complex, c: complex, p: complex,
     return Point.from_complex(p + rel / s / unit)
 
 
-def isogonal_conjugate_triangle(t: Triangle, p: MaybePoint,
+def isogonal_conjugate_triangle(a: Point, b: Point, c: Point, p: MaybePoint,
                                 tol: float = DEFAULT_TOL) -> MaybePoint:
-    """Isogonal conjugate of p with respect to triangle t (see
-    isogonal_conjugate); a point at infinity raises DegenerateConjugate."""
+    """Isogonal conjugate of p in the triangle a, b, c (see
+    isogonal_conjugate).  A triangle flat within tol, read in the unit_near
+    of its longer side from a, raises CollinearInput; a point at infinity
+    raises DegenerateConjugate."""
+    za, zb, zc = a.to_complex(), b.to_complex(), c.to_complex()
+    u, v = zb - za, zc - za
+    unit = unit_near(max(abs(u), abs(v)))
+    if _flat(u * unit, v * unit, tol):
+        raise CollinearInput("triangle vertices are collinear within tolerance")
     if not is_finite(p):
         raise DegenerateConjugate("conjugate of a point at infinity")
-    return isogonal_conjugate(*(v.to_complex() for v in t.vertices()), p.to_complex(), tol)
-
+    return isogonal_conjugate(za, zb, zc, p.to_complex(), tol)

@@ -53,6 +53,7 @@ from .kernel import (
     is_finite,
     isogonal_conjugate,
     norm2,
+    unit_near,
 )
 
 
@@ -96,7 +97,7 @@ class Quadrilateral:
         # if the triad is one point)
         norms = nab, nac, nad, nbc, nbd, ncd = [math.hypot(v.real, v.imag) for v in diffs]
         scale = max(norms) or 1.0
-        unit = _unit_near(scale)
+        unit = unit_near(scale)
         ab, ac, ad, bc, bd, cd = diffs
         frame = ab, ac, ad, bc, bd, cd = (ab * unit, ac * unit, ad * unit, bc * unit, bd * unit,
                                           cd * unit)
@@ -279,12 +280,6 @@ def _state(q: QuadOrState, tol: float) -> QuadState:
 
 # ---------------------------------------------------------------------------
 # angles and shape
-
-
-def _unit_near(x: float) -> float:
-    """An exact power of two near 1 / x, at most 2^1023 (so that a subnormal
-    x gives about 1e-12 rather than an overflow)."""
-    return math.ldexp(1.0, min(-math.frexp(x)[1], 1023))
 
 
 def _dot(u: complex, v: complex) -> float:
@@ -521,11 +516,11 @@ def isoptic_point(q: Quadrilateral) -> MaybePoint:
 
 
 def _aitken(zs: list[complex], scale: float) -> Point:
-    """Aitken extrapolation of three iterates, one coordinate at a time."""
+    """Aitken extrapolation of three iterates per coordinate, squaring no difference."""
     out = []
     for x0, x1, x2 in ((z.real for z in zs), (z.imag for z in zs)):
-        den = x2 - 2.0 * x1 + x0
-        out.append(x2 if abs(den) < 1e-14 * scale else x2 - (x2 - x1) ** 2 / den)
+        step, den = x2 - x1, (x2 - x1) - (x1 - x0)
+        out.append(x2 if abs(den) < 1e-14 * scale else x2 - step * (step / den))
     return Point(*out)
 
 
@@ -605,7 +600,7 @@ def isodynamic_ratios(q: QuadOrState, w: Point, tol: float = DEFAULT_TOL) -> flo
     """
     st = _state(q, tol)
     radii = [o.r for o in st.triads.circles]
-    unit, p = _unit_near(max(radii)), w.to_complex()
+    unit, p = unit_near(max(radii)), w.to_complex()
     prods = [abs(p - v) * (radii[k - 2] * unit) for k, v in enumerate(st.q._z)]
     mean = sum(prods) / 4.0
     if mean == 0.0:
@@ -679,7 +674,7 @@ def _tls_axis(points: list[Point]) -> tuple[complex, complex, list[complex]]:
     # sum (z - g)^2 = sxx - syy + 2i sxy: half its phase is the principal
     # direction of the scatter matrix; the offsets are squared in a power of
     # two near the largest, so that the squares neither overflow nor underflow
-    unit = _unit_near(max(map(abs, rel)))
+    unit = unit_near(max(map(abs, rel)))
     scatter = sum((v * unit) * (v * unit) for v in rel)
     return g, cmath.rect(1.0, 0.5 * cmath.phase(scatter)), rel
 

@@ -242,6 +242,18 @@ class TestReconstruct:
         assert math.hypot(doc["point"][0] - 1, doc["point"][1] - 4) < 1e-8
         assert doc["residual"] < 1e-8
 
+    def test_fourth_vertex_at_1e_161(self, capsys):
+        # a valid quadrilateral scaled by 1e-161: its circumcircles squared
+        # raw offsets, which underflowed to a ZeroDivisionError traceback
+        rc = main(["reconstruct", "--mode", "fourth-vertex",
+                   "--a=-3.751302000495808e-161,-4.837357386548656e-161",
+                   "--b=3.983530676213984e-161,2.729039962612808e-162",
+                   "--c=2.684293033159237e-161,2.816603454923854e-161",
+                   "--w=2.323251956168369e-162,-8.799525502115909e-162"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["residual"] < 1e-12
+
     def test_underdetermined_exit_2(self):
         assert main(["reconstruct", "--mode", "fourth-vertex",
                      "--a", "0,0", "--b", "2,0", "--c", "2,2",

@@ -16,12 +16,9 @@ from isoptic.errors import (
 from isoptic.kernel import (
     AtInfinity,
     Circle,
-    GenCircle,
     Line,
     Point,
-    Triangle,
     circle_of_similitude,
-    circles_equal,
     circumcircle,
     intersect,
     invert_circle,
@@ -31,7 +28,6 @@ from isoptic.kernel import (
     isogonal_conjugate_triangle,
 )
 
-UNIT = GenCircle.circle(Point(0, 0), 1.0)
 DISC = Circle(0j, 1.0)
 
 
@@ -39,9 +35,10 @@ def close(p: Point, q: Point, tol=1e-12):
     return p.dist(q) < tol
 
 
-def gen(c: Circle) -> GenCircle:
-    """The coefficient form of c, for intersect and invert_circle."""
-    return GenCircle.circle(c.center(), c.r)
+def through(p: Point, q: Point) -> Line:
+    """The line through two distinct points."""
+    d = q.to_complex() - p.to_complex()
+    return Line(p.to_complex(), d / abs(d))
 
 
 def on(c: Circle | Line, t: float) -> Point:
@@ -69,7 +66,7 @@ def triangles(draw):
     area2 = abs((q - p).cross(r - p))
     longest = max(p.dist(q), q.dist(r), p.dist(r))
     assume(longest > 0.5 and area2 / (longest * longest) > 0.05)
-    return Triangle(p, q, r)
+    return p, q, r
 
 
 @st.composite
@@ -99,8 +96,8 @@ class TestCircumcircle:
     @given(triangles())
     @settings(max_examples=100, deadline=None)
     def test_passes_through_vertices(self, t):
-        c = circumcircle(t.p1, t.p2, t.p3)
-        for v in (t.p1, t.p2, t.p3):
+        c = circumcircle(*t)
+        for v in t:
             assert c.distance_to(v) < 1e-8 * c.radius()
 
 
@@ -144,26 +141,36 @@ class TestPerpendicularBisector:
 
 class TestIntersect:
     def test_circle_line(self):
-        pts = intersect(UNIT, GenCircle.line_through(Point(0, -5), Point(0, 5)))
+        pts = intersect(DISC, through(Point(0, -5), Point(0, 5)))
         assert len(pts) == 2
         assert close(pts[0], Point(0, -1)) and close(pts[1], Point(0, 1))
 
     def test_tangent_circles(self):
-        pts = intersect(UNIT, GenCircle.circle(Point(2, 0), 1.0))
+        pts = intersect(DISC, Circle(2 + 0j, 1.0))
         assert len(pts) == 1
         assert close(pts[0], Point(1, 0))
 
     def test_disjoint(self):
-        assert intersect(UNIT, GenCircle.circle(Point(5, 0), 1.0)) == []
+        assert intersect(DISC, Circle(5 + 0j, 1.0)) == []
 
     def test_identical(self):
         with pytest.raises(IdenticalCurves):
-            intersect(UNIT, GenCircle.circle(Point(0, 0), 1.0))
+            intersect(DISC, Circle(0j, 1.0))
 
     def test_ordering_is_lexicographic(self):
-        pts = intersect(UNIT, GenCircle.circle(Point(1, 0), 1.0))
+        pts = intersect(DISC, Circle(1 + 0j, 1.0))
         assert len(pts) == 2
         assert (pts[0].x, pts[0].y) < (pts[1].x, pts[1].y)
+
+    def test_concentric(self):
+        assert intersect(DISC, Circle(0j, 2.0)) == []
+
+    def test_lines(self):
+        x = through(Point(0, 0), Point(1, 0))
+        assert intersect(x, through(Point(2, -1), Point(2, 3))) == [Point(2, 0)]
+        assert intersect(x, through(Point(0, 1), Point(5, 1))) == []
+        with pytest.raises(IdenticalCurves):
+            intersect(x, through(Point(7, 0), Point(3, 0)))
 
 
 class TestInvertPoint:
@@ -195,32 +202,44 @@ class TestInvertPoint:
 
 class TestInvertCircle:
     def test_line_to_circle(self):
-        g = GenCircle.line_through(Point(2, 0), Point(2, 1))
-        img = invert_circle(UNIT, g)
+        g = through(Point(2, 0), Point(2, 1))
+        img = invert_circle(DISC, g)
         assert not img.is_line
         assert close(img.center(), Point(0.25, 0))
         assert img.radius() == pytest.approx(0.25, abs=1e-12)
 
     def test_mirror_is_fixed(self):
-        img = invert_circle(UNIT, GenCircle.circle(Point(0, 0), 1.0))
-        assert circles_equal(img, UNIT)
+        img = invert_circle(DISC, Circle(0j, 1.0))
+        assert not img.is_line
+        assert close(img.center(), Point(0, 0))
+        assert img.radius() == pytest.approx(1.0, abs=1e-12)
 
     def test_diameter_line_fixed(self):
-        g = GenCircle.line_through(Point(0, -1), Point(0, 1))
-        assert circles_equal(invert_circle(UNIT, g), g)
+        g = through(Point(0, -1), Point(0, 1))
+        img = invert_circle(DISC, g)
+        assert img.is_line
+        assert abs(img.direction().cross(g.direction())) < 1e-12
+        assert img.distance_to(Point(0, 0)) < 1e-12
 
     def test_line_mirror_raises(self):
-        mirror = GenCircle.line_through(Point(0, 0), Point(1, 0))
+        mirror = through(Point(0, 0), Point(1, 0))
         with pytest.raises(NotALine):
-            invert_circle(mirror, UNIT)
+            invert_circle(mirror, DISC)
         with pytest.raises(NotALine):
-            invert_circle(mirror, GenCircle.line_through(Point(0, 1), Point(1, 2)))
+            invert_circle(mirror, through(Point(0, 1), Point(1, 2)))
+
+    def test_circle_through_the_center_to_line(self):
+        # the circle of diameter 0..2 goes to the line x = 1/2
+        img = invert_circle(DISC, Circle(1 + 0j, 1.0))
+        assert img.is_line
+        for y in (-3.0, 0.0, 2.0):
+            assert img.distance_to(Point(0.5, y)) < 1e-12
 
     @given(circle_pairs())
     @settings(max_examples=100, deadline=None)
     def test_pointwise_consistency(self, pair):
         mirror, g = pair
-        img = invert_circle(mirror, gen(g))
+        img = invert_circle(mirror, g)
         for t in (0.3, 2.0, 4.1):
             p = invert_point(mirror, on(g, t))
             if is_finite(p):
@@ -273,7 +292,7 @@ class TestCircleOfSimilitude:
     def test_through_intersections(self):
         o2 = Circle(1 + 0j, 1.0)
         cs = circle_of_similitude(DISC, o2)
-        for p in intersect(UNIT, gen(o2)):
+        for p in intersect(DISC, o2):
             assert cs.distance_to(p) < 1e-12
 
     def test_concentric(self):
@@ -322,8 +341,7 @@ class TestDirectedAngle:
         # K on o1, L on o2, M on CS(o1,o2); chords subtended at the
         # intersection points add: angle at M = angle at K + angle at L
         o1, o2 = pair
-        g1, g2 = gen(o1), gen(o2)
-        common = intersect(g1, g2) if not circles_equal(g1, g2) else []
+        common = intersect(o1, o2)
         if len(common) != 2:
             return
         a, b = common
@@ -363,53 +381,56 @@ class TestFootOfPerpendicular:
 
 
 class TestIsogonalConjugateTriangle:
+    RIGHT = (Point(0, 0), Point(4, 0), Point(0, 4))
+
     def test_incenter_is_fixed(self):
-        t = Triangle(Point(0, 0), Point(5, 0), Point(1, 4))
-        a = t.p2.dist(t.p3)
-        b = t.p1.dist(t.p3)
-        c = t.p1.dist(t.p2)
-        incenter = (t.p1 * a + t.p2 * b + t.p3 * c) * (1.0 / (a + b + c))
-        img = isogonal_conjugate_triangle(t, incenter)
+        t = (Point(0, 0), Point(5, 0), Point(1, 4))
+        a = t[1].dist(t[2])
+        b = t[0].dist(t[2])
+        c = t[0].dist(t[1])
+        incenter = (t[0] * a + t[1] * b + t[2] * c) * (1.0 / (a + b + c))
+        img = isogonal_conjugate_triangle(*t, incenter)
         assert close(img, incenter, 1e-10)
 
     def test_circumcenter_to_orthocenter(self):
-        t = Triangle(Point(0, 0), Point(4, 0), Point(0, 4))
-        img = isogonal_conjugate_triangle(t, Point(2, 2))
+        img = isogonal_conjugate_triangle(*self.RIGHT, Point(2, 2))
         assert close(img, Point(0, 0), 1e-10)
 
     def test_circumcircle_point_goes_to_infinity(self):
-        t = Triangle(Point(0, 0), Point(4, 0), Point(0, 4))
-        c = circumcircle(t.p1, t.p2, t.p3)
+        c = circumcircle(*self.RIGHT)
         p = c.center() + Point(math.cos(2.5), math.sin(2.5)) * c.radius()
-        assert isinstance(isogonal_conjugate_triangle(t, p), AtInfinity)
+        assert isinstance(isogonal_conjugate_triangle(*self.RIGHT, p), AtInfinity)
 
     def test_side_line_point_collapses_to_opposite_vertex(self):
-        t = Triangle(Point(0, 0), Point(4, 0), Point(0, 4))
-        assert close(isogonal_conjugate_triangle(t, Point(2, 0)), Point(0, 4))
+        assert close(isogonal_conjugate_triangle(*self.RIGHT, Point(2, 0)), Point(0, 4))
 
     def test_vertex_is_undefined(self):
-        t = Triangle(Point(0, 0), Point(4, 0), Point(0, 4))
         with pytest.raises(DegenerateConjugate):
-            isogonal_conjugate_triangle(t, Point(4, 0))
+            isogonal_conjugate_triangle(*self.RIGHT, Point(4, 0))
 
     def test_point_at_infinity_raises(self):
-        t = Triangle(Point(0, 0), Point(4, 0), Point(0, 4))
         with pytest.raises(DegenerateConjugate):
-            isogonal_conjugate_triangle(t, AtInfinity.along(1.0, 2.0))
+            isogonal_conjugate_triangle(*self.RIGHT, AtInfinity.along(1.0, 2.0))
+
+    def test_flat_triangle_raises_at_the_callers_tol(self):
+        flat = (Point(0, 0), Point(4, 0), Point(2, 1e-6))
+        with pytest.raises(CollinearInput):
+            isogonal_conjugate_triangle(*flat, Point(1, 1), tol=1e-6)
+        assert is_finite(isogonal_conjugate_triangle(*flat, Point(1, 1), tol=1e-9))
 
     @given(triangles(), points())
     @settings(max_examples=100, deadline=None)
     def test_involution(self, t, p):
-        c = circumcircle(t.p1, t.p2, t.p3)
+        c = circumcircle(*t)
         if c.distance_to(p) < 0.05 * c.radius():
             return
-        for line_pts in ((t.p1, t.p2), (t.p2, t.p3), (t.p1, t.p3)):
-            if GenCircle.line_through(*line_pts).distance_to(p) < 0.05:
+        for line_pts in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2])):
+            if through(*line_pts).distance_to(p) < 0.05:
                 return
-        img = isogonal_conjugate_triangle(t, p)
+        img = isogonal_conjugate_triangle(*t, p)
         if not is_finite(img):
             return
-        back = isogonal_conjugate_triangle(t, img)
+        back = isogonal_conjugate_triangle(*t, img)
         if not is_finite(back):
             return
         assert back.dist(p) < 1e-7 * (1 + p.norm())
@@ -476,6 +497,14 @@ class TestIsogonalConjugateCore:
             assert abs(got.to_complex() - exact) <= 16 * EPS * (abs(exact - p) + offset)
 
 
+    def test_subnormal_triangle(self):
+        # the frame's power of two is capped at 2^1023; uncapped it
+        # overflowed on a triangle 1e-310 across
+        got = isogonal_conjugate(0j, 1e-310 + 0j, 1e-310j, 3e-311 + 3e-311j)
+        assert is_finite(got)
+        assert got.dist(Point(2e-310 / 7, 2e-310 / 7)) <= 1e-3 * 1e-310
+
+
 class TestConcyclicityViaChords:
     @given(points(), st.floats(min_value=0.5, max_value=4),
            st.lists(st.floats(min_value=0, max_value=6.2), min_size=4,
@@ -486,8 +515,8 @@ class TestConcyclicityViaChords:
         # chords into segments with equal products
         o = Circle(center.to_complex(), r)
         a, b, c, d = (on(o, t) for t in ts)
-        l1 = GenCircle.line_through(a, c) if a.dist(c) > 1e-3 else None
-        l2 = GenCircle.line_through(b, d) if b.dist(d) > 1e-3 else None
+        l1 = through(a, c) if a.dist(c) > 1e-3 else None
+        l2 = through(b, d) if b.dist(d) > 1e-3 else None
         if l1 is None or l2 is None:
             return
         pts = intersect(l1, l2)
@@ -497,13 +526,3 @@ class TestConcyclicityViaChords:
         lhs = x.dist(a) * x.dist(c)
         rhs = x.dist(b) * x.dist(d)
         assert lhs == pytest.approx(rhs, rel=1e-6, abs=1e-9)
-
-
-class TestCirclesEqual:
-    def test_sign_tie_of_the_largest_coefficients(self):
-        # b and c tie for the largest magnitude, so the canonical signs of
-        # the two normalized equations differ
-        g1 = GenCircle.from_coeffs(0, 1, -1, 0.5)
-        g2 = GenCircle.from_coeffs(0, 1, -1.0000000001, 0.5)
-        assert circles_equal(g1, g2)
-        assert not circles_equal(g1, GenCircle.from_coeffs(0, 1, -1.001, 0.5))

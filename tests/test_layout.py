@@ -19,15 +19,14 @@ UNCALLED_BY_DESIGN = {
     # the paper's final theorem: conjugating W gives a parallelogram and
     # conjugating S sends every vertex to infinity
     "isogonal_conjugate_quad",
-    # the package's public Triangle form of kernel.isogonal_conjugate, whose
-    # complex core prev_generation and the inverse-isogonal W route call
+    # the benchmark's tracer wraps these three by name; they stay, on the
+    # shared Circle, Line and Point types, until it moves to the functions
+    # the package calls (ROADMAP item 5).  isogonal_conjugate_triangle is the
+    # Point form of kernel.isogonal_conjugate, whose complex core
+    # prev_generation and the inverse-isogonal W route call
     "isogonal_conjugate_triangle",
-    # the benchmark's tracer wraps these two; they and GenCircle go when it
-    # moves to the functions the package calls (ROADMAP item 5).  The duality
-    # residual reads W's distance from the circles of similitude, and the
-    # fourth-vertex reconstruction reflects B in line A2C2
-    "invert_circle",
     "intersect",
+    "invert_circle",
 }
 
 
@@ -57,19 +56,19 @@ def test_kernel_and_quad_exports_are_used():
     assert unused == [], f"defined but never used in {PACKAGE.name}: {unused}"
 
 
-def test_only_the_kernel_names_gencircle():
-    # circles and lines on every live path are kernel.Circle and kernel.Line;
-    # the coefficient form stays inside the kernel and its export
-    naming = []
+def test_frexp_only_in_unit_near():
+    # one helper picks the power-of-two frame; a second copy would drift (an
+    # uncapped one overflowed on subnormal input)
+    sites = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name in ("kernel.py", "__init__.py"):
-            continue
         tree = ast.parse(path.read_text())
-        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                    for alias in node.names}
-        if "GenCircle" in _referenced_names(tree) | imported:
-            naming.append(path.name)
-    assert naming == [], f"modules naming GenCircle: {naming}"
+        allowed = {id(node) for fn in tree.body
+                   if isinstance(fn, ast.FunctionDef) and path.name == "kernel.py"
+                   and fn.name == "unit_near" for node in ast.walk(fn)}
+        sites += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if "frexp" in (getattr(node, "attr", None), getattr(node, "id", None))
+                  and id(node) not in allowed]
+    assert sites == [], f"math.frexp outside kernel.unit_near: {sites}"
 
 
 def _unused_imports(path):
