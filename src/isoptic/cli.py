@@ -65,8 +65,8 @@ def _dump(obj, out_path: str | None):
         sys.stdout.write(text)
 
 
-def load_quad_file(path: str) -> Quadrilateral:
-    """Parse {"vertices": [[x, y] x 4]}; any malformed content raises ValueError."""
+def load_quad_file(path: str, tol: float = DEFAULT_TOL) -> Quadrilateral:
+    """Parse {"vertices": [[x, y] x 4]}, valid at tol; malformed content raises ValueError."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or "vertices" not in data:
@@ -87,7 +87,7 @@ def load_quad_file(path: str) -> Quadrilateral:
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError("vertex coordinates must be finite")
         pts.append(Point(x, y))
-    return Quadrilateral(*pts)
+    return Quadrilateral(*pts, tol=tol)
 
 
 def _parse_xy(text: str) -> Point:
@@ -100,12 +100,19 @@ def _parse_xy(text: str) -> Point:
     return Point(x, y)
 
 
+def _tol(text: str) -> float:
+    tol = float(text)
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return tol
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_analyze(args) -> int:
-    q = load_quad_file(args.file)
+    q = load_quad_file(args.file, args.tol)
     rep = analyze(q, args.tol)
     doc = {
         "tool_version": __version__,
@@ -137,7 +144,7 @@ def cmd_iterate(args) -> int:
     if args.generations < 0:
         print("error: --generations must not be negative", file=sys.stderr)
         return EXIT_USAGE
-    q = load_quad_file(args.file)
+    q = load_quad_file(args.file, args.tol)
     step = next_generation if args.direction == "forward" else prev_generation
     generations = [q]
     ratios = []
@@ -184,7 +191,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    q = load_quad_file(args.file)
+    q = load_quad_file(args.file, args.tol)
     layers = tuple(name.strip() for name in args.layers.split(",") if name.strip())
     for name in layers:
         if name not in LAYERS:
@@ -207,7 +214,7 @@ def cmd_reconstruct(args) -> int:
         a, b, c = _parse_xy(args.a), _parse_xy(args.b), _parse_xy(args.c)
         w = _parse_xy(args.w)
         d = reconstruct_fourth_vertex(a, b, c, w, args.tol)
-        q = Quadrilateral(a, b, c, d)
+        q = Quadrilateral(a, b, c, d, args.tol)
         w2 = isoptic_point(q)
         residual = w2.dist(w) / q.scale() if is_finite(w2) else math.inf
         doc = {"mode": args.mode, "point": [_num(d.x), _num(d.y)],
@@ -249,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full report for one quadrilateral")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_analyze)
 
@@ -258,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generations", type=int, required=True)
     p.add_argument("--direction", choices=("forward", "backward"),
                    default="forward")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_iterate)
 
@@ -267,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--class", dest="shape_class", required=True,
                    choices=SHAPE_CLASSES)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tol, default=1e-8)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
 
@@ -275,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--out", required=True)
     p.add_argument("--layers", default="quad,triads,w")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.set_defaults(fn=cmd_render)
 
     p = sub.add_parser("reconstruct", help="invert one of the constructions")
@@ -287,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w")
     p.add_argument("--s")
     p.add_argument("--feet", nargs=4)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_reconstruct)
 

@@ -18,7 +18,6 @@ underflows it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     CollinearInput,
@@ -33,11 +32,49 @@ DEFAULT_TOL = 1e-9
 
 _MACHINE_EPS = 2.220446049250313e-16
 
+_set = object.__setattr__  # stores inline; vars(self).update would give each record a dict
 
-@dataclass(frozen=True)
-class Point:
-    x: float
-    y: float
+
+class Record:
+    """An immutable record of the fields named in _fields, set by __init__;
+    equality (within one class), hash and repr read them.  Not a dataclass,
+    whose import and generated methods slowed every cold start."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        pairs = zip(self._fields, self._values())
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in pairs)})"
+
+
+class Report(Record):
+    """A Record whose fields may be assigned, and so with no hash."""
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+
+class Point(Record):
+    _fields = ("x", "y")
+
+    def __init__(self, x: float, y: float):
+        _set(self, "x", x)
+        _set(self, "y", y)
 
     def __add__(self, other: "Point") -> "Point":
         return Point(self.x + other.x, self.y + other.y)
@@ -70,12 +107,14 @@ class Point:
         return Point(z.real, z.imag)
 
 
-@dataclass(frozen=True)
-class AtInfinity:
+class AtInfinity(Record):
     """A point at infinity with a unit direction vector."""
 
-    dx: float
-    dy: float
+    _fields = ("dx", "dy")
+
+    def __init__(self, dx: float, dy: float):
+        _set(self, "dx", dx)
+        _set(self, "dy", dy)
 
     @staticmethod
     def along(dx: float, dy: float) -> "AtInfinity":
@@ -109,17 +148,17 @@ def diameter(points) -> float:
     return best if best > 0.0 else 1.0
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(Record):
     """A proper circle: complex center o and radius r > 0."""
 
-    o: complex
-    r: float
+    _fields = ("o", "r")
     is_line = False
 
-    def __post_init__(self):
-        if not (self.r > 0.0 and math.isfinite(self.r)):
-            raise DegenerateCircle(f"invalid radius {self.r}")
+    def __init__(self, o: complex, r: float):
+        if not (r > 0.0 and math.isfinite(r)):
+            raise DegenerateCircle(f"invalid radius {r}")
+        _set(self, "o", o)
+        _set(self, "r", r)
 
     def center(self) -> Point:
         return Point(self.o.real, self.o.imag)
@@ -131,13 +170,15 @@ class Circle:
         return abs(abs(p.to_complex() - self.o) - self.r)
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(Record):
     """A line through the complex point p with the unit direction u."""
 
-    p: complex
-    u: complex
+    _fields = ("p", "u")
     is_line = True
+
+    def __init__(self, p: complex, u: complex):
+        _set(self, "p", p)
+        _set(self, "u", u)
 
     def direction(self) -> Point:
         return Point(self.u.real, self.u.imag)

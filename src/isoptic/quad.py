@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
@@ -45,6 +44,8 @@ from .kernel import (
     Line,
     MaybePoint,
     Point,
+    Record,
+    Report,
     circumcenter,
     circumcircle,
     cs_distance,
@@ -57,25 +58,19 @@ from .kernel import (
 )
 
 
-@dataclass(frozen=True)
-class Quadrilateral:
-    """Four ordered, pairwise distinct vertices with no collinear triple."""
+class Quadrilateral(Record):
+    """Four ordered, distinct vertices with no triple collinear within tol (not a field)."""
 
-    a: Point
-    b: Point
-    c: Point
-    d: Point
-    _z: tuple[complex, ...] = field(init=False, repr=False, compare=False)
-    _diffs: tuple[complex, ...] = field(init=False, repr=False, compare=False)
-    _unit: float = field(init=False, repr=False, compare=False)
-    _scale: float = field(init=False, repr=False, compare=False)
-    _height: float = field(init=False, repr=False, compare=False)
+    _fields = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        a, b, c, d = self.a, self.b, self.c, self.d
+    def __init__(self, a: Point, b: Point, c: Point, d: Point, tol: float = DEFAULT_TOL):
+        object.__setattr__(self, "a", a)  # inline: _frame's update then keeps shared keys
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
         z = a, b, c, d = (complex(a.x, a.y), complex(b.x, b.y), complex(c.x, c.y),
                           complex(d.x, d.y))
-        self._frame(z, (b - a, c - a, d - a, c - b, d - b, d - c))
+        self._frame(z, (b - a, c - a, d - a, c - b, d - b, d - c), tol)
 
     @classmethod
     def _from_table(cls, z: tuple[complex, ...], diffs: tuple[complex, ...]) -> Quadrilateral:
@@ -85,10 +80,10 @@ class Quadrilateral:
         its vertices."""
         q = object.__new__(cls)
         vars(q).update(zip("abcd", (Point(v.real, v.imag) for v in z)))
-        q._frame(z, diffs)
+        q._frame(z, diffs, DEFAULT_TOL)
         return q
 
-    def _frame(self, z: tuple[complex, ...], diffs: tuple[complex, ...]):
+    def _frame(self, z: tuple[complex, ...], diffs: tuple[complex, ...], tol: float):
         # the side table _diffs = (B - A, C - A, D - A, C - B, D - B, D - C)
         # times _unit, an exact power of two near 1 / diameter, so that its
         # crosses and dot products neither overflow nor underflow; every side,
@@ -108,7 +103,7 @@ class Quadrilateral:
         vars(self).update(_z=z, _diffs=frame, _unit=unit, _scale=scale, _height=height / unit)
         # a triad holding two vertices delta apart is at most delta high, so
         # this also rejects coincident vertices
-        if height < DEFAULT_TOL * (scale * unit):
+        if height < tol * (scale * unit):
             raise CollinearInput("three vertices are collinear within tolerance")
 
     def vertices(self) -> tuple[Point, Point, Point, Point]:
@@ -158,52 +153,48 @@ class Quadrilateral:
         return Quadrilateral(*(m[ch] for ch in order))
 
 
-@dataclass(frozen=True)
-class TriadSystem:
-    """The triad circles o1 = (D A B), o2 = (A B C), o3 = (B C D) and
-    o4 = (C D A), each a center and a radius."""
+class TriadSystem(Record):
+    """The triad circles o1 = (D A B), o2 = (A B C), o3 = (B C D) and o4 = (C D A), each a
+    center and a radius, and Q2's side table diffs, O2 - O1, ..., O4 - O3 (not a field)."""
 
-    o1: Circle
-    o2: Circle
-    o3: Circle
-    o4: Circle
-    # the side table of the centers (O2 - O1, O3 - O1, O4 - O1, O3 - O2,
-    # O4 - O2, O4 - O3), in closed form: Q2's side table
-    diffs: tuple[complex, ...] = field(repr=False, compare=False)
+    _fields = ("o1", "o2", "o3", "o4")
+
+    def __init__(self, o1: Circle, o2: Circle, o3: Circle, o4: Circle,
+                 diffs: tuple[complex, ...]):
+        vars(self).update(o1=o1, o2=o2, o3=o3, o4=o4, diffs=diffs)
 
     @property
     def circles(self) -> tuple[Circle, ...]:
         return (self.o1, self.o2, self.o3, self.o4)
 
 
-@dataclass(frozen=True)
-class ShapeClass:
-    convex: bool
-    cyclic: bool
-    orthocentric: bool
-    trapezoid: bool
-    parallelogram: bool
+class ShapeClass(Record):
+    _fields = ("convex", "cyclic", "orthocentric", "trapezoid", "parallelogram")
+
+    def __init__(self, convex: bool, cyclic: bool, orthocentric: bool, trapezoid: bool,
+                 parallelogram: bool):
+        vars(self).update(convex=convex, cyclic=cyclic, orthocentric=orthocentric,
+                          trapezoid=trapezoid, parallelogram=parallelogram)
 
     @property
     def concave(self) -> bool:
         return not self.convex
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(Report):
     """Everything derived from one quadrilateral, with invariant residuals."""
 
-    quad: Quadrilateral
-    triads: TriadSystem
-    r: float
-    w: MaybePoint
-    s: MaybePoint
-    shape: ShapeClass
-    pedal_w: list[Point] | None
-    pedal_s: list[Point] | None
-    varignon: list[Point]
-    isoptic_quantity: float | None
-    residuals: dict[str, float] = field(default_factory=dict)
+    _fields = ("quad", "triads", "r", "w", "s", "shape", "pedal_w", "pedal_s", "varignon",
+               "isoptic_quantity", "residuals")
+
+    def __init__(self, quad: Quadrilateral, triads: TriadSystem, r: float, w: MaybePoint,
+                 s: MaybePoint, shape: ShapeClass, pedal_w: list[Point] | None,
+                 pedal_s: list[Point] | None, varignon: list[Point],
+                 isoptic_quantity: float | None, residuals: dict[str, float] | None = None):
+        vars(self).update(quad=quad, triads=triads, r=r, w=w, s=s, shape=shape,
+                          pedal_w=pedal_w, pedal_s=pedal_s, varignon=varignon,
+                          isoptic_quantity=isoptic_quantity,
+                          residuals={} if residuals is None else residuals)
 
 
 class QuadState:
@@ -345,7 +336,7 @@ def similarity_ratio(q: Quadrilateral, tol: float = DEFAULT_TOL) -> float:
     """
     s = q._sides()
     cots = [_cot(s[i], -s[i - 1]) for i in range(4)]
-    max_cot = 1.0 / math.tan(math.sqrt(tol))
+    max_cot = 1.0 / math.tan(math.sqrt(tol)) if tol else math.inf
     for vertex, cot in zip("ABCD", cots):
         if abs(cot) > max_cot:
             raise IllConditionedAngles(f"interior angle at {vertex} too close to a multiple of pi")
@@ -765,7 +756,7 @@ def reconstruct_from_pedal_w(w: Point, feet: list[Point],
         if m is None:
             raise ParallelConsecutiveLines("consecutive reconstruction lines are parallel")
         corners.append(Point.from_complex(o + m))
-    return Quadrilateral(*corners)
+    return Quadrilateral(*corners, tol=tol)
 
 
 def reconstruct_from_simson(s: Point, feet: list[Point],

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (
@@ -22,6 +21,8 @@ from .errors import (
 from .kernel import (
     DEFAULT_TOL,
     Point,
+    Record,
+    Report,
     circumcircle,
     is_finite,
     orthocenter,
@@ -73,14 +74,13 @@ _MIN_TRIAD_HEIGHT = 0.05  # least triad height / diameter
 _MAX_TRIES = 4000         # draws per case before RejectionExhausted
 
 
-@dataclass(frozen=True)
-class CaseSpec:
-    seed: int
-    shape_class: str = "convex-noncyclic"
+class CaseSpec(Record):
+    _fields = ("seed", "shape_class")
 
-    def __post_init__(self):
-        if self.shape_class not in SHAPE_CLASSES:
-            raise ValueError(f"unknown shape class {self.shape_class!r}")
+    def __init__(self, seed: int, shape_class: str = "convex-noncyclic"):
+        if shape_class not in SHAPE_CLASSES:
+            raise ValueError(f"unknown shape class {shape_class!r}")
+        vars(self).update(seed=seed, shape_class=shape_class)
 
 
 def _normalized(pts: list[Point]) -> list[complex]:
@@ -351,22 +351,21 @@ INVARIANTS: dict[str, tuple] = {
 }
 
 
-@dataclass
-class InvariantStats:
-    name: str
-    cases_run: int = 0
-    skipped: int = 0
-    max_residual: float = 0.0
-    failures: int = 0
+class InvariantStats(Report):
+    _fields = ("name", "cases_run", "skipped", "max_residual", "failures")
+
+    def __init__(self, name: str, cases_run: int = 0, skipped: int = 0,
+                 max_residual: float = 0.0, failures: int = 0):
+        vars(self).update(name=name, cases_run=cases_run, skipped=skipped,
+                          max_residual=max_residual, failures=failures)
 
 
-@dataclass
-class SuiteReport:
-    spec: CaseSpec
-    n_cases: int
-    tol: float
-    invariants: dict[str, InvariantStats]
-    errors: int = 0
+class SuiteReport(Report):
+    _fields = ("spec", "n_cases", "tol", "invariants", "errors")
+
+    def __init__(self, spec: CaseSpec, n_cases: int, tol: float,
+                 invariants: dict[str, InvariantStats], errors: int = 0):
+        vars(self).update(spec=spec, n_cases=n_cases, tol=tol, invariants=invariants, errors=errors)
 
     @property
     def failures(self) -> int:
@@ -400,6 +399,8 @@ def run_suite(spec: CaseSpec, n_cases: int, tol: float = 1e-8) -> SuiteReport:
     """
     if n_cases <= 0:
         raise ValueError("n_cases must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     applicable = {name: fn for name, (fn, classes) in INVARIANTS.items()
                   if spec.shape_class in classes}
     stats = {name: InvariantStats(name) for name in applicable}

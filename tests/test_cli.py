@@ -5,10 +5,12 @@ import xml.dom.minidom
 
 import pytest
 
-from isoptic.cli import EXIT_FAILURES, main
+from isoptic.cli import EXIT_DEGENERATE, EXIT_FAILURES, load_quad_file, main
 
 GENERIC = {"vertices": [[0, 0], [4, 0], [5, 3], [1, 4]]}
 SQUARE = {"vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]}
+# the least triad height, of ABC, is 1e-7 of the diameter
+THIN = {"vertices": [[0, 0], [1, 0], [2, 5.657e-7], [0, 2]]}
 
 
 @pytest.fixture
@@ -110,12 +112,33 @@ class TestAnalyze:
         doc = json.loads(out.read_text())
         assert doc["input"]["vertices"] == quad["vertices"]
 
+    def test_validates_at_the_callers_tol(self, quad_file):
+        path = quad_file(THIN)
+        q = load_quad_file(path)
+        assert q.min_triad_height() / q.scale() == pytest.approx(1e-7, rel=1e-3)
+        assert main(["analyze", path]) == 0
+        assert main(["analyze", path, "--tol", "1e-6"]) == EXIT_DEGENERATE
+
     def test_zero_area_bowtie_has_no_area_ratio(self, quad_file, tmp_path):
         # AC is parallel to BD, so the two lobes cancel to signed area 0
         bowtie = {"vertices": [[0, 0], [3, 1], [2, 0], [0, 1]]}
         out = tmp_path / "report.json"
         assert main(["analyze", quad_file(bowtie), "--out", str(out)]) == 0
         assert "area_ratio" not in json.loads(out.read_text())["residuals"]
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_bad_tol_is_a_usage_error(quad_file, capsys, command, tol):
+    # 0 ended in a ZeroDivisionError traceback, -1 in "math domain error",
+    # and verify passed every case at nan, where no residual exceeds it
+    args = ([command, quad_file(GENERIC)] if command == "analyze" else
+            [command, "--cases", "3", "--seed", "1", "--class", "convex-noncyclic"])
+    assert main(args + ["--tol", tol]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"isoptic {command}: error: argument --tol: must be finite and > 0, got {tol!r}"]
 
 
 class TestIterate:

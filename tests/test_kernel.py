@@ -27,6 +27,15 @@ from isoptic.kernel import (
     isogonal_conjugate,
     isogonal_conjugate_triangle,
 )
+from isoptic.quad import (
+    Quadrilateral,
+    TriadSystem,
+    analyze,
+    classify,
+    next_generation,
+    triad_circles,
+)
+from isoptic.verify import CaseSpec, InvariantStats, run_suite
 
 DISC = Circle(0j, 1.0)
 
@@ -526,3 +535,58 @@ class TestConcyclicityViaChords:
         lhs = x.dist(a) * x.dist(c)
         rhs = x.dist(b) * x.dist(d)
         assert lhs == pytest.approx(rhs, rel=1e-6, abs=1e-9)
+
+
+# records
+
+
+def _generic() -> Quadrilateral:
+    return Quadrilateral(Point(0, 0), Point(4, 0), Point(5, 3), Point(1, 4))
+
+
+# a factory of records with equal fields, and whether its records are frozen
+RECORDS = {
+    "Point": (lambda: Point(1.0, 2.0), True),
+    "AtInfinity": (lambda: AtInfinity(0.6, 0.8), True),
+    "Circle": (lambda: Circle(1 + 2j, 3.0), True),
+    "Line": (lambda: Line(1j, 1 + 0j), True),
+    "Quadrilateral": (_generic, True),
+    "TriadSystem": (lambda: triad_circles(_generic()), True),
+    "ShapeClass": (lambda: classify(_generic()), True),
+    "CaseSpec": (lambda: CaseSpec(7, "cyclic"), True),
+    "AnalysisReport": (lambda: analyze(_generic()), False),
+    "InvariantStats": (lambda: InvariantStats("ptolemy", cases_run=2), False),
+    "SuiteReport": (lambda: run_suite(CaseSpec(7, "cyclic"), 2), False),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_compare_by_value(name):
+    make, frozen = RECORDS[name]
+    rec, twin = make(), make()
+    assert type(rec).__name__ == name
+    assert rec == twin and not rec != twin
+    assert repr(rec) == repr(twin) and repr(rec).startswith(f"{name}(")
+    field = next(iter(vars(rec)))
+    if frozen:
+        assert hash(rec) == hash(twin)
+        with pytest.raises(AttributeError):
+            setattr(rec, field, getattr(rec, field))
+        with pytest.raises(AttributeError):
+            delattr(rec, field)
+    else:
+        with pytest.raises(TypeError):
+            hash(rec)
+        setattr(twin, field, None)  # the reports are filled in as they run
+        assert rec != twin
+
+
+def test_record_equality_reads_only_the_fields():
+    assert Point(1, 2) != AtInfinity(1, 2)
+    assert repr(Point(1.0, 2.0)) == "Point(x=1.0, y=2.0)"
+    # Q2 keeps the closed-form side table, not its vertices' differences
+    q2 = next_generation(_generic())
+    again = Quadrilateral(*q2.vertices(), tol=1e-3)
+    assert q2 == again and hash(q2) == hash(again)
+    triads = triad_circles(_generic())
+    assert triads == TriadSystem(*triads.circles, diffs=())

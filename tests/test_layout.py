@@ -6,6 +6,9 @@ private name."""
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import isoptic
@@ -126,3 +129,17 @@ def test_traced_layer_functions_exist():
                if not inspect.isfunction(getattr(importlib.import_module(f"isoptic.{layer}"),
                                                  name, None))]
     assert missing == [], f"traced but not a function of its module: {missing}"
+
+
+def test_cold_start_imports():
+    # dataclasses and the inspect it imports slowed every cold CLI start, and
+    # fractions is needed only by kernel._exact_weights.
+    # verify and render stay eager: the benchmark's traced CLI child imports
+    # isoptic.cli alone and then reads both from sys.modules
+    probe = ("import isoptic.cli, sys; print(' '.join(sorted(m for m in ("
+             "'dataclasses', 'inspect', 'typing', 'fractions', 'isoptic.verify',"
+             " 'isoptic.render') if m in sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["isoptic.render", "isoptic.verify"]

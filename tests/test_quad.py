@@ -85,6 +85,17 @@ class TestQuadrilateral:
         with pytest.raises(CollinearInput):
             Quadrilateral(Point(0, 0), Point(1, 0), Point(2, 0), Point(0, 3))
 
+    def test_validates_at_the_callers_tol(self):
+        # the least triad height, of ABC, is 1e-7 of the diameter
+        thin = (Point(0, 0), Point(1, 0), Point(2, 5.657e-7), Point(0, 2))
+        assert Quadrilateral(*thin, tol=1e-8) == Quadrilateral(*thin)
+        with pytest.raises(CollinearInput):
+            Quadrilateral(*thin, tol=1e-6)
+
+    def test_analyze_at_zero_tol(self):
+        # similarity_ratio's angle bound 1 / tan(sqrt(tol)) divided by zero
+        assert analyze(generic_quads(1)[0], 0.0).r < 0.0
+
     def test_area_square(self):
         assert SQUARE.area() == pytest.approx(4.0)
 

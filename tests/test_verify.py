@@ -159,6 +159,12 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite(CaseSpec(seed=5, shape_class="cyclic"), 0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_tol_that_is_not_finite_and_positive(self, tol):
+        # at nan no residual exceeds tol, so every case passed
+        with pytest.raises(ValueError):
+            run_suite(CaseSpec(seed=5, shape_class="cyclic"), 1, tol)
+
     def test_residuals_nonnegative(self):
         rep = run_suite(CaseSpec(seed=5, shape_class="concave"), 10, tol=1e-8)
         for stats in rep.invariants.values():
