@@ -363,27 +363,6 @@ def orthocenter(p: Point, q: Point, r: Point) -> Point:
 # triangle conjugations
 
 
-# weights of isogonal_conjugate whose sum s falls below this share of
-# |u| + |v| + |w| have cancelled too far for float and are redone exactly
-_CANCELLED = 1e-3
-
-
-def _exact_weights(a: complex, b: complex, c: complex, p: complex,
-                   unit: float) -> tuple[float, complex]:
-    """s and (a - p) u + (b - p) v + (c - p) w of isogonal_conjugate in units
-    of 1 / unit, from exact rationals of the input, each rounded once."""
-    from fractions import Fraction  # rarely reached: kept off the start-up path
-    px, py, k = Fraction(p.real), Fraction(p.imag), Fraction(unit)
-    (ax, ay), (bx, by), (cx, cy) = (((Fraction(v.real) - px) * k, (Fraction(v.imag) - py) * k)
-                                    for v in (a, b, c))
-    x, y, z = bx * cy - by * cx, cx * ay - cy * ax, ax * by - ay * bx  # twice the areas
-    u = ((bx - cx) ** 2 + (by - cy) ** 2) * y * z
-    v = ((cx - ax) ** 2 + (cy - ay) ** 2) * z * x
-    w = ((ax - bx) ** 2 + (ay - by) ** 2) * x * y
-    return (0.25 * float(u + v + w),
-            0.25 * complex(float(ax * u + bx * v + cx * w), float(ay * u + by * v + cy * w)))
-
-
 def isogonal_conjugate(a: complex, b: complex, c: complex, p: complex,
                        tol: float = DEFAULT_TOL) -> MaybePoint:
     """Isogonal conjugate of p in the triangle a, b, c, relative to p: with
@@ -413,8 +392,6 @@ def isogonal_conjugate(a: complex, b: complex, c: complex, p: complex,
         return Point.from_complex((a, b, c)[on_side.index(True)])
     u, v, w = norm2(bc) * y * z, norm2(ca) * z * x, norm2(ab) * x * y
     s, rel = u + v + w, pa * u + pb * v + pc * w
-    if abs(s) < _CANCELLED * (abs(u) + abs(v) + abs(w)):
-        s, rel = _exact_weights(a, b, c, p, unit)
     if abs(s) < tol * (abs(u) + abs(v) + abs(w)):
         return AtInfinity.along(rel.real, rel.imag)
     return Point.from_complex(p + rel / s / unit)

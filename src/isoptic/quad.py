@@ -73,14 +73,15 @@ class Quadrilateral(Record):
         self._frame(z, (b - a, c - a, d - a, c - b, d - b, d - c), tol)
 
     @classmethod
-    def _from_table(cls, z: tuple[complex, ...], diffs: tuple[complex, ...]) -> Quadrilateral:
+    def _from_table(cls, z: tuple[complex, ...], diffs: tuple[complex, ...],
+                    tol: float) -> Quadrilateral:
         """The quadrilateral of four complex vertices whose side table is
         diffs, in the vertices' units, rather than the differences of the
         rounded vertices: for a construction that knows its sides better than
         its vertices."""
         q = object.__new__(cls)
         vars(q).update(zip("abcd", (Point(v.real, v.imag) for v in z)))
-        q._frame(z, diffs, DEFAULT_TOL)
+        q._frame(z, diffs, tol)
         return q
 
     def _frame(self, z: tuple[complex, ...], diffs: tuple[complex, ...], tol: float):
@@ -209,6 +210,8 @@ class QuadState:
     """
 
     def __init__(self, q: Quadrilateral, tol: float = DEFAULT_TOL):
+        if not 0.0 < tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {tol!r}")
         self.q = q
         self.tol = tol
 
@@ -439,20 +442,35 @@ def next_generation(q: QuadOrState, tol: float = DEFAULT_TOL) -> Quadrilateral:
         raise CyclicDegeneration("cyclic quadrilateral degenerates to a point",
                                  point=st.triads.o2.center())
     triads = st.triads
-    return Quadrilateral._from_table(tuple(o.o for o in triads.circles), triads.diffs)
+    return Quadrilateral._from_table(tuple(o.o for o in triads.circles), triads.diffs, st.tol)
 
 
 def prev_generation(q: Quadrilateral, tol: float = DEFAULT_TOL) -> Quadrilateral:
-    """Reverse of the perpendicular-bisector step by isogonal conjugation.
+    """Reverse of the perpendicular-bisector step, as the fixed point of four
+    reflections.
 
-    Treating q as a second-generation quadrilateral (A2, B2, C2, D2), each
-    first-generation vertex is the conjugate of the opposite vertex in the
-    triangle of the remaining three.
+    Treating q as a second generation (A2, B2, C2, D2), each side of q is the
+    perpendicular bisector of the same side of the first generation, so the
+    reflections in q's sides AB, BC, CD and DA take A to B, B to C, C to D
+    and D back to A.  Each reflection is x -> p + u^2 conj(x - p), u^2 =
+    e / conj(e) for the side e from p, and the four compose to a rotation
+    x -> m x + b, taken on the side table relative to q's centroid: A is its
+    fixed point b / (1 - m).  m = 1 exactly when q is cyclic (its opposite
+    angles sum to pi), which raises OrthocentricDegeneration.
     """
-    out = _conjugates_in_triads(q, tol)
-    if not all(is_finite(p) for p in out):
-        raise OrthocentricDegeneration("isogonal conjugate escapes to infinity")
-    return Quadrilateral(*out)
+    ab, ac, ad, bc, _, cd = q._diffs
+    g = (ab + ac + ad) / 4.0
+    mirrors = [(p - g, e / e.conjugate()) for p, e in ((0j, ab), (ab, bc), (ac, cd), (ad, -ad))]
+    m, b = 1.0 + 0j, 0j
+    for p, u2 in mirrors:
+        m, b = u2 * m.conjugate(), p + u2 * (b - p).conjugate()
+    if abs(1.0 - m) < tol:
+        raise OrthocentricDegeneration("the input is cyclic, so no quadrilateral precedes it")
+    out = [b / (1.0 - m)]
+    for p, u2 in mirrors[:3]:
+        out.append(p + u2 * (out[-1] - p).conjugate())
+    za, unit = q._z[0], q._unit
+    return Quadrilateral(*(Point.from_complex(za + (v + g) / unit) for v in out), tol=tol)
 
 
 def _conjugates_in_triads(q: Quadrilateral, tol: float) -> list[MaybePoint]:
@@ -471,8 +489,6 @@ def _conjugates_in_triads(q: Quadrilateral, tol: float) -> list[MaybePoint]:
 
 
 _AT_INFINITY = 1e-12
-# generations the limit route walks before it gives up
-_MAX_GENERATIONS = 60
 
 
 def isoptic_point(q: Quadrilateral) -> MaybePoint:
@@ -506,50 +522,30 @@ def isoptic_point(q: Quadrilateral) -> MaybePoint:
     return Point.from_complex(g + (num / den).conjugate())
 
 
-def _aitken(zs: list[complex], scale: float) -> Point:
-    """Aitken extrapolation of three iterates per coordinate, squaring no difference."""
-    out = []
-    for x0, x1, x2 in ((z.real for z in zs), (z.imag for z in zs)):
-        step, den = x2 - x1, (x2 - x1) - (x1 - x0)
-        out.append(x2 if abs(den) < 1e-14 * scale else x2 - step * (step / den))
-    return Point(*out)
-
-
 def isoptic_point_via_limit(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePoint:
-    """Limit of the forward (|r| < 1) or reverse (|r| > 1) iteration, walked
-    along the state's next or prev chain.
+    """The limit of the perpendicular-bisector iteration, as the center of
+    the similarity that takes Q1 to Q3.
 
-    Q^(k+2) = W + r (Q^(k) - W), so each same-parity centroid subsequence
-    is geometric with the real ratio r and Aitken extrapolation of three of
-    its terms is exact up to rounding: on generic input the route returns
-    after five generations, when the two subsequences agree.
-    _MAX_GENERATIONS is only a budget for inputs where they do not.
+    Q^(k+2) = W + r (Q^(k) - W), so with g1 and g3 the centroids, u and v
+    the vertices of Q1 and Q3 about them and k = sum conj(u_i) v_i /
+    sum |u_i|^2 (r up to rounding), W = g1 + (g3 - g1) / (1 - k).  u, v and
+    g3 - g1 are read in Q1's power-of-two frame, so no square overflows or
+    underflows.  A cyclic input gives the center its Q2 collapses to.
     """
     st = _state(q, tol)
-    tol, r = st.tol, st.r
+    r = st.r
     if abs(abs(r) - 1.0) < 1e-6:
         raise NonConvergent(f"|r| = {abs(r)} is on the periodic locus")
-    current, scale, forward = st, st.scale, abs(r) < 1.0
-    cents = [sum(st.q._z) / 4.0]
-    for _ in range(_MAX_GENERATIONS):
-        try:
-            current = current.next if forward else current.prev
-        except (CyclicDegeneration, OrthocentricDegeneration) as exc:
-            if isinstance(exc, CyclicDegeneration) and exc.point is not None:
-                return exc.point
-            raise NonConvergent("iteration hit a degeneration") from exc
-        cents.append(sum(current.q._z) / 4.0)
-        if current.scale < tol * scale:
-            return current.q.centroid()
-        if len(cents) >= 6:
-            # extrapolate the two same-parity subsequences and cross-check
-            w, u = _aitken(cents[-6:-1:2], scale), _aitken(cents[-5::2], scale)
-            if w.dist(u) < 0.5 * tol * scale:
-                return Point(0.5 * (w.x + u.x), 0.5 * (w.y + u.y))
-    # fall back to the extrapolate of the subsequence before the last iterate
-    if len(cents) >= 6:
-        return _aitken(cents[-6:-1:2], scale)
-    raise NonConvergent("iteration budget exhausted")
+    try:
+        z3 = st.next.next.q._z
+    except CyclicDegeneration as exc:
+        return exc.point
+    z1, unit = st.q._z, st.q._unit
+    g1, g3 = sum(z1) / 4.0, sum(z3) / 4.0
+    u = [(z - g1) * unit for z in z1]
+    v = [(z - g3) * unit for z in z3]
+    k = sum(x.conjugate() * y for x, y in zip(u, v)) / sum(map(norm2, u))
+    return Point.from_complex(g1 + (g3 - g1) * unit / (1.0 - k) / unit)
 
 
 def _mean_image(images: list[MaybePoint]) -> MaybePoint:

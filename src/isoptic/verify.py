@@ -15,7 +15,6 @@ from itertools import combinations
 from .errors import (
     CyclicDegeneration,
     GeometryError,
-    NonConvergent,
     RejectionExhausted,
 )
 from .kernel import (
@@ -244,17 +243,10 @@ def _inv_w_agreement(st):
     w = st.w
     if not is_finite(w):
         return None
-    r = abs(st.r)
-    if not (0.05 <= r <= 0.9 or 1.1 <= r <= 5.0):
-        return None
     # the limit route uses only the generation maps, never the circles of
     # similitude: the independent oracle for W
-    candidates = [w, isoptic_point_via_inversion(st),
-                  isoptic_point_via_inv_iso(st)]
-    try:
-        candidates.append(isoptic_point_via_limit(st))
-    except NonConvergent:
-        return None
+    candidates = [w, isoptic_point_via_inversion(st), isoptic_point_via_inv_iso(st),
+                  isoptic_point_via_limit(st)]
     if not all(is_finite(p) for p in candidates):
         return None
     return max(p.dist(q) for p, q in combinations(candidates, 2)) / st.scale

@@ -161,6 +161,17 @@ class TestIterate:
         assert doc["degeneration"]["reason"] == "cyclic"
         assert doc["degeneration"]["point"]["xy"] == [0.0, 0.0]
 
+    def test_backward_from_cyclic_input(self, quad_file, tmp_path):
+        # a cyclic quadrilateral is no quadrilateral's second generation
+        out = tmp_path / "it.json"
+        rc = main(["iterate", quad_file(SQUARE), "--generations", "1",
+                   "--direction", "backward", "--out", str(out)])
+        assert rc == 2
+        doc = json.loads(out.read_text())
+        assert doc["degeneration"]["reason"] == "OrthocentricDegeneration"
+        assert "cyclic" in doc["degeneration"]["message"]
+        assert len(doc["generations"]) == 1
+
     def test_forward_backward_roundtrip(self, quad_file, tmp_path):
         fwd = tmp_path / "fwd.json"
         main(["iterate", quad_file(GENERIC), "--generations", "2",

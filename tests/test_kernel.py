@@ -488,24 +488,6 @@ class TestIsogonalConjugateCore:
             err = abs(isogonal_conjugate(a, b, c, p).to_complex() - _exact_conjugate(a, b, c, p))
             assert err <= 16 * EPS * (diam + offset)
 
-    @pytest.mark.parametrize("offset", [0.0, 1e6])
-    def test_near_the_circumcircle_keeps_relative_accuracy(self, offset):
-        # 1e-7 of the radius off the circumcircle the weight sum cancels to
-        # about 1e-7 of the weights, and the conjugate runs ~1e7 diameters
-        # out; the exact weights keep its error a few eps of that distance
-        rng = random.Random(4)
-        for _ in range(100):
-            a, b, c = _random_triangle(rng, offset)
-            circ = circumcircle(*(Point(v.real, v.imag) for v in (a, b, c)))
-            p = circ.o + circ.r * (1.0 + rng.choice((-1e-7, 1e-7))) \
-                * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-            got = isogonal_conjugate(a, b, c, p)
-            if not is_finite(got):
-                continue  # within tol of the circumcircle: at infinity
-            exact = _exact_conjugate(a, b, c, p)
-            assert abs(got.to_complex() - exact) <= 16 * EPS * (abs(exact - p) + offset)
-
-
     def test_subnormal_triangle(self):
         # the frame's power of two is capped at 2^1023; uncapped it
         # overflowed on a triangle 1e-310 across

@@ -133,7 +133,7 @@ def test_traced_layer_functions_exist():
 
 def test_cold_start_imports():
     # dataclasses and the inspect it imports slowed every cold CLI start, and
-    # fractions is needed only by kernel._exact_weights.
+    # the package needs fractions nowhere.
     # verify and render stay eager: the benchmark's traced CLI child imports
     # isoptic.cli alone and then reads both from sys.modules
     probe = ("import isoptic.cli, sys; print(' '.join(sorted(m for m in ("

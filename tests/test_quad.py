@@ -13,6 +13,7 @@ from isoptic.errors import (
     DegenerateRay,
     GeometryError,
     NonCollinearFeet,
+    OrthocentricDegeneration,
     PointAtInfinity,
     Underdetermined,
 )
@@ -26,6 +27,7 @@ from isoptic.kernel import (
 from isoptic.quad import (
     Quadrilateral,
     QuadState,
+    _conjugates_in_triads,
     analyze,
     angle_sums_at_point,
     classify,
@@ -92,9 +94,14 @@ class TestQuadrilateral:
         with pytest.raises(CollinearInput):
             Quadrilateral(*thin, tol=1e-6)
 
-    def test_analyze_at_zero_tol(self):
-        # similarity_ratio's angle bound 1 / tan(sqrt(tol)) divided by zero
-        assert analyze(generic_quads(1)[0], 0.0).r < 0.0
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_analyze_rejects_a_tol_that_is_not_finite_and_positive(self, tol):
+        # -1 raised a math domain error, nan passed every tolerance test and
+        # inf raised CollinearInput
+        with pytest.raises(ValueError):
+            analyze(GENERIC, tol)
+        with pytest.raises(ValueError):
+            QuadState(GENERIC, tol)
 
     def test_area_square(self):
         assert SQUARE.area() == pytest.approx(4.0)
@@ -227,6 +234,34 @@ class TestGenerations:
         assert quad_distance(GENERIC, fwd) < 1e-8
         assert quad_distance(GENERIC, bwd) < 1e-8
 
+    def test_prev_generation_agrees_with_the_isogonal_conjugates(self):
+        # the paper's lemma: each vertex of the first generation is the
+        # isogonal conjugate of the opposite vertex of the second in the
+        # triangle of the other three
+        for shape in ("convex-noncyclic", "concave", "trapezoid"):
+            for q in generic_quads(300, shape, seed=7):
+                prev = prev_generation(q)
+                conj = _conjugates_in_triads(q, 1e-9)
+                gap = max(p.dist(c) for p, c in zip(prev.vertices(), conj))
+                assert gap <= 1e-12 * prev.scale()
+
+    def test_cyclic_input_has_no_prev_generation(self):
+        with pytest.raises(OrthocentricDegeneration, match="cyclic"):
+            prev_generation(SQUARE)
+
+    def test_generation_maps_validate_their_output_at_the_callers_tol(self):
+        # B sits 1e-3 off AC: t's least triad height is 4.0e-4 of its
+        # diameter, and that of its neighbours prev(t) and next(t) 4.8e-4, so
+        # at tol 4.4e-4 both maps take a valid input to an invalid output
+        t = Quadrilateral(Point(0, 0), Point(1, 1e-3), Point(2, 0), Point(0.5, 2))
+        tol = 4.4e-4
+        for step, q in ((next_generation, prev_generation(t)),
+                        (prev_generation, next_generation(t))):
+            Quadrilateral(*q.vertices(), tol=tol)
+            assert quad_distance(step(q), t) < 1e-12
+            with pytest.raises(CollinearInput):
+                step(q, tol)
+
     @pytest.mark.parametrize("k", [2.0 ** -200, 2.0 ** 200])
     def test_prev_generation_scales_exactly(self, k):
         # the conjugation weights are of degree 6 in the coordinates; unscaled,
@@ -355,6 +390,18 @@ class TestIsopticPoint:
             for j in range(i + 1, 4):
                 cs = circle_of_similitude(circles[i], circles[j])
                 assert cs.distance_to(w) < 1e-9 * GENERIC.scale()
+
+    def test_third_generation_is_the_homothety_about_the_limit(self):
+        # Q3 = W + r (Q1 - W), with W from the limit route and r from the
+        # cotangent formula, within rounding of the larger of Q1 and Q3 (a
+        # nearly cyclic trapezoid's Q3 is far smaller than Q1)
+        for shape in ("convex-noncyclic", "concave", "trapezoid"):
+            for q in generic_quads(50, shape, seed=7):
+                w, r = isoptic_point_via_limit(q), similarity_ratio(q)
+                image = Quadrilateral(*(w + (v - w) * r for v in q.vertices()))
+                q3 = next_generation(next_generation(q))
+                size = max(q.scale(), q3.scale())
+                assert quad_distance(q3, image) * q3.scale() <= 1e-14 * size
 
     def test_limit_converges_fast_when_r_small(self):
         spec = CaseSpec(seed=11, shape_class="convex-noncyclic")
@@ -749,31 +796,24 @@ class TestComputeOnce:
         calls = self._record(monkeypatch, ("triad_circles",))
         rep = run_suite(CaseSpec(3, "convex-noncyclic"), 1)
         assert rep.invariants["w_agreement"].cases_run == 1
-        # Q1 to Q5 along the limit route (which covers Q2 and Q3 for the
-        # inversion route and the cross-generation residual; Q6 needs no
-        # circles), prev_generation(Q1) for the round trip and the image
-        # quadrilateral of the duality residual
+        # Q1, Q2 and Q3, shared by the limit route, the inversion route and
+        # the cross-generation residual, prev_generation(Q1) for the round
+        # trip and the image quadrilateral of the duality residual
         seen = calls["triad_circles"]
-        assert len(seen) == 7
-        assert len(set(seen)) == 7
+        assert len(seen) == 5
+        assert len(set(seen)) == 5
 
-    def test_limit_route_returns_after_five_generations(self, monkeypatch):
+    def test_limit_route_builds_q2_and_q3_only(self, monkeypatch):
         import isoptic.quad as quad
         calls = self._record(monkeypatch, ("next_generation", "prev_generation"))
-        checked = 0
         for shape in ("convex-noncyclic", "concave", "trapezoid"):
             for q in generic_quads(40, shape, seed=2):
-                r = abs(similarity_ratio(q))
-                if not (0.05 <= r <= 0.9 or 1.1 <= r <= 5.0):  # the w_agreement window
-                    continue
                 for seen in calls.values():
                     seen.clear()
                 quad.isoptic_point_via_limit(q)
-                # Q^(k+2) = W + r (Q^(k) - W): the Aitken step on Q1, Q3, Q5
-                # is exact, and Q2, Q4, Q6 confirm it
-                assert len(calls["next_generation" if r < 1.0 else "prev_generation"]) == 5
-                checked += 1
-        assert checked >= 50
+                # Q3 = W + r (Q1 - W), whether the iteration contracts or not
+                assert len(calls["next_generation"]) == 2
+                assert calls["prev_generation"] == []
 
 
 class TestAtInfinityCuts:

@@ -140,6 +140,9 @@ class TestRunSuite:
         # its closed-form side table, so its angles stay supplementary
         rep = run_suite(CaseSpec(seed, shape_class), 1000)
         assert rep.failures == 0 and rep.errors == 0, rep.to_dict()
+        if shape_class == "trapezoid":
+            # w_agreement has no |r| window: it runs on every trapezoid
+            assert rep.invariants["w_agreement"].cases_run == 1000
 
     def test_q2_construction_runs_on_noncyclic_classes(self):
         for sc in SHAPE_CLASSES:
