@@ -35,6 +35,15 @@ _MACHINE_EPS = 2.220446049250313e-16
 _set = object.__setattr__  # stores inline; vars(self).update would give each record a dict
 
 
+def check_tol(tol: float) -> float:
+    """tol itself when it is finite and positive, else ValueError: at nan
+    every comparison with tol reads false, at inf every bound holds, and
+    similarity_ratio takes sqrt(tol)."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    return tol
+
+
 class Record:
     """An immutable record of the fields named in _fields, set by __init__;
     equality (within one class), hash and repr read them.  Not a dataclass,

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import cached_property
 from itertools import combinations
 
 from .errors import (
@@ -46,6 +45,7 @@ from .kernel import (
     Point,
     Record,
     Report,
+    check_tol,
     circumcenter,
     circumcircle,
     cs_distance,
@@ -58,16 +58,19 @@ from .kernel import (
 )
 
 
+_set = object.__setattr__  # one call per field: vars(self).update would give a dict of its own
+
+
 class Quadrilateral(Record):
     """Four ordered, distinct vertices with no triple collinear within tol (not a field)."""
 
     _fields = ("a", "b", "c", "d")
 
     def __init__(self, a: Point, b: Point, c: Point, d: Point, tol: float = DEFAULT_TOL):
-        object.__setattr__(self, "a", a)  # inline: _frame's update then keeps shared keys
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
         z = a, b, c, d = (complex(a.x, a.y), complex(b.x, b.y), complex(c.x, c.y),
                           complex(d.x, d.y))
         self._frame(z, (b - a, c - a, d - a, c - b, d - b, d - c), tol)
@@ -80,7 +83,8 @@ class Quadrilateral(Record):
         rounded vertices: for a construction that knows its sides better than
         its vertices."""
         q = object.__new__(cls)
-        vars(q).update(zip("abcd", (Point(v.real, v.imag) for v in z)))
+        for name, v in zip("abcd", z):
+            _set(q, name, Point(v.real, v.imag))
         q._frame(z, diffs, tol)
         return q
 
@@ -101,7 +105,11 @@ class Quadrilateral(Record):
                      abs(_cross(ac, ad)) / (max(nac, ncd, nad) * unit or math.inf),
                      abs(_cross(ab, ad)) / (max(nab, nbd, nad) * unit or math.inf),
                      abs(_cross(ab, ac)) / (max(nab, nbc, nac) * unit or math.inf))
-        vars(self).update(_z=z, _diffs=frame, _unit=unit, _scale=scale, _height=height / unit)
+        _set(self, "_z", z)
+        _set(self, "_diffs", frame)
+        _set(self, "_unit", unit)
+        _set(self, "_scale", scale)
+        _set(self, "_height", height / unit)
         # a triad holding two vertices delta apart is at most delta high, so
         # this also rejects coincident vertices
         if height < tol * (scale * unit):
@@ -162,7 +170,11 @@ class TriadSystem(Record):
 
     def __init__(self, o1: Circle, o2: Circle, o3: Circle, o4: Circle,
                  diffs: tuple[complex, ...]):
-        vars(self).update(o1=o1, o2=o2, o3=o3, o4=o4, diffs=diffs)
+        _set(self, "o1", o1)
+        _set(self, "o2", o2)
+        _set(self, "o3", o3)
+        _set(self, "o4", o4)
+        _set(self, "diffs", diffs)
 
     @property
     def circles(self) -> tuple[Circle, ...]:
@@ -174,8 +186,11 @@ class ShapeClass(Record):
 
     def __init__(self, convex: bool, cyclic: bool, orthocentric: bool, trapezoid: bool,
                  parallelogram: bool):
-        vars(self).update(convex=convex, cyclic=cyclic, orthocentric=orthocentric,
-                          trapezoid=trapezoid, parallelogram=parallelogram)
+        _set(self, "convex", convex)
+        _set(self, "cyclic", cyclic)
+        _set(self, "orthocentric", orthocentric)
+        _set(self, "trapezoid", trapezoid)
+        _set(self, "parallelogram", parallelogram)
 
     @property
     def concave(self) -> bool:
@@ -192,10 +207,34 @@ class AnalysisReport(Report):
                  s: MaybePoint, shape: ShapeClass, pedal_w: list[Point] | None,
                  pedal_s: list[Point] | None, varignon: list[Point],
                  isoptic_quantity: float | None, residuals: dict[str, float] | None = None):
-        vars(self).update(quad=quad, triads=triads, r=r, w=w, s=s, shape=shape,
-                          pedal_w=pedal_w, pedal_s=pedal_s, varignon=varignon,
-                          isoptic_quantity=isoptic_quantity,
-                          residuals={} if residuals is None else residuals)
+        self.quad = quad
+        self.triads = triads
+        self.r = r
+        self.w = w
+        self.s = s
+        self.shape = shape
+        self.pedal_w = pedal_w
+        self.pedal_s = pedal_s
+        self.varignon = varignon
+        self.isoptic_quantity = isoptic_quantity
+        self.residuals = {} if residuals is None else residuals
+
+
+class _part:
+    """A QuadState part: fn's value, computed on the first read and then
+    stored in the instance dict, which shadows this non-data descriptor, so
+    that later reads are plain attribute lookups.  functools.cached_property
+    does the same under a lock (before Python 3.12)."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, st, owner=None):
+        if st is None:
+            return self
+        value = self.fn(st)
+        setattr(st, self.name, value)
+        return value
 
 
 class QuadState:
@@ -204,65 +243,78 @@ class QuadState:
 
     The constructions below that read cached parts take a QuadState
     wherever they take a quadrilateral, and then reuse its parts and its
-    tol; the properties call them through this module's globals.  ``next``
+    tol; the parts call them through this module's globals.  ``next``
     (the state of Q2) and ``prev`` (that of prev_generation(q)) chain the
     generations, so that each one and its triad circles are built once.
+    The pedal feet are held as complex numbers (``feet_w``, ``feet_s``) for
+    the residuals, and as Points (``pedal_w``, ``pedal_s``) for reports.
     """
 
     def __init__(self, q: Quadrilateral, tol: float = DEFAULT_TOL):
-        if not 0.0 < tol < math.inf:
-            raise ValueError(f"tol must be finite and positive, got {tol!r}")
         self.q = q
-        self.tol = tol
+        self.tol = check_tol(tol)
 
-    @cached_property
+    @_part
     def scale(self) -> float:
         return self.q.scale()
 
-    @cached_property
+    @_part
     def triads(self) -> TriadSystem:
         return triad_circles(self.q, self.tol)
 
-    @cached_property
+    @_part
     def cyclic(self) -> bool:
         """D lies within tol * scale of the circle o2 through A, B, C."""
         return self.triads.o2.distance_to(self.q.d) / self.scale < self.tol
 
-    @cached_property
+    @_part
     def shape(self) -> ShapeClass:
         return classify(self)
 
-    @cached_property
+    @_part
     def r(self) -> float:
         return similarity_ratio(self.q, self.tol)
 
-    @cached_property
+    @_part
     def q2(self) -> Quadrilateral:
         return next_generation(self)
 
-    @cached_property
+    @_part
     def next(self) -> QuadState:
         return QuadState(self.q2, self.tol)
 
-    @cached_property
+    @_part
     def prev(self) -> QuadState:
         return QuadState(prev_generation(self.q, self.tol), self.tol)
 
-    @cached_property
+    @_part
     def w(self) -> MaybePoint:
         return isoptic_point(self.q)
 
-    @cached_property
+    @_part
     def s(self) -> MaybePoint:
         return simson_point(self.q)
 
-    @cached_property
-    def pedal_w(self) -> list[Point] | None:
-        return pedal_quadrilateral(self.q, self.w) if is_finite(self.w) else None
+    @_part
+    def quantities(self) -> list[float] | None:
+        """The four d_i / R_i at W (isoptic_quantity); None when W is at infinity."""
+        return isoptic_quantity(self, self.w) if is_finite(self.w) else None
 
-    @cached_property
+    @_part
+    def feet_w(self) -> list[complex] | None:
+        return _pedal_feet(self.q, self.w.to_complex()) if is_finite(self.w) else None
+
+    @_part
+    def feet_s(self) -> list[complex] | None:
+        return _pedal_feet(self.q, self.s.to_complex()) if is_finite(self.s) else None
+
+    @_part
+    def pedal_w(self) -> list[Point] | None:
+        return None if self.feet_w is None else [Point.from_complex(f) for f in self.feet_w]
+
+    @_part
     def pedal_s(self) -> list[Point] | None:
-        return pedal_quadrilateral(self.q, self.s) if is_finite(self.s) else None
+        return None if self.feet_s is None else [Point.from_complex(f) for f in self.feet_s]
 
 
 QuadOrState = Quadrilateral | QuadState
@@ -337,9 +389,9 @@ def similarity_ratio(q: Quadrilateral, tol: float = DEFAULT_TOL) -> float:
     cot(sqrt(tol)), an angle within sqrt(tol) of 0 or pi, raises
     IllConditionedAngles.  r < 0 convex noncyclic, 0 cyclic, >= 1 concave.
     """
+    max_cot = 1.0 / math.tan(math.sqrt(check_tol(tol)))
     s = q._sides()
     cots = [_cot(s[i], -s[i - 1]) for i in range(4)]
-    max_cot = 1.0 / math.tan(math.sqrt(tol)) if tol else math.inf
     for vertex, cot in zip("ABCD", cots):
         if abs(cot) > max_cot:
             raise IllConditionedAngles(f"interior angle at {vertex} too close to a multiple of pi")
@@ -406,6 +458,7 @@ def triad_circles(q: Quadrilateral, tol: float = DEFAULT_TOL) -> TriadSystem:
     input's Q2 is Delta times a well-conditioned quadrilateral.  The radii
     are the mean distance from each center to its three vertices.
     """
+    check_tol(tol)
     ab, ac, ad, bc, bd, cd = f = q._diffs
     n = [norm2(v) for v in f]
     t = (_cross(ab, ad), _cross(ab, ac), _cross(bc, bd), _cross(ac, ad))  # DAB, ABC, BCD, CDA
@@ -439,10 +492,15 @@ def next_generation(q: QuadOrState, tol: float = DEFAULT_TOL) -> Quadrilateral:
     """
     st = _state(q, tol)
     if st.cyclic:
-        raise CyclicDegeneration("cyclic quadrilateral degenerates to a point",
-                                 point=st.triads.o2.center())
+        raise _collapse(st)
     triads = st.triads
     return Quadrilateral._from_table(tuple(o.o for o in triads.circles), triads.diffs, st.tol)
+
+
+def _collapse(st: QuadState) -> CyclicDegeneration:
+    """The error of a cyclic input's Q2, which is one point: the circumcenter."""
+    return CyclicDegeneration("cyclic quadrilateral degenerates to a point",
+                              point=st.triads.o2.center())
 
 
 def prev_generation(q: Quadrilateral, tol: float = DEFAULT_TOL) -> Quadrilateral:
@@ -458,6 +516,7 @@ def prev_generation(q: Quadrilateral, tol: float = DEFAULT_TOL) -> Quadrilateral
     fixed point b / (1 - m).  m = 1 exactly when q is cyclic (its opposite
     angles sum to pi), which raises OrthocentricDegeneration.
     """
+    check_tol(tol)
     ab, ac, ad, bc, _, cd = q._diffs
     g = (ab + ac + ad) / 4.0
     mirrors = [(p - g, e / e.conjugate()) for p, e in ((0j, ab), (ab, bc), (ac, cd), (ad, -ad))]
@@ -616,15 +675,18 @@ def angle_sums_at_point(q: Quadrilateral, w: Point) -> float:
 
 
 def pedal_quadrilateral(q: Quadrilateral, p: Point) -> list[Point]:
-    """Feet of the perpendiculars from p onto the side lines AB, BC, CD, DA:
-    with v the side's first vertex, e its vector, u^2 = e / conj(e) and
-    d = p - v, the foot is v + (d + u^2 conj(d)) / 2, where u^2 conj(d) is d
-    mirrored in the side."""
-    z = p.to_complex()
+    """Feet of the perpendiculars from p onto the side lines AB, BC, CD, DA."""
+    return [Point.from_complex(f) for f in _pedal_feet(q, p.to_complex())]
+
+
+def _pedal_feet(q: Quadrilateral, z: complex) -> list[complex]:
+    """pedal_quadrilateral on complex numbers: with v the side's first
+    vertex, e its vector, u^2 = e / conj(e) and d = z - v, the foot is
+    v + (d + u^2 conj(d)) / 2, where u^2 conj(d) is d mirrored in the side."""
     feet = []
     for v, e in zip(q._z, q._sides()):
         d = z - v
-        feet.append(Point.from_complex(v + 0.5 * (d + e / e.conjugate() * d.conjugate())))
+        feet.append(v + 0.5 * (d + e / e.conjugate() * d.conjugate()))
     return feet
 
 
@@ -652,10 +714,9 @@ def simson_point(q: Quadrilateral) -> MaybePoint:
     return Point.from_complex(g + (a * c - b * d) / den / unit)
 
 
-def _tls_axis(points: list[Point]) -> tuple[complex, complex, list[complex]]:
-    """The centroid g of the points, the unit direction of their
+def _tls_axis(z: list[complex]) -> tuple[complex, complex, list[complex]]:
+    """The centroid g of the points z, the unit direction of their
     total-least-squares line through g, and the points relative to g."""
-    z = [p.to_complex() for p in points]
     g = sum(z) / len(z)
     rel = [v - g for v in z]
     # sum (z - g)^2 = sxx - syy + 2i sxy: half its phase is the principal
@@ -668,13 +729,17 @@ def _tls_axis(points: list[Point]) -> tuple[complex, complex, list[complex]]:
 
 def collinearity_residual(points: list[Point]) -> float:
     """Largest distance of the points from their total-least-squares line."""
-    _, u, rel = _tls_axis(points)
+    return _collinearity([p.to_complex() for p in points])
+
+
+def _collinearity(z: list[complex]) -> float:
+    _, u, rel = _tls_axis(z)
     return max(abs(_cross(u, v)) for v in rel)
 
 
 def simson_line(q: QuadOrState, tol: float = DEFAULT_TOL) -> Line:
     """The total-least-squares line of the pedal feet of S."""
-    feet = _state(q, tol).pedal_s
+    feet = _state(q, tol).feet_s
     if feet is None:
         raise PointAtInfinity("the Simson point is not finite")
     g, u, _ = _tls_axis(feet)
@@ -683,7 +748,10 @@ def simson_line(q: QuadOrState, tol: float = DEFAULT_TOL) -> Line:
 
 def parallelogram_residual(pts: list[Point], scale: float) -> float:
     """Scale-free deviation of the opposite-side vector sums from zero."""
-    z = [complex(p.x, p.y) for p in pts]
+    return _parallelogram([p.to_complex() for p in pts], scale)
+
+
+def _parallelogram(z: list[complex], scale: float) -> float:
     e1 = (z[1] - z[0]) + (z[3] - z[2])
     e2 = (z[2] - z[1]) + (z[0] - z[3])
     return max(abs(e1), abs(e2)) / scale
@@ -916,20 +984,27 @@ def six_cs_residual(st: QuadState) -> float | None:
 
 
 def area_ratio_residual(st: QuadState) -> float | None:
-    """| |r| - area(Q2) / area(Q1) |, the areas read in their frames; None
-    where Q1's two lobes cancel to area 0, and raises where r or Q2 is
-    undefined."""
-    q1, q2 = st.q, st.q2
-    a1, a2 = q1._area2(), q2._area2()
-    return None if a1 == 0.0 else abs(abs(st.r) - abs(a2 / a1) * (q1._unit / q2._unit) ** 2)
+    """| |r| - area(Q2) / area(Q1) |, with no Q2 built: Q2's doubled area is
+    read from the closed-form side table of the triad system (O2 - O1,
+    O3 - O1, O4 - O1) in Q1's frame, where Q1's is read too.  None where
+    Q1's two lobes cancel to area 0; raises where r is undefined, and
+    CyclicDegeneration where Q2 is one point."""
+    if st.cyclic:
+        raise _collapse(st)
+    a1 = st.q._area2()
+    if a1 == 0.0:
+        return None
+    unit = st.q._unit
+    t0, t1, t2 = (v * unit for v in st.triads.diffs[:3])
+    return abs(abs(st.r) - abs((_cross(t0, t1) + _cross(t1, t2)) / a1))
 
 
 def isoptic_spread_residual(st: QuadState) -> float | None:
     """Relative spread of the four d_i / R_i at W; None on cyclic input,
     where W is the common center and every d_i / R_i is rounding noise."""
-    if not is_finite(st.w) or st.cyclic:
+    qty = st.quantities
+    if qty is None or st.cyclic:
         return None
-    qty = isoptic_quantity(st, st.w)
     mean = sum(qty) / 4.0
     if mean == 0.0:
         return None
@@ -946,14 +1021,14 @@ def angle_sums_residual(st: QuadState) -> float | None:
 
 def pedal_w_residual(st: QuadState) -> float | None:
     """The pedal feet of W form a parallelogram."""
-    feet = st.pedal_w
-    return None if feet is None else parallelogram_residual(feet, st.scale)
+    feet = st.feet_w
+    return None if feet is None else _parallelogram(feet, st.scale)
 
 
 def pedal_s_residual(st: QuadState) -> float | None:
     """The pedal feet of S are collinear."""
-    feet = st.pedal_s
-    return None if feet is None else collinearity_residual(feet) / st.scale
+    feet = st.feet_s
+    return None if feet is None else _collinearity(feet) / st.scale
 
 
 # ---------------------------------------------------------------------------
@@ -985,10 +1060,11 @@ def analyze(q: Quadrilateral, tol: float = DEFAULT_TOL) -> AnalysisReport:
         try:
             res = fn(st)
         except (CyclicDegeneration, IllConditionedAngles):
-            continue  # the area ratio needs r and Q2
+            continue  # the area ratio needs r, and a Q2 that is not one point
         if res is not None:
             residuals[name] = res
-    quantity = sum(isoptic_quantity(st, w)) / 4.0 if is_finite(w) else None
+    qty = st.quantities
+    quantity = None if qty is None else sum(qty) / 4.0
     return AnalysisReport(quad=q, triads=triads, r=r, w=w, s=s, shape=shape,
                           pedal_w=st.pedal_w, pedal_s=st.pedal_s, varignon=varignon(q),
                           isoptic_quantity=quantity, residuals=residuals)

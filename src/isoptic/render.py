@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from .errors import GeometryError
 from .kernel import DEFAULT_TOL, Circle, Line, Point, circle_of_similitude, is_finite
-from .quad import QuadState, Quadrilateral, next_generation, simson_line, varignon
+from .quad import (QuadState, Quadrilateral, next_generation, pedal_quadrilateral, simson_line,
+                   varignon)
 
 _SIZE = 640  # width and height of the SVG viewport in pixels
 
@@ -131,11 +132,11 @@ def render_svg(q: Quadrilateral, layers=("quad", "triads", "w"),
                 if is_finite(st.s):
                     cv.dot(st.s, color, 5.0 * base_w)
             elif name == "pedal-w":
-                if st.pedal_w is not None:
-                    cv.polygon(st.pedal_w, color, base_w, "6 3")
+                if is_finite(st.w):
+                    cv.polygon(pedal_quadrilateral(q, st.w), color, base_w, "6 3")
             elif name == "pedal-s":
-                if st.pedal_s is not None:
-                    cv.polygon(st.pedal_s, color, base_w, "6 3")
+                if is_finite(st.s):
+                    cv.polygon(pedal_quadrilateral(q, st.s), color, base_w, "6 3")
             elif name == "varignon":
                 cv.polygon(varignon(q), color, base_w, "2 2")
             elif name == "simson":

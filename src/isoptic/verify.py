@@ -22,6 +22,7 @@ from .kernel import (
     Point,
     Record,
     Report,
+    check_tol,
     circumcircle,
     is_finite,
     orthocenter,
@@ -79,7 +80,8 @@ class CaseSpec(Record):
     def __init__(self, seed: int, shape_class: str = "convex-noncyclic"):
         if shape_class not in SHAPE_CLASSES:
             raise ValueError(f"unknown shape class {shape_class!r}")
-        vars(self).update(seed=seed, shape_class=shape_class)
+        object.__setattr__(self, "seed", seed)  # inline, as Point stores its fields
+        object.__setattr__(self, "shape_class", shape_class)
 
 
 def _normalized(pts: list[Point]) -> list[complex]:
@@ -348,8 +350,11 @@ class InvariantStats(Report):
 
     def __init__(self, name: str, cases_run: int = 0, skipped: int = 0,
                  max_residual: float = 0.0, failures: int = 0):
-        vars(self).update(name=name, cases_run=cases_run, skipped=skipped,
-                          max_residual=max_residual, failures=failures)
+        self.name = name
+        self.cases_run = cases_run
+        self.skipped = skipped
+        self.max_residual = max_residual
+        self.failures = failures
 
 
 class SuiteReport(Report):
@@ -357,7 +362,11 @@ class SuiteReport(Report):
 
     def __init__(self, spec: CaseSpec, n_cases: int, tol: float,
                  invariants: dict[str, InvariantStats], errors: int = 0):
-        vars(self).update(spec=spec, n_cases=n_cases, tol=tol, invariants=invariants, errors=errors)
+        self.spec = spec
+        self.n_cases = n_cases
+        self.tol = tol
+        self.invariants = invariants
+        self.errors = errors
 
     @property
     def failures(self) -> int:
@@ -391,8 +400,7 @@ def run_suite(spec: CaseSpec, n_cases: int, tol: float = 1e-8) -> SuiteReport:
     """
     if n_cases <= 0:
         raise ValueError("n_cases must be positive")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    check_tol(tol)
     applicable = {name: fn for name, (fn, classes) in INVARIANTS.items()
                   if spec.shape_class in classes}
     stats = {name: InvariantStats(name) for name in applicable}

@@ -131,6 +131,24 @@ def test_traced_layer_functions_exist():
     assert missing == [], f"traced but not a function of its module: {missing}"
 
 
+def test_no_slow_record_or_cache_paths():
+    # vars(self).update gives a record a dict table of its own (about 2.5x
+    # the inline fields), and functools.cached_property takes a lock on every
+    # first read (before Python 3.12)
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name == "cached_property":
+                found.append(f"{path.name}:{node.lineno} cached_property")
+            elif (name == "update" and isinstance(node.value, ast.Call)
+                  and getattr(node.value.func, "id", None) == "vars"):
+                found.append(f"{path.name}:{node.lineno} vars(...).update")
+    assert found == [], f"slow paths back in {PACKAGE.name}: {found}"
+
+
 def test_cold_start_imports():
     # dataclasses and the inspect it imports slowed every cold CLI start, and
     # the package needs fractions nowhere.

@@ -30,6 +30,7 @@ from isoptic.quad import (
     _conjugates_in_triads,
     analyze,
     angle_sums_at_point,
+    area_ratio_residual,
     classify,
     collinearity_residual,
     cotangent_identity_residuals,
@@ -102,6 +103,14 @@ class TestQuadrilateral:
             analyze(GENERIC, tol)
         with pytest.raises(ValueError):
             QuadState(GENERIC, tol)
+
+    @pytest.mark.parametrize("fn", [similarity_ratio, prev_generation, triad_circles])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_constructions_reject_a_tol_that_is_not_finite_and_positive(self, fn, tol):
+        # similarity_ratio raised a math domain error at -1 and inf; the
+        # generation map and the triads returned a result at 0, -1 and nan
+        with pytest.raises(ValueError, match="finite and positive"):
+            fn(GENERIC, tol)
 
     def test_area_square(self):
         assert SQUARE.area() == pytest.approx(4.0)
@@ -275,6 +284,23 @@ class TestGenerations:
         r = similarity_ratio(GENERIC)
         q2 = next_generation(GENERIC)
         assert q2.area() / GENERIC.area() == pytest.approx(abs(r), abs=1e-12)
+
+    def test_area_ratio_from_the_triad_table_is_the_q2_ratio(self):
+        # Q2's side table is the triad table times a power of two, so its
+        # area ratio, and so the residual, is the Q2-built one bit for bit
+        for shape in SHAPE_CLASSES:
+            if shape == "cyclic":
+                continue
+            for q in generic_quads(100, shape, seed=4):
+                st, q2 = QuadState(q), next_generation(q)
+                a1 = q._area2()
+                # O2 - O1, O3 - O1 and O4 - O1 in Q1's frame
+                t0, t1, t2 = (v * q._unit for v in st.triads.diffs[:3])
+                a2 = (t0.real * t1.imag - t0.imag * t1.real) + (t1.real * t2.imag
+                                                                - t1.imag * t2.real)
+                built = abs(q2._area2() / a1) * (q._unit / q2._unit) ** 2
+                assert abs(a2 / a1) == built
+                assert area_ratio_residual(st) == abs(abs(st.r) - built)
 
 
 class TestSimilarityRatio:
@@ -769,17 +795,22 @@ class TestComputeOnce:
 
     def test_analyze_builds_each_part_once(self, monkeypatch):
         import isoptic.quad as quad
-        calls = self._record(monkeypatch, ("classify", "triad_circles", "circumcenter"))
+        calls = self._record(monkeypatch, ("classify", "triad_circles", "circumcenter",
+                                           "next_generation", "isoptic_quantity"))
         for shape in SHAPE_CLASSES:
             for q in generic_quads(5, shape, seed=5):
                 for seen in calls.values():
                     seen.clear()
-                quad.analyze(q)
+                rep = quad.analyze(q)
                 assert len(calls["classify"]) == 1
                 assert calls["triad_circles"] == [q]
                 # one circumcenter per triad system: the other three centers
                 # are the closed-form side table away from it
                 assert len(calls["circumcenter"]) == 1
+                # the area ratio reads Q2's area from that table, so no Q2
+                assert calls["next_generation"] == []
+                # the spread residual and the report's mean share one d_i / R_i
+                assert len(calls["isoptic_quantity"]) == (1 if is_finite(rep.w) else 0)
 
     def test_w_and_s_build_no_circle_and_no_shape(self, monkeypatch):
         import isoptic.quad as quad
