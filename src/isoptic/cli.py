@@ -40,20 +40,22 @@ def _num(x: float) -> float:
     return 0.0 if x == 0.0 else x  # avoid "-0.0" in reports
 
 
+def _xy(p: complex) -> list[float]:
+    return [_num(p.real), _num(p.imag)]
+
+
 def _point_json(p):
     if isinstance(p, AtInfinity):
         return {"kind": "at-infinity", "direction": [_num(p.dx), _num(p.dy)]}
-    return {"kind": "point", "xy": [_num(p.x), _num(p.y)]}
+    return {"kind": "point", "xy": _xy(p)}
 
 
-def _quad_json(q: Quadrilateral):
-    return [[_num(v.x), _num(v.y)] for v in q.vertices()]
+def _points_json(pts):
+    return [_xy(p) for p in pts]
 
 
 def _circle_json(c):
-    o = c.center()
-    return {"kind": "circle", "center": [_num(o.x), _num(o.y)],
-            "radius": _num(c.radius())}
+    return {"kind": "circle", "center": _xy(c.o), "radius": _num(c.radius())}
 
 
 def _dump(obj, out_path: str | None):
@@ -117,7 +119,7 @@ def cmd_analyze(args) -> int:
     doc = {
         "tool_version": __version__,
         "tolerance": _num(args.tol),
-        "input": {"vertices": _quad_json(q)},
+        "input": {"vertices": _points_json(q.vertices())},
         "shape": {
             "convex": rep.shape.convex,
             "concave": rep.shape.concave,
@@ -130,9 +132,9 @@ def cmd_analyze(args) -> int:
         "w": _point_json(rep.w),
         "s": _point_json(rep.s),
         "triad_circles": [_circle_json(c) for c in rep.triads.circles],
-        "pedal_w": [[_num(p.x), _num(p.y)] for p in rep.pedal_w] if rep.pedal_w else None,
-        "pedal_s": [[_num(p.x), _num(p.y)] for p in rep.pedal_s] if rep.pedal_s else None,
-        "varignon": [[_num(p.x), _num(p.y)] for p in rep.varignon],
+        "pedal_w": _points_json(rep.pedal_w) if rep.pedal_w else None,
+        "pedal_s": _points_json(rep.pedal_s) if rep.pedal_s else None,
+        "varignon": _points_json(rep.varignon),
         "isoptic_quantity": _num(rep.isoptic_quantity) if rep.isoptic_quantity is not None else None,
         "residuals": {k: _num(v) for k, v in sorted(rep.residuals.items())},
     }
@@ -169,8 +171,8 @@ def cmd_iterate(args) -> int:
         "tool_version": __version__,
         "tolerance": _num(args.tol),
         "direction": args.direction,
-        "input": {"vertices": _quad_json(q)},
-        "generations": [_quad_json(g) for g in generations],
+        "input": {"vertices": _points_json(q.vertices())},
+        "generations": [_points_json(g.vertices()) for g in generations],
         "area_ratios": ratios,
         "degeneration": degeneration,
     }
@@ -216,8 +218,8 @@ def cmd_reconstruct(args) -> int:
         d = reconstruct_fourth_vertex(a, b, c, w, args.tol)
         q = Quadrilateral(a, b, c, d, args.tol)
         w2 = isoptic_point(q)
-        residual = w2.dist(w) / q.scale() if is_finite(w2) else math.inf
-        doc = {"mode": args.mode, "point": [_num(d.x), _num(d.y)],
+        residual = abs(w2 - w) / q.scale() if is_finite(w2) else math.inf
+        doc = {"mode": args.mode, "point": _xy(d),
                "residual": _num(residual)}
         _dump(doc, args.out)
         return EXIT_OK
@@ -236,8 +238,8 @@ def cmd_reconstruct(args) -> int:
     else:
         q = reconstruct_from_simson(anchor, feet, args.tol)
         probe = simson_point(q)
-    residual = probe.dist(anchor) / q.scale() if is_finite(probe) else math.inf
-    doc = {"mode": args.mode, "vertices": _quad_json(q),
+    residual = abs(probe - anchor) / q.scale() if is_finite(probe) else math.inf
+    doc = {"mode": args.mode, "vertices": _points_json(q.vertices()),
            "residual": _num(residual)}
     _dump(doc, args.out)
     return EXIT_OK

@@ -5,8 +5,8 @@ complex center and a radius) and lines as ``Line`` (a complex point and a
 unit direction).  On them: circumcircles, intersections, inversion of points
 and curves, circles of similitude and triangle-level conjugations.  ``quad``
 reads directed angles and spiral similarities as phases and factors of
-complex ratios, with no type of their own.  ``Point`` is the type of the
-public inputs and outputs.
+complex ratios, with no type of their own.  ``Point``, the type of the
+public inputs and outputs, is itself a complex number.
 
 All tolerances are relative: an operation taking ``tol`` compares against
 ``tol * D`` where ``D`` is the diameter of its input point set.  Whatever
@@ -78,42 +78,19 @@ class Report(Record):
     __hash__ = None
 
 
-class Point(Record):
+class Point(complex):
+    """A finite point x + iy: a complex number whose parts also read as x and
+    y, and which compares, hashes and tests false at 0 as that complex does.
+    Arithmetic on Points gives plain complex numbers, so a construction
+    wraps each point it returns: is_finite tells one by its type."""
+
+    __slots__ = ()
     _fields = ("x", "y")
+    x = complex.real
+    y = complex.imag
 
-    def __init__(self, x: float, y: float):
-        _set(self, "x", x)
-        _set(self, "y", y)
-
-    def __add__(self, other: "Point") -> "Point":
-        return Point(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Point") -> "Point":
-        return Point(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, k: float) -> "Point":
-        return Point(self.x * k, self.y * k)
-
-    __rmul__ = __mul__
-
-    def dot(self, other: "Point") -> float:
-        return self.x * other.x + self.y * other.y
-
-    def cross(self, other: "Point") -> float:
-        return self.x * other.y - self.y * other.x
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
-    def dist(self, other: "Point") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-    def to_complex(self) -> complex:
-        return complex(self.x, self.y)
-
-    @staticmethod
-    def from_complex(z: complex) -> "Point":
-        return Point(z.real, z.imag)
+    def __repr__(self):
+        return f"Point(x={self.real!r}, y={self.imag!r})"
 
 
 class AtInfinity(Record):
@@ -153,7 +130,7 @@ def diameter(points) -> float:
     best = 0.0
     for i, p in enumerate(pts):
         for q in pts[i + 1:]:
-            best = max(best, p.dist(q))
+            best = max(best, abs(p - q))
     return best if best > 0.0 else 1.0
 
 
@@ -170,13 +147,13 @@ class Circle(Record):
         _set(self, "r", r)
 
     def center(self) -> Point:
-        return Point(self.o.real, self.o.imag)
+        return Point(self.o)
 
     def radius(self) -> float:
         return self.r
 
-    def distance_to(self, p: Point) -> float:
-        return abs(abs(p.to_complex() - self.o) - self.r)
+    def distance_to(self, p: complex) -> float:
+        return abs(abs(p - self.o) - self.r)
 
 
 class Line(Record):
@@ -190,11 +167,11 @@ class Line(Record):
         _set(self, "u", u)
 
     def direction(self) -> Point:
-        return Point(self.u.real, self.u.imag)
+        return Point(self.u)
 
-    def distance_to(self, q: Point) -> float:
+    def distance_to(self, q: complex) -> float:
         # the cross of u with q - p
-        return abs(((q.to_complex() - self.p) * self.u.conjugate()).imag)
+        return abs(((q - self.p) * self.u.conjugate()).imag)
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +208,12 @@ def circumcircle(p: Point, q: Point, r: Point, tol: float = DEFAULT_TOL) -> Circ
     """Circle through three points, solved from the differences to p in the
     unit_near of the longer, so that no square overflows or underflows;
     raises CollinearInput as circumcenter does."""
-    a, b = complex(q.x - p.x, q.y - p.y), complex(r.x - p.x, r.y - p.y)
+    check_tol(tol)
+    a, b = q - p, r - p
     unit = unit_near(max(abs(a), abs(b)))
     a, b = a * unit, b * unit
     c = circumcenter(a, b, 0.5 * norm2(a), 0.5 * norm2(b), tol)
-    return Circle(complex(p.x + c.real / unit, p.y + c.imag / unit),
-                  (abs(c) + abs(c - a) + abs(c - b)) / 3.0 / unit)
+    return Circle(p + c / unit, (abs(c) + abs(c - a) + abs(c - b)) / 3.0 / unit)
 
 
 def _foot(line: Line, z: complex) -> complex:
@@ -253,11 +230,11 @@ def intersect(g1: Circle | Line, g2: Circle | Line, tol: float = DEFAULT_TOL) ->
     Circles whose centers and radii agree within max(tol, 64 eps) of the
     larger radius, and parallel lines through each other's point within
     that share of its distance, raise IdenticalCurves."""
-    same = max(tol, 64.0 * _MACHINE_EPS)
+    same = max(check_tol(tol), 64.0 * _MACHINE_EPS)
     if g1.is_line and g2.is_line:
         gap, cross = g2.p - g1.p, (g1.u.conjugate() * g2.u).imag
         if abs(cross) > tol:
-            return [Point.from_complex(g1.p + g1.u * ((gap.conjugate() * g2.u).imag / cross))]
+            return [Point(g1.p + g1.u * ((gap.conjugate() * g2.u).imag / cross))]
         if abs((gap * g1.u.conjugate()).imag) <= same * abs(gap):
             raise IdenticalCurves("curves coincide within tolerance")
         return []
@@ -276,10 +253,10 @@ def intersect(g1: Circle | Line, g2: Circle | Line, tol: float = DEFAULT_TOL) ->
     t = abs(foot - circ.o) / circ.r
     h2 = (1.0 - t) * (1.0 + t)  # in units of r^2
     if h2 <= 0.0:
-        return [Point.from_complex(foot)] if h2 > -max(tol * tol, 64.0 * _MACHINE_EPS) else []
+        return [Point(foot)] if h2 > -max(tol * tol, 64.0 * _MACHINE_EPS) else []
     h = circ.r * math.sqrt(h2)
-    return sorted((Point.from_complex(z) for z in (foot + u * h, foot - u * h)),
-                  key=lambda p: (p.x, p.y))
+    return sorted((Point(z) for z in (foot + u * h, foot - u * h)),
+                  key=lambda p: (p.real, p.imag))
 
 
 def invert_point(mirror: Circle, p: MaybePoint, tol: float = DEFAULT_TOL) -> MaybePoint:
@@ -287,15 +264,16 @@ def invert_point(mirror: Circle, p: MaybePoint, tol: float = DEFAULT_TOL) -> May
     which squares no coordinate.  A point within tol r of the center maps to
     infinity and a point at infinity to the center; a line mirror raises
     NotALine."""
+    check_tol(tol)
     if mirror.is_line:
         raise NotALine("cannot invert in a line")
     o, r = mirror.o, mirror.r
     if isinstance(p, AtInfinity):
-        return Point(o.real, o.imag)
-    v = p.to_complex() - o
+        return Point(o)
+    v = p - o
     if abs(v) < tol * r:
         return AtInfinity.along(1.0, 0.0)
-    return Point.from_complex(o + r * (r / v.conjugate()))
+    return Point(o + r * (r / v.conjugate()))
 
 
 def invert_circle(mirror: Circle, g: Circle | Line, tol: float = DEFAULT_TOL) -> Circle | Line:
@@ -306,6 +284,7 @@ def invert_circle(mirror: Circle, g: Circle | Line, tol: float = DEFAULT_TOL) ->
     line normal to d at R^2 / 2r from c.  A line with foot c + v goes to the
     circle through c whose diameter ends at c + R^2 v / |v|^2, or, through c
     (|v| <= tol R), to itself."""
+    check_tol(tol)
     if mirror.is_line:
         raise NotALine("cannot invert in a line")
     c, big = mirror.o, mirror.r
@@ -339,7 +318,7 @@ def circle_of_similitude(o1: Circle, o2: Circle, tol: float = DEFAULT_TOL) -> Ci
     of the radii: the circle of center (c1 - k^2 c2) / (1 - k^2) and radius
     k |c1 - c2| / |1 - k^2|, or the perpendicular bisector of the centers
     when |1 - k^2| < tol max(1, k^2)."""
-    gap = _center_gap(o1, o2, tol)
+    gap = _center_gap(o1, o2, check_tol(tol))
     k = o1.r / o2.r
     k2 = k * k
     a = 1.0 - k2
@@ -362,10 +341,9 @@ def cs_distance(w: complex, o1: Circle, o2: Circle, tol: float = DEFAULT_TOL) ->
     return abs(d1 - k * d2) / grad if grad else math.inf
 
 
-def orthocenter(p: Point, q: Point, r: Point) -> Point:
+def orthocenter(p: complex, q: complex, r: complex) -> Point:
     """Orthocenter via H = P + Q + R - 2*O."""
-    o = circumcircle(p, q, r).o
-    return Point(p.x + q.x + r.x - 2.0 * o.real, p.y + q.y + r.y - 2.0 * o.imag)
+    return Point(p + q + r - 2.0 * circumcircle(p, q, r).o)
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +376,12 @@ def isogonal_conjugate(a: complex, b: complex, c: complex, p: complex,
     if sides >= 2:
         raise DegenerateConjugate("conjugate of a triangle vertex")
     if sides:
-        return Point.from_complex((a, b, c)[on_side.index(True)])
+        return Point((a, b, c)[on_side.index(True)])
     u, v, w = norm2(bc) * y * z, norm2(ca) * z * x, norm2(ab) * x * y
     s, rel = u + v + w, pa * u + pb * v + pc * w
     if abs(s) < tol * (abs(u) + abs(v) + abs(w)):
         return AtInfinity.along(rel.real, rel.imag)
-    return Point.from_complex(p + rel / s / unit)
+    return Point(p + rel / s / unit)
 
 
 def isogonal_conjugate_triangle(a: Point, b: Point, c: Point, p: MaybePoint,
@@ -412,11 +390,10 @@ def isogonal_conjugate_triangle(a: Point, b: Point, c: Point, p: MaybePoint,
     isogonal_conjugate).  A triangle flat within tol, read in the unit_near
     of its longer side from a, raises CollinearInput; a point at infinity
     raises DegenerateConjugate."""
-    za, zb, zc = a.to_complex(), b.to_complex(), c.to_complex()
-    u, v = zb - za, zc - za
+    u, v = b - a, c - a
     unit = unit_near(max(abs(u), abs(v)))
-    if _flat(u * unit, v * unit, tol):
+    if _flat(u * unit, v * unit, check_tol(tol)):
         raise CollinearInput("triangle vertices are collinear within tolerance")
     if not is_finite(p):
         raise DegenerateConjugate("conjugate of a point at infinity")
-    return isogonal_conjugate(za, zb, zc, p.to_complex(), tol)
+    return isogonal_conjugate(a, b, c, p, tol)

@@ -8,12 +8,12 @@ triad circles are o1 = (D A B), o2 = (A B C), o3 = (B C D), o4 = (C D A); the
 center of o_i is the i-th vertex of the next generation, so A2 = center(o1)
 and so on cyclically.
 
-A Quadrilateral keeps its complex vertices and its side table in a frame
-scaled by a power of two near 1 / diameter, where crosses and cotangents
-neither overflow nor underflow.  The triad circles and Q2 come from the
-perpendicular-bisector construction in closed form (``triad_circles``), and
-Q2 keeps that closed-form side table, so its shape never sees the rounding
-of its absolute vertices.
+A Quadrilateral keeps its vertices, Points and so complex numbers, and its
+side table in a frame scaled by a power of two near 1 / diameter, where
+crosses and cotangents neither overflow nor underflow.  The triad circles
+and Q2 come from the perpendicular-bisector construction in closed form
+(``triad_circles``), and Q2 keeps that closed-form side table, so its shape
+never sees the rounding of its absolute vertices.
 """
 
 from __future__ import annotations
@@ -71,9 +71,7 @@ class Quadrilateral(Record):
         _set(self, "b", b)
         _set(self, "c", c)
         _set(self, "d", d)
-        z = a, b, c, d = (complex(a.x, a.y), complex(b.x, b.y), complex(c.x, c.y),
-                          complex(d.x, d.y))
-        self._frame(z, (b - a, c - a, d - a, c - b, d - b, d - c), tol)
+        self._frame((a, b, c, d), (b - a, c - a, d - a, c - b, d - b, d - c), tol)
 
     @classmethod
     def _from_table(cls, z: tuple[complex, ...], diffs: tuple[complex, ...],
@@ -83,12 +81,13 @@ class Quadrilateral(Record):
         rounded vertices: for a construction that knows its sides better than
         its vertices."""
         q = object.__new__(cls)
+        z = tuple(map(Point, z))
         for name, v in zip("abcd", z):
-            _set(q, name, Point(v.real, v.imag))
+            _set(q, name, v)
         q._frame(z, diffs, tol)
         return q
 
-    def _frame(self, z: tuple[complex, ...], diffs: tuple[complex, ...], tol: float):
+    def _frame(self, z: tuple[Point, ...], diffs: tuple[complex, ...], tol: float):
         # the side table _diffs = (B - A, C - A, D - A, C - B, D - B, D - C)
         # times _unit, an exact power of two near 1 / diameter, so that its
         # crosses and dot products neither overflow nor underflow; every side,
@@ -116,7 +115,7 @@ class Quadrilateral(Record):
             raise CollinearInput("three vertices are collinear within tolerance")
 
     def vertices(self) -> tuple[Point, Point, Point, Point]:
-        return (self.a, self.b, self.c, self.d)
+        return self._z
 
     def sides(self) -> tuple[complex, complex, complex, complex]:
         """The side vectors B - A, C - B, D - C and A - D."""
@@ -131,7 +130,7 @@ class Quadrilateral(Record):
         return self._scale
 
     def centroid(self) -> Point:
-        return Point.from_complex(sum(self._z) / 4.0)
+        return Point(sum(self._z) / 4.0)
 
     def min_triad_height(self) -> float:
         """Least height of the four triangles of three vertices."""
@@ -246,8 +245,6 @@ class QuadState:
     tol; the parts call them through this module's globals.  ``next``
     (the state of Q2) and ``prev`` (that of prev_generation(q)) chain the
     generations, so that each one and its triad circles are built once.
-    The pedal feet are held as complex numbers (``feet_w``, ``feet_s``) for
-    the residuals, and as Points (``pedal_w``, ``pedal_s``) for reports.
     """
 
     def __init__(self, q: Quadrilateral, tol: float = DEFAULT_TOL):
@@ -301,20 +298,12 @@ class QuadState:
         return isoptic_quantity(self, self.w) if is_finite(self.w) else None
 
     @_part
-    def feet_w(self) -> list[complex] | None:
-        return _pedal_feet(self.q, self.w.to_complex()) if is_finite(self.w) else None
-
-    @_part
-    def feet_s(self) -> list[complex] | None:
-        return _pedal_feet(self.q, self.s.to_complex()) if is_finite(self.s) else None
-
-    @_part
     def pedal_w(self) -> list[Point] | None:
-        return None if self.feet_w is None else [Point.from_complex(f) for f in self.feet_w]
+        return pedal_quadrilateral(self.q, self.w) if is_finite(self.w) else None
 
     @_part
     def pedal_s(self) -> list[Point] | None:
-        return None if self.feet_s is None else [Point.from_complex(f) for f in self.feet_s]
+        return pedal_quadrilateral(self.q, self.s) if is_finite(self.s) else None
 
 
 QuadOrState = Quadrilateral | QuadState
@@ -529,7 +518,7 @@ def prev_generation(q: Quadrilateral, tol: float = DEFAULT_TOL) -> Quadrilateral
     for p, u2 in mirrors[:3]:
         out.append(p + u2 * (out[-1] - p).conjugate())
     za, unit = q._z[0], q._unit
-    return Quadrilateral(*(Point.from_complex(za + (v + g) / unit) for v in out), tol=tol)
+    return Quadrilateral(*(Point(za + (v + g) / unit) for v in out), tol=tol)
 
 
 def _conjugates_in_triads(q: Quadrilateral, tol: float) -> list[MaybePoint]:
@@ -539,8 +528,7 @@ def _conjugates_in_triads(q: Quadrilateral, tol: float) -> list[MaybePoint]:
     za, unit = q._z[0], q._unit
     z = (0j,) + q._diffs[:3]
     out = [isogonal_conjugate(z[i], z[j], z[k], z[(k + 1) % 4], tol) for i, j, k in _TRIADS]
-    return [Point(za.real + p.x / unit, za.imag + p.y / unit) if is_finite(p) else p
-            for p in out]
+    return [Point(za + p / unit) if is_finite(p) else p for p in out]
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +566,7 @@ def isoptic_point(q: Quadrilateral) -> MaybePoint:
     if abs(den) * (scale * unit) < _AT_INFINITY * ((scale + abs(g)) * unit):
         ab = q._diffs[0]
         return AtInfinity.along(ab.real, ab.imag)
-    return Point.from_complex(g + (num / den).conjugate())
+    return Point(g + (num / den).conjugate())
 
 
 def isoptic_point_via_limit(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePoint:
@@ -604,7 +592,7 @@ def isoptic_point_via_limit(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePo
     u = [(z - g1) * unit for z in z1]
     v = [(z - g3) * unit for z in z3]
     k = sum(x.conjugate() * y for x, y in zip(u, v)) / sum(map(norm2, u))
-    return Point.from_complex(g1 + (g3 - g1) * unit / (1.0 - k) / unit)
+    return Point(g1 + (g3 - g1) * unit / (1.0 - k) / unit)
 
 
 def _mean_image(images: list[MaybePoint]) -> MaybePoint:
@@ -612,7 +600,7 @@ def _mean_image(images: list[MaybePoint]) -> MaybePoint:
     for img in images:
         if not is_finite(img):
             return img
-    return Point(sum(p.x for p in images) / 4.0, sum(p.y for p in images) / 4.0)
+    return Point(sum(images) / 4.0)
 
 
 def isoptic_point_via_inversion(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePoint:
@@ -633,8 +621,7 @@ def isoptic_point_via_inv_iso(q: QuadOrState, tol: float = DEFAULT_TOL) -> Maybe
 
 def isoptic_quantity(q: QuadOrState, w: Point, tol: float = DEFAULT_TOL) -> list[float]:
     """d_i / R_i for the four triad circles; all equal exactly at W."""
-    z = w.to_complex()
-    return [abs(z - o.o) / o.r for o in _state(q, tol).triads.circles]
+    return [abs(w - o.o) / o.r for o in _state(q, tol).triads.circles]
 
 
 def isodynamic_ratios(q: QuadOrState, w: Point, tol: float = DEFAULT_TOL) -> float:
@@ -646,8 +633,8 @@ def isodynamic_ratios(q: QuadOrState, w: Point, tol: float = DEFAULT_TOL) -> flo
     """
     st = _state(q, tol)
     radii = [o.r for o in st.triads.circles]
-    unit, p = unit_near(max(radii)), w.to_complex()
-    prods = [abs(p - v) * (radii[k - 2] * unit) for k, v in enumerate(st.q._z)]
+    unit = unit_near(max(radii))
+    prods = [abs(w - v) * (radii[k - 2] * unit) for k, v in enumerate(st.q._z)]
     mean = sum(prods) / 4.0
     if mean == 0.0:
         return 0.0
@@ -660,12 +647,11 @@ def angle_sums_at_point(q: Quadrilateral, w: Point) -> float:
     by the phase of t = (Y - w) / (X - w) (X - u) / (Y - u) (X - v) / (Y - v),
     atan2(|Im t|, |Re t|) from a multiple of pi.  w at a vertex raises DegenerateRay."""
     a, b, c, d = q._z
-    p = w.to_complex()
     worst = 0.0
     for x, y, u, v in ((a, b, c, d), (b, c, a, d), (c, d, a, b), (d, a, b, c)):
-        if p == x or p == y:
+        if w == x or w == y:
             raise DegenerateRay("w coincides with a vertex")
-        t = (y - p) / (x - p) * (x - u) / (y - u) * (x - v) / (y - v)
+        t = (y - w) / (x - w) * (x - u) / (y - u) * (x - v) / (y - v)
         worst = max(worst, math.atan2(abs(t.imag), abs(t.real)))
     return worst
 
@@ -675,24 +661,20 @@ def angle_sums_at_point(q: Quadrilateral, w: Point) -> float:
 
 
 def pedal_quadrilateral(q: Quadrilateral, p: Point) -> list[Point]:
-    """Feet of the perpendiculars from p onto the side lines AB, BC, CD, DA."""
-    return [Point.from_complex(f) for f in _pedal_feet(q, p.to_complex())]
-
-
-def _pedal_feet(q: Quadrilateral, z: complex) -> list[complex]:
-    """pedal_quadrilateral on complex numbers: with v the side's first
-    vertex, e its vector, u^2 = e / conj(e) and d = z - v, the foot is
-    v + (d + u^2 conj(d)) / 2, where u^2 conj(d) is d mirrored in the side."""
+    """Feet of the perpendiculars from p onto the side lines AB, BC, CD, DA:
+    with v the side's first vertex, e its vector, u^2 = e / conj(e) and
+    d = p - v, the foot is v + (d + u^2 conj(d)) / 2, where u^2 conj(d) is d
+    mirrored in the side."""
     feet = []
     for v, e in zip(q._z, q._sides()):
-        d = z - v
-        feet.append(v + 0.5 * (d + e / e.conjugate() * d.conjugate()))
+        d = p - v
+        feet.append(Point(v + 0.5 * (d + e / e.conjugate() * d.conjugate())))
     return feet
 
 
 def varignon(q: Quadrilateral) -> list[Point]:
     z = q._z
-    return [Point.from_complex(0.5 * (z[i] + z[(i + 1) % 4])) for i in range(4)]
+    return [Point(0.5 * (z[i] + z[(i + 1) % 4])) for i in range(4)]
 
 
 def simson_point(q: Quadrilateral) -> MaybePoint:
@@ -711,7 +693,7 @@ def simson_point(q: Quadrilateral) -> MaybePoint:
     if abs(den) < _AT_INFINITY * ((q.scale() + abs(g)) * unit):
         ad = q._diffs[2]
         return AtInfinity.along(ad.real, ad.imag)
-    return Point.from_complex(g + (a * c - b * d) / den / unit)
+    return Point(g + (a * c - b * d) / den / unit)
 
 
 def _tls_axis(z: list[complex]) -> tuple[complex, complex, list[complex]]:
@@ -729,17 +711,13 @@ def _tls_axis(z: list[complex]) -> tuple[complex, complex, list[complex]]:
 
 def collinearity_residual(points: list[Point]) -> float:
     """Largest distance of the points from their total-least-squares line."""
-    return _collinearity([p.to_complex() for p in points])
-
-
-def _collinearity(z: list[complex]) -> float:
-    _, u, rel = _tls_axis(z)
+    _, u, rel = _tls_axis(points)
     return max(abs(_cross(u, v)) for v in rel)
 
 
 def simson_line(q: QuadOrState, tol: float = DEFAULT_TOL) -> Line:
     """The total-least-squares line of the pedal feet of S."""
-    feet = _state(q, tol).feet_s
+    feet = _state(q, tol).pedal_s
     if feet is None:
         raise PointAtInfinity("the Simson point is not finite")
     g, u, _ = _tls_axis(feet)
@@ -748,12 +726,8 @@ def simson_line(q: QuadOrState, tol: float = DEFAULT_TOL) -> Line:
 
 def parallelogram_residual(pts: list[Point], scale: float) -> float:
     """Scale-free deviation of the opposite-side vector sums from zero."""
-    return _parallelogram([p.to_complex() for p in pts], scale)
-
-
-def _parallelogram(z: list[complex], scale: float) -> float:
-    e1 = (z[1] - z[0]) + (z[3] - z[2])
-    e2 = (z[2] - z[1]) + (z[0] - z[3])
+    e1 = (pts[1] - pts[0]) + (pts[3] - pts[2])
+    e2 = (pts[2] - pts[1]) + (pts[0] - pts[3])
     return max(abs(e1), abs(e2)) / scale
 
 
@@ -782,18 +756,17 @@ def isogonal_conjugate_quad(q: Quadrilateral, p: Point,
     """
     vs = q.vertices()
     scale = diameter(list(vs) + [p])
-    z, s = p.to_complex(), q.sides()
+    s = q.sides()
     lines = []
     for i, v in enumerate(vs):
-        if v.dist(p) < tol * scale:
+        if abs(v - p) < tol * scale:
             raise DegenerateConjugate("p coincides with a vertex")
-        v = v.to_complex()
-        lines.append((v, s[i] * -s[i - 1] * (z - v).conjugate()))
+        lines.append((v, s[i] * -s[i - 1] * (p - v).conjugate()))
     out: list[MaybePoint] = []
     # P_A = l_A ^ l_B, P_B = l_B ^ l_C, P_C = l_C ^ l_D, P_D = l_D ^ l_A
     for (v1, d1), (v2, d2) in zip(lines, lines[1:] + lines[:1]):
         m = _meet(v1, d1, v2, d2, tol)
-        out.append(AtInfinity.along(d1.real, d1.imag) if m is None else Point.from_complex(m))
+        out.append(AtInfinity.along(d1.real, d1.imag) if m is None else Point(m))
     return out
 
 
@@ -809,17 +782,15 @@ def reconstruct_from_pedal_w(w: Point, feet: list[Point],
     w; vertices are the consecutive-line meets, solved relative to w.
     """
     scale = diameter(feet + [w])
-    for f in feet:
-        if f.dist(w) < tol * scale:
-            raise DegenerateConjugate("a pedal foot coincides with w")
-    o = w.to_complex()
-    z = [f.to_complex() - o for f in feet]
+    z = [f - w for f in feet]
+    if min(map(abs, z)) < tol * scale:
+        raise DegenerateConjugate("a pedal foot coincides with w")
     corners = []
     for k in range(4):  # A = DA ^ AB, B = AB ^ BC, ...
         m = _meet(z[k - 1], 1j * z[k - 1], z[k], 1j * z[k], tol)
         if m is None:
             raise ParallelConsecutiveLines("consecutive reconstruction lines are parallel")
-        corners.append(Point.from_complex(o + m))
+        corners.append(Point(w + m))
     return Quadrilateral(*corners, tol=tol)
 
 
@@ -844,23 +815,21 @@ def reconstruct_fourth_vertex(a: Point, b: Point, c: Point, w: Point,
         raise PointAtInfinity("the isoptic point is not finite")
     o2 = circumcircle(a, b, c, tol)
     scale = diameter([a, b, c, w])
-    if w.dist(o2.center()) < 1e3 * tol * scale:
+    if abs(w - o2.o) < 1e3 * tol * scale:
         raise Underdetermined("w at the circumcenter: any concyclic point works")
     if o2.distance_to(w) < 1e3 * tol * scale:
         raise Underdetermined("w on the circumcircle of the three vertices")
     cs21 = circumcircle(a, w, b, tol)
     cs23 = circumcircle(b, w, c, tol)
-    b2 = o2.center()
-    a2 = invert_point(cs21, b2, tol)
-    c2 = invert_point(cs23, b2, tol)
+    a2 = invert_point(cs21, o2.o, tol)
+    c2 = invert_point(cs23, o2.o, tol)
     if not (is_finite(a2) and is_finite(c2)):
         raise Underdetermined("triad centers escape to infinity")
-    z = a2.to_complex()
-    e = c2.to_complex() - z
+    e = c2 - a2
     if abs(e) <= tol * scale:
         raise NoIntersection("the transferred triad centers coincide")
-    d = Point.from_complex(z + e / e.conjugate() * (b.to_complex() - z).conjugate())
-    if d.dist(b) <= tol * scale:
+    d = Point(a2 + e / e.conjugate() * (b - a2).conjugate())
+    if abs(d - b) <= tol * scale:
         raise NoIntersection("the transferred triad circles touch only at B")
     return d
 
@@ -891,10 +860,10 @@ def cross_generation_cs_residual(q: QuadOrState, w: Point,
     """Max scale-free distance of w to CS(o_i^(k), o_j^(l)) across the first
     three generations, each read from the Apollonius defect (cs_distance)."""
     st = _state(q, tol)
-    tol, scale, z = st.tol, st.scale, w.to_complex()
+    tol, scale = st.tol, st.scale
     circles = [c for g in (st, st.next, st.next.next) for c in g.triads.circles]
     # a pair of centers within noise is one circle twice: no CS
-    return max((cs_distance(z, c1, c2, tol) for c1, c2 in combinations(circles, 2)
+    return max((cs_distance(w, c1, c2, tol) for c1, c2 in combinations(circles, 2)
                 if abs(c1.o - c2.o) >= 1e3 * tol * scale), default=0.0) / scale
 
 
@@ -908,14 +877,13 @@ def quadrangle_duality_residual(q: Quadrilateral, w: Point, mirror_radius: float
     one member of the pencil passes through W.  So the image is the CS if and
     only if W lies on it: the residual is W's largest distance from the six
     (cs_distance, the Apollonius defect) over the image's diameter."""
-    z = w.to_complex()
-    mirror = Circle(z, mirror_radius)
+    mirror = Circle(w, mirror_radius)
     images = [invert_point(mirror, v, tol) for v in q.vertices()]
     if not all(is_finite(p) for p in images):
         raise DegenerateConjugate("a vertex maps to infinity under the duality mirror")
     q_img = Quadrilateral(*images)
     pairs = combinations(triad_circles(q_img, tol).circles, 2)
-    return max(cs_distance(z, c1, c2, tol) for c1, c2 in pairs) / q_img.scale()
+    return max(cs_distance(w, c1, c2, tol) for c1, c2 in pairs) / q_img.scale()
 
 
 def feet_circles_residual(st: QuadState) -> float | None:
@@ -927,17 +895,16 @@ def feet_circles_residual(st: QuadState) -> float | None:
     q, w, tol = st.q, st.w, st.tol
     if not is_finite(w):
         return None
-    vs = q.vertices()
     z, s = q._z, q.sides()
     feet = []
     for k in range(4):
         f = _meet(z[k] + 0.5 * s[k], 1j * s[k], z[k - 2], s[k - 2], tol)
         if f is None:
             return None  # trapezoid: a foot escapes to infinity
-        feet.append(Point.from_complex(f))
-    A, B, C, D = vs
+        feet.append(f)
+    A, B, C, D = z
     fa, fb, fc, fd = feet
-    a2, b2, c2, d2 = (o.center() for o in st.triads.circles)
+    a2, b2, c2, d2 = (o.o for o in st.triads.circles)
     triples = [(A, fb, b2), (A, fc, d2), (B, fc, c2), (B, fd, a2),
                (C, fd, d2), (C, fa, b2), (D, fa, a2), (D, fb, c2)]
     worst = 0.0
@@ -951,10 +918,9 @@ def spiral_transport_residual(st: QuadState) -> float | None:
     """Residual of the spiral similarity at W taking o1 -> o4 mapping B to C
     (and the o1 -> o2, o4 -> o2 analogues): one complex factor about W,
     R_dst / R_src times the unit phase of k = (o_dst - W) conj(o_src - W)."""
-    q, triads = st.q, st.triads
-    if not is_finite(st.w):
+    q, triads, w = st.q, st.triads, st.w
+    if not is_finite(w):
         return None
-    w = st.w.to_complex()
     cases = [
         (triads.o1, triads.o4, q.b, q.c),
         (triads.o1, triads.o2, q.d, q.c),
@@ -963,8 +929,8 @@ def spiral_transport_residual(st: QuadState) -> float | None:
     worst = 0.0
     for src, dst, point, expected in cases:
         k = (dst.o - w) * (src.o - w).conjugate()
-        img = w + (point.to_complex() - w) * cmath.rect(dst.r / src.r, cmath.phase(k))
-        worst = max(worst, abs(img - expected.to_complex()) / st.scale)
+        img = w + (point - w) * cmath.rect(dst.r / src.r, cmath.phase(k))
+        worst = max(worst, abs(img - expected) / st.scale)
     return worst
 
 
@@ -979,8 +945,8 @@ def six_cs_residual(st: QuadState) -> float | None:
     w = st.w
     if not is_finite(w) or st.cyclic:
         return None
-    z, pairs = w.to_complex(), combinations(st.triads.circles, 2)
-    return max(cs_distance(z, c1, c2, st.tol) for c1, c2 in pairs) / st.scale
+    pairs = combinations(st.triads.circles, 2)
+    return max(cs_distance(w, c1, c2, st.tol) for c1, c2 in pairs) / st.scale
 
 
 def area_ratio_residual(st: QuadState) -> float | None:
@@ -1021,14 +987,14 @@ def angle_sums_residual(st: QuadState) -> float | None:
 
 def pedal_w_residual(st: QuadState) -> float | None:
     """The pedal feet of W form a parallelogram."""
-    feet = st.feet_w
-    return None if feet is None else _parallelogram(feet, st.scale)
+    feet = st.pedal_w
+    return None if feet is None else parallelogram_residual(feet, st.scale)
 
 
 def pedal_s_residual(st: QuadState) -> float | None:
     """The pedal feet of S are collinear."""
-    feet = st.feet_s
-    return None if feet is None else _collinearity(feet) / st.scale
+    feet = st.pedal_s
+    return None if feet is None else collinearity_residual(feet) / st.scale
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from .errors import GeometryError
 from .kernel import DEFAULT_TOL, Circle, Line, Point, circle_of_similitude, is_finite
-from .quad import (QuadState, Quadrilateral, next_generation, pedal_quadrilateral, simson_line,
-                   varignon)
+from .quad import QuadState, Quadrilateral, next_generation, simson_line, varignon
 
 _SIZE = 640  # width and height of the SVG viewport in pixels
 
@@ -45,7 +44,7 @@ class _Canvas:
 
     def polygon(self, pts, color, width=1.0, dash=None):
         self.track(*pts)
-        d = " ".join(f"{_fmt(p.x)},{_fmt(p.y)}" for p in pts)
+        d = " ".join(f"{_fmt(p.real)},{_fmt(p.imag)}" for p in pts)
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.elements.append(
             f'<polygon points="{d}" fill="none" stroke="{color}" '
@@ -55,14 +54,14 @@ class _Canvas:
         self.track(center)
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.elements.append(
-            f'<circle cx="{_fmt(center.x)}" cy="{_fmt(center.y)}" '
+            f'<circle cx="{_fmt(center.real)}" cy="{_fmt(center.imag)}" '
             f'r="{_fmt(radius)}" fill="none" stroke="{color}" '
             f'stroke-width="{_fmt(width)}"{dash_attr}/>')
 
     def dot(self, p: Point, color, radius=3.0):
         self.track(p)
         self.elements.append(
-            f'<circle cx="{_fmt(p.x)}" cy="{_fmt(p.y)}" r="{_fmt(radius)}" '
+            f'<circle cx="{_fmt(p.real)}" cy="{_fmt(p.imag)}" r="{_fmt(radius)}" '
             f'fill="{color}" stroke="none" vector-effect="non-scaling-stroke" '
             f'class="marker"/>')
 
@@ -70,8 +69,8 @@ class _Canvas:
         self.track(a, b)
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.elements.append(
-            f'<line x1="{_fmt(a.x)}" y1="{_fmt(a.y)}" x2="{_fmt(b.x)}" '
-            f'y2="{_fmt(b.y)}" stroke="{color}" '
+            f'<line x1="{_fmt(a.real)}" y1="{_fmt(a.imag)}" x2="{_fmt(b.real)}" '
+            f'y2="{_fmt(b.imag)}" stroke="{color}" '
             f'stroke-width="{_fmt(width)}"{dash_attr}/>')
 
 
@@ -81,9 +80,8 @@ def _clip_curve(canvas: _Canvas, curve: Circle | Line, color, span: float,
     foot of the perpendicular from anchor."""
     if curve.is_line:
         p, u = curve.p, curve.u
-        f = p + u * ((anchor.to_complex() - p) * u.conjugate()).real
-        canvas.segment(Point.from_complex(f - u * span), Point.from_complex(f + u * span),
-                       color, width, dash)
+        f = p + u * ((anchor - p) * u.conjugate()).real
+        canvas.segment(Point(f - u * span), Point(f + u * span), color, width, dash)
     else:
         canvas.circle(curve.center(), curve.r, color, width, dash)
 
@@ -132,11 +130,11 @@ def render_svg(q: Quadrilateral, layers=("quad", "triads", "w"),
                 if is_finite(st.s):
                     cv.dot(st.s, color, 5.0 * base_w)
             elif name == "pedal-w":
-                if is_finite(st.w):
-                    cv.polygon(pedal_quadrilateral(q, st.w), color, base_w, "6 3")
+                if st.pedal_w is not None:
+                    cv.polygon(st.pedal_w, color, base_w, "6 3")
             elif name == "pedal-s":
-                if is_finite(st.s):
-                    cv.polygon(pedal_quadrilateral(q, st.s), color, base_w, "6 3")
+                if st.pedal_s is not None:
+                    cv.polygon(st.pedal_s, color, base_w, "6 3")
             elif name == "varignon":
                 cv.polygon(varignon(q), color, base_w, "2 2")
             elif name == "simson":
@@ -151,8 +149,8 @@ def render_svg(q: Quadrilateral, layers=("quad", "triads", "w"),
             continue
 
     pts = cv.points or q.vertices()  # nothing drawn: frame the quadrilateral
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
+    xs = [p.real for p in pts]
+    ys = [p.imag for p in pts]
     # circles can stick out beyond their tracked centers; include radii
     minx, maxx = min(xs), max(xs)
     miny, maxy = min(ys), max(ys)

@@ -8,6 +8,7 @@ diameter, which the generator normalizes to 1).
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from itertools import combinations
@@ -80,14 +81,13 @@ class CaseSpec(Record):
     def __init__(self, seed: int, shape_class: str = "convex-noncyclic"):
         if shape_class not in SHAPE_CLASSES:
             raise ValueError(f"unknown shape class {shape_class!r}")
-        object.__setattr__(self, "seed", seed)  # inline, as Point stores its fields
+        object.__setattr__(self, "seed", seed)  # inline, as every record stores its fields
         object.__setattr__(self, "shape_class", shape_class)
 
 
-def _normalized(pts: list[Point]) -> list[complex]:
-    """The vertices of Quadrilateral(*pts) with the centroid moved to 0 and the
+def _normalized(z: list[complex]) -> list[complex]:
+    """The vertices of Quadrilateral(*z) with the centroid moved to 0 and the
     diameter scaled to 1: its centroid sum and scale, (x - g) * (1 / d)."""
-    z = [p.to_complex() for p in pts]
     g = sum(z) / 4.0
     d = max(math.hypot((w - v).real, (w - v).imag) for v, w in combinations(z, 2)) or 1.0
     k = 1.0 / d
@@ -112,14 +112,13 @@ def _angles_ok(z: list[complex]) -> bool:
 def _well_conditioned(q: Quadrilateral) -> bool:
     """The separation and triad-height tests (_draw ran the angle test)."""
     vs, scale = q.vertices(), q.scale()
-    return (min(v.dist(w) for v, w in combinations(vs, 2)) >= scale / _MAX_ASPECT
+    return (min(abs(v - w) for v, w in combinations(vs, 2)) >= scale / _MAX_ASPECT
             and q.min_triad_height() >= _MIN_TRIAD_HEIGHT * scale)
 
 
-def _simple_convex_order(pts: list[Point]) -> list[Point]:
-    cx = sum(p.x for p in pts) / 4.0
-    cy = sum(p.y for p in pts) / 4.0
-    return sorted(pts, key=lambda p: math.atan2(p.y - cy, p.x - cx))
+def _simple_convex_order(z: list[complex]) -> list[complex]:
+    g = sum(z) / 4.0
+    return sorted(z, key=lambda v: cmath.phase(v - g))
 
 
 def _draw(rng: random.Random, shape_class: str) -> Quadrilateral | None:
@@ -139,14 +138,14 @@ def _draw(rng: random.Random, shape_class: str) -> Quadrilateral | None:
             ok = not q.is_convex() and 1.05 <= similarity_ratio(q) <= 8.0
         elif shape_class == "trapezoid":
             ok = Quadrilateral(*pts).is_convex()
-        return Quadrilateral(*(Point(v.real, v.imag) for v in z)) if ok else None
+        return Quadrilateral(*map(Point, z)) if ok else None
     except GeometryError:
         return None
 
 
-def _vertices(rng: random.Random, shape_class: str) -> list[Point] | None:
+def _vertices(rng: random.Random, shape_class: str) -> list[complex] | None:
     if shape_class in ("convex-noncyclic", "concave"):
-        pts = [Point(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
+        pts = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
         if shape_class == "convex-noncyclic":
             return _simple_convex_order(pts)
         # concave: triangle with an interior point spliced in as C
@@ -155,44 +154,45 @@ def _vertices(rng: random.Random, shape_class: str) -> list[Point] | None:
         return [a, b, a + (b - a) * u + (c - a) * v, c]
     if shape_class in ("cyclic", "near-cyclic"):
         ts = sorted(rng.uniform(0.0, 2.0 * math.pi) for _ in range(4))
-        pts = [Point(math.cos(t), math.sin(t)) for t in ts]
+        pts = [complex(math.cos(t), math.sin(t)) for t in ts]
         if shape_class == "near-cyclic":
             bump = rng.uniform(10.0, 1e3) * DEFAULT_TOL * 2.0
             pts[3] = pts[3] * (1.0 + bump)
         return pts
     if shape_class == "trapezoid":
-        a = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        direction = Point(math.cos(rng.uniform(0, math.pi)), math.sin(rng.uniform(0, math.pi)))
-        normal = Point(-direction.y, direction.x)
+        a = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        direction = complex(math.cos(rng.uniform(0, math.pi)), math.sin(rng.uniform(0, math.pi)))
+        normal = 1j * direction
         b = a + direction * rng.uniform(0.8, 1.6)
         h = rng.uniform(0.4, 1.2)
         c = b + normal * h - direction * rng.uniform(0.1, 0.5)
         d = a + normal * h + direction * rng.uniform(0.1, 0.5)
         return [a, b, c, d]
     if shape_class in ("parallelogram", "parallelogram-pi4"):
-        a = Point(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        a = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         theta = rng.uniform(0.0, math.pi)
         if shape_class == "parallelogram-pi4":
             phi = theta + math.pi / 4.0
         else:
             phi = theta + rng.uniform(0.4, math.pi - 0.4)
-        u = Point(math.cos(theta), math.sin(theta)) * rng.uniform(0.7, 1.5)
-        v = Point(math.cos(phi), math.sin(phi)) * rng.uniform(0.7, 1.5)
+        u = cmath.rect(rng.uniform(0.7, 1.5), theta)
+        v = cmath.rect(rng.uniform(0.7, 1.5), phi)
         return [a, a + u, a + u + v, a + v]
     if shape_class == "orthocentric":
         # acute triangle keeps the orthocenter interior
         for _ in range(64):
-            a, b, c = (Point(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3))
+            a, b, c = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3))
             angs = interior_triangle_angles(a, b, c)
             if max(angs) < math.pi / 2 - 0.15 and min(angs) > 0.3:
                 return [a, b, c, orthocenter(a, b, c)]
     return None
 
 
-def interior_triangle_angles(a: Point, b: Point, c: Point) -> tuple[float, float, float]:
+def interior_triangle_angles(a: complex, b: complex, c: complex) -> tuple[float, float, float]:
     def ang(v, p, q):
         u1, u2 = p - v, q - v
-        return math.acos(max(-1.0, min(1.0, u1.dot(u2) / (u1.norm() * u2.norm()))))
+        dot = u1.real * u2.real + u1.imag * u2.imag
+        return math.acos(max(-1.0, min(1.0, dot / (abs(u1) * abs(u2)))))
     return (ang(a, b, c), ang(b, c, a), ang(c, a, b))
 
 
@@ -251,7 +251,7 @@ def _inv_w_agreement(st):
                   isoptic_point_via_limit(st)]
     if not all(is_finite(p) for p in candidates):
         return None
-    return max(p.dist(q) for p, q in combinations(candidates, 2)) / st.scale
+    return max(abs(p - q) for p, q in combinations(candidates, 2)) / st.scale
 
 
 def _inv_varignon(st):
@@ -267,7 +267,7 @@ def _inv_permutation(st):
         alt = isoptic_point(st.q.reordered(order))
         if not is_finite(alt):
             return None
-        worst = max(worst, alt.dist(w) / st.scale)
+        worst = max(worst, abs(alt - w) / st.scale)
     return worst
 
 
@@ -288,10 +288,9 @@ def _inv_duality(st):
 
 
 def _inv_ptolemy(st):
-    q = st.q
-    A, B, C, D = q.vertices()
-    ac, bd = A.dist(C), B.dist(D)
-    ab, bc, cd, da = A.dist(B), B.dist(C), C.dist(D), D.dist(A)
+    A, B, C, D = st.q.vertices()
+    ac, bd = abs(A - C), abs(B - D)
+    ab, bc, cd, da = abs(A - B), abs(B - C), abs(C - D), abs(D - A)
     scale = st.scale ** 2
     res1 = abs(ac * bd - (ab * cd + bc * da)) / scale
     lhs = ac / bd
@@ -306,7 +305,7 @@ def _inv_q2_construction(st):
     scale)."""
     a, b, c, d = st.q.vertices()
     centers = [circumcircle(*t).o for t in ((d, a, b), (a, b, c), (b, c, d), (c, d, a))]
-    return max(abs(o - v.to_complex()) for o, v in zip(centers, st.q2.vertices())) / st.scale
+    return max(abs(o - v) for o, v in zip(centers, st.q2.vertices())) / st.scale
 
 
 def _inv_cyclic_degeneration(st):
@@ -314,7 +313,7 @@ def _inv_cyclic_degeneration(st):
         st.q2
     except CyclicDegeneration as exc:
         o = exc.point
-        return max(abs(o.dist(v) - o.dist(st.q.a)) for v in st.q.vertices()) / st.scale
+        return max(abs(abs(o - v) - abs(o - st.q.a)) for v in st.q.vertices()) / st.scale
     return math.inf
 
 

@@ -69,10 +69,8 @@ def concave_1000():
 
 def test_criterion_01_ratio_spot_values():
     worst = 0.0
-    a = Point(0, 0)
-    u = Point(2, 0)
-    v = Point(3 / math.sqrt(2), 3 / math.sqrt(2))
-    pi4 = Quadrilateral(a, a + u, a + u + v, a + v)
+    u, v = 2 + 0j, complex(3 / math.sqrt(2), 3 / math.sqrt(2))
+    pi4 = Quadrilateral(*map(Point, (0j, u, u + v, v)))
     worst = max(worst, abs(similarity_ratio(pi4) + 1.0))
     p, q, r = Point(0, 0), Point(4, 0), Point(1, 3)
     ortho = Quadrilateral(p, q, r, orthocenter(p, q, r))
@@ -131,7 +129,7 @@ def test_criterion_04_four_way_agreement(convex_1000, concave_1000):
         assert all(is_finite(p) for p in pts)
         for a in range(4):
             for b in range(a + 1, 4):
-                worst = max(worst, pts[a].dist(pts[b]) / q.scale())
+                worst = max(worst, abs(pts[a] - pts[b]) / q.scale())
     report(4, "four W constructions agree pairwise (1000 cases)", worst, 1e-7)
 
 
@@ -168,8 +166,8 @@ def test_criterion_06_pedal_dichotomy(convex_1000, concave_1000):
             worst = max(worst, collinearity_residual(feet_s) / scale / 1e-8)
         c = q.centroid()
         for _ in range(100):
-            p = c + Point(rng.uniform(-2, 2), rng.uniform(-2, 2)) * scale
-            if p.dist(w) < 0.05 * scale or (is_finite(s) and p.dist(s) < 0.05 * scale):
+            p = Point(c + complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) * scale)
+            if abs(p - w) < 0.05 * scale or (is_finite(s) and abs(p - s) < 0.05 * scale):
                 continue
             feet = pedal_quadrilateral(q, p)
             if (parallelogram_residual(feet, scale) < 1e-5
@@ -194,7 +192,7 @@ def test_criterion_07_roundtrips_and_reconstructions(convex_1000):
             rec = reconstruct_from_simson(s, pedal_quadrilateral(q, s))
             worst = max(worst, quad_distance(q, rec) / scale)
         a, b, c, d = q.vertices()
-        worst = max(worst, reconstruct_fourth_vertex(a, b, c, w).dist(d) / scale)
+        worst = max(worst, abs(reconstruct_fourth_vertex(a, b, c, w) - d) / scale)
     report(7, "generation round-trips and all three reconstructions "
               "(200 cases)", worst, 1e-8)
 
@@ -207,8 +205,8 @@ def test_criterion_08_periodicity_ptolemy_cotangent():
     worst_ptolemy = 0.0
     for q in corpus("cyclic", 1000):
         a, b, c, d = q.vertices()
-        ac, bd = a.dist(c), b.dist(d)
-        ab, bc, cd, da = a.dist(b), b.dist(c), c.dist(d), d.dist(a)
+        ac, bd = abs(a - c), abs(b - d)
+        ab, bc, cd, da = abs(a - b), abs(b - c), abs(c - d), abs(d - a)
         worst_ptolemy = max(
             worst_ptolemy,
             abs(ac * bd - (ab * cd + bc * da)) / q.scale() ** 2,

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from isoptic.errors import (
     CollinearInput,
@@ -41,20 +41,20 @@ DISC = Circle(0j, 1.0)
 
 
 def close(p: Point, q: Point, tol=1e-12):
-    return p.dist(q) < tol
+    return abs(p - q) < tol
 
 
 def through(p: Point, q: Point) -> Line:
     """The line through two distinct points."""
-    d = q.to_complex() - p.to_complex()
-    return Line(p.to_complex(), d / abs(d))
+    d = q - p
+    return Line(p, d / abs(d))
 
 
 def on(c: Circle | Line, t: float) -> Point:
     """The point at angle t on a circle, or at arclength t on a line."""
     if c.is_line:
-        return Point.from_complex(c.p + c.u * t)
-    return Point.from_complex(c.o + c.r * cmath.exp(1j * t))
+        return Point(c.p + c.u * t)
+    return Point(c.o + c.r * cmath.exp(1j * t))
 
 
 # strategies for nondegenerate random inputs
@@ -72,8 +72,8 @@ def points(draw):
 def triangles(draw):
     # reject thin triangles so conditioning stays sane
     p, q, r = draw(points()), draw(points()), draw(points())
-    area2 = abs((q - p).cross(r - p))
-    longest = max(p.dist(q), q.dist(r), p.dist(r))
+    area2 = abs(((q - p).conjugate() * (r - p)).imag)
+    longest = max(abs(p - q), abs(q - r), abs(p - r))
     assume(longest > 0.5 and area2 / (longest * longest) > 0.05)
     return p, q, r
 
@@ -83,8 +83,8 @@ def circle_pairs(draw):
     o1c, o2c = draw(points()), draw(points())
     r1 = draw(st.floats(min_value=0.5, max_value=5))
     r2 = draw(st.floats(min_value=0.5, max_value=5))
-    assume(o1c.dist(o2c) > 0.3)
-    return Circle(o1c.to_complex(), r1), Circle(o2c.to_complex(), r2)
+    assume(abs(o1c - o2c) > 0.3)
+    return Circle(o1c, r1), Circle(o2c, r2)
 
 
 class TestCircumcircle:
@@ -140,12 +140,12 @@ class TestPerpendicularBisector:
     @given(points(), points())
     @settings(max_examples=100, deadline=None)
     def test_equidistance(self, p, q):
-        if p.dist(q) < 0.1:
+        if abs(p - q) < 0.1:
             return
-        line = self.bisector(p.to_complex(), q.to_complex())
+        line = self.bisector(p, q)
         for t in (-2.0, 0.0, 3.5):
             x = on(line, t)
-            assert abs(x.dist(p) - x.dist(q)) < 1e-9 * (1 + p.dist(q))
+            assert abs(abs(x - p) - abs(x - q)) < 1e-9 * (1 + abs(p - q))
 
 
 class TestIntersect:
@@ -202,11 +202,11 @@ class TestInvertPoint:
     @given(points())
     @settings(max_examples=150, deadline=None)
     def test_involution(self, p):
-        if p.norm() < 1e-3:
+        if abs(p) < 1e-3:
             return
         back = invert_point(DISC, invert_point(DISC, p))
         assert is_finite(back)
-        assert back.dist(p) < 1e-10 * (1 + p.norm())
+        assert abs(back - p) < 1e-10 * (1 + abs(p))
 
 
 class TestInvertCircle:
@@ -227,7 +227,7 @@ class TestInvertCircle:
         g = through(Point(0, -1), Point(0, 1))
         img = invert_circle(DISC, g)
         assert img.is_line
-        assert abs(img.direction().cross(g.direction())) < 1e-12
+        assert abs((img.direction().conjugate() * g.direction()).imag) < 1e-12
         assert img.distance_to(Point(0, 0)) < 1e-12
 
     def test_line_mirror_raises(self):
@@ -245,14 +245,18 @@ class TestInvertCircle:
             assert img.distance_to(Point(0.5, y)) < 1e-12
 
     @given(circle_pairs())
+    # g passes 1e-8 from the mirror's center: the image's radius is 8e8, and
+    # one ulp of it (1.19e-7) is above the absolute bound
+    @example((Circle(1j, 4.0), Circle(1e-8j, 1.0)))
     @settings(max_examples=100, deadline=None)
     def test_pointwise_consistency(self, pair):
         mirror, g = pair
         img = invert_circle(mirror, g)
+        bound = 1e-7 if img.is_line else max(1e-7, 8 * EPS * img.r)
         for t in (0.3, 2.0, 4.1):
             p = invert_point(mirror, on(g, t))
             if is_finite(p):
-                assert img.distance_to(p) < 1e-7
+                assert img.distance_to(p) < bound
 
 
 class TestApollonius:
@@ -279,12 +283,12 @@ class TestApollonius:
     @given(points(), points(), st.floats(min_value=0.2, max_value=5))
     @settings(max_examples=100, deadline=None)
     def test_sampled_ratio(self, p1, p2, k):
-        if p1.dist(p2) < 0.1 or abs(k - 1.0) < 1e-3:
+        if abs(p1 - p2) < 0.1 or abs(k - 1.0) < 1e-3:
             return
-        g = circle_of_similitude(Circle(p1.to_complex(), k), Circle(p2.to_complex(), 1.0))
+        g = circle_of_similitude(Circle(p1, k), Circle(p2, 1.0))
         for t in (0.0, 1.0, 2.5):
             x = on(g, t)
-            assert x.dist(p1) / x.dist(p2) == pytest.approx(k, rel=1e-8)
+            assert abs(x - p1) / abs(x - p2) == pytest.approx(k, rel=1e-8)
 
 
 class TestCircleOfSimilitude:
@@ -317,7 +321,7 @@ class TestCircleOfSimilitude:
         cs = circle_of_similitude(o1, o2)
         img = invert_point(cs, o1.center())
         assert is_finite(img)
-        assert img.dist(o2.center()) < 1e-7 * (1 + o2.center().norm())
+        assert abs(img - o2.center()) < 1e-7 * (1 + abs(o2.center()))
 
     @given(circle_pairs(), st.floats(min_value=0, max_value=6))
     @settings(max_examples=100, deadline=None)
@@ -328,14 +332,14 @@ class TestCircleOfSimilitude:
         if abs(o1.radius() - o2.radius()) < 1e-3:
             return
         cs = circle_of_similitude(o1, o2)
-        e = on(cs, t).to_complex()
+        e = on(cs, t)
         u, v = o1.o - e, o2.o - e
         if abs(u) < 1e-6 or abs(v) < 1e-6:
             return
         factor = v / u / abs(v / u) * (o2.radius() / o1.radius())
         for s in (0.5, 2.0, 3.8):
-            img = e + (on(o1, s).to_complex() - e) * factor
-            assert o2.distance_to(Point.from_complex(img)) < 1e-6
+            img = e + (on(o1, s) - e) * factor
+            assert o2.distance_to(Point(img)) < 1e-6
 
 
 class TestDirectedAngle:
@@ -354,15 +358,14 @@ class TestDirectedAngle:
         if len(common) != 2:
             return
         a, b = common
-        if a.dist(b) < 0.2:
+        if abs(a - b) < 0.2:
             return
         cs = circle_of_similitude(o1, o2)
         k, l, m = on(o1, t1), on(o2, t2), on(cs, t3)
-        if min(k.dist(a), k.dist(b), l.dist(a), l.dist(b),
-               m.dist(a), m.dist(b)) < 1e-3:
+        if min(abs(k - a), abs(k - b), abs(l - a), abs(l - b),
+               abs(m - a), abs(m - b)) < 1e-3:
             return
-        a, b = a.to_complex(), b.to_complex()
-        diff = sum(sign * cmath.phase((b - v.to_complex()) / (a - v.to_complex()))
+        diff = sum(sign * cmath.phase((b - v) / (a - v))
                    for sign, v in ((1, m), (-1, k), (-1, l)))
         assert abs(math.remainder(diff, math.pi)) < 1e-7
 
@@ -375,9 +378,9 @@ class TestFootOfPerpendicular:
     def check(line: Line, p: Point, foot: Point):
         d = line.direction()
         assert line.distance_to(foot) < 1e-12
-        assert abs((p - foot).dot(d)) < 1e-12
-        assert line.distance_to(p) == pytest.approx(p.dist(foot), abs=1e-12)
-        assert d.norm() == pytest.approx(1.0, abs=1e-15)
+        assert abs(((p - foot).conjugate() * d).real) < 1e-12
+        assert line.distance_to(p) == pytest.approx(abs(p - foot), abs=1e-12)
+        assert abs(d) == pytest.approx(1.0, abs=1e-15)
 
     def test_horizontal_line(self):
         self.check(Line(0j, 1 + 0j), Point(3, 5), Point(3, 0))
@@ -394,10 +397,10 @@ class TestIsogonalConjugateTriangle:
 
     def test_incenter_is_fixed(self):
         t = (Point(0, 0), Point(5, 0), Point(1, 4))
-        a = t[1].dist(t[2])
-        b = t[0].dist(t[2])
-        c = t[0].dist(t[1])
-        incenter = (t[0] * a + t[1] * b + t[2] * c) * (1.0 / (a + b + c))
+        a = abs(t[1] - t[2])
+        b = abs(t[0] - t[2])
+        c = abs(t[0] - t[1])
+        incenter = Point((t[0] * a + t[1] * b + t[2] * c) * (1.0 / (a + b + c)))
         img = isogonal_conjugate_triangle(*t, incenter)
         assert close(img, incenter, 1e-10)
 
@@ -407,7 +410,7 @@ class TestIsogonalConjugateTriangle:
 
     def test_circumcircle_point_goes_to_infinity(self):
         c = circumcircle(*self.RIGHT)
-        p = c.center() + Point(math.cos(2.5), math.sin(2.5)) * c.radius()
+        p = Point(c.o + complex(math.cos(2.5), math.sin(2.5)) * c.radius())
         assert isinstance(isogonal_conjugate_triangle(*self.RIGHT, p), AtInfinity)
 
     def test_side_line_point_collapses_to_opposite_vertex(self):
@@ -442,7 +445,7 @@ class TestIsogonalConjugateTriangle:
         back = isogonal_conjugate_triangle(*t, img)
         if not is_finite(back):
             return
-        assert back.dist(p) < 1e-7 * (1 + p.norm())
+        assert abs(back - p) < 1e-7 * (1 + abs(p))
 
 
 EPS = 2.220446049250313e-16
@@ -485,7 +488,7 @@ class TestIsogonalConjugateCore:
             weights = [rng.uniform(0.1, 1.0) for _ in range(3)]
             p = (a * weights[0] + b * weights[1] + c * weights[2]) / sum(weights)
             diam = max(abs(a - b), abs(b - c), abs(c - a))
-            err = abs(isogonal_conjugate(a, b, c, p).to_complex() - _exact_conjugate(a, b, c, p))
+            err = abs(isogonal_conjugate(a, b, c, p) - _exact_conjugate(a, b, c, p))
             assert err <= 16 * EPS * (diam + offset)
 
     def test_subnormal_triangle(self):
@@ -493,7 +496,7 @@ class TestIsogonalConjugateCore:
         # overflowed on a triangle 1e-310 across
         got = isogonal_conjugate(0j, 1e-310 + 0j, 1e-310j, 3e-311 + 3e-311j)
         assert is_finite(got)
-        assert got.dist(Point(2e-310 / 7, 2e-310 / 7)) <= 1e-3 * 1e-310
+        assert abs(got - Point(2e-310 / 7, 2e-310 / 7)) <= 1e-3 * 1e-310
 
 
 class TestConcyclicityViaChords:
@@ -504,18 +507,18 @@ class TestConcyclicityViaChords:
     def test_intersecting_chords(self, center, r, ts):
         # four concyclic points: the chord intersection splits both
         # chords into segments with equal products
-        o = Circle(center.to_complex(), r)
+        o = Circle(center, r)
         a, b, c, d = (on(o, t) for t in ts)
-        l1 = through(a, c) if a.dist(c) > 1e-3 else None
-        l2 = through(b, d) if b.dist(d) > 1e-3 else None
+        l1 = through(a, c) if abs(a - c) > 1e-3 else None
+        l2 = through(b, d) if abs(b - d) > 1e-3 else None
         if l1 is None or l2 is None:
             return
         pts = intersect(l1, l2)
         if not pts:
             return
         x = pts[0]
-        lhs = x.dist(a) * x.dist(c)
-        rhs = x.dist(b) * x.dist(d)
+        lhs = abs(x - a) * abs(x - c)
+        rhs = abs(x - b) * abs(x - d)
         assert lhs == pytest.approx(rhs, rel=1e-6, abs=1e-9)
 
 
@@ -549,7 +552,7 @@ def test_records_compare_by_value(name):
     assert type(rec).__name__ == name
     assert rec == twin and not rec != twin
     assert repr(rec) == repr(twin) and repr(rec).startswith(f"{name}(")
-    field = next(iter(vars(rec)))
+    field = rec._fields[0]
     if frozen:
         assert hash(rec) == hash(twin)
         with pytest.raises(AttributeError):

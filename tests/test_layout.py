@@ -24,9 +24,9 @@ UNCALLED_BY_DESIGN = {
     "isogonal_conjugate_quad",
     # the benchmark's tracer wraps these three by name; they stay, on the
     # shared Circle, Line and Point types, until it moves to the functions
-    # the package calls (ROADMAP item 5).  isogonal_conjugate_triangle is the
-    # Point form of kernel.isogonal_conjugate, whose complex core
-    # prev_generation and the inverse-isogonal W route call
+    # the package calls (ROADMAP item 5).  isogonal_conjugate_triangle is
+    # kernel.isogonal_conjugate with the triangle and the point checked, and
+    # the inverse-isogonal W route calls that core
     "isogonal_conjugate_triangle",
     "intersect",
     "invert_circle",
@@ -72,6 +72,19 @@ def test_frexp_only_in_unit_near():
                   if "frexp" in (getattr(node, "attr", None), getattr(node, "id", None))
                   and id(node) not in allowed]
     assert sites == [], f"math.frexp outside kernel.unit_near: {sites}"
+
+
+def test_no_point_conversion_layer():
+    # a Point is a complex number: a to_complex / from_complex pair would
+    # bring back a second point format and a conversion at every call site
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (getattr(node, "attr", None) or getattr(node, "id", None)
+                    or getattr(node, "name", None))
+            if name in ("to_complex", "from_complex"):
+                sites.append(f"{path.name}:{node.lineno} {name}")
+    assert sites == [], f"point conversions back in {PACKAGE.name}: {sites}"
 
 
 def _unused_imports(path):
