@@ -155,11 +155,7 @@ def cmd_iterate(args) -> int:
         try:
             nxt = step(generations[-1], args.tol)
         except CyclicDegeneration as exc:
-            pt = exc.point
-            degeneration = {
-                "reason": "cyclic",
-                "point": _point_json(pt) if pt is not None else None,
-            }
+            degeneration = {"reason": "cyclic", "point": _point_json(exc.point)}
             break
         except GeometryError as exc:
             degeneration = {"reason": type(exc).__name__, "message": str(exc)}

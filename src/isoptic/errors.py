@@ -33,23 +33,16 @@ class NotALine(GeometryError):
 
 
 class CyclicDegeneration(GeometryError):
-    """The quadrilateral is cyclic; the next generation collapses to a point."""
+    """The quadrilateral is cyclic: its next generation collapses to the
+    circumcenter (``point``), and no quadrilateral precedes it."""
 
-    def __init__(self, message: str, point=None):
+    def __init__(self, message: str, point):
         super().__init__(message)
         self.point = point
 
 
-class OrthocentricDegeneration(GeometryError):
-    """An isogonal conjugate needed for the reverse step is at infinity."""
-
-
 class IllConditionedAngles(GeometryError):
     """An interior angle is too close to 0 or pi for cotangents."""
-
-
-class NonConvergent(GeometryError):
-    """The iterative process does not converge (|r| = 1, periodic regime)."""
 
 
 class DegenerateConjugate(GeometryError):

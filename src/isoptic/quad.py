@@ -30,8 +30,6 @@ from .errors import (
     IllConditionedAngles,
     NoIntersection,
     NonCollinearFeet,
-    NonConvergent,
-    OrthocentricDegeneration,
     ParallelConsecutiveLines,
     PointAtInfinity,
     Underdetermined,
@@ -282,7 +280,7 @@ class QuadState:
 
     @_part
     def prev(self) -> QuadState:
-        return QuadState(prev_generation(self.q, self.tol), self.tol)
+        return QuadState(prev_generation(self), self.tol)
 
     @_part
     def w(self) -> MaybePoint:
@@ -344,30 +342,21 @@ def noncyclicity_measure(q: Quadrilateral) -> float:
 
 
 def classify(q: QuadOrState, tol: float = DEFAULT_TOL) -> ShapeClass:
+    """The shape flags.  Each degenerate locus is read from the one decision
+    the constructions make there: cyclic is QuadState.cyclic, on which Q2 is
+    one point; orthocentric is W at infinity (r = 1), and parallelogram S at
+    infinity.  trapezoid is a pair of opposite sides parallel within 1e3 tol."""
     st = _state(q, tol)
-    tol = st.tol
-    scale = st.scale
-    convex = st.q.is_convex()
-    cyclic = st.cyclic
-
-    # each vertex v is the orthocenter of the other three, their sum minus
-    # twice the center o of their triad circle: 2 (v + o) = sum of all four
-    t, z = st.triads, st.q._z
-    total = sum(z)
-    ortho = all(abs(2.0 * (v + circ.o) - total) <= tol * scale
-                for v, circ in zip(z, (t.o3, t.o4, t.o1, t.o2)))
 
     def parallel(u: complex, v: complex) -> bool:
         return (abs(_cross(u, v)) / (math.hypot(u.real, u.imag) * math.hypot(v.real, v.imag))
-                < 1e3 * tol)
+                < 1e3 * st.tol)
 
     ab, bc, cd, da = st.q._sides()
-    ab_cd = parallel(ab, cd)
-    bc_da = parallel(bc, da)
-    trapezoid = ab_cd or bc_da
-    parallelogram = ab_cd and bc_da
-    return ShapeClass(convex=convex, cyclic=cyclic, orthocentric=ortho,
-                      trapezoid=trapezoid, parallelogram=parallelogram)
+    return ShapeClass(convex=st.q.is_convex(), cyclic=st.cyclic,
+                      orthocentric=not is_finite(st.w),
+                      trapezoid=parallel(ab, cd) or parallel(bc, da),
+                      parallelogram=not is_finite(st.s))
 
 
 def similarity_ratio(q: Quadrilateral, tol: float = DEFAULT_TOL) -> float:
@@ -492,7 +481,7 @@ def _collapse(st: QuadState) -> CyclicDegeneration:
                               point=st.triads.o2.center())
 
 
-def prev_generation(q: Quadrilateral, tol: float = DEFAULT_TOL) -> Quadrilateral:
+def prev_generation(q: QuadOrState, tol: float = DEFAULT_TOL) -> Quadrilateral:
     """Reverse of the perpendicular-bisector step, as the fixed point of four
     reflections.
 
@@ -503,22 +492,26 @@ def prev_generation(q: Quadrilateral, tol: float = DEFAULT_TOL) -> Quadrilateral
     e / conj(e) for the side e from p, and the four compose to a rotation
     x -> m x + b, taken on the side table relative to q's centroid: A is its
     fixed point b / (1 - m).  m = 1 exactly when q is cyclic (its opposite
-    angles sum to pi), which raises OrthocentricDegeneration.
+    angles sum to pi): a cyclic input (QuadState.cyclic) raises the
+    CyclicDegeneration of next_generation, carrying the circumcenter, and
+    so does an m that rounds to 1 exactly.
     """
-    check_tol(tol)
-    ab, ac, ad, bc, _, cd = q._diffs
+    st = _state(q, tol)
+    if st.cyclic:
+        raise _collapse(st)
+    ab, ac, ad, bc, _, cd = st.q._diffs
     g = (ab + ac + ad) / 4.0
     mirrors = [(p - g, e / e.conjugate()) for p, e in ((0j, ab), (ab, bc), (ac, cd), (ad, -ad))]
     m, b = 1.0 + 0j, 0j
     for p, u2 in mirrors:
         m, b = u2 * m.conjugate(), p + u2 * (b - p).conjugate()
-    if abs(1.0 - m) < tol:
-        raise OrthocentricDegeneration("the input is cyclic, so no quadrilateral precedes it")
+    if 1.0 - m == 0.0:
+        raise _collapse(st)
     out = [b / (1.0 - m)]
     for p, u2 in mirrors[:3]:
         out.append(p + u2 * (out[-1] - p).conjugate())
-    za, unit = q._z[0], q._unit
-    return Quadrilateral(*(Point(za + (v + g) / unit) for v in out), tol=tol)
+    za, unit = st.q._z[0], st.q._unit
+    return Quadrilateral(*(Point(za + (v + g) / unit) for v in out), tol=st.tol)
 
 
 def _conjugates_in_triads(q: Quadrilateral, tol: float) -> list[MaybePoint]:
@@ -577,12 +570,13 @@ def isoptic_point_via_limit(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePo
     the vertices of Q1 and Q3 about them and k = sum conj(u_i) v_i /
     sum |u_i|^2 (r up to rounding), W = g1 + (g3 - g1) / (1 - k).  u, v and
     g3 - g1 are read in Q1's power-of-two frame, so no square overflows or
-    underflows.  A cyclic input gives the center its Q2 collapses to.
+    underflows.  A cyclic input gives the center its Q2 collapses to, and an
+    orthocentric one (r = 1) isoptic_point's point at infinity.  The period-two
+    classes (r = -1) need no special case: there 1 - k = 2.
     """
     st = _state(q, tol)
-    r = st.r
-    if abs(abs(r) - 1.0) < 1e-6:
-        raise NonConvergent(f"|r| = {abs(r)} is on the periodic locus")
+    if not is_finite(st.w):
+        return st.w
     try:
         z3 = st.next.next.q._z
     except CyclicDegeneration as exc:

@@ -87,6 +87,32 @@ def test_no_point_conversion_layer():
     assert sites == [], f"point conversions back in {PACKAGE.name}: {sites}"
 
 
+def _raised_names(tree):
+    """Names called, or raised bare, anywhere in the module."""
+    names = set()
+    for node in ast.walk(tree):
+        target = node.func if isinstance(node, ast.Call) else (
+            node.exc if isinstance(node, ast.Raise) else None)
+        if isinstance(target, ast.Name):
+            names.add(target.id)
+        elif isinstance(target, ast.Attribute):
+            names.add(target.attr)
+    return names
+
+
+def test_every_geometry_error_is_raised():
+    # an error class that no construction raises documents a failure the
+    # package no longer has
+    family, subclasses = {"GeometryError"}, set()
+    for node in ast.parse((PACKAGE / "errors.py").read_text()).body:
+        if isinstance(node, ast.ClassDef) and family & {getattr(b, "id", None) for b in node.bases}:
+            family.add(node.name)
+            subclasses.add(node.name)
+    raised = set().union(*(_raised_names(ast.parse(path.read_text()))
+                           for path in sorted(PACKAGE.glob("*.py")) if path.name != "errors.py"))
+    assert sorted(subclasses - raised) == []
+
+
 def _unused_imports(path):
     """Names an import binds in the module at path and the module never
     reads; a name whose line carries ``# noqa: F401`` is kept on purpose."""

@@ -13,7 +13,6 @@ from isoptic.errors import (
     DegenerateRay,
     GeometryError,
     NonCollinearFeet,
-    OrthocentricDegeneration,
     PointAtInfinity,
     Underdetermined,
 )
@@ -277,8 +276,26 @@ class TestGenerations:
                 assert gap <= 1e-12 * prev.scale()
 
     def test_cyclic_input_has_no_prev_generation(self):
-        with pytest.raises(OrthocentricDegeneration, match="cyclic"):
-            prev_generation(SQUARE)
+        # the same error as next_generation's, carrying the circumcenter
+        for step in (prev_generation, next_generation):
+            with pytest.raises(CyclicDegeneration, match="cyclic") as exc:
+                step(SQUARE)
+            assert exc.value.point == Point(0, 0)
+
+    def test_prev_generation_never_divides_by_zero(self):
+        # at tol 1e-300 the square is still cyclic (D is 0 from o2), and this
+        # concyclic draw is not, but its rotation m rounds to 1 exactly
+        with pytest.raises(CyclicDegeneration):
+            prev_generation(SQUARE, 1e-300)
+        q = Quadrilateral(Point(-0.7057861057790554, 0.7084249945401673),
+                          Point(-0.9273549702257986, 0.3741827884837946),
+                          Point(-0.9985987309596124, -0.05292045470185985),
+                          Point(0.1777604836048933, -0.984073783040964))
+        st = QuadState(q, 1e-300)
+        assert not st.cyclic
+        with pytest.raises(CyclicDegeneration) as exc:
+            prev_generation(st)
+        assert abs(exc.value.point) < 1e-15
 
     def test_generation_maps_validate_their_output_at_the_callers_tol(self):
         # B sits 1e-3 off AC: t's least triad height is 4.0e-4 of its
@@ -870,8 +887,56 @@ class TestComputeOnce:
 
 
 class TestAtInfinityCuts:
-    """The fixed cuts of isoptic_point and simson_point decide as classify's
-    orthocentric and parallelogram tests do."""
+    """Each degenerate locus is decided once, and classify reads that
+    decision: orthocentric is the fixed cut that puts W at infinity,
+    parallelogram the one that puts S at infinity, and cyclic the test on
+    which both generation maps raise CyclicDegeneration."""
+
+    @staticmethod
+    def _near(shape, k, rng):
+        """100 draws of the class with D moved 10^-k diameters off its
+        locus, in a random direction."""
+        for q in generic_quads(100, shape, seed=7):
+            a, b, c, d = q.vertices()
+            step = cmath.rect(10.0 ** -k * q.scale(), rng.uniform(0.0, 2.0 * math.pi))
+            yield Quadrilateral(a, b, c, Point(d + step))
+
+    @staticmethod
+    def _collapses(step, q):
+        try:
+            step(q)
+        except CyclicDegeneration:
+            return True
+        return False
+
+    def test_flags_match_decisions_near_each_locus(self):
+        # the flag named by each shape class against its decisions
+        decisions = {
+            "orthocentric": lambda q: [isinstance(isoptic_point(q), AtInfinity)],
+            "parallelogram": lambda q: [isinstance(simson_point(q), AtInfinity)],
+            "cyclic": lambda q: [self._collapses(step, q)
+                                 for step in (next_generation, prev_generation)],
+        }
+        rng = random.Random(19)
+        mismatches = {}
+        for k in range(4, 17):
+            for shape, decide in decisions.items():
+                for q in self._near(shape, k, rng):
+                    flag = getattr(classify(q), shape)
+                    if any(d != flag for d in decide(q)):
+                        mismatches[shape, k] = mismatches.get((shape, k), 0) + 1
+        assert mismatches == {}
+
+    def test_limit_route_reads_the_w_decision(self):
+        # r = -1 on parallelogram-pi4, where 1 - k = 2: the route needs no cut
+        for q in generic_quads(200, "parallelogram-pi4", seed=7):
+            w, lim = isoptic_point(q), isoptic_point_via_limit(q)
+            assert is_finite(lim)
+            assert abs(lim - w) <= 1e-15 * q.scale()
+        for q in generic_quads(200, "orthocentric", seed=7):
+            w = isoptic_point(q)
+            assert isinstance(w, AtInfinity)
+            assert isoptic_point_via_limit(q) == w
 
     def test_decisions_match_classify(self):
         for shape in SHAPE_CLASSES:
