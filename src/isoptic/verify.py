@@ -96,7 +96,9 @@ def _normalized(z: list[complex]) -> list[complex]:
 
 def _angles_ok(z: list[complex]) -> bool:
     """interior_angles' test of Quadrilateral(*z), by its float operations:
-    conj(u) * v holds u.v as its real part and u x v as its imaginary part."""
+    conj(u) * v holds u.v as its real part and u x v as its imaginary part.
+    _draw runs it on the drawn vertices, before _normalized: moving the
+    centroid and scaling the diameter change the angles by rounding only."""
     a, b, c, d = z
     ab, ac, ad = b - a, c - a, d - a
     orient = 1.0 if ((ab.conjugate() * ac).imag + (ac.conjugate() * ad).imag) / 2.0 > 0.0 else -1.0
@@ -123,11 +125,11 @@ def _simple_convex_order(z: list[complex]) -> list[complex]:
 
 def _draw(rng: random.Random, shape_class: str) -> Quadrilateral | None:
     """One attempt, normalized to diameter 1, or None: the angle test runs on
-    the normalized vertices first, then the class's tests on the drawn ones."""
+    the drawn vertices first, then the class's tests, and only a draw that
+    passes both is normalized."""
     try:
         pts = _vertices(rng, shape_class)
-        z = None if pts is None else _normalized(pts)
-        if z is None or not _angles_ok(z):
+        if pts is None or not _angles_ok(pts):
             return None
         ok = True  # a draw too flat to build fails the normalized height test
         if shape_class == "convex-noncyclic":
@@ -138,7 +140,7 @@ def _draw(rng: random.Random, shape_class: str) -> Quadrilateral | None:
             ok = not q.is_convex() and 1.05 <= similarity_ratio(q) <= 8.0
         elif shape_class == "trapezoid":
             ok = Quadrilateral(*pts).is_convex()
-        return Quadrilateral(*map(Point, z)) if ok else None
+        return Quadrilateral(*map(Point, _normalized(pts))) if ok else None
     except GeometryError:
         return None
 
