@@ -221,6 +221,15 @@ def _foot(line: Line, z: complex) -> complex:
     return line.p + line.u * ((z - line.p) * line.u.conjugate()).real
 
 
+def line_meet(p: complex, u: complex, q: complex, v: complex, tol: float) -> complex | None:
+    """The meet of the lines p + t u and q + t v; None when they are
+    parallel within tol, |u x v| <= tol |u| |v|."""
+    det = (u.conjugate() * v).imag
+    if abs(det) <= tol * abs(u) * abs(v):
+        return None
+    return p + u * (((q - p).conjugate() * v).imag / det)
+
+
 def intersect(g1: Circle | Line, g2: Circle | Line, tol: float = DEFAULT_TOL) -> list[Point]:
     """Intersection points of two curves, 0 to 2 of them, ordered
     lexicographically by (x, y); tangency within max((tol r)^2, 64 eps r^2)
@@ -232,10 +241,10 @@ def intersect(g1: Circle | Line, g2: Circle | Line, tol: float = DEFAULT_TOL) ->
     that share of its distance, raise IdenticalCurves."""
     same = max(check_tol(tol), 64.0 * _MACHINE_EPS)
     if g1.is_line and g2.is_line:
-        gap, cross = g2.p - g1.p, (g1.u.conjugate() * g2.u).imag
-        if abs(cross) > tol:
-            return [Point(g1.p + g1.u * ((gap.conjugate() * g2.u).imag / cross))]
-        if abs((gap * g1.u.conjugate()).imag) <= same * abs(gap):
+        m = line_meet(g1.p, g1.u, g2.p, g2.u, tol)
+        if m is not None:
+            return [Point(m)]
+        if g1.distance_to(g2.p) <= same * abs(g2.p - g1.p):
             raise IdenticalCurves("curves coincide within tolerance")
         return []
     if g1.is_line or g2.is_line:
@@ -350,38 +359,35 @@ def orthocenter(p: complex, q: complex, r: complex) -> Point:
 # triangle conjugations
 
 
+def mirrored_cevian(v: complex, x: complex, y: complex, p: complex) -> complex:
+    """The direction of the line from v to p mirrored in the bisector of the
+    angle x v y: (x - v)(y - v) conj(p - v), up to a positive factor."""
+    return (x - v) * (y - v) * (p - v).conjugate()
+
+
 def isogonal_conjugate(a: complex, b: complex, c: complex, p: complex,
                        tol: float = DEFAULT_TOL) -> MaybePoint:
-    """Isogonal conjugate of p in the triangle a, b, c, relative to p: with
-    x, y, z the signed areas of (p, b, c), (p, c, a) and (p, a, b), the
-    weights u, v, w = |b - c|^2 yz, |c - a|^2 zx, |a - b|^2 xy and their sum
-    s, it is p + ((a - p) u + (b - p) v + (c - p) w) / s.
-
-    The scale of the tests is the largest of the six pairwise distances.  A
-    point on the circumcircle (s = 0) goes to infinity, and a point on a
-    side line collapses to the opposite vertex (the limit of the
-    construction).  A vertex raises DegenerateConjugate.
-    """
-    pa, pb, pc, ab, bc, ca = a - p, b - p, c - p, b - a, c - b, a - c
-    scale = max(abs(pa), abs(pb), abs(pc), abs(ab), abs(bc), abs(ca)) or 1.0
-    # an exact power-of-two rescaling keeps the degree-6 weights in range
+    """Isogonal conjugate of p in the triangle a, b, c: the meet of the two
+    of its three mirrored_cevian lines that cross at the widest angle, solved
+    relative to p in the unit_near of the largest pairwise distance.  A point
+    on the circumcircle, where the three are parallel, goes to infinity along
+    them; one on a side line to the opposite vertex, where the lines of the
+    other two vertices meet; one within tol of a vertex raises
+    DegenerateConjugate."""
+    pa, pb, pc = a - p, b - p, c - p
+    scale = max(abs(pa), abs(pb), abs(pc), abs(b - a), abs(c - b), abs(a - c)) or 1.0
     unit = unit_near(scale)
-    pa, pb, pc, ab, bc, ca = pa * unit, pb * unit, pc * unit, ab * unit, bc * unit, ca * unit
-    x = 0.5 * (pb.real * pc.imag - pb.imag * pc.real)
-    y = 0.5 * (pc.real * pa.imag - pc.imag * pa.real)
-    z = 0.5 * (pa.real * pb.imag - pa.imag * pb.real)
-    thresh = tol * (scale * unit) ** 2
-    on_side = (abs(x) < thresh, abs(y) < thresh, abs(z) < thresh)
-    sides = sum(on_side)
-    if sides >= 2:
+    vs = pa * unit, pb * unit, pc * unit
+    if min(map(abs, vs)) < tol * (scale * unit):
         raise DegenerateConjugate("conjugate of a triangle vertex")
-    if sides:
-        return Point((a, b, c)[on_side.index(True)])
-    u, v, w = norm2(bc) * y * z, norm2(ca) * z * x, norm2(ab) * x * y
-    s, rel = u + v + w, pa * u + pb * v + pc * w
-    if abs(s) < tol * (abs(u) + abs(v) + abs(w)):
-        return AtInfinity.along(rel.real, rel.imag)
-    return Point(p + rel / s / unit)
+    ds = [mirrored_cevian(v, vs[k - 2], vs[k - 1], 0j) for k, v in enumerate(vs)]
+    us = [d / abs(d) for d in ds]
+    # the lines at vs[j - 1] and vs[j], whose directions have the largest |cross|
+    j = max(range(3), key=lambda k: abs((us[k - 1].conjugate() * us[k]).imag))
+    m = line_meet(vs[j - 1], us[j - 1], vs[j], us[j], tol)
+    if m is None:
+        return AtInfinity.along(us[j].real, us[j].imag)
+    return Point(p + m / unit)
 
 
 def isogonal_conjugate_triangle(a: Point, b: Point, c: Point, p: MaybePoint,

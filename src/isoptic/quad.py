@@ -51,6 +51,8 @@ from .kernel import (
     invert_point,
     is_finite,
     isogonal_conjugate,
+    line_meet,
+    mirrored_cevian,
     norm2,
     unit_near,
 )
@@ -725,15 +727,6 @@ def parallelogram_residual(pts: list[Point], scale: float) -> float:
     return max(abs(e1), abs(e2)) / scale
 
 
-def _meet(p: complex, u: complex, q: complex, v: complex, tol: float) -> complex | None:
-    """The meet of the lines p + t u and q + t v; None when they are
-    parallel within tol, |u x v| <= tol |u| |v|."""
-    det = _cross(u, v)
-    if abs(det) <= tol * abs(u) * abs(v):
-        return None
-    return p + u * (_cross(q - p, v) / det)
-
-
 # ---------------------------------------------------------------------------
 # isogonal conjugation with respect to the quadrilateral
 
@@ -743,23 +736,20 @@ def isogonal_conjugate_quad(q: Quadrilateral, p: Point,
     """The four adjacent intersections of the reflections of the lines
     vertex-to-p in the angle bisectors at the vertices.
 
-    The rays at vertex i run along s_i and -s_(i-1), so the reflection of
-    the direction p - v in their bisector is s_i (-s_(i-1)) conj(p - v), up
-    to a positive factor.  Parallel adjacent reflected lines put that vertex
-    of the conjugate at infinity (along their common direction).
+    The rays at vertex i run to its neighbours, so each reflected line is
+    the mirrored_cevian of the triangle's conjugation.  Parallel adjacent
+    reflected lines put that vertex of the conjugate at infinity (along
+    their common direction).
     """
     vs = q.vertices()
     scale = diameter(list(vs) + [p])
-    s = q.sides()
-    lines = []
-    for i, v in enumerate(vs):
-        if abs(v - p) < tol * scale:
-            raise DegenerateConjugate("p coincides with a vertex")
-        lines.append((v, s[i] * -s[i - 1] * (p - v).conjugate()))
+    if min(abs(v - p) for v in vs) < tol * scale:
+        raise DegenerateConjugate("p coincides with a vertex")
+    lines = [(v, mirrored_cevian(v, vs[i - 3], vs[i - 1], p)) for i, v in enumerate(vs)]
     out: list[MaybePoint] = []
     # P_A = l_A ^ l_B, P_B = l_B ^ l_C, P_C = l_C ^ l_D, P_D = l_D ^ l_A
     for (v1, d1), (v2, d2) in zip(lines, lines[1:] + lines[:1]):
-        m = _meet(v1, d1, v2, d2, tol)
+        m = line_meet(v1, d1, v2, d2, tol)
         out.append(AtInfinity.along(d1.real, d1.imag) if m is None else Point(m))
     return out
 
@@ -781,7 +771,7 @@ def reconstruct_from_pedal_w(w: Point, feet: list[Point],
         raise DegenerateConjugate("a pedal foot coincides with w")
     corners = []
     for k in range(4):  # A = DA ^ AB, B = AB ^ BC, ...
-        m = _meet(z[k - 1], 1j * z[k - 1], z[k], 1j * z[k], tol)
+        m = line_meet(z[k - 1], 1j * z[k - 1], z[k], 1j * z[k], tol)
         if m is None:
             raise ParallelConsecutiveLines("consecutive reconstruction lines are parallel")
         corners.append(Point(w + m))
@@ -892,7 +882,7 @@ def feet_circles_residual(st: QuadState) -> float | None:
     z, s = q._z, q.sides()
     feet = []
     for k in range(4):
-        f = _meet(z[k] + 0.5 * s[k], 1j * s[k], z[k - 2], s[k - 2], tol)
+        f = line_meet(z[k] + 0.5 * s[k], 1j * s[k], z[k - 2], s[k - 2], tol)
         if f is None:
             return None  # trapezoid: a foot escapes to infinity
         feet.append(f)

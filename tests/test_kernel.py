@@ -476,9 +476,10 @@ def _random_triangle(rng: random.Random, offset: float) -> tuple[complex, comple
 
 
 class TestIsogonalConjugateCore:
-    """The complex core against an exact evaluation.  Far from the origin the
-    output coordinates themselves round to eps * offset, so the bound is a
-    few eps * (diameter + offset)."""
+    """The meet of mirrored cevians against the barycentric weights of the
+    conjugate, evaluated in exact rationals.  Far from the origin the output
+    coordinates themselves round to eps * offset, so the bound is a few
+    eps * (diameter + offset)."""
 
     @pytest.mark.parametrize("offset", [0.0, 1e6])
     def test_matches_exact_barycentrics(self, offset):

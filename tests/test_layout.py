@@ -25,8 +25,9 @@ UNCALLED_BY_DESIGN = {
     # the benchmark's tracer wraps these three by name; they stay, on the
     # shared Circle, Line and Point types, until it moves to the functions
     # the package calls (ROADMAP item 5).  isogonal_conjugate_triangle is
-    # kernel.isogonal_conjugate with the triangle and the point checked, and
-    # the inverse-isogonal W route calls that core
+    # kernel.isogonal_conjugate, the meet of mirrored cevians, with the
+    # triangle and the point checked, and the inverse-isogonal W route calls
+    # that core
     "isogonal_conjugate_triangle",
     "intersect",
     "invert_circle",
