@@ -163,7 +163,7 @@ def _vertices(rng: random.Random, shape_class: str) -> list[complex] | None:
         return pts
     if shape_class == "trapezoid":
         a = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        direction = complex(math.cos(rng.uniform(0, math.pi)), math.sin(rng.uniform(0, math.pi)))
+        direction = cmath.rect(1.0, rng.uniform(0, math.pi))
         normal = 1j * direction
         b = a + direction * rng.uniform(0.8, 1.6)
         h = rng.uniform(0.4, 1.2)

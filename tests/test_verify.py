@@ -19,7 +19,7 @@ from isoptic.verify import (
 
 # sha256 of the float.hex vertices of random_quadrilateral(CaseSpec(s, cls), i)
 # for s in 0..39, every shape class and i in 0..9: 3,200 draws
-DRAWS_SHA256 = "329e769d497ed070e9ad42cc287cea2e3bfb64d5f6fb8ff532f7e3c6e95090e7"
+DRAWS_SHA256 = "372813761b3a0ffe46e7170779f65031e8b19e52b8870abaa45fdbf47705614b"
 # the same for s in 100..103, cls in convex-noncyclic and concave and
 # i in 0..599: 4,800 draws, rich in draws the interior-angle test rejects
 ANGLE_REJECTION_DRAWS_SHA256 = \
