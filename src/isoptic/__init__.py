@@ -31,7 +31,6 @@ from .quad import (
     isoptic_point_via_limit,
     isoptic_quantity,
     next_generation,
-    noncyclicity_measure,
     pedal_quadrilateral,
     prev_generation,
     reconstruct_fourth_vertex,

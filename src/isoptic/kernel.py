@@ -11,8 +11,8 @@ public inputs and outputs, is itself a complex number.
 All tolerances are relative: an operation taking ``tol`` compares against
 ``tol * D`` where ``D`` is the diameter of its input point set.  Whatever
 squares a length does so in an exact power of two near its inverse
-(``unit_near``) or as a ratio of lengths, so no size of input overflows or
-underflows it.
+(``unit_near``), as a ratio of lengths or along unit directions, so no size
+of input overflows or underflows it.
 """
 
 from __future__ import annotations
@@ -221,11 +221,18 @@ def _foot(line: Line, z: complex) -> complex:
     return line.p + line.u * ((z - line.p) * line.u.conjugate()).real
 
 
+def _direction(z: complex) -> complex:
+    """z over its modulus, or 0 for 0."""
+    return z / abs(z) if z else z
+
+
 def line_meet(p: complex, u: complex, q: complex, v: complex, tol: float) -> complex | None:
-    """The meet of the lines p + t u and q + t v; None when they are
-    parallel within tol, |u x v| <= tol |u| |v|."""
+    """The meet of the lines p + t u and q + t v, solved along their unit
+    directions so that no product of lengths forms; None when they are
+    parallel within tol, |u x v| <= tol |u| |v|, or a direction is 0."""
+    u, v = _direction(u), _direction(v)
     det = (u.conjugate() * v).imag
-    if abs(det) <= tol * abs(u) * abs(v):
+    if abs(det) <= tol:
         return None
     return p + u * (((q - p).conjugate() * v).imag / det)
 
@@ -360,34 +367,31 @@ def orthocenter(p: complex, q: complex, r: complex) -> Point:
 
 
 def mirrored_cevian(v: complex, x: complex, y: complex, p: complex) -> complex:
-    """The direction of the line from v to p mirrored in the bisector of the
-    angle x v y: (x - v)(y - v) conj(p - v), up to a positive factor."""
-    return (x - v) * (y - v) * (p - v).conjugate()
+    """The unit direction of the line from v to p mirrored in the bisector of
+    the angle x v y: the product of the unit vectors of x - v, y - v and
+    conj(p - v), or 0 when one of them is 0."""
+    return _direction(x - v) * _direction(y - v) * _direction(p - v).conjugate()
 
 
 def isogonal_conjugate(a: complex, b: complex, c: complex, p: complex,
                        tol: float = DEFAULT_TOL) -> MaybePoint:
     """Isogonal conjugate of p in the triangle a, b, c: the meet of the two
-    of its three mirrored_cevian lines that cross at the widest angle, solved
-    relative to p in the unit_near of the largest pairwise distance.  A point
+    of its three mirrored_cevian lines that cross at the widest angle.  A point
     on the circumcircle, where the three are parallel, goes to infinity along
     them; one on a side line to the opposite vertex, where the lines of the
     other two vertices meet; one within tol of a vertex raises
     DegenerateConjugate."""
-    pa, pb, pc = a - p, b - p, c - p
-    scale = max(abs(pa), abs(pb), abs(pc), abs(b - a), abs(c - b), abs(a - c)) or 1.0
-    unit = unit_near(scale)
-    vs = pa * unit, pb * unit, pc * unit
-    if min(map(abs, vs)) < tol * (scale * unit):
+    vs = a, b, c
+    gaps = [abs(v - p) for v in vs]
+    if min(gaps) < tol * (max(*gaps, abs(b - a), abs(c - b), abs(a - c)) or 1.0):
         raise DegenerateConjugate("conjugate of a triangle vertex")
-    ds = [mirrored_cevian(v, vs[k - 2], vs[k - 1], 0j) for k, v in enumerate(vs)]
-    us = [d / abs(d) for d in ds]
+    us = [mirrored_cevian(v, vs[k - 2], vs[k - 1], p) for k, v in enumerate(vs)]
     # the lines at vs[j - 1] and vs[j], whose directions have the largest |cross|
     j = max(range(3), key=lambda k: abs((us[k - 1].conjugate() * us[k]).imag))
     m = line_meet(vs[j - 1], us[j - 1], vs[j], us[j], tol)
     if m is None:
         return AtInfinity.along(us[j].real, us[j].imag)
-    return Point(p + m / unit)
+    return Point(m)
 
 
 def isogonal_conjugate_triangle(a: Point, b: Point, c: Point, p: MaybePoint,

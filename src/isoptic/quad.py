@@ -337,12 +337,6 @@ def interior_angles(q: Quadrilateral) -> tuple[float, float, float, float]:
     return tuple(out)
 
 
-def noncyclicity_measure(q: Quadrilateral) -> float:
-    """|alpha + gamma - pi|; zero exactly for cyclic quadrilaterals."""
-    a, _, g, _ = interior_angles(q)
-    return abs(a + g - math.pi)
-
-
 def classify(q: QuadOrState, tol: float = DEFAULT_TOL) -> ShapeClass:
     """The shape flags.  Each degenerate locus is read from the one decision
     the constructions make there: cyclic is QuadState.cyclic, on which Q2 is
@@ -518,12 +512,9 @@ def prev_generation(q: QuadOrState, tol: float = DEFAULT_TOL) -> Quadrilateral:
 
 def _conjugates_in_triads(q: Quadrilateral, tol: float) -> list[MaybePoint]:
     """The isogonal conjugate of the vertex left out of each triad DAB, ABC,
-    BCD and CDA (C, D, A and B) in the triangle of that triad, taken on the
-    side table relative to A, which is added back once."""
-    za, unit = q._z[0], q._unit
-    z = (0j,) + q._diffs[:3]
-    out = [isogonal_conjugate(z[i], z[j], z[k], z[(k + 1) % 4], tol) for i, j, k in _TRIADS]
-    return [Point(za + p / unit) if is_finite(p) else p for p in out]
+    BCD and CDA (C, D, A and B) in the triangle of that triad."""
+    z = q._z
+    return [isogonal_conjugate(z[i], z[j], z[k], z[(k + 1) % 4], tol) for i, j, k in _TRIADS]
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +564,8 @@ def isoptic_point_via_limit(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePo
     sum |u_i|^2 (r up to rounding), W = g1 + (g3 - g1) / (1 - k).  u, v and
     g3 - g1 are read in Q1's power-of-two frame, so no square overflows or
     underflows.  A cyclic input gives the center its Q2 collapses to, and an
-    orthocentric one (r = 1) isoptic_point's point at infinity.  The period-two
+    orthocentric one (r = 1) isoptic_point's point at infinity; a k that rounds
+    to 1 exactly, near that locus, raises PointAtInfinity.  The period-two
     classes (r = -1) need no special case: there 1 - k = 2.
     """
     st = _state(q, tol)
@@ -588,6 +580,8 @@ def isoptic_point_via_limit(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePo
     u = [(z - g1) * unit for z in z1]
     v = [(z - g3) * unit for z in z3]
     k = sum(x.conjugate() * y for x, y in zip(u, v)) / sum(map(norm2, u))
+    if 1.0 - k == 0.0:
+        raise PointAtInfinity("k rounds to 1 near the orthocentric locus: no center")
     return Point(g1 + (g3 - g1) * unit / (1.0 - k) / unit)
 
 

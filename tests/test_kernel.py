@@ -26,6 +26,8 @@ from isoptic.kernel import (
     is_finite,
     isogonal_conjugate,
     isogonal_conjugate_triangle,
+    line_meet,
+    mirrored_cevian,
 )
 from isoptic.quad import (
     Quadrilateral,
@@ -180,6 +182,23 @@ class TestIntersect:
         assert intersect(x, through(Point(0, 1), Point(5, 1))) == []
         with pytest.raises(IdenticalCurves):
             intersect(x, through(Point(7, 0), Point(3, 0)))
+
+
+class TestLineMeet:
+    """line_meet solves along unit directions, so no product of the
+    lengths of its inputs forms."""
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_scaled_lines_meet_at_the_scaled_point(self, scale):
+        # the lines through -1 along 3 + i and through 1 + 3i along -1 + 2i
+        # meet at 2 + i; |u| |v| scaled overflows or underflows
+        p, u, q, v = (scale * z for z in (-1 + 0j, 3 + 1j, 1 + 3j, -1 + 2j))
+        assert abs(line_meet(p, u, q, v, 1e-9) - scale * (2 + 1j)) <= 8 * EPS * scale
+
+    def test_a_zero_direction_is_parallel(self):
+        assert line_meet(0j, 0j, 1 + 0j, 1j, 1e-9) is None
+        assert line_meet(0j, 1 + 0j, 1j, 0j, 1e-9) is None
+        assert mirrored_cevian(0j, 0j, 1 + 0j, 1j) == 0
 
 
 class TestInvertPoint:
@@ -493,8 +512,8 @@ class TestIsogonalConjugateCore:
             assert err <= 16 * EPS * (diam + offset)
 
     def test_subnormal_triangle(self):
-        # the frame's power of two is capped at 2^1023; uncapped it
-        # overflowed on a triangle 1e-310 across
+        # the mirrored cevians are unit directions, so no product of the
+        # sides of a triangle 1e-310 across underflows
         got = isogonal_conjugate(0j, 1e-310 + 0j, 1e-310j, 3e-311 + 3e-311j)
         assert is_finite(got)
         assert abs(got - Point(2e-310 / 7, 2e-310 / 7)) <= 1e-3 * 1e-310

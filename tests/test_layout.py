@@ -17,8 +17,6 @@ PACKAGE = Path(isoptic.__file__).parent
 
 # public names kept although no other module of the package calls them
 UNCALLED_BY_DESIGN = {
-    # the tests use it as an angle-based reference for cyclicity
-    "noncyclicity_measure",
     # the paper's final theorem: conjugating W gives a parallelogram and
     # conjugating S sends every vertex to infinity
     "isogonal_conjugate_quad",

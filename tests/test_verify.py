@@ -7,7 +7,6 @@ from isoptic.kernel import is_finite
 from isoptic.quad import (
     classify,
     isoptic_point_via_limit,
-    noncyclicity_measure,
     similarity_ratio,
 )
 from isoptic.verify import (
@@ -16,6 +15,8 @@ from isoptic.verify import (
     random_quadrilateral,
     run_suite,
 )
+
+from cyclicity import noncyclicity_measure
 
 # sha256 of the float.hex vertices of random_quadrilateral(CaseSpec(s, cls), i)
 # for s in 0..39, every shape class and i in 0..9: 3,200 draws
