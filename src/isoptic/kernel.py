@@ -141,7 +141,7 @@ class Circle(Record):
     is_line = False
 
     def __init__(self, o: complex, r: float):
-        if not (r > 0.0 and math.isfinite(r)):
+        if not 0.0 < r < math.inf:
             raise DegenerateCircle(f"invalid radius {r}")
         _set(self, "o", o)
         _set(self, "r", r)
@@ -178,24 +178,15 @@ class Line(Record):
 # basic constructions
 
 
-def norm2(z: complex) -> float:
-    """Squared modulus, with no square root."""
-    return z.real * z.real + z.imag * z.imag
-
-
-def _flat(a: complex, b: complex, tol: float) -> bool:
-    """Whether the triangle 0, a, b is at most tol * its longest side high:
-    |a x b| <= tol * longest side^2."""
-    return abs(a.real * b.imag - a.imag * b.real) <= tol * max(norm2(a), norm2(b), norm2(b - a))
-
-
-def circumcenter(a: complex, b: complex, ka: float, kb: float, tol: float) -> complex:
-    """The X with a.X = ka and b.X = kb: the circumcenter of p, p + a, p + b
-    when ka and kb are the lifts |v|^2 / 2 of p + a and p + b less p's.
-    Raises CollinearInput on a flat triangle."""
-    if _flat(a, b, tol):
+def circumcenter(a: complex, b: complex, tol: float) -> complex:
+    """The circumcenter of 0, a and b: the X with a.X = |a|^2 / 2 and
+    b.X = |b|^2 / 2.  Raises CollinearInput on a flat triangle, at most tol
+    * its longest side high: |a x b| <= tol * longest side^2."""
+    na, nb, ba = a.real * a.real + a.imag * a.imag, b.real * b.real + b.imag * b.imag, b - a
+    cross = a.real * b.imag - a.imag * b.real
+    if abs(cross) <= tol * max(na, nb, ba.real * ba.real + ba.imag * ba.imag):
         raise CollinearInput("cannot circumscribe collinear points")
-    return (kb * a - ka * b) * 1j / (a.real * b.imag - a.imag * b.real)
+    return (0.5 * nb * a - 0.5 * na * b) * 1j / cross
 
 
 def unit_near(x: float) -> float:
@@ -212,7 +203,7 @@ def circumcircle(p: Point, q: Point, r: Point, tol: float = DEFAULT_TOL) -> Circ
     a, b = q - p, r - p
     unit = unit_near(max(abs(a), abs(b)))
     a, b = a * unit, b * unit
-    c = circumcenter(a, b, 0.5 * norm2(a), 0.5 * norm2(b), tol)
+    c = circumcenter(a, b, tol)
     return Circle(p + c / unit, (abs(c) + abs(c - a) + abs(c - b)) / 3.0 / unit)
 
 
@@ -280,11 +271,12 @@ def invert_point(mirror: Circle, p: MaybePoint, tol: float = DEFAULT_TOL) -> May
     which squares no coordinate.  A point within tol r of the center maps to
     infinity and a point at infinity to the center; a line mirror raises
     NotALine."""
-    check_tol(tol)
+    if not 0.0 < tol < math.inf:
+        check_tol(tol)
     if mirror.is_line:
         raise NotALine("cannot invert in a line")
     o, r = mirror.o, mirror.r
-    if isinstance(p, AtInfinity):
+    if p.__class__ is AtInfinity:
         return Point(o)
     v = p - o
     if abs(v) < tol * r:
@@ -320,21 +312,15 @@ def invert_circle(mirror: Circle, g: Circle | Line, tol: float = DEFAULT_TOL) ->
     return Circle(c + d * s, abs(s) * g.r)
 
 
-def _center_gap(o1: Circle, o2: Circle, tol: float) -> float:
-    """|c1 - c2| for two circles; ConcentricCircles if the centers are
-    within tol times the largest of the radii and their distance."""
-    gap = abs(o1.o - o2.o)
-    if gap < tol * max(o1.r, o2.r, gap):
-        raise ConcentricCircles("circle of similitude of concentric circles")
-    return gap
-
-
 def circle_of_similitude(o1: Circle, o2: Circle, tol: float = DEFAULT_TOL) -> Circle | Line:
     """The locus |X - c1| = k |X - c2| of the centers with the ratio k = R1 / R2
     of the radii: the circle of center (c1 - k^2 c2) / (1 - k^2) and radius
     k |c1 - c2| / |1 - k^2|, or the perpendicular bisector of the centers
-    when |1 - k^2| < tol max(1, k^2)."""
-    gap = _center_gap(o1, o2, check_tol(tol))
+    when |1 - k^2| < tol max(1, k^2).  Centers within tol times the largest
+    of the radii and their distance raise ConcentricCircles."""
+    gap = abs(o1.o - o2.o)
+    if gap < check_tol(tol) * max(o1.r, o2.r, gap):
+        raise ConcentricCircles("circle of similitude of concentric circles")
     k = o1.r / o2.r
     k2 = k * k
     a = 1.0 - k2
@@ -343,18 +329,33 @@ def circle_of_similitude(o1: Circle, o2: Circle, tol: float = DEFAULT_TOL) -> Ci
     return Circle((o1.o - k2 * o2.o) / a, k * gap / abs(a))
 
 
-def cs_distance(w: complex, o1: Circle, o2: Circle, tol: float = DEFAULT_TOL) -> float:
-    """First-order distance of w from the circle of similitude of o1 and o2,
-    with no circle built: the Apollonius defect d1 - k d2, d_i = |w - c_i| and
-    k = R1 / R2, over its gradient (w - c1) / d1 - k (w - c2) / d2, so that no
-    product of a distance and a radius forms; w at a center has no gradient
-    and is infinitely far."""
-    _center_gap(o1, o2, tol)
-    k = o1.r / o2.r
-    u, v = w - o1.o, w - o2.o
-    d1, d2 = abs(u), abs(v)
-    grad = abs(u / d1 - k * v / d2) if d1 and d2 else 0.0
-    return abs(d1 - k * d2) / grad if grad else math.inf
+def max_cs_distance(w: complex, circles: tuple[Circle, ...] | list[Circle],
+                    tol: float = DEFAULT_TOL, min_gap: float = 0.0) -> float:
+    """Largest first-order distance of w from the circles of similitude of
+    the pairs of circles, with no circle built: the Apollonius defect d1 - k d2
+    (d_i = |w - c_i|, k = R1 / R2) over its gradient (w - c1) / d1 - k (w - c2)
+    / d2, with each circle's w - c, d and (w - c) / d formed once, so that no
+    product of a distance and a radius forms.  w at a center is infinitely
+    far; a pair of centers less than min_gap apart is skipped (0.0 if all
+    are) and a concentric pair raises ConcentricCircles."""
+    terms = []
+    for c in circles:
+        u = w - c.o
+        d = abs(u)
+        terms.append((c.o, c.r, tol * c.r, u, d, u / d if d else u))
+    defects = []
+    for i, (o1, r1, tr1, _, d1, e1) in enumerate(terms):
+        for o2, r2, tr2, v, d2, _ in terms[i + 1:]:
+            gap = abs(o1 - o2)
+            if gap < min_gap:
+                continue
+            # gap < tol * max(r1, r2, gap), term by term: rounding keeps the order
+            if gap < tr1 or gap < tr2 or gap < tol * gap:
+                raise ConcentricCircles("circle of similitude of concentric circles")
+            k = r1 / r2
+            grad = abs(e1 - k * v / d2) if d1 and d2 else 0.0
+            defects.append(abs(d1 - k * d2) / grad if grad else math.inf)
+    return max(defects, default=0.0)
 
 
 def orthocenter(p: complex, q: complex, r: complex) -> Point:
@@ -381,16 +382,21 @@ def isogonal_conjugate(a: complex, b: complex, c: complex, p: complex,
     them; one on a side line to the opposite vertex, where the lines of the
     other two vertices meet; one within tol of a vertex raises
     DegenerateConjugate."""
-    vs = a, b, c
-    gaps = [abs(v - p) for v in vs]
+    gaps = abs(a - p), abs(b - p), abs(c - p)
     if min(gaps) < tol * (max(*gaps, abs(b - a), abs(c - b), abs(a - c)) or 1.0):
         raise DegenerateConjugate("conjugate of a triangle vertex")
-    us = [mirrored_cevian(v, vs[k - 2], vs[k - 1], p) for k, v in enumerate(vs)]
-    # the lines at vs[j - 1] and vs[j], whose directions have the largest |cross|
-    j = max(range(3), key=lambda k: abs((us[k - 1].conjugate() * us[k]).imag))
-    m = line_meet(vs[j - 1], us[j - 1], vs[j], us[j], tol)
+    ua, ub = mirrored_cevian(a, b, c, p), mirrored_cevian(b, c, a, p)
+    uc = mirrored_cevian(c, a, b, p)
+    # the lines whose directions have the largest |cross|, the first on a tie
+    lines, best = (c, uc, a, ua), abs((uc.conjugate() * ua).imag)
+    cross = abs((ua.conjugate() * ub).imag)
+    if cross > best:
+        lines, best = (a, ua, b, ub), cross
+    if abs((ub.conjugate() * uc).imag) > best:
+        lines = (b, ub, c, uc)
+    m = line_meet(*lines, tol)
     if m is None:
-        return AtInfinity.along(us[j].real, us[j].imag)
+        return AtInfinity.along(lines[3].real, lines[3].imag)
     return Point(m)
 
 
@@ -398,12 +404,11 @@ def isogonal_conjugate_triangle(a: Point, b: Point, c: Point, p: MaybePoint,
                                 tol: float = DEFAULT_TOL) -> MaybePoint:
     """Isogonal conjugate of p in the triangle a, b, c (see
     isogonal_conjugate).  A triangle flat within tol, read in the unit_near
-    of its longer side from a, raises CollinearInput; a point at infinity
-    raises DegenerateConjugate."""
+    of its longer side from a, raises circumcenter's CollinearInput; a point
+    at infinity raises DegenerateConjugate."""
     u, v = b - a, c - a
     unit = unit_near(max(abs(u), abs(v)))
-    if _flat(u * unit, v * unit, check_tol(tol)):
-        raise CollinearInput("triangle vertices are collinear within tolerance")
+    circumcenter(u * unit, v * unit, check_tol(tol))
     if not is_finite(p):
         raise DegenerateConjugate("conjugate of a point at infinity")
     return isogonal_conjugate(a, b, c, p, tol)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import combinations
 
 from .errors import (
     CollinearInput,
@@ -46,14 +45,13 @@ from .kernel import (
     check_tol,
     circumcenter,
     circumcircle,
-    cs_distance,
     diameter,
     invert_point,
     is_finite,
     isogonal_conjugate,
     line_meet,
+    max_cs_distance,
     mirrored_cevian,
-    norm2,
     unit_near,
 )
 
@@ -94,16 +92,20 @@ class Quadrilateral(Record):
         # angle and triad construction reads it.  One pass gives the diameter
         # and the least triad height in the frame, |cross| / longest side (0
         # if the triad is one point)
-        norms = nab, nac, nad, nbc, nbd, ncd = [math.hypot(v.real, v.imag) for v in diffs]
-        scale = max(norms) or 1.0
-        unit = unit_near(scale)
         ab, ac, ad, bc, bd, cd = diffs
+        hypot = math.hypot
+        nab, nac, nad = hypot(ab.real, ab.imag), hypot(ac.real, ac.imag), hypot(ad.real, ad.imag)
+        nbc, nbd, ncd = hypot(bc.real, bc.imag), hypot(bd.real, bd.imag), hypot(cd.real, cd.imag)
+        scale = max(nab, nac, nad, nbc, nbd, ncd) or 1.0
+        unit = unit_near(scale)
         frame = ab, ac, ad, bc, bd, cd = (ab * unit, ac * unit, ad * unit, bc * unit, bd * unit,
                                           cd * unit)
-        height = min(abs(_cross(bc, bd)) / (max(nbc, ncd, nbd) * unit or math.inf),
-                     abs(_cross(ac, ad)) / (max(nac, ncd, nad) * unit or math.inf),
-                     abs(_cross(ab, ad)) / (max(nab, nbd, nad) * unit or math.inf),
-                     abs(_cross(ab, ac)) / (max(nab, nbc, nac) * unit or math.inf))
+        inf = math.inf
+        height = min(
+            abs(bc.real * bd.imag - bc.imag * bd.real) / (max(nbc, ncd, nbd) * unit or inf),
+            abs(ac.real * ad.imag - ac.imag * ad.real) / (max(nac, ncd, nad) * unit or inf),
+            abs(ab.real * ad.imag - ab.imag * ad.real) / (max(nab, nbd, nad) * unit or inf),
+            abs(ab.real * ac.imag - ab.imag * ac.real) / (max(nab, nbc, nac) * unit or inf))
         _set(self, "_z", z)
         _set(self, "_diffs", frame)
         _set(self, "_unit", unit)
@@ -130,16 +132,14 @@ class Quadrilateral(Record):
         return self._scale
 
     def centroid(self) -> Point:
-        return Point(sum(self._z) / 4.0)
+        return Point(_centroid(self._z))
 
     def min_triad_height(self) -> float:
         """Least height of the four triangles of three vertices."""
         return self._height
 
     def is_convex(self) -> bool:
-        s = self._sides()
-        crosses = [_cross(s[i - 1], s[i]) for i in range(4)]
-        return all(c > 0 for c in crosses) or all(c < 0 for c in crosses)
+        return shape_of_sides(self._sides())[0]
 
     def signed_area(self) -> float:
         """Positive for counterclockwise vertex order."""
@@ -313,12 +313,15 @@ def _state(q: QuadOrState, tol: float) -> QuadState:
     return q if isinstance(q, QuadState) else QuadState(q, tol)
 
 
+def _centroid(z: tuple[complex, ...]) -> complex:
+    """The mean of four points, summed in quarters so as not to overflow
+    (0j first, as sum(z) / 4 starts, so that no -0.0 survives)."""
+    a, b, c, d = z
+    return 0j + a / 4.0 + b / 4.0 + c / 4.0 + d / 4.0
+
+
 # ---------------------------------------------------------------------------
 # angles and shape
-
-
-def _dot(u: complex, v: complex) -> float:
-    return u.real * v.real + u.imag * v.imag
 
 
 def _cross(u: complex, v: complex) -> float:
@@ -328,13 +331,9 @@ def _cross(u: complex, v: complex) -> float:
 def interior_angles(q: Quadrilateral) -> tuple[float, float, float, float]:
     """Interior angles in (0, 2*pi); a reflex vertex of a concave
     quadrilateral gets its actual reflex angle."""
-    s = q._sides()
     orient = 1.0 if q.signed_area() > 0.0 else -1.0
-    out = []
-    for i in range(4):
-        nxt, prv = s[i], -s[i - 1]
-        out.append(math.atan2(orient * _cross(nxt, prv), _dot(nxt, prv)) % (2.0 * math.pi))
-    return tuple(out)
+    return tuple([math.atan2(orient * t.imag, t.real) % (2.0 * math.pi)
+                  for t in shape_of_sides(q._sides())[2]])
 
 
 def classify(q: QuadOrState, tol: float = DEFAULT_TOL) -> ShapeClass:
@@ -364,30 +363,44 @@ def similarity_ratio(q: Quadrilateral, tol: float = DEFAULT_TOL) -> float:
     IllConditionedAngles.  r < 0 convex noncyclic, 0 cyclic, >= 1 concave.
     """
     max_cot = 1.0 / math.tan(math.sqrt(check_tol(tol)))
-    s = q._sides()
-    cots = [_cot(s[i], -s[i - 1]) for i in range(4)]
-    for vertex, cot in zip("ABCD", cots):
-        if abs(cot) > max_cot:
+    _, r, turns = shape_of_sides(q._sides())
+    for vertex, t in zip("ABCD", turns):
+        if abs(t.real / t.imag) > max_cot:
             raise IllConditionedAngles(f"interior angle at {vertex} too close to a multiple of pi")
-    ca, cb, cg, cd = cots
-    return 0.25 * (ca + cg) * (cb + cd)
+    return r
+
+
+def shape_of_sides(sides: tuple[complex, ...]) -> tuple[bool, float, tuple[complex, ...]]:
+    """(convex, r, turns) of the quadrilateral with sides B - A, C - B, D - C
+    and A - D in any frame, which changes no cot or sign.  The turn at a
+    vertex, conj(u) v for the outgoing side u and the reversed incoming one
+    v, holds u.v and u x v; r is read from their cots unchecked."""
+    ab, bc, cd, da = sides
+    turns = ta, tb, tc, td = (ab.conjugate() * -da, bc.conjugate() * -ab,
+                              cd.conjugate() * -bc, da.conjugate() * -cd)
+    convex = ((ta.imag > 0 and tb.imag > 0 and tc.imag > 0 and td.imag > 0)
+              or (ta.imag < 0 and tb.imag < 0 and tc.imag < 0 and td.imag < 0))
+    return convex, 0.25 * (ta.real / ta.imag + tc.real / tc.imag) * (
+        tb.real / tb.imag + td.real / td.imag), turns
 
 
 def _cot(u: complex, w: complex) -> float:
     """Cotangent of the directed angle from ray u to ray w: dot over cross
-    (never 0 for two rays of a valid quadrilateral)."""
-    return _dot(u, w) / _cross(u, w)
+    (never 0 for two rays of a valid quadrilateral), from conj(u) w."""
+    t = u.conjugate() * w
+    return t.real / t.imag
 
 
-def cotangent_identity_residuals(q: Quadrilateral) -> tuple[float, float]:
+def cotangent_identity_residuals(q: QuadOrState) -> tuple[float, float]:
     """Residuals of the two side-diagonal cotangent identities against 4r.
 
     The diagonals split each interior angle into two directed angles, one
     from the outgoing side to the diagonal and one from the diagonal to the
     incoming side; each identity pairs the cotangents of four of them.
     """
-    ab, ac, ad, bc, bd, cd = q._diffs
-    lhs = 4.0 * similarity_ratio(q)
+    st = _state(q, DEFAULT_TOL)
+    ab, ac, ad, bc, bd, cd = st.q._diffs
+    lhs = 4.0 * st.r
     # pairing fixed by requiring equality with 4*r of the reordered
     # quadrilaterals ACBD / ACDB, whose ratio coincides with the original;
     # the angle at D between DB and DC is _cot(-bd, -cd) = _cot(bd, cd)
@@ -434,8 +447,9 @@ def triad_circles(q: Quadrilateral, tol: float = DEFAULT_TOL) -> TriadSystem:
     """
     check_tol(tol)
     ab, ac, ad, bc, bd, cd = f = q._diffs
-    n = [norm2(v) for v in f]
-    t = (_cross(ab, ad), _cross(ab, ac), _cross(bc, bd), _cross(ac, ad))  # DAB, ABC, BCD, CDA
+    n = [(v * v.conjugate()).real for v in f]  # |v|^2, as real^2 + imag^2
+    t = (ab.real * ad.imag - ab.imag * ad.real, ab.real * ac.imag - ab.imag * ac.real,  # DAB, ABC
+         bc.real * bd.imag - bc.imag * bd.real, ac.real * ad.imag - ac.imag * ad.real)  # BCD, CDA
     delta = n[0] * t[3] - n[1] * t[0] + n[2] * t[1]
     table = []
     for k, i, j, sign in _Q2_SIDES:
@@ -445,15 +459,18 @@ def triad_circles(q: Quadrilateral, tol: float = DEFAULT_TOL) -> TriadSystem:
             abs(t[2]) / max(n[3], n[4], n[5]), abs(t[3]) / max(n[1], n[2], n[5]))
     s = cond.index(max(cond))
     i, j = _CENTER_SIDES[s]
-    start = circumcenter(f[i], f[j], 0.5 * n[i], 0.5 * n[j], tol) + (ab if s == 2 else 0.0)
-    # the centers and the vertices relative to A
-    centers = [start + sign * table[k] for k, sign in _STEPS[s]]
-    rel = (0j, ab, ac, ad)
+    start = circumcenter(f[i], f[j], tol) + (ab if s == 2 else 0.0)
+    # the centers, relative to A, and the radius of each: the mean distance
+    # to its triad's vertices, A (0), B (ab), C (ac) and D (ad)
+    o1, o2, o3, o4 = [start + sign * table[k] for k, sign in _STEPS[s]]
     za, unit = q._z[0], q._unit
-    return TriadSystem(*(
-        Circle(za + o / unit,
-               (abs(o - rel[i]) + abs(o - rel[j]) + abs(o - rel[k])) / 3 / unit)
-        for (i, j, k), o in zip(_TRIADS, centers)), diffs=tuple([v / unit for v in table]))
+    return TriadSystem(
+        Circle(za + o1 / unit, (abs(o1 - ad) + abs(o1) + abs(o1 - ab)) / 3 / unit),
+        Circle(za + o2 / unit, (abs(o2) + abs(o2 - ab) + abs(o2 - ac)) / 3 / unit),
+        Circle(za + o3 / unit, (abs(o3 - ab) + abs(o3 - ac) + abs(o3 - ad)) / 3 / unit),
+        Circle(za + o4 / unit, (abs(o4 - ac) + abs(o4 - ad) + abs(o4)) / 3 / unit),
+        diffs=(table[0] / unit, table[1] / unit, table[2] / unit, table[3] / unit,
+               table[4] / unit, table[5] / unit))
 
 
 def next_generation(q: QuadOrState, tol: float = DEFAULT_TOL) -> Quadrilateral:
@@ -539,7 +556,7 @@ def isoptic_point(q: Quadrilateral) -> MaybePoint:
     input's rounding level, W is at infinity along AB (the line of
     similitude of the congruent o1 and o2).
     """
-    g = sum(q._z) / 4.0
+    g = _centroid(q._z)
     z = [v - g for v in q._z]
     num = den = 0j
     for k, sign in enumerate((1.0, -1.0, 1.0, -1.0)):
@@ -576,10 +593,10 @@ def isoptic_point_via_limit(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePo
     except CyclicDegeneration as exc:
         return exc.point
     z1, unit = st.q._z, st.q._unit
-    g1, g3 = sum(z1) / 4.0, sum(z3) / 4.0
+    g1, g3 = _centroid(z1), _centroid(z3)
     u = [(z - g1) * unit for z in z1]
     v = [(z - g3) * unit for z in z3]
-    k = sum(x.conjugate() * y for x, y in zip(u, v)) / sum(map(norm2, u))
+    k = sum(x.conjugate() * y for x, y in zip(u, v)) / sum((x.conjugate() * x).real for x in u)
     if 1.0 - k == 0.0:
         raise PointAtInfinity("k rounds to 1 near the orthocentric locus: no center")
     return Point(g1 + (g3 - g1) * unit / (1.0 - k) / unit)
@@ -590,7 +607,7 @@ def _mean_image(images: list[MaybePoint]) -> MaybePoint:
     for img in images:
         if not is_finite(img):
             return img
-    return Point(sum(images) / 4.0)
+    return Point(_centroid(images))
 
 
 def isoptic_point_via_inversion(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePoint:
@@ -677,7 +694,7 @@ def simson_point(q: Quadrilateral) -> MaybePoint:
     denominator vanishes on parallelograms: below _AT_INFINITY
     (diameter + |G|) S is at infinity along AD.
     """
-    g, unit = sum(q._z) / 4.0, q._unit
+    g, unit = _centroid(q._z), q._unit
     a, b, c, d = ((v - g) * unit for v in q._z)
     den = a + c - b - d
     if abs(den) < _AT_INFINITY * ((q.scale() + abs(g)) * unit):
@@ -818,9 +835,10 @@ def quad_distance(q1: Quadrilateral, q2: Quadrilateral) -> float:
     Needed for the periodicity checks: a period-two parallelogram returns to
     itself with vertices exchanged by the half-turn about W.
     """
-    z1, z2 = q1._z, q2._z
-    best = min(max(abs(z1[i] - z2[(i + shift) % 4]) for i in range(4)) for shift in range(4))
-    return best / max(q1.scale(), q2.scale())
+    (a, b, c, d), z = q1._z, q2._z
+    best = min(max(abs(a - z[s]), abs(b - z[s - 3]), abs(c - z[s - 2]), abs(d - z[s - 1]))
+               for s in range(4))
+    return best / max(q1._scale, q2._scale)
 
 
 def periodicity_residual(q: QuadOrState, tol: float = DEFAULT_TOL) -> float:
@@ -836,13 +854,12 @@ def periodicity_residual(q: QuadOrState, tol: float = DEFAULT_TOL) -> float:
 def cross_generation_cs_residual(q: QuadOrState, w: Point,
                                  tol: float = DEFAULT_TOL) -> float:
     """Max scale-free distance of w to CS(o_i^(k), o_j^(l)) across the first
-    three generations, each read from the Apollonius defect (cs_distance)."""
+    three generations, each read from the Apollonius defect (max_cs_distance)."""
     st = _state(q, tol)
     tol, scale = st.tol, st.scale
     circles = [c for g in (st, st.next, st.next.next) for c in g.triads.circles]
     # a pair of centers within noise is one circle twice: no CS
-    return max((cs_distance(w, c1, c2, tol) for c1, c2 in combinations(circles, 2)
-                if abs(c1.o - c2.o) >= 1e3 * tol * scale), default=0.0) / scale
+    return max_cs_distance(w, circles, tol, 1e3 * tol * scale) / scale
 
 
 def quadrangle_duality_residual(q: Quadrilateral, w: Point, mirror_radius: float,
@@ -854,14 +871,13 @@ def quadrangle_duality_residual(q: Quadrilateral, w: Point, mirror_radius: float
     and o2', so the image is in their pencil; so is CS(o1', o2'), and only
     one member of the pencil passes through W.  So the image is the CS if and
     only if W lies on it: the residual is W's largest distance from the six
-    (cs_distance, the Apollonius defect) over the image's diameter."""
+    (max_cs_distance, the Apollonius defect) over the image's diameter."""
     mirror = Circle(w, mirror_radius)
     images = [invert_point(mirror, v, tol) for v in q.vertices()]
     if not all(is_finite(p) for p in images):
         raise DegenerateConjugate("a vertex maps to infinity under the duality mirror")
     q_img = Quadrilateral(*images)
-    pairs = combinations(triad_circles(q_img, tol).circles, 2)
-    return max(cs_distance(w, c1, c2, tol) for c1, c2 in pairs) / q_img.scale()
+    return max_cs_distance(w, triad_circles(q_img, tol).circles, tol) / q_img.scale()
 
 
 def feet_circles_residual(st: QuadState) -> float | None:
@@ -919,12 +935,11 @@ def spiral_transport_residual(st: QuadState) -> float | None:
 
 def six_cs_residual(st: QuadState) -> float | None:
     """Max scale-free distance of W from the six circles of similitude, each
-    read from the Apollonius defect (cs_distance)."""
+    read from the Apollonius defect (max_cs_distance)."""
     w = st.w
     if not is_finite(w) or st.cyclic:
         return None
-    pairs = combinations(st.triads.circles, 2)
-    return max(cs_distance(w, c1, c2, st.tol) for c1, c2 in pairs) / st.scale
+    return max_cs_distance(w, st.triads.circles, st.tol) / st.scale
 
 
 def area_ratio_residual(st: QuadState) -> float | None:

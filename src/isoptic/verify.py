@@ -50,7 +50,7 @@ from .quad import (
     periodicity_residual,
     quad_distance,
     quadrangle_duality_residual,
-    similarity_ratio,
+    shape_of_sides,
     six_cs_residual,
     spiral_transport_residual,
     varignon,
@@ -125,21 +125,23 @@ def _simple_convex_order(z: list[complex]) -> list[complex]:
 
 def _draw(rng: random.Random, shape_class: str) -> Quadrilateral | None:
     """One attempt, normalized to diameter 1, or None: the angle test runs on
-    the drawn vertices first, then the class's tests, and only a draw that
+    the drawn vertices first (keeping every cot far from similarity_ratio's
+    cut), then the class's tests on their raw sides, and only a draw that
     passes both is normalized."""
     try:
         pts = _vertices(rng, shape_class)
         if pts is None or not _angles_ok(pts):
             return None
         ok = True  # a draw too flat to build fails the normalized height test
-        if shape_class == "convex-noncyclic":
-            # r < 0 only on a convex noncyclic quadrilateral
-            ok = -0.92 <= similarity_ratio(Quadrilateral(*pts)) <= -1e-3
-        elif shape_class == "concave":
-            q = Quadrilateral(*pts)
-            ok = not q.is_convex() and 1.05 <= similarity_ratio(q) <= 8.0
-        elif shape_class == "trapezoid":
-            ok = Quadrilateral(*pts).is_convex()
+        if shape_class in _GENERIC:  # the classes with tests of their own
+            a, b, c, d = pts  # the sides as a Quadrilateral's side table holds them
+            convex, r, _ = shape_of_sides((b - a, c - b, d - c, -(d - a)))
+            if shape_class == "convex-noncyclic":
+                ok = -0.92 <= r <= -1e-3  # r < 0 only on a convex noncyclic quadrilateral
+            elif shape_class == "concave":
+                ok = not convex and 1.05 <= r <= 8.0
+            else:
+                ok = convex
         return Quadrilateral(*map(Point, _normalized(pts))) if ok else None
     except GeometryError:
         return None
@@ -274,7 +276,7 @@ def _inv_permutation(st):
 
 
 def _inv_cotangent(st):
-    return max(cotangent_identity_residuals(st.q))
+    return max(cotangent_identity_residuals(st))
 
 
 def _inv_roundtrip(st):

@@ -27,17 +27,19 @@ from isoptic.kernel import (
     isogonal_conjugate,
     isogonal_conjugate_triangle,
     line_meet,
+    max_cs_distance,
     mirrored_cevian,
 )
 from isoptic.quad import (
     Quadrilateral,
+    QuadState,
     TriadSystem,
     analyze,
     classify,
     next_generation,
     triad_circles,
 )
-from isoptic.verify import CaseSpec, InvariantStats, run_suite
+from isoptic.verify import CaseSpec, InvariantStats, random_quadrilateral, run_suite
 
 DISC = Circle(0j, 1.0)
 
@@ -359,6 +361,78 @@ class TestCircleOfSimilitude:
         for s in (0.5, 2.0, 3.8):
             img = e + (on(o1, s) - e) * factor
             assert o2.distance_to(Point(img)) < 1e-6
+
+
+def _pair_cs_distance(w: complex, o1: Circle, o2: Circle, tol: float) -> float:
+    """One pair's Apollonius defect over its gradient, as the per-pair
+    reference the per-set pass must reproduce bit for bit."""
+    gap = abs(o1.o - o2.o)
+    if gap < tol * max(o1.r, o2.r, gap):
+        raise ConcentricCircles("reference")
+    k = o1.r / o2.r
+    u, v = w - o1.o, w - o2.o
+    d1, d2 = abs(u), abs(v)
+    grad = abs(u / d1 - k * v / d2) if d1 and d2 else 0.0
+    return abs(d1 - k * d2) / grad if grad else math.inf
+
+
+def _random_circles(rng: random.Random, count: int) -> list[Circle]:
+    return [Circle(complex(rng.uniform(-3, 3), rng.uniform(-3, 3)), rng.uniform(0.2, 4.0))
+            for _ in range(count)]
+
+
+class TestMaxCsDistance:
+    """max_cs_distance, the one pass over a set of circles that the six-CS,
+    quadrangle-duality and cross-generation residuals read."""
+
+    @pytest.mark.parametrize("count", [2, 4, 12])
+    def test_equals_the_max_of_the_pairs_bit_for_bit(self, count):
+        rng = random.Random(count)
+        for _ in range(200):
+            circles = _random_circles(rng, count)
+            w = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
+            ref = max(_pair_cs_distance(w, c1, c2, 1e-9)
+                      for i, c1 in enumerate(circles) for c2 in circles[i + 1:])
+            assert max_cs_distance(w, circles, 1e-9) == ref
+
+    def test_triad_circles_at_w_bit_for_bit(self):
+        for i in range(50):
+            st = QuadState(random_quadrilateral(CaseSpec(4, "convex-noncyclic"), i))
+            circles = st.triads.circles
+            ref = max(_pair_cs_distance(st.w, c1, c2, st.tol)
+                      for j, c1 in enumerate(circles) for c2 in circles[j + 1:])
+            assert max_cs_distance(st.w, circles, st.tol) == ref
+
+    def test_coincident_centers_raise(self):
+        circles = [Circle(0j, 1.0), Circle(3 + 0j, 1.0), Circle(0j, 2.0)]
+        with pytest.raises(ConcentricCircles):
+            max_cs_distance(1 + 1j, circles)
+
+    def test_w_at_a_center_is_infinitely_far(self):
+        circles = [Circle(0j, 1.0), Circle(3 + 0j, 2.0), Circle(1 + 2j, 0.5)]
+        assert max_cs_distance(3 + 0j, circles) == math.inf
+
+    def test_min_gap_skips_close_centers(self):
+        near = [Circle(0j, 1.0), Circle(1e-3 + 0j, 1.5)]
+        far = Circle(4 + 1j, 2.0)
+        w = 1 + 2j
+        # the near pair is concentric at tol 1e-2, unless min_gap skips it
+        with pytest.raises(ConcentricCircles):
+            max_cs_distance(w, near + [far], 1e-2)
+        got = max_cs_distance(w, near + [far], 1e-2, min_gap=1e-2)
+        assert got == max(_pair_cs_distance(w, c, far, 1e-2) for c in near)
+        assert max_cs_distance(w, near, 1e-2, min_gap=1e-2) == 0.0
+
+    @pytest.mark.parametrize("exponent", [-300, 300])
+    def test_scale_free(self, exponent):
+        rng = random.Random(exponent)
+        scale = 10.0 ** exponent
+        for _ in range(50):
+            circles = _random_circles(rng, 4)
+            w = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
+            scaled = [Circle(c.o * scale, c.r * scale) for c in circles]
+            ref = max_cs_distance(w, circles)
+            assert max_cs_distance(w * scale, scaled) / scale == pytest.approx(ref, rel=1e-12)
 
 
 class TestDirectedAngle:

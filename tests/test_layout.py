@@ -169,6 +169,19 @@ def test_traced_layer_functions_exist():
     assert missing == [], f"traced but not a function of its module: {missing}"
 
 
+def test_traced_verify_names_exist():
+    # the tracer also swaps verify._draw for its draw counter and wraps the
+    # entries of verify.INVARIANTS, each read by name: a pass that inlined or
+    # renamed one would break --trace 1 with no other test failing
+    tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    names = {node.attr for node in ast.walk(ast.parse(tracing.read_text()))
+             if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "verify"}
+    verify = importlib.import_module("isoptic.verify")
+    assert {"_draw", "INVARIANTS"} <= names
+    assert sorted(name for name in names if not hasattr(verify, name)) == []
+    assert inspect.isfunction(verify._draw)
+
+
 def test_no_slow_record_or_cache_paths():
     # vars(self).update gives a record a dict table of its own (about 2.5x
     # the inline fields), and functools.cached_property takes a lock on every

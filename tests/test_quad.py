@@ -1100,6 +1100,26 @@ class TestScaleSweep:
 
 
 
+def test_no_nan_point_near_the_float_maximum():
+    """A quadrilateral of about 1e300 near 5.7e307: sum(vertices) / 4
+    overflowed to inf before the division, so the centroid read (inf, nan)
+    and W and S came back as Point(nan, nan), which is_finite accepts.  The
+    centroid now sums the quarters.  Each construction returns a point with
+    no NaN or raises a GeometryError."""
+    q = random_quadrilateral(CaseSpec(11, "parallelogram-pi4"), 35)
+    far = Quadrilateral(*(Point(v * 6.6e299 + complex(5.7e307, -1.8e307)) for v in q.vertices()))
+    calls = [far.centroid, lambda: analyze(far).w, lambda: analyze(far).s,
+             lambda: isoptic_point(far), lambda: simson_point(far),
+             lambda: isoptic_point_via_limit(far), lambda: isoptic_point_via_inversion(far),
+             lambda: isoptic_point_via_inv_iso(far)]
+    for call in calls:
+        try:
+            p = call()
+        except GeometryError:
+            continue
+        assert not (is_finite(p) and cmath.isnan(p)), p
+
+
 def test_public_constructions_return_points():
     """A Point is a complex number, and arithmetic on it gives a plain
     complex, so each construction wraps what it returns: is_finite, the

@@ -1,10 +1,12 @@
 import hashlib
+import json
 import math
 
 import pytest
 
 from isoptic.kernel import is_finite
 from isoptic.quad import (
+    analyze,
     classify,
     isoptic_point_via_limit,
     similarity_ratio,
@@ -25,6 +27,14 @@ DRAWS_SHA256 = "372813761b3a0ffe46e7170779f65031e8b19e52b8870abaa45fdbf47705614b
 # i in 0..599: 4,800 draws, rich in draws the interior-angle test rejects
 ANGLE_REJECTION_DRAWS_SHA256 = \
     "8f9d759285eceb1216d1bca40867d26fb83c4da5f98a2bb8702e21cfcc68c741"
+# sha256 of json.dumps(run_suite(CaseSpec(5, cls), 60).to_dict()), one line
+# per shape class in SHAPE_CLASSES order; and of the repr of (r, w, s,
+# residuals) of analyze on random_quadrilateral(CaseSpec(7, cls), i) for
+# every class and i in 0..49.  A change that only makes the program faster
+# keeps both bit for bit; a re-pin means the reports or results changed, and
+# the change that re-pins says why
+SUITE_SHA256 = "b14ccc03469b2cc7baeb607b95342ceb28fd57deddfe273f45ac549152a8e750"
+ANALYZE_SHA256 = "6127af2ef63997e0c78945681266010c1d8508cd75fa60df12b419118b4cd38f"
 
 
 def _draws_digest(seeds, shapes, count):
@@ -35,6 +45,23 @@ def _draws_digest(seeds, shapes, count):
                 for v in random_quadrilateral(CaseSpec(seed, shape), i).vertices():
                     digest.update(f"{v.x.hex()} {v.y.hex()}\n".encode())
     return digest.hexdigest()
+
+
+class TestPinnedResults:
+    def test_suite_reports_are_pinned(self):
+        digest = hashlib.sha256()
+        for cls in SHAPE_CLASSES:
+            report = run_suite(CaseSpec(5, cls), 60).to_dict()
+            digest.update(json.dumps(report).encode() + b"\n")
+        assert digest.hexdigest() == SUITE_SHA256
+
+    def test_analyze_results_are_pinned(self):
+        digest = hashlib.sha256()
+        for cls in SHAPE_CLASSES:
+            for i in range(50):
+                rep = analyze(random_quadrilateral(CaseSpec(7, cls), i))
+                digest.update(repr((rep.r, rep.w, rep.s, rep.residuals)).encode() + b"\n")
+        assert digest.hexdigest() == ANALYZE_SHA256
 
 
 class TestGenerator:
