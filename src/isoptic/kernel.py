@@ -26,6 +26,7 @@ from .errors import (
     DegenerateConjugate,
     IdenticalCurves,
     NotALine,
+    PointAtInfinity,
 )
 
 DEFAULT_TOL = 1e-9
@@ -122,14 +123,18 @@ def is_finite(p: MaybePoint) -> bool:
     return isinstance(p, Point)
 
 
-def diameter(points) -> float:
-    """Diameter of a point set; the scale for all relative tolerances."""
-    pts = [p for p in points if isinstance(p, Point)]
-    if len(pts) < 2:
-        return 1.0
+def require_finite(*points: MaybePoint) -> None:
+    """Raise PointAtInfinity at a point at infinity: a complex number is finite."""
+    for p in points:
+        if isinstance(p, AtInfinity):
+            raise PointAtInfinity("a finite point is required, not a point at infinity")
+
+
+def diameter(points: list[complex]) -> float:
+    """Diameter of a point set (1.0 for one point); the scale for all relative tolerances."""
     best = 0.0
-    for i, p in enumerate(pts):
-        for q in pts[i + 1:]:
+    for i, p in enumerate(points):
+        for q in points[i + 1:]:
             best = max(best, abs(p - q))
     return best if best > 0.0 else 1.0
 

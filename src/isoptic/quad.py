@@ -52,6 +52,7 @@ from .kernel import (
     line_meet,
     max_cs_distance,
     mirrored_cevian,
+    require_finite,
     unit_near,
 )
 
@@ -106,6 +107,10 @@ class Quadrilateral(Record):
             abs(ac.real * ad.imag - ac.imag * ad.real) / (max(nac, ncd, nad) * unit or inf),
             abs(ab.real * ad.imag - ab.imag * ad.real) / (max(nab, nbd, nad) * unit or inf),
             abs(ab.real * ac.imag - ab.imag * ac.real) / (max(nab, nbc, nac) * unit or inf))
+        # max and min pass over a nan unless it comes first, but a nan vertex
+        # makes the first side or the first height nan
+        if not scale + height < inf:
+            raise PointAtInfinity("the diameter is not a finite float")
         _set(self, "_z", z)
         _set(self, "_diffs", frame)
         _set(self, "_unit", unit)
@@ -141,10 +146,6 @@ class Quadrilateral(Record):
     def is_convex(self) -> bool:
         return shape_of_sides(self._sides())[0]
 
-    def signed_area(self) -> float:
-        """Positive for counterclockwise vertex order."""
-        return self._area2() / 2.0 / self._unit / self._unit
-
     def _area2(self) -> float:
         # twice the signed area in the frame, from the edge vectors at A: the
         # absolute-coordinate shoelace cancels to 0 on a quadrilateral far
@@ -153,12 +154,13 @@ class Quadrilateral(Record):
         return _cross(ab, ac) + _cross(ac, ad)
 
     def area(self) -> float:
-        return abs(self.signed_area())
+        return abs(self._area2()) / 2.0 / self._unit / self._unit
 
-    def reordered(self, order: str) -> "Quadrilateral":
-        """Same vertex set in a different cyclic order, e.g. 'acbd'."""
-        m = {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
-        return Quadrilateral(*(m[ch] for ch in order))
+    def area_ratio(self, other: Quadrilateral) -> float | None:
+        """other.area() / self.area() at any size, from the frames' doubled areas and
+        the exact ratio of their units; None when self's frame area is 0."""
+        a1 = self._area2()
+        return abs(other._area2() / a1) * (self._unit / other._unit) ** 2 if a1 else None
 
 
 class TriadSystem(Record):
@@ -331,7 +333,7 @@ def _cross(u: complex, v: complex) -> float:
 def interior_angles(q: Quadrilateral) -> tuple[float, float, float, float]:
     """Interior angles in (0, 2*pi); a reflex vertex of a concave
     quadrilateral gets its actual reflex angle."""
-    orient = 1.0 if q.signed_area() > 0.0 else -1.0
+    orient = 1.0 if q._area2() > 0.0 else -1.0
     return tuple([math.atan2(orient * t.imag, t.real) % (2.0 * math.pi)
                   for t in shape_of_sides(q._sides())[2]])
 
@@ -628,6 +630,7 @@ def isoptic_point_via_inv_iso(q: QuadOrState, tol: float = DEFAULT_TOL) -> Maybe
 
 def isoptic_quantity(q: QuadOrState, w: Point, tol: float = DEFAULT_TOL) -> list[float]:
     """d_i / R_i for the four triad circles; all equal exactly at W."""
+    require_finite(w)
     return [abs(w - o.o) / o.r for o in _state(q, tol).triads.circles]
 
 
@@ -638,6 +641,7 @@ def isodynamic_ratios(q: QuadOrState, w: Point, tol: float = DEFAULT_TOL) -> flo
     other three: (A, R3), (B, R4), (C, R1), (D, R2).  The radii are taken in
     an exact power of two near the largest, so no product overflows.
     """
+    require_finite(w)
     st = _state(q, tol)
     radii = [o.r for o in st.triads.circles]
     unit = unit_near(max(radii))
@@ -653,6 +657,7 @@ def angle_sums_at_point(q: Quadrilateral, w: Point) -> float:
     four sides XY, in directed angles mod pi; ~0 exactly at W.  The sides differ
     by the phase of t = (Y - w) / (X - w) (X - u) / (Y - u) (X - v) / (Y - v),
     atan2(|Im t|, |Re t|) from a multiple of pi.  w at a vertex raises DegenerateRay."""
+    require_finite(w)
     a, b, c, d = q._z
     worst = 0.0
     for x, y, u, v in ((a, b, c, d), (b, c, a, d), (c, d, a, b), (d, a, b, c)):
@@ -672,6 +677,7 @@ def pedal_quadrilateral(q: Quadrilateral, p: Point) -> list[Point]:
     with v the side's first vertex, e its vector, u^2 = e / conj(e) and
     d = p - v, the foot is v + (d + u^2 conj(d)) / 2, where u^2 conj(d) is d
     mirrored in the side."""
+    require_finite(p)
     feet = []
     for v, e in zip(q._z, q._sides()):
         d = p - v
@@ -752,6 +758,7 @@ def isogonal_conjugate_quad(q: Quadrilateral, p: Point,
     reflected lines put that vertex of the conjugate at infinity (along
     their common direction).
     """
+    require_finite(p)
     vs = q.vertices()
     scale = diameter(list(vs) + [p])
     if min(abs(v - p) for v in vs) < tol * scale:
@@ -776,6 +783,7 @@ def reconstruct_from_pedal_w(w: Point, feet: list[Point],
     Each side line passes through a foot perpendicular to the segment from
     w; vertices are the consecutive-line meets, solved relative to w.
     """
+    require_finite(w, *feet)
     scale = diameter(feet + [w])
     z = [f - w for f in feet]
     if min(map(abs, z)) < tol * scale:
@@ -792,6 +800,7 @@ def reconstruct_from_pedal_w(w: Point, feet: list[Point],
 def reconstruct_from_simson(s: Point, feet: list[Point],
                             tol: float = DEFAULT_TOL) -> Quadrilateral:
     """Rebuild the quadrilateral from the Simson point and its collinear feet."""
+    require_finite(s, *feet)
     scale = diameter(feet + [s])
     if collinearity_residual(feet) > 1e3 * tol * scale:
         raise NonCollinearFeet("Simson feet must be collinear")
@@ -806,8 +815,7 @@ def reconstruct_fourth_vertex(a: Point, b: Point, c: Point, w: Point,
     (a b c) to the triad centers A2 and C2.  Their circles o1 and o3 meet in B
     and D, so D is B mirrored in line A2C2: A2 + e / conj(e) conj(B - A2), e = C2 - A2.
     """
-    if not is_finite(w):
-        raise PointAtInfinity("the isoptic point is not finite")
+    require_finite(a, b, c, w)
     o2 = circumcircle(a, b, c, tol)
     scale = diameter([a, b, c, w])
     if abs(w - o2.o) < 1e3 * tol * scale:
@@ -855,6 +863,7 @@ def cross_generation_cs_residual(q: QuadOrState, w: Point,
                                  tol: float = DEFAULT_TOL) -> float:
     """Max scale-free distance of w to CS(o_i^(k), o_j^(l)) across the first
     three generations, each read from the Apollonius defect (max_cs_distance)."""
+    require_finite(w)
     st = _state(q, tol)
     tol, scale = st.tol, st.scale
     circles = [c for g in (st, st.next, st.next.next) for c in g.triads.circles]
@@ -872,6 +881,7 @@ def quadrangle_duality_residual(q: Quadrilateral, w: Point, mirror_radius: float
     one member of the pencil passes through W.  So the image is the CS if and
     only if W lies on it: the residual is W's largest distance from the six
     (max_cs_distance, the Apollonius defect) over the image's diameter."""
+    require_finite(w)
     mirror = Circle(w, mirror_radius)
     images = [invert_point(mirror, v, tol) for v in q.vertices()]
     if not all(is_finite(p) for p in images):

@@ -96,7 +96,7 @@ def render_svg(q: Quadrilateral, layers=("quad", "triads", "w"),
     """
     for name in layers:
         if name not in LAYERS:
-            raise ValueError(f"unknown layer {name!r}")
+            raise ValueError(f"unknown layer {name!r} (choose from {', '.join(LAYERS)})")
     cv = _Canvas()
     st = QuadState(q, tol)
     scale = st.scale

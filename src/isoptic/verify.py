@@ -73,6 +73,10 @@ _MIN_ANGLE = 0.3          # radians from {0, pi, 2*pi} for every interior angle
 _MAX_ASPECT = 12.0        # diameter / shortest vertex separation
 _MIN_TRIAD_HEIGHT = 0.05  # least triad height / diameter
 _MAX_TRIES = 4000         # draws per case before RejectionExhausted
+_SIN_MIN_ANGLE = math.sin(_MIN_ANGLE)
+# an orthocentric draw's triangle has every angle in (0.3, pi/2 - 0.15), so
+# its orthocenter is interior: the cosines lie in (sin 0.15, cos 0.3)
+_ACUTE_COS = (math.sin(0.15), math.cos(0.3))
 
 
 class CaseSpec(Record):
@@ -85,37 +89,27 @@ class CaseSpec(Record):
         object.__setattr__(self, "shape_class", shape_class)
 
 
-def _normalized(z: list[complex]) -> list[complex]:
+def _normalized(z: list[complex]) -> list[complex] | None:
     """The vertices of Quadrilateral(*z) with the centroid moved to 0 and the
-    diameter scaled to 1: its centroid sum and scale, (x - g) * (1 / d)."""
-    g = sum(z) / 4.0
-    d = max(math.hypot((w - v).real, (w - v).imag) for v, w in combinations(z, 2)) or 1.0
-    k = 1.0 / d
+    diameter scaled to 1: its centroid sum and scale, (x - g) * (1 / d); None
+    when two of them are closer than d / _MAX_ASPECT."""
+    gaps = [math.hypot((w - v).real, (w - v).imag) for v, w in combinations(z, 2)]
+    d = max(gaps)
+    if not 0.0 < d / _MAX_ASPECT <= min(gaps):
+        return None
+    g, k = sum(z) / 4.0, 1.0 / d
     return [complex((v.real - g.real) * k, (v.imag - g.imag) * k) for v in z]
 
 
 def _angles_ok(z: list[complex]) -> bool:
-    """interior_angles' test of Quadrilateral(*z), by its float operations:
-    conj(u) * v holds u.v as its real part and u x v as its imaginary part.
-    _draw runs it on the drawn vertices, before _normalized: moving the
-    centroid and scaling the diameter change the angles by rounding only."""
+    """Every interior angle of Quadrilateral(*z) at least _MIN_ANGLE from 0,
+    pi and 2 pi, in either orientation: |sin| of the turn t = conj(u) v of
+    the two sides at each vertex, |u x v| / (|u| |v|), is at least
+    sin(_MIN_ANGLE)."""
     a, b, c, d = z
-    ab, ac, ad = b - a, c - a, d - a
-    orient = 1.0 if ((ab.conjugate() * ac).imag + (ac.conjugate() * ad).imag) / 2.0 > 0.0 else -1.0
-    s = (ab, c - b, d - c, -ad)
-    for i in range(4):
-        uv = s[i].conjugate() * -s[i - 1]
-        ang = math.atan2(orient * uv.imag, uv.real) % (2.0 * math.pi)
-        if min(abs(ang), abs(ang - math.pi), abs(ang - 2 * math.pi)) < _MIN_ANGLE:
-            return False
-    return True
-
-
-def _well_conditioned(q: Quadrilateral) -> bool:
-    """The separation and triad-height tests (_draw ran the angle test)."""
-    vs, scale = q.vertices(), q.scale()
-    return (min(abs(v - w) for v, w in combinations(vs, 2)) >= scale / _MAX_ASPECT
-            and q.min_triad_height() >= _MIN_TRIAD_HEIGHT * scale)
+    s = (b - a, c - b, d - c, a - d)
+    return all(abs(t.imag) >= _SIN_MIN_ANGLE * abs(t)
+               for t in (s[i].conjugate() * s[i - 1] for i in range(4)))
 
 
 def _simple_convex_order(z: list[complex]) -> list[complex]:
@@ -127,7 +121,7 @@ def _draw(rng: random.Random, shape_class: str) -> Quadrilateral | None:
     """One attempt, normalized to diameter 1, or None: the angle test runs on
     the drawn vertices first (keeping every cot far from similarity_ratio's
     cut), then the class's tests on their raw sides, and only a draw that
-    passes both is normalized."""
+    passes both is normalized, which tests the vertex separation."""
     try:
         pts = _vertices(rng, shape_class)
         if pts is None or not _angles_ok(pts):
@@ -142,7 +136,8 @@ def _draw(rng: random.Random, shape_class: str) -> Quadrilateral | None:
                 ok = not convex and 1.05 <= r <= 8.0
             else:
                 ok = convex
-        return Quadrilateral(*map(Point, _normalized(pts))) if ok else None
+        z = _normalized(pts) if ok else None
+        return Quadrilateral(*map(Point, z)) if z else None
     except GeometryError:
         return None
 
@@ -183,21 +178,14 @@ def _vertices(rng: random.Random, shape_class: str) -> list[complex] | None:
         v = cmath.rect(rng.uniform(0.7, 1.5), phi)
         return [a, a + u, a + u + v, a + v]
     if shape_class == "orthocentric":
-        # acute triangle keeps the orthocenter interior
+        lo, hi = _ACUTE_COS
         for _ in range(64):
             a, b, c = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3))
-            angs = interior_triangle_angles(a, b, c)
-            if max(angs) < math.pi / 2 - 0.15 and min(angs) > 0.3:
+            turns = ((b - a).conjugate() * (c - a), (c - b).conjugate() * (a - b),
+                     (a - c).conjugate() * (b - c))
+            if all(lo * abs(t) < t.real < hi * abs(t) for t in turns):
                 return [a, b, c, orthocenter(a, b, c)]
     return None
-
-
-def interior_triangle_angles(a: complex, b: complex, c: complex) -> tuple[float, float, float]:
-    def ang(v, p, q):
-        u1, u2 = p - v, q - v
-        dot = u1.real * u2.real + u1.imag * u2.imag
-        return math.acos(max(-1.0, min(1.0, dot / (abs(u1) * abs(u2)))))
-    return (ang(a, b, c), ang(b, c, a), ang(c, a, b))
 
 
 def random_quadrilateral(spec: CaseSpec, index: int) -> Quadrilateral:
@@ -205,7 +193,7 @@ def random_quadrilateral(spec: CaseSpec, index: int) -> Quadrilateral:
     rng = random.Random((spec.seed * 1_000_003 + index) & 0xFFFFFFFF)
     for _ in range(_MAX_TRIES):
         q = _draw(rng, spec.shape_class)
-        if q is not None and _well_conditioned(q):
+        if q is not None and q.min_triad_height() >= _MIN_TRIAD_HEIGHT * q.scale():
             return q
     raise RejectionExhausted(
         f"no valid {spec.shape_class} case for seed={spec.seed} index={index}")
@@ -267,8 +255,9 @@ def _inv_permutation(st):
     if not is_finite(w):
         return None
     worst = 0.0
-    for order in ("acbd", "acdb"):
-        alt = isoptic_point(st.q.reordered(order))
+    a, b, c, d = st.q.vertices()
+    for order in ((a, c, b, d), (a, c, d, b)):
+        alt = isoptic_point(Quadrilateral(*order))
         if not is_finite(alt):
             return None
         worst = max(worst, abs(alt - w) / st.scale)

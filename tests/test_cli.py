@@ -6,6 +6,8 @@ import xml.dom.minidom
 import pytest
 
 from isoptic.cli import EXIT_DEGENERATE, EXIT_FAILURES, load_quad_file, main
+from isoptic.render import LAYERS
+from isoptic.verify import SHAPE_CLASSES, CaseSpec, random_quadrilateral
 
 GENERIC = {"vertices": [[0, 0], [4, 0], [5, 3], [1, 4]]}
 SQUARE = {"vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]}
@@ -208,6 +210,20 @@ class TestIterate:
         doc = json.loads(out.read_text())
         assert all(r is None or r >= 0 for r in doc["area_ratios"])
 
+    @pytest.mark.parametrize("factor", [1e-300, 1e-170, 1e-160, 1e160, 1e300])
+    def test_area_ratios_do_not_depend_on_the_scale(self, quad_file, tmp_path, factor):
+        # area() / area() overflowed or underflowed: CaseSpec(3,
+        # "convex-noncyclic") case 0 read NaN from 1e160, null from 1e-170
+        # and 0.68804 at 1e-160, against 0.68876 at scale 1
+        q = random_quadrilateral(CaseSpec(3, "convex-noncyclic"), 0)
+        ratios = {}
+        for k in (1.0, factor):
+            out = tmp_path / "it.json"
+            path = quad_file({"vertices": [[v.x * k, v.y * k] for v in q.vertices()]})
+            assert main(["iterate", path, "--generations", "2", "--out", str(out)]) == 0
+            ratios[k] = json.loads(out.read_text())["area_ratios"]
+        assert ratios[factor] == pytest.approx(ratios[1.0], rel=1e-13)
+
     def test_negative_generations_exit_1(self, quad_file, capsys):
         assert main(["iterate", quad_file(GENERIC), "--generations", "-2"]) == 1
         assert capsys.readouterr().out == ""
@@ -266,9 +282,12 @@ class TestRender:
         x, y, width, height = map(float, svg.getAttribute("viewBox").split())
         assert x < 0 and y < 0 and x + width > 3 and y + height > 1
 
-    def test_unknown_layer_exit_1(self, quad_file, tmp_path):
+    def test_unknown_layer_exit_1(self, quad_file, tmp_path, capsys):
         assert main(["render", quad_file(GENERIC), "--out",
                      str(tmp_path / "x.svg"), "--layers", "quad,nope"]) == 1
+        assert not (tmp_path / "x.svg").exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: unknown layer 'nope' (choose from {', '.join(LAYERS)})"]
 
 
 class TestReconstruct:
@@ -327,3 +346,37 @@ def test_analyze_reconstruct_analyze_roundtrip(quad_file, tmp_path, capsys):
           "--out", str(out2)])
     w2 = json.loads(out2.read_text())["w"]["xy"]
     assert math.hypot(w2[0] - w[0], w2[1] - w[1]) < 1e-7 * 6.4
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("factor", [1e-300, 1e-170, 1.0, 1e160, 1e300])
+def test_reports_are_strict_json_at_any_scale(quad_file, tmp_path, factor):
+    # iterate wrote NaN area ratios from 1e160, which no strict JSON parser reads
+    out = tmp_path / "out.json"
+    for shape in SHAPE_CLASSES:
+        q = random_quadrilateral(CaseSpec(3, shape), 0)
+        path = quad_file({"vertices": [[v.x * factor, v.y * factor] for v in q.vertices()]})
+        for args in (["analyze"], ["iterate", "--generations", "2"],
+                     ["iterate", "--generations", "2", "--direction", "backward"]):
+            out.unlink(missing_ok=True)
+            rc = main([args[0], path, *args[1:], "--out", str(out)])
+            assert rc in (0, EXIT_DEGENERATE), (shape, args)
+            _strict_json(out.read_text())
+
+
+def test_backward_iteration_stops_before_infinity(quad_file, tmp_path):
+    # CaseSpec(3, "trapezoid") case 1 grows about 33-fold a step backward:
+    # the step after 203 finite ones put every vertex at +-inf, which was
+    # written as Infinity and NaN before a nan radius ended the run
+    q = random_quadrilateral(CaseSpec(3, "trapezoid"), 1)
+    out = tmp_path / "back.json"
+    path = quad_file({"vertices": [[v.x, v.y] for v in q.vertices()]})
+    assert main(["iterate", path, "--generations", "300", "--direction", "backward",
+                 "--out", str(out)]) == EXIT_DEGENERATE
+    doc = _strict_json(out.read_text())
+    assert doc["degeneration"]["reason"] == "PointAtInfinity"

@@ -41,6 +41,7 @@ from isoptic.quad import (
     classify,
     collinearity_residual,
     cotangent_identity_residuals,
+    cross_generation_cs_residual,
     feet_circles_residual,
     interior_angles,
     isodynamic_ratios,
@@ -65,7 +66,7 @@ from isoptic.quad import (
     triad_circles,
     varignon,
 )
-from isoptic.verify import SHAPE_CLASSES, CaseSpec, random_quadrilateral
+from isoptic.verify import INVARIANTS, SHAPE_CLASSES, CaseSpec, random_quadrilateral
 
 from cyclicity import noncyclicity_measure
 
@@ -184,6 +185,37 @@ class TestQuadrilateral:
         # tol * diameter underflowed to 0 at a diameter of 2.2e-321
         with pytest.raises(CollinearInput):
             Quadrilateral(Point(0, 0), Point(0, 0), Point(0, 0), Point(0, 2.2e-321))
+
+    @pytest.mark.parametrize("vertices", [
+        (0j, 1 + 0j, 1e308 + 1e308j, -1e308 + 1e308j),  # a side overflows
+        (0j, 1 + 0j, complex(1, math.inf), 1j),
+        (complex(math.nan, 0), 1 + 0j, 1 + 1j, 1j),
+        (0j, 1 + 0j, 1 + 1j, complex(0, math.nan)),
+        (complex(math.inf, math.inf),) * 4,
+    ], ids=["overflow", "inf", "nan-first", "nan-last", "all-inf"])
+    def test_a_diameter_that_is_not_a_finite_float_is_rejected(self, vertices):
+        # the overflowing one was accepted with scale inf and a nan least
+        # triad height, and prev_generation walked a trapezoid out to a
+        # quadrilateral with every vertex at +-inf
+        with pytest.raises(PointAtInfinity):
+            Quadrilateral(*map(Point, vertices))
+
+    def test_interior_angles_keep_their_orientation_at_any_scale(self):
+        # the orientation was read from the signed area in the input's units,
+        # which underflowed to 0 below a diameter of about 1e-162: at 1e-170
+        # every angle came back as its reflex complement (sum 6 pi, error 4.39
+        # rad), and the supplementary_angles invariant read 4.39
+        q = random_quadrilateral(CaseSpec(3, "convex-noncyclic"), 0)
+        whole = interior_angles(q)
+        eps = sys.float_info.epsilon
+        for k in range(-300, 301, 10):
+            factor = 10.0 ** k
+            small = Quadrilateral(*(Point(v * factor) for v in q.vertices()))
+            angles = interior_angles(small)
+            assert max(abs(a - b) for a, b in zip(angles, whole)) <= 8 * eps, k
+            assert sum(angles) == pytest.approx(2 * math.pi, abs=8 * eps), k
+        tiny = QuadState(Quadrilateral(*(Point(v * 1e-170) for v in q.vertices())))
+        assert INVARIANTS["supplementary_angles"][0](tiny) <= 1e-12
 
 
 class TestTriadCircles:
@@ -698,6 +730,38 @@ class TestReconstructions:
         a, b, c = Point(0, 0), Point(4, 0), Point(0, 4)
         with pytest.raises(Underdetermined):
             reconstruct_fourth_vertex(a, b, c, Point(2, 2))
+
+
+# W of an orthocentric case and S of a parallelogram, both at infinity
+W_AT_INFINITY = isoptic_point(random_quadrilateral(CaseSpec(3, "orthocentric"), 0))
+PARALLELOGRAM = random_quadrilateral(CaseSpec(3, "parallelogram"), 0)
+S_AT_INFINITY = simson_point(PARALLELOGRAM)
+COLLINEAR_FEET = [Point(k, 0) for k in range(4)]
+AT_INFINITY_CALLS = {
+    "isogonal_conjugate_quad": lambda: isogonal_conjugate_quad(PARALLELOGRAM, S_AT_INFINITY),
+    "pedal_quadrilateral": lambda: pedal_quadrilateral(GENERIC, W_AT_INFINITY),
+    "isoptic_quantity": lambda: isoptic_quantity(GENERIC, W_AT_INFINITY),
+    "isodynamic_ratios": lambda: isodynamic_ratios(GENERIC, W_AT_INFINITY),
+    "angle_sums_at_point": lambda: angle_sums_at_point(GENERIC, W_AT_INFINITY),
+    "reconstruct_from_pedal_w": lambda: reconstruct_from_pedal_w(W_AT_INFINITY,
+                                                                 COLLINEAR_FEET),
+    "reconstruct_from_pedal_w feet": lambda: reconstruct_from_pedal_w(
+        Point(0, 1), COLLINEAR_FEET[:3] + [W_AT_INFINITY]),
+    "reconstruct_from_simson": lambda: reconstruct_from_simson(S_AT_INFINITY, COLLINEAR_FEET),
+    "cross_generation_cs_residual": lambda: cross_generation_cs_residual(GENERIC,
+                                                                         W_AT_INFINITY),
+    "quadrangle_duality_residual": lambda: quadrangle_duality_residual(GENERIC,
+                                                                       W_AT_INFINITY, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", list(AT_INFINITY_CALLS))
+def test_a_point_at_infinity_raises_point_at_infinity(call):
+    # each raised TypeError on the package's own points at infinity, where a
+    # GeometryError is the documented failure
+    assert isinstance(W_AT_INFINITY, AtInfinity) and isinstance(S_AT_INFINITY, AtInfinity)
+    with pytest.raises(PointAtInfinity):
+        AT_INFINITY_CALLS[call]()
 
 
 class TestDualityAndTransport:
