@@ -18,6 +18,7 @@ of input overflows or underflows it.
 from __future__ import annotations
 
 import math
+from cmath import isfinite
 
 from .errors import (
     CollinearInput,
@@ -130,6 +131,13 @@ def require_finite(*points: MaybePoint) -> None:
             raise PointAtInfinity("a finite point is required, not a point at infinity")
 
 
+def finite_point(z: complex, what: str) -> Point:
+    """z as a Point, or PointAtInfinity when it lies beyond the float range."""
+    if not isfinite(z):
+        raise PointAtInfinity(f"{what} is not a finite float")
+    return Point(z)
+
+
 def diameter(points: list[complex]) -> float:
     """Diameter of a point set (1.0 for one point); the scale for all relative tolerances."""
     best = 0.0
@@ -200,16 +208,26 @@ def unit_near(x: float) -> float:
     return math.ldexp(1.0, min(-math.frexp(x)[1], 1023))
 
 
-def circumcircle(p: Point, q: Point, r: Point, tol: float = DEFAULT_TOL) -> Circle:
-    """Circle through three points, solved from the differences to p in the
-    unit_near of the longer, so that no square overflows or underflows;
-    raises CollinearInput as circumcenter does."""
-    check_tol(tol)
+def circumscribe(p: complex, q: complex, r: complex, tol: float,
+                 with_radius: bool = True) -> tuple[complex, float] | complex:
+    """Center and radius (the mean distance to the three) of the circle through three points,
+    or the center alone, tol unchecked, solved from the differences to p in the unit_near of
+    the longer; raises as circumcenter does, and DegenerateCircle as Circle does."""
     a, b = q - p, r - p
     unit = unit_near(max(abs(a), abs(b)))
     a, b = a * unit, b * unit
     c = circumcenter(a, b, tol)
-    return Circle(p + c / unit, (abs(c) + abs(c - a) + abs(c - b)) / 3.0 / unit)
+    if not with_radius:
+        return p + c / unit
+    radius = (abs(c) + abs(c - a) + abs(c - b)) / 3.0 / unit
+    if not 0.0 < radius < math.inf:
+        raise DegenerateCircle(f"invalid radius {radius}")
+    return p + c / unit, radius
+
+
+def circumcircle(p: Point, q: Point, r: Point, tol: float = DEFAULT_TOL) -> Circle:
+    """The Circle through three points (circumscribe)."""
+    return Circle(*circumscribe(p, q, r, check_tol(tol)))
 
 
 def _foot(line: Line, z: complex) -> complex:
@@ -275,7 +293,7 @@ def invert_point(mirror: Circle, p: MaybePoint, tol: float = DEFAULT_TOL) -> May
     """Inversive image of a point in a circle mirror, o + r (r / conj(p - o)),
     which squares no coordinate.  A point within tol r of the center maps to
     infinity and a point at infinity to the center; a line mirror raises
-    NotALine."""
+    NotALine, and an image that is not a finite float PointAtInfinity."""
     if not 0.0 < tol < math.inf:
         check_tol(tol)
     if mirror.is_line:
@@ -284,9 +302,10 @@ def invert_point(mirror: Circle, p: MaybePoint, tol: float = DEFAULT_TOL) -> May
     if p.__class__ is AtInfinity:
         return Point(o)
     v = p - o
-    if abs(v) < tol * r:
+    # relative to r: tol * r underflows to 0 at subnormal sizes, and v can be 0
+    if abs(v / r) < tol:
         return AtInfinity.along(1.0, 0.0)
-    return Point(o + r * (r / v.conjugate()))
+    return finite_point(o + r * (r / v.conjugate()), "the inverse point")
 
 
 def invert_circle(mirror: Circle, g: Circle | Line, tol: float = DEFAULT_TOL) -> Circle | Line:
@@ -348,7 +367,7 @@ def max_cs_distance(w: complex, circles: tuple[Circle, ...] | list[Circle],
         u = w - c.o
         d = abs(u)
         terms.append((c.o, c.r, tol * c.r, u, d, u / d if d else u))
-    defects = []
+    worst = None  # max(defects): the first, then each larger one, so a first nan stays
     for i, (o1, r1, tr1, _, d1, e1) in enumerate(terms):
         for o2, r2, tr2, v, d2, _ in terms[i + 1:]:
             gap = abs(o1 - o2)
@@ -359,13 +378,16 @@ def max_cs_distance(w: complex, circles: tuple[Circle, ...] | list[Circle],
                 raise ConcentricCircles("circle of similitude of concentric circles")
             k = r1 / r2
             grad = abs(e1 - k * v / d2) if d1 and d2 else 0.0
-            defects.append(abs(d1 - k * d2) / grad if grad else math.inf)
-    return max(defects, default=0.0)
+            defect = abs(d1 - k * d2) / grad if grad else math.inf
+            if worst is None or defect > worst:
+                worst = defect
+    return 0.0 if worst is None else worst
 
 
 def orthocenter(p: complex, q: complex, r: complex) -> Point:
     """Orthocenter via H = P + Q + R - 2*O."""
-    return Point(p + q + r - 2.0 * circumcircle(p, q, r).o)
+    o = circumscribe(p, q, r, DEFAULT_TOL, with_radius=False)
+    return finite_point(p + q + r - 2.0 * o, "the orthocenter")
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +403,8 @@ def mirrored_cevian(v: complex, x: complex, y: complex, p: complex) -> complex:
 
 def isogonal_conjugate(a: complex, b: complex, c: complex, p: complex,
                        tol: float = DEFAULT_TOL) -> MaybePoint:
-    """Isogonal conjugate of p in the triangle a, b, c: the meet of the two
-    of its three mirrored_cevian lines that cross at the widest angle.  A point
+    """Isogonal conjugate of p in the triangle a, b, c: the meet_of_cevians of
+    its three mirrored_cevian lines, the two that cross at the widest angle.  A point
     on the circumcircle, where the three are parallel, goes to infinity along
     them; one on a side line to the opposite vertex, where the lines of the
     other two vertices meet; one within tol of a vertex raises
@@ -390,9 +412,14 @@ def isogonal_conjugate(a: complex, b: complex, c: complex, p: complex,
     gaps = abs(a - p), abs(b - p), abs(c - p)
     if min(gaps) < tol * (max(*gaps, abs(b - a), abs(c - b), abs(a - c)) or 1.0):
         raise DegenerateConjugate("conjugate of a triangle vertex")
-    ua, ub = mirrored_cevian(a, b, c, p), mirrored_cevian(b, c, a, p)
-    uc = mirrored_cevian(c, a, b, p)
-    # the lines whose directions have the largest |cross|, the first on a tie
+    return meet_of_cevians(a, mirrored_cevian(a, b, c, p), b, mirrored_cevian(b, c, a, p),
+                           c, mirrored_cevian(c, a, b, p), tol)
+
+
+def meet_of_cevians(a: complex, ua: complex, b: complex, ub: complex, c: complex,
+                    uc: complex, tol: float) -> MaybePoint:
+    """The meet of the two of the lines a + t ua, b + t ub and c + t uc that cross at the widest
+    angle (the first on a tie), or the point at infinity along parallel ones (line_meet)."""
     lines, best = (c, uc, a, ua), abs((uc.conjugate() * ua).imag)
     cross = abs((ua.conjugate() * ub).imag)
     if cross > best:
@@ -402,7 +429,7 @@ def isogonal_conjugate(a: complex, b: complex, c: complex, p: complex,
     m = line_meet(*lines, tol)
     if m is None:
         return AtInfinity.along(lines[3].real, lines[3].imag)
-    return Point(m)
+    return finite_point(m, "the isogonal conjugate")
 
 
 def isogonal_conjugate_triangle(a: Point, b: Point, c: Point, p: MaybePoint,

@@ -45,12 +45,14 @@ from .kernel import (
     check_tol,
     circumcenter,
     circumcircle,
+    circumscribe,
     diameter,
+    finite_point,
     invert_point,
     is_finite,
-    isogonal_conjugate,
     line_meet,
     max_cs_distance,
+    meet_of_cevians,
     mirrored_cevian,
     require_finite,
     unit_near,
@@ -102,11 +104,12 @@ class Quadrilateral(Record):
         frame = ab, ac, ad, bc, bd, cd = (ab * unit, ac * unit, ad * unit, bc * unit, bd * unit,
                                           cd * unit)
         inf = math.inf
+        xb, yb, xc, yc, xd, yd = ab.real, ab.imag, ac.real, ac.imag, ad.real, ad.imag
         height = min(
             abs(bc.real * bd.imag - bc.imag * bd.real) / (max(nbc, ncd, nbd) * unit or inf),
-            abs(ac.real * ad.imag - ac.imag * ad.real) / (max(nac, ncd, nad) * unit or inf),
-            abs(ab.real * ad.imag - ab.imag * ad.real) / (max(nab, nbd, nad) * unit or inf),
-            abs(ab.real * ac.imag - ab.imag * ac.real) / (max(nab, nbc, nac) * unit or inf))
+            abs(xc * yd - yc * xd) / (max(nac, ncd, nad) * unit or inf),
+            abs(xb * yd - yb * xd) / (max(nab, nbd, nad) * unit or inf),
+            abs(xb * yc - yb * xc) / (max(nab, nbc, nac) * unit or inf))
         # max and min pass over a nan unless it comes first, but a nan vertex
         # makes the first side or the first height nan
         if not scale + height < inf:
@@ -416,22 +419,6 @@ def cotangent_identity_residuals(q: QuadOrState) -> tuple[float, float]:
 # triad circles and the generation maps
 
 
-_TRIADS = ((3, 0, 1), (0, 1, 2), (1, 2, 3), (2, 3, 0))  # DAB, ABC, BCD, CDA
-# the pairs of vertices in side-table order: AB, AC, AD, BC, BD, CD
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-# triads p < q share the Q1 pair at index k of the side table, and O_q - O_p
-# is sign (i/2) (that pair's vector) Delta / (t_p t_q); in side-table order
-_Q2_SIDES = ((0, 0, 1, -1.0), (4, 0, 2, 1.0), (2, 0, 3, 1.0),
-             (3, 1, 2, 1.0), (1, 1, 3, 1.0), (5, 2, 3, -1.0))
-# the center O_s of each triad, from the side table relative to its first
-# vertex in table order (A, except B for BCD)
-_CENTER_SIDES = ((0, 2), (0, 1), (3, 4), (1, 2))
-# _STEPS[s][j] = (k, sign): O_j - O_s = sign * (entry k of Q2's side table)
-_STEPS = tuple(tuple((0, 0.0) if j == s else
-                     (_PAIRS.index((min(s, j), max(s, j))), 1.0 if s < j else -1.0)
-                     for j in range(4)) for s in range(4))
-
-
 def triad_circles(q: Quadrilateral, tol: float = DEFAULT_TOL) -> TriadSystem:
     """The four triad circles, from the perpendicular-bisector construction
     in closed form, on the side table of q (in its power-of-two frame).
@@ -448,31 +435,45 @@ def triad_circles(q: Quadrilateral, tol: float = DEFAULT_TOL) -> TriadSystem:
     are the mean distance from each center to its three vertices.
     """
     check_tol(tol)
-    ab, ac, ad, bc, bd, cd = f = q._diffs
-    n = [(v * v.conjugate()).real for v in f]  # |v|^2, as real^2 + imag^2
-    t = (ab.real * ad.imag - ab.imag * ad.real, ab.real * ac.imag - ab.imag * ac.real,  # DAB, ABC
-         bc.real * bd.imag - bc.imag * bd.real, ac.real * ad.imag - ac.imag * ad.real)  # BCD, CDA
-    delta = n[0] * t[3] - n[1] * t[0] + n[2] * t[1]
-    table = []
-    for k, i, j, sign in _Q2_SIDES:
-        w = sign * 0.5 * delta / (t[i] * t[j])
-        table.append(complex(-f[k].imag * w, f[k].real * w))
-    cond = (abs(t[0]) / max(n[0], n[2], n[4]), abs(t[1]) / max(n[0], n[1], n[3]),
-            abs(t[2]) / max(n[3], n[4], n[5]), abs(t[3]) / max(n[1], n[2], n[5]))
-    s = cond.index(max(cond))
-    i, j = _CENTER_SIDES[s]
-    start = circumcenter(f[i], f[j], tol) + (ab if s == 2 else 0.0)
-    # the centers, relative to A, and the radius of each: the mean distance
-    # to its triad's vertices, A (0), B (ab), C (ac) and D (ad)
-    o1, o2, o3, o4 = [start + sign * table[k] for k, sign in _STEPS[s]]
+    ab, ac, ad, bc, bd, cd = q._diffs
+    # |v|^2 as real^2 + imag^2, and the crosses of DAB, ABC, BCD and CDA
+    nab, nac, nad = (ab.real * ab.real + ab.imag * ab.imag, ac.real * ac.real + ac.imag * ac.imag,
+                     ad.real * ad.real + ad.imag * ad.imag)
+    nbc, nbd, ncd = (bc.real * bc.real + bc.imag * bc.imag, bd.real * bd.real + bd.imag * bd.imag,
+                     cd.real * cd.real + cd.imag * cd.imag)
+    t1, t2 = ab.real * ad.imag - ab.imag * ad.real, ab.real * ac.imag - ab.imag * ac.real
+    t3, t4 = bc.real * bd.imag - bc.imag * bd.real, ac.real * ad.imag - ac.imag * ad.real
+    half = 0.5 * (nab * t4 - nac * t1 + nad * t2)  # Delta / 2
+    # Q2's side table O2 - O1, O3 - O1, O4 - O1, O3 - O2, O4 - O2, O4 - O3: the
+    # shared pair AB, BD, AD, BC, AC, CD turned a right angle and scaled
+    w12, w13, w14 = -half / (t1 * t2), half / (t1 * t3), half / (t1 * t4)
+    w23, w24, w34 = half / (t2 * t3), half / (t2 * t4), -half / (t3 * t4)
+    o12, o13 = complex(-ab.imag * w12, ab.real * w12), complex(-bd.imag * w13, bd.real * w13)
+    o14, o23 = complex(-ad.imag * w14, ad.real * w14), complex(-bc.imag * w23, bc.real * w23)
+    o24, o34 = complex(-ac.imag * w24, ac.real * w24), complex(-cd.imag * w34, cd.real * w34)
+    # the centers relative to A, from the best-conditioned triad's (the first on a tie)
+    c1, c2 = abs(t1) / max(nab, nad, nbd), abs(t2) / max(nab, nac, nbc)
+    c3, c4 = abs(t3) / max(nbc, nbd, ncd), abs(t4) / max(nac, nad, ncd)
+    if c1 >= c2 and c1 >= c3 and c1 >= c4:
+        o1 = circumcenter(ab, ad, tol)
+        o2, o3, o4 = o1 + o12, o1 + o13, o1 + o14
+    elif c2 >= c3 and c2 >= c4:
+        o2 = circumcenter(ab, ac, tol)
+        o1, o3, o4 = o2 - o12, o2 + o23, o2 + o24
+    elif c3 >= c4:
+        o3 = circumcenter(bc, bd, tol) + ab
+        o1, o2, o4 = o3 - o13, o3 - o23, o3 + o34
+    else:
+        o4 = circumcenter(ac, ad, tol)
+        o1, o2, o3 = o4 - o14, o4 - o24, o4 - o34
+    # each radius: the mean distance to its triad's vertices, A (0), B (ab), C (ac), D (ad)
     za, unit = q._z[0], q._unit
     return TriadSystem(
         Circle(za + o1 / unit, (abs(o1 - ad) + abs(o1) + abs(o1 - ab)) / 3 / unit),
         Circle(za + o2 / unit, (abs(o2) + abs(o2 - ab) + abs(o2 - ac)) / 3 / unit),
         Circle(za + o3 / unit, (abs(o3 - ab) + abs(o3 - ac) + abs(o3 - ad)) / 3 / unit),
         Circle(za + o4 / unit, (abs(o4 - ac) + abs(o4 - ad) + abs(o4)) / 3 / unit),
-        diffs=(table[0] / unit, table[1] / unit, table[2] / unit, table[3] / unit,
-               table[4] / unit, table[5] / unit))
+        diffs=(o12 / unit, o13 / unit, o14 / unit, o23 / unit, o24 / unit, o34 / unit))
 
 
 def next_generation(q: QuadOrState, tol: float = DEFAULT_TOL) -> Quadrilateral:
@@ -531,9 +532,26 @@ def prev_generation(q: QuadOrState, tol: float = DEFAULT_TOL) -> Quadrilateral:
 
 def _conjugates_in_triads(q: Quadrilateral, tol: float) -> list[MaybePoint]:
     """The isogonal conjugate of the vertex left out of each triad DAB, ABC,
-    BCD and CDA (C, D, A and B) in the triangle of that triad."""
-    z = q._z
-    return [isogonal_conjugate(z[i], z[j], z[k], z[(k + 1) % 4], tol) for i, j, k in _TRIADS]
+    BCD and CDA (C, D, A and B) in the triangle of that triad, isogonal_conjugate's
+    in one pass: each pair's length and unit direction formed once."""
+    a, b, c, d = q._z
+    ab, ac, ad, bc, bd, cd = b - a, c - a, d - a, c - b, d - b, d - c
+    nab, nac, nad, nbc, nbd, ncd = abs(ab), abs(ac), abs(ad), abs(bc), abs(bd), abs(cd)
+    # each pair is a gap from the left-out vertex of two triads: the vertex test of all four
+    if min(nab, nac, nad, nbc, nbd, ncd) < tol * (max(nab, nac, nad, nbc, nbd, ncd) or 1.0):
+        raise DegenerateConjugate("conjugate of a triangle vertex")
+    ab, ac, ad, bc, bd, cd = ab / nab, ac / nac, ad / nad, bc / nbc, bd / nbd, cd / ncd
+    ba, ca, da, cb, db, dc = -ab, -ac, -ad, -bc, -bd, -cd  # the reverse directions, exactly
+    # each mirrored_cevian at v of the triangle v x y with the left-out p: v->x v->y conj(v->p)
+    return [
+        meet_of_cevians(d, da * db * dc.conjugate(), a, ab * ad * ac.conjugate(),
+                        b, bd * ba * bc.conjugate(), tol),
+        meet_of_cevians(a, ab * ac * ad.conjugate(), b, bc * ba * bd.conjugate(),
+                        c, ca * cb * cd.conjugate(), tol),
+        meet_of_cevians(b, bc * bd * ba.conjugate(), c, cd * cb * ca.conjugate(),
+                        d, db * dc * da.conjugate(), tol),
+        meet_of_cevians(c, cd * ca * cb.conjugate(), d, da * dc * db.conjugate(),
+                        a, ac * ad * ab.conjugate(), tol)]
 
 
 # ---------------------------------------------------------------------------
@@ -558,20 +576,23 @@ def isoptic_point(q: Quadrilateral) -> MaybePoint:
     input's rounding level, W is at infinity along AB (the line of
     similitude of the congruent o1 and o2).
     """
-    g = _centroid(q._z)
-    z = [v - g for v in q._z]
+    return _isoptic_point(q._z, q._scale, q._unit, q._diffs[0])
+
+
+def _isoptic_point(z: tuple[Point, ...], scale: float, unit: float, ab: complex) -> MaybePoint:
+    """isoptic_point of the vertices z, given their diameter, frame unit and B - A there."""
+    g = _centroid(z)
+    z = [v - g for v in z]
     num = den = 0j
     for k, sign in enumerate((1.0, -1.0, 1.0, -1.0)):
         e = z[(k + 1) % 4] - z[k]
         u2 = e / e.conjugate()
         den += sign * u2
         num += sign * (u2 * z[k].conjugate() - z[k])
-    # both sides in the frame of the side table, where they cannot underflow
-    scale, unit = q.scale(), q._unit
-    if abs(den) * (scale * unit) < _AT_INFINITY * ((scale + abs(g)) * unit):
-        ab = q._diffs[0]
+    # both sides, |g| too, in the side table's frame, where they neither under- nor overflow
+    if abs(den) * (scale * unit) < _AT_INFINITY * (scale * unit + abs(g * unit)):
         return AtInfinity.along(ab.real, ab.imag)
-    return Point(g + (num / den).conjugate())
+    return finite_point(g + (num / den).conjugate(), "W")
 
 
 def isoptic_point_via_limit(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePoint:
@@ -601,7 +622,7 @@ def isoptic_point_via_limit(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePo
     k = sum(x.conjugate() * y for x, y in zip(u, v)) / sum((x.conjugate() * x).real for x in u)
     if 1.0 - k == 0.0:
         raise PointAtInfinity("k rounds to 1 near the orthocentric locus: no center")
-    return Point(g1 + (g3 - g1) * unit / (1.0 - k) / unit)
+    return finite_point(g1 + (g3 - g1) * unit / (1.0 - k) / unit, "W")
 
 
 def _mean_image(images: list[MaybePoint]) -> MaybePoint:
@@ -703,10 +724,10 @@ def simson_point(q: Quadrilateral) -> MaybePoint:
     g, unit = _centroid(q._z), q._unit
     a, b, c, d = ((v - g) * unit for v in q._z)
     den = a + c - b - d
-    if abs(den) < _AT_INFINITY * ((q.scale() + abs(g)) * unit):
+    if abs(den) < _AT_INFINITY * (q.scale() * unit + abs(g * unit)):
         ad = q._diffs[2]
         return AtInfinity.along(ad.real, ad.imag)
-    return Point(g + (a * c - b * d) / den / unit)
+    return finite_point(g + (a * c - b * d) / den / unit, "S")
 
 
 def _tls_axis(z: list[complex]) -> tuple[complex, complex, list[complex]]:
@@ -843,10 +864,20 @@ def quad_distance(q1: Quadrilateral, q2: Quadrilateral) -> float:
     Needed for the periodicity checks: a period-two parallelogram returns to
     itself with vertices exchanged by the half-turn about W.
     """
-    (a, b, c, d), z = q1._z, q2._z
-    best = min(max(abs(a - z[s]), abs(b - z[s - 3]), abs(c - z[s - 2]), abs(d - z[s - 1]))
-               for s in range(4))
+    (a, b, c, d), (e, f, g, h) = q1._z, q2._z
+    best = min(max(abs(a - e), abs(b - f), abs(c - g), abs(d - h)),
+               max(abs(a - f), abs(b - g), abs(c - h), abs(d - e)),
+               max(abs(a - g), abs(b - h), abs(c - e), abs(d - f)),
+               max(abs(a - h), abs(b - e), abs(c - f), abs(d - g)))
     return best / max(q1._scale, q2._scale)
+
+
+def reordered_isoptic_points(q: Quadrilateral) -> list[MaybePoint]:
+    """isoptic_point of ACBD and ACDB with no Quadrilateral built: they have
+    q's six vertex gaps, so its diameter and frame, and C - A for B - A."""
+    a, b, c, d = q._z
+    return [_isoptic_point(z, q._scale, q._unit, q._diffs[1])
+            for z in ((a, c, b, d), (a, c, d, b))]
 
 
 def periodicity_residual(q: QuadOrState, tol: float = DEFAULT_TOL) -> float:
@@ -913,8 +944,8 @@ def feet_circles_residual(st: QuadState) -> float | None:
                (C, fd, d2), (C, fa, b2), (D, fa, a2), (D, fb, c2)]
     worst = 0.0
     for p1, p2, p3 in triples:
-        circ = circumcircle(p1, p2, p3, tol)
-        worst = max(worst, circ.distance_to(w) / st.scale)
+        o, radius = circumscribe(p1, p2, p3, tol)
+        worst = max(worst, abs(abs(w - o) - radius) / st.scale)
     return worst
 
 

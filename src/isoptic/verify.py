@@ -24,7 +24,7 @@ from .kernel import (
     Record,
     Report,
     check_tol,
-    circumcircle,
+    circumscribe,
     is_finite,
     orthocenter,
 )
@@ -39,7 +39,6 @@ from .quad import (
     feet_circles_residual,
     interior_angles,
     isodynamic_residual,
-    isoptic_point,
     isoptic_point_via_inv_iso,
     isoptic_point_via_inversion,
     isoptic_point_via_limit,
@@ -50,6 +49,7 @@ from .quad import (
     periodicity_residual,
     quad_distance,
     quadrangle_duality_residual,
+    reordered_isoptic_points,
     shape_of_sides,
     six_cs_residual,
     spiral_transport_residual,
@@ -93,7 +93,8 @@ def _normalized(z: list[complex]) -> list[complex] | None:
     """The vertices of Quadrilateral(*z) with the centroid moved to 0 and the
     diameter scaled to 1: its centroid sum and scale, (x - g) * (1 / d); None
     when two of them are closer than d / _MAX_ASPECT."""
-    gaps = [math.hypot((w - v).real, (w - v).imag) for v, w in combinations(z, 2)]
+    a, b, c, d = z
+    gaps = [math.hypot(v.real, v.imag) for v in (b - a, c - a, d - a, c - b, d - b, d - c)]
     d = max(gaps)
     if not 0.0 < d / _MAX_ASPECT <= min(gaps):
         return None
@@ -107,9 +108,11 @@ def _angles_ok(z: list[complex]) -> bool:
     the two sides at each vertex, |u x v| / (|u| |v|), is at least
     sin(_MIN_ANGLE)."""
     a, b, c, d = z
-    s = (b - a, c - b, d - c, a - d)
-    return all(abs(t.imag) >= _SIN_MIN_ANGLE * abs(t)
-               for t in (s[i].conjugate() * s[i - 1] for i in range(4)))
+    ab, bc, cd, da = b - a, c - b, d - c, a - d
+    return (abs((t := ab.conjugate() * da).imag) >= _SIN_MIN_ANGLE * abs(t)
+            and abs((t := bc.conjugate() * ab).imag) >= _SIN_MIN_ANGLE * abs(t)
+            and abs((t := cd.conjugate() * bc).imag) >= _SIN_MIN_ANGLE * abs(t)
+            and abs((t := da.conjugate() * cd).imag) >= _SIN_MIN_ANGLE * abs(t))
 
 
 def _simple_convex_order(z: list[complex]) -> list[complex]:
@@ -143,47 +146,49 @@ def _draw(rng: random.Random, shape_class: str) -> Quadrilateral | None:
 
 
 def _vertices(rng: random.Random, shape_class: str) -> list[complex] | None:
+    # rng.uniform(lo, hi) written out as lo + (hi - lo) * rng.random(): the same floats
+    rnd = rng.random
     if shape_class in ("convex-noncyclic", "concave"):
-        pts = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
+        pts = [complex(-1 + 2 * rnd(), -1 + 2 * rnd()) for _ in range(4)]
         if shape_class == "convex-noncyclic":
             return _simple_convex_order(pts)
         # concave: triangle with an interior point spliced in as C
         a, b, c = pts[0], pts[1], pts[2]
-        u, v = rng.uniform(0.15, 0.4), rng.uniform(0.15, 0.4)
+        u, v = 0.15 + (0.4 - 0.15) * rnd(), 0.15 + (0.4 - 0.15) * rnd()
         return [a, b, a + (b - a) * u + (c - a) * v, c]
     if shape_class in ("cyclic", "near-cyclic"):
-        ts = sorted(rng.uniform(0.0, 2.0 * math.pi) for _ in range(4))
+        ts = sorted(2.0 * math.pi * rnd() for _ in range(4))
         pts = [complex(math.cos(t), math.sin(t)) for t in ts]
         if shape_class == "near-cyclic":
-            bump = rng.uniform(10.0, 1e3) * DEFAULT_TOL * 2.0
+            bump = (10.0 + (1e3 - 10.0) * rnd()) * DEFAULT_TOL * 2.0
             pts[3] = pts[3] * (1.0 + bump)
         return pts
     if shape_class == "trapezoid":
-        a = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        direction = cmath.rect(1.0, rng.uniform(0, math.pi))
+        a = complex(-1 + 2 * rnd(), -1 + 2 * rnd())
+        direction = cmath.rect(1.0, math.pi * rnd())
         normal = 1j * direction
-        b = a + direction * rng.uniform(0.8, 1.6)
-        h = rng.uniform(0.4, 1.2)
-        c = b + normal * h - direction * rng.uniform(0.1, 0.5)
-        d = a + normal * h + direction * rng.uniform(0.1, 0.5)
+        b = a + direction * (0.8 + (1.6 - 0.8) * rnd())
+        h = 0.4 + (1.2 - 0.4) * rnd()
+        c = b + normal * h - direction * (0.1 + (0.5 - 0.1) * rnd())
+        d = a + normal * h + direction * (0.1 + (0.5 - 0.1) * rnd())
         return [a, b, c, d]
     if shape_class in ("parallelogram", "parallelogram-pi4"):
-        a = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        theta = rng.uniform(0.0, math.pi)
+        a = complex(-1 + 2 * rnd(), -1 + 2 * rnd())
+        theta = math.pi * rnd()
         if shape_class == "parallelogram-pi4":
             phi = theta + math.pi / 4.0
         else:
-            phi = theta + rng.uniform(0.4, math.pi - 0.4)
-        u = cmath.rect(rng.uniform(0.7, 1.5), theta)
-        v = cmath.rect(rng.uniform(0.7, 1.5), phi)
+            phi = theta + (0.4 + (math.pi - 0.4 - 0.4) * rnd())
+        u = cmath.rect(0.7 + (1.5 - 0.7) * rnd(), theta)
+        v = cmath.rect(0.7 + (1.5 - 0.7) * rnd(), phi)
         return [a, a + u, a + u + v, a + v]
     if shape_class == "orthocentric":
         lo, hi = _ACUTE_COS
         for _ in range(64):
-            a, b, c = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3))
-            turns = ((b - a).conjugate() * (c - a), (c - b).conjugate() * (a - b),
-                     (a - c).conjugate() * (b - c))
-            if all(lo * abs(t) < t.real < hi * abs(t) for t in turns):
+            a, b, c = (complex(-1 + 2 * rnd(), -1 + 2 * rnd()) for _ in range(3))
+            if (lo * abs(t := (b - a).conjugate() * (c - a)) < t.real < hi * abs(t)
+                    and lo * abs(t := (c - b).conjugate() * (a - b)) < t.real < hi * abs(t)
+                    and lo * abs(t := (a - c).conjugate() * (b - c)) < t.real < hi * abs(t)):
                 return [a, b, c, orthocenter(a, b, c)]
     return None
 
@@ -255,9 +260,7 @@ def _inv_permutation(st):
     if not is_finite(w):
         return None
     worst = 0.0
-    a, b, c, d = st.q.vertices()
-    for order in ((a, c, b, d), (a, c, d, b)):
-        alt = isoptic_point(Quadrilateral(*order))
+    for alt in reordered_isoptic_points(st.q):
         if not is_finite(alt):
             return None
         worst = max(worst, abs(alt - w) / st.scale)
@@ -297,8 +300,8 @@ def _inv_q2_construction(st):
     circumcenters solved one by one, in Q1's diameter (their own error
     scale)."""
     a, b, c, d = st.q.vertices()
-    centers = [circumcircle(*t).o for t in ((d, a, b), (a, b, c), (b, c, d), (c, d, a))]
-    return max(abs(o - v) for o, v in zip(centers, st.q2.vertices())) / st.scale
+    return max(abs(circumscribe(*t, DEFAULT_TOL, with_radius=False) - v) for t, v
+               in zip(((d, a, b), (a, b, c), (b, c, d), (c, d, a)), st.q2.vertices())) / st.scale
 
 
 def _inv_cyclic_degeneration(st):
@@ -393,9 +396,9 @@ def run_suite(spec: CaseSpec, n_cases: int, tol: float = 1e-8) -> SuiteReport:
     if n_cases <= 0:
         raise ValueError("n_cases must be positive")
     check_tol(tol)
-    applicable = {name: fn for name, (fn, classes) in INVARIANTS.items()
-                  if spec.shape_class in classes}
-    stats = {name: InvariantStats(name) for name in applicable}
+    # each applicable invariant with its stats, read from INVARIANTS per call
+    applicable = [(fn, InvariantStats(name)) for name, (fn, classes) in INVARIANTS.items()
+                  if spec.shape_class in classes]
     errors = 0
     for index in range(n_cases):
         try:
@@ -404,19 +407,18 @@ def run_suite(spec: CaseSpec, n_cases: int, tol: float = 1e-8) -> SuiteReport:
         except GeometryError:
             errors += 1
             continue
-        for name, fn in applicable.items():
-            st = stats[name]
+        for fn, st in applicable:
             try:
                 res = fn(state)
             except GeometryError:
-                st.skipped += 1
-                continue
+                res = None
             if res is None:
                 st.skipped += 1
                 continue
             st.cases_run += 1
-            st.max_residual = max(st.max_residual, res)
+            if res > st.max_residual:  # max's choice: a nan residual is not kept
+                st.max_residual = res
             if res > tol:
                 st.failures += 1
     return SuiteReport(spec=spec, n_cases=n_cases, tol=tol,
-                       invariants=stats, errors=errors)
+                       invariants={st.name: st for _, st in applicable}, errors=errors)

@@ -24,10 +24,12 @@ from isoptic.kernel import (
     Point,
     circle_of_similitude,
     circumcircle,
+    circumscribe,
     intersect,
     invert_circle,
     invert_point,
     is_finite,
+    isogonal_conjugate,
     isogonal_conjugate_triangle,
     orthocenter,
 )
@@ -60,6 +62,7 @@ from isoptic.quad import (
     reconstruct_fourth_vertex,
     reconstruct_from_pedal_w,
     reconstruct_from_simson,
+    reordered_isoptic_points,
     similarity_ratio,
     simson_line,
     simson_point,
@@ -887,6 +890,46 @@ class TestClosedFormsExact:
             assert _float_error(simson_point(q), s) <= 1e-13 * q.scale()
 
 
+class TestOnePassFormsBitForBit:
+    """The hot path's one-pass forms give what the slow forms that the
+    package keeps give, bit for bit: compared by repr, since AtInfinity
+    equality is per class and a repr shows every bit of a float."""
+
+    POOL = [q for shape in SHAPE_CLASSES for q in generic_quads(20, shape, seed=13)]
+
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            return repr(fn(*args))
+        except GeometryError as exc:
+            return type(exc).__name__
+
+    def test_conjugates_in_triads_are_isogonal_conjugates(self):
+        for q0 in self.POOL:
+            for scale in (1e-300, 1.0, 1e300):
+                q = Quadrilateral(*(Point(v * scale) for v in q0.vertices()))
+                a, b, c, d = q.vertices()
+                triads = (((d, a, b), c), ((a, b, c), d), ((b, c, d), a), ((c, d, a), b))
+                slow = [self._outcome(isogonal_conjugate, *t, p, 1e-9) for t, p in triads]
+                fast = self._outcome(_conjugates_in_triads, q, 1e-9)
+                assert fast == f"[{', '.join(slow)}]", (q, scale)
+
+    def test_reordered_w_is_w_of_the_built_reorderings(self):
+        for q in self.POOL:
+            a, b, c, d = q.vertices()
+            slow = [isoptic_point(Quadrilateral(*order)) for order in ((a, c, b, d), (a, c, d, b))]
+            assert repr(reordered_isoptic_points(q)) == repr(slow)
+
+    def test_center_only_circumcircle_is_circumcircle_center(self):
+        for q in self.POOL:
+            a, b, c, d = q.vertices()
+            for t in ((d, a, b), (a, b, c), (b, c, d), (c, d, a)):
+                circle = circumcircle(*t)
+                assert repr(circumscribe(*t, 1e-9, with_radius=False)) == repr(circle.o)
+                assert repr(circumscribe(*t, 1e-9)) == repr((circle.o, circle.r))
+                assert repr(orthocenter(*t)) == repr(Point(sum(t) - 2.0 * circle.o))
+
+
 class TestComputeOnce:
     @staticmethod
     def _record(monkeypatch, names):
@@ -946,6 +989,48 @@ class TestComputeOnce:
         seen = calls["triad_circles"]
         assert len(seen) == 5
         assert len(set(seen)) == 5
+
+    @staticmethod
+    def _generic_states(*parts):
+        """States of generic cases with the named parts already built."""
+        states = [QuadState(q) for shape in ("convex-noncyclic", "concave", "trapezoid")
+                  for q in generic_quads(10, shape, seed=5)]
+        for st in states:
+            for part in parts:
+                getattr(st, part)
+        return states
+
+    @staticmethod
+    def _count_calls(monkeypatch, cls, name):
+        """Record each call of the method cls.name."""
+        calls, method = [], getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return method(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+        return calls
+
+    def test_permutation_invariance_builds_no_quadrilateral(self, monkeypatch):
+        states = self._generic_states("w")
+        # every Quadrilateral, built from vertices or from a side table, takes its frame
+        built = self._count_calls(monkeypatch, Quadrilateral, "_frame")
+        Quadrilateral(*GENERIC.vertices())
+        assert len(built) == 1
+        built.clear()
+        permutation = INVARIANTS["permutation_invariance"][0]
+        assert all(permutation(st) < 1e-12 for st in states)
+        assert built == []
+
+    def test_q2_construction_builds_no_circle(self, monkeypatch):
+        states = self._generic_states("q2")
+        built = self._count_calls(monkeypatch, Circle, "__init__")
+        circumcircle(*UNIT)
+        assert len(built) == 1
+        built.clear()
+        q2_construction = INVARIANTS["q2_construction"][0]
+        assert all(q2_construction(st) < 1e-12 for st in states)
+        assert built == []
 
     def test_limit_route_builds_q2_and_q3_only(self, monkeypatch):
         import isoptic.quad as quad
@@ -1164,24 +1249,49 @@ class TestScaleSweep:
 
 
 
+# (spec, case, scale, offset): quadrilaterals at the edges of the float range
+_FLOAT_EDGE_REPLAYS = [
+    # about 1e300 near 5.7e307: sum(vertices) / 4 overflowed to inf before the
+    # division, so the centroid read (inf, nan) and W and S were Point(nan, nan)
+    (CaseSpec(11, "parallelogram-pi4"), 35, 6.6e299, complex(5.7e307, -1.8e307)),
+    # about 1e307 near 1.9e308: abs(centroid) overflowed in the at-infinity
+    # cuts of W and S (OverflowError), and on the trapezoid a conjugate of
+    # the inverse-isogonal route was inf, so that route read Point(nan, nan)
+    *((CaseSpec(7, shape), 0, 1e307, 1.5e308 + 1.2e308j)
+      for shape in ("convex-noncyclic", "concave", "trapezoid", "parallelogram")),
+    # subnormal: tol * r underflowed to 0 in invert_point, which then divided
+    # by a v that was exactly 0 (ZeroDivisionError)
+    (CaseSpec(7, "orthocentric"), 0, 1e-320, 0j),
+]
+
+
 def test_no_nan_point_near_the_float_maximum():
-    """A quadrilateral of about 1e300 near 5.7e307: sum(vertices) / 4
-    overflowed to inf before the division, so the centroid read (inf, nan)
-    and W and S came back as Point(nan, nan), which is_finite accepts.  The
-    centroid now sums the quarters.  Each construction returns a point with
-    no NaN or raises a GeometryError."""
-    q = random_quadrilateral(CaseSpec(11, "parallelogram-pi4"), 35)
-    far = Quadrilateral(*(Point(v * 6.6e299 + complex(5.7e307, -1.8e307)) for v in q.vertices()))
-    calls = [far.centroid, lambda: analyze(far).w, lambda: analyze(far).s,
-             lambda: isoptic_point(far), lambda: simson_point(far),
-             lambda: isoptic_point_via_limit(far), lambda: isoptic_point_via_inversion(far),
-             lambda: isoptic_point_via_inv_iso(far)]
-    for call in calls:
-        try:
-            p = call()
-        except GeometryError:
-            continue
-        assert not (is_finite(p) and cmath.isnan(p)), p
+    """Each construction returns a finite point or a point at infinity, or
+    raises a GeometryError, on quadrilaterals at the edges of the float
+    range: a Point with an inf or nan part, which is_finite accepts, or an
+    OverflowError or ZeroDivisionError is a fault."""
+    for spec, index, scale, offset in _FLOAT_EDGE_REPLAYS:
+        q = random_quadrilateral(spec, index)
+        far = Quadrilateral(*(Point(v * scale + offset) for v in q.vertices()))
+        calls = [far.centroid, lambda: analyze(far).w, lambda: analyze(far).s,
+                 lambda: isoptic_point(far), lambda: simson_point(far),
+                 lambda: isoptic_point_via_limit(far), lambda: isoptic_point_via_inversion(far),
+                 lambda: isoptic_point_via_inv_iso(far)]
+        for call in calls:
+            try:
+                p = call()
+            except GeometryError:
+                continue
+            assert not is_finite(p) or cmath.isfinite(p), (spec, p)
+
+
+def test_w_routes_agree_near_the_float_maximum():
+    # the parallelogram of the replays above: W is its center exactly
+    q = random_quadrilateral(CaseSpec(7, "parallelogram"), 0)
+    far = Quadrilateral(*(Point(v * 1e307 + (1.5e308 + 1.2e308j)) for v in q.vertices()))
+    for route in (isoptic_point, isoptic_point_via_limit, isoptic_point_via_inversion,
+                  isoptic_point_via_inv_iso):
+        assert route(far) == Point(1.5e308, 1.2e308)
 
 
 def test_public_constructions_return_points():
