@@ -55,7 +55,7 @@ def _points_json(pts):
 
 
 def _circle_json(c):
-    return {"kind": "circle", "center": _xy(c.o), "radius": _num(c.radius())}
+    return {"kind": "circle", "center": _xy(c.o), "radius": _num(c.r)}
 
 
 def _dump(obj, out_path: str | None):
@@ -305,7 +305,7 @@ def main(argv=None) -> int:
         return 0
     try:
         return args.fn(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GeometryError as exc:

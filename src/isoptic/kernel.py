@@ -159,12 +159,6 @@ class Circle(Record):
         _set(self, "o", o)
         _set(self, "r", r)
 
-    def center(self) -> Point:
-        return Point(self.o)
-
-    def radius(self) -> float:
-        return self.r
-
     def distance_to(self, p: complex) -> float:
         return abs(abs(p - self.o) - self.r)
 
@@ -178,9 +172,6 @@ class Line(Record):
     def __init__(self, p: complex, u: complex):
         _set(self, "p", p)
         _set(self, "u", u)
-
-    def direction(self) -> Point:
-        return Point(self.u)
 
     def distance_to(self, q: complex) -> float:
         # the cross of u with q - p
@@ -212,9 +203,10 @@ def circumscribe(p: complex, q: complex, r: complex, tol: float,
                  with_radius: bool = True) -> tuple[complex, float] | complex:
     """Center and radius (the mean distance to the three) of the circle through three points,
     or the center alone, tol unchecked, solved from the differences to p in the unit_near of
-    the longer; raises as circumcenter does, and DegenerateCircle as Circle does."""
+    their largest part (their moduli may overflow); raises as circumcenter does, and
+    DegenerateCircle as Circle does."""
     a, b = q - p, r - p
-    unit = unit_near(max(abs(a), abs(b)))
+    unit = unit_near(max(abs(a.real), abs(a.imag), abs(b.real), abs(b.imag)))
     a, b = a * unit, b * unit
     c = circumcenter(a, b, tol)
     if not with_radius:
@@ -401,21 +393,6 @@ def mirrored_cevian(v: complex, x: complex, y: complex, p: complex) -> complex:
     return _direction(x - v) * _direction(y - v) * _direction(p - v).conjugate()
 
 
-def isogonal_conjugate(a: complex, b: complex, c: complex, p: complex,
-                       tol: float = DEFAULT_TOL) -> MaybePoint:
-    """Isogonal conjugate of p in the triangle a, b, c: the meet_of_cevians of
-    its three mirrored_cevian lines, the two that cross at the widest angle.  A point
-    on the circumcircle, where the three are parallel, goes to infinity along
-    them; one on a side line to the opposite vertex, where the lines of the
-    other two vertices meet; one within tol of a vertex raises
-    DegenerateConjugate."""
-    gaps = abs(a - p), abs(b - p), abs(c - p)
-    if min(gaps) < tol * (max(*gaps, abs(b - a), abs(c - b), abs(a - c)) or 1.0):
-        raise DegenerateConjugate("conjugate of a triangle vertex")
-    return meet_of_cevians(a, mirrored_cevian(a, b, c, p), b, mirrored_cevian(b, c, a, p),
-                           c, mirrored_cevian(c, a, b, p), tol)
-
-
 def meet_of_cevians(a: complex, ua: complex, b: complex, ub: complex, c: complex,
                     uc: complex, tol: float) -> MaybePoint:
     """The meet of the two of the lines a + t ua, b + t ub and c + t uc that cross at the widest
@@ -432,15 +409,22 @@ def meet_of_cevians(a: complex, ua: complex, b: complex, ub: complex, c: complex
     return finite_point(m, "the isogonal conjugate")
 
 
-def isogonal_conjugate_triangle(a: Point, b: Point, c: Point, p: MaybePoint,
+def isogonal_conjugate_triangle(a: complex, b: complex, c: complex, p: MaybePoint,
                                 tol: float = DEFAULT_TOL) -> MaybePoint:
-    """Isogonal conjugate of p in the triangle a, b, c (see
-    isogonal_conjugate).  A triangle flat within tol, read in the unit_near
-    of its longer side from a, raises circumcenter's CollinearInput; a point
-    at infinity raises DegenerateConjugate."""
+    """Isogonal conjugate of p in the triangle a, b, c: the meet_of_cevians of
+    its three mirrored_cevian lines, the two that cross at the widest angle.  A
+    point on the circumcircle, where the three are parallel, goes to infinity
+    along them; one on a side line to the opposite vertex, where the lines of
+    the other two vertices meet.  A triangle flat within tol, read in the
+    unit_near of its longer side from a, raises circumcenter's CollinearInput;
+    a point at infinity, or one within tol of a vertex, DegenerateConjugate."""
     u, v = b - a, c - a
     unit = unit_near(max(abs(u), abs(v)))
     circumcenter(u * unit, v * unit, check_tol(tol))
-    if not is_finite(p):
+    if isinstance(p, AtInfinity):
         raise DegenerateConjugate("conjugate of a point at infinity")
-    return isogonal_conjugate(a, b, c, p, tol)
+    gaps = abs(a - p), abs(b - p), abs(c - p)
+    if min(gaps) < tol * (max(*gaps, abs(b - a), abs(c - b), abs(a - c)) or 1.0):
+        raise DegenerateConjugate("conjugate of a triangle vertex")
+    return meet_of_cevians(a, mirrored_cevian(a, b, c, p), b, mirrored_cevian(b, c, a, p),
+                           c, mirrored_cevian(c, a, b, p), tol)

@@ -120,8 +120,9 @@ class Quadrilateral(Record):
         _set(self, "_scale", scale)
         _set(self, "_height", height / unit)
         # a triad holding two vertices delta apart is at most delta high, so
-        # this also rejects coincident vertices
-        if height < tol * (scale * unit):
+        # this rejects coincident vertices, save in a side table whose entries
+        # round apart from each other: there a zero side is tested on its own
+        if height < tol * (scale * unit) or not (nab and nac and nad and nbc and nbd and ncd):
             raise CollinearInput("three vertices are collinear within tolerance")
 
     def vertices(self) -> tuple[Point, Point, Point, Point]:
@@ -145,9 +146,6 @@ class Quadrilateral(Record):
     def min_triad_height(self) -> float:
         """Least height of the four triangles of three vertices."""
         return self._height
-
-    def is_convex(self) -> bool:
-        return shape_of_sides(self._sides())[0]
 
     def _area2(self) -> float:
         # twice the signed area in the frame, from the edge vectors at A: the
@@ -255,10 +253,7 @@ class QuadState:
     def __init__(self, q: Quadrilateral, tol: float = DEFAULT_TOL):
         self.q = q
         self.tol = check_tol(tol)
-
-    @_part
-    def scale(self) -> float:
-        return self.q.scale()
+        self.scale = q._scale
 
     @_part
     def triads(self) -> TriadSystem:
@@ -352,8 +347,8 @@ def classify(q: QuadOrState, tol: float = DEFAULT_TOL) -> ShapeClass:
         return (abs(_cross(u, v)) / (math.hypot(u.real, u.imag) * math.hypot(v.real, v.imag))
                 < 1e3 * st.tol)
 
-    ab, bc, cd, da = st.q._sides()
-    return ShapeClass(convex=st.q.is_convex(), cyclic=st.cyclic,
+    sides = ab, bc, cd, da = st.q._sides()
+    return ShapeClass(convex=shape_of_sides(sides)[0], cyclic=st.cyclic,
                       orthocentric=not is_finite(st.w),
                       trapezoid=parallel(ab, cd) or parallel(bc, da),
                       parallelogram=not is_finite(st.s))
@@ -379,12 +374,15 @@ def shape_of_sides(sides: tuple[complex, ...]) -> tuple[bool, float, tuple[compl
     """(convex, r, turns) of the quadrilateral with sides B - A, C - B, D - C
     and A - D in any frame, which changes no cot or sign.  The turn at a
     vertex, conj(u) v for the outgoing side u and the reversed incoming one
-    v, holds u.v and u x v; r is read from their cots unchecked."""
+    v, holds u.v and u x v; r is read from their cots, unchecked but for a
+    cross that is exactly 0, which raises IllConditionedAngles."""
     ab, bc, cd, da = sides
     turns = ta, tb, tc, td = (ab.conjugate() * -da, bc.conjugate() * -ab,
                               cd.conjugate() * -bc, da.conjugate() * -cd)
     convex = ((ta.imag > 0 and tb.imag > 0 and tc.imag > 0 and td.imag > 0)
               or (ta.imag < 0 and tb.imag < 0 and tc.imag < 0 and td.imag < 0))
+    if not (convex or (ta.imag and tb.imag and tc.imag and td.imag)):
+        raise IllConditionedAngles("two sides at a vertex are parallel or one of them is 0")
     return convex, 0.25 * (ta.real / ta.imag + tc.real / tc.imag) * (
         tb.real / tb.imag + td.real / td.imag), turns
 
@@ -494,7 +492,7 @@ def next_generation(q: QuadOrState, tol: float = DEFAULT_TOL) -> Quadrilateral:
 def _collapse(st: QuadState) -> CyclicDegeneration:
     """The error of a cyclic input's Q2, which is one point: the circumcenter."""
     return CyclicDegeneration("cyclic quadrilateral degenerates to a point",
-                              point=st.triads.o2.center())
+                              point=Point(st.triads.o2.o))
 
 
 def prev_generation(q: QuadOrState, tol: float = DEFAULT_TOL) -> Quadrilateral:
@@ -532,7 +530,7 @@ def prev_generation(q: QuadOrState, tol: float = DEFAULT_TOL) -> Quadrilateral:
 
 def _conjugates_in_triads(q: Quadrilateral, tol: float) -> list[MaybePoint]:
     """The isogonal conjugate of the vertex left out of each triad DAB, ABC,
-    BCD and CDA (C, D, A and B) in the triangle of that triad, isogonal_conjugate's
+    BCD and CDA (C, D, A and B) in the triangle of that triad, isogonal_conjugate_triangle's
     in one pass: each pair's length and unit direction formed once."""
     a, b, c, d = q._z
     ab, ac, ad, bc, bd, cd = b - a, c - a, d - a, c - b, d - b, d - c
@@ -708,7 +706,8 @@ def pedal_quadrilateral(q: Quadrilateral, p: Point) -> list[Point]:
 
 def varignon(q: Quadrilateral) -> list[Point]:
     z = q._z
-    return [Point(0.5 * (z[i] + z[(i + 1) % 4])) for i in range(4)]
+    # 0.5 * a + 0.5 * b: the sum a + b overflows near the float maximum
+    return [Point(0.5 * z[i] + 0.5 * z[(i + 1) % 4]) for i in range(4)]
 
 
 def simson_point(q: Quadrilateral) -> MaybePoint:
@@ -731,9 +730,9 @@ def simson_point(q: Quadrilateral) -> MaybePoint:
 
 
 def _tls_axis(z: list[complex]) -> tuple[complex, complex, list[complex]]:
-    """The centroid g of the points z, the unit direction of their
-    total-least-squares line through g, and the points relative to g."""
-    g = sum(z) / len(z)
+    """The centroid g of the four points z (_centroid), the unit direction of
+    their total-least-squares line through g, and the points relative to g."""
+    g = _centroid(z)
     rel = [v - g for v in z]
     # sum (z - g)^2 = sxx - syy + 2i sxy: half its phase is the principal
     # direction of the scatter matrix; the offsets are squared in a power of
@@ -744,7 +743,7 @@ def _tls_axis(z: list[complex]) -> tuple[complex, complex, list[complex]]:
 
 
 def collinearity_residual(points: list[Point]) -> float:
-    """Largest distance of the points from their total-least-squares line."""
+    """Largest distance of the four points from their total-least-squares line."""
     _, u, rel = _tls_axis(points)
     return max(abs(_cross(u, v)) for v in rel)
 

@@ -12,9 +12,6 @@ from .quad import QuadState, Quadrilateral, next_generation, simson_line, varign
 
 _SIZE = 640  # width and height of the SVG viewport in pixels
 
-LAYERS = ("quad", "triads", "cs", "w", "s", "pedal-w", "pedal-s",
-          "varignon", "simson", "generations")
-
 _PALETTE = {
     "quad": "#1f3a5f",
     "triads": "#888888",
@@ -28,10 +25,17 @@ _PALETTE = {
     "generations": "#b0a29a",
 }
 
+LAYERS = tuple(_PALETTE)  # the layer names, in draw order
+
 
 def _fmt(x: float) -> str:
     text = format(x, ".6f")
     return "0.000000" if text == "-0.000000" else text
+
+
+def _stroke(color, width, dash) -> str:
+    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+    return f'stroke="{color}" stroke-width="{_fmt(width)}"{dash_attr}'
 
 
 class _Canvas:
@@ -39,39 +43,29 @@ class _Canvas:
         self.elements: list[str] = []
         self.points: list[Point] = []
 
-    def track(self, *pts: Point):
-        self.points.extend(p for p in pts if isinstance(p, Point))
-
     def polygon(self, pts, color, width=1.0, dash=None):
-        self.track(*pts)
+        self.points.extend(pts)
         d = " ".join(f"{_fmt(p.real)},{_fmt(p.imag)}" for p in pts)
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        self.elements.append(
-            f'<polygon points="{d}" fill="none" stroke="{color}" '
-            f'stroke-width="{_fmt(width)}"{dash_attr}/>')
+        self.elements.append(f'<polygon points="{d}" fill="none" {_stroke(color, width, dash)}/>')
 
     def circle(self, center: Point, radius: float, color, width=1.0, dash=None):
-        self.track(center)
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+        self.points.append(center)
         self.elements.append(
             f'<circle cx="{_fmt(center.real)}" cy="{_fmt(center.imag)}" '
-            f'r="{_fmt(radius)}" fill="none" stroke="{color}" '
-            f'stroke-width="{_fmt(width)}"{dash_attr}/>')
+            f'r="{_fmt(radius)}" fill="none" {_stroke(color, width, dash)}/>')
 
     def dot(self, p: Point, color, radius=3.0):
-        self.track(p)
+        self.points.append(p)
         self.elements.append(
             f'<circle cx="{_fmt(p.real)}" cy="{_fmt(p.imag)}" r="{_fmt(radius)}" '
             f'fill="{color}" stroke="none" vector-effect="non-scaling-stroke" '
             f'class="marker"/>')
 
     def segment(self, a: Point, b: Point, color, width=1.0, dash=None):
-        self.track(a, b)
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+        self.points.extend((a, b))
         self.elements.append(
             f'<line x1="{_fmt(a.real)}" y1="{_fmt(a.imag)}" x2="{_fmt(b.real)}" '
-            f'y2="{_fmt(b.imag)}" stroke="{color}" '
-            f'stroke-width="{_fmt(width)}"{dash_attr}/>')
+            f'y2="{_fmt(b.imag)}" {_stroke(color, width, dash)}/>')
 
 
 def _clip_curve(canvas: _Canvas, curve: Circle | Line, color, span: float,
@@ -83,7 +77,7 @@ def _clip_curve(canvas: _Canvas, curve: Circle | Line, color, span: float,
         f = p + u * ((anchor - p) * u.conjugate()).real
         canvas.segment(Point(f - u * span), Point(f + u * span), color, width, dash)
     else:
-        canvas.circle(curve.center(), curve.r, color, width, dash)
+        canvas.circle(Point(curve.o), curve.r, color, width, dash)
 
 
 def render_svg(q: Quadrilateral, layers=("quad", "triads", "w"),

@@ -284,11 +284,10 @@ def _inv_duality(st):
 
 
 def _inv_ptolemy(st):
-    A, B, C, D = st.q.vertices()
-    ac, bd = abs(A - C), abs(B - D)
-    ab, bc, cd, da = abs(A - B), abs(B - C), abs(C - D), abs(D - A)
-    scale = st.scale ** 2
-    res1 = abs(ac * bd - (ab * cd + bc * da)) / scale
+    # the six lengths in the frame of the side table, where their products
+    # neither overflow nor underflow
+    ab, ac, da, bc, bd, cd = map(abs, st.q._diffs)
+    res1 = abs(ac * bd - (ab * cd + bc * da)) / (st.scale * st.q._unit) ** 2
     lhs = ac / bd
     rhs = (ab * da + bc * cd) / (ab * bc + da * cd)
     res2 = abs(lhs - rhs) / max(1.0, abs(lhs))

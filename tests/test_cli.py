@@ -354,13 +354,19 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-@pytest.mark.parametrize("factor", [1e-300, 1e-170, 1.0, 1e160, 1e300])
-def test_reports_are_strict_json_at_any_scale(quad_file, tmp_path, factor):
-    # iterate wrote NaN area ratios from 1e160, which no strict JSON parser reads
+_SCALES = [1e-300, 1e-170, 1.0, 1e160, 1e300]
+
+
+@pytest.mark.parametrize("factor, offset", [(f, 0.0) for f in _SCALES] + [(1e307, 1e308)],
+                         ids=[repr(f) for f in _SCALES] + ["1e+307+1e+308"])
+def test_reports_are_strict_json_at_any_scale(quad_file, tmp_path, factor, offset):
+    # iterate wrote NaN area ratios from 1e160, which no strict JSON parser
+    # reads, and analyze wrote NaN Varignon midpoints next to 1e308
     out = tmp_path / "out.json"
     for shape in SHAPE_CLASSES:
         q = random_quadrilateral(CaseSpec(3, shape), 0)
-        path = quad_file({"vertices": [[v.x * factor, v.y * factor] for v in q.vertices()]})
+        path = quad_file({"vertices": [[v.x * factor + offset, v.y * factor]
+                                       for v in q.vertices()]})
         for args in (["analyze"], ["iterate", "--generations", "2"],
                      ["iterate", "--generations", "2", "--direction", "backward"]):
             out.unlink(missing_ok=True)

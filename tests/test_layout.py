@@ -21,10 +21,10 @@ UNCALLED_BY_DESIGN = {
     "isogonal_conjugate_quad",
     # the benchmark's tracer wraps these three by name; they stay, on the
     # shared Circle, Line and Point types, until it moves to the functions
-    # the package calls (ROADMAP item 5).  isogonal_conjugate_triangle is
-    # kernel.isogonal_conjugate, the meet of mirrored cevians, with the
-    # triangle and the point checked, and the inverse-isogonal W route calls
-    # that core
+    # the package calls (ROADMAP item 1).  isogonal_conjugate_triangle checks
+    # the triangle and the point and meets the mirrored cevians
+    # (meet_of_cevians), the core that the inverse-isogonal W route reaches
+    # through quad._conjugates_in_triads
     "isogonal_conjugate_triangle",
     "intersect",
     "invert_circle",

@@ -29,7 +29,6 @@ from isoptic.kernel import (
     invert_circle,
     invert_point,
     is_finite,
-    isogonal_conjugate,
     isogonal_conjugate_triangle,
     orthocenter,
 )
@@ -225,8 +224,8 @@ class TestTriadCircles:
     def test_square_all_equal(self):
         sys = triad_circles(SQUARE)
         for c in sys.circles:
-            assert abs(c.center()) < 1e-12
-            assert c.radius() == pytest.approx(math.sqrt(2), abs=1e-12)
+            assert abs(c.o) < 1e-12
+            assert c.r == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_generic_passes_through_defining_vertices(self):
         a, b, c, d = GENERIC.vertices()
@@ -247,7 +246,7 @@ class TestTriadCircles:
         q = Quadrilateral(*vs)
         exact = _exact_next([(Fraction(v.x), Fraction(v.y)) for v in vs])
         for i in (0, 2, 3):
-            assert _float_error(triad_circles(q).circles[i].center(), exact[i]) <= 1e-14
+            assert _float_error(triad_circles(q).circles[i].o, exact[i]) <= 1e-14
 
     @pytest.mark.parametrize("factor", [1e-140, 1e140])
     def test_extreme_scales(self, factor):
@@ -257,8 +256,8 @@ class TestTriadCircles:
             for q in generic_quads(20, shape, seed=1):
                 big = Quadrilateral(*(Point(v.x * factor, v.y * factor) for v in q.vertices()))
                 for o, moved in zip(triad_circles(q).circles, triad_circles(big).circles):
-                    assert abs(moved.center() - o.center() * factor) <= 1e-14 * big.scale()
-                    assert abs(moved.radius() - o.radius() * factor) <= 1e-14 * big.scale()
+                    assert abs(moved.o - o.o * factor) <= 1e-14 * big.scale()
+                    assert abs(moved.r - o.r * factor) <= 1e-14 * big.scale()
                 w, moved = analyze(q).w, analyze(big).w
                 assert abs(moved - w * factor) <= 1e-14 * big.scale()
 
@@ -850,7 +849,7 @@ def _exact_pedal(vs, p):
 
 
 def _float_error(p, exact):
-    return math.hypot(float(Fraction(p.x) - exact[0]), float(Fraction(p.y) - exact[1]))
+    return math.hypot(float(Fraction(p.real) - exact[0]), float(Fraction(p.imag) - exact[1]))
 
 
 EXACT_CLASSES = ("convex-noncyclic", "concave", "trapezoid", "near-cyclic", "cyclic")
@@ -910,7 +909,7 @@ class TestOnePassFormsBitForBit:
                 q = Quadrilateral(*(Point(v * scale) for v in q0.vertices()))
                 a, b, c, d = q.vertices()
                 triads = (((d, a, b), c), ((a, b, c), d), ((b, c, d), a), ((c, d, a), b))
-                slow = [self._outcome(isogonal_conjugate, *t, p, 1e-9) for t, p in triads]
+                slow = [self._outcome(isogonal_conjugate_triangle, *t, p, 1e-9) for t, p in triads]
                 fast = self._outcome(_conjugates_in_triads, q, 1e-9)
                 assert fast == f"[{', '.join(slow)}]", (q, scale)
 
@@ -1178,8 +1177,8 @@ class TestSimilarityCovariance:
         for q, copy, move, rot, rel in self._copies():
             analyze(copy)  # returns on every copy
             for o, moved in zip(triad_circles(q).circles, triad_circles(copy).circles):
-                assert abs(moved.center() - move(o.center())) <= rel * copy.scale()
-                assert abs(moved.radius() - abs(rot) * o.radius()) <= rel * copy.scale()
+                assert abs(moved.o - move(o.o)) <= rel * copy.scale()
+                assert abs(moved.r - abs(rot) * o.r) <= rel * copy.scale()
 
     def test_pedal_feet_simson_line_and_reconstructions_follow_a_similarity(self):
         for q, copy, move, rot, rel in self._copies():
@@ -1194,9 +1193,9 @@ class TestSimilarityCovariance:
             if st_copy.pedal_s is None:
                 continue
             assert collinearity_residual(st_copy.pedal_s) <= bound
-            d = simson_line(st_copy).direction()
-            ref = rot / abs(rot) * simson_line(st_q).direction()
-            assert abs(ref.real * d.y - ref.imag * d.x) <= rel
+            d = simson_line(st_copy).u
+            ref = rot / abs(rot) * simson_line(st_q).u
+            assert abs(ref.real * d.imag - ref.imag * d.real) <= rel
             # a trapezoid's S lies on two side lines, so two of its feet are S
             if not st_q.shape.trapezoid:
                 rebuilt = reconstruct_from_simson(st_copy.s, st_copy.pedal_s)
@@ -1256,33 +1255,67 @@ _FLOAT_EDGE_REPLAYS = [
     (CaseSpec(11, "parallelogram-pi4"), 35, 6.6e299, complex(5.7e307, -1.8e307)),
     # about 1e307 near 1.9e308: abs(centroid) overflowed in the at-infinity
     # cuts of W and S (OverflowError), and on the trapezoid a conjugate of
-    # the inverse-isogonal route was inf, so that route read Point(nan, nan)
+    # the inverse-isogonal route was inf, so that route read Point(nan, nan);
+    # the Varignon midpoints and the Simson line's centroid summed two or four
+    # vertices before halving, and read nan
     *((CaseSpec(7, shape), 0, 1e307, 1.5e308 + 1.2e308j)
       for shape in ("convex-noncyclic", "concave", "trapezoid", "parallelogram")),
     # subnormal: tol * r underflowed to 0 in invert_point, which then divided
     # by a v that was exactly 0 (ZeroDivisionError)
     (CaseSpec(7, "orthocentric"), 0, 1e-320, 0j),
+    # feet about 1e308 out: abs of a circumscribe difference overflowed
+    (CaseSpec(11, "concave"), 7, 1e307, complex(4.564e307, -2.231e307)),
+    # subnormal Q2 side tables: a side (near-cyclic) and a turn's cross
+    # (cyclic) were exactly 0, and prev_generation and interior_angles
+    # divided by them (ZeroDivisionError)
+    (CaseSpec(78, "near-cyclic"), 32, 1e-320, 0j),
+    (CaseSpec(78, "cyclic"), 17, 1e-320, 0j),
+    # the ptolemy invariant squared the diameter: OverflowError at 1e160,
+    # ZeroDivisionError at 1e-300
+    (CaseSpec(91, "convex-noncyclic"), 0, 1e160, 0j),
+    (CaseSpec(91, "convex-noncyclic"), 0, 1e-300, 0j),
 ]
 
 
+def _holds_nan(value) -> bool:
+    """A nan float, or a complex (so a Point or a Line's p or u) with a part
+    that is not finite, anywhere in value; an inf residual is allowed."""
+    if isinstance(value, complex):
+        return not cmath.isfinite(value)
+    if isinstance(value, float):
+        return math.isnan(value)
+    if isinstance(value, Line):
+        return _holds_nan(value.p) or _holds_nan(value.u)
+    if isinstance(value, Quadrilateral):
+        value = value.vertices()
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, (list, tuple)) and any(map(_holds_nan, value))
+
+
 def test_no_nan_point_near_the_float_maximum():
-    """Each construction returns a finite point or a point at infinity, or
-    raises a GeometryError, on quadrilaterals at the edges of the float
-    range: a Point with an inf or nan part, which is_finite accepts, or an
-    OverflowError or ZeroDivisionError is a fault."""
+    """Each construction, residual and invariant returns a finite point or a
+    point at infinity and no nan, or raises a GeometryError, on
+    quadrilaterals at the edges of the float range: a Point with an inf or
+    nan part, which is_finite accepts, or an OverflowError or
+    ZeroDivisionError is a fault."""
     for spec, index, scale, offset in _FLOAT_EDGE_REPLAYS:
         q = random_quadrilateral(spec, index)
         far = Quadrilateral(*(Point(v * scale + offset) for v in q.vertices()))
         calls = [far.centroid, lambda: analyze(far).w, lambda: analyze(far).s,
                  lambda: isoptic_point(far), lambda: simson_point(far),
                  lambda: isoptic_point_via_limit(far), lambda: isoptic_point_via_inversion(far),
-                 lambda: isoptic_point_via_inv_iso(far)]
+                 lambda: isoptic_point_via_inv_iso(far), lambda: varignon(far),
+                 lambda: simson_line(far), lambda: analyze(far).residuals,
+                 lambda: interior_angles(QuadState(far).q2),
+                 lambda: prev_generation(QuadState(far).q2)]
+        calls += [lambda fn=fn: fn(QuadState(far)) for fn, _ in INVARIANTS.values()]
         for call in calls:
             try:
-                p = call()
+                value = call()
             except GeometryError:
                 continue
-            assert not is_finite(p) or cmath.isfinite(p), (spec, p)
+            assert not _holds_nan(value), (spec, scale, value)
 
 
 def test_w_routes_agree_near_the_float_maximum():
@@ -1310,7 +1343,7 @@ def test_public_constructions_return_points():
         "quad": rep.quad.vertices(),
         "next_generation": next_generation(q).vertices(),
         "prev_generation": prev_generation(q).vertices(),
-        "centers": [o.center() for o in rep.triads.circles] + [q.centroid()],
+        "centroid": [q.centroid()],
         "w routes": [route(q) for route in (isoptic_point_via_limit,
                                             isoptic_point_via_inversion,
                                             isoptic_point_via_inv_iso)],
