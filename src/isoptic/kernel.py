@@ -295,7 +295,11 @@ def invert_point(mirror: Circle, p: MaybePoint, tol: float = DEFAULT_TOL) -> May
         return Point(o)
     v = p - o
     # relative to r: tol * r underflows to 0 at subnormal sizes, and v can be 0
-    if abs(v / r) < tol:
+    try:
+        near = abs(v / r) < tol
+    except OverflowError:  # |v| beyond the float range, so p is no center
+        near = False
+    if near:
         return AtInfinity.along(1.0, 0.0)
     return finite_point(o + r * (r / v.conjugate()), "the inverse point")
 
@@ -346,19 +350,22 @@ def circle_of_similitude(o1: Circle, o2: Circle, tol: float = DEFAULT_TOL) -> Ci
 
 
 def max_cs_distance(w: complex, circles: tuple[Circle, ...] | list[Circle],
-                    tol: float = DEFAULT_TOL, min_gap: float = 0.0) -> float:
+                    tol: float = DEFAULT_TOL, min_gap: float = 0.0, unit: float = 1.0) -> float:
     """Largest first-order distance of w from the circles of similitude of
     the pairs of circles, with no circle built: the Apollonius defect d1 - k d2
     (d_i = |w - c_i|, k = R1 / R2) over its gradient (w - c1) / d1 - k (w - c2)
     / d2, with each circle's w - c, d and (w - c) / d formed once, so that no
     product of a distance and a radius forms.  w at a center is infinitely
     far; a pair of centers less than min_gap apart is skipped (0.0 if all
-    are) and a concentric pair raises ConcentricCircles."""
-    terms = []
+    are) and a concentric pair raises ConcentricCircles.  Everything is read
+    times unit, an exact power of two, so that no distance overflows."""
+    terms, wu = [], w * unit
     for c in circles:
-        u = w - c.o
+        o, r = c.o * unit, c.r * unit
+        u = wu - o
         d = abs(u)
-        terms.append((c.o, c.r, tol * c.r, u, d, u / d if d else u))
+        terms.append((o, r, tol * r, u, d, u / d if d else u))
+    min_gap *= unit
     worst = None  # max(defects): the first, then each larger one, so a first nan stays
     for i, (o1, r1, tr1, _, d1, e1) in enumerate(terms):
         for o2, r2, tr2, v, d2, _ in terms[i + 1:]:
@@ -373,7 +380,7 @@ def max_cs_distance(w: complex, circles: tuple[Circle, ...] | list[Circle],
             defect = abs(d1 - k * d2) / grad if grad else math.inf
             if worst is None or defect > worst:
                 worst = defect
-    return 0.0 if worst is None else worst
+    return 0.0 if worst is None else worst / unit
 
 
 def orthocenter(p: complex, q: complex, r: complex) -> Point:

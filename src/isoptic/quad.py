@@ -117,6 +117,9 @@ class Quadrilateral(Record):
         _set(self, "_z", z)
         _set(self, "_diffs", frame)
         _set(self, "_unit", unit)
+        # the frame of offsets from far points (W, S): _unit, but never above 1,
+        # since one that scaled up would round a subnormal offset otherwise
+        _set(self, "_unit_down", min(unit, 1.0))
         _set(self, "_scale", scale)
         _set(self, "_height", height / unit)
         # a triad holding two vertices delta apart is at most delta high, so
@@ -152,7 +155,7 @@ class Quadrilateral(Record):
         # absolute-coordinate shoelace cancels to 0 on a quadrilateral far
         # smaller than its distance from the origin
         ab, ac, ad = self._diffs[:3]
-        return _cross(ab, ac) + _cross(ac, ad)
+        return (ab.real * ac.imag - ab.imag * ac.real) + (ac.real * ad.imag - ac.imag * ad.real)
 
     def area(self) -> float:
         return abs(self._area2()) / 2.0 / self._unit / self._unit
@@ -265,12 +268,17 @@ class QuadState:
         return self.triads.o2.distance_to(self.q.d) / self.scale < self.tol
 
     @_part
+    def side_shape(self) -> tuple[bool, float, tuple[complex, ...]]:
+        """(convex, r, turns) of q's sides (shape_of_sides), read by classify and r."""
+        return shape_of_sides(self.q._sides())
+
+    @_part
     def shape(self) -> ShapeClass:
         return classify(self)
 
     @_part
     def r(self) -> float:
-        return similarity_ratio(self.q, self.tol)
+        return similarity_ratio(self, self.tol)
 
     @_part
     def q2(self) -> Quadrilateral:
@@ -324,10 +332,6 @@ def _centroid(z: tuple[complex, ...]) -> complex:
 # angles and shape
 
 
-def _cross(u: complex, v: complex) -> float:
-    return u.real * v.imag - u.imag * v.real
-
-
 def interior_angles(q: Quadrilateral) -> tuple[float, float, float, float]:
     """Interior angles in (0, 2*pi); a reflex vertex of a concave
     quadrilateral gets its actual reflex angle."""
@@ -342,19 +346,19 @@ def classify(q: QuadOrState, tol: float = DEFAULT_TOL) -> ShapeClass:
     one point; orthocentric is W at infinity (r = 1), and parallelogram S at
     infinity.  trapezoid is a pair of opposite sides parallel within 1e3 tol."""
     st = _state(q, tol)
-
-    def parallel(u: complex, v: complex) -> bool:
-        return (abs(_cross(u, v)) / (math.hypot(u.real, u.imag) * math.hypot(v.real, v.imag))
-                < 1e3 * st.tol)
-
-    sides = ab, bc, cd, da = st.q._sides()
-    return ShapeClass(convex=shape_of_sides(sides)[0], cyclic=st.cyclic,
+    ab, bc, cd, da = st.q._sides()
+    hypot, most = math.hypot, 1e3 * st.tol
+    # opposite sides u and v are parallel where |u x v| / (|u| |v|) < most
+    return ShapeClass(convex=st.side_shape[0], cyclic=st.cyclic,
                       orthocentric=not is_finite(st.w),
-                      trapezoid=parallel(ab, cd) or parallel(bc, da),
+                      trapezoid=(abs(ab.real * cd.imag - ab.imag * cd.real)
+                                 / (hypot(ab.real, ab.imag) * hypot(cd.real, cd.imag)) < most
+                                 or abs(bc.real * da.imag - bc.imag * da.real)
+                                 / (hypot(bc.real, bc.imag) * hypot(da.real, da.imag)) < most),
                       parallelogram=not is_finite(st.s))
 
 
-def similarity_ratio(q: Quadrilateral, tol: float = DEFAULT_TOL) -> float:
+def similarity_ratio(q: QuadOrState, tol: float = DEFAULT_TOL) -> float:
     """r = (cot a + cot g)(cot b + cot d) / 4 over the interior angles.
 
     Each cot is _cot of the two edges at the vertex; reversing the
@@ -362,8 +366,9 @@ def similarity_ratio(q: Quadrilateral, tol: float = DEFAULT_TOL) -> float:
     cot(sqrt(tol)), an angle within sqrt(tol) of 0 or pi, raises
     IllConditionedAngles.  r < 0 convex noncyclic, 0 cyclic, >= 1 concave.
     """
-    max_cot = 1.0 / math.tan(math.sqrt(check_tol(tol)))
-    _, r, turns = shape_of_sides(q._sides())
+    st = _state(q, tol)
+    max_cot = 1.0 / math.tan(math.sqrt(st.tol))
+    _, r, turns = st.side_shape
     for vertex, t in zip("ABCD", turns):
         if abs(t.real / t.imag) > max_cot:
             raise IllConditionedAngles(f"interior angle at {vertex} too close to a multiple of pi")
@@ -580,13 +585,14 @@ def isoptic_point(q: Quadrilateral) -> MaybePoint:
 def _isoptic_point(z: tuple[Point, ...], scale: float, unit: float, ab: complex) -> MaybePoint:
     """isoptic_point of the vertices z, given their diameter, frame unit and B - A there."""
     g = _centroid(z)
-    z = [v - g for v in z]
-    num = den = 0j
-    for k, sign in enumerate((1.0, -1.0, 1.0, -1.0)):
-        e = z[(k + 1) % 4] - z[k]
-        u2 = e / e.conjugate()
-        den += sign * u2
-        num += sign * (u2 * z[k].conjugate() - z[k])
+    a, b, c, d = z[0] - g, z[1] - g, z[2] - g, z[3] - g
+    # u_k^2 of the sides AB, BC, CD and DA, summed from 0j with the signs +, -, +, -
+    ea, eb, ec, ed = b - a, c - b, d - c, a - d
+    ua, ub = ea / ea.conjugate(), eb / eb.conjugate()
+    uc, ud = ec / ec.conjugate(), ed / ed.conjugate()
+    den = 0j + ua - ub + uc - ud
+    num = (0j + (ua * a.conjugate() - a) - (ub * b.conjugate() - b)
+           + (uc * c.conjugate() - c) - (ud * d.conjugate() - d))
     # both sides, |g| too, in the side table's frame, where they neither under- nor overflow
     if abs(den) * (scale * unit) < _AT_INFINITY * (scale * unit + abs(g * unit)):
         return AtInfinity.along(ab.real, ab.imag)
@@ -648,27 +654,36 @@ def isoptic_point_via_inv_iso(q: QuadOrState, tol: float = DEFAULT_TOL) -> Maybe
 
 
 def isoptic_quantity(q: QuadOrState, w: Point, tol: float = DEFAULT_TOL) -> list[float]:
-    """d_i / R_i for the four triad circles; all equal exactly at W."""
+    """d_i / R_i for the four triad circles; all equal exactly at W.  Both
+    are read in q's _unit_down frame, where no distance from w overflows."""
     require_finite(w)
-    return [abs(w - o.o) / o.r for o in _state(q, tol).triads.circles]
+    st = _state(q, tol)
+    t, unit = st.triads, st.q._unit_down
+    o1, o2, o3, o4, wu = t.o1, t.o2, t.o3, t.o4, w * unit
+    return [abs(wu - o1.o * unit) / (o1.r * unit), abs(wu - o2.o * unit) / (o2.r * unit),
+            abs(wu - o3.o * unit) / (o3.r * unit), abs(wu - o4.o * unit) / (o4.r * unit)]
 
 
 def isodynamic_ratios(q: QuadOrState, w: Point, tol: float = DEFAULT_TOL) -> float:
     """Relative spread of |w - vertex_k| * R_sigma(k); ~0 exactly at W.
 
     sigma pairs each vertex with the radius of the triad circle through the
-    other three: (A, R3), (B, R4), (C, R1), (D, R2).  The radii are taken in
-    an exact power of two near the largest, so no product overflows.
+    other three: (A, R3), (B, R4), (C, R1), (D, R2).  The distances are read
+    in q's _unit_down frame and the radii in an exact power of two near the
+    largest, so that no distance or product overflows.
     """
     require_finite(w)
     st = _state(q, tol)
-    radii = [o.r for o in st.triads.circles]
-    unit = unit_near(max(radii))
-    prods = [abs(w - v) * (radii[k - 2] * unit) for k, v in enumerate(st.q._z)]
-    mean = sum(prods) / 4.0
+    t, unit = st.triads, st.q._unit_down
+    r1, r2, r3, r4 = t.o1.r, t.o2.r, t.o3.r, t.o4.r
+    a, b, c, d = st.q._z
+    wu, runit = w * unit, unit_near(max(r1, r2, r3, r4))
+    pa, pb = abs(wu - a * unit) * (r3 * runit), abs(wu - b * unit) * (r4 * runit)
+    pc, pd = abs(wu - c * unit) * (r1 * runit), abs(wu - d * unit) * (r2 * runit)
+    mean = (pa + pb + pc + pd) / 4.0  # sum's order; from 0, which changes no product >= 0
     if mean == 0.0:
         return 0.0
-    return max(abs(p - mean) for p in prods) / mean
+    return max(abs(pa - mean), abs(pb - mean), abs(pc - mean), abs(pd - mean)) / mean
 
 
 def angle_sums_at_point(q: Quadrilateral, w: Point) -> float:
@@ -678,13 +693,21 @@ def angle_sums_at_point(q: Quadrilateral, w: Point) -> float:
     atan2(|Im t|, |Re t|) from a multiple of pi.  w at a vertex raises DegenerateRay."""
     require_finite(w)
     a, b, c, d = q._z
-    worst = 0.0
-    for x, y, u, v in ((a, b, c, d), (b, c, a, d), (c, d, a, b), (d, a, b, c)):
-        if w == x or w == y:
-            raise DegenerateRay("w coincides with a vertex")
-        t = (y - w) / (x - w) * (x - u) / (y - u) * (x - v) / (y - v)
-        worst = max(worst, math.atan2(abs(t.imag), abs(t.real)))
-    return worst
+    if w == a or w == b or w == c or w == d:
+        raise DegenerateRay("w coincides with a vertex")
+    # the offsets from w in q's _unit_down frame, where their quotients cannot overflow
+    unit = q._unit_down
+    wu = w * unit
+    aw, bw, cw, dw = a * unit - wu, b * unit - wu, c * unit - wu, d * unit - wu
+    ac, ca, bd, db = a - c, c - a, b - d, d - b
+    # the sides (X, Y, U, V) = (A, B, C, D), (B, C, A, D), (C, D, A, B) and (D, A, B, C)
+    t1 = bw / aw * ac / (b - c) * (a - d) / bd
+    t2 = cw / bw * (b - a) / ca * bd / (c - d)
+    t3 = dw / cw * ca / (d - a) * (c - b) / db
+    t4 = aw / dw * db / (a - b) * (d - c) / ac
+    atan2 = math.atan2
+    return max(0.0, atan2(abs(t1.imag), abs(t1.real)), atan2(abs(t2.imag), abs(t2.real)),
+               atan2(abs(t3.imag), abs(t3.real)), atan2(abs(t4.imag), abs(t4.real)))
 
 
 # ---------------------------------------------------------------------------
@@ -695,19 +718,26 @@ def pedal_quadrilateral(q: Quadrilateral, p: Point) -> list[Point]:
     """Feet of the perpendiculars from p onto the side lines AB, BC, CD, DA:
     with v the side's first vertex, e its vector, u^2 = e / conj(e) and
     d = p - v, the foot is v + (d + u^2 conj(d)) / 2, where u^2 conj(d) is d
-    mirrored in the side."""
+    mirrored in the side.  d is formed in q's _unit_down frame, as p unit -
+    v unit, so that it cannot overflow; a foot beyond the float range raises
+    PointAtInfinity."""
     require_finite(p)
-    feet = []
-    for v, e in zip(q._z, q._sides()):
-        d = p - v
-        feet.append(Point(v + 0.5 * (d + e / e.conjugate() * d.conjugate())))
-    return feet
+    a, b, c, d = q._z
+    ab, _, ad, bc, _, cd = q._diffs
+    da, unit = -ad, q._unit_down
+    pu = p * unit
+    pa, pb, pc, pd = pu - a * unit, pu - b * unit, pu - c * unit, pu - d * unit
+    return [finite_point(a + 0.5 * (pa + ab / ab.conjugate() * pa.conjugate()) / unit, "a foot"),
+            finite_point(b + 0.5 * (pb + bc / bc.conjugate() * pb.conjugate()) / unit, "a foot"),
+            finite_point(c + 0.5 * (pc + cd / cd.conjugate() * pc.conjugate()) / unit, "a foot"),
+            finite_point(d + 0.5 * (pd + da / da.conjugate() * pd.conjugate()) / unit, "a foot")]
 
 
 def varignon(q: Quadrilateral) -> list[Point]:
-    z = q._z
+    a, b, c, d = q._z
     # 0.5 * a + 0.5 * b: the sum a + b overflows near the float maximum
-    return [Point(0.5 * z[i] + 0.5 * z[(i + 1) % 4]) for i in range(4)]
+    a, b, c, d = 0.5 * a, 0.5 * b, 0.5 * c, 0.5 * d
+    return [Point(a + b), Point(b + c), Point(c + d), Point(d + a)]
 
 
 def simson_point(q: Quadrilateral) -> MaybePoint:
@@ -720,32 +750,35 @@ def simson_point(q: Quadrilateral) -> MaybePoint:
     denominator vanishes on parallelograms: below _AT_INFINITY
     (diameter + |G|) S is at infinity along AD.
     """
-    g, unit = _centroid(q._z), q._unit
-    a, b, c, d = ((v - g) * unit for v in q._z)
+    z, unit, g = q._z, q._unit, _centroid(q._z)
+    a, b, c, d = (z[0] - g) * unit, (z[1] - g) * unit, (z[2] - g) * unit, (z[3] - g) * unit
     den = a + c - b - d
-    if abs(den) < _AT_INFINITY * (q.scale() * unit + abs(g * unit)):
+    if abs(den) < _AT_INFINITY * (q._scale * unit + abs(g * unit)):
         ad = q._diffs[2]
         return AtInfinity.along(ad.real, ad.imag)
     return finite_point(g + (a * c - b * d) / den / unit, "S")
 
 
-def _tls_axis(z: list[complex]) -> tuple[complex, complex, list[complex]]:
+def _tls_axis(z: list[complex]) -> tuple[complex, complex, tuple[complex, ...]]:
     """The centroid g of the four points z (_centroid), the unit direction of
     their total-least-squares line through g, and the points relative to g."""
     g = _centroid(z)
-    rel = [v - g for v in z]
+    a, b, c, d = z[0] - g, z[1] - g, z[2] - g, z[3] - g
     # sum (z - g)^2 = sxx - syy + 2i sxy: half its phase is the principal
     # direction of the scatter matrix; the offsets are squared in a power of
     # two near the largest, so that the squares neither overflow nor underflow
-    unit = unit_near(max(map(abs, rel)))
-    scatter = sum((v * unit) * (v * unit) for v in rel)
-    return g, cmath.rect(1.0, 0.5 * cmath.phase(scatter)), rel
+    unit = unit_near(max(abs(a), abs(b), abs(c), abs(d)))
+    sa, sb, sc, sd = a * unit, b * unit, c * unit, d * unit
+    scatter = 0j + sa * sa + sb * sb + sc * sc + sd * sd  # from 0j, as sum starts
+    return g, cmath.rect(1.0, 0.5 * cmath.phase(scatter)), (a, b, c, d)
 
 
 def collinearity_residual(points: list[Point]) -> float:
     """Largest distance of the four points from their total-least-squares line."""
-    _, u, rel = _tls_axis(points)
-    return max(abs(_cross(u, v)) for v in rel)
+    _, u, (a, b, c, d) = _tls_axis(points)
+    x, y = u.real, u.imag
+    return max(abs(x * a.imag - y * a.real), abs(x * b.imag - y * b.real),
+               abs(x * c.imag - y * c.real), abs(x * d.imag - y * d.real))
 
 
 def simson_line(q: QuadOrState, tol: float = DEFAULT_TOL) -> Line:
@@ -898,7 +931,7 @@ def cross_generation_cs_residual(q: QuadOrState, w: Point,
     tol, scale = st.tol, st.scale
     circles = [c for g in (st, st.next, st.next.next) for c in g.triads.circles]
     # a pair of centers within noise is one circle twice: no CS
-    return max_cs_distance(w, circles, tol, 1e3 * tol * scale) / scale
+    return max_cs_distance(w, circles, tol, 1e3 * tol * scale, st.q._unit_down) / scale
 
 
 def quadrangle_duality_residual(q: Quadrilateral, w: Point, mirror_radius: float,
@@ -917,7 +950,8 @@ def quadrangle_duality_residual(q: Quadrilateral, w: Point, mirror_radius: float
     if not all(is_finite(p) for p in images):
         raise DegenerateConjugate("a vertex maps to infinity under the duality mirror")
     q_img = Quadrilateral(*images)
-    return max_cs_distance(w, triad_circles(q_img, tol).circles, tol) / q_img.scale()
+    return max_cs_distance(w, triad_circles(q_img, tol).circles, tol, 0.0,
+                           q_img._unit_down) / q_img._scale
 
 
 def feet_circles_residual(st: QuadState) -> float | None:
@@ -979,7 +1013,7 @@ def six_cs_residual(st: QuadState) -> float | None:
     w = st.w
     if not is_finite(w) or st.cyclic:
         return None
-    return max_cs_distance(w, st.triads.circles, st.tol) / st.scale
+    return max_cs_distance(w, st.triads.circles, st.tol, 0.0, st.q._unit_down) / st.scale
 
 
 def area_ratio_residual(st: QuadState) -> float | None:
@@ -993,9 +1027,10 @@ def area_ratio_residual(st: QuadState) -> float | None:
     a1 = st.q._area2()
     if a1 == 0.0:
         return None
-    unit = st.q._unit
-    t0, t1, t2 = (v * unit for v in st.triads.diffs[:3])
-    return abs(abs(st.r) - abs((_cross(t0, t1) + _cross(t1, t2)) / a1))
+    unit, (o12, o13, o14) = st.q._unit, st.triads.diffs[:3]
+    t0, t1, t2 = o12 * unit, o13 * unit, o14 * unit
+    a2 = (t0.real * t1.imag - t0.imag * t1.real) + (t1.real * t2.imag - t1.imag * t2.real)
+    return abs(abs(st.r) - abs(a2 / a1))
 
 
 def isoptic_spread_residual(st: QuadState) -> float | None:

@@ -355,16 +355,22 @@ def _strict_json(text):
 
 
 _SCALES = [1e-300, 1e-170, 1.0, 1e160, 1e300]
+_FIRST_CASES = [(CaseSpec(3, shape), 0) for shape in SHAPE_CLASSES]
 
 
-@pytest.mark.parametrize("factor, offset", [(f, 0.0) for f in _SCALES] + [(1e307, 1e308)],
-                         ids=[repr(f) for f in _SCALES] + ["1e+307+1e+308"])
-def test_reports_are_strict_json_at_any_scale(quad_file, tmp_path, factor, offset):
+@pytest.mark.parametrize("factor, offset, cases",
+                         [(f, 0.0, _FIRST_CASES) for f in _SCALES]
+                         + [(1e307, 1e308, _FIRST_CASES),
+                            (8.264060117480234e307, 0.0, [(CaseSpec(257, "concave"), 2)])],
+                         ids=[repr(f) for f in _SCALES] + ["1e+307+1e+308", "far-w"])
+def test_reports_are_strict_json_at_any_scale(quad_file, tmp_path, factor, offset, cases):
     # iterate wrote NaN area ratios from 1e160, which no strict JSON parser
-    # reads, and analyze wrote NaN Varignon midpoints next to 1e308
+    # reads, and analyze wrote NaN Varignon midpoints next to 1e308; on the
+    # far-w case, whose W lies near (-1.5e308, 1.1e308), analyze ended in an
+    # OverflowError
     out = tmp_path / "out.json"
-    for shape in SHAPE_CLASSES:
-        q = random_quadrilateral(CaseSpec(3, shape), 0)
+    for spec, index in cases:
+        shape, q = spec.shape_class, random_quadrilateral(spec, index)
         path = quad_file({"vertices": [[v.x * factor + offset, v.y * factor]
                                        for v in q.vertices()]})
         for args in (["analyze"], ["iterate", "--generations", "2"],

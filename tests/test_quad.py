@@ -25,17 +25,22 @@ from isoptic.kernel import (
     circle_of_similitude,
     circumcircle,
     circumscribe,
+    finite_point,
     intersect,
     invert_circle,
     invert_point,
     is_finite,
     isogonal_conjugate_triangle,
     orthocenter,
+    unit_near,
 )
 from isoptic.quad import (
+    _AT_INFINITY,
     Quadrilateral,
     QuadState,
+    _centroid,
     _conjugates_in_triads,
+    _tls_axis,
     analyze,
     angle_sums_at_point,
     area_ratio_residual,
@@ -889,6 +894,133 @@ class TestClosedFormsExact:
             assert _float_error(simson_point(q), s) <= 1e-13 * q.scale()
 
 
+# the loop forms of the report's parts and residuals, which quad writes as
+# straight-line code over the four vertices: the flat forms must keep each
+# sum's order and start value (sum starts from int 0, max keeps its first
+# item), and read offsets from far points in an exact power of two
+
+def _loop_cross(u, v):
+    return u.real * v.imag - u.imag * v.real
+
+
+def _loop_isoptic_point(st, _):
+    q = st.q
+    g = _centroid(q._z)
+    z = [v - g for v in q._z]
+    num = den = 0j
+    for k, sign in enumerate((1.0, -1.0, 1.0, -1.0)):
+        e = z[(k + 1) % 4] - z[k]
+        u2 = e / e.conjugate()
+        den += sign * u2
+        num += sign * (u2 * z[k].conjugate() - z[k])
+    scale, unit, ab = q._scale, q._unit, q._diffs[0]
+    if abs(den) * (scale * unit) < _AT_INFINITY * (scale * unit + abs(g * unit)):
+        return AtInfinity.along(ab.real, ab.imag)
+    return finite_point(g + (num / den).conjugate(), "W")
+
+
+def _loop_simson_point(st, _):
+    q = st.q
+    g, unit = _centroid(q._z), q._unit
+    a, b, c, d = ((v - g) * unit for v in q._z)
+    den = a + c - b - d
+    if abs(den) < _AT_INFINITY * (q.scale() * unit + abs(g * unit)):
+        ad = q._diffs[2]
+        return AtInfinity.along(ad.real, ad.imag)
+    return finite_point(g + (a * c - b * d) / den / unit, "S")
+
+
+def _loop_trapezoid(st, _):
+    def parallel(u, v):
+        return (abs(_loop_cross(u, v)) / (math.hypot(u.real, u.imag) * math.hypot(v.real, v.imag))
+                < 1e3 * st.tol)
+
+    ab, bc, cd, da = st.q._sides()
+    return parallel(ab, cd) or parallel(bc, da)
+
+
+def _loop_angle_sums(st, w):
+    a, b, c, d = st.q.vertices()
+    worst = 0.0
+    for x, y, u, v in ((a, b, c, d), (b, c, a, d), (c, d, a, b), (d, a, b, c)):
+        if w == x or w == y:
+            raise DegenerateRay("w coincides with a vertex")
+        t = (y - w) / (x - w) * (x - u) / (y - u) * (x - v) / (y - v)
+        worst = max(worst, math.atan2(abs(t.imag), abs(t.real)))
+    return worst
+
+
+def _loop_isoptic_quantity(st, w):
+    return [abs(w - o.o) / o.r for o in st.triads.circles]
+
+
+def _loop_isodynamic(st, w):
+    radii = [o.r for o in st.triads.circles]
+    unit = unit_near(max(radii))
+    prods = [abs(w - v) * (radii[k - 2] * unit) for k, v in enumerate(st.q.vertices())]
+    mean = sum(prods) / 4.0
+    if mean == 0.0:
+        return 0.0
+    return max(abs(p - mean) for p in prods) / mean
+
+
+def _loop_pedal(st, p):
+    feet = []
+    for v, e in zip(st.q.vertices(), st.q._sides()):
+        d = p - v
+        feet.append(Point(v + 0.5 * (d + e / e.conjugate() * d.conjugate())))
+    return feet
+
+
+def _loop_tls(st, p):
+    """The Simson-line fields and the collinearity residual of the pedal feet of p."""
+    z = pedal_quadrilateral(st.q, p)
+    g = _centroid(z)
+    rel = [v - g for v in z]
+    unit = unit_near(max(map(abs, rel)))
+    scatter = sum((v * unit) * (v * unit) for v in rel)
+    u = cmath.rect(1.0, 0.5 * cmath.phase(scatter))
+    return Line(g, u), max(abs(_loop_cross(u, v)) for v in rel)
+
+
+def _loop_varignon(st, _):
+    z = st.q.vertices()
+    return [Point(0.5 * z[i] + 0.5 * z[(i + 1) % 4]) for i in range(4)]
+
+
+def _loop_area_ratio(st, _):
+    if st.cyclic:
+        raise CyclicDegeneration("Q2 is one point", point=Point(st.triads.o2.o))
+    ab, ac, ad = st.q._diffs[:3]
+    a1 = _loop_cross(ab, ac) + _loop_cross(ac, ad)
+    if a1 == 0.0:
+        return None
+    unit = st.q._unit
+    t0, t1, t2 = (v * unit for v in st.triads.diffs[:3])
+    return abs(abs(st.r) - abs((_loop_cross(t0, t1) + _loop_cross(t1, t2)) / a1))
+
+
+def _tls(st, p):
+    feet = pedal_quadrilateral(st.q, p)
+    g, u, _ = _tls_axis(feet)
+    return Line(g, u), collinearity_residual(feet)
+
+
+# name -> (flat form, loop form), each of a QuadState and a finite point (W or S)
+_FLAT_AND_LOOP = {
+    "isoptic_point": (lambda st, _: isoptic_point(st.q), _loop_isoptic_point),
+    "simson_point": (lambda st, _: simson_point(st.q), _loop_simson_point),
+    "classify.trapezoid": (lambda st, _: classify(st).trapezoid, _loop_trapezoid),
+    "angle_sums_at_point": (lambda st, p: angle_sums_at_point(st.q, p), _loop_angle_sums),
+    "isoptic_quantity": (isoptic_quantity, _loop_isoptic_quantity),
+    "isodynamic_ratios": (isodynamic_ratios, _loop_isodynamic),
+    "pedal_quadrilateral": (lambda st, p: pedal_quadrilateral(st.q, p), _loop_pedal),
+    "tls_axis_and_collinearity_residual": (_tls, _loop_tls),
+    "varignon": (lambda st, _: varignon(st.q), _loop_varignon),
+    "area_ratio_residual": (lambda st, _: area_ratio_residual(st), _loop_area_ratio),
+}
+
+
 class TestOnePassFormsBitForBit:
     """The hot path's one-pass forms give what the slow forms that the
     package keeps give, bit for bit: compared by repr, since AtInfinity
@@ -912,6 +1044,18 @@ class TestOnePassFormsBitForBit:
                 slow = [self._outcome(isogonal_conjugate_triangle, *t, p, 1e-9) for t, p in triads]
                 fast = self._outcome(_conjugates_in_triads, q, 1e-9)
                 assert fast == f"[{', '.join(slow)}]", (q, scale)
+
+    @pytest.mark.parametrize("name", list(_FLAT_AND_LOOP))
+    def test_flat_form_is_the_loop_form(self, name):
+        """Each flat part or residual of the report against the loop form it
+        replaced, at W and S where finite, at scales 1e-300, 1 and 1e300."""
+        flat, loop = _FLAT_AND_LOOP[name]
+        for q0 in self.POOL:
+            for scale in (1e-300, 1.0, 1e300):
+                st = QuadState(Quadrilateral(*(Point(v * scale) for v in q0.vertices())))
+                for p in (st.w, st.s):
+                    if is_finite(p):
+                        assert self._outcome(flat, st, p) == self._outcome(loop, st, p), (q0, scale)
 
     def test_reordered_w_is_w_of_the_built_reorderings(self):
         for q in self.POOL:
@@ -951,13 +1095,16 @@ class TestComputeOnce:
     def test_analyze_builds_each_part_once(self, monkeypatch):
         import isoptic.quad as quad
         calls = self._record(monkeypatch, ("classify", "triad_circles", "circumcenter",
-                                           "next_generation", "isoptic_quantity"))
+                                           "next_generation", "isoptic_quantity",
+                                           "shape_of_sides"))
         for shape in SHAPE_CLASSES:
             for q in generic_quads(5, shape, seed=5):
                 for seen in calls.values():
                     seen.clear()
                 rep = quad.analyze(q)
                 assert len(calls["classify"]) == 1
+                # classify and r read the turns of one QuadState part
+                assert len(calls["shape_of_sides"]) == 1
                 assert calls["triad_circles"] == [q]
                 # one circumcenter per triad system: the other three centers
                 # are the closed-form side table away from it
@@ -1248,6 +1395,11 @@ class TestScaleSweep:
 
 
 
+# W near (-1.5e308, 1.1e308): three feet of W were not finite, and
+# |W - center| and |W - vertex| overflowed (OverflowError) in the isoptic
+# quantities, the isodynamic products and the CS defects
+_FAR_W = (CaseSpec(257, "concave"), 2, 8.264060117480234e307, 0j)
+
 # (spec, case, scale, offset): quadrilaterals at the edges of the float range
 _FLOAT_EDGE_REPLAYS = [
     # about 1e300 near 5.7e307: sum(vertices) / 4 overflowed to inf before the
@@ -1274,6 +1426,10 @@ _FLOAT_EDGE_REPLAYS = [
     # ZeroDivisionError at 1e-300
     (CaseSpec(91, "convex-noncyclic"), 0, 1e160, 0j),
     (CaseSpec(91, "convex-noncyclic"), 0, 1e-300, 0j),
+    # p - v overflowed in the pedal feet, one foot of S read Point(-inf, nan)
+    # and the Simson line nan
+    (CaseSpec(294, "trapezoid"), 0, 6.952276265229011e307, 0j),
+    _FAR_W,
 ]
 
 
@@ -1308,7 +1464,8 @@ def test_no_nan_point_near_the_float_maximum():
                  lambda: isoptic_point_via_inv_iso(far), lambda: varignon(far),
                  lambda: simson_line(far), lambda: analyze(far).residuals,
                  lambda: interior_angles(QuadState(far).q2),
-                 lambda: prev_generation(QuadState(far).q2)]
+                 lambda: prev_generation(QuadState(far).q2),
+                 lambda: QuadState(far).pedal_w, lambda: QuadState(far).pedal_s]
         calls += [lambda fn=fn: fn(QuadState(far)) for fn, _ in INVARIANTS.values()]
         for call in calls:
             try:
@@ -1316,6 +1473,21 @@ def test_no_nan_point_near_the_float_maximum():
             except GeometryError:
                 continue
             assert not _holds_nan(value), (spec, scale, value)
+
+
+def test_offsets_from_w_are_read_in_the_frame_near_the_float_maximum():
+    # the far replay reads as at scale 1; at W and at a point near it, whose
+    # angle sums the overflowing quotients of the absolute offsets read as 0
+    spec, index, scale, _ = _FAR_W
+    q = random_quadrilateral(spec, index)
+    far = Quadrilateral(*(Point(v * scale) for v in q.vertices()))
+    st, near = QuadState(far), QuadState(q)
+    for p, ref in ((st.w, near.w), (st.w + 0.1 * far.scale(), near.w + 0.1 * q.scale())):
+        p, ref = Point(p), Point(ref)
+        assert isoptic_quantity(st, p) == pytest.approx(isoptic_quantity(near, ref), rel=1e-12)
+        assert angle_sums_at_point(far, p) == pytest.approx(angle_sums_at_point(q, ref),
+                                                            rel=1e-9, abs=1e-15)
+    assert isodynamic_ratios(st, st.w) < 1e-14 and analyze(far).residuals["six_cs"] < 1e-13
 
 
 def test_w_routes_agree_near_the_float_maximum():

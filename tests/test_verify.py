@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from isoptic.kernel import is_finite
+from isoptic.kernel import Point, is_finite
 from isoptic.quad import (
+    Quadrilateral,
     analyze,
     classify,
     isoptic_point_via_limit,
@@ -35,6 +36,11 @@ ANGLE_REJECTION_DRAWS_SHA256 = \
 # the change that re-pins says why
 SUITE_SHA256 = "b14ccc03469b2cc7baeb607b95342ceb28fd57deddfe273f45ac549152a8e750"
 ANALYZE_SHA256 = "6127af2ef63997e0c78945681266010c1d8508cd75fa60df12b419118b4cd38f"
+# sha256 of the repr of the whole AnalysisReport (every field: the triads,
+# shape, pedal feet, Varignon midpoints and mean isoptic quantity too) of
+# analyze on the same 400 quadrilaterals scaled by 1, 1e-300 and 1e300, one
+# line per report, in that order
+REPORT_SHA256 = "ca888c07df10f9ce415a155b01158b79d4a83c8b4b0b68acca67ad3758e130c0"
 
 
 def _draws_digest(seeds, shapes, count):
@@ -62,6 +68,16 @@ class TestPinnedResults:
                 rep = analyze(random_quadrilateral(CaseSpec(7, cls), i))
                 digest.update(repr((rep.r, rep.w, rep.s, rep.residuals)).encode() + b"\n")
         assert digest.hexdigest() == ANALYZE_SHA256
+
+    def test_whole_reports_are_pinned(self):
+        digest = hashlib.sha256()
+        for scale in (1.0, 1e-300, 1e300):
+            for cls in SHAPE_CLASSES:
+                for i in range(50):
+                    q = random_quadrilateral(CaseSpec(7, cls), i)
+                    rep = analyze(Quadrilateral(*(Point(v * scale) for v in q.vertices())))
+                    digest.update(repr(rep).encode() + b"\n")
+        assert digest.hexdigest() == REPORT_SHA256
 
 
 class TestGenerator:
