@@ -19,6 +19,7 @@ from .kernel import (
 from .quad import (
     AnalysisReport,
     Quadrilateral,
+    QuadState,
     ShapeClass,
     TriadSystem,
     analyze,

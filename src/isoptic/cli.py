@@ -17,6 +17,7 @@ from . import __version__
 from .errors import CyclicDegeneration, GeometryError
 from .kernel import DEFAULT_TOL, AtInfinity, Point, is_finite
 from .quad import (
+    QuadState,
     Quadrilateral,
     analyze,
     isoptic_point,
@@ -153,7 +154,7 @@ def cmd_iterate(args) -> int:
     degeneration = None
     for _ in range(args.generations):
         try:
-            nxt = step(generations[-1], args.tol)
+            nxt = step(QuadState(generations[-1], args.tol))
         except CyclicDegeneration as exc:
             degeneration = {"reason": "cyclic", "point": _point_json(exc.point)}
             break

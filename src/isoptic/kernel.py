@@ -138,15 +138,6 @@ def finite_point(z: complex, what: str) -> Point:
     return Point(z)
 
 
-def diameter(points: list[complex]) -> float:
-    """Diameter of a point set (1.0 for one point); the scale for all relative tolerances."""
-    best = 0.0
-    for i, p in enumerate(points):
-        for q in points[i + 1:]:
-            best = max(best, abs(p - q))
-    return best if best > 0.0 else 1.0
-
-
 class Circle(Record):
     """A proper circle: complex center o and radius r > 0."""
 

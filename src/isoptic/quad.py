@@ -46,7 +46,6 @@ from .kernel import (
     circumcenter,
     circumcircle,
     circumscribe,
-    diameter,
     finite_point,
     invert_point,
     is_finite,
@@ -89,6 +88,7 @@ class Quadrilateral(Record):
         return q
 
     def _frame(self, z: tuple[Point, ...], diffs: tuple[complex, ...], tol: float):
+        check_tol(tol)
         # the side table _diffs = (B - A, C - A, D - A, C - B, D - B, D - C)
         # times _unit, an exact power of two near 1 / diameter, so that its
         # crosses and dot products neither overflow nor underflow; every side,
@@ -246,11 +246,11 @@ class QuadState:
     """One quadrilateral and what is derived from it, each part computed
     once, on first use.
 
-    The constructions below that read cached parts take a QuadState
-    wherever they take a quadrilateral, and then reuse its parts and its
-    tol; the parts call them through this module's globals.  ``next``
-    (the state of Q2) and ``prev`` (that of prev_generation(q)) chain the
-    generations, so that each one and its triad circles are built once.
+    The one home of tol: each construction on a quadrilateral takes a
+    QuadState or a Quadrilateral (read at DEFAULT_TOL, _state), and reuses
+    the state's parts and tol; the parts call them through this module's
+    globals.  ``next`` (the state of Q2) and ``prev`` (that of prev_generation(q))
+    chain the generations, so that each one and its triad circles are built once.
     """
 
     def __init__(self, q: Quadrilateral, tol: float = DEFAULT_TOL):
@@ -260,7 +260,7 @@ class QuadState:
 
     @_part
     def triads(self) -> TriadSystem:
-        return triad_circles(self.q, self.tol)
+        return triad_circles(self)
 
     @_part
     def cyclic(self) -> bool:
@@ -278,15 +278,11 @@ class QuadState:
 
     @_part
     def r(self) -> float:
-        return similarity_ratio(self, self.tol)
-
-    @_part
-    def q2(self) -> Quadrilateral:
-        return next_generation(self)
+        return similarity_ratio(self)
 
     @_part
     def next(self) -> QuadState:
-        return QuadState(self.q2, self.tol)
+        return QuadState(next_generation(self), self.tol)
 
     @_part
     def prev(self) -> QuadState:
@@ -317,8 +313,8 @@ class QuadState:
 QuadOrState = Quadrilateral | QuadState
 
 
-def _state(q: QuadOrState, tol: float) -> QuadState:
-    return q if isinstance(q, QuadState) else QuadState(q, tol)
+def _state(q: QuadOrState) -> QuadState:
+    return q if isinstance(q, QuadState) else QuadState(q)
 
 
 def _centroid(z: tuple[complex, ...]) -> complex:
@@ -332,20 +328,21 @@ def _centroid(z: tuple[complex, ...]) -> complex:
 # angles and shape
 
 
-def interior_angles(q: Quadrilateral) -> tuple[float, float, float, float]:
-    """Interior angles in (0, 2*pi); a reflex vertex of a concave
-    quadrilateral gets its actual reflex angle."""
-    orient = 1.0 if q._area2() > 0.0 else -1.0
+def interior_angles(q: QuadOrState) -> tuple[float, float, float, float]:
+    """Interior angles in (0, 2*pi), from the turns of the side shape; a
+    reflex vertex of a concave quadrilateral gets its actual reflex angle."""
+    st = _state(q)
+    orient = 1.0 if st.q._area2() > 0.0 else -1.0
     return tuple([math.atan2(orient * t.imag, t.real) % (2.0 * math.pi)
-                  for t in shape_of_sides(q._sides())[2]])
+                  for t in st.side_shape[2]])
 
 
-def classify(q: QuadOrState, tol: float = DEFAULT_TOL) -> ShapeClass:
+def classify(q: QuadOrState) -> ShapeClass:
     """The shape flags.  Each degenerate locus is read from the one decision
     the constructions make there: cyclic is QuadState.cyclic, on which Q2 is
     one point; orthocentric is W at infinity (r = 1), and parallelogram S at
     infinity.  trapezoid is a pair of opposite sides parallel within 1e3 tol."""
-    st = _state(q, tol)
+    st = _state(q)
     ab, bc, cd, da = st.q._sides()
     hypot, most = math.hypot, 1e3 * st.tol
     # opposite sides u and v are parallel where |u x v| / (|u| |v|) < most
@@ -358,7 +355,7 @@ def classify(q: QuadOrState, tol: float = DEFAULT_TOL) -> ShapeClass:
                       parallelogram=not is_finite(st.s))
 
 
-def similarity_ratio(q: QuadOrState, tol: float = DEFAULT_TOL) -> float:
+def similarity_ratio(q: QuadOrState) -> float:
     """r = (cot a + cot g)(cot b + cot d) / 4 over the interior angles.
 
     Each cot is _cot of the two edges at the vertex; reversing the
@@ -366,7 +363,7 @@ def similarity_ratio(q: QuadOrState, tol: float = DEFAULT_TOL) -> float:
     cot(sqrt(tol)), an angle within sqrt(tol) of 0 or pi, raises
     IllConditionedAngles.  r < 0 convex noncyclic, 0 cyclic, >= 1 concave.
     """
-    st = _state(q, tol)
+    st = _state(q)
     max_cot = 1.0 / math.tan(math.sqrt(st.tol))
     _, r, turns = st.side_shape
     for vertex, t in zip("ABCD", turns):
@@ -406,7 +403,7 @@ def cotangent_identity_residuals(q: QuadOrState) -> tuple[float, float]:
     from the outgoing side to the diagonal and one from the diagonal to the
     incoming side; each identity pairs the cotangents of four of them.
     """
-    st = _state(q, DEFAULT_TOL)
+    st = _state(q)
     ab, ac, ad, bc, bd, cd = st.q._diffs
     lhs = 4.0 * st.r
     # pairing fixed by requiring equality with 4*r of the reordered
@@ -422,7 +419,7 @@ def cotangent_identity_residuals(q: QuadOrState) -> tuple[float, float]:
 # triad circles and the generation maps
 
 
-def triad_circles(q: Quadrilateral, tol: float = DEFAULT_TOL) -> TriadSystem:
+def triad_circles(q: QuadOrState) -> TriadSystem:
     """The four triad circles, from the perpendicular-bisector construction
     in closed form, on the side table of q (in its power-of-two frame).
 
@@ -437,8 +434,8 @@ def triad_circles(q: Quadrilateral, tol: float = DEFAULT_TOL) -> TriadSystem:
     input's Q2 is Delta times a well-conditioned quadrilateral.  The radii
     are the mean distance from each center to its three vertices.
     """
-    check_tol(tol)
-    ab, ac, ad, bc, bd, cd = q._diffs
+    st = _state(q)
+    ab, ac, ad, bc, bd, cd = st.q._diffs
     # |v|^2 as real^2 + imag^2, and the crosses of DAB, ABC, BCD and CDA
     nab, nac, nad = (ab.real * ab.real + ab.imag * ab.imag, ac.real * ac.real + ac.imag * ac.imag,
                      ad.real * ad.real + ad.imag * ad.imag)
@@ -458,19 +455,19 @@ def triad_circles(q: Quadrilateral, tol: float = DEFAULT_TOL) -> TriadSystem:
     c1, c2 = abs(t1) / max(nab, nad, nbd), abs(t2) / max(nab, nac, nbc)
     c3, c4 = abs(t3) / max(nbc, nbd, ncd), abs(t4) / max(nac, nad, ncd)
     if c1 >= c2 and c1 >= c3 and c1 >= c4:
-        o1 = circumcenter(ab, ad, tol)
+        o1 = circumcenter(ab, ad, st.tol)
         o2, o3, o4 = o1 + o12, o1 + o13, o1 + o14
     elif c2 >= c3 and c2 >= c4:
-        o2 = circumcenter(ab, ac, tol)
+        o2 = circumcenter(ab, ac, st.tol)
         o1, o3, o4 = o2 - o12, o2 + o23, o2 + o24
     elif c3 >= c4:
-        o3 = circumcenter(bc, bd, tol) + ab
+        o3 = circumcenter(bc, bd, st.tol) + ab
         o1, o2, o4 = o3 - o13, o3 - o23, o3 + o34
     else:
-        o4 = circumcenter(ac, ad, tol)
+        o4 = circumcenter(ac, ad, st.tol)
         o1, o2, o3 = o4 - o14, o4 - o24, o4 - o34
     # each radius: the mean distance to its triad's vertices, A (0), B (ab), C (ac), D (ad)
-    za, unit = q._z[0], q._unit
+    za, unit = st.q._z[0], st.q._unit
     return TriadSystem(
         Circle(za + o1 / unit, (abs(o1 - ad) + abs(o1) + abs(o1 - ab)) / 3 / unit),
         Circle(za + o2 / unit, (abs(o2) + abs(o2 - ab) + abs(o2 - ac)) / 3 / unit),
@@ -479,7 +476,7 @@ def triad_circles(q: Quadrilateral, tol: float = DEFAULT_TOL) -> TriadSystem:
         diffs=(o12 / unit, o13 / unit, o14 / unit, o23 / unit, o24 / unit, o34 / unit))
 
 
-def next_generation(q: QuadOrState, tol: float = DEFAULT_TOL) -> Quadrilateral:
+def next_generation(q: QuadOrState) -> Quadrilateral:
     """Quadrilateral of the triad-circle centers, with the closed-form side
     table of the triad system, so that its angles and area see no rounding
     of the absolute centers.
@@ -487,7 +484,7 @@ def next_generation(q: QuadOrState, tol: float = DEFAULT_TOL) -> Quadrilateral:
     Raises CyclicDegeneration (carrying the circumcenter) when the input is
     cyclic, since all four centers then coincide.
     """
-    st = _state(q, tol)
+    st = _state(q)
     if st.cyclic:
         raise _collapse(st)
     triads = st.triads
@@ -500,7 +497,7 @@ def _collapse(st: QuadState) -> CyclicDegeneration:
                               point=Point(st.triads.o2.o))
 
 
-def prev_generation(q: QuadOrState, tol: float = DEFAULT_TOL) -> Quadrilateral:
+def prev_generation(q: QuadOrState) -> Quadrilateral:
     """Reverse of the perpendicular-bisector step, as the fixed point of four
     reflections.
 
@@ -515,7 +512,7 @@ def prev_generation(q: QuadOrState, tol: float = DEFAULT_TOL) -> Quadrilateral:
     CyclicDegeneration of next_generation, carrying the circumcenter, and
     so does an m that rounds to 1 exactly.
     """
-    st = _state(q, tol)
+    st = _state(q)
     if st.cyclic:
         raise _collapse(st)
     ab, ac, ad, bc, _, cd = st.q._diffs
@@ -599,7 +596,7 @@ def _isoptic_point(z: tuple[Point, ...], scale: float, unit: float, ab: complex)
     return finite_point(g + (num / den).conjugate(), "W")
 
 
-def isoptic_point_via_limit(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePoint:
+def isoptic_point_via_limit(q: QuadOrState) -> MaybePoint:
     """The limit of the perpendicular-bisector iteration, as the center of
     the similarity that takes Q1 to Q3.
 
@@ -612,7 +609,7 @@ def isoptic_point_via_limit(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePo
     to 1 exactly, near that locus, raises PointAtInfinity.  The period-two
     classes (r = -1) need no special case: there 1 - k = 2.
     """
-    st = _state(q, tol)
+    st = _state(q)
     if not is_finite(st.w):
         return st.w
     try:
@@ -637,34 +634,34 @@ def _mean_image(images: list[MaybePoint]) -> MaybePoint:
     return Point(_centroid(images))
 
 
-def isoptic_point_via_inversion(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePoint:
+def isoptic_point_via_inversion(q: QuadOrState) -> MaybePoint:
     """W as the inversion of each vertex in the matching second-generation
     triad circle; the four images are averaged."""
-    st = _state(q, tol)   # its Q2 raises CyclicDegeneration when cyclic
+    st = _state(q)   # its Q2 raises CyclicDegeneration when cyclic
     return _mean_image([invert_point(mirror, v, st.tol)
                         for mirror, v in zip(st.next.triads.circles, st.q.vertices())])
 
 
-def isoptic_point_via_inv_iso(q: QuadOrState, tol: float = DEFAULT_TOL) -> MaybePoint:
+def isoptic_point_via_inv_iso(q: QuadOrState) -> MaybePoint:
     """W as inversion-of-conjugate: each vertex is conjugated in the triangle
     of the remaining three, then inverted in that triangle's circumcircle."""
-    st = _state(q, tol)
+    st = _state(q)
     return _mean_image([invert_point(mirror, p, st.tol) for mirror, p
                         in zip(st.triads.circles, _conjugates_in_triads(st.q, st.tol))])
 
 
-def isoptic_quantity(q: QuadOrState, w: Point, tol: float = DEFAULT_TOL) -> list[float]:
+def isoptic_quantity(q: QuadOrState, w: Point) -> list[float]:
     """d_i / R_i for the four triad circles; all equal exactly at W.  Both
     are read in q's _unit_down frame, where no distance from w overflows."""
     require_finite(w)
-    st = _state(q, tol)
+    st = _state(q)
     t, unit = st.triads, st.q._unit_down
     o1, o2, o3, o4, wu = t.o1, t.o2, t.o3, t.o4, w * unit
     return [abs(wu - o1.o * unit) / (o1.r * unit), abs(wu - o2.o * unit) / (o2.r * unit),
             abs(wu - o3.o * unit) / (o3.r * unit), abs(wu - o4.o * unit) / (o4.r * unit)]
 
 
-def isodynamic_ratios(q: QuadOrState, w: Point, tol: float = DEFAULT_TOL) -> float:
+def isodynamic_ratios(q: QuadOrState, w: Point) -> float:
     """Relative spread of |w - vertex_k| * R_sigma(k); ~0 exactly at W.
 
     sigma pairs each vertex with the radius of the triad circle through the
@@ -673,7 +670,7 @@ def isodynamic_ratios(q: QuadOrState, w: Point, tol: float = DEFAULT_TOL) -> flo
     largest, so that no distance or product overflows.
     """
     require_finite(w)
-    st = _state(q, tol)
+    st = _state(q)
     t, unit = st.triads, st.q._unit_down
     r1, r2, r3, r4 = t.o1.r, t.o2.r, t.o3.r, t.o4.r
     a, b, c, d = st.q._z
@@ -781,9 +778,9 @@ def collinearity_residual(points: list[Point]) -> float:
                abs(x * c.imag - y * c.real), abs(x * d.imag - y * d.real))
 
 
-def simson_line(q: QuadOrState, tol: float = DEFAULT_TOL) -> Line:
+def simson_line(q: QuadOrState) -> Line:
     """The total-least-squares line of the pedal feet of S."""
-    feet = _state(q, tol).pedal_s
+    feet = _state(q).pedal_s
     if feet is None:
         raise PointAtInfinity("the Simson point is not finite")
     g, u, _ = _tls_axis(feet)
@@ -801,32 +798,44 @@ def parallelogram_residual(pts: list[Point], scale: float) -> float:
 # isogonal conjugation with respect to the quadrilateral
 
 
-def isogonal_conjugate_quad(q: Quadrilateral, p: Point,
-                            tol: float = DEFAULT_TOL) -> list[MaybePoint]:
+def isogonal_conjugate_quad(q: QuadOrState, p: Point) -> list[MaybePoint]:
     """The four adjacent intersections of the reflections of the lines
     vertex-to-p in the angle bisectors at the vertices.
 
     The rays at vertex i run to its neighbours, so each reflected line is
-    the mirrored_cevian of the triangle's conjugation.  Parallel adjacent
-    reflected lines put that vertex of the conjugate at infinity (along
-    their common direction).
+    the mirrored_cevian of the triangle's conjugation, read from the sides and
+    the offsets p - v in q's _unit_down frame.  Parallel adjacent reflected
+    lines put that vertex of the conjugate at infinity (along their common
+    direction); a meet beyond the float range raises PointAtInfinity.
     """
     require_finite(p)
-    vs = q.vertices()
-    scale = diameter(list(vs) + [p])
-    if min(abs(v - p) for v in vs) < tol * scale:
+    st = _state(q)
+    tol, unit, sides = st.tol, st.q._unit_down, st.q._sides()
+    offsets = [p * unit - v * unit for v in st.q._z]
+    gaps = list(map(abs, offsets))
+    if min(gaps) < tol * max(st.scale * unit, *gaps):  # tol times the diameter of q and p
         raise DegenerateConjugate("p coincides with a vertex")
-    lines = [(v, mirrored_cevian(v, vs[i - 3], vs[i - 1], p)) for i, v in enumerate(vs)]
-    out: list[MaybePoint] = []
+    # vertex i at -offset from p, its rays along its outgoing side and its reversed incoming one
+    lines = [(-o, mirrored_cevian(0j, s, -sides[i - 1], o))
+             for i, (s, o) in enumerate(zip(sides, offsets))]
     # P_A = l_A ^ l_B, P_B = l_B ^ l_C, P_C = l_C ^ l_D, P_D = l_D ^ l_A
-    for (v1, d1), (v2, d2) in zip(lines, lines[1:] + lines[:1]):
-        m = line_meet(v1, d1, v2, d2, tol)
-        out.append(AtInfinity.along(d1.real, d1.imag) if m is None else Point(m))
-    return out
+    meets = [(line_meet(v1, d1, v2, d2, tol), d1)
+             for (v1, d1), (v2, d2) in zip(lines, lines[1:] + lines[:1])]
+    return [AtInfinity.along(d.real, d.imag) if m is None
+            else finite_point(p + m / unit, "the isogonal conjugate") for m, d in meets]
 
 
 # ---------------------------------------------------------------------------
 # reconstructions
+
+
+def _framed(points: list[Point], tol: float) -> tuple[list[complex], float, float]:
+    """points times unit, a power of two near 1 / their largest part, unit and their
+    diameter there (1.0 for one point), which no difference overflows; checks tol."""
+    check_tol(tol)
+    unit = unit_near(max(max(abs(p.real), abs(p.imag)) for p in points))
+    pts = [p * unit for p in points]
+    return pts, unit, max(abs(x - y) for i, x in enumerate(pts) for y in pts[:i]) or 1.0
 
 
 def reconstruct_from_pedal_w(w: Point, feet: list[Point],
@@ -834,11 +843,11 @@ def reconstruct_from_pedal_w(w: Point, feet: list[Point],
     """Rebuild the quadrilateral from W and its four pedal feet.
 
     Each side line passes through a foot perpendicular to the segment from
-    w; vertices are the consecutive-line meets, solved relative to w.
+    w; vertices are the consecutive-line meets, solved relative to w (_framed).
     """
     require_finite(w, *feet)
-    scale = diameter(feet + [w])
-    z = [f - w for f in feet]
+    (wu, *fu), unit, scale = _framed([w, *feet], tol)
+    z = [f - wu for f in fu]
     if min(map(abs, z)) < tol * scale:
         raise DegenerateConjugate("a pedal foot coincides with w")
     corners = []
@@ -846,7 +855,7 @@ def reconstruct_from_pedal_w(w: Point, feet: list[Point],
         m = line_meet(z[k - 1], 1j * z[k - 1], z[k], 1j * z[k], tol)
         if m is None:
             raise ParallelConsecutiveLines("consecutive reconstruction lines are parallel")
-        corners.append(Point(w + m))
+        corners.append(Point(w + m / unit))
     return Quadrilateral(*corners, tol=tol)
 
 
@@ -854,23 +863,23 @@ def reconstruct_from_simson(s: Point, feet: list[Point],
                             tol: float = DEFAULT_TOL) -> Quadrilateral:
     """Rebuild the quadrilateral from the Simson point and its collinear feet."""
     require_finite(s, *feet)
-    scale = diameter(feet + [s])
-    if collinearity_residual(feet) > 1e3 * tol * scale:
+    (_, *fu), _, scale = _framed([s, *feet], tol)
+    if collinearity_residual(fu) > 1e3 * tol * scale:
         raise NonCollinearFeet("Simson feet must be collinear")
     return reconstruct_from_pedal_w(s, feet, tol)
 
 
 def reconstruct_fourth_vertex(a: Point, b: Point, c: Point, w: Point,
                               tol: float = DEFAULT_TOL) -> Point:
-    """Recover the fourth vertex from three vertices and the isoptic point.
+    """Recover the fourth vertex from three vertices and the isoptic point, in _framed.
 
     Inversion in the circles (a w b) and (b w c) takes the circumcenter B2 of
     (a b c) to the triad centers A2 and C2.  Their circles o1 and o3 meet in B
     and D, so D is B mirrored in line A2C2: A2 + e / conj(e) conj(B - A2), e = C2 - A2.
     """
     require_finite(a, b, c, w)
+    (a, b, c, w), unit, scale = _framed([a, b, c, w], tol)
     o2 = circumcircle(a, b, c, tol)
-    scale = diameter([a, b, c, w])
     if abs(w - o2.o) < 1e3 * tol * scale:
         raise Underdetermined("w at the circumcenter: any concyclic point works")
     if o2.distance_to(w) < 1e3 * tol * scale:
@@ -884,10 +893,10 @@ def reconstruct_fourth_vertex(a: Point, b: Point, c: Point, w: Point,
     e = c2 - a2
     if abs(e) <= tol * scale:
         raise NoIntersection("the transferred triad centers coincide")
-    d = Point(a2 + e / e.conjugate() * (b - a2).conjugate())
+    d = a2 + e / e.conjugate() * (b - a2).conjugate()
     if abs(d - b) <= tol * scale:
         raise NoIntersection("the transferred triad circles touch only at B")
-    return d
+    return finite_point(d / unit, "the fourth vertex")
 
 
 def quad_distance(q1: Quadrilateral, q2: Quadrilateral) -> float:
@@ -912,9 +921,9 @@ def reordered_isoptic_points(q: Quadrilateral) -> list[MaybePoint]:
             for z in ((a, c, b, d), (a, c, d, b))]
 
 
-def periodicity_residual(q: QuadOrState, tol: float = DEFAULT_TOL) -> float:
+def periodicity_residual(q: QuadOrState) -> float:
     """How far Q^(3) is from Q^(1), zero for the period-two classes."""
-    st = _state(q, tol)
+    st = _state(q)
     return quad_distance(st.q, st.next.next.q)
 
 
@@ -922,20 +931,18 @@ def periodicity_residual(q: QuadOrState, tol: float = DEFAULT_TOL) -> float:
 # cross checks used by the verify harness
 
 
-def cross_generation_cs_residual(q: QuadOrState, w: Point,
-                                 tol: float = DEFAULT_TOL) -> float:
+def cross_generation_cs_residual(q: QuadOrState, w: Point) -> float:
     """Max scale-free distance of w to CS(o_i^(k), o_j^(l)) across the first
     three generations, each read from the Apollonius defect (max_cs_distance)."""
     require_finite(w)
-    st = _state(q, tol)
+    st = _state(q)
     tol, scale = st.tol, st.scale
     circles = [c for g in (st, st.next, st.next.next) for c in g.triads.circles]
     # a pair of centers within noise is one circle twice: no CS
     return max_cs_distance(w, circles, tol, 1e3 * tol * scale, st.q._unit_down) / scale
 
 
-def quadrangle_duality_residual(q: Quadrilateral, w: Point, mirror_radius: float,
-                                tol: float = DEFAULT_TOL) -> float:
+def quadrangle_duality_residual(q: QuadOrState, w: Point, mirror_radius: float) -> float:
     """Inversion centered at W takes the six vertex-pair lines onto the six
     circles of similitude of the image quadrilateral's triad circles.
 
@@ -945,13 +952,14 @@ def quadrangle_duality_residual(q: Quadrilateral, w: Point, mirror_radius: float
     only if W lies on it: the residual is W's largest distance from the six
     (max_cs_distance, the Apollonius defect) over the image's diameter."""
     require_finite(w)
-    mirror = Circle(w, mirror_radius)
-    images = [invert_point(mirror, v, tol) for v in q.vertices()]
+    st = _state(q)
+    tol, mirror = st.tol, Circle(w, mirror_radius)
+    images = [invert_point(mirror, v, tol) for v in st.q.vertices()]
     if not all(is_finite(p) for p in images):
         raise DegenerateConjugate("a vertex maps to infinity under the duality mirror")
-    q_img = Quadrilateral(*images)
-    return max_cs_distance(w, triad_circles(q_img, tol).circles, tol, 0.0,
-                           q_img._unit_down) / q_img._scale
+    img = QuadState(Quadrilateral(*images, tol=tol), tol)
+    return max_cs_distance(w, triad_circles(img).circles, tol, 0.0,
+                           img.q._unit_down) / img.scale
 
 
 def feet_circles_residual(st: QuadState) -> float | None:
@@ -1088,7 +1096,6 @@ def analyze(q: Quadrilateral, tol: float = DEFAULT_TOL) -> AnalysisReport:
         r = st.r
     except IllConditionedAngles:
         r = math.nan
-    w, s = st.w, st.s
     residuals: dict[str, float] = {}
     for name, fn in _RESIDUALS.items():
         try:
@@ -1099,6 +1106,6 @@ def analyze(q: Quadrilateral, tol: float = DEFAULT_TOL) -> AnalysisReport:
             residuals[name] = res
     qty = st.quantities
     quantity = None if qty is None else sum(qty) / 4.0
-    return AnalysisReport(quad=q, triads=triads, r=r, w=w, s=s, shape=shape,
+    return AnalysisReport(quad=q, triads=triads, r=r, w=st.w, s=st.s, shape=shape,
                           pedal_w=st.pedal_w, pedal_s=st.pedal_s, varignon=varignon(q),
                           isoptic_quantity=quantity, residuals=residuals)

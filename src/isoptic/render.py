@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import GeometryError
 from .kernel import DEFAULT_TOL, Circle, Line, Point, circle_of_similitude, is_finite
-from .quad import QuadState, Quadrilateral, next_generation, simson_line, varignon
+from .quad import QuadState, Quadrilateral, simson_line, varignon
 
 _SIZE = 640  # width and height of the SVG viewport in pixels
 
@@ -137,8 +137,8 @@ def render_svg(q: Quadrilateral, layers=("quad", "triads", "w"),
             elif name == "generations":
                 cur = st
                 for _ in range(3):
-                    cur = next_generation(cur, tol)
-                    cv.polygon(cur.vertices(), color, base_w)
+                    cur = cur.next
+                    cv.polygon(cur.q.vertices(), color, base_w)
         except GeometryError:
             continue
 

@@ -222,8 +222,8 @@ def _inv_r_range(st):
 
 
 def _inv_supplementary(st):
-    a1 = interior_angles(st.q)
-    a2 = interior_angles(st.q2)
+    a1 = interior_angles(st)
+    a2 = interior_angles(st.next)
     concave = st.shape.concave
     worst = 0.0
     for x, y in zip(a1, a2):
@@ -272,7 +272,7 @@ def _inv_cotangent(st):
 
 
 def _inv_roundtrip(st):
-    return max(quad_distance(st.q, st.next.prev.q), quad_distance(st.q, st.prev.q2))
+    return max(quad_distance(st.q, st.next.prev.q), quad_distance(st.q, st.prev.next.q))
 
 
 def _inv_cross_generation(st):
@@ -280,7 +280,7 @@ def _inv_cross_generation(st):
 
 
 def _inv_duality(st):
-    return quadrangle_duality_residual(st.q, st.w, 1.0, st.tol) if is_finite(st.w) else None
+    return quadrangle_duality_residual(st, st.w, 1.0) if is_finite(st.w) else None
 
 
 def _inv_ptolemy(st):
@@ -300,12 +300,12 @@ def _inv_q2_construction(st):
     scale)."""
     a, b, c, d = st.q.vertices()
     return max(abs(circumscribe(*t, DEFAULT_TOL, with_radius=False) - v) for t, v
-               in zip(((d, a, b), (a, b, c), (b, c, d), (c, d, a)), st.q2.vertices())) / st.scale
+               in zip(((d, a, b), (a, b, c), (b, c, d), (c, d, a)), st.next.q.vertices())) / st.scale
 
 
 def _inv_cyclic_degeneration(st):
     try:
-        st.q2
+        st.next
     except CyclicDegeneration as exc:
         o = exc.point
         return max(abs(abs(o - v) - abs(o - st.q.a)) for v in st.q.vertices()) / st.scale

@@ -200,6 +200,21 @@ def test_no_slow_record_or_cache_paths():
     assert found == [], f"slow paths back in {PACKAGE.name}: {found}"
 
 
+def test_tol_has_one_home_per_quadrilateral():
+    # QuadState is where a construction on a quadrilateral gets its tol: one
+    # that took a tol of its own was silently overridden by a state's, so
+    # the same call read one shape at q and another at QuadState(q).
+    # analyze builds the state, and _state reads a bare q at DEFAULT_TOL
+    tree = ast.parse((PACKAGE / "quad.py").read_text())
+    fns = {node.name: [a.arg for a in node.args.args + node.args.kwonlyargs]
+           for node in tree.body if isinstance(node, ast.FunctionDef)}
+    own_tol = sorted(name for name, args in fns.items()
+                     if not name.startswith("_") and name != "analyze"
+                     and args[:1] == ["q"] and "tol" in args)
+    assert own_tol == [], f"take a tol besides their QuadState's: {own_tol}"
+    assert fns["_state"] == ["q"]
+
+
 def test_cold_start_imports():
     # dataclasses and the inspect it imports slowed every cold CLI start, and
     # the package needs fractions nowhere.

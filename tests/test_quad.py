@@ -84,11 +84,15 @@ DART = Quadrilateral(Point(0, 0), Point(4, 0), Point(1, 1), Point(0, 4))
 
 
 UNIT = (Point(0, 0), Point(1, 0), Point(0, 1))
-# the arguments before tol of each construction that validates it
+# the arguments before tol of each construction that validates it; a
+# construction on a quadrilateral reads its QuadState's tol, checked there
 TOL_ARGS = {
-    similarity_ratio: (GENERIC,),
-    prev_generation: (GENERIC,),
-    triad_circles: (GENERIC,),
+    Quadrilateral: GENERIC.vertices(),
+    reconstruct_from_pedal_w: (isoptic_point(GENERIC),
+                               pedal_quadrilateral(GENERIC, isoptic_point(GENERIC))),
+    reconstruct_from_simson: (simson_point(GENERIC),
+                              pedal_quadrilateral(GENERIC, simson_point(GENERIC))),
+    reconstruct_fourth_vertex: GENERIC.vertices()[:3] + (isoptic_point(GENERIC),),
     circumcircle: UNIT,
     intersect: (Circle(0j, 1.0), Circle(1 + 0j, 1.0)),
     invert_point: (Circle(0j, 1.0), Point(0.5, 0.25)),
@@ -328,7 +332,7 @@ class TestGenerations:
         # at tol 1e-300 the square is still cyclic (D is 0 from o2), and this
         # concyclic draw is not, but its rotation m rounds to 1 exactly
         with pytest.raises(CyclicDegeneration):
-            prev_generation(SQUARE, 1e-300)
+            prev_generation(QuadState(SQUARE, 1e-300))
         q = Quadrilateral(Point(-0.7057861057790554, 0.7084249945401673),
                           Point(-0.9273549702257986, 0.3741827884837946),
                           Point(-0.9985987309596124, -0.05292045470185985),
@@ -350,7 +354,7 @@ class TestGenerations:
             Quadrilateral(*q.vertices(), tol=tol)
             assert quad_distance(step(q), t) < 1e-12
             with pytest.raises(CollinearInput):
-                step(q, tol)
+                step(QuadState(q, tol))
 
     @pytest.mark.parametrize("k", [2.0 ** -200, 2.0 ** 200])
     def test_prev_generation_scales_exactly(self, k):
@@ -1105,7 +1109,7 @@ class TestComputeOnce:
                 assert len(calls["classify"]) == 1
                 # classify and r read the turns of one QuadState part
                 assert len(calls["shape_of_sides"]) == 1
-                assert calls["triad_circles"] == [q]
+                assert [st.q for st in calls["triad_circles"]] == [q]
                 # one circumcenter per triad system: the other three centers
                 # are the closed-form side table away from it
                 assert len(calls["circumcenter"]) == 1
@@ -1134,7 +1138,7 @@ class TestComputeOnce:
         # trip and the image quadrilateral of the duality residual
         seen = calls["triad_circles"]
         assert len(seen) == 5
-        assert len(set(seen)) == 5
+        assert len({st.q for st in seen}) == 5
 
     @staticmethod
     def _generic_states(*parts):
@@ -1169,7 +1173,7 @@ class TestComputeOnce:
         assert built == []
 
     def test_q2_construction_builds_no_circle(self, monkeypatch):
-        states = self._generic_states("q2")
+        states = self._generic_states("next")
         built = self._count_calls(monkeypatch, Circle, "__init__")
         circumcircle(*UNIT)
         assert len(built) == 1
@@ -1429,6 +1433,14 @@ _FLOAT_EDGE_REPLAYS = [
     # p - v overflowed in the pedal feet, one foot of S read Point(-inf, nan)
     # and the Simson line nan
     (CaseSpec(294, "trapezoid"), 0, 6.952276265229011e307, 0j),
+    # kernel.diameter formed |p - q| of two points about 3e308 apart
+    # (OverflowError): isogonal_conjugate_quad at W and at S, and the
+    # reconstructions, of these three and of _FAR_W
+    (CaseSpec(961, "concave"), 10, 1.3072700043896275e308, 0j),
+    (CaseSpec(174, "cyclic"), 36, 1.4914381515014527e308, 0j),
+    (CaseSpec(528, "convex-noncyclic"), 25, 1.297457936254125e308, 0j),
+    # a meet of isogonal_conjugate_quad at W read Point(-inf, inf)
+    (CaseSpec(148, "cyclic"), 29, 1.2085082678807898e308, 0j),
     _FAR_W,
 ]
 
@@ -1463,10 +1475,18 @@ def test_no_nan_point_near_the_float_maximum():
                  lambda: isoptic_point_via_limit(far), lambda: isoptic_point_via_inversion(far),
                  lambda: isoptic_point_via_inv_iso(far), lambda: varignon(far),
                  lambda: simson_line(far), lambda: analyze(far).residuals,
-                 lambda: interior_angles(QuadState(far).q2),
-                 lambda: prev_generation(QuadState(far).q2),
+                 lambda: interior_angles(QuadState(far).next),
+                 lambda: prev_generation(QuadState(far).next),
                  lambda: QuadState(far).pedal_w, lambda: QuadState(far).pedal_s]
         calls += [lambda fn=fn: fn(QuadState(far)) for fn, _ in INVARIANTS.values()]
+        # the reconstructions fed from the state's own outputs; a pedal is
+        # None where its point is at infinity, and require_finite raises there
+        st = QuadState(far)
+        calls += [lambda: isogonal_conjugate_quad(st, st.w),
+                  lambda: isogonal_conjugate_quad(st, st.s),
+                  lambda: reconstruct_from_pedal_w(st.w, st.pedal_w or []),
+                  lambda: reconstruct_from_simson(st.s, st.pedal_s or []),
+                  lambda: reconstruct_fourth_vertex(far.a, far.b, far.c, st.w)]
         for call in calls:
             try:
                 value = call()
