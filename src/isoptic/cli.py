@@ -21,8 +21,6 @@ from .quad import (
     Quadrilateral,
     analyze,
     isoptic_point,
-    next_generation,
-    prev_generation,
     reconstruct_fourth_vertex,
     reconstruct_from_pedal_w,
     reconstruct_from_simson,
@@ -116,7 +114,7 @@ def _tol(text: str) -> float:
 
 def cmd_analyze(args) -> int:
     q = load_quad_file(args.file, args.tol)
-    rep = analyze(q, args.tol)
+    rep = analyze(q)
     doc = {
         "tool_version": __version__,
         "tolerance": _num(args.tol),
@@ -148,22 +146,22 @@ def cmd_iterate(args) -> int:
         print("error: --generations must not be negative", file=sys.stderr)
         return EXIT_USAGE
     q = load_quad_file(args.file, args.tol)
-    step = next_generation if args.direction == "forward" else prev_generation
+    st = QuadState(q)
     generations = [q]
     ratios = []
     degeneration = None
     for _ in range(args.generations):
         try:
-            nxt = step(QuadState(generations[-1], args.tol))
+            st = st.next if args.direction == "forward" else st.prev
         except CyclicDegeneration as exc:
             degeneration = {"reason": "cyclic", "point": _point_json(exc.point)}
             break
         except GeometryError as exc:
             degeneration = {"reason": type(exc).__name__, "message": str(exc)}
             break
-        ratio = generations[-1].area_ratio(nxt)
+        ratio = generations[-1].area_ratio(st.q)
         ratios.append(None if ratio is None else _num(ratio))
-        generations.append(nxt)
+        generations.append(st.q)
     doc = {
         "tool_version": __version__,
         "tolerance": _num(args.tol),
@@ -192,7 +190,7 @@ def cmd_verify(args) -> int:
 def cmd_render(args) -> int:
     q = load_quad_file(args.file, args.tol)
     layers = tuple(name.strip() for name in args.layers.split(",") if name.strip())
-    svg = render_svg(q, layers, tol=args.tol)
+    svg = render_svg(q, layers)
     with open(args.out, "w") as fh:
         fh.write(svg)
     return EXIT_OK

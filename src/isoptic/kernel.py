@@ -352,10 +352,10 @@ def max_cs_distance(w: complex, circles: tuple[Circle, ...] | list[Circle],
     times unit, an exact power of two, so that no distance overflows."""
     terms, wu = [], w * unit
     for c in circles:
-        o, r = c.o * unit, c.r * unit
+        o, r = c.o * unit, c.r  # r unscaled: their ratio is the same, and no r underflows
         u = wu - o
         d = abs(u)
-        terms.append((o, r, tol * r, u, d, u / d if d else u))
+        terms.append((o, r, tol * (r * unit), u, d, u / d if d else u))
     min_gap *= unit
     worst = None  # max(defects): the first, then each larger one, so a first nan stays
     for i, (o1, r1, tr1, _, d1, e1) in enumerate(terms):

@@ -88,7 +88,7 @@ class Quadrilateral(Record):
         return q
 
     def _frame(self, z: tuple[Point, ...], diffs: tuple[complex, ...], tol: float):
-        check_tol(tol)
+        _set(self, "tol", check_tol(tol))
         # the side table _diffs = (B - A, C - A, D - A, C - B, D - B, D - C)
         # times _unit, an exact power of two near 1 / diameter, so that its
         # crosses and dot products neither overflow nor underflow; every side,
@@ -127,6 +127,14 @@ class Quadrilateral(Record):
         # round apart from each other: there a zero side is tested on its own
         if height < tol * (scale * unit) or not (nab and nac and nad and nbc and nbd and ncd):
             raise CollinearInput("three vertices are collinear within tolerance")
+
+    def _offset_unit(self, p: complex) -> float:
+        """The frame of offsets from p: _unit_down, or where a part of p there passes
+        1e300, unit_near of p's largest part, which is less and where none overflows."""
+        u = self._unit_down
+        if -1e300 < p.real * u < 1e300 and -1e300 < p.imag * u < 1e300:
+            return u
+        return unit_near(max(abs(p.real), abs(p.imag)))
 
     def vertices(self) -> tuple[Point, Point, Point, Point]:
         return self._z
@@ -246,16 +254,16 @@ class QuadState:
     """One quadrilateral and what is derived from it, each part computed
     once, on first use.
 
-    The one home of tol: each construction on a quadrilateral takes a
-    QuadState or a Quadrilateral (read at DEFAULT_TOL, _state), and reuses
-    the state's parts and tol; the parts call them through this module's
-    globals.  ``next`` (the state of Q2) and ``prev`` (that of prev_generation(q))
-    chain the generations, so that each one and its triad circles are built once.
+    Its tol is q's own: each construction on a quadrilateral takes a
+    QuadState or a Quadrilateral (_state), and reuses the state's parts; the
+    parts call them through this module's globals.  ``next`` (the state of
+    Q2) and ``prev`` (that of prev_generation(q)) chain the generations, so
+    that each one and its triad circles are built once.
     """
 
-    def __init__(self, q: Quadrilateral, tol: float = DEFAULT_TOL):
+    def __init__(self, q: Quadrilateral):
         self.q = q
-        self.tol = check_tol(tol)
+        self.tol = q.tol
         self.scale = q._scale
 
     @_part
@@ -282,11 +290,11 @@ class QuadState:
 
     @_part
     def next(self) -> QuadState:
-        return QuadState(next_generation(self), self.tol)
+        return QuadState(next_generation(self))
 
     @_part
     def prev(self) -> QuadState:
-        return QuadState(prev_generation(self), self.tol)
+        return QuadState(prev_generation(self))
 
     @_part
     def w(self) -> MaybePoint:
@@ -530,11 +538,11 @@ def prev_generation(q: QuadOrState) -> Quadrilateral:
     return Quadrilateral(*(Point(za + (v + g) / unit) for v in out), tol=st.tol)
 
 
-def _conjugates_in_triads(q: Quadrilateral, tol: float) -> list[MaybePoint]:
+def _conjugates_in_triads(q: Quadrilateral) -> list[MaybePoint]:
     """The isogonal conjugate of the vertex left out of each triad DAB, ABC,
     BCD and CDA (C, D, A and B) in the triangle of that triad, isogonal_conjugate_triangle's
     in one pass: each pair's length and unit direction formed once."""
-    a, b, c, d = q._z
+    a, b, c, d, tol = *q._z, q.tol
     ab, ac, ad, bc, bd, cd = b - a, c - a, d - a, c - b, d - b, d - c
     nab, nac, nad, nbc, nbd, ncd = abs(ab), abs(ac), abs(ad), abs(bc), abs(bd), abs(cd)
     # each pair is a gap from the left-out vertex of two triads: the vertex test of all four
@@ -647,18 +655,25 @@ def isoptic_point_via_inv_iso(q: QuadOrState) -> MaybePoint:
     of the remaining three, then inverted in that triangle's circumcircle."""
     st = _state(q)
     return _mean_image([invert_point(mirror, p, st.tol) for mirror, p
-                        in zip(st.triads.circles, _conjugates_in_triads(st.q, st.tol))])
+                        in zip(st.triads.circles, _conjugates_in_triads(st.q))])
 
 
 def isoptic_quantity(q: QuadOrState, w: Point) -> list[float]:
     """d_i / R_i for the four triad circles; all equal exactly at W.  Both
-    are read in q's _unit_down frame, where no distance from w overflows."""
+    are read in q's _offset_unit frame, where no distance from w overflows;
+    a ratio beyond the float range raises PointAtInfinity."""
     require_finite(w)
     st = _state(q)
-    t, unit = st.triads, st.q._unit_down
+    t, unit = st.triads, st.q._offset_unit(w)
     o1, o2, o3, o4, wu = t.o1, t.o2, t.o3, t.o4, w * unit
-    return [abs(wu - o1.o * unit) / (o1.r * unit), abs(wu - o2.o * unit) / (o2.r * unit),
-            abs(wu - o3.o * unit) / (o3.r * unit), abs(wu - o4.o * unit) / (o4.r * unit)]
+    r1, r2, r3, r4 = o1.r * unit, o2.r * unit, o3.r * unit, o4.r * unit
+    # a radius that underflows to 0 there is a ratio beyond the float range too
+    qty = ([abs(wu - o1.o * unit) / r1, abs(wu - o2.o * unit) / r2,
+            abs(wu - o3.o * unit) / r3, abs(wu - o4.o * unit) / r4]
+           if r1 and r2 and r3 and r4 else [math.inf])
+    if math.inf in qty:
+        raise PointAtInfinity("w is so far that d / R is not a finite float")
+    return qty
 
 
 def isodynamic_ratios(q: QuadOrState, w: Point) -> float:
@@ -666,12 +681,12 @@ def isodynamic_ratios(q: QuadOrState, w: Point) -> float:
 
     sigma pairs each vertex with the radius of the triad circle through the
     other three: (A, R3), (B, R4), (C, R1), (D, R2).  The distances are read
-    in q's _unit_down frame and the radii in an exact power of two near the
+    in q's _offset_unit frame and the radii in an exact power of two near the
     largest, so that no distance or product overflows.
     """
     require_finite(w)
     st = _state(q)
-    t, unit = st.triads, st.q._unit_down
+    t, unit = st.triads, st.q._offset_unit(w)
     r1, r2, r3, r4 = t.o1.r, t.o2.r, t.o3.r, t.o4.r
     a, b, c, d = st.q._z
     wu, runit = w * unit, unit_near(max(r1, r2, r3, r4))
@@ -692,8 +707,8 @@ def angle_sums_at_point(q: Quadrilateral, w: Point) -> float:
     a, b, c, d = q._z
     if w == a or w == b or w == c or w == d:
         raise DegenerateRay("w coincides with a vertex")
-    # the offsets from w in q's _unit_down frame, where their quotients cannot overflow
-    unit = q._unit_down
+    # the offsets from w in q's _offset_unit frame, where their quotients cannot overflow
+    unit = q._offset_unit(w)
     wu = w * unit
     aw, bw, cw, dw = a * unit - wu, b * unit - wu, c * unit - wu, d * unit - wu
     ac, ca, bd, db = a - c, c - a, b - d, d - b
@@ -715,13 +730,13 @@ def pedal_quadrilateral(q: Quadrilateral, p: Point) -> list[Point]:
     """Feet of the perpendiculars from p onto the side lines AB, BC, CD, DA:
     with v the side's first vertex, e its vector, u^2 = e / conj(e) and
     d = p - v, the foot is v + (d + u^2 conj(d)) / 2, where u^2 conj(d) is d
-    mirrored in the side.  d is formed in q's _unit_down frame, as p unit -
+    mirrored in the side.  d is formed in q's _offset_unit frame, as p unit -
     v unit, so that it cannot overflow; a foot beyond the float range raises
     PointAtInfinity."""
     require_finite(p)
     a, b, c, d = q._z
     ab, _, ad, bc, _, cd = q._diffs
-    da, unit = -ad, q._unit_down
+    da, unit = -ad, q._offset_unit(p)
     pu = p * unit
     pa, pb, pc, pd = pu - a * unit, pu - b * unit, pu - c * unit, pu - d * unit
     return [finite_point(a + 0.5 * (pa + ab / ab.conjugate() * pa.conjugate()) / unit, "a foot"),
@@ -804,13 +819,13 @@ def isogonal_conjugate_quad(q: QuadOrState, p: Point) -> list[MaybePoint]:
 
     The rays at vertex i run to its neighbours, so each reflected line is
     the mirrored_cevian of the triangle's conjugation, read from the sides and
-    the offsets p - v in q's _unit_down frame.  Parallel adjacent reflected
+    the offsets p - v in q's _offset_unit frame.  Parallel adjacent reflected
     lines put that vertex of the conjugate at infinity (along their common
     direction); a meet beyond the float range raises PointAtInfinity.
     """
     require_finite(p)
     st = _state(q)
-    tol, unit, sides = st.tol, st.q._unit_down, st.q._sides()
+    tol, unit, sides = st.tol, st.q._offset_unit(p), st.q._sides()
     offsets = [p * unit - v * unit for v in st.q._z]
     gaps = list(map(abs, offsets))
     if min(gaps) < tol * max(st.scale * unit, *gaps):  # tol times the diameter of q and p
@@ -933,13 +948,17 @@ def periodicity_residual(q: QuadOrState) -> float:
 
 def cross_generation_cs_residual(q: QuadOrState, w: Point) -> float:
     """Max scale-free distance of w to CS(o_i^(k), o_j^(l)) across the first
-    three generations, each read from the Apollonius defect (max_cs_distance)."""
+    three generations, each read from the Apollonius defect (max_cs_distance);
+    an inf one where w's distance in diameters overflows raises PointAtInfinity."""
     require_finite(w)
     st = _state(q)
-    tol, scale = st.tol, st.scale
+    tol, scale, unit = st.tol, st.scale, st.q._offset_unit(w)
     circles = [c for g in (st, st.next, st.next.next) for c in g.triads.circles]
     # a pair of centers within noise is one circle twice: no CS
-    return max_cs_distance(w, circles, tol, 1e3 * tol * scale, st.q._unit_down) / scale
+    res = max_cs_distance(w, circles, tol, 1e3 * tol * scale, unit) / scale
+    if res == math.inf and abs(w * unit - st.q.a * unit) / unit / scale == math.inf:
+        raise PointAtInfinity("w is so far that its distance is not a finite float")
+    return res
 
 
 def quadrangle_duality_residual(q: QuadOrState, w: Point, mirror_radius: float) -> float:
@@ -957,9 +976,9 @@ def quadrangle_duality_residual(q: QuadOrState, w: Point, mirror_radius: float) 
     images = [invert_point(mirror, v, tol) for v in st.q.vertices()]
     if not all(is_finite(p) for p in images):
         raise DegenerateConjugate("a vertex maps to infinity under the duality mirror")
-    img = QuadState(Quadrilateral(*images, tol=tol), tol)
+    img = QuadState(Quadrilateral(*images, tol=tol))
     return max_cs_distance(w, triad_circles(img).circles, tol, 0.0,
-                           img.q._unit_down) / img.scale
+                           img.q._offset_unit(w)) / img.scale
 
 
 def feet_circles_residual(st: QuadState) -> float | None:
@@ -1021,7 +1040,7 @@ def six_cs_residual(st: QuadState) -> float | None:
     w = st.w
     if not is_finite(w) or st.cyclic:
         return None
-    return max_cs_distance(w, st.triads.circles, st.tol, 0.0, st.q._unit_down) / st.scale
+    return max_cs_distance(w, st.triads.circles, st.tol, 0.0, st.q._offset_unit(w)) / st.scale
 
 
 def area_ratio_residual(st: QuadState) -> float | None:
@@ -1089,8 +1108,8 @@ _RESIDUALS = {
 }
 
 
-def analyze(q: Quadrilateral, tol: float = DEFAULT_TOL) -> AnalysisReport:
-    st = QuadState(q, tol)
+def analyze(q: Quadrilateral) -> AnalysisReport:
+    st = QuadState(q)
     shape, triads = st.shape, st.triads
     try:
         r = st.r

@@ -7,7 +7,7 @@ formatted with repr-style shortest round-trip floats.
 from __future__ import annotations
 
 from .errors import GeometryError
-from .kernel import DEFAULT_TOL, Circle, Line, Point, circle_of_similitude, is_finite
+from .kernel import Circle, Line, Point, circle_of_similitude, is_finite
 from .quad import QuadState, Quadrilateral, simson_line, varignon
 
 _SIZE = 640  # width and height of the SVG viewport in pixels
@@ -81,18 +81,20 @@ def _clip_curve(canvas: _Canvas, curve: Circle | Line, color, span: float,
 
 
 def render_svg(q: Quadrilateral, layers=("quad", "triads", "w"),
-               tol: float = DEFAULT_TOL) -> str:
+               tol: float | None = None) -> str:
     """Return a complete SVG document showing the requested layers.
 
     Unknown layer names raise ValueError.  Layers whose construction hits a
     degeneracy are silently skipped (e.g. "w" for a quadrilateral whose
-    isoptic point is at infinity).
+    isoptic point is at infinity).  A tol other than q's own redraws q built at it.
     """
     for name in layers:
         if name not in LAYERS:
             raise ValueError(f"unknown layer {name!r} (choose from {', '.join(LAYERS)})")
+    if tol is not None and tol != q.tol:
+        q = Quadrilateral(*q.vertices(), tol=tol)
     cv = _Canvas()
-    st = QuadState(q, tol)
+    st = QuadState(q)
     scale = st.scale
     base_w = scale / 320.0  # stroke width in model units
     centroid = q.centroid()
@@ -114,7 +116,7 @@ def render_svg(q: Quadrilateral, layers=("quad", "triads", "w"),
                 circles = st.triads.circles
                 for i in range(4):
                     j = (i + 1) % 4
-                    cs = circle_of_similitude(circles[i], circles[j], tol)
+                    cs = circle_of_similitude(circles[i], circles[j], st.tol)
                     _clip_curve(cv, cs, color, 2 * scale, centroid,
                                 base_w, "4 3")
             elif name == "w":

@@ -299,7 +299,7 @@ def _inv_q2_construction(st):
     circumcenters solved one by one, in Q1's diameter (their own error
     scale)."""
     a, b, c, d = st.q.vertices()
-    return max(abs(circumscribe(*t, DEFAULT_TOL, with_radius=False) - v) for t, v
+    return max(abs(circumscribe(*t, st.tol, with_radius=False) - v) for t, v
                in zip(((d, a, b), (a, b, c), (b, c, d), (c, d, a)), st.next.q.vertices())) / st.scale
 
 
@@ -401,7 +401,7 @@ def run_suite(spec: CaseSpec, n_cases: int, tol: float = 1e-8) -> SuiteReport:
     errors = 0
     for index in range(n_cases):
         try:
-            state = QuadState(random_quadrilateral(spec, index), DEFAULT_TOL)
+            state = QuadState(random_quadrilateral(spec, index))
             state.w  # a case whose W fails is an error, not a skip
         except GeometryError:
             errors += 1
@@ -417,7 +417,7 @@ def run_suite(spec: CaseSpec, n_cases: int, tol: float = 1e-8) -> SuiteReport:
             st.cases_run += 1
             if res > st.max_residual:  # max's choice: a nan residual is not kept
                 st.max_residual = res
-            if res > tol:
+            if not res <= tol:  # a nan residual fails too
                 st.failures += 1
     return SuiteReport(spec=spec, n_cases=n_cases, tol=tol,
                        invariants={st.name: st for _, st in applicable}, errors=errors)

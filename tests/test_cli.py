@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -13,6 +14,13 @@ GENERIC = {"vertices": [[0, 0], [4, 0], [5, 3], [1, 4]]}
 SQUARE = {"vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]}
 # the least triad height, of ABC, is 1e-7 of the diameter
 THIN = {"vertices": [[0, 0], [1, 0], [2, 5.657e-7], [0, 2]]}
+# D is 1e-6 off the circle through A, B and C: cyclic at tol 1e-3
+NEAR_SQUARE = {"vertices": [[1, 0], [0, 1], [-1, 0], [0, -1 - 1e-6]]}
+# (2, 1e-4) is nearly on line AB: flat at tol 1e-3
+FLAT = {"vertices": [[0, 0], [1, 0], [2, 1e-4], [0, 1]]}
+# sha256 of the exit code and --out text of every iterate run of
+# TestIterate.test_reports_are_pinned, in order
+ITERATE_SHA256 = "23dba13b1704fb5d56407267ae6773801c9aa0adf47ed6a03b58a8b8fac9df32"
 
 
 @pytest.fixture
@@ -224,6 +232,27 @@ class TestIterate:
             ratios[k] = json.loads(out.read_text())["area_ratios"]
         assert ratios[factor] == pytest.approx(ratios[1.0], rel=1e-13)
 
+    def test_reports_are_pinned(self, quad_file, tmp_path):
+        # both directions on generic, cyclic, near-cyclic, concave and
+        # trapezoid inputs, at the default tol and at 1e-3, where the
+        # near-cyclic ones are cyclic; four backward runs end at infinity
+        inputs = [quad_file(GENERIC, "generic.json"), quad_file(SQUARE, "square.json"),
+                  quad_file(NEAR_SQUARE, "near.json")]
+        for shape, index in (("concave", 0), ("near-cyclic", 1), ("trapezoid", 1)):
+            q = random_quadrilateral(CaseSpec(3, shape), index)
+            inputs.append(quad_file({"vertices": [[v.x, v.y] for v in q.vertices()]},
+                                    f"{shape}.json"))
+        digest, out = hashlib.sha256(), tmp_path / "it.json"
+        for path in inputs:
+            for tol in ("1e-9", "1e-3"):
+                for direction, count in (("forward", "4"), ("backward", "4"), ("backward", "300")):
+                    out.unlink(missing_ok=True)
+                    rc = main(["iterate", path, "--generations", count, "--direction", direction,
+                               "--tol", tol, "--out", str(out)])
+                    text = out.read_text() if out.exists() else ""
+                    digest.update(f"{rc}\n{text}".encode())
+        assert digest.hexdigest() == ITERATE_SHA256
+
     def test_negative_generations_exit_1(self, quad_file, capsys):
         assert main(["iterate", quad_file(GENERIC), "--generations", "-2"]) == 1
         assert capsys.readouterr().out == ""
@@ -263,6 +292,12 @@ class TestVerify:
 
 
 class TestRender:
+    def test_a_flat_input_at_the_tol_exits_2(self, quad_file, tmp_path, capsys):
+        out = tmp_path / "fig.svg"
+        assert main(["render", quad_file(FLAT), "--out", str(out)]) == 0
+        assert main(["render", quad_file(FLAT), "--out", str(out), "--tol", "1e-3"]) == 2
+        assert "collinear" in capsys.readouterr().err
+
     def test_golden_byte_stability(self, quad_file, tmp_path):
         f1, f2 = tmp_path / "a.svg", tmp_path / "b.svg"
         args = ["render", quad_file(GENERIC), "--layers", "quad,triads,cs,w,s"]

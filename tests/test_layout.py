@@ -201,17 +201,31 @@ def test_no_slow_record_or_cache_paths():
 
 
 def test_tol_has_one_home_per_quadrilateral():
-    # QuadState is where a construction on a quadrilateral gets its tol: one
-    # that took a tol of its own was silently overridden by a state's, so
-    # the same call read one shape at q and another at QuadState(q).
-    # analyze builds the state, and _state reads a bare q at DEFAULT_TOL
-    tree = ast.parse((PACKAGE / "quad.py").read_text())
-    fns = {node.name: [a.arg for a in node.args.args + node.args.kwonlyargs]
-           for node in tree.body if isinstance(node, ast.FunctionDef)}
-    own_tol = sorted(name for name, args in fns.items()
-                     if not name.startswith("_") and name != "analyze"
-                     and args[:1] == ["q"] and "tol" in args)
-    assert own_tol == [], f"take a tol besides their QuadState's: {own_tol}"
+    # a quadrilateral keeps the tol it was validated at, and every
+    # construction on it reads that one: a tol taken besides it was silently
+    # overridden or never checked, so the same call read one shape at q and
+    # another at QuadState(q, tol).  Outside the kernel's primitives a tol is
+    # taken only where a quadrilateral is built (Quadrilateral, the three
+    # reconstructions, load_quad_file, and render_svg, whose tol other than
+    # q's redraws q built at it) and by run_suite, whose residual gate it is
+    # (and so SuiteReport, which reports it)
+    fns = {}
+    for module in ("quad", "render", "verify", "cli"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        nodes = [(None, node) for node in tree.body]
+        nodes += [(node.name, item) for node in tree.body if isinstance(node, ast.ClassDef)
+                  for item in node.body]
+        fns.update({f"{cls}.{node.name}" if cls else node.name:
+                    [a.arg for a in node.args.args + node.args.kwonlyargs]
+                    for cls, node in nodes if isinstance(node, ast.FunctionDef)})
+    public = [name for name in fns
+              if not name.split(".")[-1].startswith("_") or name.endswith(".__init__")]
+    takes_tol = sorted(name for name in public if "tol" in fns[name])
+    assert takes_tol == ["Quadrilateral.__init__", "SuiteReport.__init__", "load_quad_file",
+                         "reconstruct_fourth_vertex", "reconstruct_from_pedal_w",
+                         "reconstruct_from_simson", "render_svg", "run_suite"]
+    assert fns["QuadState.__init__"] == ["self", "q"]
+    assert fns["analyze"] == ["q"]
     assert fns["_state"] == ["q"]
 
 

@@ -73,6 +73,7 @@ from isoptic.quad import (
     triad_circles,
     varignon,
 )
+from isoptic.render import render_svg
 from isoptic.verify import INVARIANTS, SHAPE_CLASSES, CaseSpec, random_quadrilateral
 
 from cyclicity import noncyclicity_measure
@@ -85,7 +86,7 @@ DART = Quadrilateral(Point(0, 0), Point(4, 0), Point(1, 1), Point(0, 4))
 
 UNIT = (Point(0, 0), Point(1, 0), Point(0, 1))
 # the arguments before tol of each construction that validates it; a
-# construction on a quadrilateral reads its QuadState's tol, checked there
+# construction on a quadrilateral reads the tol of q, checked where q is built
 TOL_ARGS = {
     Quadrilateral: GENERIC.vertices(),
     reconstruct_from_pedal_w: (isoptic_point(GENERIC),
@@ -99,6 +100,7 @@ TOL_ARGS = {
     invert_circle: (Circle(0j, 1.0), Circle(2 + 0j, 0.5)),
     circle_of_similitude: (Circle(0j, 1.0), Circle(3 + 0j, 2.0)),
     isogonal_conjugate_triangle: UNIT + (Point(0.2, 0.3),),
+    render_svg: (GENERIC, ("quad",)),
 }
 
 
@@ -132,11 +134,28 @@ class TestQuadrilateral:
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_analyze_rejects_a_tol_that_is_not_finite_and_positive(self, tol):
         # -1 raised a math domain error, nan passed every tolerance test and
-        # inf raised CollinearInput
+        # inf raised CollinearInput.  analyze and QuadState read the tol of
+        # their quadrilateral, checked where it is built, and take none
         with pytest.raises(ValueError):
+            analyze(Quadrilateral(*GENERIC.vertices(), tol=tol))
+        with pytest.raises(TypeError):
             analyze(GENERIC, tol)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             QuadState(GENERIC, tol)
+
+    def test_a_bare_quadrilateral_is_read_at_its_own_tol(self):
+        # D is 1e-6 off the circle through A, B and C, so q is cyclic at its
+        # tol 1e-3; a bare q was read at DEFAULT_TOL, where classify called
+        # it noncyclic and next_generation returned a Q2 about 1e-6 across
+        q = Quadrilateral(Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1 - 1e-6), tol=1e-3)
+        assert q.tol == QuadState(q).tol == 1e-3
+        assert classify(q).cyclic and analyze(q).shape.cyclic
+        for step in (next_generation, prev_generation):
+            with pytest.raises(CyclicDegeneration):
+                step(q)
+        # tol is an attribute, not a field: equality, hash and repr do not read it
+        same = Quadrilateral(*q.vertices())
+        assert same == q and hash(same) == hash(q) and repr(same) == repr(q)
 
     @pytest.mark.parametrize("fn", list(TOL_ARGS))
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
@@ -317,7 +336,7 @@ class TestGenerations:
         for shape in ("convex-noncyclic", "concave", "trapezoid"):
             for q in generic_quads(300, shape, seed=7):
                 prev = prev_generation(q)
-                conj = _conjugates_in_triads(q, 1e-9)
+                conj = _conjugates_in_triads(q)
                 gap = max(abs(p - c) for p, c in zip(prev.vertices(), conj))
                 assert gap <= 1e-12 * prev.scale()
 
@@ -332,12 +351,12 @@ class TestGenerations:
         # at tol 1e-300 the square is still cyclic (D is 0 from o2), and this
         # concyclic draw is not, but its rotation m rounds to 1 exactly
         with pytest.raises(CyclicDegeneration):
-            prev_generation(QuadState(SQUARE, 1e-300))
+            prev_generation(Quadrilateral(*SQUARE.vertices(), tol=1e-300))
         q = Quadrilateral(Point(-0.7057861057790554, 0.7084249945401673),
                           Point(-0.9273549702257986, 0.3741827884837946),
                           Point(-0.9985987309596124, -0.05292045470185985),
-                          Point(0.1777604836048933, -0.984073783040964))
-        st = QuadState(q, 1e-300)
+                          Point(0.1777604836048933, -0.984073783040964), tol=1e-300)
+        st = QuadState(q)
         assert not st.cyclic
         with pytest.raises(CyclicDegeneration) as exc:
             prev_generation(st)
@@ -351,10 +370,10 @@ class TestGenerations:
         tol = 4.4e-4
         for step, q in ((next_generation, prev_generation(t)),
                         (prev_generation, next_generation(t))):
-            Quadrilateral(*q.vertices(), tol=tol)
+            valid = Quadrilateral(*q.vertices(), tol=tol)
             assert quad_distance(step(q), t) < 1e-12
             with pytest.raises(CollinearInput):
-                step(QuadState(q, tol))
+                step(valid)
 
     @pytest.mark.parametrize("k", [2.0 ** -200, 2.0 ** 200])
     def test_prev_generation_scales_exactly(self, k):
@@ -1046,7 +1065,7 @@ class TestOnePassFormsBitForBit:
                 a, b, c, d = q.vertices()
                 triads = (((d, a, b), c), ((a, b, c), d), ((b, c, d), a), ((c, d, a), b))
                 slow = [self._outcome(isogonal_conjugate_triangle, *t, p, 1e-9) for t, p in triads]
-                fast = self._outcome(_conjugates_in_triads, q, 1e-9)
+                fast = self._outcome(_conjugates_in_triads, q)
                 assert fast == f"[{', '.join(slow)}]", (q, scale)
 
     @pytest.mark.parametrize("name", list(_FLAT_AND_LOOP))
@@ -1508,6 +1527,34 @@ def test_offsets_from_w_are_read_in_the_frame_near_the_float_maximum():
         assert angle_sums_at_point(far, p) == pytest.approx(angle_sums_at_point(q, ref),
                                                             rel=1e-9, abs=1e-15)
     assert isodynamic_ratios(st, st.w) < 1e-14 and analyze(far).residuals["six_cs"] < 1e-13
+
+
+def _all_finite(value) -> bool:
+    """Every float, complex and Point in value is finite (a point at infinity passes)."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_all_finite, value))
+    return isinstance(value, AtInfinity) or cmath.isfinite(value)
+
+
+@pytest.mark.parametrize("scale, p, near", [(1.0, Point(1.5e308, 1.5e308), Point(1e307, 1e307)),
+                                            (1e-300, Point(1e302, -1e302), Point(1e292, -1e292))])
+def test_far_points_are_read_in_a_frame_of_their_own(scale, p, near):
+    # a small quadrilateral and a far point p: q's _unit_down frame never
+    # scaled the offsets down, so the first replay raised OverflowError in
+    # four of these and angle_sums_at_point read a nan quotient as 0.0; in
+    # p's frame the radii of the second underflow to 0, where the ratios
+    # and the distances overflow.  Both read as a nearer point in the same direction
+    q = Quadrilateral(*(Point(x * scale, y * scale)
+                        for x, y in ((-.1, -.1), (.1, -.1), (.13, .1), (-.1, .1))))
+    for fn in (isogonal_conjugate_quad, isoptic_quantity, isodynamic_ratios,
+               angle_sums_at_point, cross_generation_cs_residual, pedal_quadrilateral):
+        try:
+            value = fn(q, p)
+        except GeometryError:
+            continue
+        assert _all_finite(value), (fn.__name__, value)
+    assert angle_sums_at_point(q, p) == pytest.approx(angle_sums_at_point(q, near), rel=1e-12)
+    assert isodynamic_ratios(q, p) == pytest.approx(isodynamic_ratios(q, near), rel=1e-12)
 
 
 def test_w_routes_agree_near_the_float_maximum():

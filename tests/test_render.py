@@ -2,6 +2,7 @@ import xml.dom.minidom
 
 import pytest
 
+from isoptic.errors import CollinearInput
 from isoptic.kernel import Point, orthocenter
 from isoptic.quad import Quadrilateral
 from isoptic.render import LAYERS, _fmt, render_svg
@@ -12,6 +13,17 @@ GENERIC = Quadrilateral(Point(0, 0), Point(4, 0), Point(5, 3), Point(1, 4))
 def test_valid_xml_all_layers():
     svg = render_svg(GENERIC, LAYERS)
     xml.dom.minidom.parseString(svg)
+
+
+def test_a_tol_other_than_the_quadrilaterals_validates_it_there():
+    # (2, 1e-4) is nearly on line AB: valid at DEFAULT_TOL and flat at 1e-3,
+    # where render_svg built a state and drew it with no check
+    flat = Quadrilateral(Point(0, 0), Point(1, 0), Point(2, 1e-4), Point(0, 1))
+    with pytest.raises(CollinearInput):
+        render_svg(flat, ("quad",), tol=1e-3)
+    assert render_svg(flat, LAYERS, tol=flat.tol) == render_svg(flat, LAYERS)
+    assert render_svg(flat, LAYERS, tol=1e-12) == render_svg(
+        Quadrilateral(*flat.vertices(), tol=1e-12), LAYERS)
 
 
 def test_byte_determinism():

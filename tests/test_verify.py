@@ -13,6 +13,7 @@ from isoptic.quad import (
     similarity_ratio,
 )
 from isoptic.verify import (
+    INVARIANTS,
     SHAPE_CLASSES,
     CaseSpec,
     random_quadrilateral,
@@ -211,6 +212,14 @@ class TestRunSuite:
         # at nan no residual exceeds tol, so every case passed
         with pytest.raises(ValueError):
             run_suite(CaseSpec(seed=5, shape_class="cyclic"), 1, tol)
+
+    def test_a_nan_residual_is_a_failure(self, monkeypatch):
+        # res > tol let a nan pass; max_residual keeps max's choice, which drops it
+        monkeypatch.setitem(INVARIANTS, "r_range", (lambda st: math.nan, SHAPE_CLASSES))
+        rep = run_suite(CaseSpec(seed=5, shape_class="concave"), 3)
+        stats = rep.invariants["r_range"]
+        assert (stats.cases_run, stats.failures, stats.max_residual) == (3, 3, 0.0)
+        assert rep.failures == 3
 
     def test_residuals_nonnegative(self):
         rep = run_suite(CaseSpec(seed=5, shape_class="concave"), 10, tol=1e-8)
