@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import __version__
@@ -278,6 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_render)
 
     p = sub.add_parser("reconstruct", help="invert one of the constructions")
+    # read "-1,0" as a value, as Python 3.13's argparse does: its default
+    # matcher takes only a bare negative number, and "-1,0" for an option
+    p._negative_number_matcher = re.compile(r"-\.?\d")
     p.add_argument("--mode", required=True,
                    choices=("fourth-vertex", "pedal-w", "simson"))
     p.add_argument("--a")

@@ -74,17 +74,19 @@ class Quadrilateral(Record):
         self._frame((a, b, c, d), (b - a, c - a, d - a, c - b, d - b, d - c), tol)
 
     @classmethod
-    def _from_table(cls, z: tuple[complex, ...], diffs: tuple[complex, ...],
-                    tol: float) -> Quadrilateral:
+    def _from_table(cls, a: complex, b: complex, c: complex, d: complex,
+                    diffs: tuple[complex, ...], tol: float) -> Quadrilateral:
         """The quadrilateral of four complex vertices whose side table is
         diffs, in the vertices' units, rather than the differences of the
         rounded vertices: for a construction that knows its sides better than
         its vertices."""
         q = object.__new__(cls)
-        z = tuple(map(Point, z))
-        for name, v in zip("abcd", z):
-            _set(q, name, v)
-        q._frame(z, diffs, tol)
+        a, b, c, d = Point(a), Point(b), Point(c), Point(d)
+        _set(q, "a", a)
+        _set(q, "b", b)
+        _set(q, "c", c)
+        _set(q, "d", d)
+        q._frame((a, b, c, d), diffs, tol)
         return q
 
     def _frame(self, z: tuple[Point, ...], diffs: tuple[complex, ...], tol: float):
@@ -138,10 +140,6 @@ class Quadrilateral(Record):
 
     def vertices(self) -> tuple[Point, Point, Point, Point]:
         return self._z
-
-    def sides(self) -> tuple[complex, complex, complex, complex]:
-        """The side vectors B - A, C - B, D - C and A - D."""
-        return tuple(s / self._unit for s in self._sides())
 
     def _sides(self) -> tuple[complex, complex, complex, complex]:
         """The sides in the frame of the side table, for scale-free uses."""
@@ -341,8 +339,10 @@ def interior_angles(q: QuadOrState) -> tuple[float, float, float, float]:
     reflex vertex of a concave quadrilateral gets its actual reflex angle."""
     st = _state(q)
     orient = 1.0 if st.q._area2() > 0.0 else -1.0
-    return tuple([math.atan2(orient * t.imag, t.real) % (2.0 * math.pi)
-                  for t in st.side_shape[2]])
+    ta, tb, tc, td = st.side_shape[2]
+    atan2, turn = math.atan2, 2.0 * math.pi
+    return (atan2(orient * ta.imag, ta.real) % turn, atan2(orient * tb.imag, tb.real) % turn,
+            atan2(orient * tc.imag, tc.real) % turn, atan2(orient * td.imag, td.real) % turn)
 
 
 def classify(q: QuadOrState) -> ShapeClass:
@@ -366,7 +366,7 @@ def classify(q: QuadOrState) -> ShapeClass:
 def similarity_ratio(q: QuadOrState) -> float:
     """r = (cot a + cot g)(cot b + cot d) / 4 over the interior angles.
 
-    Each cot is _cot of the two edges at the vertex; reversing the
+    Each cot is that of the two edges at the vertex; reversing the
     orientation negates all four and leaves r as it is.  |cot| >
     cot(sqrt(tol)), an angle within sqrt(tol) of 0 or pi, raises
     IllConditionedAngles.  r < 0 convex noncyclic, 0 cyclic, >= 1 concave.
@@ -397,13 +397,6 @@ def shape_of_sides(sides: tuple[complex, ...]) -> tuple[bool, float, tuple[compl
         tb.real / tb.imag + td.real / td.imag), turns
 
 
-def _cot(u: complex, w: complex) -> float:
-    """Cotangent of the directed angle from ray u to ray w: dot over cross
-    (never 0 for two rays of a valid quadrilateral), from conj(u) w."""
-    t = u.conjugate() * w
-    return t.real / t.imag
-
-
 def cotangent_identity_residuals(q: QuadOrState) -> tuple[float, float]:
     """Residuals of the two side-diagonal cotangent identities against 4r.
 
@@ -416,9 +409,14 @@ def cotangent_identity_residuals(q: QuadOrState) -> tuple[float, float]:
     lhs = 4.0 * st.r
     # pairing fixed by requiring equality with 4*r of the reordered
     # quadrilaterals ACBD / ACDB, whose ratio coincides with the original;
-    # the angle at D between DB and DC is _cot(-bd, -cd) = _cot(bd, cd)
-    r1 = (_cot(ab, ac) - _cot(bd, cd)) * (_cot(bd, -ab) - _cot(cd, -ac))
-    r2 = (_cot(ac, ad) - _cot(bc, bd)) * (_cot(ad, bd) - _cot(ac, bc))
+    # the cot from ray u to ray v is Re t / Im t of t = conj(u) v, so the
+    # angle at D between DB and DC is that of conj(-bd) (-cd) = conj(bd) cd
+    t1, t2 = ab.conjugate() * ac, bd.conjugate() * cd
+    t3, t4 = bd.conjugate() * -ab, cd.conjugate() * -ac
+    t5, t6 = ac.conjugate() * ad, bc.conjugate() * bd
+    t7, t8 = ad.conjugate() * bd, ac.conjugate() * bc
+    r1 = (t1.real / t1.imag - t2.real / t2.imag) * (t3.real / t3.imag - t4.real / t4.imag)
+    r2 = (t5.real / t5.imag - t6.real / t6.imag) * (t7.real / t7.imag - t8.real / t8.imag)
     scale = max(1.0, abs(lhs))
     return (abs(lhs - r1) / scale, abs(lhs - r2) / scale)
 
@@ -495,14 +493,17 @@ def next_generation(q: QuadOrState) -> Quadrilateral:
     st = _state(q)
     if st.cyclic:
         raise _collapse(st)
-    triads = st.triads
-    return Quadrilateral._from_table(tuple(o.o for o in triads.circles), triads.diffs, st.tol)
+    t = st.triads
+    return Quadrilateral._from_table(t.o1.o, t.o2.o, t.o3.o, t.o4.o, t.diffs, st.tol)
 
 
 def _collapse(st: QuadState) -> CyclicDegeneration:
     """The error of a cyclic input's Q2, which is one point: the circumcenter."""
     return CyclicDegeneration("cyclic quadrilateral degenerates to a point",
                               point=Point(st.triads.o2.o))
+
+
+_CONJ_ONE = complex(1.0, -0.0)  # conj(1 + 0j): the identity's m, conjugated by the first mirror
 
 
 def prev_generation(q: QuadOrState) -> Quadrilateral:
@@ -524,18 +525,25 @@ def prev_generation(q: QuadOrState) -> Quadrilateral:
     if st.cyclic:
         raise _collapse(st)
     ab, ac, ad, bc, _, cd = st.q._diffs
-    g = (ab + ac + ad) / 4.0
-    mirrors = [(p - g, e / e.conjugate()) for p, e in ((0j, ab), (ab, bc), (ac, cd), (ad, -ad))]
-    m, b = 1.0 + 0j, 0j
-    for p, u2 in mirrors:
-        m, b = u2 * m.conjugate(), p + u2 * (b - p).conjugate()
+    g, da = (ab + ac + ad) / 4.0, -ad
+    # the mirrors' first points A, B, C, D about g and their u^2
+    pa, pb, pc, pd = 0j - g, ab - g, ac - g, ad - g
+    ua, ub = ab / ab.conjugate(), bc / bc.conjugate()
+    uc, ud = cd / cd.conjugate(), da / da.conjugate()
+    # x -> m x + b, composed from the identity 1 + 0j, 0j
+    m, b = ua * _CONJ_ONE, pa + ua * (0j - pa).conjugate()
+    m, b = ub * m.conjugate(), pb + ub * (b - pb).conjugate()
+    m, b = uc * m.conjugate(), pc + uc * (b - pc).conjugate()
+    m, b = ud * m.conjugate(), pd + ud * (b - pd).conjugate()
     if 1.0 - m == 0.0:
         raise _collapse(st)
-    out = [b / (1.0 - m)]
-    for p, u2 in mirrors[:3]:
-        out.append(p + u2 * (out[-1] - p).conjugate())
+    a1 = b / (1.0 - m)
+    b1 = pa + ua * (a1 - pa).conjugate()
+    c1 = pb + ub * (b1 - pb).conjugate()
+    d1 = pc + uc * (c1 - pc).conjugate()
     za, unit = st.q._z[0], st.q._unit
-    return Quadrilateral(*(Point(za + (v + g) / unit) for v in out), tol=st.tol)
+    return Quadrilateral(Point(za + (a1 + g) / unit), Point(za + (b1 + g) / unit),
+                         Point(za + (c1 + g) / unit), Point(za + (d1 + g) / unit), tol=st.tol)
 
 
 def _conjugates_in_triads(q: Quadrilateral) -> list[MaybePoint]:
@@ -626,36 +634,45 @@ def isoptic_point_via_limit(q: QuadOrState) -> MaybePoint:
         return exc.point
     z1, unit = st.q._z, st.q._unit
     g1, g3 = _centroid(z1), _centroid(z3)
-    u = [(z - g1) * unit for z in z1]
-    v = [(z - g3) * unit for z in z3]
-    k = sum(x.conjugate() * y for x, y in zip(u, v)) / sum((x.conjugate() * x).real for x in u)
+    a, b, c, d = z1
+    ua, ub, uc, ud = (a - g1) * unit, (b - g1) * unit, (c - g1) * unit, (d - g1) * unit
+    a, b, c, d = z3
+    va, vb, vc, vd = (a - g3) * unit, (b - g3) * unit, (c - g3) * unit, (d - g3) * unit
+    # both sums from int 0, as sum starts; |u|^2 = Re(conj(u) u) exactly
+    k = ((0 + ua.conjugate() * va + ub.conjugate() * vb + uc.conjugate() * vc
+          + ud.conjugate() * vd)
+         / (0 + (ua.real * ua.real + ua.imag * ua.imag) + (ub.real * ub.real + ub.imag * ub.imag)
+            + (uc.real * uc.real + uc.imag * uc.imag) + (ud.real * ud.real + ud.imag * ud.imag)))
     if 1.0 - k == 0.0:
         raise PointAtInfinity("k rounds to 1 near the orthocentric locus: no center")
     return finite_point(g1 + (g3 - g1) * unit / (1.0 - k) / unit, "W")
 
 
-def _mean_image(images: list[MaybePoint]) -> MaybePoint:
+def _mean_image(a: MaybePoint, b: MaybePoint, c: MaybePoint, d: MaybePoint) -> MaybePoint:
     """The mean of four images, or the first of them at infinity."""
-    for img in images:
-        if not is_finite(img):
-            return img
-    return Point(_centroid(images))
+    if is_finite(a) and is_finite(b) and is_finite(c) and is_finite(d):
+        return Point(_centroid((a, b, c, d)))
+    return a if not is_finite(a) else b if not is_finite(b) else c if not is_finite(c) else d
 
 
 def isoptic_point_via_inversion(q: QuadOrState) -> MaybePoint:
     """W as the inversion of each vertex in the matching second-generation
     triad circle; the four images are averaged."""
     st = _state(q)   # its Q2 raises CyclicDegeneration when cyclic
-    return _mean_image([invert_point(mirror, v, st.tol)
-                        for mirror, v in zip(st.next.triads.circles, st.q.vertices())])
+    t, tol = st.next.triads, st.tol
+    a, b, c, d = st.q._z
+    return _mean_image(invert_point(t.o1, a, tol), invert_point(t.o2, b, tol),
+                       invert_point(t.o3, c, tol), invert_point(t.o4, d, tol))
 
 
 def isoptic_point_via_inv_iso(q: QuadOrState) -> MaybePoint:
     """W as inversion-of-conjugate: each vertex is conjugated in the triangle
     of the remaining three, then inverted in that triangle's circumcircle."""
     st = _state(q)
-    return _mean_image([invert_point(mirror, p, st.tol) for mirror, p
-                        in zip(st.triads.circles, _conjugates_in_triads(st.q))])
+    t, tol = st.triads, st.tol
+    pc, pd, pa, pb = _conjugates_in_triads(st.q)
+    return _mean_image(invert_point(t.o1, pc, tol), invert_point(t.o2, pd, tol),
+                       invert_point(t.o3, pa, tol), invert_point(t.o4, pb, tol))
 
 
 def isoptic_quantity(q: QuadOrState, w: Point) -> list[float]:
@@ -819,25 +836,33 @@ def isogonal_conjugate_quad(q: QuadOrState, p: Point) -> list[MaybePoint]:
 
     The rays at vertex i run to its neighbours, so each reflected line is
     the mirrored_cevian of the triangle's conjugation, read from the sides and
-    the offsets p - v in q's _offset_unit frame.  Parallel adjacent reflected
-    lines put that vertex of the conjugate at infinity (along their common
-    direction); a meet beyond the float range raises PointAtInfinity.
+    the offsets p - v in q's _offset_unit frame.  The lines are met relative
+    to q's centroid in the frame of its side table, where the conjugate of a
+    far p, which lies near q, keeps q's precision.  Parallel adjacent
+    reflected lines put that vertex of the conjugate at infinity (along
+    their common direction); a meet beyond the float range raises
+    PointAtInfinity.
     """
     require_finite(p)
     st = _state(q)
-    tol, unit, sides = st.tol, st.q._offset_unit(p), st.q._sides()
-    offsets = [p * unit - v * unit for v in st.q._z]
-    gaps = list(map(abs, offsets))
-    if min(gaps) < tol * max(st.scale * unit, *gaps):  # tol times the diameter of q and p
+    tol, unit, (a, b, c, d) = st.tol, st.q._offset_unit(p), st.q._z
+    pu = p * unit
+    oa, ob, oc, od = pu - a * unit, pu - b * unit, pu - c * unit, pu - d * unit
+    na, nb, nc, nd = abs(oa), abs(ob), abs(oc), abs(od)
+    if min(na, nb, nc, nd) < tol * max(st.scale * unit, na, nb, nc, nd):  # of q and p
         raise DegenerateConjugate("p coincides with a vertex")
-    # vertex i at -offset from p, its rays along its outgoing side and its reversed incoming one
-    lines = [(-o, mirrored_cevian(0j, s, -sides[i - 1], o))
-             for i, (s, o) in enumerate(zip(sides, offsets))]
+    # each vertex about the centroid g in the side table's frame, and the
+    # direction of its line: rays along its outgoing side and its reversed incoming one
+    ab, ac, ad, bc, _, cd = st.q._diffs
+    g, frame = (ab + ac + ad) / 4.0, st.q._unit
+    va, vb, vc, vd = 0j - g, ab - g, ac - g, ad - g
+    la, lb = mirrored_cevian(0j, ab, ad, oa), mirrored_cevian(0j, bc, -ab, ob)
+    lc, ld = mirrored_cevian(0j, cd, -bc, oc), mirrored_cevian(0j, -ad, -cd, od)
     # P_A = l_A ^ l_B, P_B = l_B ^ l_C, P_C = l_C ^ l_D, P_D = l_D ^ l_A
-    meets = [(line_meet(v1, d1, v2, d2, tol), d1)
-             for (v1, d1), (v2, d2) in zip(lines, lines[1:] + lines[:1])]
-    return [AtInfinity.along(d.real, d.imag) if m is None
-            else finite_point(p + m / unit, "the isogonal conjugate") for m, d in meets]
+    meets = ((line_meet(va, la, vb, lb, tol), la), (line_meet(vb, lb, vc, lc, tol), lb),
+             (line_meet(vc, lc, vd, ld, tol), lc), (line_meet(vd, ld, va, la, tol), ld))
+    return [AtInfinity.along(u.real, u.imag) if m is None
+            else finite_point(a + (m + g) / frame, "the isogonal conjugate") for m, u in meets]
 
 
 # ---------------------------------------------------------------------------
@@ -932,8 +957,9 @@ def reordered_isoptic_points(q: Quadrilateral) -> list[MaybePoint]:
     """isoptic_point of ACBD and ACDB with no Quadrilateral built: they have
     q's six vertex gaps, so its diameter and frame, and C - A for B - A."""
     a, b, c, d = q._z
-    return [_isoptic_point(z, q._scale, q._unit, q._diffs[1])
-            for z in ((a, c, b, d), (a, c, d, b))]
+    scale, unit, ac = q._scale, q._unit, q._diffs[1]
+    return [_isoptic_point((a, c, b, d), scale, unit, ac),
+            _isoptic_point((a, c, d, b), scale, unit, ac)]
 
 
 def periodicity_residual(q: QuadOrState) -> float:
@@ -953,9 +979,10 @@ def cross_generation_cs_residual(q: QuadOrState, w: Point) -> float:
     require_finite(w)
     st = _state(q)
     tol, scale, unit = st.tol, st.scale, st.q._offset_unit(w)
-    circles = [c for g in (st, st.next, st.next.next) for c in g.triads.circles]
+    t1, t2, t3 = st.triads, st.next.triads, st.next.next.triads
     # a pair of centers within noise is one circle twice: no CS
-    res = max_cs_distance(w, circles, tol, 1e3 * tol * scale, unit) / scale
+    res = max_cs_distance(w, (t1.o1, t1.o2, t1.o3, t1.o4, t2.o1, t2.o2, t2.o3, t2.o4,
+                              t3.o1, t3.o2, t3.o3, t3.o4), tol, 1e3 * tol * scale, unit) / scale
     if res == math.inf and abs(w * unit - st.q.a * unit) / unit / scale == math.inf:
         raise PointAtInfinity("w is so far that its distance is not a finite float")
     return res
@@ -973,11 +1000,14 @@ def quadrangle_duality_residual(q: QuadOrState, w: Point, mirror_radius: float) 
     require_finite(w)
     st = _state(q)
     tol, mirror = st.tol, Circle(w, mirror_radius)
-    images = [invert_point(mirror, v, tol) for v in st.q.vertices()]
-    if not all(is_finite(p) for p in images):
+    a, b, c, d = st.q._z
+    a, b = invert_point(mirror, a, tol), invert_point(mirror, b, tol)
+    c, d = invert_point(mirror, c, tol), invert_point(mirror, d, tol)
+    if not (is_finite(a) and is_finite(b) and is_finite(c) and is_finite(d)):
         raise DegenerateConjugate("a vertex maps to infinity under the duality mirror")
-    img = QuadState(Quadrilateral(*images, tol=tol))
-    return max_cs_distance(w, triad_circles(img).circles, tol, 0.0,
+    img = QuadState(Quadrilateral(a, b, c, d, tol=tol))
+    t = triad_circles(img)
+    return max_cs_distance(w, (t.o1, t.o2, t.o3, t.o4), tol, 0.0,
                            img.q._offset_unit(w)) / img.scale
 
 
@@ -990,43 +1020,47 @@ def feet_circles_residual(st: QuadState) -> float | None:
     q, w, tol = st.q, st.w, st.tol
     if not is_finite(w):
         return None
-    z, s = q._z, q.sides()
-    feet = []
-    for k in range(4):
-        f = line_meet(z[k] + 0.5 * s[k], 1j * s[k], z[k - 2], s[k - 2], tol)
-        if f is None:
-            return None  # trapezoid: a foot escapes to infinity
-        feet.append(f)
-    A, B, C, D = z
-    fa, fb, fc, fd = feet
-    a2, b2, c2, d2 = (o.o for o in st.triads.circles)
-    triples = [(A, fb, b2), (A, fc, d2), (B, fc, c2), (B, fd, a2),
-               (C, fd, d2), (C, fa, b2), (D, fa, a2), (D, fb, c2)]
-    worst = 0.0
-    for p1, p2, p3 in triples:
-        o, radius = circumscribe(p1, p2, p3, tol)
-        worst = max(worst, abs(abs(w - o) - radius) / st.scale)
-    return worst
+    A, B, C, D = q._z
+    ab, _, ad, bc, _, cd = q._diffs
+    unit = q._unit
+    sa, sb, sc, sd = ab / unit, bc / unit, cd / unit, -ad / unit  # the sides, unframed
+    if ((fa := line_meet(A + 0.5 * sa, 1j * sa, C, sc, tol)) is None
+            or (fb := line_meet(B + 0.5 * sb, 1j * sb, D, sd, tol)) is None
+            or (fc := line_meet(C + 0.5 * sc, 1j * sc, A, sa, tol)) is None
+            or (fd := line_meet(D + 0.5 * sd, 1j * sd, B, sb, tol)) is None):
+        return None  # trapezoid: a foot escapes to infinity
+    t, scale = st.triads, st.scale
+    a2, b2, c2, d2 = t.o1.o, t.o2.o, t.o3.o, t.o4.o
+    o1, r1 = circumscribe(A, fb, b2, tol)
+    o2, r2 = circumscribe(A, fc, d2, tol)
+    o3, r3 = circumscribe(B, fc, c2, tol)
+    o4, r4 = circumscribe(B, fd, a2, tol)
+    o5, r5 = circumscribe(C, fd, d2, tol)
+    o6, r6 = circumscribe(C, fa, b2, tol)
+    o7, r7 = circumscribe(D, fa, a2, tol)
+    o8, r8 = circumscribe(D, fb, c2, tol)
+    return max(0.0, abs(abs(w - o1) - r1) / scale, abs(abs(w - o2) - r2) / scale,
+               abs(abs(w - o3) - r3) / scale, abs(abs(w - o4) - r4) / scale,
+               abs(abs(w - o5) - r5) / scale, abs(abs(w - o6) - r6) / scale,
+               abs(abs(w - o7) - r7) / scale, abs(abs(w - o8) - r8) / scale)
 
 
 def spiral_transport_residual(st: QuadState) -> float | None:
     """Residual of the spiral similarity at W taking o1 -> o4 mapping B to C
     (and the o1 -> o2, o4 -> o2 analogues): one complex factor about W,
     R_dst / R_src times the unit phase of k = (o_dst - W) conj(o_src - W)."""
-    q, triads, w = st.q, st.triads, st.w
+    t, w = st.triads, st.w
     if not is_finite(w):
         return None
-    cases = [
-        (triads.o1, triads.o4, q.b, q.c),
-        (triads.o1, triads.o2, q.d, q.c),
-        (triads.o4, triads.o2, q.d, q.b),
-    ]
-    worst = 0.0
-    for src, dst, point, expected in cases:
-        k = (dst.o - w) * (src.o - w).conjugate()
-        img = w + (point - w) * cmath.rect(dst.r / src.r, cmath.phase(k))
-        worst = max(worst, abs(img - expected) / st.scale)
-    return worst
+    _, b, c, d = st.q._z
+    o1, o2, o4, scale = t.o1, t.o2, t.o4, st.scale
+    e1, e2, e4 = o1.o - w, o2.o - w, o4.o - w
+    rect, phase = cmath.rect, cmath.phase
+    # o1 -> o4 takes B to C, o1 -> o2 takes D to C, and o4 -> o2 takes D to B
+    c14 = w + (b - w) * rect(o4.r / o1.r, phase(e4 * e1.conjugate()))
+    c12 = w + (d - w) * rect(o2.r / o1.r, phase(e2 * e1.conjugate()))
+    b42 = w + (d - w) * rect(o2.r / o4.r, phase(e2 * e4.conjugate()))
+    return max(0.0, abs(c14 - c) / scale, abs(c12 - c) / scale, abs(b42 - b) / scale)
 
 
 # ---------------------------------------------------------------------------

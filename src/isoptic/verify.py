@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from itertools import combinations
 
 from .errors import (
     CyclicDegeneration,
@@ -222,20 +221,18 @@ def _inv_r_range(st):
 
 
 def _inv_supplementary(st):
-    a1 = interior_angles(st)
-    a2 = interior_angles(st.next)
-    concave = st.shape.concave
-    worst = 0.0
-    for x, y in zip(a1, a2):
-        if concave:
-            # reflex case: each angle carries over mod pi (the reflex
-            # vertex may shift by one step, trading pi between neighbours)
-            d = y - x
-            res = min(abs(d), abs(d - math.pi), abs(d + math.pi))
-        else:
-            res = abs(x + y - math.pi)
-        worst = max(worst, res)
-    return worst
+    xa, xb, xc, xd = interior_angles(st)
+    ya, yb, yc, yd = interior_angles(st.next)
+    pi = math.pi
+    if st.shape.concave:
+        # reflex case: each angle carries over mod pi (the reflex
+        # vertex may shift by one step, trading pi between neighbours)
+        da, db, dc, dd = ya - xa, yb - xb, yc - xc, yd - xd
+        return max(0.0, min(abs(da), abs(da - pi), abs(da + pi)),
+                   min(abs(db), abs(db - pi), abs(db + pi)),
+                   min(abs(dc), abs(dc - pi), abs(dc + pi)),
+                   min(abs(dd), abs(dd - pi), abs(dd + pi)))
+    return max(0.0, abs(xa + ya - pi), abs(xb + yb - pi), abs(xc + yc - pi), abs(xd + yd - pi))
 
 
 def _inv_w_agreement(st):
@@ -244,11 +241,12 @@ def _inv_w_agreement(st):
         return None
     # the limit route uses only the generation maps, never the circles of
     # similitude: the independent oracle for W
-    candidates = [w, isoptic_point_via_inversion(st), isoptic_point_via_inv_iso(st),
-                  isoptic_point_via_limit(st)]
-    if not all(is_finite(p) for p in candidates):
+    a, b, c = (isoptic_point_via_inversion(st), isoptic_point_via_inv_iso(st),
+               isoptic_point_via_limit(st))
+    if not (is_finite(a) and is_finite(b) and is_finite(c)):
         return None
-    return max(abs(p - q) for p, q in combinations(candidates, 2)) / st.scale
+    # the six pairs in the order of combinations((w, a, b, c), 2)
+    return max(abs(w - a), abs(w - b), abs(w - c), abs(a - b), abs(a - c), abs(b - c)) / st.scale
 
 
 def _inv_varignon(st):
@@ -259,12 +257,10 @@ def _inv_permutation(st):
     w = st.w
     if not is_finite(w):
         return None
-    worst = 0.0
-    for alt in reordered_isoptic_points(st.q):
-        if not is_finite(alt):
-            return None
-        worst = max(worst, abs(alt - w) / st.scale)
-    return worst
+    acbd, acdb = reordered_isoptic_points(st.q)
+    if not (is_finite(acbd) and is_finite(acdb)):
+        return None
+    return max(0.0, abs(acbd - w) / st.scale, abs(acdb - w) / st.scale)
 
 
 def _inv_cotangent(st):
@@ -299,8 +295,12 @@ def _inv_q2_construction(st):
     circumcenters solved one by one, in Q1's diameter (their own error
     scale)."""
     a, b, c, d = st.q.vertices()
-    return max(abs(circumscribe(*t, st.tol, with_radius=False) - v) for t, v
-               in zip(((d, a, b), (a, b, c), (b, c, d), (c, d, a)), st.next.q.vertices())) / st.scale
+    a2, b2, c2, d2 = st.next.q.vertices()
+    tol = st.tol
+    return max(abs(circumscribe(d, a, b, tol, with_radius=False) - a2),
+               abs(circumscribe(a, b, c, tol, with_radius=False) - b2),
+               abs(circumscribe(b, c, d, tol, with_radius=False) - c2),
+               abs(circumscribe(c, d, a, tol, with_radius=False) - d2)) / st.scale
 
 
 def _inv_cyclic_degeneration(st):
@@ -396,8 +396,9 @@ def run_suite(spec: CaseSpec, n_cases: int, tol: float = 1e-8) -> SuiteReport:
         raise ValueError("n_cases must be positive")
     check_tol(tol)
     # each applicable invariant with its stats, read from INVARIANTS per call
+    shape_class = spec.shape_class
     applicable = [(fn, InvariantStats(name)) for name, (fn, classes) in INVARIANTS.items()
-                  if spec.shape_class in classes]
+                  if shape_class in classes]
     errors = 0
     for index in range(n_cases):
         try:
@@ -419,5 +420,4 @@ def run_suite(spec: CaseSpec, n_cases: int, tol: float = 1e-8) -> SuiteReport:
                 st.max_residual = res
             if not res <= tol:  # a nan residual fails too
                 st.failures += 1
-    return SuiteReport(spec=spec, n_cases=n_cases, tol=tol,
-                       invariants={st.name: st for _, st in applicable}, errors=errors)
+    return SuiteReport(spec, n_cases, tol, {st.name: st for _, st in applicable}, errors)

@@ -364,6 +364,21 @@ class TestReconstruct:
     def test_missing_inputs_exit_1(self):
         assert main(["reconstruct", "--mode", "pedal-w", "--w", "0,0"]) == 1
 
+    def test_negative_coordinates_need_no_equals_sign(self, capsys):
+        args = ["reconstruct", "--mode", "fourth-vertex", "--b", "1,0", "--c", "1,1",
+                "--w", "0.2,0.3"]
+        assert main(args + ["--a=-1,0"]) == 0
+        joined = json.loads(capsys.readouterr().out)
+        assert main(args + ["--a", "-1,0"]) == 0
+        assert json.loads(capsys.readouterr().out)["point"] == joined["point"]
+
+    def test_negative_feet(self, capsys):
+        rc = main(["reconstruct", "--mode", "pedal-w", "--w", "0,0",
+                   "--feet", "1,0", "0,1", "-1,0", "0,-1"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["vertices"] == [[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]]
+
 
 def test_analyze_reconstruct_analyze_roundtrip(quad_file, tmp_path, capsys):
     out = tmp_path / "r.json"

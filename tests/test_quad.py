@@ -1,8 +1,13 @@
+import ast
 import cmath
+import importlib
+import itertools
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st, target
@@ -31,6 +36,8 @@ from isoptic.kernel import (
     invert_point,
     is_finite,
     isogonal_conjugate_triangle,
+    line_meet,
+    max_cs_distance,
     orthocenter,
     unit_near,
 )
@@ -39,7 +46,9 @@ from isoptic.quad import (
     Quadrilateral,
     QuadState,
     _centroid,
+    _collapse,
     _conjugates_in_triads,
+    _isoptic_point,
     _tls_axis,
     analyze,
     angle_sums_at_point,
@@ -70,6 +79,7 @@ from isoptic.quad import (
     similarity_ratio,
     simson_line,
     simson_point,
+    spiral_transport_residual,
     triad_circles,
     varignon,
 )
@@ -719,6 +729,47 @@ class TestIsogonalConjugateQuad:
         pts = isogonal_conjugate_quad(GENERIC, s)
         assert all(isinstance(p, AtInfinity) for p in pts)
 
+    @staticmethod
+    def _reference(q, p):
+        """The same four meets in 60-digit mpmath, None for a pair of lines
+        parallel there: the line from each vertex to p mirrored in the
+        bisector of the rays to its neighbours."""
+        mp = pytest.importorskip("mpmath")
+
+        def unit(w):
+            return w / abs(w)
+
+        with mp.workdps(60):
+            z = [mp.mpc(v.real, v.imag) for v in q.vertices()]
+            pz = mp.mpc(p.real, p.imag)
+            lines = [(v, unit(z[i - 3] - v) * unit(z[i - 1] - v) * mp.conj(unit(pz - v)))
+                     for i, v in enumerate(z)]
+            meets = []
+            for i in range(4):
+                (v1, u1), (v2, u2) = lines[i], lines[i - 3]
+                det = mp.im(mp.conj(u1) * u2)
+                meets.append(v1 + u1 * mp.im(mp.conj(v2 - v1) * u2) / det
+                             if abs(det) > mp.mpf(10) ** -50 else None)
+            return [None if m is None else complex(m) for m in meets]
+
+    @pytest.mark.parametrize("vertices", [((-.1, -.1), (.1, -.1), (.13, .1), (-.1, .1)),
+                                          ((0, 0), (1, .1), (1.3, .9), (-.2, 1.1))])
+    def test_far_point_keeps_the_precision_of_q(self, vertices):
+        # the conjugate of a far p has vertices near q: solved relative to p,
+        # their error grew as eps |p| (0.27 to 3.39 diameters from |p| = 1e15).
+        # The meets of nearly parallel lines, far off near p, are left out:
+        # their error is set by how nearly parallel the lines are
+        q = Quadrilateral(*(Point(*v) for v in vertices))
+        g, scale, near = q.centroid(), q.scale(), 0
+        bound = 16 * sys.float_info.epsilon * scale
+        for k in (0, 5, 10, 15, 17, 20, 50, 100, 150, 200, 250):
+            p = Point(10.0 ** k, 0.7 * 10.0 ** k)
+            for got, ref in zip(isogonal_conjugate_quad(q, p), self._reference(q, p)):
+                if ref is not None and abs(ref - g) < 10.0 * scale:
+                    near += 1
+                    assert is_finite(got) and abs(got - ref) <= bound, (k, got, ref)
+        assert near >= 2 * 11  # at least two vertices near q at each |p|
+
 
 class TestReconstructions:
     def test_pedal_w_square(self):
@@ -1044,6 +1095,224 @@ _FLAT_AND_LOOP = {
 }
 
 
+def _frame_of(q):
+    """A quadrilateral with the frame its constructions read."""
+    return (q, q._z, q._diffs, q._unit, q._scale, q._height, q.tol)
+
+
+def _loop_next_generation(st):
+    if st.cyclic:
+        raise _collapse(st)
+    triads = st.triads
+    q = object.__new__(Quadrilateral)
+    z = tuple(map(Point, (o.o for o in triads.circles)))
+    for name, v in zip("abcd", z):
+        object.__setattr__(q, name, v)
+    q._frame(z, triads.diffs, st.tol)
+    return _frame_of(q)
+
+
+def _loop_prev_generation(st):
+    if st.cyclic:
+        raise _collapse(st)
+    ab, ac, ad, bc, _, cd = st.q._diffs
+    g = (ab + ac + ad) / 4.0
+    mirrors = [(p - g, e / e.conjugate()) for p, e in ((0j, ab), (ab, bc), (ac, cd), (ad, -ad))]
+    m, b = 1.0 + 0j, 0j
+    for p, u2 in mirrors:
+        m, b = u2 * m.conjugate(), p + u2 * (b - p).conjugate()
+    if 1.0 - m == 0.0:
+        raise _collapse(st)
+    out = [b / (1.0 - m)]
+    for p, u2 in mirrors[:3]:
+        out.append(p + u2 * (out[-1] - p).conjugate())
+    za, unit = st.q._z[0], st.q._unit
+    return _frame_of(Quadrilateral(*(Point(za + (v + g) / unit) for v in out), tol=st.tol))
+
+
+def _loop_via_limit(st):
+    if not is_finite(st.w):
+        return st.w
+    try:
+        z3 = st.next.next.q._z
+    except CyclicDegeneration as exc:
+        return exc.point
+    z1, unit = st.q._z, st.q._unit
+    g1, g3 = _centroid(z1), _centroid(z3)
+    u = [(z - g1) * unit for z in z1]
+    v = [(z - g3) * unit for z in z3]
+    k = sum(x.conjugate() * y for x, y in zip(u, v)) / sum((x.conjugate() * x).real for x in u)
+    if 1.0 - k == 0.0:
+        raise PointAtInfinity("k rounds to 1")
+    return finite_point(g1 + (g3 - g1) * unit / (1.0 - k) / unit, "W")
+
+
+def _loop_mean_image(images):
+    for img in images:
+        if not is_finite(img):
+            return img
+    return Point(_centroid(images))
+
+
+def _loop_via_inversion(st):
+    return _loop_mean_image([invert_point(mirror, v, st.tol)
+                             for mirror, v in zip(st.next.triads.circles, st.q.vertices())])
+
+
+def _loop_via_inv_iso(st):
+    return _loop_mean_image([invert_point(mirror, p, st.tol) for mirror, p
+                             in zip(st.triads.circles, _conjugates_in_triads(st.q))])
+
+
+def _loop_interior_angles(st):
+    orient = 1.0 if st.q._area2() > 0.0 else -1.0
+    return tuple([math.atan2(orient * t.imag, t.real) % (2.0 * math.pi)
+                  for t in st.side_shape[2]])
+
+
+def _loop_cot(u, w):
+    t = u.conjugate() * w
+    return t.real / t.imag
+
+
+def _loop_cotangent(st):
+    ab, ac, ad, bc, bd, cd = st.q._diffs
+    lhs = 4.0 * st.r
+    r1 = (_loop_cot(ab, ac) - _loop_cot(bd, cd)) * (_loop_cot(bd, -ab) - _loop_cot(cd, -ac))
+    r2 = (_loop_cot(ac, ad) - _loop_cot(bc, bd)) * (_loop_cot(ad, bd) - _loop_cot(ac, bc))
+    scale = max(1.0, abs(lhs))
+    return (abs(lhs - r1) / scale, abs(lhs - r2) / scale)
+
+
+def _loop_cross_generation(st):
+    w = st.w
+    if not is_finite(w):
+        return None
+    tol, scale, unit = st.tol, st.scale, st.q._offset_unit(w)
+    circles = [c for g in (st, st.next, st.next.next) for c in g.triads.circles]
+    res = max_cs_distance(w, circles, tol, 1e3 * tol * scale, unit) / scale
+    if res == math.inf and abs(w * unit - st.q.a * unit) / unit / scale == math.inf:
+        raise PointAtInfinity("w is so far that its distance is not a finite float")
+    return res
+
+
+def _loop_duality(st):
+    w = st.w
+    if not is_finite(w):
+        return None
+    tol, mirror = st.tol, Circle(w, 1.0)
+    images = [invert_point(mirror, v, tol) for v in st.q.vertices()]
+    if not all(is_finite(p) for p in images):
+        raise DegenerateConjugate("a vertex maps to infinity under the duality mirror")
+    img = QuadState(Quadrilateral(*images, tol=tol))
+    return max_cs_distance(w, triad_circles(img).circles, tol, 0.0,
+                           img.q._offset_unit(w)) / img.scale
+
+
+def _loop_feet_circles(st):
+    q, w, tol = st.q, st.w, st.tol
+    if not is_finite(w):
+        return None
+    z, s = q._z, tuple(side / q._unit for side in q._sides())
+    feet = []
+    for k in range(4):
+        f = line_meet(z[k] + 0.5 * s[k], 1j * s[k], z[k - 2], s[k - 2], tol)
+        if f is None:
+            return None
+        feet.append(f)
+    A, B, C, D = z
+    fa, fb, fc, fd = feet
+    a2, b2, c2, d2 = (o.o for o in st.triads.circles)
+    triples = [(A, fb, b2), (A, fc, d2), (B, fc, c2), (B, fd, a2),
+               (C, fd, d2), (C, fa, b2), (D, fa, a2), (D, fb, c2)]
+    worst = 0.0
+    for p1, p2, p3 in triples:
+        o, radius = circumscribe(p1, p2, p3, tol)
+        worst = max(worst, abs(abs(w - o) - radius) / st.scale)
+    return worst
+
+
+def _loop_spiral(st):
+    q, triads, w = st.q, st.triads, st.w
+    if not is_finite(w):
+        return None
+    cases = [(triads.o1, triads.o4, q.b, q.c), (triads.o1, triads.o2, q.d, q.c),
+             (triads.o4, triads.o2, q.d, q.b)]
+    worst = 0.0
+    for src, dst, point, expected in cases:
+        k = (dst.o - w) * (src.o - w).conjugate()
+        img = w + (point - w) * cmath.rect(dst.r / src.r, cmath.phase(k))
+        worst = max(worst, abs(img - expected) / st.scale)
+    return worst
+
+
+def _loop_supplementary(st):
+    a1, a2 = interior_angles(st), interior_angles(st.next)
+    concave = st.shape.concave
+    worst = 0.0
+    for x, y in zip(a1, a2):
+        if concave:
+            d = y - x
+            res = min(abs(d), abs(d - math.pi), abs(d + math.pi))
+        else:
+            res = abs(x + y - math.pi)
+        worst = max(worst, res)
+    return worst
+
+
+def _loop_w_agreement(st):
+    w = st.w
+    if not is_finite(w):
+        return None
+    candidates = [w, isoptic_point_via_inversion(st), isoptic_point_via_inv_iso(st),
+                  isoptic_point_via_limit(st)]
+    if not all(is_finite(p) for p in candidates):
+        return None
+    return max(abs(p - q) for p, q in itertools.combinations(candidates, 2)) / st.scale
+
+
+def _loop_permutation(st):
+    w = st.w
+    if not is_finite(w):
+        return None
+    worst = 0.0
+    q = st.q
+    a, b, c, d = q._z
+    for alt in [_isoptic_point(z, q._scale, q._unit, q._diffs[1])
+                for z in ((a, c, b, d), (a, c, d, b))]:
+        if not is_finite(alt):
+            return None
+        worst = max(worst, abs(alt - w) / st.scale)
+    return worst
+
+
+def _loop_q2_construction(st):
+    a, b, c, d = st.q.vertices()
+    return max(abs(circumscribe(*t, st.tol, with_radius=False) - v) for t, v
+               in zip(((d, a, b), (a, b, c), (b, c, d), (c, d, a)), st.next.q.vertices())) / st.scale
+
+
+# name -> (flat form, loop form) of the verify suite's constructions and
+# residuals, each of a QuadState
+_VERIFY_FLAT_AND_LOOP = {
+    "next_generation": (lambda st: _frame_of(next_generation(st)), _loop_next_generation),
+    "prev_generation": (lambda st: _frame_of(prev_generation(st)), _loop_prev_generation),
+    "isoptic_point_via_limit": (isoptic_point_via_limit, _loop_via_limit),
+    "isoptic_point_via_inversion": (isoptic_point_via_inversion, _loop_via_inversion),
+    "isoptic_point_via_inv_iso": (isoptic_point_via_inv_iso, _loop_via_inv_iso),
+    "interior_angles": (interior_angles, _loop_interior_angles),
+    "cotangent_identity_residuals": (cotangent_identity_residuals, _loop_cotangent),
+    "cross_generation_cs": (INVARIANTS["cross_generation_cs"][0], _loop_cross_generation),
+    "quadrangle_duality": (INVARIANTS["quadrangle_duality"][0], _loop_duality),
+    "feet_circles": (feet_circles_residual, _loop_feet_circles),
+    "spiral_transport": (spiral_transport_residual, _loop_spiral),
+    "supplementary_angles": (INVARIANTS["supplementary_angles"][0], _loop_supplementary),
+    "w_agreement": (INVARIANTS["w_agreement"][0], _loop_w_agreement),
+    "permutation_invariance": (INVARIANTS["permutation_invariance"][0], _loop_permutation),
+    "q2_construction": (INVARIANTS["q2_construction"][0], _loop_q2_construction),
+}
+
+
 class TestOnePassFormsBitForBit:
     """The hot path's one-pass forms give what the slow forms that the
     package keeps give, bit for bit: compared by repr, since AtInfinity
@@ -1079,6 +1348,16 @@ class TestOnePassFormsBitForBit:
                 for p in (st.w, st.s):
                     if is_finite(p):
                         assert self._outcome(flat, st, p) == self._outcome(loop, st, p), (q0, scale)
+
+    @pytest.mark.parametrize("name", list(_VERIFY_FLAT_AND_LOOP))
+    def test_verify_flat_form_is_the_loop_form(self, name):
+        """Each flat construction or residual of a verify case against the
+        loop form it replaced, on every class at scales 1e-300, 1 and 1e300."""
+        flat, loop = _VERIFY_FLAT_AND_LOOP[name]
+        for q0 in self.POOL:
+            for scale in (1e-300, 1.0, 1e300):
+                st = QuadState(Quadrilateral(*(Point(v * scale) for v in q0.vertices())))
+                assert self._outcome(flat, st) == self._outcome(loop, st), (q0, scale)
 
     def test_reordered_w_is_w_of_the_built_reorderings(self):
         for q in self.POOL:
@@ -1158,6 +1437,64 @@ class TestComputeOnce:
         seen = calls["triad_circles"]
         assert len(seen) == 5
         assert len({st.q for st in seen}) == 5
+
+    # calls of each quad and kernel name of the tracer's LAYER_FUNCTIONS made
+    # by run_suite(CaseSpec(3, cls), 1), as --trace 1 counts them
+    VERIFY_CASE_CALLS = {
+        "convex-noncyclic": {"classify": 1, "invert_point": 12, "isoptic_point": 1,
+                             "isoptic_point_via_inv_iso": 1, "isoptic_point_via_inversion": 1,
+                             "isoptic_point_via_limit": 1, "next_generation": 3,
+                             "prev_generation": 2, "similarity_ratio": 1, "simson_point": 1,
+                             "triad_circles": 5},
+        "concave": {"classify": 1, "invert_point": 12, "isoptic_point": 1,
+                    "isoptic_point_via_inv_iso": 1, "isoptic_point_via_inversion": 1,
+                    "isoptic_point_via_limit": 1, "next_generation": 3, "prev_generation": 2,
+                    "similarity_ratio": 1, "simson_point": 1, "triad_circles": 4},
+        "cyclic": {"isoptic_point": 1, "next_generation": 1, "similarity_ratio": 1,
+                   "simson_point": 1, "triad_circles": 1},
+        "trapezoid": {"classify": 1, "invert_point": 12, "isoptic_point": 1,
+                      "isoptic_point_via_inv_iso": 1, "isoptic_point_via_inversion": 1,
+                      "isoptic_point_via_limit": 1, "next_generation": 3, "prev_generation": 2,
+                      "similarity_ratio": 1, "simson_point": 1, "triad_circles": 4},
+        "parallelogram": {"classify": 1, "isoptic_point": 1, "next_generation": 1,
+                          "similarity_ratio": 1, "simson_point": 1, "triad_circles": 1},
+        "parallelogram-pi4": {"classify": 1, "isoptic_point": 1, "next_generation": 2,
+                              "similarity_ratio": 1, "simson_point": 1, "triad_circles": 2},
+        "orthocentric": {"isoptic_point": 1, "next_generation": 2, "orthocenter": 1,
+                         "similarity_ratio": 1, "triad_circles": 2},
+        "near-cyclic": {"classify": 1, "isoptic_point": 1, "next_generation": 1,
+                        "similarity_ratio": 1, "simson_point": 1, "triad_circles": 1},
+    }
+
+    def test_verify_case_calls_every_traced_name(self, monkeypatch):
+        """No flat form hides a construction from the tracer: each traced
+        quad and kernel name, swapped in every module that imported it, is
+        called as often per verify case as the loop forms called it."""
+        from isoptic.verify import run_suite
+        tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+        layers = next(ast.literal_eval(node.value) for node in ast.parse(tracing.read_text()).body
+                      if isinstance(node, ast.Assign)
+                      and any(getattr(t, "id", None) == "LAYER_FUNCTIONS" for t in node.targets))
+        modules = [importlib.import_module(f"isoptic.{name}")
+                   for name in ("kernel", "quad", "verify", "render", "cli")]
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for layer in ("kernel", "quad"):
+            for name in layers[layer]:
+                fn = getattr(importlib.import_module(f"isoptic.{layer}"), name)
+                for module in modules:
+                    if getattr(module, name, None) is fn:
+                        monkeypatch.setattr(module, name, counting(name, fn))
+        for cls in SHAPE_CLASSES:
+            calls.clear()
+            run_suite(CaseSpec(3, cls), 1)
+            assert dict(calls) == self.VERIFY_CASE_CALLS[cls], cls
 
     @staticmethod
     def _generic_states(*parts):

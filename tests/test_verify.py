@@ -4,12 +4,19 @@ import math
 
 import pytest
 
+from isoptic.errors import GeometryError
 from isoptic.kernel import Point, is_finite
 from isoptic.quad import (
+    QuadState,
     Quadrilateral,
     analyze,
     classify,
+    interior_angles,
+    isoptic_point_via_inv_iso,
+    isoptic_point_via_inversion,
     isoptic_point_via_limit,
+    next_generation,
+    prev_generation,
     similarity_ratio,
 )
 from isoptic.verify import (
@@ -42,6 +49,16 @@ ANALYZE_SHA256 = "6127af2ef63997e0c78945681266010c1d8508cd75fa60df12b419118b4cd3
 # analyze on the same 400 quadrilaterals scaled by 1, 1e-300 and 1e300, one
 # line per report, in that order
 REPORT_SHA256 = "ca888c07df10f9ce415a155b01158b79d4a83c8b4b0b68acca67ad3758e130c0"
+# sha256 of one line per case of random_quadrilateral(CaseSpec(5, cls), i)
+# for every class and i in 0..59, scaled by 1, 1e-300 and 1e300: the repr
+# (or the GeometryError's name) of W, of every INVARIANTS entry, whether or
+# not the class runs it, of the three W routes, both generation maps and
+# interior_angles.  SUITE_SHA256 holds only each invariant's maximum; this
+# holds every case below it too
+RESIDUALS_SHA256 = "25b0923196e5967403146e565efabd55d9afb62a5e08847e8c4d76b853443f4b"
+_CASE_PARTS = ((lambda st: st.w,) + tuple(fn for fn, _ in INVARIANTS.values())
+               + (isoptic_point_via_limit, isoptic_point_via_inversion, isoptic_point_via_inv_iso,
+                  next_generation, prev_generation, interior_angles))
 
 
 def _draws_digest(seeds, shapes, count):
@@ -79,6 +96,23 @@ class TestPinnedResults:
                     rep = analyze(Quadrilateral(*(Point(v * scale) for v in q.vertices())))
                     digest.update(repr(rep).encode() + b"\n")
         assert digest.hexdigest() == REPORT_SHA256
+
+    def test_every_case_is_pinned(self):
+        def outcome(fn, st):
+            try:
+                return repr(fn(st))
+            except GeometryError as exc:
+                return type(exc).__name__
+
+        digest = hashlib.sha256()
+        for scale in (1.0, 1e-300, 1e300):
+            for cls in SHAPE_CLASSES:
+                for i in range(60):
+                    q = random_quadrilateral(CaseSpec(5, cls), i)
+                    st = QuadState(Quadrilateral(*(Point(v * scale) for v in q.vertices())))
+                    line = " ".join(outcome(fn, st) for fn in _CASE_PARTS)
+                    digest.update(line.encode() + b"\n")
+        assert digest.hexdigest() == RESIDUALS_SHA256
 
 
 class TestGenerator:
