@@ -138,6 +138,13 @@ def finite_point(z: complex, what: str) -> Point:
     return Point(z)
 
 
+def max_or_nan(*terms: float) -> float:
+    """max(0.0, *terms) of residual terms, each >= 0 or nan, but nan when a term
+    is nan, which max passes over unless it comes first and their sum does not."""
+    total = sum(terms)
+    return max(0.0, *terms) if total == total else math.nan
+
+
 class Circle(Record):
     """A proper circle: complex center o and radius r > 0."""
 

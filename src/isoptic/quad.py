@@ -45,12 +45,12 @@ from .kernel import (
     check_tol,
     circumcenter,
     circumcircle,
-    circumscribe,
     finite_point,
     invert_point,
     is_finite,
     line_meet,
     max_cs_distance,
+    max_or_nan,
     meet_of_cevians,
     mirrored_cevian,
     require_finite,
@@ -397,30 +397,6 @@ def shape_of_sides(sides: tuple[complex, ...]) -> tuple[bool, float, tuple[compl
         tb.real / tb.imag + td.real / td.imag), turns
 
 
-def cotangent_identity_residuals(q: QuadOrState) -> tuple[float, float]:
-    """Residuals of the two side-diagonal cotangent identities against 4r.
-
-    The diagonals split each interior angle into two directed angles, one
-    from the outgoing side to the diagonal and one from the diagonal to the
-    incoming side; each identity pairs the cotangents of four of them.
-    """
-    st = _state(q)
-    ab, ac, ad, bc, bd, cd = st.q._diffs
-    lhs = 4.0 * st.r
-    # pairing fixed by requiring equality with 4*r of the reordered
-    # quadrilaterals ACBD / ACDB, whose ratio coincides with the original;
-    # the cot from ray u to ray v is Re t / Im t of t = conj(u) v, so the
-    # angle at D between DB and DC is that of conj(-bd) (-cd) = conj(bd) cd
-    t1, t2 = ab.conjugate() * ac, bd.conjugate() * cd
-    t3, t4 = bd.conjugate() * -ab, cd.conjugate() * -ac
-    t5, t6 = ac.conjugate() * ad, bc.conjugate() * bd
-    t7, t8 = ad.conjugate() * bd, ac.conjugate() * bc
-    r1 = (t1.real / t1.imag - t2.real / t2.imag) * (t3.real / t3.imag - t4.real / t4.imag)
-    r2 = (t5.real / t5.imag - t6.real / t6.imag) * (t7.real / t7.imag - t8.real / t8.imag)
-    scale = max(1.0, abs(lhs))
-    return (abs(lhs - r1) / scale, abs(lhs - r2) / scale)
-
-
 # ---------------------------------------------------------------------------
 # triad circles and the generation maps
 
@@ -724,10 +700,12 @@ def angle_sums_at_point(q: Quadrilateral, w: Point) -> float:
     a, b, c, d = q._z
     if w == a or w == b or w == c or w == d:
         raise DegenerateRay("w coincides with a vertex")
-    # the offsets from w in q's _offset_unit frame, where their quotients cannot overflow
-    unit = q._offset_unit(w)
+    # the offsets from w in q's _offset_unit frame and the vertices in q's own,
+    # where no offset, difference or quotient of them overflows
+    unit, frame = q._offset_unit(w), q._unit
     wu = w * unit
     aw, bw, cw, dw = a * unit - wu, b * unit - wu, c * unit - wu, d * unit - wu
+    a, b, c, d = a * frame, b * frame, c * frame, d * frame
     ac, ca, bd, db = a - c, c - a, b - d, d - b
     # the sides (X, Y, U, V) = (A, B, C, D), (B, C, A, D), (C, D, A, B) and (D, A, B, C)
     t1 = bw / aw * ac / (b - c) * (a - d) / bd
@@ -735,8 +713,8 @@ def angle_sums_at_point(q: Quadrilateral, w: Point) -> float:
     t3 = dw / cw * ca / (d - a) * (c - b) / db
     t4 = aw / dw * db / (a - b) * (d - c) / ac
     atan2 = math.atan2
-    return max(0.0, atan2(abs(t1.imag), abs(t1.real)), atan2(abs(t2.imag), abs(t2.real)),
-               atan2(abs(t3.imag), abs(t3.real)), atan2(abs(t4.imag), abs(t4.real)))
+    return max_or_nan(atan2(abs(t1.imag), abs(t1.real)), atan2(abs(t2.imag), abs(t2.real)),
+                      atan2(abs(t3.imag), abs(t3.real)), atan2(abs(t4.imag), abs(t4.real)))
 
 
 # ---------------------------------------------------------------------------
@@ -939,20 +917,6 @@ def reconstruct_fourth_vertex(a: Point, b: Point, c: Point, w: Point,
     return finite_point(d / unit, "the fourth vertex")
 
 
-def quad_distance(q1: Quadrilateral, q2: Quadrilateral) -> float:
-    """Scale-free distance between quadrilaterals, up to cyclic relabeling.
-
-    Needed for the periodicity checks: a period-two parallelogram returns to
-    itself with vertices exchanged by the half-turn about W.
-    """
-    (a, b, c, d), (e, f, g, h) = q1._z, q2._z
-    best = min(max(abs(a - e), abs(b - f), abs(c - g), abs(d - h)),
-               max(abs(a - f), abs(b - g), abs(c - h), abs(d - e)),
-               max(abs(a - g), abs(b - h), abs(c - e), abs(d - f)),
-               max(abs(a - h), abs(b - e), abs(c - f), abs(d - g)))
-    return best / max(q1._scale, q2._scale)
-
-
 def reordered_isoptic_points(q: Quadrilateral) -> list[MaybePoint]:
     """isoptic_point of ACBD and ACDB with no Quadrilateral built: they have
     q's six vertex gaps, so its diameter and frame, and C - A for B - A."""
@@ -960,107 +924,6 @@ def reordered_isoptic_points(q: Quadrilateral) -> list[MaybePoint]:
     scale, unit, ac = q._scale, q._unit, q._diffs[1]
     return [_isoptic_point((a, c, b, d), scale, unit, ac),
             _isoptic_point((a, c, d, b), scale, unit, ac)]
-
-
-def periodicity_residual(q: QuadOrState) -> float:
-    """How far Q^(3) is from Q^(1), zero for the period-two classes."""
-    st = _state(q)
-    return quad_distance(st.q, st.next.next.q)
-
-
-# ---------------------------------------------------------------------------
-# cross checks used by the verify harness
-
-
-def cross_generation_cs_residual(q: QuadOrState, w: Point) -> float:
-    """Max scale-free distance of w to CS(o_i^(k), o_j^(l)) across the first
-    three generations, each read from the Apollonius defect (max_cs_distance);
-    an inf one where w's distance in diameters overflows raises PointAtInfinity."""
-    require_finite(w)
-    st = _state(q)
-    tol, scale, unit = st.tol, st.scale, st.q._offset_unit(w)
-    t1, t2, t3 = st.triads, st.next.triads, st.next.next.triads
-    # a pair of centers within noise is one circle twice: no CS
-    res = max_cs_distance(w, (t1.o1, t1.o2, t1.o3, t1.o4, t2.o1, t2.o2, t2.o3, t2.o4,
-                              t3.o1, t3.o2, t3.o3, t3.o4), tol, 1e3 * tol * scale, unit) / scale
-    if res == math.inf and abs(w * unit - st.q.a * unit) / unit / scale == math.inf:
-        raise PointAtInfinity("w is so far that its distance is not a finite float")
-    return res
-
-
-def quadrangle_duality_residual(q: QuadOrState, w: Point, mirror_radius: float) -> float:
-    """Inversion centered at W takes the six vertex-pair lines onto the six
-    circles of similitude of the image quadrilateral's triad circles.
-
-    The image of line AB passes through W, A' and B'.  A' and B' lie on o1'
-    and o2', so the image is in their pencil; so is CS(o1', o2'), and only
-    one member of the pencil passes through W.  So the image is the CS if and
-    only if W lies on it: the residual is W's largest distance from the six
-    (max_cs_distance, the Apollonius defect) over the image's diameter."""
-    require_finite(w)
-    st = _state(q)
-    tol, mirror = st.tol, Circle(w, mirror_radius)
-    a, b, c, d = st.q._z
-    a, b = invert_point(mirror, a, tol), invert_point(mirror, b, tol)
-    c, d = invert_point(mirror, c, tol), invert_point(mirror, d, tol)
-    if not (is_finite(a) and is_finite(b) and is_finite(c) and is_finite(d)):
-        raise DegenerateConjugate("a vertex maps to infinity under the duality mirror")
-    img = QuadState(Quadrilateral(a, b, c, d, tol=tol))
-    t = triad_circles(img)
-    return max_cs_distance(w, (t.o1, t.o2, t.o3, t.o4), tol, 0.0,
-                           img.q._offset_unit(w)) / img.scale
-
-
-def feet_circles_residual(st: QuadState) -> float | None:
-    """Max scale-free distance of W from the eight vertex/foot/center circles.
-
-    F_x is the meet of the perpendicular bisector of side x (AB, BC, CD,
-    DA) with the opposite side line.
-    """
-    q, w, tol = st.q, st.w, st.tol
-    if not is_finite(w):
-        return None
-    A, B, C, D = q._z
-    ab, _, ad, bc, _, cd = q._diffs
-    unit = q._unit
-    sa, sb, sc, sd = ab / unit, bc / unit, cd / unit, -ad / unit  # the sides, unframed
-    if ((fa := line_meet(A + 0.5 * sa, 1j * sa, C, sc, tol)) is None
-            or (fb := line_meet(B + 0.5 * sb, 1j * sb, D, sd, tol)) is None
-            or (fc := line_meet(C + 0.5 * sc, 1j * sc, A, sa, tol)) is None
-            or (fd := line_meet(D + 0.5 * sd, 1j * sd, B, sb, tol)) is None):
-        return None  # trapezoid: a foot escapes to infinity
-    t, scale = st.triads, st.scale
-    a2, b2, c2, d2 = t.o1.o, t.o2.o, t.o3.o, t.o4.o
-    o1, r1 = circumscribe(A, fb, b2, tol)
-    o2, r2 = circumscribe(A, fc, d2, tol)
-    o3, r3 = circumscribe(B, fc, c2, tol)
-    o4, r4 = circumscribe(B, fd, a2, tol)
-    o5, r5 = circumscribe(C, fd, d2, tol)
-    o6, r6 = circumscribe(C, fa, b2, tol)
-    o7, r7 = circumscribe(D, fa, a2, tol)
-    o8, r8 = circumscribe(D, fb, c2, tol)
-    return max(0.0, abs(abs(w - o1) - r1) / scale, abs(abs(w - o2) - r2) / scale,
-               abs(abs(w - o3) - r3) / scale, abs(abs(w - o4) - r4) / scale,
-               abs(abs(w - o5) - r5) / scale, abs(abs(w - o6) - r6) / scale,
-               abs(abs(w - o7) - r7) / scale, abs(abs(w - o8) - r8) / scale)
-
-
-def spiral_transport_residual(st: QuadState) -> float | None:
-    """Residual of the spiral similarity at W taking o1 -> o4 mapping B to C
-    (and the o1 -> o2, o4 -> o2 analogues): one complex factor about W,
-    R_dst / R_src times the unit phase of k = (o_dst - W) conj(o_src - W)."""
-    t, w = st.triads, st.w
-    if not is_finite(w):
-        return None
-    _, b, c, d = st.q._z
-    o1, o2, o4, scale = t.o1, t.o2, t.o4, st.scale
-    e1, e2, e4 = o1.o - w, o2.o - w, o4.o - w
-    rect, phase = cmath.rect, cmath.phase
-    # o1 -> o4 takes B to C, o1 -> o2 takes D to C, and o4 -> o2 takes D to B
-    c14 = w + (b - w) * rect(o4.r / o1.r, phase(e4 * e1.conjugate()))
-    c12 = w + (d - w) * rect(o2.r / o1.r, phase(e2 * e1.conjugate()))
-    b42 = w + (d - w) * rect(o2.r / o4.r, phase(e2 * e4.conjugate()))
-    return max(0.0, abs(c14 - c) / scale, abs(c12 - c) / scale, abs(b42 - b) / scale)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Seeded random-instance generator and the invariant suite.
 
-Each structural identity becomes a numerical residual evaluated on
-randomized quadrilaterals.  Everything is deterministic given (seed, shape class,
-case count); residuals are reported scale-free (divided by the input
-diameter, which the generator normalizes to 1).
+Each structural identity becomes a residual of one QuadState on randomized
+quadrilaterals: those analyze reports, and the cross-checks by a second
+construction that only this suite needs.  Everything is deterministic given
+(seed, shape class, case count); each residual is divided by the diameter, 1 here.
 """
 
 from __future__ import annotations
@@ -14,17 +14,24 @@ import random
 
 from .errors import (
     CyclicDegeneration,
+    DegenerateConjugate,
     GeometryError,
+    PointAtInfinity,
     RejectionExhausted,
 )
 from .kernel import (
     DEFAULT_TOL,
+    Circle,
     Point,
     Record,
     Report,
     check_tol,
     circumscribe,
+    invert_point,
     is_finite,
+    line_meet,
+    max_cs_distance,
+    max_or_nan,
     orthocenter,
 )
 from .quad import (
@@ -33,9 +40,6 @@ from .quad import (
     angle_sums_residual,
     area_ratio_residual,
     classify,  # noqa: F401  bench/tests/test_bench_trace.py reads verify.classify
-    cotangent_identity_residuals,
-    cross_generation_cs_residual,
-    feet_circles_residual,
     interior_angles,
     isodynamic_residual,
     isoptic_point_via_inv_iso,
@@ -45,13 +49,9 @@ from .quad import (
     parallelogram_residual,
     pedal_s_residual,
     pedal_w_residual,
-    periodicity_residual,
-    quad_distance,
-    quadrangle_duality_residual,
     reordered_isoptic_points,
     shape_of_sides,
     six_cs_residual,
-    spiral_transport_residual,
     varignon,
 )
 
@@ -228,11 +228,12 @@ def _inv_supplementary(st):
         # reflex case: each angle carries over mod pi (the reflex
         # vertex may shift by one step, trading pi between neighbours)
         da, db, dc, dd = ya - xa, yb - xb, yc - xc, yd - xd
-        return max(0.0, min(abs(da), abs(da - pi), abs(da + pi)),
-                   min(abs(db), abs(db - pi), abs(db + pi)),
-                   min(abs(dc), abs(dc - pi), abs(dc + pi)),
-                   min(abs(dd), abs(dd - pi), abs(dd + pi)))
-    return max(0.0, abs(xa + ya - pi), abs(xb + yb - pi), abs(xc + yc - pi), abs(xd + yd - pi))
+        return max_or_nan(min(abs(da), abs(da - pi), abs(da + pi)),
+                          min(abs(db), abs(db - pi), abs(db + pi)),
+                          min(abs(dc), abs(dc - pi), abs(dc + pi)),
+                          min(abs(dd), abs(dd - pi), abs(dd + pi)))
+    return max_or_nan(abs(xa + ya - pi), abs(xb + yb - pi), abs(xc + yc - pi),
+                      abs(xd + yd - pi))
 
 
 def _inv_w_agreement(st):
@@ -260,23 +261,151 @@ def _inv_permutation(st):
     acbd, acdb = reordered_isoptic_points(st.q)
     if not (is_finite(acbd) and is_finite(acdb)):
         return None
-    return max(0.0, abs(acbd - w) / st.scale, abs(acdb - w) / st.scale)
+    return max_or_nan(abs(acbd - w) / st.scale, abs(acdb - w) / st.scale)
 
 
-def _inv_cotangent(st):
-    return max(cotangent_identity_residuals(st))
+def cotangent_identity_residuals(st: QuadState) -> float:
+    """The larger residual of the two side-diagonal cotangent identities against 4r.
+
+    The diagonals split each interior angle into two directed angles, one
+    from the outgoing side to the diagonal and one from the diagonal to the
+    incoming side; each identity pairs the cotangents of four of them.
+    """
+    ab, ac, ad, bc, bd, cd = st.q._diffs
+    lhs = 4.0 * st.r
+    # pairing fixed by requiring equality with 4*r of the reordered
+    # quadrilaterals ACBD / ACDB, whose ratio coincides with the original;
+    # the cot from ray u to ray v is Re t / Im t of t = conj(u) v, so the
+    # angle at D between DB and DC is that of conj(-bd) (-cd) = conj(bd) cd
+    t1, t2 = ab.conjugate() * ac, bd.conjugate() * cd
+    t3, t4 = bd.conjugate() * -ab, cd.conjugate() * -ac
+    t5, t6 = ac.conjugate() * ad, bc.conjugate() * bd
+    t7, t8 = ad.conjugate() * bd, ac.conjugate() * bc
+    r1 = (t1.real / t1.imag - t2.real / t2.imag) * (t3.real / t3.imag - t4.real / t4.imag)
+    r2 = (t5.real / t5.imag - t6.real / t6.imag) * (t7.real / t7.imag - t8.real / t8.imag)
+    scale = max(1.0, abs(lhs))
+    return max_or_nan(abs(lhs - r1) / scale, abs(lhs - r2) / scale)
+
+
+def quad_distance(q1: Quadrilateral, q2: Quadrilateral) -> float:
+    """Scale-free distance between quadrilaterals, up to cyclic relabeling.
+
+    Needed for the periodicity checks: a period-two parallelogram returns to
+    itself with vertices exchanged by the half-turn about W.
+    """
+    (a, b, c, d), (e, f, g, h) = q1._z, q2._z
+    best = min(max(abs(a - e), abs(b - f), abs(c - g), abs(d - h)),
+               max(abs(a - f), abs(b - g), abs(c - h), abs(d - e)),
+               max(abs(a - g), abs(b - h), abs(c - e), abs(d - f)),
+               max(abs(a - h), abs(b - e), abs(c - f), abs(d - g)))
+    return best / max(q1._scale, q2._scale)
 
 
 def _inv_roundtrip(st):
     return max(quad_distance(st.q, st.next.prev.q), quad_distance(st.q, st.prev.next.q))
 
 
-def _inv_cross_generation(st):
-    return cross_generation_cs_residual(st, st.w) if is_finite(st.w) else None
+def periodicity_residual(st: QuadState) -> float:
+    """How far Q^(3) is from Q^(1), zero for the period-two classes."""
+    return quad_distance(st.q, st.next.next.q)
 
 
-def _inv_duality(st):
-    return quadrangle_duality_residual(st, st.w, 1.0) if is_finite(st.w) else None
+def cross_generation_cs_residual(st: QuadState) -> float | None:
+    """Max scale-free distance of W to CS(o_i^(k), o_j^(l)) across the first
+    three generations, each read from the Apollonius defect (max_cs_distance);
+    None where W is not finite.  An inf one where W's distance in diameters
+    overflows raises PointAtInfinity."""
+    w = st.w
+    if not is_finite(w):
+        return None
+    tol, scale, unit = st.tol, st.scale, st.q._offset_unit(w)
+    t1, t2, t3 = st.triads, st.next.triads, st.next.next.triads
+    # a pair of centers within noise is one circle twice: no CS
+    res = max_cs_distance(w, (t1.o1, t1.o2, t1.o3, t1.o4, t2.o1, t2.o2, t2.o3, t2.o4,
+                              t3.o1, t3.o2, t3.o3, t3.o4), tol, 1e3 * tol * scale, unit) / scale
+    if res == math.inf and abs(w * unit - st.q.a * unit) / unit / scale == math.inf:
+        raise PointAtInfinity("w is so far that its distance is not a finite float")
+    return res
+
+
+def quadrangle_duality_residual(st: QuadState) -> float | None:
+    """Inversion centered at W takes the six vertex-pair lines onto the six
+    circles of similitude of the image quadrilateral's triad circles.
+
+    The image of line AB passes through W, A' and B'.  A' and B' lie on o1'
+    and o2', so the image is in their pencil; so is CS(o1', o2'), and only
+    one member of the pencil passes through W.  So the image is the CS if and
+    only if W lies on it: the residual is W's largest distance from the six
+    (max_cs_distance, the Apollonius defect) over the image's diameter.  The
+    mirror's radius is q's diameter, so the image is q's size at any scale."""
+    w = st.w
+    if not is_finite(w):
+        return None
+    tol, mirror = st.tol, Circle(w, st.scale)
+    a, b, c, d = st.q._z
+    a, b = invert_point(mirror, a, tol), invert_point(mirror, b, tol)
+    c, d = invert_point(mirror, c, tol), invert_point(mirror, d, tol)
+    if not (is_finite(a) and is_finite(b) and is_finite(c) and is_finite(d)):
+        raise DegenerateConjugate("a vertex maps to infinity under the duality mirror")
+    img = QuadState(Quadrilateral(a, b, c, d, tol=tol))
+    return max_cs_distance(w, img.triads.circles, tol, 0.0, img.q._offset_unit(w)) / img.scale
+
+
+def feet_circles_residual(st: QuadState) -> float | None:
+    """Max scale-free distance of W from the eight vertex/foot/center circles.
+
+    F_x is the meet of the perpendicular bisector of side x (AB, BC, CD,
+    DA) with the opposite side line.
+    """
+    q, w, tol = st.q, st.w, st.tol
+    if not is_finite(w):
+        return None
+    A, B, C, D = q._z
+    ab, _, ad, bc, _, cd = q._diffs
+    unit = q._unit
+    sa, sb, sc, sd = ab / unit, bc / unit, cd / unit, -ad / unit  # the sides, unframed
+    if ((fa := line_meet(A + 0.5 * sa, 1j * sa, C, sc, tol)) is None
+            or (fb := line_meet(B + 0.5 * sb, 1j * sb, D, sd, tol)) is None
+            or (fc := line_meet(C + 0.5 * sc, 1j * sc, A, sa, tol)) is None
+            or (fd := line_meet(D + 0.5 * sd, 1j * sd, B, sb, tol)) is None):
+        return None  # trapezoid: a foot escapes to infinity
+    t, scale = st.triads, st.scale
+    a2, b2, c2, d2 = t.o1.o, t.o2.o, t.o3.o, t.o4.o
+    o1, r1 = circumscribe(A, fb, b2, tol)
+    o2, r2 = circumscribe(A, fc, d2, tol)
+    o3, r3 = circumscribe(B, fc, c2, tol)
+    o4, r4 = circumscribe(B, fd, a2, tol)
+    o5, r5 = circumscribe(C, fd, d2, tol)
+    o6, r6 = circumscribe(C, fa, b2, tol)
+    o7, r7 = circumscribe(D, fa, a2, tol)
+    o8, r8 = circumscribe(D, fb, c2, tol)
+    return max_or_nan(abs(abs(w - o1) - r1) / scale, abs(abs(w - o2) - r2) / scale,
+                      abs(abs(w - o3) - r3) / scale, abs(abs(w - o4) - r4) / scale,
+                      abs(abs(w - o5) - r5) / scale, abs(abs(w - o6) - r6) / scale,
+                      abs(abs(w - o7) - r7) / scale, abs(abs(w - o8) - r8) / scale)
+
+
+def spiral_transport_residual(st: QuadState) -> float | None:
+    """Residual of the spiral similarity at W taking o1 -> o4 mapping B to C
+    (and the o1 -> o2, o4 -> o2 analogues): one complex factor about W,
+    R_dst / R_src times the unit phase of k = (o_dst - W) conj(o_src - W).
+    Offsets from W are read in q's _offset_unit frame, where none overflows,
+    and k's scaled on to q's frame, where k neither overflows nor underflows."""
+    t, w = st.triads, st.w
+    if not is_finite(w):
+        return None
+    q, o1, o2, o4 = st.q, t.o1, t.o2, t.o4
+    unit = q._offset_unit(w)
+    wu, up = w * unit, q._unit / unit
+    e1, e2, e4 = (o1.o * unit - wu) * up, (o2.o * unit - wu) * up, (o4.o * unit - wu) * up
+    b, c, d = q.b * unit, q.c * unit, q.d * unit
+    rect, phase = cmath.rect, cmath.phase
+    # o1 -> o4 takes B to C, o1 -> o2 takes D to C, and o4 -> o2 takes D to B
+    c14 = wu + (b - wu) * rect(o4.r / o1.r, phase(e4 * e1.conjugate()))
+    c12 = wu + (d - wu) * rect(o2.r / o1.r, phase(e2 * e1.conjugate()))
+    b42 = wu + (d - wu) * rect(o2.r / o4.r, phase(e2 * e4.conjugate()))
+    size = st.scale * unit
+    return max_or_nan(abs(c14 - c) / size, abs(c12 - c) / size, abs(b42 - b) / size)
 
 
 def _inv_ptolemy(st):
@@ -327,10 +456,10 @@ INVARIANTS: dict[str, tuple] = {
     "pedal_s_collinear": (pedal_s_residual, _NONCYCLIC + ("cyclic",)),
     "varignon_parallelogram": (_inv_varignon, SHAPE_CLASSES),
     "permutation_invariance": (_inv_permutation, _GENERIC),
-    "cotangent_identities": (_inv_cotangent, _GENERIC),
+    "cotangent_identities": (cotangent_identity_residuals, _GENERIC),
     "roundtrip_generations": (_inv_roundtrip, _GENERIC),
-    "cross_generation_cs": (_inv_cross_generation, ("convex-noncyclic",)),
-    "quadrangle_duality": (_inv_duality, _GENERIC),
+    "cross_generation_cs": (cross_generation_cs_residual, ("convex-noncyclic",)),
+    "quadrangle_duality": (quadrangle_duality_residual, _GENERIC),
     "feet_circles": (feet_circles_residual, _GENERIC),
     "spiral_transport": (spiral_transport_residual, _STABLE),
     "ptolemy": (_inv_ptolemy, ("cyclic",)),

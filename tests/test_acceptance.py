@@ -17,8 +17,8 @@ from isoptic.kernel import (
     orthocenter,
 )
 from isoptic.quad import (
+    QuadState,
     Quadrilateral,
-    cotangent_identity_residuals,
     collinearity_residual,
     interior_angles,
     isodynamic_ratios,
@@ -31,9 +31,6 @@ from isoptic.quad import (
     parallelogram_residual,
     pedal_quadrilateral,
     prev_generation,
-    quad_distance,
-    quadrangle_duality_residual,
-    cross_generation_cs_residual,
     reconstruct_fourth_vertex,
     reconstruct_from_pedal_w,
     reconstruct_from_simson,
@@ -42,7 +39,14 @@ from isoptic.quad import (
     triad_circles,
     varignon,
 )
-from isoptic.verify import CaseSpec, random_quadrilateral
+from isoptic.verify import (
+    CaseSpec,
+    cotangent_identity_residuals,
+    cross_generation_cs_residual,
+    quad_distance,
+    quadrangle_duality_residual,
+    random_quadrilateral,
+)
 
 
 def report(number, description, worst, bound):
@@ -213,7 +217,7 @@ def test_criterion_08_periodicity_ptolemy_cotangent():
             abs(ac / bd - (ab * da + bc * cd) / (ab * bc + da * cd)))
     worst_cot = 0.0
     for q in corpus("convex-noncyclic", 500) + corpus("concave", 500):
-        worst_cot = max(worst_cot, max(cotangent_identity_residuals(q)))
+        worst_cot = max(worst_cot, cotangent_identity_residuals(QuadState(q)))
     worst = max(worst_period / 1e-8, worst_ptolemy / 1e-10, worst_cot / 1e-9)
     report(8, "period-2 classes, Ptolemy on 1000 cyclic, cotangent "
               "identities on 1000 generic (normalized to bound 1)", worst, 1.0)
@@ -222,9 +226,8 @@ def test_criterion_08_periodicity_ptolemy_cotangent():
 def test_criterion_09_cross_generation_and_duality(convex_1000):
     worst = 0.0
     for q in convex_1000[:200]:
-        w = isoptic_point(q)
-        worst = max(worst, cross_generation_cs_residual(q, w))
-        worst = max(worst, quadrangle_duality_residual(q, w, 1.0))
+        st = QuadState(q)
+        worst = max(worst, cross_generation_cs_residual(st), quadrangle_duality_residual(st))
     report(9, "cross-generation similitude circles and quadrangle duality "
               "(200 cases)", worst, 1e-7)
 

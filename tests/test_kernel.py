@@ -27,6 +27,7 @@ from isoptic.kernel import (
     isogonal_conjugate_triangle,
     line_meet,
     max_cs_distance,
+    max_or_nan,
     mirrored_cevian,
 )
 from isoptic.quad import (
@@ -432,6 +433,21 @@ class TestMaxCsDistance:
             scaled = [Circle(c.o * scale, c.r * scale) for c in circles]
             ref = max_cs_distance(w, circles)
             assert max_cs_distance(w * scale, scaled) / scale == pytest.approx(ref, rel=1e-12)
+
+
+class TestMaxOrNan:
+    def test_a_nan_in_any_term_is_nan(self):
+        # max(0.0, 1.0, nan) is 1.0: max passes over a nan that does not come first
+        for terms in ((math.nan,), (0.0, 1.0, math.nan), (math.nan, 2.0), (math.inf, math.nan)):
+            assert math.isnan(max_or_nan(*terms)), terms
+
+    def test_finite_and_inf_terms_read_as_max_from_zero(self):
+        rng = random.Random(5)
+        cases = [(0.0, 0.0), (0.0,), (1.0, math.inf, 3.0), (math.inf,)]
+        cases += [tuple(rng.expovariate(1.0) for _ in range(rng.randrange(1, 9)))
+                  for _ in range(200)]
+        for terms in cases:
+            assert repr(max_or_nan(*terms)) == repr(max(0.0, *terms)), terms
 
 
 class TestDirectedAngle:

@@ -58,6 +58,28 @@ def test_public_definitions_are_used():
     assert unused == [], f"defined but never used in {PACKAGE.name}: {unused}"
 
 
+# public functions of quad that only verify calls, each with its reason
+VERIFY_ONLY_IN_QUAD = {
+    # W of the reorderings ACBD and ACDB shares isoptic_point's private
+    # closed form, _isoptic_point, which no other module may import
+    "reordered_isoptic_points",
+}
+
+
+def test_quad_holds_no_verify_only_code():
+    # quad holds the paper's constructions and the residuals analyze reports;
+    # a check that only the verify suite and the tests call lives in verify
+    trees = {name: ast.parse((PACKAGE / f"{name}.py").read_text())
+             for name in ("__init__", "quad", "cli", "render")}
+    used = set().union(*(_referenced_names(trees[name]) for name in ("quad", "cli", "render")))
+    exported = {alias.name for node in trees["__init__"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    functions = {node.name for node in trees["quad"].body
+                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    assert VERIFY_ONLY_IN_QUAD <= functions
+    assert sorted(functions - used - exported - VERIFY_ONLY_IN_QUAD) == []
+
+
 def test_frexp_only_in_unit_near():
     # one helper picks the power-of-two frame; a second copy would drift (an
     # uncapped one overflowed on subnormal input)

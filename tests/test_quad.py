@@ -55,9 +55,6 @@ from isoptic.quad import (
     area_ratio_residual,
     classify,
     collinearity_residual,
-    cotangent_identity_residuals,
-    cross_generation_cs_residual,
-    feet_circles_residual,
     interior_angles,
     isodynamic_ratios,
     isogonal_conjugate_quad,
@@ -70,8 +67,6 @@ from isoptic.quad import (
     parallelogram_residual,
     pedal_quadrilateral,
     prev_generation,
-    quad_distance,
-    quadrangle_duality_residual,
     reconstruct_fourth_vertex,
     reconstruct_from_pedal_w,
     reconstruct_from_simson,
@@ -79,12 +74,22 @@ from isoptic.quad import (
     similarity_ratio,
     simson_line,
     simson_point,
-    spiral_transport_residual,
     triad_circles,
     varignon,
 )
 from isoptic.render import render_svg
-from isoptic.verify import INVARIANTS, SHAPE_CLASSES, CaseSpec, random_quadrilateral
+from isoptic.verify import (
+    INVARIANTS,
+    SHAPE_CLASSES,
+    CaseSpec,
+    cotangent_identity_residuals,
+    cross_generation_cs_residual,
+    feet_circles_residual,
+    quad_distance,
+    quadrangle_duality_residual,
+    random_quadrilateral,
+    spiral_transport_residual,
+)
 
 from cyclicity import noncyclicity_measure
 
@@ -218,7 +223,7 @@ class TestQuadrilateral:
         for route in (isoptic_point_via_limit, isoptic_point_via_inversion,
                       isoptic_point_via_inv_iso):
             assert abs(route(big) - w) <= 1e-14 * size, route.__name__
-        assert quadrangle_duality_residual(big, w, size) <= 1e-12
+        assert quadrangle_duality_residual(QuadState(big)) <= 1e-12
         assert abs(reconstruct_fourth_vertex(big.a, big.b, big.c, w) - big.d) <= 1e-12 * size
 
     def test_coincident_vertices_rejected_at_subnormal_scale(self):
@@ -496,7 +501,7 @@ class TestAngleDecomposition:
             assert min(diff, math.pi - diff) < 1e-9
 
     def test_cotangent_identities(self):
-        assert max(cotangent_identity_residuals(GENERIC)) < 1e-9
+        assert cotangent_identity_residuals(QuadState(GENERIC)) < 1e-9
 
 
 class TestIsopticPoint:
@@ -829,10 +834,6 @@ AT_INFINITY_CALLS = {
     "reconstruct_from_pedal_w feet": lambda: reconstruct_from_pedal_w(
         Point(0, 1), COLLINEAR_FEET[:3] + [W_AT_INFINITY]),
     "reconstruct_from_simson": lambda: reconstruct_from_simson(S_AT_INFINITY, COLLINEAR_FEET),
-    "cross_generation_cs_residual": lambda: cross_generation_cs_residual(GENERIC,
-                                                                         W_AT_INFINITY),
-    "quadrangle_duality_residual": lambda: quadrangle_duality_residual(GENERIC,
-                                                                       W_AT_INFINITY, 1.0),
 }
 
 
@@ -845,19 +846,27 @@ def test_a_point_at_infinity_raises_point_at_infinity(call):
         AT_INFINITY_CALLS[call]()
 
 
+def _state_at(q, p):
+    """A fresh state of q whose W reads p: the verify checks read st.w."""
+    st = QuadState(q)
+    st.w = p
+    return st
+
+
+@pytest.mark.parametrize("check", [cross_generation_cs_residual, quadrangle_duality_residual],
+                         ids=lambda fn: fn.__name__)
+def test_a_check_at_w_at_infinity_is_a_skip(check):
+    # like every invariant that reads W, each returns None, a skip, where W
+    # is not finite
+    assert check(_state_at(GENERIC, W_AT_INFINITY)) is None
+
+
 class TestDualityAndTransport:
     def test_duality_residual_small_at_w(self):
-        w = isoptic_point(GENERIC)
-        assert quadrangle_duality_residual(GENERIC, w, 1.0) < 1e-7
-
-    def test_duality_independent_of_mirror_radius(self):
-        w = isoptic_point(GENERIC)
-        r1 = quadrangle_duality_residual(GENERIC, w, 0.5)
-        r2 = quadrangle_duality_residual(GENERIC, w, 3.0)
-        assert r1 < 1e-7 and r2 < 1e-7
+        assert quadrangle_duality_residual(QuadState(GENERIC)) < 1e-7
 
     def test_duality_large_off_w(self):
-        assert quadrangle_duality_residual(GENERIC, Point(2, 1), 1.0) > 1e-4
+        assert quadrangle_duality_residual(_state_at(GENERIC, Point(2, 1))) > 1e-4
 
     @pytest.mark.parametrize("shape", ["convex-noncyclic", "concave", "trapezoid"])
     def test_duality_rises_off_w(self, shape):
@@ -866,14 +875,14 @@ class TestDualityAndTransport:
         for q in generic_quads(200, shape, seed=3):
             w = isoptic_point(q)
             moved = Point(w.x + 1e-6 * q.scale(), w.y)
-            assert quadrangle_duality_residual(q, moved, 1.0) > 1e-8
+            assert quadrangle_duality_residual(_state_at(q, moved)) > 1e-8
 
     @pytest.mark.parametrize("shape", ["convex-noncyclic", "concave", "trapezoid"])
     def test_duality_holds_at_w_on_a_thousand_cases(self, shape):
         for q in generic_quads(1000, shape, seed=7):
-            w = isoptic_point(q)
-            assert is_finite(w)
-            assert quadrangle_duality_residual(q, w, 1.0) <= 1e-12
+            st = QuadState(q)
+            assert is_finite(st.w)
+            assert quadrangle_duality_residual(st) <= 1e-12
 
 class TestPeriodicity:
     def test_pi4_parallelogram_period_two(self):
@@ -1181,7 +1190,7 @@ def _loop_cotangent(st):
     r1 = (_loop_cot(ab, ac) - _loop_cot(bd, cd)) * (_loop_cot(bd, -ab) - _loop_cot(cd, -ac))
     r2 = (_loop_cot(ac, ad) - _loop_cot(bc, bd)) * (_loop_cot(ad, bd) - _loop_cot(ac, bc))
     scale = max(1.0, abs(lhs))
-    return (abs(lhs - r1) / scale, abs(lhs - r2) / scale)
+    return max(abs(lhs - r1) / scale, abs(lhs - r2) / scale)
 
 
 def _loop_cross_generation(st):
@@ -1200,7 +1209,7 @@ def _loop_duality(st):
     w = st.w
     if not is_finite(w):
         return None
-    tol, mirror = st.tol, Circle(w, 1.0)
+    tol, mirror = st.tol, Circle(w, st.scale)
     images = [invert_point(mirror, v, tol) for v in st.q.vertices()]
     if not all(is_finite(p) for p in images):
         raise DegenerateConjugate("a vertex maps to infinity under the duality mirror")
@@ -1238,11 +1247,12 @@ def _loop_spiral(st):
         return None
     cases = [(triads.o1, triads.o4, q.b, q.c), (triads.o1, triads.o2, q.d, q.c),
              (triads.o4, triads.o2, q.d, q.b)]
-    worst = 0.0
+    worst, unit = 0.0, q._offset_unit(w)
+    wu, up = w * unit, q._unit / unit
     for src, dst, point, expected in cases:
-        k = (dst.o - w) * (src.o - w).conjugate()
-        img = w + (point - w) * cmath.rect(dst.r / src.r, cmath.phase(k))
-        worst = max(worst, abs(img - expected) / st.scale)
+        k = (dst.o * unit - wu) * up * ((src.o * unit - wu) * up).conjugate()
+        img = wu + (point * unit - wu) * cmath.rect(dst.r / src.r, cmath.phase(k))
+        worst = max(worst, abs(img - expected * unit) / (st.scale * unit))
     return worst
 
 
@@ -1883,13 +1893,15 @@ def test_far_points_are_read_in_a_frame_of_their_own(scale, p, near):
     # and the distances overflow.  Both read as a nearer point in the same direction
     q = Quadrilateral(*(Point(x * scale, y * scale)
                         for x, y in ((-.1, -.1), (.1, -.1), (.13, .1), (-.1, .1))))
-    for fn in (isogonal_conjugate_quad, isoptic_quantity, isodynamic_ratios,
-               angle_sums_at_point, cross_generation_cs_residual, pedal_quadrilateral):
+    calls = [lambda fn=fn: fn(q, p) for fn in (isogonal_conjugate_quad, isoptic_quantity,
+                                               isodynamic_ratios, angle_sums_at_point,
+                                               pedal_quadrilateral)]
+    for call in calls + [lambda: cross_generation_cs_residual(_state_at(q, p))]:
         try:
-            value = fn(q, p)
+            value = call()
         except GeometryError:
             continue
-        assert _all_finite(value), (fn.__name__, value)
+        assert _all_finite(value), value
     assert angle_sums_at_point(q, p) == pytest.approx(angle_sums_at_point(q, near), rel=1e-12)
     assert isodynamic_ratios(q, p) == pytest.approx(isodynamic_ratios(q, near), rel=1e-12)
 

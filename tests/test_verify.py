@@ -25,6 +25,7 @@ from isoptic.verify import (
     CaseSpec,
     random_quadrilateral,
     run_suite,
+    spiral_transport_residual,
 )
 
 from cyclicity import noncyclicity_measure
@@ -55,7 +56,7 @@ REPORT_SHA256 = "ca888c07df10f9ce415a155b01158b79d4a83c8b4b0b68acca67ad3758e130c
 # not the class runs it, of the three W routes, both generation maps and
 # interior_angles.  SUITE_SHA256 holds only each invariant's maximum; this
 # holds every case below it too
-RESIDUALS_SHA256 = "25b0923196e5967403146e565efabd55d9afb62a5e08847e8c4d76b853443f4b"
+RESIDUALS_SHA256 = "7f25b6355c4bbf9d93275aeba5112fee8670e34b98def1dcb04d6c816f7ea433"
 _CASE_PARTS = ((lambda st: st.w,) + tuple(fn for fn, _ in INVARIANTS.values())
                + (isoptic_point_via_limit, isoptic_point_via_inversion, isoptic_point_via_inv_iso,
                   next_generation, prev_generation, interior_angles))
@@ -260,3 +261,20 @@ class TestRunSuite:
         for stats in rep.invariants.values():
             assert stats.max_residual >= 0.0
             assert math.isfinite(stats.max_residual)
+
+
+@pytest.mark.parametrize("factor, exact", [(2.0 ** -600, True), (2.0 ** 600, True),
+                                           (1e-300, False), (1e300, False)])
+def test_spiral_transport_holds_at_extreme_scales(factor, exact):
+    # CaseSpec(5, "convex-noncyclic") case 0 reads 4.7e-16 at scale 1.  The
+    # phase product of two raw offsets from W underflowed at 2^-600 and
+    # 1e-300 (the residual read 1.19, a false failure) and overflowed at
+    # 2^600 and 1e300, where its nan was read as 0.0
+    q = random_quadrilateral(CaseSpec(5, "convex-noncyclic"), 0)
+    ref = spiral_transport_residual(QuadState(q))
+    got = spiral_transport_residual(QuadState(Quadrilateral(*(Point(v * factor)
+                                                              for v in q.vertices()))))
+    if exact:  # a power of two scales every offset exactly
+        assert got == ref
+    else:
+        assert 0.0 < got <= 1e-15
