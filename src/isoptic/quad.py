@@ -23,6 +23,7 @@ import math
 
 from .errors import (
     CollinearInput,
+    ConcentricCircles,
     CyclicDegeneration,
     DegenerateConjugate,
     DegenerateRay,
@@ -49,7 +50,6 @@ from .kernel import (
     invert_point,
     is_finite,
     line_meet,
-    max_cs_distance,
     max_or_nan,
     meet_of_cevians,
     mirrored_cevian,
@@ -303,20 +303,55 @@ class QuadState:
         return simson_point(self.q)
 
     @_part
-    def quantities(self) -> list[float] | None:
-        """The four d_i / R_i at W (isoptic_quantity); None when W is at infinity."""
-        return isoptic_quantity(self, self.w) if is_finite(self.w) else None
+    def w_frame(self) -> tuple | None:
+        """W's offsets (_offsets), which every quantity at W reads; None when W is at infinity."""
+        return _offsets(self.q, self.w) if is_finite(self.w) else None
+
+    @_part
+    def w_centers(self) -> tuple | None:
+        """W's offsets from the triad centers (_center_offsets); None when W is at infinity."""
+        return None if self.w_frame is None else _center_offsets(self, self.w_frame)
+
+    def frame(self, p: Point) -> tuple:
+        """p's offsets (_offsets): w_frame where p is the finite W read here, else new ones."""
+        if p is self.__dict__.get("w") and p.__class__ is Point:
+            return self.w_frame
+        require_finite(p)
+        return _offsets(self.q, p)
+
+    @_part
+    def quantities(self) -> tuple[list[float] | None, float | None]:
+        """The four d_i / R_i at W (isoptic_quantity) and their mean; None, None at infinity."""
+        qty = None if self.w_frame is None else isoptic_quantity(self, self.w)
+        return (None, None) if qty is None else (qty, sum(qty) / 4.0)
 
     @_part
     def pedal_w(self) -> list[Point] | None:
-        return pedal_quadrilateral(self.q, self.w) if is_finite(self.w) else None
+        return None if self.w_frame is None else pedal_quadrilateral(self, self.w)
 
     @_part
     def pedal_s(self) -> list[Point] | None:
-        return pedal_quadrilateral(self.q, self.s) if is_finite(self.s) else None
+        return pedal_quadrilateral(self, self.s) if is_finite(self.s) else None
 
 
 QuadOrState = Quadrilateral | QuadState
+
+
+def _offsets(q: Quadrilateral, p: complex) -> tuple[float, complex, tuple[complex, ...]]:
+    """(unit, p unit, (p - A, ..., p - D) unit) in q's _offset_unit(p) frame, where
+    none overflows: a tuple, which a state keeps with no reference cycle."""
+    unit, (a, b, c, d) = q._offset_unit(p), q._z
+    pu = p * unit
+    return unit, pu, (pu - a * unit, pu - b * unit, pu - c * unit, pu - d * unit)
+
+
+def _center_offsets(st: QuadState, f: tuple) -> tuple[tuple, tuple, tuple, tuple]:
+    """The triad centers O_i, p - O_i, |p - O_i| and the radii, in p's frame f."""
+    (unit, pu, _), t = f, st.triads
+    o1, o2, o3, o4 = t.o1.o * unit, t.o2.o * unit, t.o3.o * unit, t.o4.o * unit
+    u1, u2, u3, u4 = pu - o1, pu - o2, pu - o3, pu - o4
+    return ((o1, o2, o3, o4), (u1, u2, u3, u4), (abs(u1), abs(u2), abs(u3), abs(u4)),
+            (t.o1.r * unit, t.o2.r * unit, t.o3.r * unit, t.o4.r * unit))
 
 
 def _state(q: QuadOrState) -> QuadState:
@@ -374,9 +409,11 @@ def similarity_ratio(q: QuadOrState) -> float:
     st = _state(q)
     max_cot = 1.0 / math.tan(math.sqrt(st.tol))
     _, r, turns = st.side_shape
-    for vertex, t in zip("ABCD", turns):
-        if abs(t.real / t.imag) > max_cot:
-            raise IllConditionedAngles(f"interior angle at {vertex} too close to a multiple of pi")
+    ta, tb, tc, td = turns
+    if (abs(ta.real / ta.imag) > max_cot or abs(tb.real / tb.imag) > max_cot
+            or abs(tc.real / tc.imag) > max_cot or abs(td.real / td.imag) > max_cot):
+        vertex = "ABCD"[[abs(t.real / t.imag) > max_cot for t in turns].index(True)]
+        raise IllConditionedAngles(f"interior angle at {vertex} too close to a multiple of pi")
     return r
 
 
@@ -418,21 +455,21 @@ def triad_circles(q: QuadOrState) -> TriadSystem:
     """
     st = _state(q)
     ab, ac, ad, bc, bd, cd = st.q._diffs
+    abx, aby, acx, acy, adx, ady = ab.real, ab.imag, ac.real, ac.imag, ad.real, ad.imag
+    bcx, bcy, bdx, bdy, cdx, cdy = bc.real, bc.imag, bd.real, bd.imag, cd.real, cd.imag
     # |v|^2 as real^2 + imag^2, and the crosses of DAB, ABC, BCD and CDA
-    nab, nac, nad = (ab.real * ab.real + ab.imag * ab.imag, ac.real * ac.real + ac.imag * ac.imag,
-                     ad.real * ad.real + ad.imag * ad.imag)
-    nbc, nbd, ncd = (bc.real * bc.real + bc.imag * bc.imag, bd.real * bd.real + bd.imag * bd.imag,
-                     cd.real * cd.real + cd.imag * cd.imag)
-    t1, t2 = ab.real * ad.imag - ab.imag * ad.real, ab.real * ac.imag - ab.imag * ac.real
-    t3, t4 = bc.real * bd.imag - bc.imag * bd.real, ac.real * ad.imag - ac.imag * ad.real
+    nab, nac, nad = abx * abx + aby * aby, acx * acx + acy * acy, adx * adx + ady * ady
+    nbc, nbd, ncd = bcx * bcx + bcy * bcy, bdx * bdx + bdy * bdy, cdx * cdx + cdy * cdy
+    t1, t2 = abx * ady - aby * adx, abx * acy - aby * acx
+    t3, t4 = bcx * bdy - bcy * bdx, acx * ady - acy * adx
     half = 0.5 * (nab * t4 - nac * t1 + nad * t2)  # Delta / 2
     # Q2's side table O2 - O1, O3 - O1, O4 - O1, O3 - O2, O4 - O2, O4 - O3: the
     # shared pair AB, BD, AD, BC, AC, CD turned a right angle and scaled
     w12, w13, w14 = -half / (t1 * t2), half / (t1 * t3), half / (t1 * t4)
     w23, w24, w34 = half / (t2 * t3), half / (t2 * t4), -half / (t3 * t4)
-    o12, o13 = complex(-ab.imag * w12, ab.real * w12), complex(-bd.imag * w13, bd.real * w13)
-    o14, o23 = complex(-ad.imag * w14, ad.real * w14), complex(-bc.imag * w23, bc.real * w23)
-    o24, o34 = complex(-ac.imag * w24, ac.real * w24), complex(-cd.imag * w34, cd.real * w34)
+    o12, o13 = complex(-aby * w12, abx * w12), complex(-bdy * w13, bdx * w13)
+    o14, o23 = complex(-ady * w14, adx * w14), complex(-bcy * w23, bcx * w23)
+    o24, o34 = complex(-acy * w24, acx * w24), complex(-cdy * w34, cdx * w34)
     # the centers relative to A, from the best-conditioned triad's (the first on a tie)
     c1, c2 = abs(t1) / max(nab, nad, nbd), abs(t2) / max(nab, nac, nbc)
     c3, c4 = abs(t3) / max(nbc, nbd, ncd), abs(t4) / max(nac, nad, ncd)
@@ -653,17 +690,14 @@ def isoptic_point_via_inv_iso(q: QuadOrState) -> MaybePoint:
 
 def isoptic_quantity(q: QuadOrState, w: Point) -> list[float]:
     """d_i / R_i for the four triad circles; all equal exactly at W.  Both
-    are read in q's _offset_unit frame, where no distance from w overflows;
-    a ratio beyond the float range raises PointAtInfinity."""
-    require_finite(w)
+    are read in w's frame (QuadState.frame), where no distance from w
+    overflows; a ratio beyond the float range raises PointAtInfinity."""
     st = _state(q)
-    t, unit = st.triads, st.q._offset_unit(w)
-    o1, o2, o3, o4, wu = t.o1, t.o2, t.o3, t.o4, w * unit
-    r1, r2, r3, r4 = o1.r * unit, o2.r * unit, o3.r * unit, o4.r * unit
+    f = st.frame(w)
+    centers = st.w_centers if f is st.__dict__.get("w_frame") else _center_offsets(st, f)
+    _, _, (d1, d2, d3, d4), (r1, r2, r3, r4) = centers
     # a radius that underflows to 0 there is a ratio beyond the float range too
-    qty = ([abs(wu - o1.o * unit) / r1, abs(wu - o2.o * unit) / r2,
-            abs(wu - o3.o * unit) / r3, abs(wu - o4.o * unit) / r4]
-           if r1 and r2 and r3 and r4 else [math.inf])
+    qty = [d1 / r1, d2 / r2, d3 / r3, d4 / r4] if r1 and r2 and r3 and r4 else [math.inf]
     if math.inf in qty:
         raise PointAtInfinity("w is so far that d / R is not a finite float")
     return qty
@@ -674,44 +708,43 @@ def isodynamic_ratios(q: QuadOrState, w: Point) -> float:
 
     sigma pairs each vertex with the radius of the triad circle through the
     other three: (A, R3), (B, R4), (C, R1), (D, R2).  The distances are read
-    in q's _offset_unit frame and the radii in an exact power of two near the
-    largest, so that no distance or product overflows.
+    in w's frame (QuadState.frame) and the radii in an exact power of two
+    near the largest, so that no distance or product overflows.
     """
-    require_finite(w)
     st = _state(q)
-    t, unit = st.triads, st.q._offset_unit(w)
+    pa, pb, pc, pd = st.frame(w)[2]
+    t = st.triads
     r1, r2, r3, r4 = t.o1.r, t.o2.r, t.o3.r, t.o4.r
-    a, b, c, d = st.q._z
-    wu, runit = w * unit, unit_near(max(r1, r2, r3, r4))
-    pa, pb = abs(wu - a * unit) * (r3 * runit), abs(wu - b * unit) * (r4 * runit)
-    pc, pd = abs(wu - c * unit) * (r1 * runit), abs(wu - d * unit) * (r2 * runit)
+    runit = unit_near(max(r1, r2, r3, r4))
+    pa, pb = abs(pa) * (r3 * runit), abs(pb) * (r4 * runit)
+    pc, pd = abs(pc) * (r1 * runit), abs(pd) * (r2 * runit)
     mean = (pa + pb + pc + pd) / 4.0  # sum's order; from 0, which changes no product >= 0
     if mean == 0.0:
         return 0.0
     return max(abs(pa - mean), abs(pb - mean), abs(pc - mean), abs(pd - mean)) / mean
 
 
-def angle_sums_at_point(q: Quadrilateral, w: Point) -> float:
+def angle_sums_at_point(q: QuadOrState, w: Point) -> float:
     """Max residual of angle(X w Y) = angle(X u Y) + angle(X v Y) over the
     four sides XY, in directed angles mod pi; ~0 exactly at W.  The sides differ
     by the phase of t = (Y - w) / (X - w) (X - u) / (Y - u) (X - v) / (Y - v),
     atan2(|Im t|, |Re t|) from a multiple of pi.  w at a vertex raises DegenerateRay."""
-    require_finite(w)
-    a, b, c, d = q._z
+    # the offsets w - X in w's frame (QuadState.frame), whose quotients are
+    # those of X - w, and the vertices in q's own, where no offset,
+    # difference or quotient of them overflows
+    st = _state(q)
+    wa, wb, wc, wd = st.frame(w)[2]
+    a, b, c, d = st.q._z
     if w == a or w == b or w == c or w == d:
         raise DegenerateRay("w coincides with a vertex")
-    # the offsets from w in q's _offset_unit frame and the vertices in q's own,
-    # where no offset, difference or quotient of them overflows
-    unit, frame = q._offset_unit(w), q._unit
-    wu = w * unit
-    aw, bw, cw, dw = a * unit - wu, b * unit - wu, c * unit - wu, d * unit - wu
+    frame = st.q._unit
     a, b, c, d = a * frame, b * frame, c * frame, d * frame
     ac, ca, bd, db = a - c, c - a, b - d, d - b
     # the sides (X, Y, U, V) = (A, B, C, D), (B, C, A, D), (C, D, A, B) and (D, A, B, C)
-    t1 = bw / aw * ac / (b - c) * (a - d) / bd
-    t2 = cw / bw * (b - a) / ca * bd / (c - d)
-    t3 = dw / cw * ca / (d - a) * (c - b) / db
-    t4 = aw / dw * db / (a - b) * (d - c) / ac
+    t1 = wb / wa * ac / (b - c) * (a - d) / bd
+    t2 = wc / wb * (b - a) / ca * bd / (c - d)
+    t3 = wd / wc * ca / (d - a) * (c - b) / db
+    t4 = wa / wd * db / (a - b) * (d - c) / ac
     atan2 = math.atan2
     return max_or_nan(atan2(abs(t1.imag), abs(t1.real)), atan2(abs(t2.imag), abs(t2.real)),
                       atan2(abs(t3.imag), abs(t3.real)), atan2(abs(t4.imag), abs(t4.real)))
@@ -721,19 +754,18 @@ def angle_sums_at_point(q: Quadrilateral, w: Point) -> float:
 # pedals, Simson point, Varignon
 
 
-def pedal_quadrilateral(q: Quadrilateral, p: Point) -> list[Point]:
+def pedal_quadrilateral(q: QuadOrState, p: Point) -> list[Point]:
     """Feet of the perpendiculars from p onto the side lines AB, BC, CD, DA:
     with v the side's first vertex, e its vector, u^2 = e / conj(e) and
     d = p - v, the foot is v + (d + u^2 conj(d)) / 2, where u^2 conj(d) is d
-    mirrored in the side.  d is formed in q's _offset_unit frame, as p unit -
-    v unit, so that it cannot overflow; a foot beyond the float range raises
-    PointAtInfinity."""
-    require_finite(p)
-    a, b, c, d = q._z
-    ab, _, ad, bc, _, cd = q._diffs
-    da, unit = -ad, q._offset_unit(p)
-    pu = p * unit
-    pa, pb, pc, pd = pu - a * unit, pu - b * unit, pu - c * unit, pu - d * unit
+    mirrored in the side.  d is read in p's frame (QuadState.frame), as
+    p unit - v unit, so that it cannot overflow; a foot beyond the float
+    range raises PointAtInfinity."""
+    st = _state(q)
+    unit, _, (pa, pb, pc, pd) = st.frame(p)
+    a, b, c, d = st.q._z
+    ab, _, ad, bc, _, cd = st.q._diffs
+    da = -ad
     return [finite_point(a + 0.5 * (pa + ab / ab.conjugate() * pa.conjugate()) / unit, "a foot"),
             finite_point(b + 0.5 * (pb + bc / bc.conjugate() * pb.conjugate()) / unit, "a foot"),
             finite_point(c + 0.5 * (pc + cd / cd.conjugate() * pc.conjugate()) / unit, "a foot"),
@@ -933,11 +965,32 @@ def reordered_isoptic_points(q: Quadrilateral) -> list[MaybePoint]:
 
 def six_cs_residual(st: QuadState) -> float | None:
     """Max scale-free distance of W from the six circles of similitude, each
-    read from the Apollonius defect (max_cs_distance)."""
-    w = st.w
-    if not is_finite(w) or st.cyclic:
+    read from the Apollonius defect d_i - k d_j (k = R_i / R_j) over its
+    gradient on W's frame: kernel.max_cs_distance's pair loop, bit for bit,
+    written out over its six pairs in its order."""
+    if st.w_frame is None or st.cyclic:
         return None
-    return max_cs_distance(w, st.triads.circles, st.tol, 0.0, st.q._offset_unit(w)) / st.scale
+    t, tol, inf = st.triads, st.tol, math.inf
+    (o1, o2, o3, o4), (u1, u2, u3, u4), (d1, d2, d3, d4), (s1, s2, s3, s4) = st.w_centers
+    t1, t2, t3, t4 = tol * s1, tol * s2, tol * s3, tol * s4
+    c12, c13, c14, c23, c24, c34 = (abs(o1 - o2), abs(o1 - o3), abs(o1 - o4), abs(o2 - o3),
+                                    abs(o2 - o4), abs(o3 - o4))
+    # a pair of centers less than tol times either radius apart (the loop's
+    # gap < tol gap never holds: a quadrilateral's frame rejects a tol >= 1)
+    if (c12 < t1 or c12 < t2 or c13 < t1 or c13 < t3 or c14 < t1 or c14 < t4
+            or c23 < t2 or c23 < t3 or c24 < t2 or c24 < t4 or c34 < t3 or c34 < t4):
+        raise ConcentricCircles("circle of similitude of concentric circles")
+    if not (d1 and d2 and d3 and d4):
+        return inf  # W at a center, where the defect has no gradient
+    e1, e2, e3, (r1, r2, r3, r4) = u1 / d1, u2 / d2, u3 / d3, (t.o1.r, t.o2.r, t.o3.r, t.o4.r)
+    k12, k13, k14, k23, k24, k34 = r1 / r2, r1 / r3, r1 / r4, r2 / r3, r2 / r4, r3 / r4
+    g12, g13, g14 = abs(e1 - k12 * u2 / d2), abs(e1 - k13 * u3 / d3), abs(e1 - k14 * u4 / d4)
+    g23, g24, g34 = abs(e2 - k23 * u3 / d3), abs(e2 - k24 * u4 / d4), abs(e3 - k34 * u4 / d4)
+    # max keeps the first of equal or nan defects, as the loop does
+    return max(abs(d1 - k12 * d2) / g12 if g12 else inf, abs(d1 - k13 * d3) / g13 if g13 else inf,
+               abs(d1 - k14 * d4) / g14 if g14 else inf, abs(d2 - k23 * d3) / g23 if g23 else inf,
+               abs(d2 - k24 * d4) / g24 if g24 else inf,
+               abs(d3 - k34 * d4) / g34 if g34 else inf) / st.w_frame[0] / st.scale
 
 
 def area_ratio_residual(st: QuadState) -> float | None:
@@ -960,21 +1013,18 @@ def area_ratio_residual(st: QuadState) -> float | None:
 def isoptic_spread_residual(st: QuadState) -> float | None:
     """Relative spread of the four d_i / R_i at W; None on cyclic input,
     where W is the common center and every d_i / R_i is rounding noise."""
-    qty = st.quantities
-    if qty is None or st.cyclic:
-        return None
-    mean = sum(qty) / 4.0
-    if mean == 0.0:
+    qty, mean = st.quantities
+    if qty is None or st.cyclic or mean == 0.0:
         return None
     return (max(qty) - min(qty)) / mean
 
 
 def isodynamic_residual(st: QuadState) -> float | None:
-    return isodynamic_ratios(st, st.w) if is_finite(st.w) else None
+    return None if st.w_frame is None else isodynamic_ratios(st, st.w)
 
 
 def angle_sums_residual(st: QuadState) -> float | None:
-    return angle_sums_at_point(st.q, st.w) if is_finite(st.w) else None
+    return None if st.w_frame is None else angle_sums_at_point(st, st.w)
 
 
 def pedal_w_residual(st: QuadState) -> float | None:
@@ -1016,12 +1066,10 @@ def analyze(q: Quadrilateral) -> AnalysisReport:
     for name, fn in _RESIDUALS.items():
         try:
             res = fn(st)
-        except (CyclicDegeneration, IllConditionedAngles):
-            continue  # the area ratio needs r, and a Q2 that is not one point
+        except (CyclicDegeneration, ConcentricCircles, IllConditionedAngles):
+            continue  # the area ratio needs r and a Q2 not one point, the six CS centers apart
         if res is not None:
             residuals[name] = res
-    qty = st.quantities
-    quantity = None if qty is None else sum(qty) / 4.0
     return AnalysisReport(quad=q, triads=triads, r=r, w=st.w, s=st.s, shape=shape,
                           pedal_w=st.pedal_w, pedal_s=st.pedal_s, varignon=varignon(q),
-                          isoptic_quantity=quantity, residuals=residuals)
+                          isoptic_quantity=st.quantities[1], residuals=residuals)

@@ -18,6 +18,12 @@ THIN = {"vertices": [[0, 0], [1, 0], [2, 5.657e-7], [0, 2]]}
 NEAR_SQUARE = {"vertices": [[1, 0], [0, 1], [-1, 0], [0, -1 - 1e-6]]}
 # (2, 1e-4) is nearly on line AB: flat at tol 1e-3
 FLAT = {"vertices": [[0, 0], [1, 0], [2, 1e-4], [0, 1]]}
+# convex and noncyclic at tol 1e-9 (D lies 8.5e-9 diameters off the circle
+# through A, B and C), with two triad centers inside the concentric cut
+NEAR_CYCLIC = {"vertices": [[0.41348789198651636, 0.0862118324355335],
+                            [0.38305962130541477, 0.17104623209910355],
+                            [-0.5136510949453672, 0.31768669074549866],
+                            [-0.28289641834656376, -0.5749447552801357]]}
 # sha256 of the exit code and --out text of every iterate run of
 # TestIterate.test_reports_are_pinned, in order
 ITERATE_SHA256 = "23dba13b1704fb5d56407267ae6773801c9aa0adf47ed6a03b58a8b8fac9df32"
@@ -135,6 +141,18 @@ class TestAnalyze:
         out = tmp_path / "report.json"
         assert main(["analyze", quad_file(bowtie), "--out", str(out)]) == 0
         assert "area_ratio" not in json.loads(out.read_text())["residuals"]
+
+    def test_near_cyclic_input_inside_the_concentric_cut_has_no_six_cs(self, quad_file,
+                                                                        tmp_path):
+        # the six circles of similitude are undefined where two triad centers
+        # coincide within tol; the report omits them and keeps every other residual
+        out = tmp_path / "report.json"
+        assert main(["analyze", quad_file(NEAR_CYCLIC), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert not doc["shape"]["cyclic"]
+        assert sorted(doc["residuals"]) == ["angle_sums", "area_ratio", "isodynamic",
+                                            "isoptic_spread", "pedal_s_collinear",
+                                            "pedal_w_parallelogram"]
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])

@@ -1,5 +1,6 @@
 import ast
 import cmath
+import gc
 import importlib
 import itertools
 import math
@@ -14,10 +15,12 @@ from hypothesis import example, given, settings, strategies as st, target
 
 from isoptic.errors import (
     CollinearInput,
+    ConcentricCircles,
     CyclicDegeneration,
     DegenerateConjugate,
     DegenerateRay,
     GeometryError,
+    IllConditionedAngles,
     NonCollinearFeet,
     PointAtInfinity,
     Underdetermined,
@@ -45,6 +48,7 @@ from isoptic.quad import (
     _AT_INFINITY,
     Quadrilateral,
     QuadState,
+    TriadSystem,
     _centroid,
     _collapse,
     _conjugates_in_triads,
@@ -74,14 +78,18 @@ from isoptic.quad import (
     similarity_ratio,
     simson_line,
     simson_point,
+    six_cs_residual,
     triad_circles,
     varignon,
 )
 from isoptic.render import render_svg
 from isoptic.verify import (
+    _MIN_TRIAD_HEIGHT,
     INVARIANTS,
     SHAPE_CLASSES,
     CaseSpec,
+    _angles_ok,
+    _normalized,
     cotangent_identity_residuals,
     cross_generation_cs_residual,
     feet_circles_residual,
@@ -181,6 +189,14 @@ class TestQuadrilateral:
         # misleading GeometryError at inf
         with pytest.raises(ValueError, match="finite and positive"):
             fn(*TOL_ARGS[fn], tol)
+
+    def test_no_quadrilateral_passes_at_a_tol_of_one(self):
+        # a triangle is at most sqrt(3) / 2 of its longest side high, so the
+        # height test fails every quadrilateral at tol >= 1: six_cs_residual
+        # leaves out the pair loop's cut gap < tol gap, which holds only there
+        for q in (SQUARE, GENERIC, TRAPEZOID, DART, *generic_quads(10)):
+            with pytest.raises(CollinearInput):
+                Quadrilateral(*q.vertices(), tol=0.87)
 
     def test_area_square(self):
         assert SQUARE.area() == pytest.approx(4.0)
@@ -436,6 +452,24 @@ class TestSimilarityRatio:
         for q in generic_quads(10) + generic_quads(10, "concave"):
             r = similarity_ratio(q)
             assert r <= 1e-9 or r >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("vertex", range(4))
+    @pytest.mark.parametrize("tol", [1e-9, 1e-4])
+    def test_cot_cut_names_the_vertex_on_either_side(self, vertex, tol):
+        # the angle at one vertex is pi - theta, where |cot| = cot theta: a
+        # theta just above sqrt(tol) passes the cut cot(sqrt(tol)) and one
+        # just below raises, naming that vertex (rounding moves cot theta by
+        # about 1e-11 of itself, the step by 1e-6)
+        for step, raises in ((1.0 + 1e-6, False), (1.0 - 1e-6, True)):
+            theta = math.sqrt(tol) * step
+            # V, N, F and P in order, convex, V the nearly straight vertex
+            z = [Point(0, 0), Point(math.cos(theta), -math.sin(theta)), Point(0, -1), Point(-1, 0)]
+            q = Quadrilateral(*(z[(k - vertex) % 4] for k in range(4)), tol=tol)
+            if raises:
+                with pytest.raises(IllConditionedAngles, match=f"angle at {'ABCD'[vertex]} "):
+                    similarity_ratio(q)
+            else:
+                assert math.isfinite(similarity_ratio(q))
 
 
 class TestNoncyclicity:
@@ -739,7 +773,7 @@ class TestIsogonalConjugateQuad:
         """The same four meets in 60-digit mpmath, None for a pair of lines
         parallel there: the line from each vertex to p mirrored in the
         bisector of the rays to its neighbours."""
-        mp = pytest.importorskip("mpmath")
+        import mpmath as mp  # a test extra, as bench/tests' oracle needs it too
 
         def unit(w):
             return w / abs(w)
@@ -1104,6 +1138,21 @@ _FLAT_AND_LOOP = {
 }
 
 
+def _loop_six_cs(st):
+    """six_cs_residual as kernel.max_cs_distance's loop over the pairs reads it."""
+    w = st.w
+    if not is_finite(w) or st.cyclic:
+        return None
+    return max_cs_distance(w, st.triads.circles, st.tol, 0.0, st.q._offset_unit(w)) / st.scale
+
+
+# near-cyclic, noncyclic at tol 1e-9 (D lies 8.5e-9 diameters off o2), with
+# two triad centers inside the concentric cut of the circles of similitude
+NEAR_CYCLIC_CONCENTRIC = Quadrilateral(*(Point(x, y) for x, y in (
+    (0.41348789198651636, 0.0862118324355335), (0.38305962130541477, 0.17104623209910355),
+    (-0.5136510949453672, 0.31768669074549866), (-0.28289641834656376, -0.5749447552801357))))
+
+
 def _frame_of(q):
     """A quadrilateral with the frame its constructions read."""
     return (q, q._z, q._diffs, q._unit, q._scale, q._height, q.tol)
@@ -1359,6 +1408,51 @@ class TestOnePassFormsBitForBit:
                     if is_finite(p):
                         assert self._outcome(flat, st, p) == self._outcome(loop, st, p), (q0, scale)
 
+    def test_six_cs_is_the_pair_loop(self):
+        """six_cs_residual's six pairs on W's frame against max_cs_distance's
+        pair loop, at W and at S (a state whose W reads S), on every class at
+        scales 1e-300, 1 and 1e300; at the open cross-generation replay's S;
+        on the near-cyclic replay, where both raise; and at a center, where
+        both read inf."""
+        states = []
+        for q0 in self.POOL:
+            for scale in (1e-300, 1.0, 1e300):
+                q = Quadrilateral(*(Point(v * scale) for v in q0.vertices()))
+                s = QuadState(q).s
+                states += [lambda q=q: QuadState(q)]
+                states += [lambda q=q, s=s: _state_at(q, s)] if is_finite(s) else []
+        at_center = QuadState(GENERIC).triads.o3.o
+        replay = random_quadrilateral(CaseSpec(17, "orthocentric"), 0)
+        for scale in (1.0, 1e300):
+            far = Quadrilateral(*(Point(v * scale) for v in replay.vertices()))
+            states.append(lambda far=far: _state_at(far, QuadState(far).s))
+        states += [lambda: QuadState(NEAR_CYCLIC_CONCENTRIC),
+                   lambda: _state_at(GENERIC, Point(at_center))]
+        outcomes = [(self._outcome(six_cs_residual, st()), self._outcome(_loop_six_cs, st()))
+                    for st in states]
+        assert [flat for flat, loop in outcomes if flat != loop] == []
+        assert outcomes[-2:] == [("ConcentricCircles",) * 2, ("inf",) * 2]
+
+    def test_six_cs_concentric_cut_is_the_pair_loops(self):
+        # a triad system's coincident centers have equal radii, so each term
+        # of the cut is pinned on planted circles: in turn each pair's second
+        # or first circle has twice the radius, and the pair is 1.5 or 2.5
+        # tol times the smaller radius apart, which only the larger one's
+        # term cuts, or neither
+        tol, w, centers = GENERIC.tol, Point(2.5, 1.5), (0j, 4 + 1j, 5 + 4j, 1 + 5j)
+        outcomes = []
+        for i, j in itertools.combinations(range(4), 2):
+            for big, gap in itertools.product((i, j), (1.5, 2.5)):
+                o = list(centers)
+                o[j] = o[i] + gap * tol
+                circles = [Circle(c, 2.0 if k == big else 1.0) for k, c in enumerate(o)]
+                st = _state_at(GENERIC, w)
+                st.triads, st.cyclic = TriadSystem(*circles, diffs=()), False
+                outcomes.append((self._outcome(six_cs_residual, st),
+                                 self._outcome(_loop_six_cs, st)))
+        assert [flat for flat, loop in outcomes if flat != loop] == []
+        assert [flat for flat, _ in outcomes].count("ConcentricCircles") == 12
+
     @pytest.mark.parametrize("name", list(_VERIFY_FLAT_AND_LOOP))
     def test_verify_flat_form_is_the_loop_form(self, name):
         """Each flat construction or residual of a verify case against the
@@ -1405,15 +1499,29 @@ class TestComputeOnce:
         return calls
 
     def test_analyze_builds_each_part_once(self, monkeypatch):
+        import isoptic.kernel as kernel
         import isoptic.quad as quad
         calls = self._record(monkeypatch, ("classify", "triad_circles", "circumcenter",
                                            "next_generation", "isoptic_quantity",
                                            "shape_of_sides"))
+        offsets = self._count_calls(monkeypatch, Quadrilateral, "_offset_unit")
+        means, loops = [], []
+        monkeypatch.setattr(quad, "sum", lambda qty: means.append(qty) or sum(qty), raising=False)
+        for module in (kernel, quad):
+            monkeypatch.setattr(module, "max_cs_distance",
+                                lambda *args: loops.append(args) or math.nan, raising=False)
         for shape in SHAPE_CLASSES:
             for q in generic_quads(5, shape, seed=5):
-                for seen in calls.values():
+                for seen in (*calls.values(), offsets, means, loops):
                     seen.clear()
                 rep = quad.analyze(q)
+                # one frame of offsets from W, which every quantity at W reads
+                # (the pedal feet of S read one of their own)
+                assert len([p for _, p in offsets if p is rep.w]) == int(is_finite(rep.w))
+                # the mean of the d_i / R_i is formed once, for the spread and the report
+                assert len(means) == int(is_finite(rep.w))
+                # the six CS are read in one pass on that frame, with no pair loop
+                assert loops == []
                 assert len(calls["classify"]) == 1
                 # classify and r read the turns of one QuadState part
                 assert len(calls["shape_of_sides"]) == 1
@@ -1425,6 +1533,22 @@ class TestComputeOnce:
                 assert calls["next_generation"] == []
                 # the spread residual and the report's mean share one d_i / R_i
                 assert len(calls["isoptic_quantity"]) == (1 if is_finite(rep.w) else 0)
+
+    def test_analyze_and_a_verify_case_leave_no_reference_cycle(self):
+        # a part that holds its state (a frame object the state keeps) makes
+        # every report cyclic garbage, which only the collector frees: about
+        # ten times the collections, and 4 us more per analyze
+        from isoptic.verify import run_suite
+        gc.collect()
+        gc.disable()
+        try:
+            for shape in SHAPE_CLASSES:
+                for q in generic_quads(3, shape, seed=5):
+                    analyze(q)
+                run_suite(CaseSpec(5, shape), 2)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_w_and_s_build_no_circle_and_no_shape(self, monkeypatch):
         import isoptic.quad as quad
@@ -1559,6 +1683,40 @@ class TestComputeOnce:
                 # Q3 = W + r (Q1 - W), whether the iteration contracts or not
                 assert len(calls["next_generation"]) == 2
                 assert calls["prev_generation"] == []
+
+
+class TestNearCyclicConcentricCut:
+    """Near-cyclic input that is not cyclic at tol can have two triad centers
+    within the concentric cut of the circles of similitude, where the six-CS
+    residual raises ConcentricCircles: analyze omits it there, as it omits
+    the area ratio where Q2 is one point."""
+
+    def test_the_replay_reports_every_other_residual(self):
+        st = QuadState(NEAR_CYCLIC_CONCENTRIC)
+        assert not st.cyclic
+        with pytest.raises(ConcentricCircles):
+            six_cs_residual(st)
+        assert sorted(analyze(NEAR_CYCLIC_CONCENTRIC).residuals) == [
+            "angle_sums", "area_ratio", "isodynamic", "isoptic_spread", "pedal_s_collinear",
+            "pedal_w_parallelogram"]
+
+    def test_analyze_never_raises_in_the_near_cyclic_band(self):
+        # cyclic draws with D moved off the circle by 10^U(-8.7, -6) of its
+        # radius, kept if they pass verify's angle, aspect and triad-height
+        # tests: about one in sixteen falls inside the cut
+        rng, kept, cut = random.Random(2), 0, 0
+        while kept < 2000:
+            ts = sorted(2.0 * math.pi * rng.random() for _ in range(4))
+            z = [complex(math.cos(t), math.sin(t)) for t in ts]
+            z[3] *= 1.0 + 10.0 ** rng.uniform(-8.7, -6.0)
+            z = _normalized(z) if _angles_ok(z) else None
+            q = Quadrilateral(*map(Point, z)) if z else None
+            if q is None or q.min_triad_height() < _MIN_TRIAD_HEIGHT * q.scale():
+                continue
+            kept += 1
+            rep = analyze(q)
+            cut += not rep.shape.cyclic and "six_cs" not in rep.residuals
+        assert cut > 50
 
 
 class TestAtInfinityCuts:
