@@ -67,11 +67,7 @@ class Quadrilateral(Record):
     _fields = ("a", "b", "c", "d")
 
     def __init__(self, a: Point, b: Point, c: Point, d: Point, tol: float = DEFAULT_TOL):
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
-        _set(self, "d", d)
-        self._frame((a, b, c, d), (b - a, c - a, d - a, c - b, d - b, d - c), tol)
+        self._frame(a, b, c, d, (b - a, c - a, d - a, c - b, d - b, d - c), tol)
 
     @classmethod
     def _from_table(cls, a: complex, b: complex, c: complex, d: complex,
@@ -81,15 +77,15 @@ class Quadrilateral(Record):
         rounded vertices: for a construction that knows its sides better than
         its vertices."""
         q = object.__new__(cls)
-        a, b, c, d = Point(a), Point(b), Point(c), Point(d)
-        _set(q, "a", a)
-        _set(q, "b", b)
-        _set(q, "c", c)
-        _set(q, "d", d)
-        q._frame((a, b, c, d), diffs, tol)
+        q._frame(Point(a), Point(b), Point(c), Point(d), diffs, tol)
         return q
 
-    def _frame(self, z: tuple[Point, ...], diffs: tuple[complex, ...], tol: float):
+    def _frame(self, a: Point, b: Point, c: Point, d: Point, diffs: tuple[complex, ...],
+               tol: float):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
         _set(self, "tol", check_tol(tol))
         # the side table _diffs = (B - A, C - A, D - A, C - B, D - B, D - C)
         # times _unit, an exact power of two near 1 / diameter, so that its
@@ -116,7 +112,7 @@ class Quadrilateral(Record):
         # makes the first side or the first height nan
         if not scale + height < inf:
             raise PointAtInfinity("the diameter is not a finite float")
-        _set(self, "_z", z)
+        _set(self, "_z", (a, b, c, d))
         _set(self, "_diffs", frame)
         _set(self, "_unit", unit)
         # the frame of offsets from far points (W, S): _unit, but never above 1,
@@ -846,25 +842,22 @@ def isogonal_conjugate_quad(q: QuadOrState, p: Point) -> list[MaybePoint]:
 
     The rays at vertex i run to its neighbours, so each reflected line is
     the mirrored_cevian of the triangle's conjugation, read from the sides and
-    the offsets p - v in q's _offset_unit frame.  The lines are met relative
+    p's offsets p - v (QuadState.frame).  The lines are met relative
     to q's centroid in the frame of its side table, where the conjugate of a
     far p, which lies near q, keeps q's precision.  Parallel adjacent
     reflected lines put that vertex of the conjugate at infinity (along
     their common direction); a meet beyond the float range raises
     PointAtInfinity.
     """
-    require_finite(p)
     st = _state(q)
-    tol, unit, (a, b, c, d) = st.tol, st.q._offset_unit(p), st.q._z
-    pu = p * unit
-    oa, ob, oc, od = pu - a * unit, pu - b * unit, pu - c * unit, pu - d * unit
+    tol, (unit, _, (oa, ob, oc, od)) = st.tol, st.frame(p)
     na, nb, nc, nd = abs(oa), abs(ob), abs(oc), abs(od)
     if min(na, nb, nc, nd) < tol * max(st.scale * unit, na, nb, nc, nd):  # of q and p
         raise DegenerateConjugate("p coincides with a vertex")
     # each vertex about the centroid g in the side table's frame, and the
     # direction of its line: rays along its outgoing side and its reversed incoming one
     ab, ac, ad, bc, _, cd = st.q._diffs
-    g, frame = (ab + ac + ad) / 4.0, st.q._unit
+    a, g, frame = st.q.a, (ab + ac + ad) / 4.0, st.q._unit
     va, vb, vc, vd = 0j - g, ab - g, ac - g, ad - g
     la, lb = mirrored_cevian(0j, ab, ad, oa), mirrored_cevian(0j, bc, -ab, ob)
     lc, ld = mirrored_cevian(0j, cd, -bc, oc), mirrored_cevian(0j, -ad, -cd, od)

@@ -315,15 +315,14 @@ def cross_generation_cs_residual(st: QuadState) -> float | None:
     three generations, each read from the Apollonius defect (max_cs_distance);
     None where W is not finite.  An inf one where W's distance in diameters
     overflows raises PointAtInfinity."""
-    w = st.w
-    if not is_finite(w):
+    if st.w_frame is None:
         return None
-    tol, scale, unit = st.tol, st.scale, st.q._offset_unit(w)
+    w, tol, scale, (unit, _, (wa, _, _, _)) = st.w, st.tol, st.scale, st.w_frame
     t1, t2, t3 = st.triads, st.next.triads, st.next.next.triads
     # a pair of centers within noise is one circle twice: no CS
     res = max_cs_distance(w, (t1.o1, t1.o2, t1.o3, t1.o4, t2.o1, t2.o2, t2.o3, t2.o4,
                               t3.o1, t3.o2, t3.o3, t3.o4), tol, 1e3 * tol * scale, unit) / scale
-    if res == math.inf and abs(w * unit - st.q.a * unit) / unit / scale == math.inf:
+    if res == math.inf and abs(wa) / unit / scale == math.inf:
         raise PointAtInfinity("w is so far that its distance is not a finite float")
     return res
 
@@ -348,7 +347,7 @@ def quadrangle_duality_residual(st: QuadState) -> float | None:
     if not (is_finite(a) and is_finite(b) and is_finite(c) and is_finite(d)):
         raise DegenerateConjugate("a vertex maps to infinity under the duality mirror")
     img = QuadState(Quadrilateral(a, b, c, d, tol=tol))
-    return max_cs_distance(w, img.triads.circles, tol, 0.0, img.q._offset_unit(w)) / img.scale
+    return max_cs_distance(w, img.triads.circles, tol, 0.0, img.frame(w)[0]) / img.scale
 
 
 def feet_circles_residual(st: QuadState) -> float | None:
@@ -389,21 +388,21 @@ def spiral_transport_residual(st: QuadState) -> float | None:
     """Residual of the spiral similarity at W taking o1 -> o4 mapping B to C
     (and the o1 -> o2, o4 -> o2 analogues): one complex factor about W,
     R_dst / R_src times the unit phase of k = (o_dst - W) conj(o_src - W).
-    Offsets from W are read in q's _offset_unit frame, where none overflows,
+    Offsets from W are read in its frame (st.w_frame), where none overflows,
     and k's scaled on to q's frame, where k neither overflows nor underflows."""
-    t, w = st.triads, st.w
-    if not is_finite(w):
+    if st.w_frame is None:
         return None
-    q, o1, o2, o4 = st.q, t.o1, t.o2, t.o4
-    unit = q._offset_unit(w)
-    wu, up = w * unit, q._unit / unit
-    e1, e2, e4 = (o1.o * unit - wu) * up, (o2.o * unit - wu) * up, (o4.o * unit - wu) * up
-    b, c, d = q.b * unit, q.c * unit, q.d * unit
+    q, (unit, wu, (_, wb, _, wd)), (_, (u1, u2, _, u4), _, _) = st.q, st.w_frame, st.w_centers
+    r1, r2, r4, up = st.triads.o1.r, st.triads.o2.r, st.triads.o4.r, q._unit / unit
+    # O - W as 0 - (W - O), which rounds a zero part to +0.0 as O - W does: a
+    # -0.0 there would move the phase of k between -pi and pi
+    e1, e2, e4 = (0j - u1) * up, (0j - u2) * up, (0j - u4) * up
+    b, c = q.b * unit, q.c * unit
     rect, phase = cmath.rect, cmath.phase
     # o1 -> o4 takes B to C, o1 -> o2 takes D to C, and o4 -> o2 takes D to B
-    c14 = wu + (b - wu) * rect(o4.r / o1.r, phase(e4 * e1.conjugate()))
-    c12 = wu + (d - wu) * rect(o2.r / o1.r, phase(e2 * e1.conjugate()))
-    b42 = wu + (d - wu) * rect(o2.r / o4.r, phase(e2 * e4.conjugate()))
+    c14 = wu - wb * rect(r4 / r1, phase(e4 * e1.conjugate()))
+    c12 = wu - wd * rect(r2 / r1, phase(e2 * e1.conjugate()))
+    b42 = wu - wd * rect(r2 / r4, phase(e2 * e4.conjugate()))
     size = st.scale * unit
     return max_or_nan(abs(c14 - c) / size, abs(c12 - c) / size, abs(b42 - b) / size)
 

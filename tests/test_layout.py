@@ -95,6 +95,21 @@ def test_frexp_only_in_unit_near():
     assert sites == [], f"math.frexp outside kernel.unit_near: {sites}"
 
 
+def test_offset_frame_only_in_offsets():
+    # one helper frames the offsets from a point; every other site reads
+    # QuadState.frame(p), st.w_frame or st.w_centers, so W's is built once
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {id(node) for fn in tree.body
+                   if isinstance(fn, ast.FunctionDef) and path.name == "quad.py"
+                   and fn.name == "_offsets" for node in ast.walk(fn)}
+        sites += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if "_offset_unit" in (getattr(node, "attr", None), getattr(node, "id", None))
+                  and id(node) not in allowed]
+    assert sites == [], f"Quadrilateral._offset_unit outside quad._offsets: {sites}"
+
+
 def test_no_point_conversion_layer():
     # a Point is a complex number: a to_complex / from_complex pair would
     # bring back a second point format and a conversion at every call site

@@ -1166,7 +1166,7 @@ def _loop_next_generation(st):
     z = tuple(map(Point, (o.o for o in triads.circles)))
     for name, v in zip("abcd", z):
         object.__setattr__(q, name, v)
-    q._frame(z, triads.diffs, st.tol)
+    q._frame(*z, triads.diffs, st.tol)
     return _frame_of(q)
 
 
@@ -1629,6 +1629,27 @@ class TestComputeOnce:
             calls.clear()
             run_suite(CaseSpec(3, cls), 1)
             assert dict(calls) == self.VERIFY_CASE_CALLS[cls], cls
+
+    # _offset_unit calls per case of run_suite(CaseSpec(3, cls), n): W's frame,
+    # which the cross-generation and spiral checks read too, the duality
+    # image's frame of W and S's frame, where each is finite and used
+    VERIFY_CASE_FRAMES = {"convex-noncyclic": 3, "concave": 3, "trapezoid": 3, "cyclic": 2,
+                          "near-cyclic": 2, "parallelogram": 1, "parallelogram-pi4": 1,
+                          "orthocentric": 0}
+
+    def test_verify_case_frames_w_once(self, monkeypatch):
+        from isoptic.verify import run_suite
+        n = 20
+        offsets = self._count_calls(monkeypatch, Quadrilateral, "_offset_unit")
+        for cls in SHAPE_CLASSES:
+            spec = CaseSpec(3, cls)
+            ws = {q.vertices(): isoptic_point(q)
+                  for q in (random_quadrilateral(spec, i) for i in range(n))}
+            offsets.clear()
+            run_suite(spec, n)
+            assert len(offsets) == n * self.VERIFY_CASE_FRAMES[cls], cls
+            at_w = [p for q, p in offsets if q.vertices() in ws and p == ws[q.vertices()]]
+            assert len(at_w) == sum(map(is_finite, ws.values())), cls
 
     @staticmethod
     def _generic_states(*parts):

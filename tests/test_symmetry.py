@@ -9,7 +9,7 @@ import pytest
 
 from isoptic.errors import GeometryError
 from isoptic.kernel import AtInfinity, Point
-from isoptic.quad import QuadState, Quadrilateral, analyze
+from isoptic.quad import QuadState, Quadrilateral, analyze, isogonal_conjugate_quad
 from isoptic.verify import INVARIANTS, SHAPE_CLASSES, CaseSpec, random_quadrilateral
 
 EXPONENTS = (-600, -60, 7, 60, 600)
@@ -105,3 +105,34 @@ def test_turns_reflections_and_scalings_change_no_bit_of_analyze(shape):
                     assert repr(value) == repr(ref.residuals[name]), (i, k, m, conj, name)
                 else:
                     assert abs(value - ref.residuals[name]) <= bound, (i, k, m, conj, name)
+
+
+def _w_outcomes(st, k, m, conj):
+    """The repr (or the GeometryError's name) of each check that reads W's
+    frame and of the isogonal conjugate at W and at S, mapped back."""
+    parts = {name: lambda fn=INVARIANTS[name][0]: repr(fn(st))
+             for name in ("spiral_transport", "cross_generation_cs", "quadrangle_duality")}
+    parts.update({f"conjugate_{name}": lambda p=p: [_unmap(v, k, m, conj)
+                                                    for v in isogonal_conjugate_quad(st, p)]
+                  for name, p in (("w", st.w), ("s", st.s))})
+    out = {}
+    for name, part in parts.items():
+        try:
+            out[name] = part()
+        except GeometryError as exc:
+            out[name] = type(exc).__name__
+    return out
+
+
+@pytest.mark.parametrize("shape", SHAPE_CLASSES)
+def test_maps_change_no_bit_of_the_w_checks_or_the_conjugate(shape):
+    """The spiral, cross-generation and duality checks and the conjugate at
+    W and at S, under each map of MAPS: all read a frame of offsets."""
+    for i in range(6):
+        q = random_quadrilateral(CaseSpec(5, shape), i)
+        ref = _w_outcomes(QuadState(q), 0, 0, False)
+        for k, m, conj in MAPS:
+            st = QuadState(Quadrilateral(*(Point(_map(v, k, m, conj)) for v in q.vertices())))
+            got = _w_outcomes(st, k, m, conj)
+            assert got == ref, (i, k, m, conj, {name: (ref[name], got[name]) for name in ref
+                                                if got[name] != ref[name]})

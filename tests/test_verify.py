@@ -12,6 +12,7 @@ from isoptic.quad import (
     analyze,
     classify,
     interior_angles,
+    isogonal_conjugate_quad,
     isoptic_point_via_inv_iso,
     isoptic_point_via_inversion,
     isoptic_point_via_limit,
@@ -57,6 +58,9 @@ REPORT_SHA256 = "ca888c07df10f9ce415a155b01158b79d4a83c8b4b0b68acca67ad3758e130c
 # interior_angles.  SUITE_SHA256 holds only each invariant's maximum; this
 # holds every case below it too
 RESIDUALS_SHA256 = "7f25b6355c4bbf9d93275aeba5112fee8670e34b98def1dcb04d6c816f7ea433"
+# the same cases, one line each: the repr (or the GeometryError's name) of
+# isogonal_conjugate_quad(st, st.w), then of isogonal_conjugate_quad(st, st.s)
+CONJUGATE_SHA256 = "d8b4491762f77460a9b41fe55ee910dcc49b4b399b72b153ae18833b967dbdf8"
 _CASE_PARTS = ((lambda st: st.w,) + tuple(fn for fn, _ in INVARIANTS.values())
                + (isoptic_point_via_limit, isoptic_point_via_inversion, isoptic_point_via_inv_iso,
                   next_generation, prev_generation, interior_angles))
@@ -69,6 +73,25 @@ def _draws_digest(seeds, shapes, count):
             for i in range(count):
                 for v in random_quadrilateral(CaseSpec(seed, shape), i).vertices():
                     digest.update(f"{v.x.hex()} {v.y.hex()}\n".encode())
+    return digest.hexdigest()
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except GeometryError as exc:
+        return type(exc).__name__
+
+
+def _scaled_cases_digest(line):
+    """sha256 of line(st), one per case of RESIDUALS_SHA256's recipe."""
+    digest = hashlib.sha256()
+    for scale in (1.0, 1e-300, 1e300):
+        for cls in SHAPE_CLASSES:
+            for i in range(60):
+                q = random_quadrilateral(CaseSpec(5, cls), i)
+                st = QuadState(Quadrilateral(*(Point(v * scale) for v in q.vertices())))
+                digest.update(line(st).encode() + b"\n")
     return digest.hexdigest()
 
 
@@ -99,21 +122,13 @@ class TestPinnedResults:
         assert digest.hexdigest() == REPORT_SHA256
 
     def test_every_case_is_pinned(self):
-        def outcome(fn, st):
-            try:
-                return repr(fn(st))
-            except GeometryError as exc:
-                return type(exc).__name__
+        digest = _scaled_cases_digest(lambda st: " ".join(_outcome(fn, st) for fn in _CASE_PARTS))
+        assert digest == RESIDUALS_SHA256
 
-        digest = hashlib.sha256()
-        for scale in (1.0, 1e-300, 1e300):
-            for cls in SHAPE_CLASSES:
-                for i in range(60):
-                    q = random_quadrilateral(CaseSpec(5, cls), i)
-                    st = QuadState(Quadrilateral(*(Point(v * scale) for v in q.vertices())))
-                    line = " ".join(outcome(fn, st) for fn in _CASE_PARTS)
-                    digest.update(line.encode() + b"\n")
-        assert digest.hexdigest() == RESIDUALS_SHA256
+    def test_conjugates_are_pinned(self):
+        digest = _scaled_cases_digest(lambda st: " ".join(
+            _outcome(isogonal_conjugate_quad, st, p) for p in (st.w, st.s)))
+        assert digest == CONJUGATE_SHA256
 
 
 class TestGenerator:
