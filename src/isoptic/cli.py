@@ -8,11 +8,12 @@ Numbers print as json.dumps does, in the shortest repr that round-trips.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import re
 import sys
+from itertools import islice
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import CyclicDegeneration, GeometryError
@@ -102,13 +103,6 @@ def _parse_xy(text: str) -> Point:
     return Point(x, y)
 
 
-def _tol(text: str) -> float:
-    tol = float(text)
-    if not 0.0 < tol < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
-    return tol
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -143,9 +137,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_iterate(args) -> int:
-    if args.generations < 0:
-        print("error: --generations must not be negative", file=sys.stderr)
-        return EXIT_USAGE
     q = load_quad_file(args.file, args.tol)
     st = QuadState(q)
     generations = [q]
@@ -177,9 +168,6 @@ def cmd_iterate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.cases <= 0:
-        print("error: --cases must be positive", file=sys.stderr)
-        return EXIT_USAGE
     spec = CaseSpec(seed=args.seed, shape_class=getattr(args, "shape_class"))
     report = run_suite(spec, args.cases, args.tol)
     doc = report.to_dict()
@@ -201,9 +189,7 @@ def cmd_reconstruct(args) -> int:
     if args.mode == "fourth-vertex":
         for flag in ("a", "b", "c", "w"):
             if getattr(args, flag) is None:
-                print(f"error: --{flag} is required for mode fourth-vertex",
-                      file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError(f"--{flag} is required for mode fourth-vertex")
         a, b, c = _parse_xy(args.a), _parse_xy(args.b), _parse_xy(args.c)
         w = _parse_xy(args.w)
         d = reconstruct_fourth_vertex(a, b, c, w, args.tol)
@@ -218,9 +204,7 @@ def cmd_reconstruct(args) -> int:
     anchor_flag = "w" if args.mode == "pedal-w" else "s"
     anchor_text = getattr(args, anchor_flag)
     if anchor_text is None or args.feet is None:
-        print(f"error: --{anchor_flag} and --feet are required for mode {args.mode}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--{anchor_flag} and --feet are required for mode {args.mode}")
     anchor = _parse_xy(anchor_text)
     feet = [_parse_xy(t) for t in args.feet]
     if args.mode == "pedal-w":
@@ -239,77 +223,123 @@ def cmd_reconstruct(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="isoptic",
-        description="Analyze the perpendicular-bisector iteration, isoptic "
-                    "point and Simson line of a quadrilateral.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+class UsageError(ValueError):
+    """A bad command line: main prints its one line and exits 1."""
 
-    p = sub.add_parser("analyze", help="full report for one quadrilateral")
-    p.add_argument("file")
-    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("iterate", help="run the generation map repeatedly")
-    p.add_argument("file")
-    p.add_argument("--generations", type=int, required=True)
-    p.add_argument("--direction", choices=("forward", "backward"),
-                   default="forward")
-    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_iterate)
+_TOL = {"type": float, "default": DEFAULT_TOL,
+        "check": (lambda tol: 0.0 < tol < math.inf, "finite and > 0")}
+_HELP = {"nargs": 0, "about": "show this help and exit"}
+# command: (help, function, positionals, options).  An option takes nargs values (else one),
+# read by type, tested by check and choices, into dest (else its name); unset, it is default.
+COMMANDS = {
+    "analyze": ("full report for one quadrilateral", cmd_analyze, ["file"],
+                {"--tol": _TOL, "--out": {}}),
+    "iterate": ("run the generation map repeatedly", cmd_iterate, ["file"],
+                {"--generations": {"type": int, "required": True,
+                                   "check": (lambda n: n >= 0, ">= 0")},
+                 "--direction": {"choices": ("forward", "backward"), "default": "forward"},
+                 "--tol": _TOL, "--out": {}}),
+    "verify": ("run the randomized invariant suite", cmd_verify, [],
+               {"--cases": {"type": int, "required": True, "check": (lambda n: n > 0, "> 0")},
+                "--seed": {"type": int, "required": True},
+                "--class": {"dest": "shape_class", "required": True, "choices": SHAPE_CLASSES},
+                "--tol": {**_TOL, "default": 1e-8}, "--out": {}}),
+    "render": ("draw the figure as SVG", cmd_render, ["file"],
+               {"--out": {"required": True}, "--layers": {"default": "quad,triads,w"},
+                "--tol": _TOL}),
+    "reconstruct": ("invert one of the constructions", cmd_reconstruct, [],
+                    {"--mode": {"required": True,
+                                "choices": ("fourth-vertex", "pedal-w", "simson")},
+                     "--a": {}, "--b": {}, "--c": {}, "--w": {}, "--s": {},
+                     "--feet": {"nargs": 4}, "--tol": _TOL, "--out": {}}),
+}
+_TOP = ("Analyze the perpendicular-bisector iteration, isoptic point and Simson line of a "
+        "quadrilateral.", None, ["command"],
+        {"--version": {"nargs": 0, "about": "show the version and exit"}})
 
-    p = sub.add_parser("verify", help="run the randomized invariant suite")
-    p.add_argument("--cases", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--class", dest="shape_class", required=True,
-                   choices=SHAPE_CLASSES)
-    p.add_argument("--tol", type=_tol, default=1e-8)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("render", help="draw the figure as SVG")
-    p.add_argument("file")
-    p.add_argument("--out", required=True)
-    p.add_argument("--layers", default="quad,triads,w")
-    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
-    p.set_defaults(fn=cmd_render)
+def _help(command: str | None) -> str:
+    """The help of command, or of the program where command is None."""
+    about, _, positionals, options = COMMANDS[command] if command else _TOP
+    usage = f"{command} [options] {' '.join(positionals)}" if command else "[options] COMMAND ..."
+    rows = [(name, "") for name in positionals] if command else [
+        (name, spec[0]) for name, spec in COMMANDS.items()]
+    for flag, opt in {"-h, --help": _HELP, **options}.items():
+        meta = "{%s}" % ",".join(opt["choices"]) if "choices" in opt else flag[2:].upper()
+        note = "required" if opt.get("required") else f"default: {opt.get('default')}"
+        rows.append((" ".join([flag] + [meta] * opt.get("nargs", 1)), opt.get("about", note)))
+    return "\n".join([f"usage: isoptic {usage}".rstrip(), "", about, ""]
+                     + [f"  {left:24}  {right}".rstrip() for left, right in rows])
 
-    p = sub.add_parser("reconstruct", help="invert one of the constructions")
-    # read "-1,0" as a value, as Python 3.13's argparse does: its default
-    # matcher takes only a bare negative number, and "-1,0" for an option
-    p._negative_number_matcher = re.compile(r"-\.?\d")
-    p.add_argument("--mode", required=True,
-                   choices=("fourth-vertex", "pedal-w", "simson"))
-    p.add_argument("--a")
-    p.add_argument("--b")
-    p.add_argument("--c")
-    p.add_argument("--w")
-    p.add_argument("--s")
-    p.add_argument("--feet", nargs=4)
-    p.add_argument("--tol", type=_tol, default=DEFAULT_TOL)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_reconstruct)
 
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read argv against COMMANDS into a namespace whose fn runs the command, or prints
+    the help or the version; a bad command line raises UsageError."""
+    args, tokens, extras, plain = SimpleNamespace(command=None), iter(argv), [], False
+    prog, level, pending = "isoptic", _TOP, list(_TOP[2])
+    options = {"-h": _HELP, "--help": _HELP, **_TOP[3]}
+
+    def fail(message):
+        raise UsageError(f"{prog}: error: {message}")
+
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        found = [] if plain or token[:1] != "-" else [name] if name in options else [
+            flag for flag in options if name[:2] == "--" and flag.startswith(name)]
+        flag, opt = (found[0], options[found[0]]) if len(found) == 1 else (None, {})
+        if token == "--" and not plain:
+            plain = True  # every token after it is a positional
+            continue
+        if len(found) > 1:
+            fail(f"ambiguous option: {token} could match {', '.join(found)}")
+        if "about" in opt:  # -h, --help and --version
+            text = _help(args.command) if opt is _HELP else __version__
+            return SimpleNamespace(fn=lambda _: print(text) or EXIT_OK)
+        if flag:
+            count = opt.get("nargs", 1)
+            texts = [value] if eq else list(islice(tokens, count))
+            if len(texts) != count:
+                fail(f"argument {flag}: expected "
+                     + (f"{count} arguments" if count > 1 else "one argument"))
+        elif pending and (plain or token[:1] != "-" or token == "-" or " " in token
+                          or re.fullmatch(r"-\d+|-\d*\.\d+", token)):
+            flag, texts = pending.pop(0), [token]
+            opt = {"choices": COMMANDS} if level is _TOP else {"dest": flag}
+        else:
+            extras.append(token)  # a positional too many, or an option not taken here
+            continue
+        try:
+            values = [opt.get("type", str)(text) for text in texts]
+        except ValueError:  # only options of one value have a type
+            fail(f"argument {flag}: invalid {opt['type'].__name__} value: {texts[0]!r}")
+        if "check" in opt and not opt["check"][0](values[0]):
+            fail(f"argument {flag}: must be {opt['check'][1]}, got {texts[0]!r}")
+        if values[0] not in opt.get("choices", values):
+            fail(f"argument {flag}: invalid choice: {texts[0]!r} (choose from "
+                 f"{', '.join(map(repr, opt['choices']))})")
+        if level is _TOP:  # the command's name: its own options and positionals follow
+            prog, level = f"isoptic {token}", COMMANDS[token]
+            options, pending = {"-h": _HELP, "--help": _HELP, **level[3]}, list(level[2])
+            args = SimpleNamespace(command=token, fn=level[1], **{
+                opt.get("dest", flag[2:]): opt.get("default") for flag, opt in level[3].items()})
+        else:
+            setattr(args, opt.get("dest", flag[2:]), values if "nargs" in opt else values[0])
+    missing = pending + [flag for flag, opt in level[3].items() if opt.get("required")
+                         and vars(args)[opt.get("dest", flag[2:])] is None]
+    if missing:
+        fail(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise UsageError(f"isoptic: error: unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; remap to the documented code 1
-        if exc.code not in (0, None):
-            return EXIT_USAGE
-        return 0
-    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.fn(args)
-    except (ValueError, OSError) as exc:  # a JSONDecodeError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:  # a UsageError and a JSONDecodeError are ValueErrors
+        print(exc if isinstance(exc, UsageError) else f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GeometryError as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)

@@ -1,12 +1,25 @@
 import hashlib
 import json
 import math
+import os
+import random
+import subprocess
 import sys
 import xml.dom.minidom
+from pathlib import Path
 
 import pytest
 
-from isoptic.cli import EXIT_DEGENERATE, EXIT_FAILURES, load_quad_file, main
+import isoptic.cli
+from isoptic.cli import (
+    COMMANDS,
+    EXIT_DEGENERATE,
+    EXIT_FAILURES,
+    UsageError,
+    load_quad_file,
+    main,
+    parse_args,
+)
 from isoptic.render import LAYERS
 from isoptic.verify import SHAPE_CLASSES, CaseSpec, random_quadrilateral
 
@@ -396,6 +409,216 @@ class TestReconstruct:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["vertices"] == [[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]]
+
+
+# GENERIC moved by (-10, -10): every coordinate a reconstruction reads is negative
+NEGATIVE = {"vertices": [[x - 10, y - 10] for x, y in GENERIC["vertices"]]}
+SUBCOMMANDS = ("analyze", "iterate", "verify", "render", "reconstruct")
+OPTIONS = {"analyze": ("--tol", "--out"),
+           "iterate": ("--generations", "--direction", "--tol", "--out"),
+           "verify": ("--cases", "--seed", "--class", "--tol", "--out"),
+           "render": ("--out", "--layers", "--tol"),
+           "reconstruct": ("--mode", "--a", "--b", "--c", "--w", "--s", "--feet", "--tol",
+                           "--out")}
+VERIFY = ["verify", "--cases", "1", "--seed", "1", "--class", "cyclic"]
+
+
+def _xy_arg(xy):
+    return f"{xy[0]!r},{xy[1]!r}"
+
+
+class TestArgv:
+    """The command line: each usage error exits 1 with one error line and no
+    stdout; values, prefixes and the = form parse as the README says."""
+
+    def usage_error(self, capsys, argv):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = [line for line in err.splitlines() if "error:" in line]
+        assert len(lines) == 1
+        return lines[0]
+
+    @pytest.mark.parametrize("argv, line", [
+        ([], "isoptic: error: the following arguments are required: command"),
+        (["bogus"], "isoptic: error: argument command: invalid choice: 'bogus' (choose from "
+                    + ", ".join(map(repr, SUBCOMMANDS)) + ")"),
+        (VERIFY[:5], "isoptic verify: error: the following arguments are required: --class"),
+        (["verify"], "isoptic verify: error: the following arguments are required: "
+                     "--cases, --seed, --class"),
+        (VERIFY[:6] + ["heptagon"], "isoptic verify: error: argument --class: invalid choice: "
+                                    "'heptagon' (choose from "
+                                    + ", ".join(map(repr, SHAPE_CLASSES)) + ")"),
+        (["verify", "--cases", "x", "--seed", "1", "--class", "cyclic"],
+         "isoptic verify: error: argument --cases: invalid int value: 'x'"),
+        (["verify", "--cases", "0", "--seed", "1", "--class", "cyclic"],
+         "isoptic verify: error: argument --cases: must be > 0, got '0'"),
+        (["analyze", "quad.json", "--tol"],
+         "isoptic analyze: error: argument --tol: expected one argument"),
+        (["reconstruct", "--mode", "pedal-w", "--feet", "1,0", "2,1"],
+         "isoptic reconstruct: error: argument --feet: expected 4 arguments"),
+        (["verify", "--c", "3"],
+         "isoptic verify: error: ambiguous option: --c could match --cases, --class"),
+        (["analyze", "quad.json", "--tol", "0"],
+         "isoptic analyze: error: argument --tol: must be finite and > 0, got '0'"),
+        (["analyze"], "isoptic analyze: error: the following arguments are required: file"),
+        (["iterate"], "isoptic iterate: error: the following arguments are required: "
+                      "file, --generations"),
+        (["render", "quad.json"],
+         "isoptic render: error: the following arguments are required: --out"),
+        (["iterate", "quad.json", "--generations", "1", "--direction", "sideways"],
+         "isoptic iterate: error: argument --direction: invalid choice: 'sideways' "
+         "(choose from 'forward', 'backward')"),
+        (["reconstruct", "--mode", "-1"],
+         "isoptic reconstruct: error: argument --mode: invalid choice: '-1' "
+         "(choose from 'fourth-vertex', 'pedal-w', 'simson')"),
+    ])
+    def test_usage_error_line(self, capsys, argv, line):
+        assert self.usage_error(capsys, argv) == line
+
+    @pytest.mark.parametrize("argv, extra", [
+        (["analyze", "quad.json", "extra"], "extra"),
+        (["analyze", "quad.json", "--bogus", "x"], "--bogus x"),
+        (["analyze", "quad.json", "--version"], "--version"),
+        (VERIFY + ["-x"], "-x"),
+    ])
+    def test_unrecognized_arguments(self, capsys, argv, extra):
+        line = self.usage_error(capsys, argv)
+        assert line.startswith("isoptic")
+        assert line.endswith(f": error: unrecognized arguments: {extra}")
+
+    def test_version(self, capsys):
+        assert main(["--version"]) == 0
+        assert capsys.readouterr() == ("0.1.0\n", "")
+
+    def test_help_names_every_command(self, capsys):
+        for flag in ("-h", "--help"):
+            assert main([flag]) == 0
+            out, err = capsys.readouterr()
+            assert err == "" and all(name in out for name in SUBCOMMANDS)
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_command_help_names_every_option(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and all(flag in out for flag in OPTIONS[command])
+
+    def test_equals_form_prefixes_and_order(self, quad_file, tmp_path):
+        path, out = quad_file(GENERIC), tmp_path / "out.json"
+        forms = [["iterate", path, "--generations", "2", "--direction", "backward",
+                  "--tol", "1e-9"],
+                 ["iterate", path, "--generations=2", "--direction=backward", "--tol=1e-9"],
+                 ["iterate", path, "--gen", "2", "--dir=backward", "--t", "1e-9"],
+                 ["iterate", "--generations", "2", "--direction", "backward", path,
+                  "--tol", "1e-9"],
+                 ["iterate", path, "--generations", "7", "--direction", "forward",
+                  "--generations", "2", "--direction", "backward", "--tol", "1e-9"]]
+        texts = set()
+        for argv in forms:
+            assert main(argv + ["--out", str(out)]) == 0
+            texts.add(out.read_text())
+        assert len(texts) == 1
+        assert len(json.loads(texts.pop())["generations"]) == 3
+
+    @pytest.mark.parametrize("argv, line", [
+        (["iterate", "quad.json", "--generations", "-2"],
+         "isoptic iterate: error: argument --generations: must be >= 0, got '-2'"),
+        (["verify", "--cases", "-1", "--seed", "1", "--class", "cyclic"],
+         "isoptic verify: error: argument --cases: must be > 0, got '-1'"),
+        (["iterate", "quad.json", "--generations", "1", "--direction", "-1"],
+         "isoptic iterate: error: argument --direction: invalid choice: '-1' "
+         "(choose from 'forward', 'backward')"),
+        (VERIFY[:6] + ["-1"], "isoptic verify: error: argument --class: invalid choice: '-1' "
+                              "(choose from " + ", ".join(map(repr, SHAPE_CLASSES)) + ")"),
+        (["render", "quad.json", "--out", "fig.svg", "--layers", "-1"],
+         "error: unknown layer '-1' (choose from " + ", ".join(LAYERS) + ")"),
+    ] + [([command, *args, "--tol", "-1"],
+          f"isoptic {command}: error: argument --tol: must be finite and > 0, got '-1'")
+         for command, args in (("analyze", ["quad.json"]),
+                               ("iterate", ["quad.json", "--generations", "1"]),
+                               ("verify", VERIFY[1:]),
+                               ("render", ["quad.json", "--out", "fig.svg"]),
+                               ("reconstruct", ["--mode", "pedal-w"]))])
+    def test_negative_value_is_read_as_the_value(self, quad_file, tmp_path, monkeypatch,
+                                                 capsys, argv, line):
+        monkeypatch.chdir(tmp_path)
+        quad_file(GENERIC)
+        assert self.usage_error(capsys, argv) == line
+        assert not (tmp_path / "fig.svg").exists()
+
+    def test_negative_seed_and_out(self, quad_file, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(VERIFY[:4] + ["-3"] + VERIFY[5:] + ["--out", "-1"]) == 0
+        assert json.loads((tmp_path / "-1").read_text())["seed"] == -3
+        assert main(["analyze", quad_file(GENERIC), "--out", "-2"]) == 0
+        assert json.loads((tmp_path / "-2").read_text())["w"]["kind"] == "point"
+        # any token after --out names the file, even one that reads as an option
+        assert main(["analyze", quad_file(GENERIC), "--out", "-x"]) == 0
+        assert (tmp_path / "-x").read_text() == (tmp_path / "-2").read_text()
+
+    def test_negative_coordinates_in_every_reconstruction(self, quad_file, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["analyze", quad_file(NEGATIVE), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        a, b, c, d = NEGATIVE["vertices"]
+        w, s = doc["w"]["xy"], doc["s"]["xy"]
+        assert min(w + s + a + b + c) < 0
+        runs = [["--mode", "fourth-vertex", "--a", _xy_arg(a), "--b", _xy_arg(b),
+                 "--c", _xy_arg(c), "--w", _xy_arg(w)],
+                ["--mode", "pedal-w", "--w", _xy_arg(w),
+                 "--feet", *map(_xy_arg, doc["pedal_w"])],
+                ["--mode", "simson", "--s", _xy_arg(s),
+                 "--feet", *map(_xy_arg, doc["pedal_s"])]]
+        for args in runs:
+            assert main(["reconstruct", *args]) == 0
+            rec = json.loads(capsys.readouterr().out)
+            assert rec["residual"] < 1e-8
+            for got, want in zip(rec.get("vertices", [rec.get("point")]),
+                                 NEGATIVE["vertices"] if "vertices" in rec else [d]):
+                assert math.hypot(got[0] - want[0], got[1] - want[1]) < 1e-7
+
+
+@pytest.mark.parametrize("argv", [["analyze", "{file}"], ["--version"],
+                                  ["analyze", "{file}", "--tol", "0"]],
+                         ids=["analyze", "version", "usage-error"])
+def test_module_entry_point_matches_main(quad_file, capsys, argv):
+    # python -m isoptic.cli reads sys.argv through main(argv=None)
+    argv = [arg.format(file=quad_file(GENERIC)) for arg in argv]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=str(Path(isoptic.cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "isoptic.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert [line for line in proc.stderr.splitlines() if "error:" in line] == errors
+    assert len(errors) == (code != 0)
+
+
+def test_parse_args_is_total():
+    # argv lists drawn from the commands, the options, their prefixes and
+    # = forms, and values that read as numbers, options or nothing: each one
+    # parses or is a usage error of one line; no command runs
+    flags = sorted({flag for spec in COMMANDS.values() for flag in spec[3]}
+                   | {"-h", "--help", "--version"})
+    pool = [*COMMANDS, *flags, "--", "-", "", "nan", "1e400", "-1,0", "-1", "0", "3", "1e-9",
+            "x", "a b", "-x", "--bogus", "=", "--=x", "quad.json", "cyclic", "pedal-w", "backward"]
+    pool += [flag[:k] for flag in flags for k in range(3, len(flag))]
+    pool += [f"{flag}={value}" for flag in flags for value in ("", "-1,0", "nan", "3")]
+    rng, parsed = random.Random(2), 0
+    for _ in range(2000):
+        argv = [rng.choice(pool) for _ in range(rng.randrange(8))]
+        if rng.random() < 0.8:
+            argv.insert(0, rng.choice(list(COMMANDS)))
+        try:
+            args = parse_args(argv)
+        except UsageError as exc:
+            assert str(exc).startswith("isoptic") and ": error: " in str(exc)
+            assert "\n" not in str(exc)
+            continue
+        assert callable(args.fn)
+        parsed += 1
+    assert parsed > 100
 
 
 def test_analyze_reconstruct_analyze_roundtrip(quad_file, tmp_path, capsys):

@@ -266,15 +266,22 @@ def test_tol_has_one_home_per_quadrilateral():
     assert fns["_state"] == ["q"]
 
 
-def test_cold_start_imports():
+def test_cold_start_imports(tmp_path):
     # dataclasses and the inspect it imports slowed every cold CLI start, and
-    # the package needs fractions nowhere.
+    # the package needs fractions nowhere; argparse, with the gettext and
+    # locale it loads, cost about 6 ms of every cold op.  The probe also runs
+    # main, so that an import inside it is caught too.
     # verify and render stay eager: the benchmark's traced CLI child imports
     # isoptic.cli alone and then reads both from sys.modules
-    probe = ("import isoptic.cli, sys; print(' '.join(sorted(m for m in ("
-             "'dataclasses', 'inspect', 'typing', 'fractions', 'isoptic.verify',"
-             " 'isoptic.render') if m in sys.modules)))")
+    quad = tmp_path / "quad.json"
+    quad.write_text('{"vertices": [[0, 0], [4, 0], [5, 3], [1, 4]]}')
+    probe = ("import isoptic.cli, sys; isoptic.cli.main(['--version']);"
+             " isoptic.cli.main(['analyze', sys.argv[1]]);"
+             " print(' '.join(sorted(m for m in ("
+             "'dataclasses', 'inspect', 'typing', 'fractions', 'argparse', 'gettext',"
+             " 'locale', 'isoptic.verify', 'isoptic.render') if m in sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.split() == ["isoptic.render", "isoptic.verify"]
+    out = subprocess.run([sys.executable, "-S", "-c", probe, str(quad)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.startswith("0.1.0\n{")
+    assert out.splitlines()[-1].split() == ["isoptic.render", "isoptic.verify"]
