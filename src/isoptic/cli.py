@@ -8,6 +8,7 @@ Numbers print as json.dumps does, in the shortest repr that round-trips.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import re
@@ -19,6 +20,7 @@ from . import __version__
 from .errors import CyclicDegeneration, GeometryError
 from .kernel import DEFAULT_TOL, AtInfinity, Point, is_finite
 from .quad import (
+    SHAPE_CLASSES,
     QuadState,
     Quadrilateral,
     analyze,
@@ -28,8 +30,23 @@ from .quad import (
     reconstruct_from_simson,
     simson_point,
 )
-from .render import render_svg
-from .verify import SHAPE_CLASSES, CaseSpec, run_suite
+
+
+def _lazy(name: str):
+    """The module isoptic.<name>, in sys.modules and bound on the package as an import
+    binds it, whose body runs on its first attribute read (importlib.util.LazyLoader)."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+# read at call time, so that a function swapped in after the load is the one called
+verify, render = _lazy("verify"), _lazy("render")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -168,8 +185,8 @@ def cmd_iterate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = CaseSpec(seed=args.seed, shape_class=getattr(args, "shape_class"))
-    report = run_suite(spec, args.cases, args.tol)
+    spec = verify.CaseSpec(seed=args.seed, shape_class=getattr(args, "shape_class"))
+    report = verify.run_suite(spec, args.cases, args.tol)
     doc = report.to_dict()
     doc["tool_version"] = __version__
     _dump(doc, args.out)
@@ -179,7 +196,7 @@ def cmd_verify(args) -> int:
 def cmd_render(args) -> int:
     q = load_quad_file(args.file, args.tol)
     layers = tuple(name.strip() for name in args.layers.split(",") if name.strip())
-    svg = render_svg(q, layers)
+    svg = render.render_svg(q, layers)
     with open(args.out, "w") as fh:
         fh.write(svg)
     return EXIT_OK

@@ -188,6 +188,19 @@ class TriadSystem(Record):
         return (self.o1, self.o2, self.o3, self.o4)
 
 
+# the classes verify draws from; here so that the CLI reads --class without loading verify
+SHAPE_CLASSES = (
+    "convex-noncyclic",
+    "concave",
+    "cyclic",
+    "trapezoid",
+    "parallelogram",
+    "parallelogram-pi4",
+    "orthocentric",
+    "near-cyclic",
+)
+
+
 class ShapeClass(Record):
     _fields = ("convex", "cyclic", "orthocentric", "trapezoid", "parallelogram")
 
@@ -883,33 +896,37 @@ def _framed(points: list[Point], tol: float) -> tuple[list[complex], float, floa
 
 def reconstruct_from_pedal_w(w: Point, feet: list[Point],
                              tol: float = DEFAULT_TOL) -> Quadrilateral:
-    """Rebuild the quadrilateral from W and its four pedal feet.
+    """Rebuild the quadrilateral from W and its four pedal feet (_from_feet)."""
+    return _from_feet(w, feet, tol, "w")
+
+
+def reconstruct_from_simson(s: Point, feet: list[Point],
+                            tol: float = DEFAULT_TOL) -> Quadrilateral:
+    """Rebuild the quadrilateral from the Simson point and its collinear feet (_from_feet)."""
+    return _from_feet(s, feet, tol, "s")
+
+
+def _from_feet(p: Point, feet: list[Point], tol: float, name: str) -> Quadrilateral:
+    """Rebuild the quadrilateral from the point p, which errors call name, and its
+    pedal feet; the Simson point s needs them collinear.
 
     Each side line passes through a foot perpendicular to the segment from
-    w; vertices are the consecutive-line meets, solved relative to w (_framed).
+    p; vertices are the consecutive-line meets, solved relative to p (_framed).
     """
-    require_finite(w, *feet)
-    (wu, *fu), unit, scale = _framed([w, *feet], tol)
-    z = [f - wu for f in fu]
+    require_finite(p, *feet)
+    (pu, *fu), unit, scale = _framed([p, *feet], tol)
+    if name == "s" and collinearity_residual(fu) > 1e3 * tol * scale:
+        raise NonCollinearFeet("Simson feet must be collinear")
+    z = [f - pu for f in fu]
     if min(map(abs, z)) < tol * scale:
-        raise DegenerateConjugate("a pedal foot coincides with w")
+        raise DegenerateConjugate(f"a pedal foot coincides with {name}")
     corners = []
     for k in range(4):  # A = DA ^ AB, B = AB ^ BC, ...
         m = line_meet(z[k - 1], 1j * z[k - 1], z[k], 1j * z[k], tol)
         if m is None:
             raise ParallelConsecutiveLines("consecutive reconstruction lines are parallel")
-        corners.append(Point(w + m / unit))
+        corners.append(Point(p + m / unit))
     return Quadrilateral(*corners, tol=tol)
-
-
-def reconstruct_from_simson(s: Point, feet: list[Point],
-                            tol: float = DEFAULT_TOL) -> Quadrilateral:
-    """Rebuild the quadrilateral from the Simson point and its collinear feet."""
-    require_finite(s, *feet)
-    (_, *fu), _, scale = _framed([s, *feet], tol)
-    if collinearity_residual(fu) > 1e3 * tol * scale:
-        raise NonCollinearFeet("Simson feet must be collinear")
-    return reconstruct_from_pedal_w(s, feet, tol)
 
 
 def reconstruct_fourth_vertex(a: Point, b: Point, c: Point, w: Point,

@@ -35,6 +35,7 @@ from .kernel import (
     orthocenter,
 )
 from .quad import (
+    SHAPE_CLASSES,
     QuadState,
     Quadrilateral,
     angle_sums_residual,
@@ -54,18 +55,6 @@ from .quad import (
     six_cs_residual,
     varignon,
 )
-
-SHAPE_CLASSES = (
-    "convex-noncyclic",
-    "concave",
-    "cyclic",
-    "trapezoid",
-    "parallelogram",
-    "parallelogram-pi4",
-    "orthocentric",
-    "near-cyclic",
-)
-
 
 # conditioning of every generated case
 _MIN_ANGLE = 0.3          # radians from {0, pi, 2*pi} for every interior angle

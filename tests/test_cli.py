@@ -395,6 +395,14 @@ class TestReconstruct:
     def test_missing_inputs_exit_1(self):
         assert main(["reconstruct", "--mode", "pedal-w", "--w", "0,0"]) == 1
 
+    @pytest.mark.parametrize("mode,flag", [("pedal-w", "--w"), ("simson", "--s")])
+    def test_coincident_foot_names_the_point_given(self, capsys, mode, flag):
+        # the simson reconstruction named w, a point its user never passed
+        assert main(["reconstruct", "--mode", mode, flag, "0,0",
+                     "--feet", "0,0", "1,0", "2,0", "3,0"]) == EXIT_DEGENERATE
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"degenerate input: a pedal foot coincides with {flag[2:]}\n")
+
     def test_negative_coordinates_need_no_equals_sign(self, capsys):
         args = ["reconstruct", "--mode", "fourth-vertex", "--b", "1,0", "--c", "1,1",
                 "--w", "0.2,0.3"]
@@ -578,21 +586,67 @@ class TestArgv:
                 assert math.hypot(got[0] - want[0], got[1] - want[1]) < 1e-7
 
 
+RECONSTRUCT = ["reconstruct", "--mode", "fourth-vertex", "--a", "0,0", "--b", "4,0",
+               "--c", "5,3", "--w", "2.2917316692667713,1.926677067082684"]
+
+
 @pytest.mark.parametrize("argv", [["analyze", "{file}"], ["--version"],
-                                  ["analyze", "{file}", "--tol", "0"]],
-                         ids=["analyze", "version", "usage-error"])
-def test_module_entry_point_matches_main(quad_file, capsys, argv):
-    # python -m isoptic.cli reads sys.argv through main(argv=None)
-    argv = [arg.format(file=quad_file(GENERIC)) for arg in argv]
-    code = main(argv)
+                                  ["analyze", "{file}", "--tol", "0"],
+                                  ["iterate", "{file}", "--generations", "3"],
+                                  ["render", "{file}", "--out", "{svg}"], RECONSTRUCT,
+                                  ["verify", "--cases", "2", "--seed", "3", "--class", "concave"],
+                                  ["verify", "--help"]],
+                         ids=["analyze", "version", "usage-error", "iterate", "render",
+                              "reconstruct", "verify", "verify-help"])
+def test_module_entry_point_matches_main(quad_file, tmp_path, capsys, argv):
+    # python -m isoptic.cli, the entry point the benchmark's cold ops time, runs
+    # cli as __main__, which reads sys.argv through main(argv=None)
+    file = quad_file(GENERIC)
+    code = main([arg.format(file=file, svg=tmp_path / "main.svg") for arg in argv])
     out, err = capsys.readouterr()
     env = dict(os.environ, PYTHONPATH=str(Path(isoptic.cli.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "isoptic.cli", *argv], env=env,
-                          capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-m", "isoptic.cli",
+                           *[arg.format(file=file, svg=tmp_path / "module.svg") for arg in argv]],
+                          env=env, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (code, out)
+    if argv[0] == "render":
+        assert (tmp_path / "module.svg").read_bytes() == (tmp_path / "main.svg").read_bytes()
     errors = [line for line in err.splitlines() if "error:" in line]
     assert [line for line in proc.stderr.splitlines() if "error:" in line] == errors
     assert len(errors) == (code != 0)
+
+
+# in a fresh interpreter: an import after isoptic.cli's finds verify bound on the
+# package, verify's shape classes are quad's, and cmd_render reads render_svg
+# when it runs, so a function swapped in after the load (as the benchmark's
+# tracer swaps it) is the one it calls
+LAZY_PROBE = """\
+import sys
+import isoptic.cli
+import isoptic.quad
+import isoptic.verify
+print(callable(isoptic.verify.run_suite),
+      isoptic.verify.SHAPE_CLASSES is isoptic.quad.SHAPE_CLASSES)
+isoptic.render.render_svg  # the load
+isoptic.render.render_svg = lambda q, layers: "swapped " + " ".join(layers)
+print(isoptic.cli.main(["render", sys.argv[1], "--out", sys.argv[2], "--layers", "quad"]))
+"""
+
+
+def test_lazy_modules_are_bound_and_read_at_call_time(quad_file, tmp_path):
+    svg = tmp_path / "figure.svg"
+    env = dict(os.environ, PYTHONPATH=str(Path(isoptic.cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", LAZY_PROBE, quad_file(GENERIC), str(svg)],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == ["True", "True", "0"]
+    assert svg.read_text() == "swapped quad"
+    # a module imported before isoptic.cli, as the suite and the benchmark's
+    # workloads import verify, stays the one module
+    proc = subprocess.run([sys.executable, "-c", "import sys, isoptic.verify as v, isoptic.cli;"
+                           " print(isoptic.cli.verify is v is sys.modules['isoptic.verify'])"],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "True\n")
 
 
 def test_parse_args_is_total():

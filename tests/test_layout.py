@@ -266,22 +266,63 @@ def test_tol_has_one_home_per_quadrilateral():
     assert fns["_state"] == ["q"]
 
 
+# a -S interpreter imports isoptic.cli and then runs main on each argument in
+# turn; after the import and after each command it prints, on stderr, the
+# command's name and the lazy modules (verify, render) whose bodies have run,
+# read from each module's __dict__ past the lazy hook that any attribute read
+# trips, then any module a cold start must not import
+COLD_PROBE = """\
+import sys
+import isoptic.cli
+
+def probe(step):
+    names = []
+    for name, attr in (("verify", "run_suite"), ("render", "render_svg")):
+        mod = sys.modules.get("isoptic." + name)
+        if mod is None:
+            names.append("absent:" + name)
+        elif attr in object.__getattribute__(mod, "__dict__"):
+            names.append(name)
+    names += [m for m in ("dataclasses", "inspect", "typing", "fractions", "argparse",
+                          "gettext", "locale") if m in sys.modules]
+    print(step, *names, file=sys.stderr)
+
+probe("import")
+for command in sys.argv[1:]:
+    isoptic.cli.main(command.split())
+    probe(command.split()[0])
+"""
+
+
+def _cold_probe(tmp_path, *commands):
+    """stdout of COLD_PROBE run on commands, with {quad} and {svg} filled in, and its
+    steps as lists of words."""
+    quad = tmp_path / "quad.json"
+    quad.write_text('{"vertices": [[0, 0], [4, 0], [5, 3], [1, 4]]}')
+    argv = [c.format(quad=quad, svg=tmp_path / "figure.svg") for c in commands]
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", COLD_PROBE, *argv], env=env,
+                          check=True, capture_output=True, text=True)
+    return proc.stdout, [line.split() for line in proc.stderr.splitlines()]
+
+
 def test_cold_start_imports(tmp_path):
     # dataclasses and the inspect it imports slowed every cold CLI start, and
     # the package needs fractions nowhere; argparse, with the gettext and
     # locale it loads, cost about 6 ms of every cold op.  The probe also runs
     # main, so that an import inside it is caught too.
-    # verify and render stay eager: the benchmark's traced CLI child imports
-    # isoptic.cli alone and then reads both from sys.modules
-    quad = tmp_path / "quad.json"
-    quad.write_text('{"vertices": [[0, 0], [4, 0], [5, 3], [1, 4]]}')
-    probe = ("import isoptic.cli, sys; isoptic.cli.main(['--version']);"
-             " isoptic.cli.main(['analyze', sys.argv[1]]);"
-             " print(' '.join(sorted(m for m in ("
-             "'dataclasses', 'inspect', 'typing', 'fractions', 'argparse', 'gettext',"
-             " 'locale', 'isoptic.verify', 'isoptic.render') if m in sys.modules)))")
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    out = subprocess.run([sys.executable, "-S", "-c", probe, str(quad)], env=env,
-                         check=True, capture_output=True, text=True).stdout
+    # verify and render are lazy: import isoptic.cli puts both in sys.modules,
+    # where the benchmark's traced CLI child finds them, and neither body runs
+    # in a cold analyze, iterate or reconstruct, which saves compiling them
+    out, steps = _cold_probe(tmp_path, "--version", "analyze {quad}",
+                             "iterate {quad} --generations 2",
+                             "reconstruct --mode fourth-vertex --a 0,0 --b 4,0 --c 5,3 --w 2,2")
     assert out.startswith("0.1.0\n{")
-    assert out.splitlines()[-1].split() == ["isoptic.render", "isoptic.verify"]
+    assert steps == [["import"], ["--version"], ["analyze"], ["iterate"], ["reconstruct"]]
+
+
+def test_a_cold_command_runs_only_its_lazy_module(tmp_path):
+    _, steps = _cold_probe(tmp_path, "verify --cases 1 --seed 1 --class cyclic")
+    assert steps == [["import"], ["verify", "verify"]]
+    _, steps = _cold_probe(tmp_path, "render {quad} --out {svg}")
+    assert steps == [["import"], ["render", "render"]]
