@@ -8,7 +8,6 @@ Numbers print as json.dumps does, in the shortest repr that round-trips.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import math
 import re
@@ -16,37 +15,13 @@ import sys
 from itertools import islice
 from types import SimpleNamespace
 
-from . import __version__
+# the package registers these as lazy modules, whose bodies run on their first
+# attribute read: a command runs only the ones it calls, and reads each function
+# at call time, so that one swapped in after the load is the one called
+from . import __version__, reconstruct, render, report, verify
 from .errors import CyclicDegeneration, GeometryError
 from .kernel import DEFAULT_TOL, AtInfinity, Point, is_finite
-from .quad import (
-    SHAPE_CLASSES,
-    QuadState,
-    Quadrilateral,
-    analyze,
-    isoptic_point,
-    reconstruct_fourth_vertex,
-    reconstruct_from_pedal_w,
-    reconstruct_from_simson,
-    simson_point,
-)
-
-
-def _lazy(name: str):
-    """The module isoptic.<name>, in sys.modules and bound on the package as an import
-    binds it, whose body runs on its first attribute read (importlib.util.LazyLoader)."""
-    full = f"{__package__}.{name}"
-    if full not in sys.modules:
-        spec = importlib.util.find_spec(full)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        sys.modules[full] = module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
-    return sys.modules[full]
-
-
-# read at call time, so that a function swapped in after the load is the one called
-verify, render = _lazy("verify"), _lazy("render")
+from .quad import SHAPE_CLASSES, QuadState, Quadrilateral, isoptic_point, simson_point
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -126,7 +101,7 @@ def _parse_xy(text: str) -> Point:
 
 def cmd_analyze(args) -> int:
     q = load_quad_file(args.file, args.tol)
-    rep = analyze(q)
+    rep = report.analyze(q)
     doc = {
         "tool_version": __version__,
         "tolerance": _num(args.tol),
@@ -186,11 +161,11 @@ def cmd_iterate(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = verify.CaseSpec(seed=args.seed, shape_class=getattr(args, "shape_class"))
-    report = verify.run_suite(spec, args.cases, args.tol)
-    doc = report.to_dict()
+    suite = verify.run_suite(spec, args.cases, args.tol)
+    doc = suite.to_dict()
     doc["tool_version"] = __version__
     _dump(doc, args.out)
-    return EXIT_OK if report.failures == 0 else EXIT_FAILURES
+    return EXIT_OK if suite.failures == 0 else EXIT_FAILURES
 
 
 def cmd_render(args) -> int:
@@ -209,7 +184,7 @@ def cmd_reconstruct(args) -> int:
                 raise ValueError(f"--{flag} is required for mode fourth-vertex")
         a, b, c = _parse_xy(args.a), _parse_xy(args.b), _parse_xy(args.c)
         w = _parse_xy(args.w)
-        d = reconstruct_fourth_vertex(a, b, c, w, args.tol)
+        d = reconstruct.reconstruct_fourth_vertex(a, b, c, w, args.tol)
         q = Quadrilateral(a, b, c, d, args.tol)
         w2 = isoptic_point(q)
         residual = abs(w2 - w) / q.scale() if is_finite(w2) else math.inf
@@ -225,10 +200,10 @@ def cmd_reconstruct(args) -> int:
     anchor = _parse_xy(anchor_text)
     feet = [_parse_xy(t) for t in args.feet]
     if args.mode == "pedal-w":
-        q = reconstruct_from_pedal_w(anchor, feet, args.tol)
+        q = reconstruct.reconstruct_from_pedal_w(anchor, feet, args.tol)
         probe = isoptic_point(q)
     else:
-        q = reconstruct_from_simson(anchor, feet, args.tol)
+        q = reconstruct.reconstruct_from_simson(anchor, feet, args.tol)
         probe = simson_point(q)
     residual = abs(probe - anchor) / q.scale() if is_finite(probe) else math.inf
     doc = {"mode": args.mode, "vertices": _points_json(q.vertices()),

@@ -6,8 +6,9 @@ formatted with repr-style shortest round-trip floats.
 
 from __future__ import annotations
 
+from . import curves  # lazy: its body runs only when the cs layer is drawn
 from .errors import GeometryError
-from .kernel import Circle, Line, Point, circle_of_similitude, is_finite
+from .kernel import Circle, Line, Point, is_finite
 from .quad import QuadState, Quadrilateral, simson_line, varignon
 
 _SIZE = 640  # width and height of the SVG viewport in pixels
@@ -116,7 +117,7 @@ def render_svg(q: Quadrilateral, layers=("quad", "triads", "w"),
                 circles = st.triads.circles
                 for i in range(4):
                     j = (i + 1) % 4
-                    cs = circle_of_similitude(circles[i], circles[j], st.tol)
+                    cs = curves.circle_of_similitude(circles[i], circles[j], st.tol)
                     _clip_curve(cv, cs, color, 2 * scale, centroid,
                                 base_w, "4 3")
             elif name == "w":

@@ -12,6 +12,7 @@ import cmath
 import math
 import random
 
+from .curves import circumscribe, invert_point, line_meet, max_cs_distance, orthocenter
 from .errors import (
     CyclicDegeneration,
     DegenerateConjugate,
@@ -26,34 +27,33 @@ from .kernel import (
     Record,
     Report,
     check_tol,
-    circumscribe,
-    invert_point,
     is_finite,
-    line_meet,
-    max_cs_distance,
     max_or_nan,
-    orthocenter,
 )
 from .quad import (
     SHAPE_CLASSES,
     QuadState,
     Quadrilateral,
+    classify,  # noqa: F401  bench/tests/test_bench_trace.py reads verify.classify
+    reordered_isoptic_points,
+    shape_of_sides,
+    varignon,
+)
+from .report import (
     angle_sums_residual,
     area_ratio_residual,
-    classify,  # noqa: F401  bench/tests/test_bench_trace.py reads verify.classify
-    interior_angles,
     isodynamic_residual,
-    isoptic_point_via_inv_iso,
-    isoptic_point_via_inversion,
-    isoptic_point_via_limit,
     isoptic_spread_residual,
     parallelogram_residual,
     pedal_s_residual,
     pedal_w_residual,
-    reordered_isoptic_points,
-    shape_of_sides,
     six_cs_residual,
-    varignon,
+)
+from .routes import (
+    interior_angles,
+    isoptic_point_via_inv_iso,
+    isoptic_point_via_inversion,
+    isoptic_point_via_limit,
 )
 
 # conditioning of every generated case

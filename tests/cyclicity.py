@@ -3,7 +3,8 @@ circles that the package's own cyclic test reads."""
 
 import math
 
-from isoptic.quad import Quadrilateral, interior_angles
+from isoptic.quad import Quadrilateral
+from isoptic.routes import interior_angles
 
 
 def noncyclicity_measure(q: Quadrilateral) -> float:

@@ -10,34 +10,33 @@ import random
 
 import pytest
 
-from isoptic.kernel import (
-    Point,
-    circle_of_similitude,
-    is_finite,
-    orthocenter,
-)
+from isoptic.curves import circle_of_similitude, orthocenter
+from isoptic.kernel import Point, is_finite
 from isoptic.quad import (
     QuadState,
     Quadrilateral,
     collinearity_residual,
-    interior_angles,
-    isodynamic_ratios,
     isoptic_point,
-    isoptic_point_via_inv_iso,
-    isoptic_point_via_inversion,
-    isoptic_point_via_limit,
     isoptic_quantity,
     next_generation,
-    parallelogram_residual,
     pedal_quadrilateral,
     prev_generation,
-    reconstruct_fourth_vertex,
-    reconstruct_from_pedal_w,
-    reconstruct_from_simson,
     similarity_ratio,
     simson_point,
     triad_circles,
     varignon,
+)
+from isoptic.reconstruct import (
+    reconstruct_fourth_vertex,
+    reconstruct_from_pedal_w,
+    reconstruct_from_simson,
+)
+from isoptic.report import isodynamic_ratios, parallelogram_residual
+from isoptic.routes import (
+    interior_angles,
+    isoptic_point_via_inv_iso,
+    isoptic_point_via_inversion,
+    isoptic_point_via_limit,
 )
 from isoptic.verify import (
     CaseSpec,

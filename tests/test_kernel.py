@@ -13,32 +13,34 @@ from isoptic.errors import (
     IdenticalCurves,
     NotALine,
 )
-from isoptic.kernel import (
-    AtInfinity,
-    Circle,
-    Line,
-    Point,
+from isoptic.curves import (
     circle_of_similitude,
     circumcircle,
     intersect,
     invert_circle,
     invert_point,
-    is_finite,
     isogonal_conjugate_triangle,
     line_meet,
     max_cs_distance,
-    max_or_nan,
     mirrored_cevian,
+)
+from isoptic.kernel import (
+    AtInfinity,
+    Circle,
+    Line,
+    Point,
+    is_finite,
+    max_or_nan,
 )
 from isoptic.quad import (
     Quadrilateral,
     QuadState,
     TriadSystem,
-    analyze,
     classify,
     next_generation,
     triad_circles,
 )
+from isoptic.report import analyze
 from isoptic.verify import CaseSpec, InvariantStats, random_quadrilateral, run_suite
 
 DISC = Circle(0j, 1.0)

@@ -24,7 +24,7 @@ UNCALLED_BY_DESIGN = {
     # the package calls (ROADMAP item 1).  isogonal_conjugate_triangle checks
     # the triangle and the point and meets the mirrored cevians
     # (meet_of_cevians), the core that the inverse-isogonal W route reaches
-    # through quad._conjugates_in_triads
+    # through routes._conjugates_in_triads
     "isogonal_conjugate_triangle",
     "intersect",
     "invert_circle",
@@ -58,26 +58,72 @@ def test_public_definitions_are_used():
     assert unused == [], f"defined but never used in {PACKAGE.name}: {unused}"
 
 
-# public functions of quad that only verify calls, each with its reason
-VERIFY_ONLY_IN_QUAD = {
-    # W of the reorderings ACBD and ACDB shares isoptic_point's private
-    # closed form, _isoptic_point, which no other module may import
-    "reordered_isoptic_points",
+# public functions that only verify calls, by module, each with its reason
+VERIFY_ONLY = {
+    "quad": {
+        # W of the reorderings ACBD and ACDB shares isoptic_point's private
+        # closed form, _isoptic_point, which no other module may import
+        "reordered_isoptic_points",
+    },
+    "report": set(),
+    "reconstruct": set(),
 }
+# the lazy module of the second constructions that only the verify suite runs
+VERIFY_SIDE = "routes"
+
+
+def _exported(init_tree):
+    """The names the package exports: those its __init__ imports, and those its
+    lazy_attributes table resolves on the lazy modules."""
+    names = {alias.name for node in init_tree.body
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return names | {node.value for call in ast.walk(init_tree)
+                    if isinstance(call, ast.Call) and getattr(call.func, "id", None)
+                    == "lazy_attributes" for node in ast.walk(call.args[1])
+                    if isinstance(node, ast.Constant)}
+
+
+def _functions(tree):
+    return {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
 
 
 def test_quad_holds_no_verify_only_code():
-    # quad holds the paper's constructions and the residuals analyze reports;
-    # a check that only the verify suite and the tests call lives in verify
-    trees = {name: ast.parse((PACKAGE / f"{name}.py").read_text())
-             for name in ("__init__", "quad", "cli", "render")}
-    used = set().union(*(_referenced_names(trees[name]) for name in ("quad", "cli", "render")))
-    exported = {alias.name for node in trees["__init__"].body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    functions = {node.name for node in trees["quad"].body
-                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-    assert VERIFY_ONLY_IN_QUAD <= functions
-    assert sorted(functions - used - exported - VERIFY_ONLY_IN_QUAD) == []
+    # quad holds the paper's constructions, report the residuals analyze
+    # reports and reconstruct the inversions of the constructions: each holds
+    # only what a module that is not verify or routes calls, or the package
+    # exports.  A check that only the verify suite and the tests call lives in
+    # verify, and a second construction that only it runs in routes
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    exported = _exported(trees["__init__"])
+    used = set().union(*(_referenced_names(tree) for name, tree in trees.items()
+                         if name not in ("__init__", "verify", VERIFY_SIDE)))
+    for module, listed in VERIFY_ONLY.items():
+        functions = _functions(trees[module])
+        assert listed <= functions
+        assert sorted(functions - used - exported - listed) == [], module
+    # and what routes holds, verify runs or the package exports
+    assert sorted(_functions(trees[VERIFY_SIDE]) - _referenced_names(trees["verify"])
+                  - exported) == []
+
+
+def test_one_lazy_module_helper():
+    # one helper makes a lazy module (LazyLoader) and one reads a name on it
+    # (lazy_attributes), both in the package's __init__, which registers every
+    # lazy module; cli binds them from the package, and kernel and quad resolve
+    # the names the benchmark reads on them through lazy_attributes
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    loaders = sorted(name for name, tree in trees.items()
+                     if "LazyLoader" in _referenced_names(tree))
+    assert loaders == ["__init__"]
+    for name in ("kernel", "quad", "__init__"):
+        getattr_assigns = [node for node in trees[name].body if isinstance(node, ast.Assign)
+                           and any(getattr(t, "id", None) == "__getattr__" for t in node.targets)]
+        assert [node.value.func.id for node in getattr_assigns] == ["lazy_attributes"], name
+    lazy = {alias.name for node in trees["cli"].body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+            for alias in node.names}
+    assert {"reconstruct", "render", "report", "verify"} <= lazy
 
 
 def test_frexp_only_in_unit_near():
@@ -204,6 +250,16 @@ def test_traced_layer_functions_exist():
                if not inspect.isfunction(getattr(importlib.import_module(f"isoptic.{layer}"),
                                                  name, None))]
     assert missing == [], f"traced but not a function of its module: {missing}"
+    # and the workloads import their inputs' types and functions by name from the
+    # module each was defined in, which may since have moved to a lazy module
+    workloads = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    imported = [(node.module, alias.name) for node in ast.walk(ast.parse(workloads.read_text()))
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("isoptic")
+                for alias in node.names]
+    assert ("isoptic.quad", "analyze") in imported
+    missing = [f"{module}.{name}" for module, name in imported
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == [], f"imported by the workloads but not found: {missing}"
 
 
 def test_traced_verify_names_exist():
@@ -247,7 +303,7 @@ def test_tol_has_one_home_per_quadrilateral():
     # q's redraws q built at it) and by run_suite, whose residual gate it is
     # (and so SuiteReport, which reports it)
     fns = {}
-    for module in ("quad", "render", "verify", "cli"):
+    for module in ("quad", "report", "routes", "reconstruct", "render", "verify", "cli"):
         tree = ast.parse((PACKAGE / f"{module}.py").read_text())
         nodes = [(None, node) for node in tree.body]
         nodes += [(node.name, item) for node in tree.body if isinstance(node, ast.ClassDef)
@@ -263,26 +319,22 @@ def test_tol_has_one_home_per_quadrilateral():
                          "reconstruct_from_simson", "render_svg", "run_suite"]
     assert fns["QuadState.__init__"] == ["self", "q"]
     assert fns["analyze"] == ["q"]
-    assert fns["_state"] == ["q"]
+    assert fns["state_of"] == ["q"]
 
 
 # a -S interpreter imports isoptic.cli and then runs main on each argument in
 # turn; after the import and after each command it prints, on stderr, the
-# command's name and the lazy modules (verify, render) whose bodies have run,
-# read from each module's __dict__ past the lazy hook that any attribute read
-# trips, then any module a cold start must not import
+# command's name and the modules of the package whose bodies have run (exec put
+# __builtins__ in the namespace, read from each module's __dict__ past the lazy
+# hook that any attribute read trips), then any module a cold start must not import
 COLD_PROBE = """\
 import sys
 import isoptic.cli
 
 def probe(step):
-    names = []
-    for name, attr in (("verify", "run_suite"), ("render", "render_svg")):
-        mod = sys.modules.get("isoptic." + name)
-        if mod is None:
-            names.append("absent:" + name)
-        elif attr in object.__getattribute__(mod, "__dict__"):
-            names.append(name)
+    names = sorted(name[len("isoptic."):] for name, mod in sys.modules.items()
+                   if name.startswith("isoptic.")
+                   and "__builtins__" in object.__getattribute__(mod, "__dict__"))
     names += [m for m in ("dataclasses", "inspect", "typing", "fractions", "argparse",
                           "gettext", "locale") if m in sys.modules]
     print(step, *names, file=sys.stderr)
@@ -306,23 +358,42 @@ def _cold_probe(tmp_path, *commands):
     return proc.stdout, [line.split() for line in proc.stderr.splitlines()]
 
 
+# what every cold start runs: the argv table, the types and the core constructions
+COLD_CORE = ["cli", "errors", "kernel", "quad"]
+# command -> the modules besides COLD_CORE whose bodies a cold start of it runs
+COLD_MODULES = {
+    "--version": [],
+    "analyze {quad}": ["report"],
+    "iterate {quad} --generations 2": [],
+    "reconstruct --mode fourth-vertex --a 0,0 --b 4,0 --c 5,3 --w 2,2": ["curves", "reconstruct"],
+    "render {quad} --out {svg}": ["render"],
+    "render {quad} --out {svg} --layers quad,cs": ["curves", "render"],
+    "verify --cases 1 --seed 1 --class cyclic": ["curves", "report", "routes", "verify"],
+}
+
+
+def _assert_cold_modules(tmp_path, commands):
+    for command in commands:
+        _, steps = _cold_probe(tmp_path, command)
+        assert steps == [["import", *COLD_CORE],
+                         [command.split()[0], *sorted(COLD_CORE + COLD_MODULES[command])]], command
+
+
 def test_cold_start_imports(tmp_path):
     # dataclasses and the inspect it imports slowed every cold CLI start, and
     # the package needs fractions nowhere; argparse, with the gettext and
     # locale it loads, cost about 6 ms of every cold op.  The probe also runs
     # main, so that an import inside it is caught too.
-    # verify and render are lazy: import isoptic.cli puts both in sys.modules,
-    # where the benchmark's traced CLI child finds them, and neither body runs
-    # in a cold analyze, iterate or reconstruct, which saves compiling them
-    out, steps = _cold_probe(tmp_path, "--version", "analyze {quad}",
-                             "iterate {quad} --generations 2",
-                             "reconstruct --mode fourth-vertex --a 0,0 --b 4,0 --c 5,3 --w 2,2")
-    assert out.startswith("0.1.0\n{")
-    assert steps == [["import"], ["--version"], ["analyze"], ["iterate"], ["reconstruct"]]
+    # import isoptic puts every lazy module in sys.modules, where the
+    # benchmark's traced CLI child finds it, and a cold command runs the body
+    # of only those it calls, which saves compiling the others
+    out, steps = _cold_probe(tmp_path, "--version")
+    assert out == "0.1.0\n"
+    assert steps == [["import", *COLD_CORE], ["--version", *COLD_CORE]]
+    _assert_cold_modules(tmp_path, [c for c in COLD_MODULES if c.split()[0] in (
+        "analyze", "iterate", "reconstruct")])
 
 
 def test_a_cold_command_runs_only_its_lazy_module(tmp_path):
-    _, steps = _cold_probe(tmp_path, "verify --cases 1 --seed 1 --class cyclic")
-    assert steps == [["import"], ["verify", "verify"]]
-    _, steps = _cold_probe(tmp_path, "render {quad} --out {svg}")
-    assert steps == [["import"], ["render", "render"]]
+    _assert_cold_modules(tmp_path, [c for c in COLD_MODULES if c.split()[0] in (
+        "render", "verify")])

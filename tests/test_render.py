@@ -3,7 +3,8 @@ import xml.dom.minidom
 import pytest
 
 from isoptic.errors import CollinearInput
-from isoptic.kernel import Point, orthocenter
+from isoptic.curves import orthocenter
+from isoptic.kernel import Point
 from isoptic.quad import Quadrilateral
 from isoptic.render import LAYERS, _fmt, render_svg
 

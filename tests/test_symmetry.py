@@ -9,7 +9,9 @@ import pytest
 
 from isoptic.errors import GeometryError
 from isoptic.kernel import AtInfinity, Point
-from isoptic.quad import QuadState, Quadrilateral, analyze, isogonal_conjugate_quad
+from isoptic.quad import Quadrilateral, QuadState
+from isoptic.report import analyze
+from isoptic.routes import isogonal_conjugate_quad
 from isoptic.verify import INVARIANTS, SHAPE_CLASSES, CaseSpec, random_quadrilateral
 
 EXPONENTS = (-600, -60, 7, 60, 600)

@@ -7,18 +7,20 @@ import pytest
 from isoptic.errors import GeometryError
 from isoptic.kernel import Point, is_finite
 from isoptic.quad import (
-    QuadState,
     Quadrilateral,
-    analyze,
+    QuadState,
     classify,
+    next_generation,
+    prev_generation,
+    similarity_ratio,
+)
+from isoptic.report import analyze
+from isoptic.routes import (
     interior_angles,
     isogonal_conjugate_quad,
     isoptic_point_via_inv_iso,
     isoptic_point_via_inversion,
     isoptic_point_via_limit,
-    next_generation,
-    prev_generation,
-    similarity_ratio,
 )
 from isoptic.verify import (
     INVARIANTS,
