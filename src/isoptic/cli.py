@@ -8,6 +8,7 @@ Numbers print as json.dumps does, in the shortest repr that round-trips.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
@@ -338,5 +339,15 @@ def main(argv=None) -> int:
         return EXIT_DEGENERATE
 
 
+def entry() -> int:
+    """The process's entry (``isoptic`` and ``python -m isoptic.cli``): main, then the
+    collector frozen, so that the interpreter's shutdown collection skips the objects
+    still alive, which the exit frees whole.  main leaves the collector alone: an
+    in-process caller goes on running."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

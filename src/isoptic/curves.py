@@ -17,12 +17,14 @@ from .errors import (
     NotALine,
 )
 from .kernel import (
+    CS_GRADIENT_NOISE,
     DEFAULT_TOL,
     AtInfinity,
     Circle,
     Line,
     MaybePoint,
     Point,
+    bisector_distance,
     check_tol,
     circumcenter,
     finite_point,
@@ -188,10 +190,12 @@ def max_cs_distance(w: complex, circles: tuple[Circle, ...] | list[Circle],
     the pairs of circles, with no circle built: the Apollonius defect d1 - k d2
     (d_i = |w - c_i|, k = R1 / R2) over its gradient (w - c1) / d1 - k (w - c2)
     / d2, with each circle's w - c, d and (w - c) / d formed once, so that no
-    product of a distance and a radius forms.  w at a center is infinitely
-    far; a pair of centers less than min_gap apart is skipped (0.0 if all
-    are) and a concentric pair raises ConcentricCircles.  Everything is read
-    times unit, an exact power of two, so that no distance overflows."""
+    product of a distance and a radius forms; where that gradient has lost its
+    digits, w's distance from the bisector (bisector_distance).  w at a center
+    is infinitely far; a pair of centers less than min_gap apart is skipped
+    (0.0 if all are) and a concentric pair raises ConcentricCircles.
+    Everything is read times unit, an exact power of two, so that no distance
+    overflows."""
     terms, wu = [], w * unit
     for c in circles:
         o, r = c.o * unit, c.r  # r unscaled: their ratio is the same, and no r underflows
@@ -209,8 +213,12 @@ def max_cs_distance(w: complex, circles: tuple[Circle, ...] | list[Circle],
             if gap < tr1 or gap < tr2 or gap < tol * gap:
                 raise ConcentricCircles("circle of similitude of concentric circles")
             k = r1 / r2
-            grad = abs(e1 - k * v / d2) if d1 and d2 else 0.0
-            defect = abs(d1 - k * d2) / grad if grad else math.inf
+            if not (d1 and d2):
+                defect = math.inf
+            else:
+                grad = abs(e1 - k * v / d2)
+                defect = (bisector_distance(d1, d2, k, gap) if grad <= CS_GRADIENT_NOISE
+                          else abs(d1 - k * d2) / grad)
             if worst is None or defect > worst:
                 worst = defect
     return 0.0 if worst is None else worst / unit

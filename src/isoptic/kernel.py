@@ -190,6 +190,21 @@ def circumcenter(a: complex, b: complex, tol: float) -> complex:
     return (0.5 * nb * a - 0.5 * na * b) * 1j / cross
 
 
+# the rounding of an Apollonius gradient |e1 - k e2|, a difference of two unit
+# vectors of a few eps a part: at or below it the gradient has lost its digits
+CS_GRADIENT_NOISE = 16 * 2.220446049250313e-16
+
+
+def bisector_distance(d1: float, d2: float, k: float, gap: float) -> float:
+    """|d1^2 - k^2 d2^2| / (2 gap), formed with no product of two distances: the
+    distance of a point, d1 and d2 from two centers gap apart, from their circle of
+    similitude |X - c1| = k |X - c2| where k = 1 to rounding, the perpendicular
+    bisector.  It stands for the Apollonius defect over its gradient where that
+    gradient is within CS_GRADIENT_NOISE of 0: k = 1 and the point on the line of
+    the centers, outside them.  Centers at one point have no bisector: inf."""
+    return abs(d1 - k * d2) / gap * (0.5 * (d1 + k * d2)) if gap else math.inf
+
+
 def unit_near(x: float) -> float:
     """An exact power of two near 1 / x, at most 2^1023 (so that a subnormal
     x gives about 1e-12 rather than an overflow)."""

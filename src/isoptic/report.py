@@ -11,7 +11,15 @@ from __future__ import annotations
 import math
 
 from .errors import ConcentricCircles, CyclicDegeneration, DegenerateRay, IllConditionedAngles
-from .kernel import MaybePoint, Point, Report, max_or_nan, unit_near
+from .kernel import (
+    CS_GRADIENT_NOISE,
+    MaybePoint,
+    Point,
+    Report,
+    bisector_distance,
+    max_or_nan,
+    unit_near,
+)
 from .quad import (
     QuadOrState,
     QuadState,
@@ -110,11 +118,11 @@ def parallelogram_residual(pts: list[Point], scale: float) -> float:
 def six_cs_residual(st: QuadState) -> float | None:
     """Max scale-free distance of W from the six circles of similitude, each
     read from the Apollonius defect d_i - k d_j (k = R_i / R_j) over its
-    gradient on W's frame: kernel.max_cs_distance's pair loop, bit for bit,
+    gradient on W's frame: curves.max_cs_distance's pair loop, bit for bit,
     written out over its six pairs in its order."""
     if st.w_frame is None or st.cyclic:
         return None
-    t, tol, inf = st.triads, st.tol, math.inf
+    t, tol = st.triads, st.tol
     (o1, o2, o3, o4), (u1, u2, u3, u4), (d1, d2, d3, d4), (s1, s2, s3, s4) = st.w_centers
     t1, t2, t3, t4 = tol * s1, tol * s2, tol * s3, tol * s4
     c12, c13, c14, c23, c24, c34 = (abs(o1 - o2), abs(o1 - o3), abs(o1 - o4), abs(o2 - o3),
@@ -125,16 +133,21 @@ def six_cs_residual(st: QuadState) -> float | None:
             or c23 < t2 or c23 < t3 or c24 < t2 or c24 < t4 or c34 < t3 or c34 < t4):
         raise ConcentricCircles("circle of similitude of concentric circles")
     if not (d1 and d2 and d3 and d4):
-        return inf  # W at a center, where the defect has no gradient
+        return math.inf  # W at a center, where the defect has no gradient
     e1, e2, e3, (r1, r2, r3, r4) = u1 / d1, u2 / d2, u3 / d3, (t.o1.r, t.o2.r, t.o3.r, t.o4.r)
     k12, k13, k14, k23, k24, k34 = r1 / r2, r1 / r3, r1 / r4, r2 / r3, r2 / r4, r3 / r4
     g12, g13, g14 = abs(e1 - k12 * u2 / d2), abs(e1 - k13 * u3 / d3), abs(e1 - k14 * u4 / d4)
     g23, g24, g34 = abs(e2 - k23 * u3 / d3), abs(e2 - k24 * u4 / d4), abs(e3 - k34 * u4 / d4)
-    # max keeps the first of equal or nan defects, as the loop does
-    return max(abs(d1 - k12 * d2) / g12 if g12 else inf, abs(d1 - k13 * d3) / g13 if g13 else inf,
-               abs(d1 - k14 * d4) / g14 if g14 else inf, abs(d2 - k23 * d3) / g23 if g23 else inf,
-               abs(d2 - k24 * d4) / g24 if g24 else inf,
-               abs(d3 - k34 * d4) / g34 if g34 else inf) / st.w_frame[0] / st.scale
+    # max keeps the first of equal or nan defects, as the loop does; a gradient
+    # that has lost its digits reads the bisector
+    lost, bisector = CS_GRADIENT_NOISE, bisector_distance
+    return max(bisector(d1, d2, k12, c12) if g12 <= lost else abs(d1 - k12 * d2) / g12,
+               bisector(d1, d3, k13, c13) if g13 <= lost else abs(d1 - k13 * d3) / g13,
+               bisector(d1, d4, k14, c14) if g14 <= lost else abs(d1 - k14 * d4) / g14,
+               bisector(d2, d3, k23, c23) if g23 <= lost else abs(d2 - k23 * d3) / g23,
+               bisector(d2, d4, k24, c24) if g24 <= lost else abs(d2 - k24 * d4) / g24,
+               bisector(d3, d4, k34, c34) if g34 <= lost else abs(d3 - k34 * d4) / g34
+               ) / st.w_frame[0] / st.scale
 
 
 def area_ratio_residual(st: QuadState) -> float | None:

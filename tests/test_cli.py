@@ -592,30 +592,60 @@ RECONSTRUCT = ["reconstruct", "--mode", "fourth-vertex", "--a", "0,0", "--b", "4
                "--c", "5,3", "--w", "2.2917316692667713,1.926677067082684"]
 
 
-@pytest.mark.parametrize("argv", [["analyze", "{file}"], ["--version"],
-                                  ["analyze", "{file}", "--tol", "0"],
-                                  ["iterate", "{file}", "--generations", "3"],
-                                  ["render", "{file}", "--out", "{svg}"], RECONSTRUCT,
-                                  ["verify", "--cases", "2", "--seed", "3", "--class", "concave"],
-                                  ["verify", "--help"]],
-                         ids=["analyze", "version", "usage-error", "iterate", "render",
-                              "reconstruct", "verify", "verify-help"])
-def test_module_entry_point_matches_main(quad_file, tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, exit_code", [
+    (["analyze", "{file}"], 0), (["analyze", "{file}", "--out", "{out}"], 0), (["--version"], 0),
+    (["analyze", "{file}", "--tol", "0"], 1), (["analyze", "{collinear}"], 2),
+    (["iterate", "{file}", "--generations", "3"], 0),
+    # the README quadrilateral's generation 21 rounds together
+    (["iterate", "{file}", "--generations", "22"], 2),
+    (["render", "{file}", "--out", "{out}"], 0), (RECONSTRUCT, 0),
+    (["verify", "--cases", "2", "--seed", "3", "--class", "concave"], 0),
+    (["verify", "--cases", "2", "--seed", "3", "--class", "concave", "--tol", "1e-300"], 3),
+    (["verify", "--help"], 0)],
+    ids=["analyze", "analyze-out", "version", "usage-error", "collinear", "iterate",
+         "iterate-degenerate", "render", "reconstruct", "verify", "verify-failures",
+         "verify-help"])
+def test_module_entry_point_matches_main(quad_file, tmp_path, capsys, argv, exit_code):
     # python -m isoptic.cli, the entry point the benchmark's cold ops time, runs
-    # cli as __main__, which reads sys.argv through main(argv=None)
-    file = quad_file(GENERIC)
-    code = main([arg.format(file=file, svg=tmp_path / "main.svg") for arg in argv])
+    # cli as __main__, which reads sys.argv through main(argv=None) and then
+    # freezes the collector (entry): the same exit code, stdout, stderr and
+    # --out file as main run in-process, on every exit path
+    files = {"file": quad_file(GENERIC),
+             "collinear": quad_file({"vertices": [[0, 0], [1, 0], [2, 0], [0, 1]]}, "flat.json")}
+    code = main([arg.format(**files, out=tmp_path / "main.out") for arg in argv])
     out, err = capsys.readouterr()
     env = dict(os.environ, PYTHONPATH=str(Path(isoptic.cli.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "isoptic.cli",
-                           *[arg.format(file=file, svg=tmp_path / "module.svg") for arg in argv]],
+                           *[arg.format(**files, out=tmp_path / "module.out") for arg in argv]],
                           env=env, capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout) == (code, out)
-    if argv[0] == "render":
-        assert (tmp_path / "module.svg").read_bytes() == (tmp_path / "main.svg").read_bytes()
-    errors = [line for line in err.splitlines() if "error:" in line]
-    assert [line for line in proc.stderr.splitlines() if "error:" in line] == errors
-    assert len(errors) == (code != 0)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert code == exit_code
+    if "{out}" in argv:
+        assert (tmp_path / "module.out").read_bytes() == (tmp_path / "main.out").read_bytes()
+
+
+# the collector's freeze count as the process ends, read by an atexit hook:
+# cli run as __main__ (as python -m runs it) has frozen the collector, and main
+# run in-process has left it alone
+FREEZE_PROBE = """\
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+if sys.argv[1] == "main":
+    import isoptic.cli
+    isoptic.cli.main(["--version"])
+else:
+    sys.argv[1:] = ["--version"]
+    runpy.run_module("isoptic.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("path, frozen", [("main", False), ("entry", True)])
+def test_only_the_process_entry_freezes_the_collector(path, frozen):
+    env = dict(os.environ, PYTHONPATH=str(Path(isoptic.cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", FREEZE_PROBE, path],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, f"0.1.0\nfrozen at exit: {frozen}\n", "")
 
 
 # in a fresh interpreter: an import after isoptic.cli's finds verify bound on the

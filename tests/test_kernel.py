@@ -25,10 +25,12 @@ from isoptic.curves import (
     mirrored_cevian,
 )
 from isoptic.kernel import (
+    CS_GRADIENT_NOISE,
     AtInfinity,
     Circle,
     Line,
     Point,
+    bisector_distance,
     is_finite,
     max_or_nan,
 )
@@ -374,8 +376,12 @@ def _pair_cs_distance(w: complex, o1: Circle, o2: Circle, tol: float) -> float:
     k = o1.r / o2.r
     u, v = w - o1.o, w - o2.o
     d1, d2 = abs(u), abs(v)
-    grad = abs(u / d1 - k * v / d2) if d1 and d2 else 0.0
-    return abs(d1 - k * d2) / grad if grad else math.inf
+    if not (d1 and d2):
+        return math.inf
+    grad = abs(u / d1 - k * v / d2)
+    if grad <= CS_GRADIENT_NOISE:
+        return bisector_distance(d1, d2, k, gap)
+    return abs(d1 - k * d2) / grad
 
 
 def _random_circles(rng: random.Random, count: int) -> list[Circle]:
@@ -413,6 +419,16 @@ class TestMaxCsDistance:
     def test_w_at_a_center_is_infinitely_far(self):
         circles = [Circle(0j, 1.0), Circle(3 + 0j, 2.0), Circle(1 + 2j, 0.5)]
         assert max_cs_distance(3 + 0j, circles) == math.inf
+
+    def test_a_lost_gradient_reads_the_bisector(self):
+        # w on the line of two centers of equal radii, outside them, where the
+        # gradient of d1 - d2 is 0: its distance from the bisector, the
+        # circle of similitude at k = 1, |d1^2 - d2^2| / (2 |c1 - c2|)
+        circles, w = [Circle(0j, 1.0), Circle(4 + 1j, 1.0)], 8 + 2j
+        got = max_cs_distance(w, circles)
+        assert got == _pair_cs_distance(w, *circles, 1e-9)
+        assert got == pytest.approx(circle_of_similitude(*circles).distance_to(w), rel=1e-15)
+        assert got == pytest.approx((68 - 17) / (2 * math.sqrt(17)), rel=1e-15)
 
     def test_min_gap_skips_close_centers(self):
         near = [Circle(0j, 1.0), Circle(1e-3 + 0j, 1.5)]

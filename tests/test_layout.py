@@ -6,6 +6,7 @@ import ast
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -397,3 +398,33 @@ def test_cold_start_imports(tmp_path):
 def test_a_cold_command_runs_only_its_lazy_module(tmp_path):
     _assert_cold_modules(tmp_path, [c for c in COLD_MODULES if c.split()[0] in (
         "render", "verify")])
+
+
+def test_only_the_process_entry_touches_the_collector():
+    # cli.entry freezes the collector once main has run, so that the
+    # interpreter's shutdown collection skips what the command leaves alive;
+    # main, which the tests and the benchmark's traced child call in-process,
+    # and every library module leave it alone.  gc.disable would not stop the
+    # shutdown collection, and os._exit skips atexit and the flush of stdio
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    importers = sorted(name for name, tree in trees.items() for node in ast.walk(tree)
+                       if isinstance(node, ast.Import) and "gc" in [a.name for a in node.names]
+                       or isinstance(node, ast.ImportFrom) and node.module == "gc")
+    assert importers == ["cli"]
+    entry = next(node for node in trees["cli"].body
+                 if isinstance(node, ast.FunctionDef) and node.name == "entry")
+    in_entry = {id(node) for node in ast.walk(entry)}
+    calls = sorted((name, node.attr, id(node) in in_entry) for name, tree in trees.items()
+                   for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                   and (getattr(node.value, "id", None) == "gc" or node.attr == "_exit"))
+    assert calls == [("cli", "freeze", True)]
+    assert not any(alias.name == "_exit" for tree in trees.values() for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) for alias in node.names)
+    # both ways into the process name it: python -m runs the __main__ block,
+    # and the isoptic script calls the target that pyproject.toml names
+    main_block = next(node for node in trees["cli"].body if isinstance(node, ast.If)
+                      and "__main__" in ast.unparse(node.test))
+    assert "entry" in _referenced_names(main_block) and "main" not in _referenced_names(main_block)
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'\[project\.scripts\]\nisoptic = "isoptic\.cli:(\w+)"\n',
+                     pyproject).group(1) == "entry"

@@ -480,6 +480,49 @@ class TestSimilarityRatio:
                 assert math.isfinite(similarity_ratio(q))
 
 
+class TestCutsOnBothSides:
+    """Each tolerance cut decides an input at half of it one way and one at
+    twice it the other, so that a cut moved ten-fold either way fails.
+    similarity_ratio's cot cut is pinned closer, at 1 -+ 1e-6 of it
+    (TestSimilarityRatio.test_cot_cut_names_the_vertex_on_either_side)."""
+
+    TOL = 1e-9
+
+    @pytest.mark.parametrize("ratio, inside", [(0.5, True), (2.0, False)])
+    def test_trapezoid(self, ratio, inside):
+        # CD turned off AB's direction by an angle whose sine is ratio times
+        # the cut 1e3 tol; BC and DA are far from parallel
+        s = ratio * 1e3 * self.TOL
+        q = Quadrilateral(Point(0, 0), Point(4, 0), Point(3, 2),
+                          Point(3 - 2 * math.sqrt(1 - s * s), 2 + 2 * s), tol=self.TOL)
+        assert classify(q).trapezoid is inside
+
+    @pytest.mark.parametrize("ratio, inside", [(0.5, True), (2.0, False)])
+    def test_simson_at_infinity(self, ratio, inside):
+        # a parallelogram with D moved ratio times the cut
+        # _AT_INFINITY (diameter + |G|) along AB, which moves A + C - B - D by as much
+        p = Quadrilateral(Point(1, 1), Point(5, 1), Point(6, 4), Point(2, 4))
+        step = ratio * _AT_INFINITY * (p.scale() + abs(p.centroid()))
+        q = Quadrilateral(p.a, p.b, p.c, Point(p.d + step))
+        assert isinstance(simson_point(q), AtInfinity) is inside
+
+    @pytest.mark.parametrize("ratio, inside", [(0.5, True), (2.0, False)])
+    @pytest.mark.parametrize("where", ["circumcenter", "circumcircle"])
+    def test_fourth_vertex_underdetermined(self, where, ratio, inside):
+        # w ratio times the cut 1e3 tol diameter off the circumcenter (2, 2)
+        # of A, B and C, or out from their circumcircle along the diagonal;
+        # the diameter of A, B, C and w is 4 sqrt 2, or 4 sqrt 2 + off
+        a, b, c = Point(0, 0), Point(4, 0), Point(0, 4)
+        off = ratio * 1e3 * self.TOL * 4 * math.sqrt(2)
+        w = Point(2 + off, 2) if where == "circumcenter" else Point(4 + off / math.sqrt(2),
+                                                                    4 + off / math.sqrt(2))
+        if inside:
+            with pytest.raises(Underdetermined, match=where):
+                reconstruct_fourth_vertex(a, b, c, w, self.TOL)
+        else:
+            assert is_finite(reconstruct_fourth_vertex(a, b, c, w, self.TOL))
+
+
 class TestNoncyclicity:
     def test_cyclic_construction(self):
         q = Quadrilateral(*(Point(3 * math.cos(t), 3 * math.sin(t))
@@ -893,6 +936,29 @@ def _state_at(q, p):
     st = QuadState(q)
     st.w = p
     return st
+
+
+def test_cross_generation_cs_reads_the_bisector_where_the_gradient_is_lost():
+    # the twelve triad radii of CaseSpec(17, "orthocentric") case 0 agree to
+    # rounding, and its S lies on the line of o2 and o4 of Q2, outside them,
+    # where that pair's Apollonius gradient rounds to a few eps and its
+    # first-order reading was 1.8e15 at every power-of-two scale and inf at
+    # 1e300; it reads the pair's distance from the bisector of its centers
+    q0 = random_quadrilateral(CaseSpec(17, "orthocentric"), 0)
+
+    def replay(scale):
+        q = Quadrilateral(*(Point(v * scale) for v in q0.vertices()))
+        return cross_generation_cs_residual(_state_at(q, QuadState(q).s))
+
+    res = replay(1.0)
+    assert math.isfinite(res) and replay(2.0 ** 10) == res == replay(2.0 ** -600)
+    assert replay(1e300) == pytest.approx(res, rel=1e-12)
+    st = QuadState(q0)
+    pair, s = (st.next.triads.o2, st.next.triads.o4), st.s
+    bisector = circle_of_similitude(*pair, st.tol)
+    assert isinstance(bisector, Line)
+    assert max_cs_distance(s, pair, st.tol, 0.0, st.frame(s)[0]) == pytest.approx(
+        bisector.distance_to(s), abs=1e-12 * st.scale)
 
 
 @pytest.mark.parametrize("check", [cross_generation_cs_residual, quadrangle_duality_residual],
@@ -1460,6 +1526,19 @@ class TestOnePassFormsBitForBit:
                                  self._outcome(_loop_six_cs, st)))
         assert [flat for flat, loop in outcomes if flat != loop] == []
         assert [flat for flat, _ in outcomes].count("ConcentricCircles") == 12
+
+    def test_six_cs_lost_gradient_is_the_pair_loops(self):
+        # planted circles of one radius, W on the line of the centers of each
+        # pair in turn, outside them, where that pair's gradient is 0: both
+        # read its distance from the bisector
+        centers = (0j, 4 + 1j, 5 + 4j, 1 + 5j)
+        outcomes = []
+        for i, j in itertools.combinations(range(4), 2):
+            st = _state_at(GENERIC, Point(2 * centers[j] - centers[i]))
+            st.triads, st.cyclic = TriadSystem(*(Circle(c, 1.0) for c in centers), diffs=()), False
+            outcomes.append((self._outcome(six_cs_residual, st), self._outcome(_loop_six_cs, st)))
+        assert [flat for flat, loop in outcomes if flat != loop] == []
+        assert all(math.isfinite(float(flat)) for flat, _ in outcomes)
 
     @pytest.mark.parametrize("name", list(_VERIFY_FLAT_AND_LOOP))
     def test_verify_flat_form_is_the_loop_form(self, name):
