@@ -135,14 +135,14 @@ def cmd_iterate(args) -> int:
     generations = [q]
     ratios = []
     degeneration = None
-    for _ in range(args.generations):
+    for k in range(1, args.generations + 1):  # k: the generation that a degeneration names
         try:
             st = st.next if args.direction == "forward" else st.prev
         except CyclicDegeneration as exc:
-            degeneration = {"reason": "cyclic", "point": _point_json(exc.point)}
+            degeneration = {"generation": k, "reason": "cyclic", "point": _point_json(exc.point)}
             break
         except GeometryError as exc:
-            degeneration = {"reason": type(exc).__name__, "message": str(exc)}
+            degeneration = {"generation": k, "reason": type(exc).__name__, "message": str(exc)}
             break
         ratio = generations[-1].area_ratio(st.q)
         ratios.append(None if ratio is None else _num(ratio))

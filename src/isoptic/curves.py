@@ -186,16 +186,16 @@ def circle_of_similitude(o1: Circle, o2: Circle, tol: float = DEFAULT_TOL) -> Ci
 
 def max_cs_distance(w: complex, circles: tuple[Circle, ...] | list[Circle],
                     tol: float = DEFAULT_TOL, min_gap: float = 0.0, unit: float = 1.0) -> float:
-    """Largest first-order distance of w from the circles of similitude of
-    the pairs of circles, with no circle built: the Apollonius defect d1 - k d2
-    (d_i = |w - c_i|, k = R1 / R2) over its gradient (w - c1) / d1 - k (w - c2)
-    / d2, with each circle's w - c, d and (w - c) / d formed once, so that no
-    product of a distance and a radius forms; where that gradient has lost its
-    digits, w's distance from the bisector (bisector_distance).  w at a center
-    is infinitely far; a pair of centers less than min_gap apart is skipped
-    (0.0 if all are) and a concentric pair raises ConcentricCircles.
-    Everything is read times unit, an exact power of two, so that no distance
-    overflows."""
+    """Largest first-order distance of w from the circles of similitude of the
+    pairs of circles, with no circle built: the Apollonius defect d1 - k d2 (d_i =
+    |w - c_i|, k = R1 / R2) over its gradient (w - c1) / d1 - k (w - c2) / d2, each
+    circle's w - c, d and (w - c) / d formed once, so no product of a distance and a
+    radius forms; where that gradient has lost its digits, the bisector distance.
+    Sound near 0, as at W, but for w far off a circle, at angle theta from the line
+    of its pair's centers, up to about 1 / sin theta too large: a large value is not
+    a distance.  w at a center is infinitely far; a pair of centers under min_gap
+    apart is skipped (0.0 if all are), a concentric pair raises ConcentricCircles.
+    All is read times unit, an exact power of two, so that no distance overflows."""
     terms, wu = [], w * unit
     for c in circles:
         o, r = c.o * unit, c.r  # r unscaled: their ratio is the same, and no r underflows

@@ -10,12 +10,12 @@ triad circles are o1 = (D A B), o2 = (A B C), o3 = (B C D), o4 = (C D A); the
 center of o_i is the i-th vertex of the next generation, so A2 = center(o1)
 and so on cyclically.
 
-A Quadrilateral keeps its vertices, Points and so complex numbers, and its
-side table in a frame scaled by a power of two near 1 / diameter, where
-crosses and cotangents neither overflow nor underflow.  The triad circles
-and Q2 come from the perpendicular-bisector construction in closed form
-(``triad_circles``), and Q2 keeps that closed-form side table, so its shape
-never sees the rounding of its absolute vertices.
+A Quadrilateral is one description, which every construction reads: an anchor
+(+0j for an input, A for a generation) and the vertices relative to it, with the
+side table in a frame scaled by a power of two near 1 / diameter, where crosses
+and cotangents neither overflow nor underflow; its rounded vertices are only
+reported.  The triad circles and Q2 come from the perpendicular-bisector
+construction in closed form (``triad_circles``); both maps hand on a side table.
 """
 
 from __future__ import annotations
@@ -58,29 +58,33 @@ class Quadrilateral(Record):
     _fields = ("a", "b", "c", "d")
 
     def __init__(self, a: Point, b: Point, c: Point, d: Point, tol: float = DEFAULT_TOL):
-        self._frame(a, b, c, d, (b - a, c - a, d - a, c - b, d - b, d - c), tol)
+        self._frame(a, b, c, d, 0j, (a, b, c, d), (b - a, c - a, d - a, c - b, d - b, d - c), tol)
 
     @classmethod
     def _from_table(cls, a: complex, b: complex, c: complex, d: complex,
                     diffs: tuple[complex, ...], tol: float) -> Quadrilateral:
-        """The quadrilateral of four complex vertices whose side table is
-        diffs, in the vertices' units, rather than the differences of the
+        """The quadrilateral of four complex vertices, anchored at A, whose side
+        table is diffs, in the vertices' units, rather than the differences of the
         rounded vertices: for a construction that knows its sides better than
         its vertices.  Vertices that round together raise CollinearInput even where
         the table's sides are apart: such a generation has no vertices to report."""
         q = object.__new__(cls)
-        q._frame(Point(a), Point(b), Point(c), Point(d), diffs, tol)
+        q._frame(Point(a), Point(b), Point(c), Point(d), a, (0j, *diffs[:3]), diffs, tol)
         if a == b or a == c or a == d or b == c or b == d or c == d:
             raise CollinearInput("the vertices of this generation round together")
         return q
 
-    def _frame(self, a: Point, b: Point, c: Point, d: Point, diffs: tuple[complex, ...],
-               tol: float):
+    def _frame(self, a: Point, b: Point, c: Point, d: Point, anchor: complex,
+               rel: tuple[complex, ...], diffs: tuple[complex, ...], tol: float):
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "c", c)
         _set(self, "d", d)
         _set(self, "tol", check_tol(tol))
+        # what every construction reads: the vertices rel from the anchor (+0j for an input)
+        _set(self, "_anchor", anchor)
+        _set(self, "_neg_anchor", 0j - anchor)
+        _set(self, "_rel", rel)
         # the side table _diffs = (B - A, C - A, D - A, C - B, D - B, D - C)
         # times _unit, an exact power of two near 1 / diameter, so that its
         # crosses and dot products neither overflow nor underflow; every side,
@@ -140,7 +144,7 @@ class Quadrilateral(Record):
         return self._scale
 
     def centroid(self) -> Point:
-        return Point(centroid_of(self._z))
+        return Point(centroid_of(self._rel) - self._neg_anchor)
 
     def min_triad_height(self) -> float:
         """Least height of the four triangles of three vertices."""
@@ -165,17 +169,18 @@ class Quadrilateral(Record):
 
 class TriadSystem(Record):
     """The triad circles o1 = (D A B), o2 = (A B C), o3 = (B C D) and o4 = (C D A), each a
-    center and a radius, and Q2's side table diffs, O2 - O1, ..., O4 - O3 (not a field)."""
+    center and a radius; Q2's side table diffs and the centers from the anchor (not fields)."""
 
     _fields = ("o1", "o2", "o3", "o4")
 
     def __init__(self, o1: Circle, o2: Circle, o3: Circle, o4: Circle,
-                 diffs: tuple[complex, ...]):
+                 diffs: tuple[complex, ...], rel: tuple[complex, ...]):
         _set(self, "o1", o1)
         _set(self, "o2", o2)
         _set(self, "o3", o3)
         _set(self, "o4", o4)
         _set(self, "diffs", diffs)
+        _set(self, "_rel", rel)
 
     @property
     def circles(self) -> tuple[Circle, ...]:
@@ -251,7 +256,8 @@ class QuadState:
     @_part
     def cyclic(self) -> bool:
         """D lies within tol * scale of the circle o2 through A, B, C."""
-        return self.triads.o2.distance_to(self.q.d) / self.scale < self.tol
+        t = self.triads
+        return abs(abs(self.q._rel[3] - t._rel[1]) - t.o2.r) / self.scale < self.tol
 
     @_part
     def side_shape(self) -> tuple[bool, float, tuple[complex, ...]]:
@@ -318,17 +324,18 @@ QuadOrState = Quadrilateral | QuadState
 
 
 def _offsets(q: Quadrilateral, p: complex) -> tuple[float, complex, tuple[complex, ...]]:
-    """(unit, p unit, (p - A, ..., p - D) unit) in q's _offset_unit(p) frame, where
-    none overflows: a tuple, which a state keeps with no reference cycle."""
-    unit, (a, b, c, d) = q._offset_unit(p), q._z
+    """(unit, p unit, (p - A, ..., p - D) unit), from q's anchor, in q's _offset_unit(p)
+    frame, where none overflows: a tuple, which a state keeps with no reference cycle."""
+    p = p - q._anchor
+    unit, (a, b, c, d) = q._offset_unit(p), q._rel
     pu = p * unit
     return unit, pu, (pu - a * unit, pu - b * unit, pu - c * unit, pu - d * unit)
 
 
 def _center_offsets(st: QuadState, f: tuple) -> tuple[tuple, tuple, tuple, tuple]:
     """The triad centers O_i, p - O_i, |p - O_i| and the radii, in p's frame f."""
-    (unit, pu, _), t = f, st.triads
-    o1, o2, o3, o4 = t.o1.o * unit, t.o2.o * unit, t.o3.o * unit, t.o4.o * unit
+    (unit, pu, _), t, (o1, o2, o3, o4) = f, st.triads, st.triads._rel
+    o1, o2, o3, o4 = o1 * unit, o2 * unit, o3 * unit, o4 * unit
     u1, u2, u3, u4 = pu - o1, pu - o2, pu - o3, pu - o4
     return ((o1, o2, o3, o4), (u1, u2, u3, u4), (abs(u1), abs(u2), abs(u3), abs(u4)),
             (t.o1.r * unit, t.o2.r * unit, t.o3.r * unit, t.o4.r * unit))
@@ -456,13 +463,14 @@ def triad_circles(q: QuadOrState) -> TriadSystem:
         o4 = circumcenter(ac, ad, st.tol)
         o1, o2, o3 = o4 - o14, o4 - o24, o4 - o34
     # each radius: the mean distance to its triad's vertices, A (0), B (ab), C (ac), D (ad)
-    za, unit = st.q._z[0], st.q._unit
+    za, unit, back = st.q._rel[0], st.q._unit, st.q._neg_anchor
+    rel = e1, e2, e3, e4 = za + o1 / unit, za + o2 / unit, za + o3 / unit, za + o4 / unit
     return TriadSystem(
-        Circle(za + o1 / unit, (abs(o1 - ad) + abs(o1) + abs(o1 - ab)) / 3 / unit),
-        Circle(za + o2 / unit, (abs(o2) + abs(o2 - ab) + abs(o2 - ac)) / 3 / unit),
-        Circle(za + o3 / unit, (abs(o3 - ab) + abs(o3 - ac) + abs(o3 - ad)) / 3 / unit),
-        Circle(za + o4 / unit, (abs(o4 - ac) + abs(o4 - ad) + abs(o4)) / 3 / unit),
-        diffs=(o12 / unit, o13 / unit, o14 / unit, o23 / unit, o24 / unit, o34 / unit))
+        Circle(e1 - back, (abs(o1 - ad) + abs(o1) + abs(o1 - ab)) / 3 / unit),
+        Circle(e2 - back, (abs(o2) + abs(o2 - ab) + abs(o2 - ac)) / 3 / unit),
+        Circle(e3 - back, (abs(o3 - ab) + abs(o3 - ac) + abs(o3 - ad)) / 3 / unit),
+        Circle(e4 - back, (abs(o4 - ac) + abs(o4 - ad) + abs(o4)) / 3 / unit),
+        diffs=(o12 / unit, o13 / unit, o14 / unit, o23 / unit, o24 / unit, o34 / unit), rel=rel)
 
 
 def next_generation(q: QuadOrState) -> Quadrilateral:
@@ -499,10 +507,10 @@ def prev_generation(q: QuadOrState) -> Quadrilateral:
     and D back to A.  Each reflection is x -> p + u^2 conj(x - p), u^2 =
     e / conj(e) for the side e from p, and the four compose to a rotation
     x -> m x + b, taken on the side table relative to q's centroid: A is its
-    fixed point b / (1 - m).  m = 1 exactly when q is cyclic (its opposite
-    angles sum to pi): a cyclic input (QuadState.cyclic) raises the
-    CyclicDegeneration of next_generation, carrying the circumcenter, and
-    so does an m that rounds to 1 exactly.
+    fixed point b / (1 - m), and Q1 keeps the offsets of its images as its side
+    table.  m = 1 exactly when q is cyclic (its opposite angles sum to pi): a
+    cyclic input (QuadState.cyclic) raises the CyclicDegeneration of
+    next_generation, carrying the circumcenter, as does an m that rounds to 1.
     """
     st = state_of(q)
     if st.cyclic:
@@ -524,9 +532,10 @@ def prev_generation(q: QuadOrState) -> Quadrilateral:
     b1 = pa + ua * (a1 - pa).conjugate()
     c1 = pb + ub * (b1 - pb).conjugate()
     d1 = pc + uc * (c1 - pc).conjugate()
-    za, unit = st.q._z[0], st.q._unit
-    return Quadrilateral(Point(za + (a1 + g) / unit), Point(za + (b1 + g) / unit),
-                         Point(za + (c1 + g) / unit), Point(za + (d1 + g) / unit), tol=st.tol)
+    za, unit, back = st.q._rel[0], st.q._unit, st.q._neg_anchor
+    return Quadrilateral._from_table(*(za + (v + g) / unit - back for v in (a1, b1, c1, d1)), (
+        (b1 - a1) / unit, (c1 - a1) / unit, (d1 - a1) / unit, (c1 - b1) / unit, (d1 - b1) / unit,
+        (d1 - c1) / unit), st.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -547,16 +556,16 @@ def isoptic_point(q: Quadrilateral) -> MaybePoint:
         conj(W - g) sum s_k u_k^2 = sum s_k (u_k^2 conj(z_k) - z_k).
 
     A cyclic input gives its circumcenter.  On orthocentric systems (r = 1)
-    the denominator vanishes: below _AT_INFINITY (1 + |g| / diameter), the
-    input's rounding level, W is at infinity along AB (the line of
+    the denominator vanishes: below _AT_INFINITY (1 + |g| / diameter), g from
+    q's anchor, its rounding level, W is at infinity along AB (the line of
     similitude of the congruent o1 and o2).
     """
-    return _isoptic_point(q._z, q._scale, q._unit, q._diffs[0])
+    return _isoptic_point(q, q._rel, q._diffs[0])
 
 
-def _isoptic_point(z: tuple[Point, ...], scale: float, unit: float, ab: complex) -> MaybePoint:
-    """isoptic_point of the vertices z, given their diameter, frame unit and B - A there."""
-    g = centroid_of(z)
+def _isoptic_point(q: Quadrilateral, z: tuple[complex, ...], ab: complex) -> MaybePoint:
+    """isoptic_point of q's vertices from its anchor in the order z, B - A of z in q's frame."""
+    scale, unit, g = q._scale, q._unit, centroid_of(z)
     a, b, c, d = z[0] - g, z[1] - g, z[2] - g, z[3] - g
     # u_k^2 of the sides AB, BC, CD and DA, summed from 0j with the signs +, -, +, -
     ea, eb, ec, ed = b - a, c - b, d - c, a - d
@@ -568,7 +577,7 @@ def _isoptic_point(z: tuple[Point, ...], scale: float, unit: float, ab: complex)
     # both sides, |g| too, in the side table's frame, where they neither under- nor overflow
     if abs(den) * (scale * unit) < _AT_INFINITY * (scale * unit + abs(g * unit)):
         return AtInfinity.along(ab.real, ab.imag)
-    return finite_point(g + (num / den).conjugate(), "W")
+    return finite_point(g + (num / den).conjugate() - q._neg_anchor, "W")
 
 
 def isoptic_quantity(q: QuadOrState, w: Point) -> list[float]:
@@ -599,20 +608,20 @@ def pedal_quadrilateral(q: QuadOrState, p: Point) -> list[Point]:
     range raises PointAtInfinity."""
     st = state_of(q)
     unit, _, (pa, pb, pc, pd) = st.frame(p)
-    a, b, c, d = st.q._z
+    (a, b, c, d), back = st.q._rel, st.q._neg_anchor
     ab, _, ad, bc, _, cd = st.q._diffs
-    da = -ad
-    return [finite_point(a + 0.5 * (pa + ab / ab.conjugate() * pa.conjugate()) / unit, "a foot"),
-            finite_point(b + 0.5 * (pb + bc / bc.conjugate() * pb.conjugate()) / unit, "a foot"),
-            finite_point(c + 0.5 * (pc + cd / cd.conjugate() * pc.conjugate()) / unit, "a foot"),
-            finite_point(d + 0.5 * (pd + da / da.conjugate() * pd.conjugate()) / unit, "a foot")]
+    da, foot = -ad, "a foot"
+    return [finite_point(a + 0.5 * (pa + ab / ab.conjugate() * pa.conjugate()) / unit - back, foot),
+            finite_point(b + 0.5 * (pb + bc / bc.conjugate() * pb.conjugate()) / unit - back, foot),
+            finite_point(c + 0.5 * (pc + cd / cd.conjugate() * pc.conjugate()) / unit - back, foot),
+            finite_point(d + 0.5 * (pd + da / da.conjugate() * pd.conjugate()) / unit - back, foot)]
 
 
 def varignon(q: Quadrilateral) -> list[Point]:
-    a, b, c, d = q._z
+    (a, b, c, d), back = q._rel, q._neg_anchor
     # 0.5 * a + 0.5 * b: the sum a + b overflows near the float maximum
     a, b, c, d = 0.5 * a, 0.5 * b, 0.5 * c, 0.5 * d
-    return [Point(a + b), Point(b + c), Point(c + d), Point(d + a)]
+    return [Point(a + b - back), Point(b + c - back), Point(c + d - back), Point(d + a - back)]
 
 
 def simson_point(q: Quadrilateral) -> MaybePoint:
@@ -623,15 +632,15 @@ def simson_point(q: Quadrilateral) -> MaybePoint:
     relative to the centroid G, S = G + (ac - bd) / (a + c - b - d), taken in
     the frame of the side table so that the products cannot underflow.  The
     denominator vanishes on parallelograms: below _AT_INFINITY
-    (diameter + |G|) S is at infinity along AD.
+    (diameter + |G|), G relative to q's anchor, S is at infinity along AD.
     """
-    z, unit, g = q._z, q._unit, centroid_of(q._z)
+    z, unit, g = q._rel, q._unit, centroid_of(q._rel)
     a, b, c, d = (z[0] - g) * unit, (z[1] - g) * unit, (z[2] - g) * unit, (z[3] - g) * unit
     den = a + c - b - d
     if abs(den) < _AT_INFINITY * (q._scale * unit + abs(g * unit)):
         ad = q._diffs[2]
         return AtInfinity.along(ad.real, ad.imag)
-    return finite_point(g + (a * c - b * d) / den / unit, "S")
+    return finite_point(g + (a * c - b * d) / den / unit - q._neg_anchor, "S")
 
 
 def _tls_axis(z: list[complex]) -> tuple[complex, complex, tuple[complex, ...]]:
@@ -668,9 +677,7 @@ def simson_line(q: QuadOrState) -> Line:
 def reordered_isoptic_points(q: Quadrilateral) -> list[MaybePoint]:
     """isoptic_point of ACBD and ACDB with no Quadrilateral built: they have
     q's six vertex gaps, so its diameter and frame, and C - A for B - A."""
-    a, b, c, d = q._z
-    scale, unit, ac = q._scale, q._unit, q._diffs[1]
-    return [_isoptic_point((a, c, b, d), scale, unit, ac),
-            _isoptic_point((a, c, d, b), scale, unit, ac)]
+    (a, b, c, d), ac = q._rel, q._diffs[1]
+    return [_isoptic_point(q, (a, c, b, d), ac), _isoptic_point(q, (a, c, d, b), ac)]
 
 

@@ -87,8 +87,8 @@ def angle_sums_at_point(q: QuadOrState, w: Point) -> float:
     # difference or quotient of them overflows
     st = state_of(q)
     wa, wb, wc, wd = st.frame(w)[2]
-    a, b, c, d = st.q._z
-    if w == a or w == b or w == c or w == d:
+    a, b, c, d = st.q._rel
+    if not (wa and wb and wc and wd):
         raise DegenerateRay("w coincides with a vertex")
     frame = st.q._unit
     a, b, c, d = a * frame, b * frame, c * frame, d * frame
@@ -117,9 +117,10 @@ def parallelogram_residual(pts: list[Point], scale: float) -> float:
 
 def six_cs_residual(st: QuadState) -> float | None:
     """Max scale-free distance of W from the six circles of similitude, each
-    read from the Apollonius defect d_i - k d_j (k = R_i / R_j) over its
-    gradient on W's frame: curves.max_cs_distance's pair loop, bit for bit,
-    written out over its six pairs in its order."""
+    read to first order from the Apollonius defect d_i - k d_j (k = R_i / R_j)
+    over its gradient on W's frame: curves.max_cs_distance's pair loop, bit for
+    bit, written out over its six pairs in its order.  Sound near 0, as at W; a
+    large value is not a distance (max_cs_distance)."""
     if st.w_frame is None or st.cyclic:
         return None
     t, tol = st.triads, st.tol

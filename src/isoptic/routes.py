@@ -13,8 +13,8 @@ import math
 
 from .curves import invert_point, line_meet, meet_of_cevians, mirrored_cevian
 from .errors import CyclicDegeneration, DegenerateConjugate, PointAtInfinity
-from .kernel import AtInfinity, MaybePoint, Point, finite_point, is_finite
-from .quad import QuadOrState, Quadrilateral, centroid_of, state_of
+from .kernel import AtInfinity, Circle, MaybePoint, Point, finite_point, is_finite
+from .quad import QuadOrState, Quadrilateral, TriadSystem, centroid_of, state_of
 
 
 def interior_angles(q: QuadOrState) -> tuple[float, float, float, float]:
@@ -31,8 +31,8 @@ def interior_angles(q: QuadOrState) -> tuple[float, float, float, float]:
 def _conjugates_in_triads(q: Quadrilateral) -> list[MaybePoint]:
     """The isogonal conjugate of the vertex left out of each triad DAB, ABC,
     BCD and CDA (C, D, A and B) in the triangle of that triad, isogonal_conjugate_triangle's
-    in one pass: each pair's length and unit direction formed once."""
-    a, b, c, d, tol = *q._z, q.tol
+    in one pass, relative to q's anchor: each pair's length and unit direction formed once."""
+    a, b, c, d, tol = *q._rel, q.tol
     ab, ac, ad, bc, bd, cd = b - a, c - a, d - a, c - b, d - b, d - c
     nab, nac, nad, nbc, nbd, ncd = abs(ab), abs(ac), abs(ad), abs(bc), abs(bd), abs(cd)
     # each pair is a gap from the left-out vertex of two triads: the vertex test of all four
@@ -69,14 +69,14 @@ def isoptic_point_via_limit(q: QuadOrState) -> MaybePoint:
     if not is_finite(st.w):
         return st.w
     try:
-        z3 = st.next.next.q._z
+        q3 = st.next.next.q
     except CyclicDegeneration as exc:
         return exc.point
-    z1, unit = st.q._z, st.q._unit
-    g1, g3 = centroid_of(z1), centroid_of(z3)
-    a, b, c, d = z1
+    q1, unit = st.q, st.q._unit
+    g1, g3 = centroid_of(q1._rel), centroid_of(q3._rel)
+    a, b, c, d = q1._rel
     ua, ub, uc, ud = (a - g1) * unit, (b - g1) * unit, (c - g1) * unit, (d - g1) * unit
-    a, b, c, d = z3
+    a, b, c, d = q3._rel
     va, vb, vc, vd = (a - g3) * unit, (b - g3) * unit, (c - g3) * unit, (d - g3) * unit
     # both sums from int 0, as sum starts; |u|^2 = Re(conj(u) u) exactly
     k = ((0 + ua.conjugate() * va + ub.conjugate() * vb + uc.conjugate() * vc
@@ -85,13 +85,20 @@ def isoptic_point_via_limit(q: QuadOrState) -> MaybePoint:
             + (uc.real * uc.real + uc.imag * uc.imag) + (ud.real * ud.real + ud.imag * ud.imag)))
     if 1.0 - k == 0.0:
         raise PointAtInfinity("k rounds to 1 near the orthocentric locus: no center")
-    return finite_point(g1 + (g3 - g1) * unit / (1.0 - k) / unit, "W")
+    shift = g3 - (q1._anchor - q3._anchor) - g1  # g3 relative to Q1's anchor, less g1
+    return finite_point(g1 + shift * unit / (1.0 - k) / unit - q1._neg_anchor, "W")
 
 
-def _mean_image(a: MaybePoint, b: MaybePoint, c: MaybePoint, d: MaybePoint) -> MaybePoint:
-    """The mean of four images, or the first of them at infinity."""
+def _mean_inverse(q: Quadrilateral, t: TriadSystem, shift: complex, z: tuple | list) -> MaybePoint:
+    """The mean of the inverses of the four points z, from q's anchor, in t's circles, read
+    from it too (t._rel - shift, shift: q's anchor less t's); or the first at infinity."""
+    (o1, o2, o3, o4), tol = t._rel, q.tol
+    a = invert_point(Circle(o1 - shift, t.o1.r), z[0], tol)
+    b = invert_point(Circle(o2 - shift, t.o2.r), z[1], tol)
+    c = invert_point(Circle(o3 - shift, t.o3.r), z[2], tol)
+    d = invert_point(Circle(o4 - shift, t.o4.r), z[3], tol)
     if is_finite(a) and is_finite(b) and is_finite(c) and is_finite(d):
-        return Point(centroid_of((a, b, c, d)))
+        return Point(centroid_of((a, b, c, d)) - q._neg_anchor)
     return a if not is_finite(a) else b if not is_finite(b) else c if not is_finite(c) else d
 
 
@@ -99,20 +106,14 @@ def isoptic_point_via_inversion(q: QuadOrState) -> MaybePoint:
     """W as the inversion of each vertex in the matching second-generation
     triad circle; the four images are averaged."""
     st = state_of(q)   # its Q2 raises CyclicDegeneration when cyclic
-    t, tol = st.next.triads, st.tol
-    a, b, c, d = st.q._z
-    return _mean_image(invert_point(t.o1, a, tol), invert_point(t.o2, b, tol),
-                       invert_point(t.o3, c, tol), invert_point(t.o4, d, tol))
+    return _mean_inverse(st.q, st.next.triads, st.q._anchor - st.next.q._anchor, st.q._rel)
 
 
 def isoptic_point_via_inv_iso(q: QuadOrState) -> MaybePoint:
     """W as inversion-of-conjugate: each vertex is conjugated in the triangle
     of the remaining three, then inverted in that triangle's circumcircle."""
-    st = state_of(q)
-    t, tol = st.triads, st.tol
-    pc, pd, pa, pb = _conjugates_in_triads(st.q)
-    return _mean_image(invert_point(t.o1, pc, tol), invert_point(t.o2, pd, tol),
-                       invert_point(t.o3, pa, tol), invert_point(t.o4, pb, tol))
+    st = state_of(q)  # the conjugates of C, D, A and B, in the triads of o1 to o4
+    return _mean_inverse(st.q, st.triads, 0j, _conjugates_in_triads(st.q))
 
 
 def isogonal_conjugate_quad(q: QuadOrState, p: Point) -> list[MaybePoint]:
@@ -136,7 +137,7 @@ def isogonal_conjugate_quad(q: QuadOrState, p: Point) -> list[MaybePoint]:
     # each vertex about the centroid g in the side table's frame, and the
     # direction of its line: rays along its outgoing side and its reversed incoming one
     ab, ac, ad, bc, _, cd = st.q._diffs
-    a, g, frame = st.q.a, (ab + ac + ad) / 4.0, st.q._unit
+    a, g, frame = st.q._rel[0] - st.q._neg_anchor, (ab + ac + ad) / 4.0, st.q._unit  # A exactly
     va, vb, vc, vd = 0j - g, ab - g, ac - g, ad - g
     la, lb = mirrored_cevian(0j, ab, ad, oa), mirrored_cevian(0j, bc, -ab, ob)
     lc, ld = mirrored_cevian(0j, cd, -bc, oc), mirrored_cevian(0j, -ad, -cd, od)

@@ -386,7 +386,7 @@ def spiral_transport_residual(st: QuadState) -> float | None:
     # O - W as 0 - (W - O), which rounds a zero part to +0.0 as O - W does: a
     # -0.0 there would move the phase of k between -pi and pi
     e1, e2, e4 = (0j - u1) * up, (0j - u2) * up, (0j - u4) * up
-    b, c = q.b * unit, q.c * unit
+    b, c = q._rel[1] * unit, q._rel[2] * unit
     rect, phase = cmath.rect, cmath.phase
     # o1 -> o4 takes B to C, o1 -> o2 takes D to C, and o4 -> o2 takes D to B
     c14 = wu - wb * rect(r4 / r1, phase(e4 * e1.conjugate()))

@@ -38,10 +38,11 @@ NEAR_CYCLIC = {"vertices": [[0.41348789198651636, 0.0862118324355335],
                             [-0.5136510949453672, 0.31768669074549866],
                             [-0.28289641834656376, -0.5749447552801357]]}
 # sha256 of the exit code and --out text of every iterate run of
-# TestIterate.test_reports_are_pinned, in order.  Two runs, NEAR_SQUARE and the
-# near-cyclic draw forward 4 at tol 1e-9, reach a generation whose vertices round
-# together: they end there with exit 2 and a degeneration entry
-ITERATE_SHA256 = "4c12661f14a971b4b273a1b95c0e24ef44a6ce5cd64913d3426f225e78c1e71e"
+# TestIterate.test_reports_are_pinned, in order.  Four runs, NEAR_SQUARE and the
+# near-cyclic draw forward 4 at tol 1e-9 and the concave draw backward 300 at both
+# tols, reach a generation whose vertices round together: they end there with
+# exit 2 and a degeneration entry, which names the generation it could not build
+ITERATE_SHA256 = "1a5bb515437712e37794417a354b2cd4bfff903d695963b22c322b9f4f8d131b"
 
 
 @pytest.fixture
@@ -203,6 +204,24 @@ class TestIterate:
         doc = json.loads(out.read_text())
         assert doc["degeneration"]["reason"] == "cyclic"
         assert doc["degeneration"]["point"]["xy"] == [0.0, 0.0]
+        assert doc["degeneration"]["generation"] == 1
+
+    def test_a_stopped_run_names_the_generation_it_could_not_build(self, quad_file, tmp_path):
+        # the README quadrilateral's generation 21 rounds to one point: the run
+        # prints generations 0 to 20 and names 21, in either direction's index
+        out = tmp_path / "it.json"
+        assert main(["iterate", quad_file(GENERIC), "--generations", "22",
+                     "--out", str(out)]) == EXIT_DEGENERATE
+        doc = json.loads(out.read_text())
+        assert len(doc["generations"]) == 21 and len(doc["area_ratios"]) == 20
+        assert doc["degeneration"] == {"generation": 21, "reason": "CollinearInput",
+                                       "message": "the vertices of this generation round together"}
+        q = random_quadrilateral(CaseSpec(3, "trapezoid"), 1)
+        path = quad_file({"vertices": [[v.x, v.y] for v in q.vertices()]})
+        assert main(["iterate", path, "--generations", "300", "--direction", "backward",
+                     "--out", str(out)]) == EXIT_DEGENERATE
+        doc = json.loads(out.read_text())
+        assert doc["degeneration"]["generation"] == len(doc["generations"]) == 204
 
     def test_backward_from_cyclic_input(self, quad_file, tmp_path):
         # a cyclic quadrilateral is no quadrilateral's second generation: the

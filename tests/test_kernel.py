@@ -701,4 +701,4 @@ def test_record_equality_reads_only_the_fields():
     again = Quadrilateral(*q2.vertices(), tol=1e-3)
     assert q2 == again and hash(q2) == hash(again)
     triads = triad_circles(_generic())
-    assert triads == TriadSystem(*triads.circles, diffs=())
+    assert triads == TriadSystem(*triads.circles, diffs=(), rel=())

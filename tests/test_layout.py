@@ -428,3 +428,49 @@ def test_only_the_process_entry_touches_the_collector():
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     assert re.search(r'\[project\.scripts\]\nisoptic = "isoptic\.cli:(\w+)"\n',
                      pyproject).group(1) == "entry"
+
+
+# every function outside Quadrilateral that reads the rounded vertices (._z,
+# vertices(), or a vertex field q.a ... q.d), each with its reason.  Every
+# construction reads the quadrilateral's one description instead, its anchor
+# and the vertices relative to it, which a deep generation's rounded vertices
+# no longer hold
+ROUNDED_VERTEX_READERS = {
+    # the CLI prints and reloads vertices
+    "cli.cmd_analyze": "prints the input's vertices",
+    "cli.cmd_iterate": "prints each generation's vertices",
+    "cli.cmd_reconstruct": "prints the rebuilt quadrilateral's vertices",
+    "render.render_svg": "draws the vertices and builds the quadrilateral at the render's tol",
+    # verify's cross-checks, independent of the constructions they check
+    "verify.quad_distance": "compares two quadrilaterals' vertices up to relabeling",
+    "verify.quadrangle_duality_residual": "inverts the vertices in a circle about W",
+    "verify.feet_circles_residual": "circumscribes vertices, feet and centers",
+    "verify._inv_q2_construction": "solves each triad's circumcenter from its vertices",
+    "verify._inv_cyclic_degeneration": "measures each vertex's distance from the collapse point",
+}
+
+
+def _reads_rounded_vertices(fn):
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Attribute) and (
+                node.attr in ("_z", "vertices")
+                or node.attr in ("a", "b", "c", "d")
+                and (getattr(node.value, "id", None) == "q"
+                     or getattr(node.value, "attr", None) == "q")):
+            return True
+    return False
+
+
+def test_only_the_listed_functions_read_the_rounded_vertices():
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                fns = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef) and node.name != "Quadrilateral":
+                fns = [(f"{node.name}.{f.name}", f) for f in node.body
+                       if isinstance(f, ast.FunctionDef)]
+            else:
+                fns = []
+            readers |= {f"{path.stem}.{name}" for name, fn in fns if _reads_rounded_vertices(fn)}
+    assert sorted(readers) == sorted(ROUNDED_VERTEX_READERS)

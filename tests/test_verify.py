@@ -46,7 +46,7 @@ ANGLE_REJECTION_DRAWS_SHA256 = \
 # every class and i in 0..49.  A change that only makes the program faster
 # keeps both bit for bit; a re-pin means the reports or results changed, and
 # the change that re-pins says why
-SUITE_SHA256 = "b14ccc03469b2cc7baeb607b95342ceb28fd57deddfe273f45ac549152a8e750"
+SUITE_SHA256 = "9da9c1d63d729abc1312037dac94dde50dfb9689e6122f46ef637a041b2d434b"
 ANALYZE_SHA256 = "6127af2ef63997e0c78945681266010c1d8508cd75fa60df12b419118b4cd38f"
 # sha256 of the repr of the whole AnalysisReport (every field: the triads,
 # shape, pedal feet, Varignon midpoints and mean isoptic quantity too) of
@@ -59,7 +59,7 @@ REPORT_SHA256 = "ca888c07df10f9ce415a155b01158b79d4a83c8b4b0b68acca67ad3758e130c
 # not the class runs it, of the three W routes, both generation maps and
 # interior_angles.  SUITE_SHA256 holds only each invariant's maximum; this
 # holds every case below it too
-RESIDUALS_SHA256 = "7f25b6355c4bbf9d93275aeba5112fee8670e34b98def1dcb04d6c816f7ea433"
+RESIDUALS_SHA256 = "b1211dccc9c858b410c4625583b4d82c66d7c7ac930bc7dc1508ecf0ba74c239"
 # the same cases, one line each: the repr (or the GeometryError's name) of
 # isogonal_conjugate_quad(st, st.w), then of isogonal_conjugate_quad(st, st.s)
 CONJUGATE_SHA256 = "d8b4491762f77460a9b41fe55ee910dcc49b4b399b72b153ae18833b967dbdf8"
