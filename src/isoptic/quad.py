@@ -56,6 +56,7 @@ class Quadrilateral(Record):
     """Four ordered, distinct vertices with no triple collinear within tol (not a field)."""
 
     _fields = ("a", "b", "c", "d")
+    a, b, c, d = (property(lambda q, i=i: q._z[i]) for i in range(4))  # the fields, read from _z
 
     def __init__(self, a: Point, b: Point, c: Point, d: Point, tol: float = DEFAULT_TOL):
         self._frame(a, b, c, d, 0j, (a, b, c, d), (b - a, c - a, d - a, c - b, d - b, d - c), tol)
@@ -69,17 +70,14 @@ class Quadrilateral(Record):
         its vertices.  Vertices that round together raise CollinearInput even where
         the table's sides are apart: such a generation has no vertices to report."""
         q = object.__new__(cls)
-        q._frame(Point(a), Point(b), Point(c), Point(d), a, (0j, *diffs[:3]), diffs, tol)
+        q._frame(Point(a), Point(b), Point(c), Point(d), a, (0j, diffs[0], diffs[1], diffs[2]),
+                 diffs, tol)
         if a == b or a == c or a == d or b == c or b == d or c == d:
             raise CollinearInput("the vertices of this generation round together")
         return q
 
     def _frame(self, a: Point, b: Point, c: Point, d: Point, anchor: complex,
                rel: tuple[complex, ...], diffs: tuple[complex, ...], tol: float):
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
-        _set(self, "d", d)
         _set(self, "tol", check_tol(tol))
         # what every construction reads: the vertices rel from the anchor (+0j for an input)
         _set(self, "_anchor", anchor)
@@ -470,7 +468,7 @@ def triad_circles(q: QuadOrState) -> TriadSystem:
         Circle(e2 - back, (abs(o2) + abs(o2 - ab) + abs(o2 - ac)) / 3 / unit),
         Circle(e3 - back, (abs(o3 - ab) + abs(o3 - ac) + abs(o3 - ad)) / 3 / unit),
         Circle(e4 - back, (abs(o4 - ac) + abs(o4 - ad) + abs(o4)) / 3 / unit),
-        diffs=(o12 / unit, o13 / unit, o14 / unit, o23 / unit, o24 / unit, o34 / unit), rel=rel)
+        (o12 / unit, o13 / unit, o14 / unit, o23 / unit, o24 / unit, o34 / unit), rel)
 
 
 def next_generation(q: QuadOrState) -> Quadrilateral:
@@ -533,9 +531,10 @@ def prev_generation(q: QuadOrState) -> Quadrilateral:
     c1 = pb + ub * (b1 - pb).conjugate()
     d1 = pc + uc * (c1 - pc).conjugate()
     za, unit, back = st.q._rel[0], st.q._unit, st.q._neg_anchor
-    return Quadrilateral._from_table(*(za + (v + g) / unit - back for v in (a1, b1, c1, d1)), (
-        (b1 - a1) / unit, (c1 - a1) / unit, (d1 - a1) / unit, (c1 - b1) / unit, (d1 - b1) / unit,
-        (d1 - c1) / unit), st.tol)
+    return Quadrilateral._from_table(
+        za + (a1 + g) / unit - back, za + (b1 + g) / unit - back, za + (c1 + g) / unit - back,
+        za + (d1 + g) / unit - back, ((b1 - a1) / unit, (c1 - a1) / unit, (d1 - a1) / unit,
+                                      (c1 - b1) / unit, (d1 - b1) / unit, (d1 - c1) / unit), st.tol)
 
 
 # ---------------------------------------------------------------------------

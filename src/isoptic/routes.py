@@ -61,9 +61,9 @@ def isoptic_point_via_limit(q: QuadOrState) -> MaybePoint:
     sum |u_i|^2 (r up to rounding), W = g1 + (g3 - g1) / (1 - k).  u, v and
     g3 - g1 are read in Q1's power-of-two frame, so no square overflows or
     underflows.  A cyclic input gives the center its Q2 collapses to, and an
-    orthocentric one (r = 1) isoptic_point's point at infinity; a k that rounds
-    to 1 exactly, near that locus, raises PointAtInfinity.  The period-two
-    classes (r = -1) need no special case: there 1 - k = 2.
+    orthocentric one (r = 1) isoptic_point's point at infinity.  Near it k's rounding
+    reaches 9 eps, so a k within 16 eps of 1 leaves W a digit at most: PointAtInfinity.
+    The period-two classes (r = -1) need no special case: there 1 - k = 2.
     """
     st = state_of(q)
     if not is_finite(st.w):
@@ -83,20 +83,19 @@ def isoptic_point_via_limit(q: QuadOrState) -> MaybePoint:
           + ud.conjugate() * vd)
          / (0 + (ua.real * ua.real + ua.imag * ua.imag) + (ub.real * ub.real + ub.imag * ub.imag)
             + (uc.real * uc.real + uc.imag * uc.imag) + (ud.real * ud.real + ud.imag * ud.imag)))
-    if 1.0 - k == 0.0:
-        raise PointAtInfinity("k rounds to 1 near the orthocentric locus: no center")
+    if abs(1.0 - k) <= 3.552713678800501e-15:
+        raise PointAtInfinity("k is 1 within its rounding, near the orthocentric locus: no center")
     shift = g3 - (q1._anchor - q3._anchor) - g1  # g3 relative to Q1's anchor, less g1
     return finite_point(g1 + shift * unit / (1.0 - k) / unit - q1._neg_anchor, "W")
 
 
 def _mean_inverse(q: Quadrilateral, t: TriadSystem, shift: complex, z: tuple | list) -> MaybePoint:
-    """The mean of the inverses of the four points z, from q's anchor, in t's circles, read
-    from it too (t._rel - shift, shift: q's anchor less t's); or the first at infinity."""
-    (o1, o2, o3, o4), tol = t._rel, q.tol
-    a = invert_point(Circle(o1 - shift, t.o1.r), z[0], tol)
-    b = invert_point(Circle(o2 - shift, t.o2.r), z[1], tol)
-    c = invert_point(Circle(o3 - shift, t.o3.r), z[2], tol)
-    d = invert_point(Circle(o4 - shift, t.o4.r), z[3], tol)
+    """The mean of the inverses of the points z in t's circles, both from q's anchor (t's own
+    at an input's 0j, else t._rel - shift: q's anchor less t's), or the first at infinity."""
+    tol, (m1, m2, m3, m4) = q.tol, t.circles if not q._anchor else [
+        Circle(o - shift, m.r) for o, m in zip(t._rel, t.circles)]
+    a, b = invert_point(m1, z[0], tol), invert_point(m2, z[1], tol)
+    c, d = invert_point(m3, z[2], tol), invert_point(m4, z[3], tol)
     if is_finite(a) and is_finite(b) and is_finite(c) and is_finite(d):
         return Point(centroid_of((a, b, c, d)) - q._neg_anchor)
     return a if not is_finite(a) else b if not is_finite(b) else c if not is_finite(c) else d
@@ -137,12 +136,12 @@ def isogonal_conjugate_quad(q: QuadOrState, p: Point) -> list[MaybePoint]:
     # each vertex about the centroid g in the side table's frame, and the
     # direction of its line: rays along its outgoing side and its reversed incoming one
     ab, ac, ad, bc, _, cd = st.q._diffs
-    a, g, frame = st.q._rel[0] - st.q._neg_anchor, (ab + ac + ad) / 4.0, st.q._unit  # A exactly
+    za, g, frame, back = st.q._rel[0], (ab + ac + ad) / 4.0, st.q._unit, st.q._neg_anchor
     va, vb, vc, vd = 0j - g, ab - g, ac - g, ad - g
     la, lb = mirrored_cevian(0j, ab, ad, oa), mirrored_cevian(0j, bc, -ab, ob)
     lc, ld = mirrored_cevian(0j, cd, -bc, oc), mirrored_cevian(0j, -ad, -cd, od)
     # P_A = l_A ^ l_B, P_B = l_B ^ l_C, P_C = l_C ^ l_D, P_D = l_D ^ l_A
     meets = ((line_meet(va, la, vb, lb, tol), la), (line_meet(vb, lb, vc, lc, tol), lb),
              (line_meet(vc, lc, vd, ld, tol), lc), (line_meet(vd, ld, va, la, tol), ld))
-    return [AtInfinity.along(u.real, u.imag) if m is None
-            else finite_point(a + (m + g) / frame, "the isogonal conjugate") for m, u in meets]
+    return [AtInfinity.along(u.real, u.imag) if m is None else
+            finite_point(za + (m + g) / frame - back, "the isogonal conjugate") for m, u in meets]

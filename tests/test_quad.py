@@ -1239,8 +1239,6 @@ def _loop_next_generation(st):
     triads = st.triads
     q = object.__new__(Quadrilateral)
     z = tuple(map(Point, (o.o for o in triads.circles)))
-    for name, v in zip("abcd", z):
-        object.__setattr__(q, name, v)
     q._frame(*z, triads.o1.o, (0j, *triads.diffs[:3]), triads.diffs, st.tol)
     return _frame_of(q)
 
@@ -1277,8 +1275,8 @@ def _loop_via_limit(st):
     u = [(z - g1) * unit for z in q1._rel]
     v = [(z - g3) * unit for z in q3._rel]
     k = sum(x.conjugate() * y for x, y in zip(u, v)) / sum((x.conjugate() * x).real for x in u)
-    if 1.0 - k == 0.0:
-        raise PointAtInfinity("k rounds to 1")
+    if abs(1.0 - k) <= 16 * sys.float_info.epsilon:
+        raise PointAtInfinity("k is 1 within its rounding")
     shift = g3 - (q1._anchor - q3._anchor) - g1
     return finite_point(g1 + shift * unit / (1.0 - k) / unit - q1._neg_anchor, "W")
 
@@ -1878,7 +1876,16 @@ class TestAtInfinityCuts:
         assert mismatches == {}
 
     def test_limit_route_raises_only_geometry_errors_near_the_orthocentric_locus(self):
-        # r reads 1 + 2 eps and W is finite, 7.5e9 diameters out, but k rounds to 1
+        # r reads 1.0 and W is finite, 4.4e8 diameters out, but 1 - k is 0.6 eps, within
+        # k's rounding: a center read from it, (3.87e6, -2.50e6), would be 4.5e8 diameters off
+        q = Quadrilateral(Point(0.1180632273833318, -0.40745680553417896),
+                          Point(-0.5270056392506484, 0.07714650204819978),
+                          Point(0.4069132810175645, 0.43463139734456824),
+                          Point(0.0020291312158341648, -0.10432109464374185))
+        assert similarity_ratio(q) == 1.0 and is_finite(isoptic_point(q))
+        with pytest.raises(PointAtInfinity):
+            isoptic_point_via_limit(q)
+        # r reads 1 + 2 eps and W is finite, 7.5e9 diameters out, and k rounds to 1
         q = Quadrilateral(Point(0.205034111544461, -0.34306564685216867),
                           Point(0.19347766273273878, 0.6568675751636127),
                           Point(-0.28459234919271126, -0.15788721647116544),
@@ -1886,13 +1893,17 @@ class TestAtInfinityCuts:
         assert similarity_ratio(q) == 1.0000000000000002 and is_finite(isoptic_point(q))
         with pytest.raises(PointAtInfinity):
             isoptic_point_via_limit(q)
-        rng = random.Random(19)
+        # a center it does return keeps the digits its conditioning leaves:
+        # within 16 eps |W - G| / |1 - r| of W (the worst reads 8.5)
+        rng, eps = random.Random(19), sys.float_info.epsilon
         for k in range(4, 17):
             for q in self._near("orthocentric", k, rng):
                 try:
-                    isoptic_point_via_limit(q)
+                    lim, w, r = isoptic_point_via_limit(q), isoptic_point(q), similarity_ratio(q)
                 except GeometryError:
-                    pass
+                    continue
+                if is_finite(lim) and is_finite(w):
+                    assert abs(lim - w) <= 16 * eps * abs(w - q.centroid()) / max(abs(1 - r), eps)
 
     def test_limit_route_reads_the_w_decision(self):
         # r = -1 on parallelogram-pi4, where 1 - k = 2: the route needs no cut
@@ -2320,9 +2331,10 @@ def test_the_orbits_keep_w_and_s_at_seed_42():
 def test_deep_generations_keep_w_and_s():
     """The README quadrilateral's generations shrink by |r| = 0.027 each two
     steps onto W: every one of the 20 that round apart keeps W within 4 eps
-    diam_0 of W_0 and a finite S; so does the second generation of a
-    near-cyclic draw, 1.2e-13 across.  Each read W or S at infinity when the
-    constructions read the generation's rounded vertices."""
+    diam_0 of W_0 and a finite S, and so does each W route that can build its
+    Q2 and Q3; so does the second generation of a near-cyclic draw, 1.2e-13
+    across.  Each read W or S at infinity when the constructions read the
+    generation's rounded vertices."""
     q = Quadrilateral(Point(0, 0), Point(4, 0), Point(5, 3), Point(1, 4))
     rep0, eps = analyze(q), sys.float_info.epsilon
     for k in range(1, 21):
@@ -2330,6 +2342,14 @@ def test_deep_generations_keep_w_and_s():
         rep = analyze(q)
         assert is_finite(rep.w) and abs(rep.w - rep0.w) <= 4 * eps * 5.83, k
         assert is_finite(rep.s), k
+        for route in (isoptic_point_via_limit, isoptic_point_via_inversion,
+                      isoptic_point_via_inv_iso):
+            try:
+                w = route(q)
+            except CollinearInput:  # its Q2 or Q3 rounds together, from k = 19
+                assert k >= 19
+                continue
+            assert is_finite(w) and abs(w - rep0.w) <= 4 * eps * 5.83, (k, route.__name__)
     with pytest.raises(CollinearInput, match="round together"):
         next_generation(q)
     q2 = next_generation(next_generation(random_quadrilateral(CaseSpec(7, "near-cyclic"), 0)))
