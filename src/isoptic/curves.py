@@ -17,14 +17,12 @@ from .errors import (
     NotALine,
 )
 from .kernel import (
-    CS_GRADIENT_NOISE,
     DEFAULT_TOL,
     AtInfinity,
     Circle,
     Line,
     MaybePoint,
     Point,
-    bisector_distance,
     check_tol,
     circumcenter,
     finite_point,
@@ -186,26 +184,25 @@ def circle_of_similitude(o1: Circle, o2: Circle, tol: float = DEFAULT_TOL) -> Ci
 
 def max_cs_distance(w: complex, circles: tuple[Circle, ...] | list[Circle],
                     tol: float = DEFAULT_TOL, min_gap: float = 0.0, unit: float = 1.0) -> float:
-    """Largest first-order distance of w from the circles of similitude of the
-    pairs of circles, with no circle built: the Apollonius defect d1 - k d2 (d_i =
-    |w - c_i|, k = R1 / R2) over its gradient (w - c1) / d1 - k (w - c2) / d2, each
-    circle's w - c, d and (w - c) / d formed once, so no product of a distance and a
-    radius forms; where that gradient has lost its digits, the bisector distance.
-    Sound near 0, as at W, but for w far off a circle, at angle theta from the line
-    of its pair's centers, up to about 1 / sin theta too large: a large value is not
-    a distance.  w at a center is infinitely far; a pair of centers under min_gap
-    apart is skipped (0.0 if all are), a concentric pair raises ConcentricCircles.
-    All is read times unit, an exact power of two, so that no distance overflows."""
+    """Largest distance of w from the circles of similitude of the pairs of
+    circles, with no circle built: ||w - C| - rho| in the closed form
+    |d1 - k d2| / (|u1 - k^2 u2| + k gap) * (d1 + k d2), where u_i = w - c_i,
+    d_i = |u_i|, k = R1 / R2 and gap = |c1 - c2| (test_proofs.py,
+    test_cs_distance_closed_form).  Divided before the product, so no product
+    of two distances forms; at k = 1 it is the distance from the bisector.  A
+    pair of centers under min_gap apart is skipped (0.0 if all are), a
+    concentric pair raises ConcentricCircles, and centers at one point, whose
+    tol r underflows, read inf.  All is read times unit, an exact power of
+    two, so that no distance overflows."""
     terms, wu = [], w * unit
     for c in circles:
         o, r = c.o * unit, c.r  # r unscaled: their ratio is the same, and no r underflows
         u = wu - o
-        d = abs(u)
-        terms.append((o, r, tol * (r * unit), u, d, u / d if d else u))
+        terms.append((o, r, tol * (r * unit), u, abs(u)))
     min_gap *= unit
-    worst = None  # max(defects): the first, then each larger one, so a first nan stays
-    for i, (o1, r1, tr1, _, d1, e1) in enumerate(terms):
-        for o2, r2, tr2, v, d2, _ in terms[i + 1:]:
+    worst = None  # max(distances): the first, then each larger one, so a first nan stays
+    for i, (o1, r1, tr1, u1, d1) in enumerate(terms):
+        for o2, r2, tr2, u2, d2 in terms[i + 1:]:
             gap = abs(o1 - o2)
             if gap < min_gap:
                 continue
@@ -213,14 +210,10 @@ def max_cs_distance(w: complex, circles: tuple[Circle, ...] | list[Circle],
             if gap < tr1 or gap < tr2 or gap < tol * gap:
                 raise ConcentricCircles("circle of similitude of concentric circles")
             k = r1 / r2
-            if not (d1 and d2):
-                defect = math.inf
-            else:
-                grad = abs(e1 - k * v / d2)
-                defect = (bisector_distance(d1, d2, k, gap) if grad <= CS_GRADIENT_NOISE
-                          else abs(d1 - k * d2) / grad)
-            if worst is None or defect > worst:
-                worst = defect
+            dist = (abs(d1 - k * d2) / (abs(u1 - k * k * u2) + k * gap) * (d1 + k * d2)
+                    if gap else math.inf)
+            if worst is None or dist > worst:
+                worst = dist
     return 0.0 if worst is None else worst / unit
 
 

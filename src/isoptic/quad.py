@@ -660,6 +660,7 @@ def collinearity_residual(points: list[Point]) -> float:
     """Largest distance of the four points from their total-least-squares line."""
     _, u, (a, b, c, d) = _tls_axis(points)
     x, y = u.real, u.imag
+    # every offset is from the centroid, which reads every point: one nan is all nan
     return max(abs(x * a.imag - y * a.real), abs(x * b.imag - y * b.real),
                abs(x * c.imag - y * c.real), abs(x * d.imag - y * d.real))
 

@@ -12,11 +12,9 @@ import math
 
 from .errors import ConcentricCircles, CyclicDegeneration, DegenerateRay, IllConditionedAngles
 from .kernel import (
-    CS_GRADIENT_NOISE,
     MaybePoint,
     Point,
     Report,
-    bisector_distance,
     max_or_nan,
     unit_near,
 )
@@ -74,6 +72,7 @@ def isodynamic_ratios(q: QuadOrState, w: Point) -> float:
     mean = (pa + pb + pc + pd) / 4.0  # sum's order; from 0, which changes no product >= 0
     if mean == 0.0:
         return 0.0
+    # every term reads the mean, which reads every distance: one nan is all nan
     return max(abs(pa - mean), abs(pb - mean), abs(pc - mean), abs(pd - mean)) / mean
 
 
@@ -107,6 +106,7 @@ def parallelogram_residual(pts: list[Point], scale: float) -> float:
     """Scale-free deviation of the opposite-side vector sums from zero."""
     e1 = (pts[1] - pts[0]) + (pts[3] - pts[2])
     e2 = (pts[2] - pts[1]) + (pts[0] - pts[3])
+    # each sum holds every point once with each sign: one is nan just where the other is
     return max(abs(e1), abs(e2)) / scale
 
 
@@ -117,10 +117,8 @@ def parallelogram_residual(pts: list[Point], scale: float) -> float:
 
 def six_cs_residual(st: QuadState) -> float | None:
     """Max scale-free distance of W from the six circles of similitude, each
-    read to first order from the Apollonius defect d_i - k d_j (k = R_i / R_j)
-    over its gradient on W's frame: curves.max_cs_distance's pair loop, bit for
-    bit, written out over its six pairs in its order.  Sound near 0, as at W; a
-    large value is not a distance (max_cs_distance)."""
+    read in the closed form on W's frame: curves.max_cs_distance's pair loop,
+    bit for bit, written out over its six pairs in its order."""
     if st.w_frame is None or st.cyclic:
         return None
     t, tol = st.triads, st.tol
@@ -133,21 +131,17 @@ def six_cs_residual(st: QuadState) -> float | None:
     if (c12 < t1 or c12 < t2 or c13 < t1 or c13 < t3 or c14 < t1 or c14 < t4
             or c23 < t2 or c23 < t3 or c24 < t2 or c24 < t4 or c34 < t3 or c34 < t4):
         raise ConcentricCircles("circle of similitude of concentric circles")
-    if not (d1 and d2 and d3 and d4):
-        return math.inf  # W at a center, where the defect has no gradient
-    e1, e2, e3, (r1, r2, r3, r4) = u1 / d1, u2 / d2, u3 / d3, (t.o1.r, t.o2.r, t.o3.r, t.o4.r)
+    if not (c12 and c13 and c14 and c23 and c24 and c34):
+        return math.inf  # centers at one point, where tol r underflows
+    r1, r2, r3, r4 = t.o1.r, t.o2.r, t.o3.r, t.o4.r
     k12, k13, k14, k23, k24, k34 = r1 / r2, r1 / r3, r1 / r4, r2 / r3, r2 / r4, r3 / r4
-    g12, g13, g14 = abs(e1 - k12 * u2 / d2), abs(e1 - k13 * u3 / d3), abs(e1 - k14 * u4 / d4)
-    g23, g24, g34 = abs(e2 - k23 * u3 / d3), abs(e2 - k24 * u4 / d4), abs(e3 - k34 * u4 / d4)
-    # max keeps the first of equal or nan defects, as the loop does; a gradient
-    # that has lost its digits reads the bisector
-    lost, bisector = CS_GRADIENT_NOISE, bisector_distance
-    return max(bisector(d1, d2, k12, c12) if g12 <= lost else abs(d1 - k12 * d2) / g12,
-               bisector(d1, d3, k13, c13) if g13 <= lost else abs(d1 - k13 * d3) / g13,
-               bisector(d1, d4, k14, c14) if g14 <= lost else abs(d1 - k14 * d4) / g14,
-               bisector(d2, d3, k23, c23) if g23 <= lost else abs(d2 - k23 * d3) / g23,
-               bisector(d2, d4, k24, c24) if g24 <= lost else abs(d2 - k24 * d4) / g24,
-               bisector(d3, d4, k34, c34) if g34 <= lost else abs(d3 - k34 * d4) / g34
+    # max keeps the first of equal or nan distances, as the loop does
+    return max(abs(d1 - k12 * d2) / (abs(u1 - k12 * k12 * u2) + k12 * c12) * (d1 + k12 * d2),
+               abs(d1 - k13 * d3) / (abs(u1 - k13 * k13 * u3) + k13 * c13) * (d1 + k13 * d3),
+               abs(d1 - k14 * d4) / (abs(u1 - k14 * k14 * u4) + k14 * c14) * (d1 + k14 * d4),
+               abs(d2 - k23 * d3) / (abs(u2 - k23 * k23 * u3) + k23 * c23) * (d2 + k23 * d3),
+               abs(d2 - k24 * d4) / (abs(u2 - k24 * k24 * u4) + k24 * c24) * (d2 + k24 * d4),
+               abs(d3 - k34 * d4) / (abs(u3 - k34 * k34 * u4) + k34 * c34) * (d3 + k34 * d4)
                ) / st.w_frame[0] / st.scale
 
 

@@ -236,7 +236,8 @@ def _inv_w_agreement(st):
     if not (is_finite(a) and is_finite(b) and is_finite(c)):
         return None
     # the six pairs in the order of combinations((w, a, b, c), 2)
-    return max(abs(w - a), abs(w - b), abs(w - c), abs(a - b), abs(a - c), abs(b - c)) / st.scale
+    return max_or_nan(abs(w - a), abs(w - b), abs(w - c), abs(a - b), abs(a - c),
+                      abs(b - c)) / st.scale
 
 
 def _inv_varignon(st):
@@ -291,7 +292,7 @@ def quad_distance(q1: Quadrilateral, q2: Quadrilateral) -> float:
 
 
 def _inv_roundtrip(st):
-    return max(quad_distance(st.q, st.next.prev.q), quad_distance(st.q, st.prev.next.q))
+    return max_or_nan(quad_distance(st.q, st.next.prev.q), quad_distance(st.q, st.prev.next.q))
 
 
 def periodicity_residual(st: QuadState) -> float:
@@ -301,7 +302,7 @@ def periodicity_residual(st: QuadState) -> float:
 
 def cross_generation_cs_residual(st: QuadState) -> float | None:
     """Max scale-free distance of W to CS(o_i^(k), o_j^(l)) across the first
-    three generations, each read from the Apollonius defect (max_cs_distance);
+    three generations, each read in max_cs_distance's closed form;
     None where W is not finite.  An inf one where W's distance in diameters
     overflows raises PointAtInfinity."""
     if st.w_frame is None:
@@ -324,7 +325,7 @@ def quadrangle_duality_residual(st: QuadState) -> float | None:
     and o2', so the image is in their pencil; so is CS(o1', o2'), and only
     one member of the pencil passes through W.  So the image is the CS if and
     only if W lies on it: the residual is W's largest distance from the six
-    (max_cs_distance, the Apollonius defect) over the image's diameter.  The
+    (max_cs_distance's closed form) over the image's diameter.  The
     mirror's radius is q's diameter, so the image is q's size at any scale."""
     w = st.w
     if not is_finite(w):
@@ -404,7 +405,7 @@ def _inv_ptolemy(st):
     lhs = ac / bd
     rhs = (ab * da + bc * cd) / (ab * bc + da * cd)
     res2 = abs(lhs - rhs) / max(1.0, abs(lhs))
-    return max(res1, res2)
+    return max_or_nan(res1, res2)
 
 
 def _inv_q2_construction(st):
@@ -414,10 +415,10 @@ def _inv_q2_construction(st):
     a, b, c, d = st.q.vertices()
     a2, b2, c2, d2 = st.next.q.vertices()
     tol = st.tol
-    return max(abs(circumscribe(d, a, b, tol, with_radius=False) - a2),
-               abs(circumscribe(a, b, c, tol, with_radius=False) - b2),
-               abs(circumscribe(b, c, d, tol, with_radius=False) - c2),
-               abs(circumscribe(c, d, a, tol, with_radius=False) - d2)) / st.scale
+    return max_or_nan(abs(circumscribe(d, a, b, tol, with_radius=False) - a2),
+                      abs(circumscribe(a, b, c, tol, with_radius=False) - b2),
+                      abs(circumscribe(b, c, d, tol, with_radius=False) - c2),
+                      abs(circumscribe(c, d, a, tol, with_radius=False) - d2)) / st.scale
 
 
 def _inv_cyclic_degeneration(st):

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -25,12 +26,10 @@ from isoptic.curves import (
     mirrored_cevian,
 )
 from isoptic.kernel import (
-    CS_GRADIENT_NOISE,
     AtInfinity,
     Circle,
     Line,
     Point,
-    bisector_distance,
     is_finite,
     max_or_nan,
 )
@@ -368,20 +367,30 @@ class TestCircleOfSimilitude:
 
 
 def _pair_cs_distance(w: complex, o1: Circle, o2: Circle, tol: float) -> float:
-    """One pair's Apollonius defect over its gradient, as the per-pair
-    reference the per-set pass must reproduce bit for bit."""
+    """One pair's distance in the closed form |d1 - k d2| / (|u1 - k^2 u2| +
+    k gap) (d1 + k d2), as the per-pair reference the per-set pass must
+    reproduce bit for bit."""
     gap = abs(o1.o - o2.o)
     if gap < tol * max(o1.r, o2.r, gap):
         raise ConcentricCircles("reference")
     k = o1.r / o2.r
     u, v = w - o1.o, w - o2.o
     d1, d2 = abs(u), abs(v)
-    if not (d1 and d2):
-        return math.inf
-    grad = abs(u / d1 - k * v / d2)
-    if grad <= CS_GRADIENT_NOISE:
-        return bisector_distance(d1, d2, k, gap)
-    return abs(d1 - k * d2) / grad
+    return abs(d1 - k * d2) / (abs(u - k * k * v) + k * gap) * (d1 + k * d2) if gap else math.inf
+
+
+def _mp_cs_distance(w: complex, o1: Circle, o2: Circle) -> float:
+    """w's distance from the circle of similitude of o1 and o2 in 60-digit
+    mpmath: from the bisector where the radii are equal, else ||w - C| - rho|."""
+    import mpmath as mp  # a test extra, as bench/tests' oracle needs it too
+
+    with mp.workdps(60):
+        c1, c2, z = (mp.mpc(p.real, p.imag) for p in (o1.o, o2.o, w))
+        k = mp.mpf(o1.r) / mp.mpf(o2.r)
+        if k == 1:
+            return float(abs(abs(z - c1) ** 2 - abs(z - c2) ** 2) / (2 * abs(c1 - c2)))
+        c = (c1 - k * k * c2) / (1 - k * k)
+        return float(abs(abs(z - c) - k * abs(c1 - c2) / abs(1 - k * k)))
 
 
 def _random_circles(rng: random.Random, count: int) -> list[Circle]:
@@ -416,14 +425,35 @@ class TestMaxCsDistance:
         with pytest.raises(ConcentricCircles):
             max_cs_distance(1 + 1j, circles)
 
-    def test_w_at_a_center_is_infinitely_far(self):
-        circles = [Circle(0j, 1.0), Circle(3 + 0j, 2.0), Circle(1 + 2j, 0.5)]
-        assert max_cs_distance(3 + 0j, circles) == math.inf
+    @pytest.mark.parametrize(("spread", "bound"), [(4.0, 8.0), (40.0, 32.0)])
+    def test_reads_the_distance(self, spread, bound):
+        # against 60-digit mpmath, in eps (d1 + k d2 + gap): the worst of these
+        # reads 1.8 with w among the centers and 13.8 at ten times out, where
+        # the rounding of d1 - k d2 grows with (d1 + k d2) / gap.  A defect
+        # over its gradient, a first-order distance, is off by up to 2.8e16
+        rng, eps, worst = random.Random(2), 2.220446049250313e-16, 0.0
+        for _ in range(2000):
+            o1, o2 = _random_circles(rng, 2)
+            w = complex(rng.uniform(-spread, spread), rng.uniform(-spread, spread))
+            size = abs(w - o1.o) + o1.r / o2.r * abs(w - o2.o) + abs(o1.o - o2.o)
+            err = abs(max_cs_distance(w, [o1, o2]) - _mp_cs_distance(w, o1, o2)) / (eps * size)
+            worst = max(worst, err)
+        assert worst <= bound
 
-    def test_a_lost_gradient_reads_the_bisector(self):
-        # w on the line of two centers of equal radii, outside them, where the
-        # gradient of d1 - d2 is 0: its distance from the bisector, the
-        # circle of similitude at k = 1, |d1^2 - d2^2| / (2 |c1 - c2|)
+    def test_w_at_a_center_reads_the_internal_center_of_similitude(self):
+        # w at c_i lies r_i gap / (r_i + r_j) from the circle, at the internal
+        # center of similitude, the circle's near point on the line of centers
+        circles = [Circle(0j, 1.0), Circle(3 + 0j, 2.0), Circle(1 + 2j, 0.5)]
+        for i, j in itertools.permutations(range(3), 2):
+            o1, o2 = circles[i], circles[j]
+            got, gap = max_cs_distance(o1.o, [o1, o2]), abs(o1.o - o2.o)
+            assert got == pytest.approx(o1.r * gap / (o1.r + o2.r), rel=4e-16)
+            assert got == pytest.approx(_mp_cs_distance(o1.o, o1, o2), rel=4e-16)
+
+    def test_equal_radii_read_the_bisector(self):
+        # w on the line of two centers of equal radii, outside them: its
+        # distance from the bisector, the circle of similitude at k = 1,
+        # |d1^2 - d2^2| / (2 |c1 - c2|)
         circles, w = [Circle(0j, 1.0), Circle(4 + 1j, 1.0)], 8 + 2j
         got = max_cs_distance(w, circles)
         assert got == _pair_cs_distance(w, *circles, 1e-9)

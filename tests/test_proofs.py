@@ -1,11 +1,14 @@
-"""The closed forms of W, S, r and Q2, proved in exact symbolic arithmetic.
+"""The closed forms of W, S, r, Q2 and the distance from a circle of
+similitude, proved in exact symbolic arithmetic.
 
 A similarity puts A at 0 and B at 1, so C = (x1, y1) and D = (x2, y2) are
 the only free coordinates, and every construction below is a rational
 function of them.  sympy's rational function field reduces each one to
 lowest terms as it is built, so an equality here is an identity in x1, y1,
 x2, y2, not a check at sample points.  Complex numbers are pairs (re, im)
-of field elements; the formulas are those of ``isoptic.quad``.
+of field elements; the formulas are those of ``isoptic.quad``.  The
+distance from a circle of similitude (``isoptic.curves.max_cs_distance``)
+has a field of its own, of the ratio k, the point and the two centers.
 """
 
 from functools import cache
@@ -170,3 +173,29 @@ def test_q2_diagonals_share_the_same_determinant():
     a2, b2, c2, d2 = _second_generation()
     assert _sub(c2, a2) == _bisector_step(b, d, c, a, -1)
     assert _sub(d2, b2) == _bisector_step(a, c, d, b, -1)
+
+
+# the circle of similitude |X - c1| = k |X - c2| of two circles, of centers c1
+# and c2 and radius ratio k, and a point w, in a field of their own
+_CS = sympy.field("k,wx,wy,a1,b1,a2,b2", sympy.QQ)
+
+
+def test_cs_distance_closed_form():
+    """The identities behind curves.max_cs_distance.  With u_i = w - c_i,
+    C = (c1 - k^2 c2) / (1 - k^2) and rho^2 from completing the square:
+    (1 - k^2)(w - C) = u1 - k^2 u2, (1 - k^2)^2 rho^2 = k^2 gap^2 and
+    (1 - k^2)(|w - C|^2 - rho^2) = d1^2 - k^2 d2^2.  So ||w - C| - rho| is
+    |d1^2 - k^2 d2^2| / (|u1 - k^2 u2| + k gap); at k = 1, d1^2 - d2^2 is
+    2 gap times w's signed distance from the bisector."""
+    _, k, wx, wy, a1, b1, a2, b2 = _CS
+    w, c1, c2 = (wx, wy), (a1, b1), (a2, b2)
+    u1, u2, k2, gap = _sub(w, c1), _sub(w, c2), k * k, _sub(c1, c2)
+    a = 1 - k2
+    center = _scale(1 / a, _sub(c1, _scale(k2, c2)))
+    rho2 = _dot(center, center) - (_dot(c1, c1) - k2 * _dot(c2, c2)) / a
+    off = _sub(w, center)
+    assert _scale(a, off) == _sub(u1, _scale(k2, u2))
+    assert a * a * rho2 == k2 * _dot(gap, gap)
+    assert a * (_dot(off, off) - rho2) == _dot(u1, u1) - k2 * _dot(u2, u2)
+    # 2 (w - m) = 2 w - c1 - c2 for the midpoint m of the centers
+    assert _dot(u1, u1) - _dot(u2, u2) == _dot(_sub(_scale(2, w), _add(c1, c2)), _sub(c2, c1))

@@ -938,27 +938,29 @@ def _state_at(q, p):
     return st
 
 
-def test_cross_generation_cs_reads_the_bisector_where_the_gradient_is_lost():
-    # the twelve triad radii of CaseSpec(17, "orthocentric") case 0 agree to
-    # rounding, and its S lies on the line of o2 and o4 of Q2, outside them,
-    # where that pair's Apollonius gradient rounds to a few eps and its
-    # first-order reading was 1.8e15 at every power-of-two scale and inf at
-    # 1e300; it reads the pair's distance from the bisector of its centers
+def test_cross_generation_cs_reads_the_distance():
+    # S of CaseSpec(17, "orthocentric") case 0 read as W: its twelve triad
+    # radii agree to rounding, so each circle of similitude is a bisector or
+    # nearly one.  The residual is the largest distance of S from those of
+    # the pairs not skipped, at every scale, where a defect over its gradient
+    # reads 9.41 (o1 and o2 of Q1) and 1.8e15 (o2 and o4 of Q2, on whose line
+    # S lies, outside them)
     q0 = random_quadrilateral(CaseSpec(17, "orthocentric"), 0)
 
     def replay(scale):
         q = Quadrilateral(*(Point(v * scale) for v in q0.vertices()))
         return cross_generation_cs_residual(_state_at(q, QuadState(q).s))
 
+    st = _state_at(q0, QuadState(q0).s)
+    circles = [c for g in (st, st.next, st.next.next) for c in g.triads.circles]
+    dist = max(circle_of_similitude(c1, c2, st.tol).distance_to(st.w)
+               for i, c1 in enumerate(circles) for c2 in circles[i + 1:]
+               if abs(c1.o - c2.o) >= 1e3 * st.tol * st.scale) / st.scale
+    assert dist == pytest.approx(0.4993969992498998, abs=1e-15)
     res = replay(1.0)
-    assert math.isfinite(res) and replay(2.0 ** 10) == res == replay(2.0 ** -600)
+    assert abs(res - dist) <= 1e-12
+    assert replay(2.0 ** 10) == res == replay(2.0 ** -600)
     assert replay(1e300) == pytest.approx(res, rel=1e-12)
-    st = QuadState(q0)
-    pair, s = (st.next.triads.o2, st.next.triads.o4), st.s
-    bisector = circle_of_similitude(*pair, st.tol)
-    assert isinstance(bisector, Line)
-    assert max_cs_distance(s, pair, st.tol, 0.0, st.frame(s)[0]) == pytest.approx(
-        bisector.distance_to(s), abs=1e-12 * st.scale)
 
 
 @pytest.mark.parametrize("check", [cross_generation_cs_residual, quadrangle_duality_residual],
@@ -1213,7 +1215,8 @@ _FLAT_AND_LOOP = {
 
 
 def _loop_six_cs(st):
-    """six_cs_residual as kernel.max_cs_distance's loop over the pairs reads it."""
+    """six_cs_residual as curves.max_cs_distance's loop over the pairs reads
+    it, each pair in the closed form."""
     w = st.w
     if not is_finite(w) or st.cyclic:
         return None
@@ -1487,9 +1490,9 @@ class TestOnePassFormsBitForBit:
     def test_six_cs_is_the_pair_loop(self):
         """six_cs_residual's six pairs on W's frame against max_cs_distance's
         pair loop, at W and at S (a state whose W reads S), on every class at
-        scales 1e-300, 1 and 1e300; at the open cross-generation replay's S;
+        scales 1e-300, 1 and 1e300; at the cross-generation replay's S;
         on the near-cyclic replay, where both raise; and at a center, where
-        both read inf."""
+        both read a finite distance."""
         states = []
         for q0 in self.POOL:
             for scale in (1e-300, 1.0, 1e300):
@@ -1507,32 +1510,36 @@ class TestOnePassFormsBitForBit:
         outcomes = [(self._outcome(six_cs_residual, st()), self._outcome(_loop_six_cs, st()))
                     for st in states]
         assert [flat for flat, loop in outcomes if flat != loop] == []
-        assert outcomes[-2:] == [("ConcentricCircles",) * 2, ("inf",) * 2]
+        assert outcomes[-2][0] == "ConcentricCircles" and math.isfinite(float(outcomes[-1][0]))
 
     def test_six_cs_concentric_cut_is_the_pair_loops(self):
         # a triad system's coincident centers have equal radii, so each term
         # of the cut is pinned on planted circles: in turn each pair's second
         # or first circle has twice the radius, and the pair is 1.5 or 2.5
         # tol times the smaller radius apart, which only the larger one's
-        # term cuts, or neither
+        # term cuts, or neither; last, each pair at one point with subnormal
+        # radii, whose tol r underflows to 0, so that no term cuts: inf
         tol, w, centers = GENERIC.tol, Point(2.5, 1.5), (0j, 4 + 1j, 5 + 4j, 1 + 5j)
         outcomes = []
-        for i, j in itertools.combinations(range(4), 2):
-            for big, gap in itertools.product((i, j), (1.5, 2.5)):
-                o = list(centers)
-                o[j] = o[i] + gap * tol
-                circles = [Circle(c, 2.0 if k == big else 1.0) for k, c in enumerate(o)]
-                st = _state_at(GENERIC, w)
-                st.triads, st.cyclic = TriadSystem(*circles, diffs=(), rel=tuple(o)), False
-                outcomes.append((self._outcome(six_cs_residual, st),
-                                 self._outcome(_loop_six_cs, st)))
+        planted = [(j, centers[i] + gap * tol, [2.0 if k == big else 1.0 for k in range(4)])
+                   for i, j in itertools.combinations(range(4), 2)
+                   for big, gap in itertools.product((i, j), (1.5, 2.5))]
+        planted += [(j, centers[i], [1e-320] * 4) for i, j in itertools.combinations(range(4), 2)]
+        for j, moved, radii in planted:
+            o = list(centers)
+            o[j] = moved
+            st = _state_at(GENERIC, w)
+            st.triads = TriadSystem(*map(Circle, o, radii), diffs=(), rel=tuple(o))
+            st.cyclic = False
+            outcomes.append((self._outcome(six_cs_residual, st),
+                             self._outcome(_loop_six_cs, st)))
         assert [flat for flat, loop in outcomes if flat != loop] == []
         assert [flat for flat, _ in outcomes].count("ConcentricCircles") == 12
+        assert [flat for flat, _ in outcomes[-6:]] == ["inf"] * 6
 
-    def test_six_cs_lost_gradient_is_the_pair_loops(self):
+    def test_six_cs_equal_radii_is_the_pair_loops(self):
         # planted circles of one radius, W on the line of the centers of each
-        # pair in turn, outside them, where that pair's gradient is 0: both
-        # read its distance from the bisector
+        # pair in turn, outside them: both read its distance from the bisector
         centers = (0j, 4 + 1j, 5 + 4j, 1 + 5j)
         outcomes = []
         for i, j in itertools.combinations(range(4), 2):

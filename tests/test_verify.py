@@ -22,6 +22,7 @@ from isoptic.routes import (
     isoptic_point_via_inversion,
     isoptic_point_via_limit,
 )
+from isoptic import verify
 from isoptic.verify import (
     INVARIANTS,
     SHAPE_CLASSES,
@@ -46,20 +47,20 @@ ANGLE_REJECTION_DRAWS_SHA256 = \
 # every class and i in 0..49.  A change that only makes the program faster
 # keeps both bit for bit; a re-pin means the reports or results changed, and
 # the change that re-pins says why
-SUITE_SHA256 = "9da9c1d63d729abc1312037dac94dde50dfb9689e6122f46ef637a041b2d434b"
-ANALYZE_SHA256 = "6127af2ef63997e0c78945681266010c1d8508cd75fa60df12b419118b4cd38f"
+SUITE_SHA256 = "fdcb87f8177d7955e1746bfa5cb0d9c8f5e866405d6aa7fe72fde53f13d54680"
+ANALYZE_SHA256 = "e6f53563f70a1d952ecfc00b8c74c82aacf0a1c6cd55b325659ddd5123f590f8"
 # sha256 of the repr of the whole AnalysisReport (every field: the triads,
 # shape, pedal feet, Varignon midpoints and mean isoptic quantity too) of
 # analyze on the same 400 quadrilaterals scaled by 1, 1e-300 and 1e300, one
 # line per report, in that order
-REPORT_SHA256 = "ca888c07df10f9ce415a155b01158b79d4a83c8b4b0b68acca67ad3758e130c0"
+REPORT_SHA256 = "ffcdb7bdb195f423ae04d1979360ca3487e69efb22339e7c19a62e5e33acc86d"
 # sha256 of one line per case of random_quadrilateral(CaseSpec(5, cls), i)
 # for every class and i in 0..59, scaled by 1, 1e-300 and 1e300: the repr
 # (or the GeometryError's name) of W, of every INVARIANTS entry, whether or
 # not the class runs it, of the three W routes, both generation maps and
 # interior_angles.  SUITE_SHA256 holds only each invariant's maximum; this
 # holds every case below it too
-RESIDUALS_SHA256 = "b1211dccc9c858b410c4625583b4d82c66d7c7ac930bc7dc1508ecf0ba74c239"
+RESIDUALS_SHA256 = "0e18ba2f2323c4218c9132564666d6f34dbb886f14c6642eebb15297280d5b93"
 # the same cases, one line each: the repr (or the GeometryError's name) of
 # isogonal_conjugate_quad(st, st.w), then of isogonal_conjugate_quad(st, st.s)
 CONJUGATE_SHA256 = "d8b4491762f77460a9b41fe55ee910dcc49b4b399b72b153ae18833b967dbdf8"
@@ -272,6 +273,15 @@ class TestRunSuite:
         stats = rep.invariants["r_range"]
         assert (stats.cases_run, stats.failures, stats.max_residual) == (3, 3, 0.0)
         assert rep.failures == 3
+
+    def test_a_nan_route_fails_w_agreement(self, monkeypatch):
+        # a route that returns Point(nan, nan) passes is_finite, and a plain
+        # max passed over its nan distances, none of which comes first
+        monkeypatch.setattr(verify, "isoptic_point_via_limit",
+                            lambda st: Point(math.nan, math.nan))
+        rep = run_suite(CaseSpec(seed=5, shape_class="concave"), 3)
+        stats = rep.invariants["w_agreement"]
+        assert (stats.cases_run, stats.failures) == (3, 3)
 
     def test_residuals_nonnegative(self):
         rep = run_suite(CaseSpec(seed=5, shape_class="concave"), 10, tol=1e-8)
