@@ -169,12 +169,12 @@ def circle_of_similitude(o1: Circle, o2: Circle, tol: float = DEFAULT_TOL) -> Ci
     """The locus |X - c1| = k |X - c2| of the centers with the ratio k = R1 / R2
     of the radii: the circle of center (c1 - k^2 c2) / (1 - k^2) and radius
     k |c1 - c2| / |1 - k^2|, or the perpendicular bisector of the centers
-    when |1 - k^2| < tol max(1, k^2).  Centers within tol times the largest
-    of the radii and their distance raise ConcentricCircles."""
-    gap = abs(o1.o - o2.o)
-    if gap < check_tol(tol) * max(o1.r, o2.r, gap):
+    when |1 - k^2| < tol max(1, k^2).  Centers at most tol times the largest
+    of the radii and their distance apart, one point at any scale, raise
+    ConcentricCircles, as do centers whose k |c1 - c2| underflows to 0."""
+    gap, k = abs(o1.o - o2.o), o1.r / o2.r
+    if gap <= check_tol(tol) * max(o1.r, o2.r, gap) or not k * gap:
         raise ConcentricCircles("circle of similitude of concentric circles")
-    k = o1.r / o2.r
     k2 = k * k
     a = 1.0 - k2
     if abs(a) < tol * max(1.0, k2):
@@ -190,10 +190,10 @@ def max_cs_distance(w: complex, circles: tuple[Circle, ...] | list[Circle],
     d_i = |u_i|, k = R1 / R2 and gap = |c1 - c2| (test_proofs.py,
     test_cs_distance_closed_form).  Divided before the product, so no product
     of two distances forms; at k = 1 it is the distance from the bisector.  A
-    pair of centers under min_gap apart is skipped (0.0 if all are), a
-    concentric pair raises ConcentricCircles, and centers at one point, whose
-    tol r underflows, read inf.  All is read times unit, an exact power of
-    two, so that no distance overflows."""
+    pair of centers under min_gap apart is skipped (0.0 if all are), and a
+    concentric pair (circle_of_similitude's inclusive cut) raises
+    ConcentricCircles.  All is read times unit, an exact power of two, so
+    that no distance overflows."""
     terms, wu = [], w * unit
     for c in circles:
         o, r = c.o * unit, c.r  # r unscaled: their ratio is the same, and no r underflows
@@ -206,12 +206,13 @@ def max_cs_distance(w: complex, circles: tuple[Circle, ...] | list[Circle],
             gap = abs(o1 - o2)
             if gap < min_gap:
                 continue
-            # gap < tol * max(r1, r2, gap), term by term: rounding keeps the order
-            if gap < tr1 or gap < tr2 or gap < tol * gap:
-                raise ConcentricCircles("circle of similitude of concentric circles")
             k = r1 / r2
-            dist = (abs(d1 - k * d2) / (abs(u1 - k * k * u2) + k * gap) * (d1 + k * d2)
-                    if gap else math.inf)
+            kgap = k * gap
+            # gap <= tol * max(r1, r2, gap), term by term (rounding keeps the order), or a
+            # k gap that underflows to 0: circle_of_similitude's cut
+            if gap <= tr1 or gap <= tr2 or gap <= tol * gap or not kgap:
+                raise ConcentricCircles("circle of similitude of concentric circles")
+            dist = abs(d1 - k * d2) / (abs(u1 - k * k * u2) + kgap) * (d1 + k * d2)
             if worst is None or dist > worst:
                 worst = dist
     return 0.0 if worst is None else worst / unit
@@ -265,7 +266,7 @@ def isogonal_conjugate_triangle(a: complex, b: complex, c: complex, p: MaybePoin
     if isinstance(p, AtInfinity):
         raise DegenerateConjugate("conjugate of a point at infinity")
     gaps = abs(a - p), abs(b - p), abs(c - p)
-    if min(gaps) < tol * (max(*gaps, abs(b - a), abs(c - b), abs(a - c)) or 1.0):
+    if min(gaps) <= tol * max(*gaps, abs(b - a), abs(c - b), abs(a - c)):
         raise DegenerateConjugate("conjugate of a triangle vertex")
     return meet_of_cevians(a, mirrored_cevian(a, b, c, p), b, mirrored_cevian(b, c, a, p),
                            c, mirrored_cevian(c, a, b, p), tol)

@@ -68,10 +68,14 @@ class Quadrilateral(Record):
         table is diffs, in the vertices' units, rather than the differences of the
         rounded vertices: for a construction that knows its sides better than
         its vertices.  Vertices that round together raise CollinearInput even where
-        the table's sides are apart: such a generation has no vertices to report."""
+        the table's sides are apart, and a vertex beyond the float range PointAtInfinity:
+        such a generation has no vertices to report."""
         q = object.__new__(cls)
         q._frame(Point(a), Point(b), Point(c), Point(d), a, (0j, diffs[0], diffs[1], diffs[2]),
                  diffs, tol)
+        isfinite = cmath.isfinite  # after the frame's test of the table's diameter
+        if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
+            raise PointAtInfinity("a vertex of this generation is not a finite float")
         if a == b or a == c or a == d or b == c or b == d or c == d:
             raise CollinearInput("the vertices of this generation round together")
         return q

@@ -6,8 +6,10 @@ formatted with repr-style shortest round-trip floats.
 
 from __future__ import annotations
 
+import math
+
 from . import curves  # lazy: its body runs only when the cs layer is drawn
-from .errors import GeometryError
+from .errors import GeometryError, PointAtInfinity
 from .kernel import Circle, Line, Point, is_finite
 from .quad import QuadState, Quadrilateral, simson_line, varignon
 
@@ -30,6 +32,8 @@ LAYERS = tuple(_PALETTE)  # the layer names, in draw order
 
 
 def _fmt(x: float) -> str:
+    if not -math.inf < x < math.inf:  # a degeneracy, as for a layer's construction
+        raise PointAtInfinity("a coordinate of the figure is not a finite float")
     text = format(x, ".6f")
     return "0.000000" if text == "-0.000000" else text
 
@@ -44,29 +48,30 @@ class _Canvas:
         self.elements: list[str] = []
         self.points: list[Point] = []
 
+    # each shape frames the figure only once _fmt has taken all its numbers
     def polygon(self, pts, color, width=1.0, dash=None):
-        self.points.extend(pts)
         d = " ".join(f"{_fmt(p.real)},{_fmt(p.imag)}" for p in pts)
         self.elements.append(f'<polygon points="{d}" fill="none" {_stroke(color, width, dash)}/>')
+        self.points.extend(pts)
 
     def circle(self, center: Point, radius: float, color, width=1.0, dash=None):
-        self.points.append(center)
         self.elements.append(
             f'<circle cx="{_fmt(center.real)}" cy="{_fmt(center.imag)}" '
             f'r="{_fmt(radius)}" fill="none" {_stroke(color, width, dash)}/>')
+        self.points.append(center)
 
     def dot(self, p: Point, color, radius=3.0):
-        self.points.append(p)
         self.elements.append(
             f'<circle cx="{_fmt(p.real)}" cy="{_fmt(p.imag)}" r="{_fmt(radius)}" '
             f'fill="{color}" stroke="none" vector-effect="non-scaling-stroke" '
             f'class="marker"/>')
+        self.points.append(p)
 
     def segment(self, a: Point, b: Point, color, width=1.0, dash=None):
-        self.points.extend((a, b))
         self.elements.append(
             f'<line x1="{_fmt(a.real)}" y1="{_fmt(a.imag)}" x2="{_fmt(b.real)}" '
             f'y2="{_fmt(b.imag)}" {_stroke(color, width, dash)}/>')
+        self.points.extend((a, b))
 
 
 def _clip_curve(canvas: _Canvas, curve: Circle | Line, color, span: float,
@@ -87,7 +92,9 @@ def render_svg(q: Quadrilateral, layers=("quad", "triads", "w"),
 
     Unknown layer names raise ValueError.  Layers whose construction hits a
     degeneracy are silently skipped (e.g. "w" for a quadrilateral whose
-    isoptic point is at infinity).  A tol other than q's own redraws q built at it.
+    isoptic point is at infinity), and so are shapes with a coordinate beyond the
+    float range; a frame beyond it raises PointAtInfinity.  A tol other than
+    q's own redraws q built at it.
     """
     for name in layers:
         if name not in LAYERS:

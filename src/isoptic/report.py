@@ -126,22 +126,23 @@ def six_cs_residual(st: QuadState) -> float | None:
     t1, t2, t3, t4 = tol * s1, tol * s2, tol * s3, tol * s4
     c12, c13, c14, c23, c24, c34 = (abs(o1 - o2), abs(o1 - o3), abs(o1 - o4), abs(o2 - o3),
                                     abs(o2 - o4), abs(o3 - o4))
-    # a pair of centers less than tol times either radius apart (the loop's
-    # gap < tol gap never holds: a quadrilateral's frame rejects a tol >= 1)
-    if (c12 < t1 or c12 < t2 or c13 < t1 or c13 < t3 or c14 < t1 or c14 < t4
-            or c23 < t2 or c23 < t3 or c24 < t2 or c24 < t4 or c34 < t3 or c34 < t4):
-        raise ConcentricCircles("circle of similitude of concentric circles")
-    if not (c12 and c13 and c14 and c23 and c24 and c34):
-        return math.inf  # centers at one point, where tol r underflows
     r1, r2, r3, r4 = t.o1.r, t.o2.r, t.o3.r, t.o4.r
     k12, k13, k14, k23, k24, k34 = r1 / r2, r1 / r3, r1 / r4, r2 / r3, r2 / r4, r3 / r4
+    g12, g13, g14, g23, g24, g34 = k12 * c12, k13 * c13, k14 * c14, k23 * c23, k24 * c24, k34 * c34
+    # a pair of centers at most tol times either radius apart, so one point
+    # whatever tol r underflows to (the loop's gap <= tol gap holds only
+    # there: a quadrilateral's frame rejects a tol >= 1), or whose k gap underflows to 0
+    if (c12 <= t1 or c12 <= t2 or c13 <= t1 or c13 <= t3 or c14 <= t1 or c14 <= t4
+            or c23 <= t2 or c23 <= t3 or c24 <= t2 or c24 <= t4 or c34 <= t3 or c34 <= t4
+            or not (g12 and g13 and g14 and g23 and g24 and g34)):
+        raise ConcentricCircles("circle of similitude of concentric circles")
     # max keeps the first of equal or nan distances, as the loop does
-    return max(abs(d1 - k12 * d2) / (abs(u1 - k12 * k12 * u2) + k12 * c12) * (d1 + k12 * d2),
-               abs(d1 - k13 * d3) / (abs(u1 - k13 * k13 * u3) + k13 * c13) * (d1 + k13 * d3),
-               abs(d1 - k14 * d4) / (abs(u1 - k14 * k14 * u4) + k14 * c14) * (d1 + k14 * d4),
-               abs(d2 - k23 * d3) / (abs(u2 - k23 * k23 * u3) + k23 * c23) * (d2 + k23 * d3),
-               abs(d2 - k24 * d4) / (abs(u2 - k24 * k24 * u4) + k24 * c24) * (d2 + k24 * d4),
-               abs(d3 - k34 * d4) / (abs(u3 - k34 * k34 * u4) + k34 * c34) * (d3 + k34 * d4)
+    return max(abs(d1 - k12 * d2) / (abs(u1 - k12 * k12 * u2) + g12) * (d1 + k12 * d2),
+               abs(d1 - k13 * d3) / (abs(u1 - k13 * k13 * u3) + g13) * (d1 + k13 * d3),
+               abs(d1 - k14 * d4) / (abs(u1 - k14 * k14 * u4) + g14) * (d1 + k14 * d4),
+               abs(d2 - k23 * d3) / (abs(u2 - k23 * k23 * u3) + g23) * (d2 + k23 * d3),
+               abs(d2 - k24 * d4) / (abs(u2 - k24 * k24 * u4) + g24) * (d2 + k24 * d4),
+               abs(d3 - k34 * d4) / (abs(u3 - k34 * k34 * u4) + g34) * (d3 + k34 * d4)
                ) / st.w_frame[0] / st.scale
 
 

@@ -36,7 +36,7 @@ def _conjugates_in_triads(q: Quadrilateral) -> list[MaybePoint]:
     ab, ac, ad, bc, bd, cd = b - a, c - a, d - a, c - b, d - b, d - c
     nab, nac, nad, nbc, nbd, ncd = abs(ab), abs(ac), abs(ad), abs(bc), abs(bd), abs(cd)
     # each pair is a gap from the left-out vertex of two triads: the vertex test of all four
-    if min(nab, nac, nad, nbc, nbd, ncd) < tol * (max(nab, nac, nad, nbc, nbd, ncd) or 1.0):
+    if min(nab, nac, nad, nbc, nbd, ncd) <= tol * max(nab, nac, nad, nbc, nbd, ncd):
         raise DegenerateConjugate("conjugate of a triangle vertex")
     ab, ac, ad, bc, bd, cd = ab / nab, ac / nac, ad / nad, bc / nbc, bd / nbd, cd / ncd
     ba, ca, da, cb, db, dc = -ab, -ac, -ad, -bc, -bd, -cd  # the reverse directions, exactly

@@ -750,7 +750,7 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-_SCALES = [1e-300, 1e-170, 1.0, 1e160, 1e300]
+_SCALES = [1e-322, 1e-320, 1e-316, 1e-300, 1e-170, 1.0, 1e160, 1e300]
 _FIRST_CASES = [(CaseSpec(3, shape), 0) for shape in SHAPE_CLASSES]
 
 
@@ -763,18 +763,22 @@ def test_reports_are_strict_json_at_any_scale(quad_file, tmp_path, factor, offse
     # iterate wrote NaN area ratios from 1e160, which no strict JSON parser
     # reads, and analyze wrote NaN Varignon midpoints next to 1e308; on the
     # far-w case, whose W lies near (-1.5e308, 1.1e308), analyze ended in an
-    # OverflowError
+    # OverflowError.  At 1e-316, render with every layer ended the cyclic case
+    # in a ZeroDivisionError (exit 1), and at 1e-320 analyze wrote
+    # "six_cs": Infinity on the cyclic and near-cyclic cases
     out = tmp_path / "out.json"
     for spec, index in cases:
         shape, q = spec.shape_class, random_quadrilateral(spec, index)
         path = quad_file({"vertices": [[v.x * factor + offset, v.y * factor]
                                        for v in q.vertices()]})
         for args in (["analyze"], ["iterate", "--generations", "2"],
-                     ["iterate", "--generations", "2", "--direction", "backward"]):
+                     ["iterate", "--generations", "2", "--direction", "backward"],
+                     ["render", "--layers", ",".join(LAYERS)]):
             out.unlink(missing_ok=True)
             rc = main([args[0], path, *args[1:], "--out", str(out)])
             assert rc in (0, EXIT_DEGENERATE), (shape, args)
-            _strict_json(out.read_text())
+            if args[0] != "render":  # an SVG document
+                _strict_json(out.read_text())
 
 
 def test_backward_iteration_stops_before_infinity(quad_file, tmp_path):

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -41,7 +42,8 @@ from isoptic.quad import (
     next_generation,
     triad_circles,
 )
-from isoptic.report import analyze
+from isoptic.report import analyze, six_cs_residual
+from isoptic.routes import _conjugates_in_triads
 from isoptic.verify import CaseSpec, InvariantStats, random_quadrilateral, run_suite
 
 DISC = Circle(0j, 1.0)
@@ -370,13 +372,12 @@ def _pair_cs_distance(w: complex, o1: Circle, o2: Circle, tol: float) -> float:
     """One pair's distance in the closed form |d1 - k d2| / (|u1 - k^2 u2| +
     k gap) (d1 + k d2), as the per-pair reference the per-set pass must
     reproduce bit for bit."""
-    gap = abs(o1.o - o2.o)
-    if gap < tol * max(o1.r, o2.r, gap):
+    gap, k = abs(o1.o - o2.o), o1.r / o2.r
+    if gap <= tol * max(o1.r, o2.r, gap) or not k * gap:
         raise ConcentricCircles("reference")
-    k = o1.r / o2.r
     u, v = w - o1.o, w - o2.o
     d1, d2 = abs(u), abs(v)
-    return abs(d1 - k * d2) / (abs(u - k * k * v) + k * gap) * (d1 + k * d2) if gap else math.inf
+    return abs(d1 - k * d2) / (abs(u - k * k * v) + k * gap) * (d1 + k * d2)
 
 
 def _mp_cs_distance(w: complex, o1: Circle, o2: Circle) -> float:
@@ -481,6 +482,52 @@ class TestMaxCsDistance:
             scaled = [Circle(c.o * scale, c.r * scale) for c in circles]
             ref = max_cs_distance(w, circles)
             assert max_cs_distance(w * scale, scaled) / scale == pytest.approx(ref, rel=1e-12)
+
+
+# 1, a normal power of two and a subnormal size, where tol times a length underflows to 0
+_DEGENERATE_SCALES = [1.0, 2.0 ** -600, 1e-318]
+
+
+class TestOneDegenerateOutcomeAtEveryScale:
+    """Each tolerance test of a raw length against tol times a raw length is
+    inclusive, so a zero length is degenerate at any size: at 1e-318 these
+    inputs read inf, DegenerateCircle, AtInfinity or ZeroDivisionError when
+    the tests were strict."""
+
+    @pytest.mark.parametrize("s", _DEGENERATE_SCALES)
+    def test_one_center_is_concentric(self, s):
+        pair = [Circle((1 + 1j) * s, 2 * s), Circle((1 + 1j) * s, 3 * s)]
+        with pytest.raises(ConcentricCircles):
+            circle_of_similitude(*pair)
+        with pytest.raises(ConcentricCircles):
+            max_cs_distance(0j, pair)
+
+    @pytest.mark.parametrize("s", _DEGENERATE_SCALES)
+    def test_a_vertex_has_no_conjugate(self, s):
+        with pytest.raises(DegenerateConjugate):
+            isogonal_conjugate_triangle(0j, 4 * s, (1 + 3j) * s, Point(0))
+
+    @pytest.mark.parametrize("s", _DEGENERATE_SCALES)
+    def test_six_cs_of_triad_centers_at_one_point_is_concentric(self, s):
+        # planted triad circles, as tests/test_quad.py plants them: the
+        # first two centers at one point, W among them
+        centers = [(1 + 1j) * s, (1 + 1j) * s, (5 + 4j) * s, (1 + 5j) * s]
+        q = Quadrilateral(*(Point(v * s) for v in (0j, 4 + 1j, 5 + 4j, 1 + 5j)))
+        st = QuadState(q)
+        st.w = Point((2.5 + 1.5j) * s)
+        st.triads = TriadSystem(*(Circle(o, 2 * s) for o in centers), diffs=(),
+                                rel=tuple(centers))
+        st.cyclic = False
+        with pytest.raises(ConcentricCircles):
+            six_cs_residual(st)
+
+    @pytest.mark.parametrize("s", _DEGENERATE_SCALES)
+    def test_conjugates_in_triads_of_a_repeated_vertex(self, s):
+        # only the vertices relative to the anchor and tol are read: D
+        # repeats A, which no Quadrilateral holds
+        q = SimpleNamespace(_rel=(0j, 4 * s + 0j, (1 + 3j) * s, 0j), tol=1e-9)
+        with pytest.raises(DegenerateConjugate):
+            _conjugates_in_triads(q)
 
 
 class TestMaxOrNan:

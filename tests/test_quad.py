@@ -1518,7 +1518,8 @@ class TestOnePassFormsBitForBit:
         # or first circle has twice the radius, and the pair is 1.5 or 2.5
         # tol times the smaller radius apart, which only the larger one's
         # term cuts, or neither; last, each pair at one point with subnormal
-        # radii, whose tol r underflows to 0, so that no term cuts: inf
+        # radii, whose tol r underflows to 0: the inclusive cut reads them
+        # concentric, as it does the same pairs at scale 1
         tol, w, centers = GENERIC.tol, Point(2.5, 1.5), (0j, 4 + 1j, 5 + 4j, 1 + 5j)
         outcomes = []
         planted = [(j, centers[i] + gap * tol, [2.0 if k == big else 1.0 for k in range(4)])
@@ -1534,8 +1535,8 @@ class TestOnePassFormsBitForBit:
             outcomes.append((self._outcome(six_cs_residual, st),
                              self._outcome(_loop_six_cs, st)))
         assert [flat for flat, loop in outcomes if flat != loop] == []
-        assert [flat for flat, _ in outcomes].count("ConcentricCircles") == 12
-        assert [flat for flat, _ in outcomes[-6:]] == ["inf"] * 6
+        assert [flat for flat, _ in outcomes].count("ConcentricCircles") == 18
+        assert [flat for flat, _ in outcomes[-6:]] == ["ConcentricCircles"] * 6
 
     def test_six_cs_equal_radii_is_the_pair_loops(self):
         # planted circles of one radius, W on the line of the centers of each
@@ -2113,6 +2114,8 @@ def _holds_nan(value) -> bool:
         return math.isnan(value)
     if isinstance(value, Line):
         return _holds_nan(value.p) or _holds_nan(value.u)
+    if isinstance(value, Circle):  # whose radius Circle holds finite
+        return _holds_nan(value.o)
     if isinstance(value, Quadrilateral):
         value = value.vertices()
     if isinstance(value, dict):
